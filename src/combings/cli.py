@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from typing import IO
 
 from .combing import (
@@ -80,7 +81,10 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later
+    call; parse_args keeps no state between calls."""
     parser = _Parser(prog="combings", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:

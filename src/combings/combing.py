@@ -18,7 +18,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Literal, Sequence
 
 from .errors import (
@@ -29,11 +28,10 @@ from .errors import (
 )
 from .linalg import (
     IntMatrix,
-    invert_rational,
-    signature,
+    MatrixAnalysis,
+    analysis,
     solve_integer,
     solve_mod2,
-    solve_rational,
 )
 from .surgery import (
     DEFAULT_CAP,
@@ -107,29 +105,30 @@ def euler_class(pres: SurgeryPresentation, c: Sequence[int]) -> EulerClassInfo:
     """
     validate_combing(pres, c)
     c = tuple(c)
-    torsion = solve_rational(pres.matrix, c).solution is not None
+    torsion = analysis(pres.matrix).form.is_torsion(c)
     zero = solve_integer(pres.matrix, c) is not None
     return EulerClassInfo(class_vector=c, is_torsion=torsion, is_zero=zero)
 
 
-@lru_cache(maxsize=None)
-def _theta_g_cached(pres: SurgeryPresentation, c: tuple[int, ...]) -> Fraction:
-    x = solve_rational(pres.matrix, c).solution
-    if x is None:
-        raise NonTorsionError("combing coefficient vector is not torsion")
-    quad = sum((Fraction(ci) * xi for ci, xi in zip(c, x)), Fraction(0))
-    sig = signature(pres.matrix)
-    return quad - 2 * (pres.n + 1) - 3 * (sig.n_plus - sig.n_minus)
+def _theta_constant(data: MatrixAnalysis) -> int:
+    """The part of theta_g that does not depend on c: -2(n+1) - 3 sig(B)."""
+    sig = data.signature
+    return -2 * (data.matrix.rows + 1) - 3 * (sig.n_plus - sig.n_minus)
 
 
 def theta_g(pres: SurgeryPresentation, c: Sequence[int]) -> Fraction:
     """Gompf invariant of the torsion combing with coefficient vector c.
 
     c^T x - 2(n+1) - 3 sig(B) for any rational solution of B x = c; the
-    quadratic term does not depend on the solution choice.
+    quadratic term does not depend on the solution choice, and is read off
+    the integer form as c^T G c / L.
     """
     validate_combing(pres, c)
-    return _theta_g_cached(pres, tuple(c))
+    data = analysis(pres.matrix)
+    form = data.form
+    if not form.is_torsion(c):
+        raise NonTorsionError("combing coefficient vector is not torsion")
+    return Fraction(form.pair(c, c), form.L) + _theta_constant(data)
 
 
 def p1(x: CombingSpec) -> P1Value:
@@ -328,26 +327,21 @@ def p1_image(
         for _, ell in enumerate_torsion(pres, cap)
     )
 
-    n = pres.n
-    sig = signature(pres.matrix)
-    const = -2 * (n + 1) - 3 * (sig.n_plus - sig.n_minus)
-    inverse = invert_rational(pres.matrix) if pres.n else ()
+    data = analysis(pres.matrix)
+    form = data.form
+    # residues of c^T G c + const L modulo 4L, i.e. of theta_g mod 4 times L
+    shift = _theta_constant(data) * form.L
+    modulus = 4 * form.L
     ranges = []
-    for i in range(n):
+    for i in range(pres.n):
         parity = pres.matrix.at(i, i) % 2
         ranges.append([v for v in range(-box, box + 1) if v % 2 == parity])
-    enumerated = set()
-    for c in itertools.product(*ranges):
-        if inverse is not None:
-            x = [sum(row[j] * c[j] for j in range(n)) for row in inverse]
-        else:
-            solved = solve_rational(pres.matrix, c).solution
-            if solved is None:
-                continue
-            x = list(solved)
-        quad = sum((Fraction(ci) * xi for ci, xi in zip(c, x)), Fraction(0))
-        enumerated.add(ModClass(quad + const, MOD_4Z))
-    enumeration = frozenset(enumerated)
+    residues = {
+        (form.pair(c, c) + shift) % modulus
+        for c in itertools.product(*ranges)
+        if form.is_torsion(c)
+    }
+    enumeration = frozenset(ModClass(Fraction(r, form.L), MOD_4Z) for r in residues)
     return P1ImageReport(
         formula_side=formula,
         enumeration_side=enumeration,

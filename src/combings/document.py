@@ -123,6 +123,8 @@ def parse_document(text: str) -> Document:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError("invalid JSON: nested too deeply") from exc
     if not isinstance(obj, dict):
         raise ParseError("document must be a JSON object")
     unknown = set(obj) - set(_TOP_KEYS)

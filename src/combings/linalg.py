@@ -7,9 +7,11 @@ Smith forms, solves, kernels and signatures are exact and reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 Vector = tuple[int, ...]
@@ -92,10 +94,7 @@ class IntMatrix:
     def matvec(self, v: Sequence[int]) -> Vector:
         if len(v) != self.cols:
             raise ValueError("vector length must equal column count")
-        return tuple(
-            sum(self.at(i, j) * v[j] for j in range(self.cols))
-            for i in range(self.rows)
-        )
+        return tuple(sum(map(mul, self.row(i), v)) for i in range(self.rows))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -168,21 +167,25 @@ def _identity_lists(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-@lru_cache(maxsize=None)
-def smith_normal_form(a: IntMatrix) -> SnfResult:
-    """Diagonalize an integer matrix by unimodular row/column operations.
+def _smith_with_inverse(a: IntMatrix) -> tuple[SnfResult, IntMatrix]:
+    """Smith normal form U * A * V = D together with U^{-1}.
 
     The pivot is always the smallest nonzero entry in absolute value, ties
-    broken by lowest row then column, so U and V are reproducible.
+    broken by lowest row then column, so U and V are reproducible.  U^{-1}
+    is tracked during the same elimination: each row operation on U is
+    applied as its inverse column operation on U^{-1}.
     """
     r, c = a.rows, a.cols
     m = a.to_rows()
     u = _identity_lists(r)
     v = _identity_lists(c)
+    # w is U^{-1} transposed, so the column operations on U^{-1} are row operations
+    w = _identity_lists(r)
 
     def swap_rows(i: int, j: int) -> None:
         m[i], m[j] = m[j], m[i]
         u[i], u[j] = u[j], u[i]
+        w[i], w[j] = w[j], w[i]
 
     def swap_cols(i: int, j: int) -> None:
         for row in m:
@@ -193,8 +196,10 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
     def negate_row(i: int) -> None:
         m[i] = [-x for x in m[i]]
         u[i] = [-x for x in u[i]]
+        w[i] = [-x for x in w[i]]
 
     def row_sub(i: int, j: int, q: int) -> None:
+        # row_i -= q row_j on U is column_j += q column_i on U^{-1}
         if q:
             mi, mj = m[i], m[j]
             for k in range(c):
@@ -202,6 +207,9 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
             ui, uj = u[i], u[j]
             for k in range(r):
                 ui[k] -= q * uj[k]
+            wi, wj = w[i], w[j]
+            for k in range(r):
+                wj[k] += q * wi[k]
 
     def col_sub(i: int, j: int, q: int) -> None:
         if q:
@@ -247,11 +255,23 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
             continue
         t += 1
 
-    return SnfResult(
+    snf = SnfResult(
         U=IntMatrix.from_rows(u) if r else IntMatrix(0, 0, ()),
         D=IntMatrix.from_rows(m) if r else IntMatrix(0, c, ()),
         V=IntMatrix.from_rows(v) if c else IntMatrix(0, 0, ()),
     )
+    u_inverse = IntMatrix.from_rows(w).transpose() if r else IntMatrix(0, 0, ())
+    return snf, u_inverse
+
+
+def smith_normal_form(a: IntMatrix) -> SnfResult:
+    """Diagonalize an integer matrix by unimodular row/column operations.
+
+    The pivot is always the smallest nonzero entry in absolute value, ties
+    broken by lowest row then column, so U and V are reproducible.  Kept in
+    the per-matrix memo of `analysis`.
+    """
+    return analysis(a).snf
 
 
 @dataclass(frozen=True)
@@ -317,14 +337,18 @@ class SignatureTriple(NamedTuple):
     n_zero: int
 
 
-@lru_cache(maxsize=None)
 def signature(s: IntMatrix) -> SignatureTriple:
     """Inertia of a symmetric integer matrix by congruence diagonalization.
 
     Exact over Q (Sylvester's law); a block with zero diagonal and a nonzero
     off-diagonal entry is split by the e_i -> e_i + e_j substitution, which
-    contributes one positive and one negative square.
+    contributes one positive and one negative square.  Kept in the
+    per-matrix memo of `analysis`.
     """
+    return analysis(s).signature
+
+
+def _signature(s: IntMatrix) -> SignatureTriple:
     if not s.is_symmetric():
         raise ValueError("signature needs a symmetric matrix")
     n = s.rows
@@ -407,9 +431,9 @@ def solve_integer(a: IntMatrix, b: Sequence[int]) -> Vector | None:
     return snf.V.matvec(tuple(xprime))
 
 
-@lru_cache(maxsize=None)
 def unimodular_inverse(m: IntMatrix) -> IntMatrix:
-    """Exact inverse of a matrix with determinant +/-1."""
+    """Exact inverse of a matrix with determinant +/-1, by Fraction
+    elimination.  The Smith U^{-1} comes from `analysis(a).u_inverse`."""
     inv = invert_rational(m)
     if inv is None:
         raise ValueError("matrix is singular")
@@ -489,3 +513,111 @@ def rank_mod2(a: IntMatrix) -> int:
                 m[i] = [(x + y) & 1 for x, y in zip(m[i], m[rank])]
         rank += 1
     return rank
+
+
+@dataclass(frozen=True)
+class HomologySummary:
+    """coker(B) data: H_1 = Z^n / im(B)."""
+
+    invariant_factors: tuple[int, ...]
+    betti_1: int
+    dim_h1_mod2: int
+    torsion_order: int
+    kernel_basis: tuple[Vector, ...]
+
+
+@dataclass(frozen=True)
+class IntegerForm:
+    """An integer generalized inverse G of B over one denominator L.
+
+    G = V diag(L/d_i, or 0 where d_i = 0) U from the Smith form, with L the
+    largest invariant factor; for nonsingular B this is G = L B^{-1}, whose
+    entries are bounded like those of the adjugate.  For every torsion c
+    (c in the rational column space of B), x = G c / L solves B x = c.  c is
+    torsion iff (U c)_i = 0 wherever d_i = 0; `null_rows` holds those rows
+    of U and is empty when B is nonsingular.
+    """
+
+    G: tuple[Vector, ...]
+    L: int
+    null_rows: tuple[Vector, ...]
+
+    def is_torsion(self, c: Sequence[int]) -> bool:
+        return not any(sum(map(mul, row, c)) for row in self.null_rows)
+
+    def pair(self, v: Sequence[int], w: Sequence[int]) -> int:
+        """v^T G w, which is L v^T x for the solution x = G w / L of B x = w."""
+        return sum(map(mul, v, [sum(map(mul, row, w)) for row in self.G]))
+
+
+def _integer_form(snf: SnfResult) -> IntegerForm:
+    # the nonzero invariant factors are d_0 | d_1 | ... | d_{rank-1}
+    diag, rank = snf.diag, snf.rank
+    scale = diag[rank - 1] if rank else 1
+    v_rows = [
+        [snf.V.at(a, i) * (scale // diag[i]) for i in range(rank)]
+        for a in range(snf.V.rows)
+    ]
+    u_cols = [[snf.U.at(i, b) for i in range(rank)] for b in range(snf.U.cols)]
+    return IntegerForm(
+        G=tuple(tuple(sum(map(mul, vr, uc)) for uc in u_cols) for vr in v_rows),
+        L=scale,
+        null_rows=tuple(snf.U.row(i) for i in range(rank, snf.U.rows)),
+    )
+
+
+class MatrixAnalysis:
+    """What the library derives from one integer matrix.
+
+    Each field is computed on first use and kept while the matrix stays in
+    the memo of `analysis`.
+    """
+
+    def __init__(self, matrix: IntMatrix) -> None:
+        self.matrix = matrix
+
+    @cached_property
+    def _smith(self) -> tuple[SnfResult, IntMatrix]:
+        return _smith_with_inverse(self.matrix)
+
+    @property
+    def snf(self) -> SnfResult:
+        return self._smith[0]
+
+    @property
+    def u_inverse(self) -> IntMatrix:
+        """U^{-1} of the Smith form, exact and unimodular."""
+        return self._smith[1]
+
+    @cached_property
+    def signature(self) -> SignatureTriple:
+        return _signature(self.matrix)
+
+    @cached_property
+    def homology(self) -> HomologySummary:
+        snf = self.snf
+        factors = tuple(d for d in snf.diag if d > 1)
+        return HomologySummary(
+            invariant_factors=factors,
+            betti_1=self.matrix.rows - snf.rank,
+            dim_h1_mod2=self.matrix.rows - rank_mod2(self.matrix),
+            torsion_order=math.prod(factors),
+            kernel_basis=kernel_basis(self.matrix),
+        )
+
+    @cached_property
+    def form(self) -> IntegerForm:
+        return _integer_form(self.snf)
+
+
+# The library's one per-matrix cache.  32 entries hold every presentation of
+# a Spin^c scan over a dozen matrices while keeping the memory of a stream of
+# large, never-repeated presentations bounded.
+MEMO_SIZE = 32
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def analysis(a: IntMatrix) -> MatrixAnalysis:
+    """The memo entry of a matrix: the MEMO_SIZE most recently used matrices
+    keep their analysis."""
+    return MatrixAnalysis(a)

@@ -12,18 +12,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import CapExceededError, DimensionMismatchError, NonTorsionError
 from .linalg import (
+    HomologySummary,
     IntMatrix,
     Vector,
-    kernel_basis,
-    rank_mod2,
+    analysis,
     smith_normal_form,
-    solve_rational,
-    unimodular_inverse,
 )
 
 DEFAULT_CAP = 10_000
@@ -61,17 +58,6 @@ EMPTY_PRESENTATION = SurgeryPresentation(IntMatrix(0, 0, ()))  # presents S^3
 
 
 @dataclass(frozen=True)
-class HomologySummary:
-    """coker(B) data: H_1 = Z^n / im(B)."""
-
-    invariant_factors: tuple[int, ...]
-    betti_1: int
-    dim_h1_mod2: int
-    torsion_order: int
-    kernel_basis: tuple[Vector, ...]
-
-
-@dataclass(frozen=True)
 class ModClass:
     """An exact residue in Q/(modulus Z), stored by its canonical
     representative in [0, modulus)."""
@@ -90,21 +76,9 @@ class ModClass:
         return f"{self.value} (mod {self.modulus})"
 
 
-@lru_cache(maxsize=None)
 def homology_summary(pres: SurgeryPresentation) -> HomologySummary:
     """Invariant factors, Betti number, F_2-dimension and kernel of B."""
-    snf = smith_normal_form(pres.matrix)
-    factors = tuple(d for d in snf.diag if d > 1)
-    order = 1
-    for d in factors:
-        order *= d
-    return HomologySummary(
-        invariant_factors=factors,
-        betti_1=pres.n - snf.rank,
-        dim_h1_mod2=pres.n - rank_mod2(pres.matrix),
-        torsion_order=order,
-        kernel_basis=kernel_basis(pres.matrix),
-    )
+    return analysis(pres.matrix).homology
 
 
 def _check_length(pres: SurgeryPresentation, v: Sequence[int]) -> Vector:
@@ -118,7 +92,7 @@ def _check_length(pres: SurgeryPresentation, v: Sequence[int]) -> Vector:
 def is_torsion_class(pres: SurgeryPresentation, v: Sequence[int]) -> bool:
     """True when v lies in the rational column space of B."""
     v = _check_length(pres, v)
-    return solve_rational(pres.matrix, v).solution is not None
+    return analysis(pres.matrix).form.is_torsion(v)
 
 
 def meridian_pairing(
@@ -126,18 +100,19 @@ def meridian_pairing(
 ) -> Fraction:
     """Linking number of the torsion meridian classes v and w.
 
-    Computed as -v^T x for any rational solution of B x = w; kernel
-    components pair to zero against the torsion class v, so the value does
-    not depend on the solution and is symmetric in v and w.
+    Computed as -v^T x for the rational solution x = G w / L of B x = w
+    (see linalg.IntegerForm); kernel components pair to zero against the
+    torsion class v, so the value does not depend on the solution and is
+    symmetric in v and w.
     """
     v = _check_length(pres, v)
     w = _check_length(pres, w)
-    if solve_rational(pres.matrix, v).solution is None:
+    form = analysis(pres.matrix).form
+    if not form.is_torsion(v):
         raise NonTorsionError("first class is not torsion")
-    x = solve_rational(pres.matrix, w).solution
-    if x is None:
+    if not form.is_torsion(w):
         raise NonTorsionError("second class is not torsion")
-    return -sum((Fraction(vi) * xi for vi, xi in zip(v, x)), Fraction(0))
+    return Fraction(-form.pair(v, w), form.L)
 
 
 def linking_form(pres: SurgeryPresentation, v: Sequence[int]) -> ModClass:
@@ -149,12 +124,6 @@ def linking_form(pres: SurgeryPresentation, v: Sequence[int]) -> ModClass:
     return ModClass(meridian_pairing(pres, v, v), MOD_Z)
 
 
-@lru_cache(maxsize=None)
-def _snf_with_inverse(matrix: IntMatrix):
-    snf = smith_normal_form(matrix)
-    return snf, unimodular_inverse(snf.U)
-
-
 def reduce_class(pres: SurgeryPresentation, v: Sequence[int]) -> MeridianClass:
     """Canonical representative of [v] in Z^n / im(B).
 
@@ -163,12 +132,12 @@ def reduce_class(pres: SurgeryPresentation, v: Sequence[int]) -> MeridianClass:
     [0, d_i) and free coordinates are kept.
     """
     v = _check_length(pres, v)
-    snf, uinv = _snf_with_inverse(pres.matrix)
+    snf = smith_normal_form(pres.matrix)
     y = list(snf.U.matvec(v))
     for i, d in enumerate(snf.diag):
         if d:
             y[i] %= d
-    return uinv.matvec(tuple(y))
+    return analysis(pres.matrix).u_inverse.matvec(tuple(y))
 
 
 def classes_equal(
@@ -188,7 +157,8 @@ def enumerate_torsion(
     summary = homology_summary(pres)
     if summary.torsion_order > cap:
         raise CapExceededError(summary.torsion_order, cap)
-    snf, uinv = _snf_with_inverse(pres.matrix)
+    snf = smith_normal_form(pres.matrix)
+    uinv = analysis(pres.matrix).u_inverse
     positions = [i for i, d in enumerate(snf.diag) if d > 1]
     factors = [snf.diag[i] for i in positions]
     out = []

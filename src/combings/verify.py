@@ -34,12 +34,12 @@ from .framed import (
 )
 from .linalg import (
     IntMatrix,
+    analysis,
     det,
     kernel_basis,
     signature,
     smith_normal_form,
     solve_rational,
-    unimodular_inverse,
 )
 from .surgery import (
     SurgeryPresentation,
@@ -114,9 +114,8 @@ def random_unimodular(rng: random.Random, n: int, steps: int = 8) -> IntMatrix:
 
 def saturation_basis(pres: SurgeryPresentation) -> list[tuple[int, ...]]:
     """Basis of the integer vectors lying in the rational column space of B."""
-    snf = smith_normal_form(pres.matrix)
-    uinv = unimodular_inverse(snf.U)
-    return [uinv.column(i) for i, d in enumerate(snf.diag) if d != 0]
+    data = analysis(pres.matrix)
+    return [data.u_inverse.column(i) for i in range(data.snf.rank)]
 
 
 def random_torsion_characteristic(

@@ -3,7 +3,7 @@
 import io
 import json
 
-from combings.cli import main
+from combings.cli import build_parser, main
 
 
 def run(args, text=""):
@@ -202,6 +202,11 @@ class TestErrorChannel:
         code, _, err = run(["theta-g"], '{"linking_matrix": []}')
         assert code == 1 and "combing" in err
 
+    def test_deeply_nested_json(self):
+        code, out, err = run(["homology"], "[" * 100_000 + "]" * 100_000)
+        assert code == 1 and out == ""
+        assert err.startswith("error: parse: ") and "Traceback" not in err
+
 
 class TestDeterminism:
     def test_identical_runs(self):
@@ -209,6 +214,22 @@ class TestDeterminism:
         first = run(["image-p1", "--box", "6"], doc)
         second = run(["image-p1", "--box", "6"], doc)
         assert first == second
+
+    def test_shared_parser_keeps_no_state(self):
+        doc = '{"linking_matrix": [[2, 1], [1, 2]], "combing": {"c": [0, 0], "gamma": 1}}'
+        sequence = [
+            ["image-p1", "--box", "6"],
+            ["image-p1"],
+            ["stabilize", "--sign", "-1", "--c0", "3"],
+            ["p1"],
+        ]
+        assert build_parser() is build_parser()
+        shared = [run(argv, doc) for argv in sequence]
+        fresh = []
+        for argv in sequence:
+            build_parser.cache_clear()
+            fresh.append(run(argv, doc))
+        assert shared == fresh
 
     def test_verify_seeded(self):
         first = run(["verify", "--seed", "3"])
