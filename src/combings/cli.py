@@ -55,27 +55,6 @@ from .surgery import (
 from .theta import ThetaInput, theta_invariant
 from .verify import format_report, run_battery
 
-COMMANDS = (
-    "homology",
-    "linking-form",
-    "theta-g",
-    "p1",
-    "spinc-equal",
-    "combing-equal",
-    "orbit-modulus",
-    "hf-grading",
-    "image-p1",
-    "parity",
-    "framed-total",
-    "framed-class",
-    "pontrjagin-p1",
-    "stabilize",
-    "modify",
-    "theta",
-    "verify",
-)
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         raise ParseError(message)
@@ -89,11 +68,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         cmd = sub.add_parser(name)
-        cmd.add_argument("--input", default=None, help="read the document from a file")
+        if name != "verify":
+            cmd.add_argument("--input", default=None, help="read the document from a file")
         cmd.add_argument("--output", default=None, help="write results to a file")
-        cmd.add_argument("--cap", type=int, default=DEFAULT_CAP)
-        cmd.add_argument("--box", type=int, default=DEFAULT_BOX)
-        cmd.add_argument("--seed", type=int, default=0)
+        if name in ("linking-form", "image-p1"):
+            cmd.add_argument("--cap", type=int, default=DEFAULT_CAP)
+        if name == "image-p1":
+            cmd.add_argument("--box", type=int, default=DEFAULT_BOX)
+        if name == "verify":
+            cmd.add_argument("--seed", type=int, default=0)
         if name == "stabilize":
             cmd.add_argument("--sign", type=int, required=True, choices=(1, -1))
             cmd.add_argument("--c0", type=int, required=True)
@@ -269,6 +252,8 @@ _HANDLERS = {
     "modify": _cmd_modify,
     "theta": _cmd_theta,
 }
+
+COMMANDS = (*_HANDLERS, "verify")
 
 
 def _read_document(args, stdin: IO[str]) -> Document:

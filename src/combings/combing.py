@@ -22,6 +22,7 @@ from typing import Literal, Sequence
 
 from .errors import (
     BadEtaError,
+    CapExceededError,
     EvenCoefficientError,
     NonTorsionError,
     NotCharacteristicError,
@@ -30,7 +31,6 @@ from .linalg import (
     IntMatrix,
     MatrixAnalysis,
     analysis,
-    solve_integer,
     solve_mod2,
 )
 from .surgery import (
@@ -105,9 +105,10 @@ def euler_class(pres: SurgeryPresentation, c: Sequence[int]) -> EulerClassInfo:
     """
     validate_combing(pres, c)
     c = tuple(c)
-    torsion = analysis(pres.matrix).form.is_torsion(c)
-    zero = solve_integer(pres.matrix, c) is not None
-    return EulerClassInfo(class_vector=c, is_torsion=torsion, is_zero=zero)
+    form = analysis(pres.matrix).form
+    return EulerClassInfo(
+        class_vector=c, is_torsion=form.is_torsion(c), is_zero=form.in_lattice(c)
+    )
 
 
 def _theta_constant(data: MatrixAnalysis) -> int:
@@ -148,12 +149,12 @@ def spin_c_equal(
     """Do two characteristic vectors represent the same Spin^c structure?
 
     True iff c - c' lies in 2 B Z^n.  The difference of two characteristic
-    vectors is always even, so this reduces to an integer solve.
+    vectors is always even, so this asks whether (c - c')/2 lies in B Z^n.
     """
     validate_combing(pres, c)
     validate_combing(pres, c_other)
     half = tuple((a - b) // 2 for a, b in zip(c, c_other))
-    return solve_integer(pres.matrix, half) is not None
+    return analysis(pres.matrix).form.in_lattice(half)
 
 
 def combing_equal(x: CombingSpec, y: CombingSpec) -> bool:
@@ -320,7 +321,10 @@ class P1ImageReport:
 def p1_image(
     pres: SurgeryPresentation, cap: int = DEFAULT_CAP, box: int = DEFAULT_BOX
 ) -> P1ImageReport:
-    """Compute the image of p_1 mod 4Z by formula and by enumeration."""
+    """Compute the image of p_1 mod 4Z by formula and by enumeration.
+
+    cap bounds both the torsion order and the number of swept vectors.
+    """
     ref_value = p1(reference_parallelization(pres)).value
     formula = frozenset(
         ModClass(ref_value - 4 * ell.value, MOD_4Z)
@@ -336,6 +340,10 @@ def p1_image(
     for i in range(pres.n):
         parity = pres.matrix.at(i, i) % 2
         ranges.append([v for v in range(-box, box + 1) if v % 2 == parity])
+    size = math.prod(map(len, ranges))
+    if size > cap:
+        message = f"image-p1 sweep of {size} vectors exceeds cap {cap}"
+        raise CapExceededError(data.homology.torsion_order, cap, message)
     residues = {
         (form.pair(c, c) + shift) % modulus
         for c in itertools.product(*ranges)

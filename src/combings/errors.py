@@ -34,14 +34,14 @@ class NotCharacteristicError(DomainError):
 
 
 class CapExceededError(DomainError):
-    """Torsion enumeration would exceed the requested cap."""
+    """A torsion enumeration or an image-p1 sweep would exceed the cap."""
 
     code = "CapExceeded"
 
-    def __init__(self, torsion_order: int, cap: int) -> None:
+    def __init__(self, torsion_order: int, cap: int, message: str | None = None) -> None:
         self.torsion_order = torsion_order
         self.cap = cap
-        super().__init__(f"torsion order {torsion_order} exceeds cap {cap}")
+        super().__init__(message or f"torsion order {torsion_order} exceeds cap {cap}")
 
 
 class DimensionMismatchError(DomainError):

@@ -431,47 +431,6 @@ def solve_integer(a: IntMatrix, b: Sequence[int]) -> Vector | None:
     return snf.V.matvec(tuple(xprime))
 
 
-def unimodular_inverse(m: IntMatrix) -> IntMatrix:
-    """Exact inverse of a matrix with determinant +/-1, by Fraction
-    elimination.  The Smith U^{-1} comes from `analysis(a).u_inverse`."""
-    inv = invert_rational(m)
-    if inv is None:
-        raise ValueError("matrix is singular")
-    rows = []
-    for row in inv:
-        out = []
-        for x in row:
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            out.append(x.numerator)
-        rows.append(out)
-    return IntMatrix.from_rows(rows) if m.rows else IntMatrix(0, 0, ())
-
-
-def invert_rational(a: IntMatrix) -> tuple[QVector, ...] | None:
-    """Inverse of a square matrix over Q, or None when singular."""
-    if a.rows != a.cols:
-        raise ValueError("inverse needs a square matrix")
-    n = a.rows
-    aug = [
-        [Fraction(a.at(i, j)) for j in range(n)]
-        + [Fraction(1 if i == j else 0) for j in range(n)]
-        for i in range(n)
-    ]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if aug[i][col] != 0), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
-
-
 def solve_mod2(a: IntMatrix, b: Sequence[int]) -> Vector | None:
     """One solution of A x = b over F_2 (free variables set to zero)."""
     if len(b) != a.rows:
@@ -496,23 +455,6 @@ def solve_mod2(a: IntMatrix, b: Sequence[int]) -> Vector | None:
     for k, col in enumerate(pivot_cols):
         x[col] = aug[k][c]
     return tuple(x)
-
-
-def rank_mod2(a: IntMatrix) -> int:
-    """Rank of A over F_2."""
-    r, c = a.rows, a.cols
-    m = [[a.at(i, j) & 1 for j in range(c)] for i in range(r)]
-    rank = 0
-    for col in range(c):
-        pivot = next((i for i in range(rank, r) if m[i][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        for i in range(r):
-            if i != rank and m[i][col]:
-                m[i] = [(x + y) & 1 for x, y in zip(m[i], m[rank])]
-        rank += 1
-    return rank
 
 
 @dataclass(frozen=True)
@@ -544,6 +486,16 @@ class IntegerForm:
 
     def is_torsion(self, c: Sequence[int]) -> bool:
         return not any(sum(map(mul, row, c)) for row in self.null_rows)
+
+    def in_lattice(self, c: Sequence[int]) -> bool:
+        """c in B Z^n: c is torsion and L divides every entry of G c.
+
+        G c / L = V z with z_i = (U c)_i / d_i, and V is unimodular, so G c / L
+        is integral iff z is, i.e. iff B x = c has an integer solution.
+        """
+        return self.is_torsion(c) and not any(
+            sum(map(mul, row, c)) % self.L for row in self.G
+        )
 
     def pair(self, v: Sequence[int], w: Sequence[int]) -> int:
         """v^T G w, which is L v^T x for the solution x = G w / L of B x = w."""
@@ -600,7 +552,8 @@ class MatrixAnalysis:
         return HomologySummary(
             invariant_factors=factors,
             betti_1=self.matrix.rows - snf.rank,
-            dim_h1_mod2=self.matrix.rows - rank_mod2(self.matrix),
+            # H_1 (x) F_2 has one Z/2 per even invariant factor, zeros included
+            dim_h1_mod2=sum(1 for d in snf.diag if d % 2 == 0),
             torsion_order=math.prod(factors),
             kernel_basis=kernel_basis(self.matrix),
         )

@@ -1,9 +1,9 @@
 """Independent oracles for the test suite.
 
 Deliberately different algorithms from the library: cofactor determinants,
-plain Fraction-elimination ranks, and eigenvalue sign counts read off the
-characteristic polynomial (Descartes' rule of signs is exact for the
-all-real spectrum of a symmetric matrix).
+plain Fraction-elimination ranks, F_2 ranks over bit-mask rows, and
+eigenvalue sign counts read off the characteristic polynomial (Descartes'
+rule of signs is exact for the all-real spectrum of a symmetric matrix).
 """
 
 from __future__ import annotations
@@ -44,6 +44,21 @@ def frac_rank(rows) -> int:
                 m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
         rank += 1
     return rank
+
+
+def f2_rank(rows) -> int:
+    """Rank over F_2: each row is packed into a bit mask and reduced against
+    an XOR basis keyed by leading bit."""
+    basis: dict[int, int] = {}
+    for row in rows:
+        mask = sum(1 << j for j, x in enumerate(row) if x % 2)
+        while mask:
+            top = mask.bit_length() - 1
+            if top not in basis:
+                basis[top] = mask
+                break
+            mask ^= basis[top]
+    return len(basis)
 
 
 def charpoly(rows) -> list[Fraction]:

@@ -2,6 +2,7 @@
 
 import io
 import json
+import time
 
 from combings.cli import build_parser, main
 
@@ -111,6 +112,16 @@ class TestBasicCommands:
         code, _, err = run(["image-p1", "--cap", "2"], '{"linking_matrix": [[5]]}')
         assert code == 2 and "CapExceeded" in err
 
+    def test_image_p1_sweep_is_capped(self):
+        # the A9 chain: torsion order 10, but the default box sweeps 9^9 vectors
+        a9 = [[2 if i == j else (1 if abs(i - j) == 1 else 0) for j in range(9)]
+              for i in range(9)]
+        start = time.perf_counter()
+        code, out, err = run(["image-p1"], json.dumps({"linking_matrix": a9}))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err == "error: CapExceeded: image-p1 sweep of 387420489 vectors exceeds cap 10000\n"
+
 
 class TestFramedCommands:
     def test_framed_total(self):
@@ -201,6 +212,11 @@ class TestErrorChannel:
     def test_missing_combing(self):
         code, _, err = run(["theta-g"], '{"linking_matrix": []}')
         assert code == 1 and "combing" in err
+
+    def test_flag_of_another_command(self):
+        code, out, err = run(["homology", "--seed", "1"], '{"linking_matrix": []}')
+        assert code == 1 and out == ""
+        assert err == "error: parse: unrecognized arguments: --seed 1\n"
 
     def test_deeply_nested_json(self):
         code, out, err = run(["homology"], "[" * 100_000 + "]" * 100_000)

@@ -1,5 +1,5 @@
-"""The integer form G/L and the per-matrix memo against the Fraction
-references kept in linalg (solve_rational, unimodular_inverse)."""
+"""The integer form G/L and the per-matrix memo against the references
+kept in linalg (solve_rational over Q, solve_integer over Z)."""
 
 import itertools
 import random
@@ -7,16 +7,22 @@ from fractions import Fraction
 
 import pytest
 
-from _oracles import eig_sign_counts
-from combings.combing import euler_class, p1_image, theta_g
+from _oracles import eig_sign_counts, f2_rank
+from combings.combing import (
+    euler_class,
+    p1_image,
+    reference_parallelization,
+    spin_c_equal,
+    theta_g,
+)
 from combings.errors import NonTorsionError
 from combings.linalg import (
     MEMO_SIZE,
     IntMatrix,
     analysis,
     smith_normal_form,
+    solve_integer,
     solve_rational,
-    unimodular_inverse,
 )
 from combings.surgery import (
     SurgeryPresentation,
@@ -105,6 +111,37 @@ def test_form_agrees_with_fraction_solve(index):
         want = -sum((Fraction(a) * b for a, b in zip(v, xw)), Fraction(0))
         assert meridian_pairing(pres, v, w) == want
         assert meridian_pairing(pres, w, v) == want
+    _check_lattice_membership(rng, pres)
+
+
+def _in_lattice(pres, v):
+    return solve_integer(pres.matrix, v) is not None
+
+
+def _check_lattice_membership(rng, pres):
+    """euler_class(...).is_zero and spin_c_equal against solve_integer, on
+    characteristic vectors in B Z^n by construction and on random ones."""
+    c_ref = reference_parallelization(pres).c
+
+    def shifted(c, scale):
+        u = [rng.randint(-2, 2) for _ in range(pres.n)]
+        return tuple(a + scale * b for a, b in zip(c, pres.matrix.matvec(u)))
+
+    inside = [c_ref, shifted(c_ref, 2)]
+    for c in inside:
+        assert _in_lattice(pres, c)
+        assert euler_class(pres, c).is_zero
+    samples = inside + [_characteristic(rng, pres) for _ in range(3)]
+    samples.append(random_torsion_characteristic(rng, pres))
+    for c in samples:
+        assert euler_class(pres, c).is_zero == _in_lattice(pres, c)
+        same = shifted(c, 2)
+        assert spin_c_equal(pres, c, same)
+        for other in (same, _characteristic(rng, pres), shifted(c, 1)):
+            if any((a - b) % 2 for a, b in zip(c, other)):
+                continue
+            half = tuple((a - b) // 2 for a, b in zip(c, other))
+            assert spin_c_equal(pres, c, other) == _in_lattice(pres, half)
 
 
 def _reference_sweep(pres, box):
@@ -138,6 +175,12 @@ def test_form_is_inverse_for_nonsingular():
         assert pres.matrix @ g == IntMatrix.from_diagonal(pres.n, pres.n, [form.L] * pres.n)
 
 
+def test_dim_h1_mod2_matches_f2_rank():
+    for _, pres in PRESENTATIONS:
+        want = pres.n - f2_rank(pres.matrix.to_rows())
+        assert analysis(pres.matrix).homology.dim_h1_mod2 == want
+
+
 def test_tracked_u_inverse_matches_reference():
     rng = random.Random(3)
     for _ in range(120):
@@ -145,7 +188,7 @@ def test_tracked_u_inverse_matches_reference():
         data = analysis(a)
         u = data.snf.U
         assert u @ data.u_inverse == IntMatrix.identity(a.rows)
-        assert data.u_inverse == unimodular_inverse(u)
+        assert data.u_inverse @ u == IntMatrix.identity(a.rows)
 
 
 def test_memo_stays_bounded():

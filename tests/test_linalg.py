@@ -9,15 +9,12 @@ from hypothesis import strategies as st
 
 from combings.linalg import (
     IntMatrix,
-    invert_rational,
     kernel_basis,
-    rank_mod2,
     signature,
     smith_normal_form,
     solve_integer,
     solve_mod2,
     solve_rational,
-    unimodular_inverse,
 )
 from combings.verify import random_unimodular
 
@@ -256,18 +253,6 @@ class TestIntegerSolve:
         assert a.matvec(got) == b
 
 
-class TestUnimodularInverse:
-    @given(st.integers(0, 5), st.integers(0, 10**6))
-    @settings(deadline=None)
-    def test_inverse_roundtrip(self, n, seed):
-        p = random_unimodular(random.Random(seed), n)
-        assert p @ unimodular_inverse(p) == IntMatrix.identity(n)
-
-    def test_rejects_singular(self):
-        with pytest.raises(ValueError):
-            unimodular_inverse(IntMatrix.from_rows([[0]]))
-
-
 class TestMod2:
     def test_solve_mod2(self):
         a = IntMatrix.from_rows([[2, 1], [1, 2]])
@@ -276,11 +261,6 @@ class TestMod2:
         got = a.matvec(x)
         assert [v % 2 for v in got] == [1, 0]
 
-    def test_rank_mod2(self):
-        assert rank_mod2(IntMatrix.from_rows([[2, 1], [1, 2]])) == 2
-        assert rank_mod2(IntMatrix.from_rows([[2]])) == 0
-        assert rank_mod2(IntMatrix.from_rows([])) == 0
-
     @given(symmetric_matrices())
     @settings(deadline=None)
     def test_diagonal_always_solvable(self, s):
@@ -288,14 +268,3 @@ class TestMod2:
         diag = [s.at(i, i) for i in range(s.rows)]
         assert solve_mod2(s, diag) is not None
 
-
-class TestInvertRational:
-    def test_singular_is_none(self):
-        assert invert_rational(IntMatrix.from_rows([[1, 1], [1, 1]])) is None
-
-    def test_inverse_values(self):
-        inv = invert_rational(IntMatrix.from_rows([[2, 1], [1, 2]]))
-        assert inv == (
-            (Fraction(2, 3), Fraction(-1, 3)),
-            (Fraction(-1, 3), Fraction(2, 3)),
-        )

@@ -20,7 +20,7 @@ from combings.surgery import (
 )
 from combings.verify import random_presentation, saturation_basis
 
-from _oracles import naive_det
+from _oracles import f2_rank, naive_det
 
 
 def pres(rows):
@@ -41,6 +41,13 @@ class TestPresentation:
 
 
 class TestHomology:
+    def test_s3(self):
+        summary = homology_summary(EMPTY_PRESENTATION)
+        assert summary.invariant_factors == ()
+        assert summary.betti_1 == 0
+        assert summary.dim_h1_mod2 == 0
+        assert summary.torsion_order == 1
+
     def test_rp3(self):
         summary = homology_summary(pres([[2]]))
         assert summary.invariant_factors == (2,)
@@ -73,7 +80,7 @@ class TestHomology:
                 order *= d
             assert summary.torsion_order == order
             assert summary.betti_1 == len(summary.kernel_basis)
-            assert 0 <= summary.dim_h1_mod2 <= p.n
+            assert summary.dim_h1_mod2 == p.n - f2_rank(p.matrix.to_rows())
 
 
 class TestMeridianPairing:
