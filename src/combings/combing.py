@@ -336,10 +336,12 @@ def p1_image(
     # residues of c^T G c + const L modulo 4L, i.e. of theta_g mod 4 times L
     shift = _theta_constant(data) * form.L
     modulus = 4 * form.L
-    ranges = []
-    for i in range(pres.n):
-        parity = pres.matrix.at(i, i) % 2
-        ranges.append([v for v in range(-box, box + 1) if v % 2 == parity])
+    # the v in [-box, box] with v = b_ii mod 2, as lazy ranges whose length is
+    # known before anything is built
+    ranges = [
+        range(-box + (-box - pres.matrix.at(i, i)) % 2, box + 1, 2)
+        for i in range(pres.n)
+    ]
     size = math.prod(map(len, ranges))
     if size > cap:
         message = f"image-p1 sweep of {size} vectors exceeds cap {cap}"

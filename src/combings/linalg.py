@@ -1,8 +1,9 @@
 """Exact linear algebra over the integers and the rationals.
 
-Small dense matrices only.  Everything runs on Python's arbitrary-precision
-integers or on fractions.Fraction; no floating point is used anywhere, so
-Smith forms, solves, kernels and signatures are exact and reproducible.
+Small dense matrices only.  Every elimination runs on Python's
+arbitrary-precision integers (fractions.Fraction appears only in the input and
+output of solve_rational); no floating point is used anywhere, so Smith forms,
+solves, kernels and signatures are exact and reproducible.
 """
 
 from __future__ import annotations
@@ -119,28 +120,41 @@ class IntMatrix:
         return IntMatrix.from_rows(m)
 
 
+def _bareiss_jordan(m: list[list[int]]) -> tuple[list[int], int, int]:
+    """Reduce m in place to scale * RREF(m) by fraction-free Gauss-Jordan.
+
+    Bareiss-style: each update divides exactly by the previous pivot, so every
+    entry stays an integer minor of the input.  scale, the last pivot, is the
+    determinant of the pivot block after the row swaps, so a square m of full
+    rank has determinant sign * scale.  Returns (pivot columns, scale, sign).
+    """
+    pivots: list[int] = []
+    scale = sign = 1
+    for col in range(len(m[0]) if m else 0):
+        k = len(pivots)
+        row = next((i for i in range(k, len(m)) if m[i][col]), None)
+        if row is None:
+            continue
+        if row != k:
+            m[k], m[row] = m[row], m[k]
+            sign = -sign
+        pk = m[k]
+        p = pk[col]
+        for i, mi in enumerate(m):
+            if i != k:
+                f = mi[col]
+                m[i] = [(p * x - f * y) // scale for x, y in zip(mi, pk)]
+        pivots.append(col)
+        scale = p
+    return pivots, scale, sign
+
+
 def det(a: IntMatrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     if a.rows != a.cols:
         raise ValueError("determinant needs a square matrix")
-    n = a.rows
-    if n == 0:
-        return 1
-    m = a.to_rows()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot_row = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if pivot_row is None:
-                return 0
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    pivots, scale, sign = _bareiss_jordan(a.to_rows())
+    return sign * scale if len(pivots) == a.rows else 0
 
 
 @dataclass(frozen=True)
@@ -287,46 +301,33 @@ class RationalSolve:
 
 
 def solve_rational(a: IntMatrix, b: Sequence[int | Fraction]) -> RationalSolve:
-    """Solve A x = b over Q by Gauss-Jordan elimination with Fractions."""
+    """Solve A x = b over Q, read off the reduced echelon form of [A | l b].
+
+    l is the lcm of the denominators of b, so the fraction-free Gauss-Jordan
+    kernel runs on integers; b lies in the column space iff the last column
+    is not a pivot.
+    """
     r, c = a.rows, a.cols
     if len(b) != r:
         raise ValueError("right-hand side length must equal row count")
-    aug = [
-        [Fraction(a.at(i, j)) for j in range(c)] + [Fraction(b[i])] for i in range(r)
-    ]
-    pivot_cols: list[int] = []
-    prow = 0
-    for col in range(c):
-        pivot = next((i for i in range(prow, r) if aug[i][col] != 0), None)
-        if pivot is None:
-            continue
-        aug[prow], aug[pivot] = aug[pivot], aug[prow]
-        inv = 1 / aug[prow][col]
-        aug[prow] = [x * inv for x in aug[prow]]
-        for i in range(r):
-            if i != prow and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[prow])]
-        pivot_cols.append(col)
-        prow += 1
-        if prow == r:
-            break
-
-    consistent = all(aug[i][c] == 0 for i in range(prow, r))
+    rhs = [Fraction(x) for x in b]
+    lcm = math.lcm(*(x.denominator for x in rhs))
+    m = [list(a.row(i)) + [int(x * lcm)] for i, x in enumerate(rhs)]
+    pivots, scale, _ = _bareiss_jordan(m)
     solution: QVector | None = None
-    if consistent:
+    if pivots and pivots[-1] == c:
+        pivots.pop()
+    else:
         x = [Fraction(0)] * c
-        for k, col in enumerate(pivot_cols):
-            x[col] = aug[k][c]
+        for k, col in enumerate(pivots):
+            x[col] = Fraction(m[k][c], scale * lcm)
         solution = tuple(x)
-
-    free_cols = [j for j in range(c) if j not in pivot_cols]
     kernel = []
-    for f in free_cols:
+    for f in (j for j in range(c) if j not in pivots):
         z = [Fraction(0)] * c
         z[f] = Fraction(1)
-        for k, col in enumerate(pivot_cols):
-            z[col] = -aug[k][f]
+        for k, col in enumerate(pivots):
+            z[col] = Fraction(-m[k][f], scale)
         kernel.append(tuple(z))
     return RationalSolve(solution=solution, kernel=tuple(kernel))
 
@@ -338,12 +339,11 @@ class SignatureTriple(NamedTuple):
 
 
 def signature(s: IntMatrix) -> SignatureTriple:
-    """Inertia of a symmetric integer matrix by congruence diagonalization.
+    """Inertia of a symmetric integer matrix by symmetric Bareiss elimination.
 
-    Exact over Q (Sylvester's law); a block with zero diagonal and a nonzero
-    off-diagonal entry is split by the e_i -> e_i + e_j substitution, which
-    contributes one positive and one negative square.  Kept in the
-    per-matrix memo of `analysis`.
+    Exact on integers (Sylvester's law of inertia): the k-th square of the
+    LDL^T form has the sign of D_k / D_{k-1}, with D_k the determinant of the
+    first k pivots.  Kept in the per-matrix memo of `analysis`.
     """
     return analysis(s).signature
 
@@ -351,45 +351,44 @@ def signature(s: IntMatrix) -> SignatureTriple:
 def _signature(s: IntMatrix) -> SignatureTriple:
     if not s.is_symmetric():
         raise ValueError("signature needs a symmetric matrix")
-    n = s.rows
-    m = [[Fraction(s.at(i, j)) for j in range(n)] for i in range(n)]
-
-    def add_into(i: int, j: int, f: Fraction) -> None:
-        # congruence: row_i += f*row_j then col_i += f*col_j
-        for k in range(n):
-            m[i][k] += f * m[j][k]
-        for k in range(n):
-            m[k][i] += f * m[k][j]
+    m = s.to_rows()
 
     def swap(i: int, j: int) -> None:
         m[i], m[j] = m[j], m[i]
         for row in m:
             row[i], row[j] = row[j], row[i]
 
-    n_plus = n_minus = n_zero = 0
-    k = 0
-    while k < n:
+    # rows and columns k..end-1 are the active block: each entry is a minor of
+    # a matrix congruent to s, D_k times the Schur complement of k pivots
+    n_plus = k = 0
+    end, prev = s.rows, 1
+    while k < end:
         if m[k][k] == 0:
-            nz_diag = next((i for i in range(k + 1, n) if m[i][i] != 0), None)
+            nz_diag = next((i for i in range(k + 1, end) if m[i][i]), None)
+            partner = next((j for j in range(k + 1, end) if m[k][j]), None)
             if nz_diag is not None:
                 swap(k, nz_diag)
+            elif partner is None:
+                end -= 1  # a zero row of the Schur complement
+                swap(k, end)
+                continue
             else:
-                partner = next((j for j in range(k + 1, n) if m[k][j] != 0), None)
-                if partner is None:
-                    n_zero += 1
-                    k += 1
-                    continue
-                add_into(k, partner, Fraction(1))  # m[k][k] becomes 2*m[k][partner]
-        p = m[k][k]
-        if p > 0:
-            n_plus += 1
-        else:
-            n_minus += 1
-        for i in range(k + 1, n):
-            if m[i][k] != 0:
-                add_into(i, k, -m[i][k] / p)
+                # e_k -> e_k + e_partner; m[k][k] becomes 2 m[k][partner]
+                for row in m[k:end]:
+                    row[k] += row[partner]
+                for j in range(k, end):
+                    m[k][j] += m[partner][j]
+        pk = m[k]
+        p = pk[k]
+        n_plus += (p > 0) == (prev > 0)
+        for mi in m[k + 1 : end]:
+            f = mi[k]
+            mi[k + 1 : end] = [
+                (p * x - f * y) // prev for x, y in zip(mi[k + 1 : end], pk[k + 1 : end])
+            ]
+        prev = p
         k += 1
-    return SignatureTriple(n_plus, n_minus, n_zero)
+    return SignatureTriple(n_plus, end - n_plus, s.rows - end)
 
 
 def _normalize_sign(v: Sequence[int]) -> Vector:

@@ -4,10 +4,11 @@ randomized inputs, driven by a seeded generator so runs are reproducible.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 from .combing import (
     CombingSpec,
@@ -182,13 +183,6 @@ class CheckResult:
         return self.failures == 0
 
 
-def _product(values: Sequence[int]) -> int:
-    out = 1
-    for v in values:
-        out *= v
-    return out
-
-
 def check_snf_properties(rng: random.Random, cases: int) -> CheckResult:
     failures = 0
     for _ in range(cases):
@@ -209,7 +203,7 @@ def check_snf_properties(rng: random.Random, cases: int) -> CheckResult:
         if a.rows == a.cols:
             d = det(a)
             if d:
-                ok = ok and _product(nonzero) == abs(d)
+                ok = ok and math.prod(nonzero) == abs(d)
         failures += not ok
     return CheckResult("snf-properties", cases, failures)
 

@@ -122,6 +122,19 @@ class TestBasicCommands:
         assert code == 2 and out == ""
         assert err == "error: CapExceeded: image-p1 sweep of 387420489 vectors exceeds cap 10000\n"
 
+    def test_image_p1_huge_box_is_capped_before_building(self):
+        # 10^12 + 1 even values per coordinate: the cap check must come first
+        start = time.perf_counter()
+        code, out, err = run(
+            ["image-p1", "--box", "1000000000000"], '{"linking_matrix": [[2, 1], [1, 2]]}'
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err == (
+            "error: CapExceeded: image-p1 sweep of 1000000000002000000000001 vectors"
+            " exceeds cap 10000\n"
+        )
+
 
 class TestFramedCommands:
     def test_framed_total(self):
