@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from functools import cache
 from typing import IO
@@ -56,6 +57,13 @@ from .theta import ThetaInput, theta_invariant
 from .verify import format_report, run_battery
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # argparse reads a word that starts with "-" as a flag unless it looks
+        # like a negative number; a negative "p/q" of the document syntax is a
+        # value too, so "--lk-par -1/3" parses like "--lk-par=-1/3"
+        self._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/[1-9]\d*$")
+
     def error(self, message: str) -> None:  # type: ignore[override]
         raise ParseError(message)
 

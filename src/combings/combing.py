@@ -40,7 +40,6 @@ from .surgery import (
     ModClass,
     SurgeryPresentation,
     _check_length,
-    enumerate_torsion,
     homology_summary,
     is_torsion_class,
 )
@@ -325,17 +324,10 @@ def p1_image(
 
     cap bounds both the torsion order and the number of swept vectors.
     """
-    ref_value = p1(reference_parallelization(pres)).value
-    formula = frozenset(
-        ModClass(ref_value - 4 * ell.value, MOD_4Z)
-        for _, ell in enumerate_torsion(pres, cap)
-    )
-
     data = analysis(pres.matrix)
-    form = data.form
-    # residues of c^T G c + const L modulo 4L, i.e. of theta_g mod 4 times L
-    shift = _theta_constant(data) * form.L
-    modulus = 4 * form.L
+    torsion_order = data.homology.torsion_order
+    if torsion_order > cap:
+        raise CapExceededError(torsion_order, cap)
     # the v in [-box, box] with v = b_ii mod 2, as lazy ranges whose length is
     # known before anything is built
     ranges = [
@@ -345,16 +337,31 @@ def p1_image(
     size = math.prod(map(len, ranges))
     if size > cap:
         message = f"image-p1 sweep of {size} vectors exceeds cap {cap}"
-        raise CapExceededError(data.homology.torsion_order, cap, message)
-    residues = {
+        raise CapExceededError(torsion_order, cap, message)
+
+    form = data.form
+    # residues of c^T G c + const L modulo 4L, i.e. of theta_g mod 4 times L
+    shift = _theta_constant(data) * form.L
+    modulus = 4 * form.L
+    # p_1(reference) L = ref is an integer and lk(x, x) = r / L (mod 1) for the
+    # residue r of the torsion form, so p_1(reference) - 4 lk(x, x) is
+    # (ref - 4 r) / L modulo 4
+    c_ref = reference_parallelization(pres).c
+    ref = form.pair(c_ref, c_ref) + shift
+    tf = data.torsion_form
+    formula = {(ref - 4 * tf.residue(y)) % modulus for y in tf.coordinates()}
+    enumeration = {
         (form.pair(c, c) + shift) % modulus
         for c in itertools.product(*ranges)
         if form.is_torsion(c)
     }
-    enumeration = frozenset(ModClass(Fraction(r, form.L), MOD_4Z) for r in residues)
+
+    def classes(residues: set[int]) -> frozenset[ModClass]:
+        return frozenset(ModClass(Fraction(r, form.L), MOD_4Z) for r in residues)
+
     return P1ImageReport(
-        formula_side=formula,
-        enumeration_side=enumeration,
+        formula_side=classes(formula),
+        enumeration_side=classes(enumeration),
         is_subset=enumeration <= formula,
         is_equal=enumeration == formula,
         box=box,

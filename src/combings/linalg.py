@@ -8,6 +8,7 @@ solves, kernels and signatures are exact and reproducible.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -501,6 +502,53 @@ class IntegerForm:
         return sum(map(mul, v, [sum(map(mul, row, w)) for row in self.G]))
 
 
+@dataclass(frozen=True)
+class TorsionForm:
+    """The linking form on the torsion subgroup of coker(B), in Smith
+    coordinates.
+
+    The torsion subgroup is the direct sum of Z/d_i over the `positions` i
+    of the invariant factors d_i > 1, generated by g_i = U^{-1} e_i.
+    Column i of the n x k matrix `generators` is g_i, so the class with
+    Smith coordinates y (0 <= y_i < d_i) is v = `generators` y.  The k x k
+    matrix Q_ij = g_i^T G g_j mod L gives v^T G v = y^T Q y (mod L).
+    """
+
+    positions: tuple[int, ...]
+    factors: tuple[int, ...]
+    generators: tuple[Vector, ...]
+    Q: tuple[Vector, ...]
+    L: int
+
+    def coordinates(self) -> Iterable[Vector]:
+        """Smith coordinates of every torsion class, each factor 0..d_i-1,
+        the first factor varying slowest."""
+        return itertools.product(*(range(d) for d in self.factors))
+
+    def lift(self, y: Sequence[int]) -> Vector:
+        """U^{-1} y: the meridian vector of the class with coordinates y."""
+        return tuple(sum(map(mul, row, y)) for row in self.generators)
+
+    def residue(self, y: Sequence[int]) -> int:
+        """r = -(y^T Q y) mod L, so the class has self-linking r / L mod 1."""
+        return -sum(a * sum(map(mul, row, y)) for a, row in zip(y, self.Q)) % self.L
+
+
+def _torsion_form(snf: SnfResult, u_inverse: IntMatrix, form: IntegerForm) -> TorsionForm:
+    positions = tuple(i for i, d in enumerate(snf.diag) if d > 1)
+    g = [u_inverse.column(i) for i in positions]
+    g_images = [[sum(map(mul, row, gj)) for row in form.G] for gj in g]  # G g_j
+    return TorsionForm(
+        positions=positions,
+        factors=tuple(snf.diag[i] for i in positions),
+        generators=tuple(
+            tuple(u_inverse.at(a, i) for i in positions) for a in range(u_inverse.rows)
+        ),
+        Q=tuple(tuple(sum(map(mul, gi, ggj)) % form.L for ggj in g_images) for gi in g),
+        L=form.L,
+    )
+
+
 def _integer_form(snf: SnfResult) -> IntegerForm:
     # the nonzero invariant factors are d_0 | d_1 | ... | d_{rank-1}
     diag, rank = snf.diag, snf.rank
@@ -560,6 +608,10 @@ class MatrixAnalysis:
     @cached_property
     def form(self) -> IntegerForm:
         return _integer_form(self.snf)
+
+    @cached_property
+    def torsion_form(self) -> TorsionForm:
+        return _torsion_form(self.snf, self.u_inverse, self.form)
 
 
 # The library's one per-matrix cache.  32 entries hold every presentation of

@@ -9,7 +9,6 @@ stabilization arithmetic (see the combing module).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -152,20 +151,19 @@ def enumerate_torsion(
 ) -> tuple[tuple[MeridianClass, ModClass], ...]:
     """One representative per torsion class of H_1, with its linking-form
     value.  Representatives are lifted from Smith coordinates, each factor
-    d_i enumerated 0..d_i-1, so the output order is reproducible.
+    d_i enumerated 0..d_i-1, so the output order is reproducible; each value
+    is read off the k x k form of linalg.TorsionForm.
     """
     summary = homology_summary(pres)
     if summary.torsion_order > cap:
         raise CapExceededError(summary.torsion_order, cap)
-    snf = smith_normal_form(pres.matrix)
-    uinv = analysis(pres.matrix).u_inverse
-    positions = [i for i, d in enumerate(snf.diag) if d > 1]
-    factors = [snf.diag[i] for i in positions]
+    tf = analysis(pres.matrix).torsion_form
+    values: dict[int, ModClass] = {}
     out = []
-    for combo in itertools.product(*(range(d) for d in factors)):
-        y = [0] * pres.n
-        for pos, k in zip(positions, combo):
-            y[pos] = k
-        rep = uinv.matvec(tuple(y))
-        out.append((rep, linking_form(pres, rep)))
+    for y in tf.coordinates():
+        r = tf.residue(y)
+        ell = values.get(r)
+        if ell is None:
+            ell = values[r] = ModClass(Fraction(r, tf.L), MOD_Z)
+        out.append((tf.lift(y), ell))
     return tuple(out)

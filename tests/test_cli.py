@@ -197,6 +197,14 @@ class TestTransformingCommands:
         )
         assert code == 0 and out == "2\n"
 
+    def test_modify_negative_fraction_as_separate_word(self):
+        doc = '{"linking_matrix": [[5]], "combing": {"c": [1], "gamma": 0}}'
+        base = ["modify", "--kind", "D", "--eta", "1"]
+        for flag, other in (("--lk-par", "--lk-euler=1/2"), ("--lk-euler", "--lk-par=2/5")):
+            joined = run([*base, other, f"{flag}=-1/3"], doc)
+            assert joined[0] == 0
+            assert run([*base, other, flag, "-1/3"], doc) == joined
+
     def test_modify_bad_eta(self):
         code, _, err = run(
             ["modify", "--kind", "r-twist", "--eta", "2", "--r", "1"], S3

@@ -27,6 +27,7 @@ from combings.combing import (
 )
 from combings.errors import (
     BadEtaError,
+    CapExceededError,
     DimensionMismatchError,
     EvenCoefficientError,
     NonTorsionError,
@@ -410,6 +411,16 @@ class TestP1Image:
         report = p1_image(pres([[0]]), box=6)
         assert set(report.formula_side) == {ModClass(Fraction(0), Fraction(4))}
         assert report.is_equal
+
+    def test_torsion_cap_comes_before_sweep_cap(self):
+        # torsion order 11 and odd c in [-box, box]: 12 and 100 vectors
+        for box in (11, 100):
+            with pytest.raises(CapExceededError) as info:
+                p1_image(pres([[11]]), cap=10, box=box)
+            assert str(info.value) == "torsion order 11 exceeds cap 10"
+        with pytest.raises(CapExceededError) as info:
+            p1_image(pres([[11]]), cap=11, box=11)
+        assert str(info.value) == "image-p1 sweep of 12 vectors exceeds cap 11"
 
 
 class TestTelescoping:

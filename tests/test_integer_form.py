@@ -10,6 +10,7 @@ import pytest
 from _oracles import eig_sign_counts, f2_rank
 from combings.combing import (
     euler_class,
+    p1,
     p1_image,
     reference_parallelization,
     spin_c_equal,
@@ -25,8 +26,11 @@ from combings.linalg import (
     solve_rational,
 )
 from combings.surgery import (
+    ModClass,
     SurgeryPresentation,
+    enumerate_torsion,
     is_torsion_class,
+    linking_form,
     meridian_pairing,
 )
 from combings.verify import (
@@ -164,6 +168,98 @@ def test_sweep_agrees_with_fraction_solve(index):
     _, pres = SWEEP_PRESENTATIONS[index]
     report = p1_image(pres, cap=10**6, box=2)
     assert {m.value for m in report.enumeration_side} == _reference_sweep(pres, 2)
+
+
+def _plumbing(k):
+    """The A_k plumbing: a chain of k (-2)-framed unknots, H_1 = Z/(k+1)."""
+    return [[-2 if i == j else int(abs(i - j) == 1) for j in range(k)] for i in range(k)]
+
+
+def _block_diagonal(*blocks):
+    n = sum(len(b) for b in blocks)
+    out = [[0] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[at + i][at : at + len(b)] = row
+        at += len(b)
+    return out
+
+
+# each has at least two invariant factors > 1 once padded and scrambled
+SPLIT_TORSION = (
+    [[2, 0], [0, 4]],
+    [[3, 0, 0], [0, 3, 0], [0, 0, 6]],
+    _block_diagonal([[5]], [[-5]]),
+    _block_diagonal(_plumbing(1), _plumbing(3)),
+    _block_diagonal(_plumbing(2), _plumbing(2)),
+    _block_diagonal(_plumbing(1), [[2]], [[-6]]),
+)
+
+
+def _torsion_presentations(seed, count, max_order=3000):
+    """Random B with n <= 5 and torsion order <= max_order: every third one
+    random, every third a scrambled SPLIT_TORSION block padded with +-1 and
+    maybe 0, every third P^T D P with a zero in D, hence singular."""
+    out = []
+    for k in range(count):
+        rng = random.Random(f"{seed}:{k}")
+        while True:
+            if k % 3 == 0:
+                b = random_symmetric(rng, rng.randint(1, 5), 4)
+            else:
+                if k % 3 == 1:
+                    d = rng.choice(SPLIT_TORSION)
+                    pad = [rng.choice((1, -1, 0)) for _ in range(rng.randint(0, 5 - len(d)))]
+                    d = _block_diagonal(d, *([[x]] for x in pad))
+                else:
+                    d = [rng.choice((-6, -4, -3, -2, -1, 1, 2, 3, 4, 6))
+                         for _ in range(rng.randint(1, 4))]
+                    d.insert(rng.randrange(len(d) + 1), 0)
+                    d = _block_diagonal(*([[x]] for x in d))
+                p = random_unimodular(rng, len(d), steps=3 * len(d))
+                b = p.transpose() @ IntMatrix.from_rows(d) @ p
+            if analysis(b).homology.torsion_order <= max_order:
+                break
+        out.append(SurgeryPresentation(b))
+    return out
+
+
+TORSION_PRESENTATIONS = _torsion_presentations(17, 60)
+
+
+def test_torsion_presentations_cover_split_and_singular():
+    split = singular = 0
+    for pres in TORSION_PRESENTATIONS:
+        snf = smith_normal_form(pres.matrix)
+        split += sum(1 for d in snf.diag if d > 1) >= 2
+        singular += snf.rank < pres.n
+    assert split >= len(TORSION_PRESENTATIONS) // 3
+    assert singular >= len(TORSION_PRESENTATIONS) // 3
+
+
+@pytest.mark.parametrize("index", range(len(TORSION_PRESENTATIONS)))
+def test_smith_coordinates_agree_with_fraction_route(index):
+    """enumerate_torsion lifts U^{-1} y in order with the n x n linking form,
+    and the formula side of p1_image is p_1(reference) - 4 lk built with
+    Fractions."""
+    pres = TORSION_PRESENTATIONS[index]
+    data = analysis(pres.matrix)
+    positions = [i for i, d in enumerate(data.snf.diag) if d > 1]
+    want = []
+    for combo in itertools.product(*(range(data.snf.diag[i]) for i in positions)):
+        y = [0] * pres.n
+        for i, yi in zip(positions, combo):
+            y[i] = yi
+        rep = data.u_inverse.matvec(y)
+        assert _solution(pres, rep) is not None
+        want.append((rep, linking_form(pres, rep)))
+    assert data.torsion_form.positions == tuple(positions)
+    got = enumerate_torsion(pres, cap=3000)
+    assert got == tuple(want)
+    ref = p1(reference_parallelization(pres)).value
+    formula = {ModClass(ref - 4 * ell.value, Fraction(4)) for _, ell in want}
+    assert p1_image(pres, cap=3000, box=1).formula_side == formula
 
 
 def test_form_is_inverse_for_nonsingular():
