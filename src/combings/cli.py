@@ -12,6 +12,7 @@ import argparse
 import json
 import re
 import sys
+from fractions import Fraction
 from functools import cache
 from typing import IO
 
@@ -68,6 +69,13 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
+def _rational_flag(text: str) -> Fraction:
+    try:
+        return parse_rational(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by every later
@@ -91,8 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "modify":
             cmd.add_argument("--kind", required=True, choices=MODIFICATION_KINDS)
             cmd.add_argument("--eta", type=int, default=None)
-            cmd.add_argument("--lk-euler", default=None)
-            cmd.add_argument("--lk-par", default=None)
+            cmd.add_argument("--lk-euler", type=_rational_flag, default=None)
+            cmd.add_argument("--lk-par", type=_rational_flag, default=None)
             cmd.add_argument("--r", type=int, default=None)
             cmd.add_argument("--k", type=int, default=None)
     return parser
@@ -222,15 +230,9 @@ def _cmd_stabilize(args, doc: Document) -> str:
 
 
 def _cmd_modify(args, doc: Document) -> str:
-    value = p1(_combing(doc))
     result = apply_modification(
-        value,
-        args.kind,
-        eta=args.eta,
-        lk_euler=parse_rational(args.lk_euler) if args.lk_euler is not None else None,
-        lk_par=parse_rational(args.lk_par) if args.lk_par is not None else None,
-        r=args.r,
-        k=args.k,
+        p1(_combing(doc)), args.kind, eta=args.eta, lk_euler=args.lk_euler,
+        lk_par=args.lk_par, r=args.r, k=args.k,
     )
     return format_rational(result.value)
 
@@ -300,7 +302,15 @@ def main(
             _write(args, stdout, format_report(results, args.seed))
             return 0 if all(r.ok for r in results) else 2
         doc = _read_document(args, stdin)
-        output = _HANDLERS[args.command](args, doc)
+        # input integers keep CPython's int/str digit limit; an exact answer
+        # may be longer than any of them, so the handler runs without it
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            output = _HANDLERS[args.command](args, doc)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        _write(args, stdout, output)
     except DomainError as exc:
         print(f"error: {exc.code}: {exc}", file=stderr)
         return 2
@@ -313,7 +323,6 @@ def main(
     except OSError as exc:
         print(f"error: io: {exc}", file=stderr)
         return 1
-    _write(args, stdout, output)
     return 0
 
 

@@ -182,25 +182,22 @@ def _identity_lists(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _smith_with_inverse(a: IntMatrix) -> tuple[SnfResult, IntMatrix]:
-    """Smith normal form U * A * V = D together with U^{-1}.
+def _smith(a: IntMatrix) -> SnfResult:
+    """Smith normal form U * A * V = D.
 
     The pivot is always the smallest nonzero entry in absolute value, ties
     broken by lowest row then column, so U and V are reproducible.  U^{-1}
-    is tracked during the same elimination: each row operation on U is
-    applied as its inverse column operation on U^{-1}.
+    is not tracked: A V = U^{-1} D gives its column i as A V e_i / d_i
+    wherever d_i != 0 (see `_smith_generator`).
     """
     r, c = a.rows, a.cols
     m = a.to_rows()
     u = _identity_lists(r)
     v = _identity_lists(c)
-    # w is U^{-1} transposed, so the column operations on U^{-1} are row operations
-    w = _identity_lists(r)
 
     def swap_rows(i: int, j: int) -> None:
         m[i], m[j] = m[j], m[i]
         u[i], u[j] = u[j], u[i]
-        w[i], w[j] = w[j], w[i]
 
     def swap_cols(i: int, j: int) -> None:
         for row in m:
@@ -211,10 +208,8 @@ def _smith_with_inverse(a: IntMatrix) -> tuple[SnfResult, IntMatrix]:
     def negate_row(i: int) -> None:
         m[i] = [-x for x in m[i]]
         u[i] = [-x for x in u[i]]
-        w[i] = [-x for x in w[i]]
 
     def row_sub(i: int, j: int, q: int) -> None:
-        # row_i -= q row_j on U is column_j += q column_i on U^{-1}
         if q:
             mi, mj = m[i], m[j]
             for k in range(c):
@@ -222,9 +217,6 @@ def _smith_with_inverse(a: IntMatrix) -> tuple[SnfResult, IntMatrix]:
             ui, uj = u[i], u[j]
             for k in range(r):
                 ui[k] -= q * uj[k]
-            wi, wj = w[i], w[j]
-            for k in range(r):
-                wj[k] += q * wi[k]
 
     def col_sub(i: int, j: int, q: int) -> None:
         if q:
@@ -270,13 +262,17 @@ def _smith_with_inverse(a: IntMatrix) -> tuple[SnfResult, IntMatrix]:
             continue
         t += 1
 
-    snf = SnfResult(
-        U=IntMatrix.from_rows(u) if r else IntMatrix(0, 0, ()),
+    return SnfResult(
+        U=IntMatrix.from_rows(u),
         D=IntMatrix.from_rows(m) if r else IntMatrix(0, c, ()),
-        V=IntMatrix.from_rows(v) if c else IntMatrix(0, 0, ()),
+        V=IntMatrix.from_rows(v),
     )
-    u_inverse = IntMatrix.from_rows(w).transpose() if r else IntMatrix(0, 0, ())
-    return snf, u_inverse
+
+
+def _smith_generator(a: IntMatrix, snf: SnfResult, i: int) -> Vector:
+    """U^{-1} e_i = A V e_i / d_i for d_i != 0, exact since A V = U^{-1} D."""
+    d = snf.diag[i]
+    return tuple(x // d for x in a.matvec(snf.V.column(i)))
 
 
 def smith_normal_form(a: IntMatrix) -> SnfResult:
@@ -508,7 +504,8 @@ class TorsionForm:
     coordinates.
 
     The torsion subgroup is the direct sum of Z/d_i over the `positions` i
-    of the invariant factors d_i > 1, generated by g_i = U^{-1} e_i.
+    of the invariant factors d_i > 1, generated by g_i = U^{-1} e_i, read off
+    B V = U^{-1} D as g_i = B V e_i / d_i (U^{-1} itself is never formed).
     Column i of the n x k matrix `generators` is g_i, so the class with
     Smith coordinates y (0 <= y_i < d_i) is v = `generators` y.  The k x k
     matrix Q_ij = g_i^T G g_j mod L gives v^T G v = y^T Q y (mod L).
@@ -534,16 +531,14 @@ class TorsionForm:
         return -sum(a * sum(map(mul, row, y)) for a, row in zip(y, self.Q)) % self.L
 
 
-def _torsion_form(snf: SnfResult, u_inverse: IntMatrix, form: IntegerForm) -> TorsionForm:
+def _torsion_form(a: IntMatrix, snf: SnfResult, form: IntegerForm) -> TorsionForm:
     positions = tuple(i for i, d in enumerate(snf.diag) if d > 1)
-    g = [u_inverse.column(i) for i in positions]
+    g = [_smith_generator(a, snf, i) for i in positions]
     g_images = [[sum(map(mul, row, gj)) for row in form.G] for gj in g]  # G g_j
     return TorsionForm(
         positions=positions,
         factors=tuple(snf.diag[i] for i in positions),
-        generators=tuple(
-            tuple(u_inverse.at(a, i) for i in positions) for a in range(u_inverse.rows)
-        ),
+        generators=tuple(tuple(gj[row] for gj in g) for row in range(a.rows)),
         Q=tuple(tuple(sum(map(mul, gi, ggj)) % form.L for ggj in g_images) for gi in g),
         L=form.L,
     )
@@ -576,17 +571,8 @@ class MatrixAnalysis:
         self.matrix = matrix
 
     @cached_property
-    def _smith(self) -> tuple[SnfResult, IntMatrix]:
-        return _smith_with_inverse(self.matrix)
-
-    @property
     def snf(self) -> SnfResult:
-        return self._smith[0]
-
-    @property
-    def u_inverse(self) -> IntMatrix:
-        """U^{-1} of the Smith form, exact and unimodular."""
-        return self._smith[1]
+        return _smith(self.matrix)
 
     @cached_property
     def signature(self) -> SignatureTriple:
@@ -611,7 +597,7 @@ class MatrixAnalysis:
 
     @cached_property
     def torsion_form(self) -> TorsionForm:
-        return _torsion_form(self.snf, self.u_inverse, self.form)
+        return _torsion_form(self.matrix, self.snf, self.form)
 
 
 # The library's one per-matrix cache.  32 entries hold every presentation of

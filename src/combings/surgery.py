@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 from typing import Iterable, Sequence
 
 from .errors import CapExceededError, DimensionMismatchError, NonTorsionError
@@ -127,16 +128,14 @@ def reduce_class(pres: SurgeryPresentation, v: Sequence[int]) -> MeridianClass:
     """Canonical representative of [v] in Z^n / im(B).
 
     In Smith coordinates y = U v the image of B is spanned coordinatewise by
-    the invariant factors, so each torsion coordinate is reduced to
-    [0, d_i) and free coordinates are kept.
+    the invariant factors, so each torsion coordinate is reduced to [0, d_i)
+    and free coordinates are kept: U^{-1}(y - D q) = v - B V q with
+    q_i = y_i // d_i, or 0 where d_i = 0, since U^{-1} D = B V.
     """
     v = _check_length(pres, v)
     snf = smith_normal_form(pres.matrix)
-    y = list(snf.U.matvec(v))
-    for i, d in enumerate(snf.diag):
-        if d:
-            y[i] %= d
-    return analysis(pres.matrix).u_inverse.matvec(tuple(y))
+    q = [y // d if d else 0 for y, d in zip(snf.U.matvec(v), snf.diag)]
+    return tuple(map(sub, v, pres.matrix.matvec(snf.V.matvec(q))))
 
 
 def classes_equal(

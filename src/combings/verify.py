@@ -35,6 +35,7 @@ from .framed import (
 )
 from .linalg import (
     IntMatrix,
+    _smith_generator,
     analysis,
     det,
     kernel_basis,
@@ -115,8 +116,8 @@ def random_unimodular(rng: random.Random, n: int, steps: int = 8) -> IntMatrix:
 
 def saturation_basis(pres: SurgeryPresentation) -> list[tuple[int, ...]]:
     """Basis of the integer vectors lying in the rational column space of B."""
-    data = analysis(pres.matrix)
-    return [data.u_inverse.column(i) for i in range(data.snf.rank)]
+    snf = analysis(pres.matrix).snf
+    return [_smith_generator(pres.matrix, snf, i) for i in range(snf.rank)]
 
 
 def random_torsion_characteristic(

@@ -1,9 +1,10 @@
 """Independent oracles for the test suite.
 
-Deliberately different algorithms from the library: cofactor determinants,
-plain Fraction-elimination ranks, F_2 ranks over bit-mask rows, and
-eigenvalue sign counts read off the characteristic polynomial (Descartes'
-rule of signs is exact for the all-real spectrum of a symmetric matrix).
+Deliberately different algorithms from the library: cofactor determinants
+and adjugates, plain Fraction-elimination ranks, F_2 ranks over bit-mask
+rows, and eigenvalue sign counts read off the characteristic polynomial
+(Descartes' rule of signs is exact for the all-real spectrum of a symmetric
+matrix).
 """
 
 from __future__ import annotations
@@ -25,6 +26,21 @@ def naive_det(rows) -> int:
         minor = [list(r[:j]) + list(r[j + 1 :]) for r in rows[1:]]
         total += (-1) ** j * rows[0][j] * naive_det(minor)
     return total
+
+
+def unimodular_inverse(rows) -> list[list[int]]:
+    """Inverse of a unimodular integer matrix: its cofactor adjugate times
+    det = +-1."""
+    n = len(rows)
+    d = naive_det(rows)
+    if d not in (1, -1):
+        raise ValueError("matrix is not unimodular")
+
+    def cofactor(i, j):
+        minor = [list(r[:j]) + list(r[j + 1 :]) for k, r in enumerate(rows) if k != i]
+        return (-1) ** (i + j) * naive_det(minor)
+
+    return [[d * cofactor(j, i) for j in range(n)] for i in range(n)]
 
 
 def frac_rank(rows) -> int:

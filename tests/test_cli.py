@@ -2,6 +2,7 @@
 
 import io
 import json
+import sys
 import time
 
 from combings.cli import build_parser, main
@@ -293,3 +294,41 @@ class TestFileIO:
     def test_missing_input_file(self, tmp_path):
         code, _, err = run(["theta-g", "--input", str(tmp_path / "absent.json")])
         assert code == 1 and "io" in err
+
+    def test_unwritable_output_is_io_error(self, tmp_path):
+        dst = str(tmp_path / "absent" / "out.txt")
+        for argv, text in ((["homology"], '{"linking_matrix": [[2]]}'), (["verify"], "")):
+            code, out, err = run([*argv, "--output", dst], text)
+            assert (code, out) == (1, "")
+            assert err.startswith("error: io: ") and err.count("\n") == 1
+
+
+def _str_without_limit(n):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+class TestLongIntegers:
+    """CPython limits int/str conversion to 4300 digits: inputs keep the
+    limit, exact answers are printed in full."""
+
+    def test_answer_longer_than_the_limit(self):
+        a, b = int("7" * 3000), int("3" * 3000)
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(["homology"], json.dumps({"linking_matrix": [[a, 0], [0, b]]}))
+        assert (code, err) == (0, "")
+        assert f'"torsion_order": {_str_without_limit(a * b)},' in out
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_input_longer_than_the_limit_is_rejected(self):
+        code, out, err = run(["homology"], '{"linking_matrix": [[%s]]}' % ("7" * 4301))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: invalid input: Exceeds the limit (4300")
+        argv = ["modify", "--kind", "global-Z", "--lk-par", "1" * 4301]
+        code, out, err = run(argv, S3)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: parse: argument --lk-par: Exceeds the limit")

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from _oracles import eig_sign_counts, f2_rank
+from _oracles import eig_sign_counts, f2_rank, unimodular_inverse
 from combings.combing import (
     euler_class,
     p1,
@@ -32,12 +32,13 @@ from combings.surgery import (
     is_torsion_class,
     linking_form,
     meridian_pairing,
+    reduce_class,
 )
 from combings.verify import (
-    random_matrix,
     random_symmetric,
     random_torsion_characteristic,
     random_unimodular,
+    saturation_basis,
 )
 
 
@@ -197,24 +198,25 @@ SPLIT_TORSION = (
 )
 
 
-def _torsion_presentations(seed, count, max_order=3000):
-    """Random B with n <= 5 and torsion order <= max_order: every third one
-    random, every third a scrambled SPLIT_TORSION block padded with +-1 and
-    maybe 0, every third P^T D P with a zero in D, hence singular."""
+def _torsion_presentations(seed, count, max_order=3000, max_n=5):
+    """Random B with n <= max_n and torsion order <= max_order: every third
+    one random, every third a scrambled SPLIT_TORSION block padded with +-1
+    and maybe 0, every third P^T D P with a zero in D, hence singular."""
     out = []
     for k in range(count):
         rng = random.Random(f"{seed}:{k}")
         while True:
             if k % 3 == 0:
-                b = random_symmetric(rng, rng.randint(1, 5), 4)
+                b = random_symmetric(rng, rng.randint(1, max_n), 4)
             else:
                 if k % 3 == 1:
                     d = rng.choice(SPLIT_TORSION)
-                    pad = [rng.choice((1, -1, 0)) for _ in range(rng.randint(0, 5 - len(d)))]
+                    pad = [rng.choice((1, -1, 0))
+                           for _ in range(rng.randint(0, max_n - len(d)))]
                     d = _block_diagonal(d, *([[x]] for x in pad))
                 else:
                     d = [rng.choice((-6, -4, -3, -2, -1, 1, 2, 3, 4, 6))
-                         for _ in range(rng.randint(1, 4))]
+                         for _ in range(rng.randint(1, max_n - 1))]
                     d.insert(rng.randrange(len(d) + 1), 0)
                     d = _block_diagonal(*([[x]] for x in d))
                 p = random_unimodular(rng, len(d), steps=3 * len(d))
@@ -226,16 +228,64 @@ def _torsion_presentations(seed, count, max_order=3000):
 
 
 TORSION_PRESENTATIONS = _torsion_presentations(17, 60)
+DERIVED_PRESENTATIONS = _torsion_presentations(29, 48, max_n=6)
 
 
-def test_torsion_presentations_cover_split_and_singular():
+def _split_and_singular(family):
     split = singular = 0
-    for pres in TORSION_PRESENTATIONS:
+    for pres in family:
         snf = smith_normal_form(pres.matrix)
         split += sum(1 for d in snf.diag if d > 1) >= 2
         singular += snf.rank < pres.n
+    return split, singular
+
+
+def test_torsion_presentations_cover_split_and_singular():
+    split, singular = _split_and_singular(TORSION_PRESENTATIONS)
     assert split >= len(TORSION_PRESENTATIONS) // 3
     assert singular >= len(TORSION_PRESENTATIONS) // 3
+
+
+def test_derived_presentations_cover_split_and_singular():
+    split, singular = _split_and_singular(DERIVED_PRESENTATIONS)
+    assert split >= len(DERIVED_PRESENTATIONS) // 3
+    assert singular >= len(DERIVED_PRESENTATIONS) // 3
+    assert max(pres.n for pres in DERIVED_PRESENTATIONS) == 6
+
+
+def _oracle_u_inverse(pres):
+    """U^{-1} of the Smith form of B, from the cofactor oracle."""
+    u = smith_normal_form(pres.matrix).U
+    return IntMatrix.from_rows(unimodular_inverse(u.to_rows()))
+
+
+def _oracle_lifts(pres, u_inv):
+    """U^{-1} y for every torsion class y in Smith coordinates, each factor
+    d_i > 1 enumerated 0..d_i-1, the first varying slowest."""
+    diag = smith_normal_form(pres.matrix).diag
+    positions = [i for i, d in enumerate(diag) if d > 1]
+    for combo in itertools.product(*(range(diag[i]) for i in positions)):
+        y = [0] * pres.n
+        for i, yi in zip(positions, combo):
+            y[i] = yi
+        yield u_inv.matvec(y)
+
+
+@pytest.mark.parametrize("index", range(len(DERIVED_PRESENTATIONS)))
+def test_columns_read_off_bv_match_cofactor_inverse(index):
+    """reduce_class, the enumerated representatives and the saturation basis
+    read U^{-1} columns off B V = U^{-1} D; each equals the cofactor inverse's."""
+    pres = DERIVED_PRESENTATIONS[index]
+    snf = smith_normal_form(pres.matrix)
+    u_inv = _oracle_u_inverse(pres)
+    rng = random.Random(index)
+    for _ in range(12):
+        v = [rng.randint(-9, 9) for _ in range(pres.n)]
+        y = [yi % d if d else yi for yi, d in zip(snf.U.matvec(v), snf.diag)]
+        assert reduce_class(pres, v) == u_inv.matvec(y)
+    want = list(_oracle_lifts(pres, u_inv))
+    assert [rep for rep, _ in enumerate_torsion(pres, cap=3000)] == want
+    assert saturation_basis(pres) == [u_inv.column(i) for i in range(snf.rank)]
 
 
 @pytest.mark.parametrize("index", range(len(TORSION_PRESENTATIONS)))
@@ -245,16 +295,12 @@ def test_smith_coordinates_agree_with_fraction_route(index):
     Fractions."""
     pres = TORSION_PRESENTATIONS[index]
     data = analysis(pres.matrix)
-    positions = [i for i, d in enumerate(data.snf.diag) if d > 1]
     want = []
-    for combo in itertools.product(*(range(data.snf.diag[i]) for i in positions)):
-        y = [0] * pres.n
-        for i, yi in zip(positions, combo):
-            y[i] = yi
-        rep = data.u_inverse.matvec(y)
+    for rep in _oracle_lifts(pres, _oracle_u_inverse(pres)):
         assert _solution(pres, rep) is not None
         want.append((rep, linking_form(pres, rep)))
-    assert data.torsion_form.positions == tuple(positions)
+    positions = tuple(i for i, d in enumerate(data.snf.diag) if d > 1)
+    assert data.torsion_form.positions == positions
     got = enumerate_torsion(pres, cap=3000)
     assert got == tuple(want)
     ref = p1(reference_parallelization(pres)).value
@@ -275,16 +321,6 @@ def test_dim_h1_mod2_matches_f2_rank():
     for _, pres in PRESENTATIONS:
         want = pres.n - f2_rank(pres.matrix.to_rows())
         assert analysis(pres.matrix).homology.dim_h1_mod2 == want
-
-
-def test_tracked_u_inverse_matches_reference():
-    rng = random.Random(3)
-    for _ in range(120):
-        a = random_matrix(rng, rng.randint(0, 7), rng.randint(0, 7), bound=6)
-        data = analysis(a)
-        u = data.snf.U
-        assert u @ data.u_inverse == IntMatrix.identity(a.rows)
-        assert data.u_inverse @ u == IntMatrix.identity(a.rows)
 
 
 def test_memo_stays_bounded():
