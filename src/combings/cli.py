@@ -2,8 +2,9 @@
 
 Reads a JSON document from stdin (or --input), prints an exact result and
 exits 0 on success, 2 on domain errors (NonTorsion, NotCharacteristic,
-CapExceeded, ...), 1 on parse errors.  All output is deterministic;
-`verify` is driven by --seed.
+CapExceeded, ...), 1 on parse and I/O errors.  Any other exception is a bug:
+it prints one line, `error: internal: <Type>: <message>`, and exits 3.  All
+output is deterministic; `verify` is driven by --seed.
 """
 
 from __future__ import annotations
@@ -323,6 +324,9 @@ def main(
     except OSError as exc:
         print(f"error: io: {exc}", file=stderr)
         return 1
+    except Exception as exc:  # a bug; the caller still gets one line, no traceback
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=stderr)
+        return 3
     return 0
 
 

@@ -27,12 +27,7 @@ from .errors import (
     NonTorsionError,
     NotCharacteristicError,
 )
-from .linalg import (
-    IntMatrix,
-    MatrixAnalysis,
-    analysis,
-    solve_mod2,
-)
+from .linalg import IntMatrix, MatrixAnalysis, analysis
 from .surgery import (
     DEFAULT_CAP,
     MOD_4Z,
@@ -197,14 +192,10 @@ def reference_parallelization(pres: SurgeryPresentation) -> CombingSpec:
 
     c_ref = B u where u solves B u = diag(B) over F_2; such a u always
     exists for symmetric B, and c_ref is characteristic by construction.
-    For an even presentation this is the zero vector.
+    For an even presentation this is the zero vector.  Kept in the
+    per-matrix memo as `MatrixAnalysis.c_ref`.
     """
-    diag = [pres.matrix.at(i, i) for i in range(pres.n)]
-    u = solve_mod2(pres.matrix, diag)
-    if u is None:  # impossible for symmetric B
-        raise RuntimeError("diagonal not in the F_2 column space of B")
-    c_ref = pres.matrix.matvec(u)
-    return CombingSpec(pres, c_ref, 0)
+    return CombingSpec(pres, analysis(pres.matrix).c_ref, 0)
 
 
 def parity_check(pres: SurgeryPresentation) -> bool:
@@ -334,7 +325,8 @@ def p1_image(
         range(-box + (-box - pres.matrix.at(i, i)) % 2, box + 1, 2)
         for i in range(pres.n)
     ]
-    size = math.prod(map(len, ranges))
+    # len() overflows past sys.maxsize, so each range is counted by its bounds
+    size = math.prod(max(0, (r.stop - r.start + 1) // 2) for r in ranges)
     if size > cap:
         message = f"image-p1 sweep of {size} vectors exceeds cap {cap}"
         raise CapExceededError(torsion_order, cap, message)
@@ -346,8 +338,7 @@ def p1_image(
     # p_1(reference) L = ref is an integer and lk(x, x) = r / L (mod 1) for the
     # residue r of the torsion form, so p_1(reference) - 4 lk(x, x) is
     # (ref - 4 r) / L modulo 4
-    c_ref = reference_parallelization(pres).c
-    ref = form.pair(c_ref, c_ref) + shift
+    ref = form.pair(data.c_ref, data.c_ref) + shift
     tf = data.torsion_form
     formula = {(ref - 4 * tf.residue(y)) % modulus for y in tf.coordinates()}
     enumeration = {

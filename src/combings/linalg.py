@@ -466,14 +466,18 @@ class HomologySummary:
 
 @dataclass(frozen=True)
 class IntegerForm:
-    """An integer generalized inverse G of B over one denominator L.
+    """An integer generalized inverse G of a symmetric B over one denominator L.
 
-    G = V diag(L/d_i, or 0 where d_i = 0) U from the Smith form, with L the
-    largest invariant factor; for nonsingular B this is G = L B^{-1}, whose
-    entries are bounded like those of the adjugate.  For every torsion c
-    (c in the rational column space of B), x = G c / L solves B x = c.  c is
-    torsion iff (U c)_i = 0 wherever d_i = 0; `null_rows` holds those rows
-    of U and is empty when B is nonsingular.
+    L is the largest invariant factor of B.  For nonsingular B, G = L B^{-1},
+    read off one fraction-free Gauss-Jordan pass as a multiple of the
+    adjugate (P = W = I below).  A singular B of rank r is split into its
+    nonsingular core: the kernel basis K of `HomologySummary` is completed to
+    a unimodular P = [W | K'] whose last n - r columns K' span the same
+    lattice as K, so P^T B P = B' + 0 with B' = W^T B W nonsingular, and
+    G = W (L B'^{-1}) W^T.  For every torsion c (c in the rational column
+    space of B), x = G c / L solves B x = c.  Since B is symmetric, c is
+    torsion iff K^T c = 0; `null_rows` holds the rows of K^T and is empty
+    when B is nonsingular.
     """
 
     G: tuple[Vector, ...]
@@ -486,8 +490,9 @@ class IntegerForm:
     def in_lattice(self, c: Sequence[int]) -> bool:
         """c in B Z^n: c is torsion and L divides every entry of G c.
 
-        G c / L = V z with z_i = (U c)_i / d_i, and V is unimodular, so G c / L
-        is integral iff z is, i.e. iff B x = c has an integer solution.
+        For torsion c, P^T c = (W^T c, 0), so c is in B Z^n iff W^T c is in
+        B' Z^r, i.e. iff z = B'^{-1} W^T c is integral.  G c / L = W z, and W
+        is part of the unimodular P, so W z is integral iff z is.
         """
         return self.is_torsion(c) and not any(
             sum(map(mul, row, c)) % self.L for row in self.G
@@ -544,19 +549,74 @@ def _torsion_form(a: IntMatrix, snf: SnfResult, form: IntegerForm) -> TorsionFor
     )
 
 
-def _integer_form(snf: SnfResult) -> IntegerForm:
-    # the nonzero invariant factors are d_0 | d_1 | ... | d_{rank-1}
-    diag, rank = snf.diag, snf.rank
-    scale = diag[rank - 1] if rank else 1
-    v_rows = [
-        [snf.V.at(a, i) * (scale // diag[i]) for i in range(rank)]
-        for a in range(snf.V.rows)
-    ]
-    u_cols = [[snf.U.at(i, b) for i in range(rank)] for b in range(snf.U.cols)]
+def _adjugate_form(b: list[list[int]]) -> IntegerForm:
+    """G = L B^{-1} for a nonsingular B, from one fraction-free pass.
+
+    Gauss-Jordan on [B | I] leaves scale * B^{-1} = +-adj(B) in the right
+    block.  The gcd g of the adjugate's entries is the product of all
+    invariant factors but the last, and |scale| = |det B| is the product of
+    all of them, so L = |scale| / g.
+    """
+    n = len(b)
+    m = [row + [int(i == j) for j in range(n)] for i, row in enumerate(b)]
+    _, scale, _ = _bareiss_jordan(m)
+    block = [row[n:] for row in m]
+    # g divides det B = +-scale; with scale in the gcd, n = 0 gives g = 1
+    g = math.gcd(scale, *itertools.chain.from_iterable(block))
+    sign = 1 if scale > 0 else -1
     return IntegerForm(
-        G=tuple(tuple(sum(map(mul, vr, uc)) for uc in u_cols) for vr in v_rows),
-        L=scale,
-        null_rows=tuple(snf.U.row(i) for i in range(rank, snf.U.rows)),
+        G=tuple(tuple(sign * x // g for x in row) for row in block),
+        L=abs(scale) // g,
+        null_rows=(),
+    )
+
+
+def _completion(kernel: Sequence[Vector], n: int) -> list[list[int]]:
+    """Columns W that complete a saturated kernel basis K to a unimodular
+    P = [W | K'] whose columns K' span the same lattice as K.
+
+    Euclid steps on the rows of K bring each of its columns down to a single
+    +-1 among the rows not yet used (the gcd there is 1 because K is
+    saturated); P = R^{-1} for the row operations R is tracked column by
+    column, and W is P at the rows never used.  Where K has unit entries W
+    is made of unit vectors, so W^T B W is a principal submatrix of B.
+    """
+    rows = [[v[i] for v in kernel] for i in range(n)]
+    cols = [[int(i == j) for i in range(n)] for j in range(n)]  # P, by columns
+    free = list(range(n))
+    for t in range(len(kernel)):
+        while True:
+            live = [i for i in free if rows[i][t]]
+            piv = min(live, key=lambda i: abs(rows[i][t]))
+            if len(live) == 1:
+                break
+            x = rows[piv][t]
+            for i in live:
+                q = rows[i][t] // x
+                if i != piv and q:  # row i -= q row piv, so column piv of P += q column i
+                    rows[i] = [a - q * c for a, c in zip(rows[i], rows[piv])]
+                    cols[piv] = [a + q * c for a, c in zip(cols[piv], cols[i])]
+        free.remove(piv)
+    return [cols[j] for j in free]
+
+
+def _core_form(b: IntMatrix, kernel: tuple[Vector, ...]) -> IntegerForm:
+    """The integer form of a singular B through its core B' = W^T B W.
+
+    With P = [W | K'] unimodular and B K' = 0, P^T B P = B' + 0 and B' has
+    the nonzero invariant factors of B, so L = L'.
+    """
+    w_cols = _completion(kernel, b.rows)
+    w_rows = [[col[a] for col in w_cols] for a in range(b.rows)]
+    b_rows = [b.row(i) for i in range(b.rows)]
+    bw = [[sum(map(mul, row, col)) for row in b_rows] for col in w_cols]
+    core = _adjugate_form([[sum(map(mul, wi, bwj)) for bwj in bw] for wi in w_cols])
+    g_cols = list(zip(*core.G))
+    wg = [[sum(map(mul, wa, gc)) for gc in g_cols] for wa in w_rows]  # W G'
+    return IntegerForm(
+        G=tuple(tuple(sum(map(mul, h, wc)) for wc in w_rows) for h in wg),
+        L=core.L,
+        null_rows=kernel,
     )
 
 
@@ -564,7 +624,8 @@ class MatrixAnalysis:
     """What the library derives from one integer matrix.
 
     Each field is computed on first use and kept while the matrix stays in
-    the memo of `analysis`.
+    the memo of `analysis`.  `form` and `c_ref` need a symmetric matrix;
+    for a nonsingular one, neither builds the Smith form.
     """
 
     def __init__(self, matrix: IntMatrix) -> None:
@@ -593,7 +654,19 @@ class MatrixAnalysis:
 
     @cached_property
     def form(self) -> IntegerForm:
-        return _integer_form(self.snf)
+        if self.signature.n_zero == 0:
+            return _adjugate_form(self.matrix.to_rows())
+        # singular B only: K is the kernel part of the Smith V (self.snf)
+        return _core_form(self.matrix, self.homology.kernel_basis)
+
+    @cached_property
+    def c_ref(self) -> Vector:
+        """B u for a solution u of B u = diag(B) over F_2: a characteristic
+        vector in B Z^n."""
+        u = solve_mod2(self.matrix, self.matrix.diagonal())
+        if u is None:  # impossible for symmetric B
+            raise RuntimeError("diagonal not in the F_2 column space of B")
+        return self.matrix.matvec(u)
 
     @cached_property
     def torsion_form(self) -> TorsionForm:

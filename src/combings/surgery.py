@@ -90,9 +90,14 @@ def _check_length(pres: SurgeryPresentation, v: Sequence[int]) -> Vector:
 
 
 def is_torsion_class(pres: SurgeryPresentation, v: Sequence[int]) -> bool:
-    """True when v lies in the rational column space of B."""
+    """True when v lies in the rational column space of B.
+
+    Only the kernel of B matters, so for nonsingular B (read off the
+    signature) the integer form is not built.
+    """
     v = _check_length(pres, v)
-    return analysis(pres.matrix).form.is_torsion(v)
+    data = analysis(pres.matrix)
+    return data.signature.n_zero == 0 or data.form.is_torsion(v)
 
 
 def meridian_pairing(

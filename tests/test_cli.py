@@ -5,6 +5,7 @@ import json
 import sys
 import time
 
+from combings import cli
 from combings.cli import build_parser, main
 
 
@@ -136,6 +137,17 @@ class TestBasicCommands:
             " exceeds cap 10000\n"
         )
 
+    def test_image_p1_box_past_maxsize_is_capped(self):
+        # 10^20 + 1 even values per coordinate: more than len() of a range can report
+        code, out, err = run(
+            ["image-p1", "--box", str(10**20)], '{"linking_matrix": [[2, 1], [1, 2]]}'
+        )
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: CapExceeded: image-p1 sweep of {(10**20 + 1) ** 2} vectors"
+            " exceeds cap 10000\n"
+        )
+
 
 class TestFramedCommands:
     def test_framed_total(self):
@@ -244,6 +256,16 @@ class TestErrorChannel:
         code, out, err = run(["homology"], "[" * 100_000 + "]" * 100_000)
         assert code == 1 and out == ""
         assert err.startswith("error: parse: ") and "Traceback" not in err
+
+    def test_unexpected_exception_is_internal_error(self, monkeypatch):
+        def broken(args, doc):
+            raise ZeroDivisionError("division by zero")
+
+        monkeypatch.setitem(cli._HANDLERS, "homology", broken)
+        code, out, err = run(["homology"], '{"linking_matrix": [[2]]}')
+        assert code == 3 and out == ""
+        assert err == "error: internal: ZeroDivisionError: division by zero\n"
+        assert "Traceback" not in err
 
 
 class TestDeterminism:

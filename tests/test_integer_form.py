@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from _oracles import eig_sign_counts, f2_rank, unimodular_inverse
+from _oracles import eig_sign_counts, f2_rank, naive_det, unimodular_inverse
 from combings.combing import (
     euler_class,
     p1,
@@ -20,7 +20,9 @@ from combings.errors import NonTorsionError
 from combings.linalg import (
     MEMO_SIZE,
     IntMatrix,
+    _completion,
     analysis,
+    kernel_basis,
     smith_normal_form,
     solve_integer,
     solve_rational,
@@ -90,9 +92,70 @@ def test_singular_share():
     assert len(PRESENTATIONS) // 3 <= singular < len(PRESENTATIONS)
 
 
+def _radical_presentations(seed, count, max_n=8, max_order=5000):
+    """B with a kernel of rank n - r >= 2 and torsion order <= max_order:
+    every other one P^T D P with at least two zeros in D (D = 0 included),
+    the others A^T D A for a random r x n matrix A, whose kernel vectors
+    seldom have a +-1 entry."""
+    out = []
+    for k in range(count):
+        rng = random.Random(f"{seed}:{k}")
+        while True:
+            n = rng.randint(2 + k % 2, max_n)
+            if k % 2 == 0:
+                d = [rng.choice((-4, -3, -2, -1, 1, 2, 3, 4)) for _ in range(n)]
+                for i in rng.sample(range(n), rng.randint(2, min(n, 4))):
+                    d[i] = 0
+                p = random_unimodular(rng, n, steps=2 * n)
+            else:
+                r = rng.randint(1, n - 2)
+                d = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(r)]
+                p = IntMatrix.from_rows([[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)])
+            b = p.transpose() @ IntMatrix.from_diagonal(len(d), len(d), d) @ p
+            if analysis(b).homology.torsion_order <= max_order:
+                break
+        out.append((rng, SurgeryPresentation(b)))
+    return out
+
+
+RADICAL_PRESENTATIONS = _radical_presentations(37, 40)
+
+
 @pytest.mark.parametrize("index", range(len(PRESENTATIONS)))
 def test_form_agrees_with_fraction_solve(index):
     rng, pres = PRESENTATIONS[index]
+    _check_against_references(rng, pres)
+
+
+def test_radical_presentations_need_euclid_steps():
+    """Some kernels have no +-1 pivot, so W is not made of unit vectors."""
+    non_unit = 0
+    for _, pres in RADICAL_PRESENTATIONS:
+        w = _completion(kernel_basis(pres.matrix), pres.n)
+        non_unit += any(sorted(col) != [0] * (pres.n - 1) + [1] for col in w)
+    assert non_unit >= len(RADICAL_PRESENTATIONS) // 5
+
+
+@pytest.mark.parametrize("index", range(len(RADICAL_PRESENTATIONS)))
+def test_core_form_agrees_with_references_on_wide_kernel(index):
+    """The singular route G = W G' W^T, with L the largest nonzero invariant
+    factor, against solve_rational and solve_integer."""
+    rng, pres = RADICAL_PRESENTATIONS[index]
+    diag = smith_normal_form(pres.matrix).diag
+    assert diag.count(0) >= 2
+    kernel = kernel_basis(pres.matrix)
+    w = _completion(kernel, pres.n)
+    assert abs(naive_det(list(zip(*w, *kernel)))) == 1  # [W | K] is unimodular
+    assert analysis(pres.matrix).form.L == max(diag + (1,))
+    _check_against_references(rng, pres)
+    for rep, ell in enumerate_torsion(pres, cap=5000):
+        x = _solution(pres, rep)
+        assert ell.value == -sum((Fraction(a) * b for a, b in zip(rep, x)), Fraction(0)) % 1
+
+
+def _check_against_references(rng, pres):
+    """theta_g, the torsion tests, meridian_pairing and lattice membership
+    against the Fraction solve and solve_integer."""
     constant = _theta_constant(pres)
     for c in (random_torsion_characteristic(rng, pres), _characteristic(rng, pres)):
         want = _reference_theta(pres, c, constant)
@@ -310,11 +373,28 @@ def test_smith_coordinates_agree_with_fraction_route(index):
 
 def test_form_is_inverse_for_nonsingular():
     for _, pres in PRESENTATIONS:
-        if smith_normal_form(pres.matrix).rank < pres.n:
+        snf = smith_normal_form(pres.matrix)
+        if snf.rank < pres.n:
             continue
         form = analysis(pres.matrix).form
         g = IntMatrix.from_rows(form.G)
         assert pres.matrix @ g == IntMatrix.from_diagonal(pres.n, pres.n, [form.L] * pres.n)
+        assert form.L == snf.diag[-1]  # the least L, not |det B|
+
+
+def test_nonsingular_questions_build_no_smith_form():
+    """theta_g, spin_c_equal, euler_class and is_torsion_class on nonsingular
+    B read the signature and the adjugate pass only; is_torsion_class alone
+    builds no integer form."""
+    pres = SurgeryPresentation.from_rows([[3, 1, 0, 2], [1, -2, 1, 0], [0, 1, 4, -1], [2, 0, -1, 5]])
+    data = analysis(pres.matrix)
+    assert is_torsion_class(pres, (1, 0, 2, -1))
+    assert "form" not in data.__dict__
+    c = data.c_ref
+    theta_g(pres, c)
+    assert spin_c_equal(pres, c, tuple(x + 2 * y for x, y in zip(c, pres.matrix.row(0))))
+    assert euler_class(pres, c).is_zero
+    assert "form" in data.__dict__ and "snf" not in data.__dict__
 
 
 def test_dim_h1_mod2_matches_f2_rank():
