@@ -466,18 +466,15 @@ class HomologySummary:
 
 @dataclass(frozen=True)
 class IntegerForm:
-    """An integer generalized inverse G of a symmetric B over one denominator L.
+    """An integer generalized inverse G of B over one denominator L.
 
-    L is the largest invariant factor of B.  For nonsingular B, G = L B^{-1},
-    read off one fraction-free Gauss-Jordan pass as a multiple of the
-    adjugate (P = W = I below).  A singular B of rank r is split into its
-    nonsingular core: the kernel basis K of `HomologySummary` is completed to
-    a unimodular P = [W | K'] whose last n - r columns K' span the same
-    lattice as K, so P^T B P = B' + 0 with B' = W^T B W nonsingular, and
-    G = W (L B'^{-1}) W^T.  For every torsion c (c in the rational column
-    space of B), x = G c / L solves B x = c.  Since B is symmetric, c is
-    torsion iff K^T c = 0; `null_rows` holds the rows of K^T and is empty
-    when B is nonsingular.
+    L is the largest nonzero invariant factor of B.  For nonsingular B,
+    G = L B^{-1}, read off one fraction-free Gauss-Jordan pass as a multiple
+    of the adjugate.  For singular B, G = V diag(L/d_i, or 0 where d_i = 0) U
+    from the Smith form U B V = D.  Either way, for every torsion c (c in the
+    rational column space of B), x = G c / L solves B x = c.  c is torsion
+    iff (U c)_i = 0 wherever d_i = 0; `null_rows` holds those rows of U and
+    is empty when B is nonsingular.
     """
 
     G: tuple[Vector, ...]
@@ -490,9 +487,11 @@ class IntegerForm:
     def in_lattice(self, c: Sequence[int]) -> bool:
         """c in B Z^n: c is torsion and L divides every entry of G c.
 
-        For torsion c, P^T c = (W^T c, 0), so c is in B Z^n iff W^T c is in
-        B' Z^r, i.e. iff z = B'^{-1} W^T c is integral.  G c / L = W z, and W
-        is part of the unimodular P, so W z is integral iff z is.
+        For nonsingular B, G c / L = B^{-1} c is the only solution of
+        B x = c.  For singular B and torsion c, G c / L = V z with
+        z_i = (U c)_i / d_i where d_i != 0 and z_i = 0 elsewhere, and V is
+        unimodular, so G c / L is integral iff z is, i.e. iff B x = c has an
+        integer solution.
         """
         return self.is_torsion(c) and not any(
             sum(map(mul, row, c)) % self.L for row in self.G
@@ -571,52 +570,20 @@ def _adjugate_form(b: list[list[int]]) -> IntegerForm:
     )
 
 
-def _completion(kernel: Sequence[Vector], n: int) -> list[list[int]]:
-    """Columns W that complete a saturated kernel basis K to a unimodular
-    P = [W | K'] whose columns K' span the same lattice as K.
-
-    Euclid steps on the rows of K bring each of its columns down to a single
-    +-1 among the rows not yet used (the gcd there is 1 because K is
-    saturated); P = R^{-1} for the row operations R is tracked column by
-    column, and W is P at the rows never used.  Where K has unit entries W
-    is made of unit vectors, so W^T B W is a principal submatrix of B.
-    """
-    rows = [[v[i] for v in kernel] for i in range(n)]
-    cols = [[int(i == j) for i in range(n)] for j in range(n)]  # P, by columns
-    free = list(range(n))
-    for t in range(len(kernel)):
-        while True:
-            live = [i for i in free if rows[i][t]]
-            piv = min(live, key=lambda i: abs(rows[i][t]))
-            if len(live) == 1:
-                break
-            x = rows[piv][t]
-            for i in live:
-                q = rows[i][t] // x
-                if i != piv and q:  # row i -= q row piv, so column piv of P += q column i
-                    rows[i] = [a - q * c for a, c in zip(rows[i], rows[piv])]
-                    cols[piv] = [a + q * c for a, c in zip(cols[piv], cols[i])]
-        free.remove(piv)
-    return [cols[j] for j in free]
-
-
-def _core_form(b: IntMatrix, kernel: tuple[Vector, ...]) -> IntegerForm:
-    """The integer form of a singular B through its core B' = W^T B W.
-
-    With P = [W | K'] unimodular and B K' = 0, P^T B P = B' + 0 and B' has
-    the nonzero invariant factors of B, so L = L'.
-    """
-    w_cols = _completion(kernel, b.rows)
-    w_rows = [[col[a] for col in w_cols] for a in range(b.rows)]
-    b_rows = [b.row(i) for i in range(b.rows)]
-    bw = [[sum(map(mul, row, col)) for row in b_rows] for col in w_cols]
-    core = _adjugate_form([[sum(map(mul, wi, bwj)) for bwj in bw] for wi in w_cols])
-    g_cols = list(zip(*core.G))
-    wg = [[sum(map(mul, wa, gc)) for gc in g_cols] for wa in w_rows]  # W G'
+def _smith_product_form(snf: SnfResult) -> IntegerForm:
+    """G = V diag(L/d_i, or 0 where d_i = 0) U for a singular B."""
+    # the nonzero invariant factors are d_0 | d_1 | ... | d_{rank-1}
+    diag, rank = snf.diag, snf.rank
+    scale = diag[rank - 1] if rank else 1
+    v_rows = [
+        [snf.V.at(a, i) * (scale // diag[i]) for i in range(rank)]
+        for a in range(snf.V.rows)
+    ]
+    u_cols = [[snf.U.at(i, b) for i in range(rank)] for b in range(snf.U.cols)]
     return IntegerForm(
-        G=tuple(tuple(sum(map(mul, h, wc)) for wc in w_rows) for h in wg),
-        L=core.L,
-        null_rows=kernel,
+        G=tuple(tuple(sum(map(mul, vr, uc)) for uc in u_cols) for vr in v_rows),
+        L=scale,
+        null_rows=tuple(snf.U.row(i) for i in range(rank, snf.U.rows)),
     )
 
 
@@ -656,8 +623,7 @@ class MatrixAnalysis:
     def form(self) -> IntegerForm:
         if self.signature.n_zero == 0:
             return _adjugate_form(self.matrix.to_rows())
-        # singular B only: K is the kernel part of the Smith V (self.snf)
-        return _core_form(self.matrix, self.homology.kernel_basis)
+        return _smith_product_form(self.snf)
 
     @cached_property
     def c_ref(self) -> Vector:

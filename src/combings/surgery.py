@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import sub
+from operator import mul, sub
 from typing import Iterable, Sequence
 
 from .errors import CapExceededError, DimensionMismatchError, NonTorsionError
@@ -92,12 +92,16 @@ def _check_length(pres: SurgeryPresentation, v: Sequence[int]) -> Vector:
 def is_torsion_class(pres: SurgeryPresentation, v: Sequence[int]) -> bool:
     """True when v lies in the rational column space of B.
 
-    Only the kernel of B matters, so for nonsingular B (read off the
-    signature) the integer form is not built.
+    B is symmetric, so that space is the orthogonal complement of its
+    kernel: v is torsion iff K^T v = 0 for the kernel basis K, and always
+    when B is nonsingular (read off the signature).  No integer form is
+    built.
     """
     v = _check_length(pres, v)
     data = analysis(pres.matrix)
-    return data.signature.n_zero == 0 or data.form.is_torsion(v)
+    return data.signature.n_zero == 0 or not any(
+        sum(map(mul, k, v)) for k in data.homology.kernel_basis
+    )
 
 
 def meridian_pairing(

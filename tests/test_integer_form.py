@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from _oracles import eig_sign_counts, f2_rank, naive_det, unimodular_inverse
+from _oracles import eig_sign_counts, f2_rank, unimodular_inverse
 from combings.combing import (
     euler_class,
     p1,
@@ -20,9 +20,7 @@ from combings.errors import NonTorsionError
 from combings.linalg import (
     MEMO_SIZE,
     IntMatrix,
-    _completion,
     analysis,
-    kernel_basis,
     smith_normal_form,
     solve_integer,
     solve_rational,
@@ -95,8 +93,7 @@ def test_singular_share():
 def _radical_presentations(seed, count, max_n=8, max_order=5000):
     """B with a kernel of rank n - r >= 2 and torsion order <= max_order:
     every other one P^T D P with at least two zeros in D (D = 0 included),
-    the others A^T D A for a random r x n matrix A, whose kernel vectors
-    seldom have a +-1 entry."""
+    the others A^T D A for a random r x n matrix A."""
     out = []
     for k in range(count):
         rng = random.Random(f"{seed}:{k}")
@@ -127,25 +124,13 @@ def test_form_agrees_with_fraction_solve(index):
     _check_against_references(rng, pres)
 
 
-def test_radical_presentations_need_euclid_steps():
-    """Some kernels have no +-1 pivot, so W is not made of unit vectors."""
-    non_unit = 0
-    for _, pres in RADICAL_PRESENTATIONS:
-        w = _completion(kernel_basis(pres.matrix), pres.n)
-        non_unit += any(sorted(col) != [0] * (pres.n - 1) + [1] for col in w)
-    assert non_unit >= len(RADICAL_PRESENTATIONS) // 5
-
-
 @pytest.mark.parametrize("index", range(len(RADICAL_PRESENTATIONS)))
-def test_core_form_agrees_with_references_on_wide_kernel(index):
-    """The singular route G = W G' W^T, with L the largest nonzero invariant
-    factor, against solve_rational and solve_integer."""
+def test_singular_form_agrees_with_references_on_wide_kernel(index):
+    """The singular route G = V diag(L/d_i) U, with L the largest nonzero
+    invariant factor, against solve_rational and solve_integer."""
     rng, pres = RADICAL_PRESENTATIONS[index]
     diag = smith_normal_form(pres.matrix).diag
     assert diag.count(0) >= 2
-    kernel = kernel_basis(pres.matrix)
-    w = _completion(kernel, pres.n)
-    assert abs(naive_det(list(zip(*w, *kernel)))) == 1  # [W | K] is unimodular
     assert analysis(pres.matrix).form.L == max(diag + (1,))
     _check_against_references(rng, pres)
     for rep, ell in enumerate_torsion(pres, cap=5000):
@@ -384,8 +369,8 @@ def test_form_is_inverse_for_nonsingular():
 
 def test_nonsingular_questions_build_no_smith_form():
     """theta_g, spin_c_equal, euler_class and is_torsion_class on nonsingular
-    B read the signature and the adjugate pass only; is_torsion_class alone
-    builds no integer form."""
+    B read the signature and the adjugate pass only; is_torsion_class builds
+    no integer form, for singular B neither."""
     pres = SurgeryPresentation.from_rows([[3, 1, 0, 2], [1, -2, 1, 0], [0, 1, 4, -1], [2, 0, -1, 5]])
     data = analysis(pres.matrix)
     assert is_torsion_class(pres, (1, 0, 2, -1))
@@ -395,6 +380,10 @@ def test_nonsingular_questions_build_no_smith_form():
     assert spin_c_equal(pres, c, tuple(x + 2 * y for x, y in zip(c, pres.matrix.row(0))))
     assert euler_class(pres, c).is_zero
     assert "form" in data.__dict__ and "snf" not in data.__dict__
+    singular = SurgeryPresentation.from_rows([[1, 2, 0], [2, 4, 0], [0, 0, 3]])
+    assert is_torsion_class(singular, (1, 2, 5))
+    assert not is_torsion_class(singular, (1, 0, 0))
+    assert "form" not in analysis(singular.matrix).__dict__
 
 
 def test_dim_h1_mod2_matches_f2_rank():
