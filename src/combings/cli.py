@@ -77,6 +77,17 @@ def _rational_flag(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+def _count_flag(text: str) -> int:
+    """--cap and --box bound a count, so a negative one is refused."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by every later
@@ -89,9 +100,9 @@ def build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--input", default=None, help="read the document from a file")
         cmd.add_argument("--output", default=None, help="write results to a file")
         if name in ("linking-form", "image-p1"):
-            cmd.add_argument("--cap", type=int, default=DEFAULT_CAP)
+            cmd.add_argument("--cap", type=_count_flag, default=DEFAULT_CAP)
         if name == "image-p1":
-            cmd.add_argument("--box", type=int, default=DEFAULT_BOX)
+            cmd.add_argument("--box", type=_count_flag, default=DEFAULT_BOX)
         if name == "verify":
             cmd.add_argument("--seed", type=int, default=0)
         if name == "stabilize":

@@ -99,9 +99,9 @@ def euler_class(pres: SurgeryPresentation, c: Sequence[int]) -> EulerClassInfo:
     """
     validate_combing(pres, c)
     c = tuple(c)
-    form = analysis(pres.matrix).form
+    data = analysis(pres.matrix)
     return EulerClassInfo(
-        class_vector=c, is_torsion=form.is_torsion(c), is_zero=form.in_lattice(c)
+        class_vector=c, is_torsion=data.is_torsion(c), is_zero=data.in_lattice(c)
     )
 
 
@@ -120,9 +120,9 @@ def theta_g(pres: SurgeryPresentation, c: Sequence[int]) -> Fraction:
     """
     validate_combing(pres, c)
     data = analysis(pres.matrix)
-    form = data.form
-    if not form.is_torsion(c):
+    if not data.is_torsion(c):
         raise NonTorsionError("combing coefficient vector is not torsion")
+    form = data.form
     return Fraction(form.pair(c, c), form.L) + _theta_constant(data)
 
 
@@ -148,7 +148,7 @@ def spin_c_equal(
     validate_combing(pres, c)
     validate_combing(pres, c_other)
     half = tuple((a - b) // 2 for a, b in zip(c, c_other))
-    return analysis(pres.matrix).form.in_lattice(half)
+    return analysis(pres.matrix).in_lattice(half)
 
 
 def combing_equal(x: CombingSpec, y: CombingSpec) -> bool:
@@ -209,19 +209,6 @@ def parity_check(pres: SurgeryPresentation) -> bool:
         return False
     summary = homology_summary(pres)
     return (value.numerator - summary.dim_h1_mod2 - summary.betti_1) % 2 == 0
-
-
-@dataclass(frozen=True)
-class ReparamDelta:
-    """Effect of reparametrizing by a degree-d gauge transformation:
-    p_1 shifts by 2d and the companion linking number is -d/2."""
-
-    delta_p1: int
-    companion_lk: Fraction
-
-
-def reparam_delta(deg: int) -> ReparamDelta:
-    return ReparamDelta(delta_p1=2 * deg, companion_lk=Fraction(-deg, 2))
 
 
 def stabilize(x: CombingSpec, sign: int, c0: int) -> CombingSpec:
@@ -344,7 +331,7 @@ def p1_image(
     enumeration = {
         (form.pair(c, c) + shift) % modulus
         for c in itertools.product(*ranges)
-        if form.is_torsion(c)
+        if data.is_torsion(c)
     }
 
     def classes(residues: set[int]) -> frozenset[ModClass]:

@@ -51,17 +51,6 @@ class IntMatrix:
     def identity(cls, n: int) -> "IntMatrix":
         return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, (0,) * (rows * cols))
-
-    @classmethod
-    def from_diagonal(cls, rows: int, cols: int, diag: Sequence[int]) -> "IntMatrix":
-        m = [[0] * cols for _ in range(rows)]
-        for i, d in enumerate(diag):
-            m[i][i] = d
-        return cls.from_rows(m)
-
     def at(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
 
@@ -399,32 +388,10 @@ def kernel_basis(a: IntMatrix) -> tuple[Vector, ...]:
     """Basis of the integer kernel lattice of A (primitive and saturated).
 
     The basis vectors are the kernel columns of the Smith V, each normalized
-    so its first nonzero coordinate is positive.
+    so its first nonzero coordinate is positive.  Kept in the per-matrix
+    memo of `analysis`.
     """
-    snf = smith_normal_form(a)
-    rank = snf.rank
-    return tuple(
-        _normalize_sign(snf.V.column(j)) for j in range(rank, a.cols)
-    )
-
-
-def solve_integer(a: IntMatrix, b: Sequence[int]) -> Vector | None:
-    """One integer solution of A x = b, or None if none exists."""
-    if len(b) != a.rows:
-        raise ValueError("right-hand side length must equal row count")
-    snf = smith_normal_form(a)
-    y = snf.U.matvec(tuple(b))
-    diag = snf.diag
-    xprime = [0] * a.cols
-    for i in range(a.rows):
-        d = diag[i] if i < len(diag) else 0
-        if d:
-            if y[i] % d:
-                return None
-            xprime[i] = y[i] // d
-        elif y[i]:
-            return None
-    return snf.V.matvec(tuple(xprime))
+    return analysis(a).homology.kernel_basis
 
 
 def solve_mod2(a: IntMatrix, b: Sequence[int]) -> Vector | None:
@@ -466,36 +433,18 @@ class HomologySummary:
 
 @dataclass(frozen=True)
 class IntegerForm:
-    """An integer generalized inverse G of B over one denominator L.
+    """An integer generalized inverse G of a symmetric B over one
+    denominator L, the largest nonzero invariant factor of B.
 
-    L is the largest nonzero invariant factor of B.  For nonsingular B,
-    G = L B^{-1}, read off one fraction-free Gauss-Jordan pass as a multiple
-    of the adjugate.  For singular B, G = V diag(L/d_i, or 0 where d_i = 0) U
-    from the Smith form U B V = D.  Either way, for every torsion c (c in the
-    rational column space of B), x = G c / L solves B x = c.  c is torsion
-    iff (U c)_i = 0 wherever d_i = 0; `null_rows` holds those rows of U and
-    is empty when B is nonsingular.
+    For nonsingular B, G = L B^{-1}, a multiple of the adjugate read off one
+    fraction-free Gauss-Jordan pass.  For singular B,
+    G = V diag(L/d_i, or 0 where d_i = 0) U from the Smith form U B V = D.
+    Either way x = G c / L solves B x = c for every torsion c; the torsion
+    test itself is `MatrixAnalysis.is_torsion`, which reads no G.
     """
 
     G: tuple[Vector, ...]
     L: int
-    null_rows: tuple[Vector, ...]
-
-    def is_torsion(self, c: Sequence[int]) -> bool:
-        return not any(sum(map(mul, row, c)) for row in self.null_rows)
-
-    def in_lattice(self, c: Sequence[int]) -> bool:
-        """c in B Z^n: c is torsion and L divides every entry of G c.
-
-        For nonsingular B, G c / L = B^{-1} c is the only solution of
-        B x = c.  For singular B and torsion c, G c / L = V z with
-        z_i = (U c)_i / d_i where d_i != 0 and z_i = 0 elsewhere, and V is
-        unimodular, so G c / L is integral iff z is, i.e. iff B x = c has an
-        integer solution.
-        """
-        return self.is_torsion(c) and not any(
-            sum(map(mul, row, c)) % self.L for row in self.G
-        )
 
     def pair(self, v: Sequence[int], w: Sequence[int]) -> int:
         """v^T G w, which is L v^T x for the solution x = G w / L of B x = w."""
@@ -566,7 +515,6 @@ def _adjugate_form(b: list[list[int]]) -> IntegerForm:
     return IntegerForm(
         G=tuple(tuple(sign * x // g for x in row) for row in block),
         L=abs(scale) // g,
-        null_rows=(),
     )
 
 
@@ -583,7 +531,6 @@ def _smith_product_form(snf: SnfResult) -> IntegerForm:
     return IntegerForm(
         G=tuple(tuple(sum(map(mul, vr, uc)) for uc in u_cols) for vr in v_rows),
         L=scale,
-        null_rows=tuple(snf.U.row(i) for i in range(rank, snf.U.rows)),
     )
 
 
@@ -591,12 +538,35 @@ class MatrixAnalysis:
     """What the library derives from one integer matrix.
 
     Each field is computed on first use and kept while the matrix stays in
-    the memo of `analysis`.  `form` and `c_ref` need a symmetric matrix;
-    for a nonsingular one, neither builds the Smith form.
+    the memo of `analysis`.  `form`, `c_ref` and the lattice questions need
+    a symmetric matrix; for a nonsingular one, none of them builds the Smith
+    form.
     """
 
     def __init__(self, matrix: IntMatrix) -> None:
         self.matrix = matrix
+
+    def is_torsion(self, c: Sequence[int]) -> bool:
+        """c in the rational column space of B, i.e. of a torsion class: B is
+        symmetric, so c is orthogonal to the kernel (none if B is nonsingular,
+        read off the signature)."""
+        return self.signature.n_zero == 0 or not any(
+            sum(map(mul, k, c)) for k in self.homology.kernel_basis
+        )
+
+    def in_lattice(self, c: Sequence[int]) -> bool:
+        """c in B Z^n: c is torsion and L divides every entry of G c.
+
+        For nonsingular B, G c / L = B^{-1} c is the only solution of
+        B x = c.  For singular B and torsion c, G c / L = V z with
+        z_i = (U c)_i / d_i where d_i != 0 and z_i = 0 elsewhere, and V is
+        unimodular, so G c / L is integral iff z is, i.e. iff B x = c has an
+        integer solution.
+        """
+        form = self.form
+        return self.is_torsion(c) and not any(
+            sum(map(mul, row, c)) % form.L for row in form.G
+        )
 
     @cached_property
     def snf(self) -> SnfResult:
@@ -616,7 +586,9 @@ class MatrixAnalysis:
             # H_1 (x) F_2 has one Z/2 per even invariant factor, zeros included
             dim_h1_mod2=sum(1 for d in snf.diag if d % 2 == 0),
             torsion_order=math.prod(factors),
-            kernel_basis=kernel_basis(self.matrix),
+            kernel_basis=tuple(
+                _normalize_sign(snf.V.column(j)) for j in range(snf.rank, self.matrix.cols)
+            ),
         )
 
     @cached_property

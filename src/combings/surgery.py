@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul, sub
+from operator import sub
 from typing import Iterable, Sequence
 
 from .errors import CapExceededError, DimensionMismatchError, NonTorsionError
@@ -90,18 +90,9 @@ def _check_length(pres: SurgeryPresentation, v: Sequence[int]) -> Vector:
 
 
 def is_torsion_class(pres: SurgeryPresentation, v: Sequence[int]) -> bool:
-    """True when v lies in the rational column space of B.
-
-    B is symmetric, so that space is the orthogonal complement of its
-    kernel: v is torsion iff K^T v = 0 for the kernel basis K, and always
-    when B is nonsingular (read off the signature).  No integer form is
-    built.
-    """
-    v = _check_length(pres, v)
-    data = analysis(pres.matrix)
-    return data.signature.n_zero == 0 or not any(
-        sum(map(mul, k, v)) for k in data.homology.kernel_basis
-    )
+    """True when v lies in the rational column space of B
+    (`MatrixAnalysis.is_torsion`); no integer form is built."""
+    return analysis(pres.matrix).is_torsion(_check_length(pres, v))
 
 
 def meridian_pairing(
@@ -116,11 +107,12 @@ def meridian_pairing(
     """
     v = _check_length(pres, v)
     w = _check_length(pres, w)
-    form = analysis(pres.matrix).form
-    if not form.is_torsion(v):
+    data = analysis(pres.matrix)
+    if not data.is_torsion(v):
         raise NonTorsionError("first class is not torsion")
-    if not form.is_torsion(w):
+    if not data.is_torsion(w):
         raise NonTorsionError("second class is not torsion")
+    form = data.form
     return Fraction(-form.pair(v, w), form.L)
 
 

@@ -27,8 +27,3 @@ def theta_invariant(data: ThetaInput) -> Fraction:
     """Theta = 6*lambda + p_1/4."""
     return 6 * data.casson_walker + data.p1 / 4
 
-
-def theta_variation(delta_lk: Fraction | int) -> Fraction:
-    """Variation of Theta under a combing change with linking number
-    delta_lk; equals delta_lk, matching a 4*delta_lk shift of p_1."""
-    return Fraction(delta_lk)

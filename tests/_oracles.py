@@ -4,12 +4,15 @@ Deliberately different algorithms from the library: cofactor determinants
 and adjugates, plain Fraction-elimination ranks, F_2 ranks over bit-mask
 rows, and eigenvalue sign counts read off the characteristic polynomial
 (Descartes' rule of signs is exact for the all-real spectrum of a symmetric
-matrix).
+matrix).  `solve_integer` alone reads the library's Smith form, by a route
+the integer form G / L does not take.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from combings.linalg import smith_normal_form
 
 
 def naive_det(rows) -> int:
@@ -111,3 +114,21 @@ def eig_sign_counts(rows) -> tuple[int, int, int]:
     pos = _sign_variations(coeffs)
     neg = _sign_variations([c * (-1) ** i for i, c in enumerate(coeffs)])
     return pos, neg, zero
+
+
+def solve_integer(a, b):
+    """One integer solution of A x = b, or None if none exists: with
+    U A V = D, solve D x' = U b coordinatewise and return V x'."""
+    snf = smith_normal_form(a)
+    y = snf.U.matvec(tuple(b))
+    diag = snf.diag
+    xprime = [0] * a.cols
+    for i in range(a.rows):
+        d = diag[i] if i < len(diag) else 0
+        if d:
+            if y[i] % d:
+                return None
+            xprime[i] = y[i] // d
+        elif y[i]:
+            return None
+    return snf.V.matvec(tuple(xprime))

@@ -1,197 +1,90 @@
 """Acceptance suite: one test per criterion, each exact (no tolerances).
 
-Every test prints its own pass line; run with `pytest -v` to get one
-pass/fail line per criterion from the report as well.
+Criteria 1-10 run the `verify` battery's checks on pinned seeds and case
+counts, so each law is coded once; criterion 11 keeps its own reference
+oracles (cofactor determinants, Fraction ranks), which `verify` cannot
+import.  Every test prints its own pass line; run with `pytest -v` to get
+one pass/fail line per criterion from the report as well.
 """
 
 import random
 from fractions import Fraction
 
-from combings.combing import (
-    CombingSpec,
-    apply_modification,
-    combing_equal,
-    gamma,
-    hf_grading,
-    p1,
-    p1_image,
-    parity_check,
-    reference_parallelization,
-    spin_c_equal,
-    stabilize,
-    theta_g,
-)
-from combings.framed import (
-    FramedLinkData,
-    add_hopf,
-    band_sum,
-    cobordism_class,
-    framed_cobordant_zsphere,
-    pontrjagin_p1,
-    total_self_linking,
-)
-from combings.linalg import (
-    IntMatrix,
-    kernel_basis,
-    signature,
-    smith_normal_form,
-    solve_rational,
-)
-from combings.surgery import EMPTY_PRESENTATION, ModClass, SurgeryPresentation
-from combings.theta import ThetaInput, theta_invariant, theta_variation
-from combings.verify import (
-    random_framed,
-    random_matrix,
-    random_presentation,
-    random_symmetric,
-    random_torsion_combing,
-    random_unimodular,
-)
+from combings import verify
+from combings.combing import p1, reference_parallelization
+from combings.linalg import kernel_basis, signature, smith_normal_form, solve_rational
+from combings.surgery import EMPTY_PRESENTATION, ModClass
+from combings.verify import random_matrix, random_symmetric, random_unimodular
 
 from _oracles import frac_rank, naive_det
-
-S3 = EMPTY_PRESENTATION
 
 
 def _passed(number: int, name: str) -> None:
     print(f"criterion {number} [{name}]: PASS")
 
 
+def _check(check, seed: int, cases: int, want_cases: int) -> None:
+    result = check(random.Random(seed), cases)
+    assert (result.cases, result.failures) == (want_cases, 0), result
+
+
 def test_criterion_01_gamma_law():
-    rng = random.Random(1001)
-    for _ in range(200):
-        pres = random_presentation(rng, max_n=5, bound=5)
-        x = random_torsion_combing(rng, pres)
-        base = p1(x).value
-        for t in range(-3, 4):
-            assert p1(gamma(x, t)).value - base == 4 * t
+    _check(verify.check_gamma_law, 1001, 200, 200)
     _passed(1, "gamma-law, 200 presentations, t in -3..3")
 
 
 def test_criterion_02_gompf_surgery_arithmetic():
-    assert theta_g(S3, ()) == -2
-    x = CombingSpec(S3, (), 0)
-    one = stabilize(x, 1, 1)
-    assert theta_g(one.presentation, one.c) - theta_g(S3, ()) == -4  # 1-2-3
-    three = stabilize(x, 1, 3)
-    assert theta_g(three.presentation, three.c) - theta_g(S3, ()) == 4  # 9-2-3
+    _check(verify.check_gompf_arithmetic, 1002, 0, 1)
     _passed(2, "theta_g(S^3) = -2; +1-framed unknot shifts -4 / +4")
 
 
 def test_criterion_03_stabilization_invariance():
-    rng = random.Random(1003)
-    for _ in range(100):
-        x = random_torsion_combing(rng, random_presentation(rng, max_n=4))
-        base = p1(x)
-        for sign in (1, -1):
-            for c0 in (-9, -7, -5, -3, -1, 1, 3, 5, 7, 9):
-                assert p1(stabilize(x, sign, c0)) == base
+    _check(verify.check_stabilization, 1003, 100, 100)
     _passed(3, "p1 invariant under stabilization, 100 combings x 20 moves")
 
 
 def test_criterion_04_image_theorem():
-    battery = ([[2]], [[3]], [[4]], [[5]], [[2, 1], [1, 2]], [[4, 1], [1, 4]])
-    for rows in battery:
-        report = p1_image(SurgeryPresentation.from_rows(rows), cap=10_000, box=10)
-        assert report.is_subset
-        assert report.is_equal, rows
-        assert report.formula_side == report.enumeration_side
+    _check(verify.check_image_theorem, 1004, 0, len(verify.IMAGE_BATTERY))
     _passed(4, "p1 image: enumeration equals formula side on the battery")
 
 
 def test_criterion_05_kirby_melvin_parity():
-    rng = random.Random(1005)
-    singular_count = 0
-    for i in range(500):
-        n = rng.randint(0, 6)
-        matrix = random_symmetric(rng, n, bound=5)
-        if i % 5 == 0 and n >= 2:
-            # force a singular matrix by duplicating the first row/column
-            rows = matrix.to_rows()
-            for j in range(n):
-                rows[n - 1][j] = rows[0][j]
-                rows[j][n - 1] = rows[j][0]
-            rows[n - 1][n - 1] = rows[0][0]
-            matrix = IntMatrix.from_rows(rows)
-        if naive_det(matrix.to_rows()) == 0:
-            singular_count += 1
-        assert parity_check(SurgeryPresentation(matrix))
-    assert singular_count > 50  # singular presentations really were included
+    matrices = verify.random_linking_matrices(random.Random(1005), 500)
+    singular = sum(naive_det(m.to_rows()) == 0 for m in matrices)
+    assert singular > 50  # singular presentations really are included
+    _check(verify.check_parity, 1005, 500, len(verify.BUILTIN_MATRICES) + 500)
     # Z-sphere coset: p1 of the S^3 reference is -2, in 2 + 4Z
-    ref = p1(reference_parallelization(S3)).value
+    ref = p1(reference_parallelization(EMPTY_PRESENTATION)).value
     assert ref == -2
     assert ModClass(ref, Fraction(4)).value == 2
     _passed(5, "parity holds on 500 random B incl. singular; S^3 in 2+4Z")
 
 
 def test_criterion_06_spinc_injectivity():
-    pres = SurgeryPresentation.from_rows([[2]])
-    assert combing_equal(CombingSpec(pres, (0,), 1), CombingSpec(pres, (4,), -1))
-    for j, j2 in ((0, 1), (2, -2), (5, 4)):
-        assert not combing_equal(CombingSpec(pres, (0,), j), CombingSpec(pres, (0,), j2))
-    assert not spin_c_equal(pres, (0,), (2,))
+    _check(verify.check_injectivity, 1006, 0, 1)
     _passed(6, "Spin^c classes and p1 separate combings on RP^3")
 
 
 def test_criterion_07_framed_calculus():
-    rng = random.Random(1007)
-    for _ in range(200):
-        f = random_framed(rng, max_n=5, with_classes=rng.random() < 0.5)
-        total = total_self_linking(f)
-        if f.n_components >= 2:
-            i, j = rng.sample(range(f.n_components), 2)
-            merged = band_sum(f, i, j)
-            assert total_self_linking(merged) == total
-            if f.classes is not None:
-                assert cobordism_class(merged) == cobordism_class(f)
-        p_tau = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-        assert pontrjagin_p1(p_tau, add_hopf(f, 1)) == pontrjagin_p1(p_tau, f) + 4
-    pair = FramedLinkData.from_rows([[1, 0], [0, -1]])
-    assert framed_cobordant_zsphere(pair, FramedLinkData.from_rows([]))
+    _check(verify.check_framed_calculus, 1007, 200, 202)
     _passed(7, "band-sum conservation, Hopf shift +4, opposite pair cancels")
 
 
 def test_criterion_08_modification_calculus():
-    base = Fraction(-2)
-    grid = [Fraction(v, d) for v in range(-5, 6) for d in (1, 2)]
-    for eta in (1, -1):
-        for r in range(-5, 6):
-            assert apply_modification(base, "r-twist", eta=eta, r=r).value == base + 4 * eta * r
-        for lk_e in grid:
-            for lk_p in grid[::3]:
-                got = apply_modification(base, "D", eta=eta, lk_euler=lk_e, lk_par=lk_p)
-                assert got.value == base + 4 * (eta * lk_e - lk_p)
-    for k in range(-5, 6):
-        assert apply_modification(base, "half-twist", k=k).value == base - 4 * k
-    for lk_p in grid:
-        assert apply_modification(base, "global-Z", lk_par=lk_p).value == base - 4 * lk_p
-    _passed(8, "all four modification kinds on the parameter grid")
+    # per eta: 11 r-twists, 11 half-twists and 176 random D / global-Z cases
+    _check(verify.check_modifications, 1008, 176, 2 * (11 + 11 + 176))
+    _passed(8, "all four modification kinds, 176 D cases per eta")
 
 
 def test_criterion_09_theta_law():
-    lambdas = [Fraction(0), Fraction(1, 12), Fraction(-3, 2), Fraction(7, 5)]
-    p1s = [Fraction(-2), Fraction(0), Fraction(13, 3), Fraction(-7, 2)]
-    deltas = [Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(5, 4), Fraction(-2, 3)]
-    for lam in lambdas:
-        for p in p1s:
-            for d in deltas:
-                shift = theta_invariant(ThetaInput(lam, p + 4 * d)) - theta_invariant(
-                    ThetaInput(lam, p)
-                )
-                assert shift == theta_variation(d) == d
-    assert theta_invariant(ThetaInput(Fraction(0), Fraction(-2))) == Fraction(-1, 2)
-    _passed(9, "Theta variation law on the rational grid; Theta(0,-2) = -1/2")
+    # 80 random (lambda, p1, delta) triples, then Theta(0, -2)
+    _check(verify.check_theta_law, 1009, 80, 81)
+    _passed(9, "Theta variation law on 80 triples; Theta(0,-2) = -1/2")
 
 
 def test_criterion_10_hf_grading():
-    x = CombingSpec(S3, (), 0)
-    assert hf_grading(x) == 0
-    for k in range(-4, 5):
-        assert hf_grading(gamma(x, k)) == k
-    rng = random.Random(1010)
-    for _ in range(50):
-        y = random_torsion_combing(rng, random_presentation(rng, max_n=4))
-        assert hf_grading(gamma(y, 1)) - hf_grading(y) == 1
+    _check(verify.check_gompf_arithmetic, 1010, 0, 1)  # the S^3 anchors
+    _check(verify.check_gamma_law, 1010, 50, 50)
     _passed(10, "grading 0 for the S^3 reference, +1 per gamma step")
 
 

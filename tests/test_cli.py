@@ -148,6 +148,15 @@ class TestBasicCommands:
             " exceeds cap 10000\n"
         )
 
+    def test_negative_cap_or_box_is_parse_error(self):
+        doc = '{"linking_matrix": [[3]]}'
+        for argv in (["image-p1", "--box"], ["image-p1", "--cap"], ["linking-form", "--cap"]):
+            code, out, err = run([*argv, "-1"], doc)
+            assert (code, out) == (1, "")
+            assert err == f"error: parse: argument {argv[1]}: must be nonnegative, got -1\n"
+        code, out, _ = run(["image-p1", "--box", "0"], doc)  # zero stays valid
+        assert code == 0 and out.endswith("check: subset (box threshold not reached)\n")
+
 
 class TestFramedCommands:
     def test_framed_total(self):

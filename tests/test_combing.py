@@ -19,7 +19,6 @@ from combings.combing import (
     p1_image,
     parity_check,
     reference_parallelization,
-    reparam_delta,
     spin_c_equal,
     stabilize,
     theta_g,
@@ -282,20 +281,6 @@ class TestParity:
         rng = random.Random(47)
         for _ in range(80):
             assert parity_check(random_presentation(rng, max_n=6))
-
-
-class TestReparam:
-    def test_degree_two(self):
-        got = reparam_delta(2)
-        assert got.delta_p1 == 4
-        assert got.companion_lk == -1
-
-    def test_zero(self):
-        assert reparam_delta(0).delta_p1 == 0
-
-    def test_linear(self):
-        assert reparam_delta(-3).delta_p1 == -6
-        assert reparam_delta(-3).companion_lk == Fraction(3, 2)
 
 
 class TestStabilize:

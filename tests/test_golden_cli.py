@@ -9,7 +9,10 @@ byte for byte.  Regenerate it only when an output is meant to change:
 
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -200,6 +203,20 @@ def test_corpus_covers_every_document_command():
 
     seen = {case["argv"][0] for case in _load()}
     assert seen == set(COMMANDS)
+
+
+@pytest.mark.parametrize("name, argv", [("verify", ["verify", "--seed", "0"]),
+                                        ("s1xs2", ["theta-g"])])
+def test_fresh_process_replays_case(name, argv):
+    """`python -m combings.cli` in a new interpreter (through `console`)
+    replays the verify battery, and a non-torsion theta-g that exits 2 with
+    one `error: NonTorsion:` line."""
+    (case,) = [c for c in _load() if c["name"] == name and c["argv"] == argv]
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-m", "combings.cli", *argv], input=case["stdin"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    got = (proc.returncode, proc.stdout, proc.stderr)
+    assert got == (case["code"], case["stdout"], case["stderr"])
 
 
 if __name__ == "__main__":

@@ -1,5 +1,5 @@
 """The integer form G/L and the per-matrix memo against the references
-kept in linalg (solve_rational over Q, solve_integer over Z)."""
+solve_rational over Q (in linalg) and solve_integer over Z (in _oracles)."""
 
 import itertools
 import random
@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from _oracles import eig_sign_counts, f2_rank, unimodular_inverse
+from _oracles import eig_sign_counts, f2_rank, solve_integer, unimodular_inverse
 from combings.combing import (
     euler_class,
     p1,
@@ -22,7 +22,6 @@ from combings.linalg import (
     IntMatrix,
     analysis,
     smith_normal_form,
-    solve_integer,
     solve_rational,
 )
 from combings.surgery import (
@@ -42,6 +41,10 @@ from combings.verify import (
 )
 
 
+def _diagonal(d):
+    return IntMatrix.from_rows([[x * (i == j) for j in range(len(d))] for i, x in enumerate(d)])
+
+
 def _presentations(seed, count, max_n=8):
     """Random symmetric B with n in 1..max_n; every third one is P^T D P
     with a zero in D, hence singular."""
@@ -53,7 +56,7 @@ def _presentations(seed, count, max_n=8):
             d = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(n)]
             d[rng.randrange(n)] = 0
             p = random_unimodular(rng, n, steps=2 * n)
-            b = p.transpose() @ IntMatrix.from_diagonal(n, n, d) @ p
+            b = p.transpose() @ _diagonal(d) @ p
         else:
             b = random_symmetric(rng, n, 4)
         out.append((rng, SurgeryPresentation(b)))
@@ -108,7 +111,7 @@ def _radical_presentations(seed, count, max_n=8, max_order=5000):
                 r = rng.randint(1, n - 2)
                 d = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(r)]
                 p = IntMatrix.from_rows([[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)])
-            b = p.transpose() @ IntMatrix.from_diagonal(len(d), len(d), d) @ p
+            b = p.transpose() @ _diagonal(d) @ p
             if analysis(b).homology.torsion_order <= max_order:
                 break
         out.append((rng, SurgeryPresentation(b)))
@@ -363,7 +366,7 @@ def test_form_is_inverse_for_nonsingular():
             continue
         form = analysis(pres.matrix).form
         g = IntMatrix.from_rows(form.G)
-        assert pres.matrix @ g == IntMatrix.from_diagonal(pres.n, pres.n, [form.L] * pres.n)
+        assert pres.matrix @ g == _diagonal([form.L] * pres.n)
         assert form.L == snf.diag[-1]  # the least L, not |det B|
 
 

@@ -12,13 +12,12 @@ from combings.linalg import (
     kernel_basis,
     signature,
     smith_normal_form,
-    solve_integer,
     solve_mod2,
     solve_rational,
 )
 from combings.verify import random_unimodular
 
-from _oracles import eig_sign_counts, frac_rank, naive_det
+from _oracles import eig_sign_counts, frac_rank, naive_det, solve_integer
 
 entries = st.integers(min_value=-9, max_value=9)
 

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from combings.theta import ThetaInput, theta_invariant, theta_variation
+from combings.theta import ThetaInput, theta_invariant
 
 
 def test_s3_reference():
@@ -17,12 +17,6 @@ def test_lambda_slope():
     assert theta_invariant(ThetaInput(Fraction(1, 12), Fraction(0))) == Fraction(1, 2)
 
 
-def test_variation_identity():
-    assert theta_variation(1) == 1
-    assert theta_variation(0) == 0
-    assert theta_variation(Fraction(-1, 2)) == Fraction(-1, 2)
-
-
 def test_variation_matches_p1_shift():
     grid = [Fraction(0), Fraction(1, 12), Fraction(-3, 2), Fraction(7)]
     deltas = [Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(5, 4)]
@@ -33,7 +27,7 @@ def test_variation_matches_p1_shift():
                 shift = theta_invariant(ThetaInput(lam, p + 4 * d)) - theta_invariant(
                     ThetaInput(lam, p)
                 )
-                assert shift == theta_variation(d)
+                assert shift == d
 
 
 def test_affine_slopes():
