@@ -302,6 +302,8 @@ def p1_image(
 
     cap bounds both the torsion order and the number of swept vectors.
     """
+    if cap < 0 or box < 0:
+        raise ValueError(f"cap and box must be nonnegative, got cap={cap}, box={box}")
     data = analysis(pres.matrix)
     torsion_order = data.homology.torsion_order
     if torsion_order > cap:

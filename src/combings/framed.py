@@ -66,8 +66,10 @@ class FramedLinkData:
     def _check_consistency(self) -> None:
         # off-diagonal linkings of torsion classes are determined mod Z
         assert self.classes is not None and self.ambient is not None
-        torsion = [is_torsion_class(self.ambient, v) for v in self.classes]
         n = len(self.lambda_matrix)
+        if n < 2:
+            return  # no pair to check, so no torsion test either
+        torsion = [is_torsion_class(self.ambient, v) for v in self.classes]
         for i in range(n):
             for j in range(i + 1, n):
                 if not (torsion[i] and torsion[j]):

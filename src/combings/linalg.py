@@ -47,10 +47,6 @@ class IntMatrix:
                 raise ValueError("rows must all have the same length")
         return cls(nrows, ncols, tuple(x for row in rows for x in row))
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
-
     def at(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
 
@@ -434,13 +430,14 @@ class HomologySummary:
 @dataclass(frozen=True)
 class IntegerForm:
     """An integer generalized inverse G of a symmetric B over one
-    denominator L, the largest nonzero invariant factor of B.
+    denominator L >= 1: B G B = L B.
 
-    For nonsingular B, G = L B^{-1}, a multiple of the adjugate read off one
-    fraction-free Gauss-Jordan pass.  For singular B,
-    G = V diag(L/d_i, or 0 where d_i = 0) U from the Smith form U B V = D.
-    Either way x = G c / L solves B x = c for every torsion c; the torsion
-    test itself is `MatrixAnalysis.is_torsion`, which reads no G.
+    Read off one fraction-free Gauss-Jordan pass on [B | I], for singular and
+    nonsingular B alike.  For nonsingular B, G = L B^{-1}, a multiple of the
+    adjugate, and L is the largest invariant factor; for singular B, L is
+    whatever the pass leaves.  Either way x = G c / L solves B x = c for
+    every torsion c = B a, since B G B a = L B a; the torsion test itself is
+    `MatrixAnalysis.is_torsion`, which reads no G.
     """
 
     G: tuple[Vector, ...]
@@ -497,40 +494,31 @@ def _torsion_form(a: IntMatrix, snf: SnfResult, form: IntegerForm) -> TorsionFor
     )
 
 
-def _adjugate_form(b: list[list[int]]) -> IntegerForm:
-    """G = L B^{-1} for a nonsingular B, from one fraction-free pass.
+def _integer_form(b: list[list[int]]) -> IntegerForm:
+    """G / L, a generalized inverse of B (B G B = L B), from one
+    fraction-free pass.
 
-    Gauss-Jordan on [B | I] leaves scale * B^{-1} = +-adj(B) in the right
-    block.  The gcd g of the adjugate's entries is the product of all
-    invariant factors but the last, and |scale| = |det B| is the product of
-    all of them, so L = |scale| / g.
+    Gauss-Jordan on [B | I] leaves scale * [R | E] with E B = R, the reduced
+    echelon form of B.  Row k of R, k < rank, has its pivot in column p_k,
+    and B = sum_k B e_{p_k} R_k, so the G/scale that puts row k of E at row
+    p_k (and zero elsewhere) has G B = sum_k e_{p_k} R_k and B G B = B.  For
+    nonsingular B, G/scale = B^{-1} and the gcd g of the adjugate's entries
+    is the product of all invariant factors but the last, so L = |scale| / g
+    is the largest one.
     """
     n = len(b)
     m = [row + [int(i == j) for j in range(n)] for i, row in enumerate(b)]
-    _, scale, _ = _bareiss_jordan(m)
-    block = [row[n:] for row in m]
-    # g divides det B = +-scale; with scale in the gcd, n = 0 gives g = 1
+    pivots, scale, _ = _bareiss_jordan(m)
+    block = [[0] * n for _ in range(n)]
+    for row, col in zip(m, pivots):
+        if col < n:
+            block[col] = row[n:]
+    # with scale in the gcd, n = 0 and B = 0 give g = 1
     g = math.gcd(scale, *itertools.chain.from_iterable(block))
     sign = 1 if scale > 0 else -1
     return IntegerForm(
         G=tuple(tuple(sign * x // g for x in row) for row in block),
         L=abs(scale) // g,
-    )
-
-
-def _smith_product_form(snf: SnfResult) -> IntegerForm:
-    """G = V diag(L/d_i, or 0 where d_i = 0) U for a singular B."""
-    # the nonzero invariant factors are d_0 | d_1 | ... | d_{rank-1}
-    diag, rank = snf.diag, snf.rank
-    scale = diag[rank - 1] if rank else 1
-    v_rows = [
-        [snf.V.at(a, i) * (scale // diag[i]) for i in range(rank)]
-        for a in range(snf.V.rows)
-    ]
-    u_cols = [[snf.U.at(i, b) for i in range(rank)] for b in range(snf.U.cols)]
-    return IntegerForm(
-        G=tuple(tuple(sum(map(mul, vr, uc)) for uc in u_cols) for vr in v_rows),
-        L=scale,
     )
 
 
@@ -555,18 +543,19 @@ class MatrixAnalysis:
         )
 
     def in_lattice(self, c: Sequence[int]) -> bool:
-        """c in B Z^n: c is torsion and L divides every entry of G c.
+        """c in B Z^n.
 
-        For nonsingular B, G c / L = B^{-1} c is the only solution of
-        B x = c.  For singular B and torsion c, G c / L = V z with
-        z_i = (U c)_i / d_i where d_i != 0 and z_i = 0 elsewhere, and V is
-        unimodular, so G c / L is integral iff z is, i.e. iff B x = c has an
-        integer solution.
+        For nonsingular B (read off the signature), G c / L = B^{-1} c is the
+        only solution of B x = c, so the test is that L divides G c, and no
+        Smith form is built.  For singular B, U B V = D with U and V
+        unimodular, so c = B x has an integer solution iff U c = D z does:
+        (U c)_i is a multiple of d_i where d_i != 0 and zero where d_i = 0.
         """
-        form = self.form
-        return self.is_torsion(c) and not any(
-            sum(map(mul, row, c)) % form.L for row in form.G
-        )
+        if self.signature.n_zero == 0:
+            form = self.form
+            return not any(sum(map(mul, row, c)) % form.L for row in form.G)
+        snf = self.snf
+        return not any(y % d if d else y for y, d in zip(snf.U.matvec(c), snf.diag))
 
     @cached_property
     def snf(self) -> SnfResult:
@@ -593,9 +582,7 @@ class MatrixAnalysis:
 
     @cached_property
     def form(self) -> IntegerForm:
-        if self.signature.n_zero == 0:
-            return _adjugate_form(self.matrix.to_rows())
-        return _smith_product_form(self.snf)
+        return _integer_form(self.matrix.to_rows())
 
     @cached_property
     def c_ref(self) -> Vector:

@@ -154,6 +154,8 @@ def enumerate_torsion(
     d_i enumerated 0..d_i-1, so the output order is reproducible; each value
     is read off the k x k form of linalg.TorsionForm.
     """
+    if cap < 0:
+        raise ValueError(f"cap must be nonnegative, got {cap}")
     summary = homology_summary(pres)
     if summary.torsion_order > cap:
         raise CapExceededError(summary.torsion_order, cap)

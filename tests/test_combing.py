@@ -407,6 +407,12 @@ class TestP1Image:
             p1_image(pres([[11]]), cap=11, box=11)
         assert str(info.value) == "image-p1 sweep of 12 vectors exceeds cap 11"
 
+    def test_negative_box_or_cap_is_refused(self):
+        with pytest.raises(ValueError):
+            p1_image(pres([[3]]), box=-1)
+        with pytest.raises(ValueError):
+            p1_image(pres([[3]]), cap=-1)
+
 
 class TestTelescoping:
     def test_variation_is_additive(self):

@@ -19,6 +19,7 @@ from combings.framed import (
     pontrjagin_p1,
     total_self_linking,
 )
+from combings.linalg import analysis
 from combings.surgery import SurgeryPresentation
 from combings.verify import random_framed
 
@@ -50,6 +51,12 @@ class TestConstruction:
                 classes=[(1,), (1,)],
                 ambient=pres,
             )
+
+    def test_one_component_reads_no_signature(self):
+        # a lone component has no pair whose linking its class decides
+        pres = SurgeryPresentation.from_rows([[7, 2, 1], [2, -5, 3], [1, 3, 11]])
+        framed([[Fraction(1, 3)]], classes=[(1, 0, 2)], ambient=pres)
+        assert "signature" not in analysis(pres.matrix).__dict__
 
     def test_rational_strings_accepted(self):
         f = framed([["-1/2"]])

@@ -127,18 +127,50 @@ def test_form_agrees_with_fraction_solve(index):
     _check_against_references(rng, pres)
 
 
+def _large_singular_presentations(seed, count):
+    """A^T D A for a random r x n matrix A with n in 12..20 and r <= n - 2,
+    so the kernel has rank >= 2."""
+    out = []
+    for k in range(count):
+        rng = random.Random(f"{seed}:{k}")
+        n = rng.randint(12, 20)
+        r = rng.randint(n - 4, n - 2)
+        d = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(r)]
+        a = IntMatrix.from_rows([[rng.randint(-2, 2) for _ in range(n)] for _ in range(r)])
+        out.append((rng, SurgeryPresentation(a.transpose() @ _diagonal(d) @ a)))
+    return out
+
+
+LARGE_SINGULAR_PRESENTATIONS = _large_singular_presentations(43, 4)
+
+
+def _assert_generalized_inverse(b):
+    """B G B = L B with L >= 1: G / L is a generalized inverse of B."""
+    form = analysis(b).form
+    assert form.L >= 1
+    g = IntMatrix.from_rows(form.G)
+    assert b @ g @ b == IntMatrix(b.rows, b.cols, tuple(form.L * x for x in b.entries))
+
+
 @pytest.mark.parametrize("index", range(len(RADICAL_PRESENTATIONS)))
 def test_singular_form_agrees_with_references_on_wide_kernel(index):
-    """The singular route G = V diag(L/d_i) U, with L the largest nonzero
-    invariant factor, against solve_rational and solve_integer."""
+    """The integer form of a B with a kernel of rank >= 2 against
+    solve_rational and solve_integer."""
     rng, pres = RADICAL_PRESENTATIONS[index]
     diag = smith_normal_form(pres.matrix).diag
     assert diag.count(0) >= 2
-    assert analysis(pres.matrix).form.L == max(diag + (1,))
+    _assert_generalized_inverse(pres.matrix)
     _check_against_references(rng, pres)
     for rep, ell in enumerate_torsion(pres, cap=5000):
         x = _solution(pres, rep)
         assert ell.value == -sum((Fraction(a) * b for a, b in zip(rep, x)), Fraction(0)) % 1
+
+
+@pytest.mark.parametrize("index", range(len(LARGE_SINGULAR_PRESENTATIONS)))
+def test_form_agrees_with_references_on_large_singular(index):
+    rng, pres = LARGE_SINGULAR_PRESENTATIONS[index]
+    assert smith_normal_form(pres.matrix).diag.count(0) >= 2
+    _check_against_references(rng, pres)
 
 
 def _check_against_references(rng, pres):
@@ -368,6 +400,33 @@ def test_form_is_inverse_for_nonsingular():
         g = IntMatrix.from_rows(form.G)
         assert pres.matrix @ g == _diagonal([form.L] * pres.n)
         assert form.L == snf.diag[-1]  # the least L, not |det B|
+
+
+def test_form_is_generalized_inverse():
+    """B G B = L B for every B of the seeded families, with the empty and
+    zero matrices and the wide kernels."""
+    matrices = [_diagonal([0] * n) for n in (0, 1, 2, 5)]
+    for family in (
+        PRESENTATIONS, SWEEP_PRESENTATIONS, RADICAL_PRESENTATIONS, LARGE_SINGULAR_PRESENTATIONS
+    ):
+        matrices += [pres.matrix for _, pres in family]
+    for family in (TORSION_PRESENTATIONS, DERIVED_PRESENTATIONS):
+        matrices += [pres.matrix for pres in family]
+    for b in matrices:
+        _assert_generalized_inverse(b)
+
+
+def test_singular_questions_build_only_what_they_read():
+    """On singular B, form builds neither the Smith form nor the signature,
+    and spin_c_equal answers from the Smith form without building form."""
+    pres = SurgeryPresentation.from_rows([[2, 1, 3], [1, 5, 6], [3, 6, 9]])
+    data = analysis(pres.matrix)
+    data.form
+    assert "snf" not in data.__dict__ and "signature" not in data.__dict__
+    pres = SurgeryPresentation.from_rows([[4, 1, 5], [1, 3, 4], [5, 4, 9]])
+    assert spin_c_equal(pres, (0, 1, 1), (8, 3, 11))
+    assert not spin_c_equal(pres, (0, 1, 1), (2, 1, 1))
+    assert "form" not in analysis(pres.matrix).__dict__
 
 
 def test_nonsingular_questions_build_no_smith_form():

@@ -58,7 +58,7 @@ class TestIntMatrix:
 
     def test_matmul_direct_sum(self):
         a = IntMatrix.from_rows([[1, 2], [3, 4]])
-        assert (a @ IntMatrix.identity(2)) == a
+        assert (a @ IntMatrix.from_rows([[1, 0], [0, 1]])) == a
         s = a.direct_sum(IntMatrix.from_rows([[-1]]))
         assert s.to_rows() == [[1, 2, 0], [3, 4, 0], [0, 0, -1]]
 

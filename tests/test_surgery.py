@@ -182,6 +182,10 @@ class TestEnumerateTorsion:
             enumerate_torsion(pres([[5]]), 4)
         assert err.value.torsion_order == 5
 
+    def test_negative_cap_is_refused(self):
+        with pytest.raises(ValueError):
+            enumerate_torsion(pres([[5]]), -1)
+
     def test_count_matches_determinant(self):
         rng = random.Random(7)
         checked = 0
