@@ -160,13 +160,30 @@ def _cmd_homology(args, doc: Document) -> str:
     return json.dumps(obj, indent=2)
 
 
+def _enumeration_json(entries: tuple[tuple[tuple[int, ...], ModClass], ...]) -> str:
+    """`json.dumps([{"class": [...], "ell": str(ell)}, ...], indent=2)`,
+    byte for byte.  json's indented encoder runs in Python, so the fixed
+    layout is written here: each distinct ModClass is formatted and quoted by
+    json once, and each coordinate is written as json writes an int, its
+    repr."""
+    if not entries:
+        return "[]"
+    ells: dict[ModClass, str] = {}
+    items = []
+    for rep, ell in entries:
+        text = ells.get(ell)
+        if text is None:
+            text = ells[ell] = json.dumps(str(ell))
+        cls = "[\n      " + ",\n      ".join(map(repr, rep)) + "\n    ]" if rep else "[]"
+        items.append(f'  {{\n    "class": {cls},\n    "ell": {text}\n  }}')
+    return "[\n" + ",\n".join(items) + "\n]"
+
+
 def _cmd_linking_form(args, doc: Document) -> str:
     pres = _presentation(doc)
     if doc.meridian is not None:
         return str(linking_form(pres, doc.meridian))
-    entries = enumerate_torsion(pres, cap=args.cap)
-    obj = [{"class": list(rep), "ell": str(ell)} for rep, ell in entries]
-    return json.dumps(obj, indent=2)
+    return _enumeration_json(enumerate_torsion(pres, cap=args.cap))
 
 
 def _cmd_theta_g(args, doc: Document) -> str:

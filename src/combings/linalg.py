@@ -2,8 +2,8 @@
 
 Small dense matrices only.  Every elimination runs on Python's
 arbitrary-precision integers (fractions.Fraction appears only in the input and
-output of solve_rational); no floating point is used anywhere, so Smith forms,
-solves, kernels and signatures are exact and reproducible.
+output of solve_rational); no floating point is used anywhere, so Smith and
+Hermite forms, solves, kernels and signatures are exact and reproducible.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from operator import mul
+from operator import mul, sub
 from typing import Iterable, NamedTuple, Sequence
 
 Vector = tuple[int, ...]
@@ -67,13 +67,8 @@ class IntMatrix:
         )
 
     def is_symmetric(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        return all(
-            self.at(i, j) == self.at(j, i)
-            for i in range(self.rows)
-            for j in range(i + 1, self.cols)
-        )
+        rows = [self.row(i) for i in range(self.rows)]
+        return self.rows == self.cols and list(zip(*rows)) == rows
 
     def diagonal(self) -> Vector:
         return tuple(self.at(i, i) for i in range(min(self.rows, self.cols)))
@@ -167,48 +162,44 @@ def _identity_lists(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _smith(a: IntMatrix) -> SnfResult:
-    """Smith normal form U * A * V = D.
+def _diagonalize(
+    m: list[list[int]], u: list[list[int]] | None = None, v: list[list[int]] | None = None
+) -> None:
+    """Bring m to Smith normal form in place by unimodular row and column
+    operations, repeating each row operation on u and each column operation
+    on v where they are given.
 
     The pivot is always the smallest nonzero entry in absolute value, ties
-    broken by lowest row then column, so U and V are reproducible.  U^{-1}
-    is not tracked: A V = U^{-1} D gives its column i as A V e_i / d_i
-    wherever d_i != 0 (see `_smith_generator`).
+    broken by lowest row then column, so the operations are reproducible.
     """
-    r, c = a.rows, a.cols
-    m = a.to_rows()
-    u = _identity_lists(r)
-    v = _identity_lists(c)
+    r = len(m)
+    c = len(m[0]) if m else 0
+    row_mats = (m,) if u is None else (m, u)
+    col_mats = (m,) if v is None else (m, v)
 
     def swap_rows(i: int, j: int) -> None:
-        m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
+        for x in row_mats:
+            x[i], x[j] = x[j], x[i]
 
     def swap_cols(i: int, j: int) -> None:
-        for row in m:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
+        for x in col_mats:
+            for row in x:
+                row[i], row[j] = row[j], row[i]
 
     def negate_row(i: int) -> None:
-        m[i] = [-x for x in m[i]]
-        u[i] = [-x for x in u[i]]
+        for x in row_mats:
+            x[i] = [-y for y in x[i]]
 
     def row_sub(i: int, j: int, q: int) -> None:
         if q:
-            mi, mj = m[i], m[j]
-            for k in range(c):
-                mi[k] -= q * mj[k]
-            ui, uj = u[i], u[j]
-            for k in range(r):
-                ui[k] -= q * uj[k]
+            for x in row_mats:
+                x[i] = [a - q * b for a, b in zip(x[i], x[j])]
 
     def col_sub(i: int, j: int, q: int) -> None:
         if q:
-            for row in m:
-                row[i] -= q * row[j]
-            for row in v:
-                row[i] -= q * row[j]
+            for x in col_mats:
+                for row in x:
+                    row[i] -= q * row[j]
 
     t = 0
     bound = min(r, c)
@@ -247,9 +238,20 @@ def _smith(a: IntMatrix) -> SnfResult:
             continue
         t += 1
 
+
+def _smith(a: IntMatrix) -> SnfResult:
+    """Smith normal form U * A * V = D (see `_diagonalize`).
+
+    U^{-1} is not tracked: A V = U^{-1} D gives its column i as
+    A V e_i / d_i wherever d_i != 0 (see `_smith_generator`).
+    """
+    m = a.to_rows()
+    u = _identity_lists(a.rows)
+    v = _identity_lists(a.cols)
+    _diagonalize(m, u, v)
     return SnfResult(
         U=IntMatrix.from_rows(u),
-        D=IntMatrix.from_rows(m) if r else IntMatrix(0, c, ()),
+        D=IntMatrix.from_rows(m) if a.rows else IntMatrix(0, a.cols, ()),
         V=IntMatrix.from_rows(v),
     )
 
@@ -265,9 +267,78 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
 
     The pivot is always the smallest nonzero entry in absolute value, ties
     broken by lowest row then column, so U and V are reproducible.  Kept in
-    the per-matrix memo of `analysis`.
+    the per-matrix memo of `analysis`.  Its transforms grow with the pivoting
+    (thousands of bits at n = 40), so the library reads it only for singular
+    symmetric B and for matrices that are not symmetric; a nonsingular
+    symmetric B is answered by its Hermite form (`MatrixAnalysis.hermite`).
+    It stays public for those, for the laws `verify` checks, and for callers
+    such as the benchmark's warm-up.
     """
     return analysis(a).snf
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, u, v) with u a + v b = g = gcd(a, b) >= 0."""
+    u0, u1, v0, v1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        u0, u1 = u1, u0 - q * u1
+        v0, v1 = v1, v0 - q * v1
+    return (a, u0, v0) if a >= 0 else (-a, -u0, -v0)
+
+
+def _hermite(b: list[list[int]], det: int) -> tuple[Vector, ...]:
+    """The columns of the Hermite normal form H of B Z^n for a symmetric B
+    with det B = det != 0, computed with every entry kept modulo a
+    determinant (Domich-Kannan-Trotter 1987; Cohen, A Course in
+    Computational Algebraic Number Theory, Alg. 2.4.8).
+
+    H Z^n = B Z^n, H is upper triangular with h_ii > 0, and 0 <= h_ij < h_ii
+    for j > i; such an H is unique.  Column j is returned as its entries
+    0..j, the rest being zero.
+
+    B is symmetric, so its rows generate B Z^n.  Coordinates are taken from
+    the last to the first.  At coordinate i the lattice left is the part of
+    B Z^n supported on coordinates 0..i, of determinant r, so it contains
+    r Z^{i+1} and the working vectors may be reduced modulo r.  Unimodular
+    gcd steps gather coordinate i of the working vectors into one vector p;
+    with u p_i = g = gcd(p_i, r) mod r, column i is u p with h_ii = g, and
+    the lattice left for coordinates 0..i-1 has determinant r / g.  Each
+    column built earlier is then reduced at coordinate i by column i.
+    """
+    r = abs(det)
+    work = [[x % r for x in row] for row in b]
+    columns: list[list[int]] = []
+    for i in reversed(range(len(b))):
+        p = work.pop()
+        rest = []
+        for w in work:
+            c = w[i]
+            if c:
+                g, u, v = _xgcd(p[i], c)
+                a, c = p[i] // g, c // g
+                # a 2 x 2 step of determinant u a + v c = 1; w loses coordinate i
+                p, w = (
+                    [(u * x + v * y) % r for x, y in zip(p, w)] if v else p,
+                    [(a * y - c * x) % r for x, y in zip(p[:i], w)],
+                )
+            else:
+                del w[i:]
+            rest.append(w)
+        g, u, _ = _xgcd(p[i], r)
+        if g > 1:
+            r //= g
+            rest = [[x % r for x in w] for w in rest]
+        tail = [u * x % r for x in p[:i]]
+        for col in columns:
+            q = col[i] // g
+            if q or g > 1:
+                col[i] -= q * g
+                col[:i] = [(x - q * y) % r for x, y in zip(col, tail)]
+        columns.append(tail + [g])
+        work = rest
+    return tuple(map(tuple, reversed(columns)))
 
 
 @dataclass(frozen=True)
@@ -330,7 +401,13 @@ def signature(s: IntMatrix) -> SignatureTriple:
     return analysis(s).signature
 
 
-def _signature(s: IntMatrix) -> SignatureTriple:
+def _signature(s: IntMatrix) -> tuple[SignatureTriple, int]:
+    """The inertia of s and det s.
+
+    Every step is a congruence by a matrix of determinant +-1 (a symmetric
+    swap, or e_k -> e_k + e_partner), so the last pivot D_n is det s when no
+    zero row is split off, and det s = 0 when one is.
+    """
     if not s.is_symmetric():
         raise ValueError("signature needs a symmetric matrix")
     m = s.to_rows()
@@ -370,7 +447,7 @@ def _signature(s: IntMatrix) -> SignatureTriple:
             ]
         prev = p
         k += 1
-    return SignatureTriple(n_plus, end - n_plus, s.rows - end)
+    return SignatureTriple(n_plus, end - n_plus, s.rows - end), prev if end == s.rows else 0
 
 
 def _normalize_sign(v: Sequence[int]) -> Vector:
@@ -450,15 +527,19 @@ class IntegerForm:
 
 @dataclass(frozen=True)
 class TorsionForm:
-    """The linking form on the torsion subgroup of coker(B), in Smith
+    """The linking form on the torsion subgroup of coker(B), in box
     coordinates.
 
-    The torsion subgroup is the direct sum of Z/d_i over the `positions` i
-    of the invariant factors d_i > 1, generated by g_i = U^{-1} e_i, read off
-    B V = U^{-1} D as g_i = B V e_i / d_i (U^{-1} itself is never formed).
-    Column i of the n x k matrix `generators` is g_i, so the class with
-    Smith coordinates y (0 <= y_i < d_i) is v = `generators` y.  The k x k
-    matrix Q_ij = g_i^T G g_j mod L gives v^T G v = y^T Q y (mod L).
+    Every torsion class is `generators` y for exactly one y in the box
+    0 <= y_i < d_i over the k `factors` d_i; column i of the n x k matrix
+    `generators` is g_i.  For nonsingular B the box is the Hermite box: the
+    `positions` are the i with h_ii > 1, d_i = h_ii and g_i = e_i, so
+    `generators` y is the class's Hermite representative (the d_i need not
+    be invariant factors).  For singular B the positions are those of the
+    Smith invariant factors d_i > 1, the torsion subgroup is the direct sum
+    of the Z/d_i, and g_i = U^{-1} e_i, read off B V = U^{-1} D as
+    g_i = B V e_i / d_i (U^{-1} itself is never formed).  Either way the
+    k x k matrix Q_ij = g_i^T G g_j mod L gives v^T G v = y^T Q y (mod L).
     """
 
     positions: tuple[int, ...]
@@ -468,12 +549,12 @@ class TorsionForm:
     L: int
 
     def coordinates(self) -> Iterable[Vector]:
-        """Smith coordinates of every torsion class, each factor 0..d_i-1,
+        """The coordinates of every torsion class, each factor 0..d_i-1,
         the first factor varying slowest."""
         return itertools.product(*(range(d) for d in self.factors))
 
     def lift(self, y: Sequence[int]) -> Vector:
-        """U^{-1} y: the meridian vector of the class with coordinates y."""
+        """`generators` y: the meridian vector of the class with coordinates y."""
         return tuple(sum(map(mul, row, y)) for row in self.generators)
 
     def residue(self, y: Sequence[int]) -> int:
@@ -490,6 +571,20 @@ def _torsion_form(a: IntMatrix, snf: SnfResult, form: IntegerForm) -> TorsionFor
         factors=tuple(snf.diag[i] for i in positions),
         generators=tuple(tuple(gj[row] for gj in g) for row in range(a.rows)),
         Q=tuple(tuple(sum(map(mul, gi, ggj)) % form.L for ggj in g_images) for gi in g),
+        L=form.L,
+    )
+
+
+def _hermite_torsion_form(hermite: Sequence[Vector], form: IntegerForm) -> TorsionForm:
+    """The generators are e_i at the positions i with h_ii > 1, so Q is the
+    block G[T, T] mod L."""
+    diag = [col[-1] for col in hermite]
+    positions = tuple(i for i, d in enumerate(diag) if d > 1)
+    return TorsionForm(
+        positions=positions,
+        factors=tuple(diag[i] for i in positions),
+        generators=tuple(tuple(int(k == i) for i in positions) for k in range(len(diag))),
+        Q=tuple(tuple(form.G[i][j] % form.L for j in positions) for i in positions),
         L=form.L,
     )
 
@@ -527,8 +622,10 @@ class MatrixAnalysis:
 
     Each field is computed on first use and kept while the matrix stays in
     the memo of `analysis`.  `form`, `c_ref` and the lattice questions need
-    a symmetric matrix; for a nonsingular one, none of them builds the Smith
-    form.
+    a symmetric matrix.  For a nonsingular symmetric one (read off the
+    signature) they read the signature pass, `form` and `hermite`, and none
+    of them builds the Smith form `snf`; a singular one, or a matrix that is
+    not symmetric, is answered by `snf`.
     """
 
     def __init__(self, matrix: IntMatrix) -> None:
@@ -557,27 +654,79 @@ class MatrixAnalysis:
         snf = self.snf
         return not any(y % d if d else y for y, d in zip(snf.U.matvec(c), snf.diag))
 
+    def reduce(self, v: Sequence[int]) -> Vector:
+        """The canonical representative of v modulo B Z^n.
+
+        For nonsingular B it is the one vector of the Hermite box
+        0 <= x_i < h_ii in the class of v: the box is a fundamental domain of
+        B Z^n since H is triangular, and the vector is zero wherever
+        h_ii = 1.  For singular B, in Smith coordinates y = U v the
+        image of B is spanned coordinatewise by the invariant factors, so
+        each torsion coordinate is reduced to [0, d_i) and free coordinates
+        are kept: U^{-1}(y - D q) = v - B V q with q_i = y_i // d_i, or 0
+        where d_i = 0, since U^{-1} D = B V.
+        """
+        if self.signature.n_zero == 0:
+            # from the last coordinate up, subtract the multiple of column i
+            # that brings x_i into [0, h_ii); it leaves the coordinates after i
+            x = list(v)
+            for i, col in reversed(list(enumerate(self.hermite))):
+                q = x[i] // col[i]
+                if q:
+                    x[: i + 1] = [a - q * h for a, h in zip(x, col)]
+            return tuple(x)
+        snf = self.snf
+        q = [y // d if d else 0 for y, d in zip(snf.U.matvec(v), snf.diag)]
+        return tuple(map(sub, v, self.matrix.matvec(snf.V.matvec(q))))
+
     @cached_property
     def snf(self) -> SnfResult:
         return _smith(self.matrix)
 
     @cached_property
-    def signature(self) -> SignatureTriple:
+    def _inertia(self) -> tuple[SignatureTriple, int]:
+        """The signature and det B, from one symmetric Bareiss pass."""
         return _signature(self.matrix)
 
     @cached_property
+    def signature(self) -> SignatureTriple:
+        return self._inertia[0]
+
+    @cached_property
+    def hermite(self) -> tuple[Vector, ...]:
+        """The columns of the Hermite form H of B Z^n (see `_hermite`), for
+        a nonsingular symmetric B; its modulus |det B| is the last pivot of
+        the signature pass."""
+        return _hermite(self.matrix.to_rows(), self._inertia[1])
+
+    @cached_property
     def homology(self) -> HomologySummary:
-        snf = self.snf
-        factors = tuple(d for d in snf.diag if d > 1)
+        if self.matrix.is_symmetric() and self.signature.n_zero == 0:
+            # a row of H with h_ii = 1 is e_i^T, so Z^n / H Z^n is Z^T / H[T, T]
+            # over the positions T with h_ii > 1; its Smith form runs on that
+            # |T| x |T| block only
+            cols = self.hermite
+            t = [i for i, col in enumerate(cols) if col[i] > 1]
+            block = [[cols[j][i] if i <= j else 0 for j in t] for i in t]
+            _diagonalize(block)
+            diag = tuple(row[k] for k, row in enumerate(block))
+            betti_1 = 0
+            kernel: tuple[Vector, ...] = ()
+        else:
+            snf = self.snf
+            diag = snf.diag
+            betti_1 = self.matrix.rows - snf.rank
+            kernel = tuple(
+                _normalize_sign(snf.V.column(j)) for j in range(snf.rank, self.matrix.cols)
+            )
+        factors = tuple(d for d in diag if d > 1)
         return HomologySummary(
             invariant_factors=factors,
-            betti_1=self.matrix.rows - snf.rank,
+            betti_1=betti_1,
             # H_1 (x) F_2 has one Z/2 per even invariant factor, zeros included
-            dim_h1_mod2=sum(1 for d in snf.diag if d % 2 == 0),
+            dim_h1_mod2=sum(1 for d in diag if d % 2 == 0),
             torsion_order=math.prod(factors),
-            kernel_basis=tuple(
-                _normalize_sign(snf.V.column(j)) for j in range(snf.rank, self.matrix.cols)
-            ),
+            kernel_basis=kernel,
         )
 
     @cached_property
@@ -595,6 +744,8 @@ class MatrixAnalysis:
 
     @cached_property
     def torsion_form(self) -> TorsionForm:
+        if self.signature.n_zero == 0:
+            return _hermite_torsion_form(self.hermite, self.form)
         return _torsion_form(self.matrix, self.snf, self.form)
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import sub
 from typing import Iterable, Sequence
 
 from .errors import CapExceededError, DimensionMismatchError, NonTorsionError
@@ -20,7 +19,6 @@ from .linalg import (
     IntMatrix,
     Vector,
     analysis,
-    smith_normal_form,
 )
 
 DEFAULT_CAP = 10_000
@@ -126,17 +124,16 @@ def linking_form(pres: SurgeryPresentation, v: Sequence[int]) -> ModClass:
 
 
 def reduce_class(pres: SurgeryPresentation, v: Sequence[int]) -> MeridianClass:
-    """Canonical representative of [v] in Z^n / im(B).
+    """Canonical representative of [v] in Z^n / im(B)
+    (`MatrixAnalysis.reduce`).
 
-    In Smith coordinates y = U v the image of B is spanned coordinatewise by
-    the invariant factors, so each torsion coordinate is reduced to [0, d_i)
-    and free coordinates are kept: U^{-1}(y - D q) = v - B V q with
-    q_i = y_i // d_i, or 0 where d_i = 0, since U^{-1} D = B V.
+    For nonsingular B it is the unique vector of the Hermite box
+    0 <= x_i < h_ii in the class of v, zero wherever h_ii = 1, so each
+    coordinate is below |det B| and no Smith form is built.  For singular B
+    it is read off Smith coordinates: torsion coordinates reduced to
+    [0, d_i), free ones kept.
     """
-    v = _check_length(pres, v)
-    snf = smith_normal_form(pres.matrix)
-    q = [y // d if d else 0 for y, d in zip(snf.U.matvec(v), snf.diag)]
-    return tuple(map(sub, v, pres.matrix.matvec(snf.V.matvec(q))))
+    return analysis(pres.matrix).reduce(_check_length(pres, v))
 
 
 def classes_equal(
@@ -150,9 +147,12 @@ def enumerate_torsion(
     pres: SurgeryPresentation, cap: int = DEFAULT_CAP
 ) -> tuple[tuple[MeridianClass, ModClass], ...]:
     """One representative per torsion class of H_1, with its linking-form
-    value.  Representatives are lifted from Smith coordinates, each factor
-    d_i enumerated 0..d_i-1, so the output order is reproducible; each value
-    is read off the k x k form of linalg.TorsionForm.
+    value, from the box coordinates of linalg.TorsionForm, each factor d_i
+    enumerated 0..d_i-1 with the first varying slowest, so the output order
+    is reproducible; each value is read off its k x k form.  For nonsingular
+    B the box is the Hermite box, so every representative is the one
+    `reduce_class` returns; for singular B they are lifted from Smith
+    coordinates.
     """
     if cap < 0:
         raise ValueError(f"cap must be nonnegative, got {cap}")

@@ -65,6 +65,29 @@ def frac_rank(rows) -> int:
     return rank
 
 
+def frac_inverse(rows) -> tuple[list[list[Fraction]] | None, int]:
+    """(A^{-1}, det A) by Gauss-Jordan with Fractions on [A | I]; (None, 0)
+    for a singular A."""
+    n = len(rows)
+    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(rows)]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if m[i][col] != 0), None)
+        if pivot is None:
+            return None, 0
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        m[col] = [x / m[col][col] for x in m[col]]
+        for i in range(n):
+            if i != col and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[col])]
+    return [row[n:] for row in m], int(det)
+
+
 def f2_rank(rows) -> int:
     """Rank over F_2: each row is packed into a bit mask and reduced against
     an XOR basis keyed by leading bit."""

@@ -5,6 +5,10 @@ case, captured from a trusted build of the CLI; every case must replay
 byte for byte.  Regenerate it only when an output is meant to change:
 
     PYTHONPATH=src python tests/test_golden_cli.py
+
+`test_replay_by_property` also checks every stored `linking-form` and
+`framed-class` output by property, whatever representatives it prints, so a
+regenerated case can be shown to hold the same classes with the same values.
 """
 
 import io
@@ -13,11 +17,14 @@ import os
 import random
 import subprocess
 import sys
+from operator import mul
 from pathlib import Path
 
 import pytest
 
+from _oracles import frac_inverse, solve_integer
 from combings.cli import main
+from combings.linalg import IntMatrix, solve_rational
 
 CORPUS = Path(__file__).with_name("golden_cli.json")
 
@@ -196,6 +203,66 @@ def test_golden_case(case):
     assert run(case["argv"], case["stdin"]) == (
         case["code"], case["stdout"], case["stderr"]
     )
+
+
+def _replay_case(argv, doc, stdout):
+    """Check one successful linking-form or framed-class output by property,
+    whatever representatives it prints: each printed class is the class it
+    stands for (the input's, or a distinct torsion class per entry), its
+    value is -v^T B^{-1} v mod 1, and for nonsingular B every coordinate is
+    bounded by |det B|.  B^{-1} comes from the Fraction oracle; for singular
+    B, lattice membership from solve_integer and values from any rational
+    solution of B x = v."""
+    b = doc["linking_matrix"]
+    inv, det = frac_inverse(b)
+    bound = abs(det)
+
+    def solve(v):
+        if inv is not None:
+            return [sum(map(mul, row, v)) for row in inv]
+        return solve_rational(IntMatrix.from_rows(b), v).solution
+
+    def in_lattice(v):
+        if inv is not None:
+            return all(x.denominator == 1 for x in solve(v))
+        return solve_integer(IntMatrix.from_rows(b), v) is not None
+
+    def ell(v):
+        return f"{-sum(map(mul, v, solve(v))) % 1} (mod 1)"
+
+    def bounded(v):
+        return inv is None or all(abs(x) <= bound for x in v)
+
+    if argv[0] == "framed-class":
+        obj = json.loads(stdout)
+        total = [sum(col) for col in zip(*doc["framed"]["classes"])]
+        assert in_lattice([x - y for x, y in zip(obj["class"], total)])
+        assert bounded(obj["class"])
+    elif doc.get("meridian") is not None:
+        assert stdout == ell(doc["meridian"]) + "\n"
+    else:
+        entries = json.loads(stdout)
+        reps = [e["class"] for e in entries]
+        for rep, e in zip(reps, entries):
+            assert e["ell"] == ell(rep) and bounded(rep)
+        for i, v in enumerate(reps):
+            for w in reps[i + 1 :]:
+                assert not in_lattice([x - y for x, y in zip(v, w)])
+        if inv is not None:
+            assert len(reps) == bound
+
+
+def test_replay_by_property():
+    """Every stored linking-form and framed-class output that succeeded
+    holds by property: representatives may change, classes and values may
+    not."""
+    replayed = 0
+    for case in _load():
+        if case["argv"][0] in ("linking-form", "framed-class") and case["code"] == 0:
+            doc = json.loads(case["stdin"])
+            _replay_case(case["argv"], doc, case["stdout"])
+            replayed += 1
+    assert replayed >= 29
 
 
 def test_corpus_covers_every_document_command():

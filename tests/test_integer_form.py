@@ -3,6 +3,7 @@ solve_rational over Q (in linalg) and solve_integer over Z (in _oracles)."""
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,8 +11,10 @@ import pytest
 from _oracles import eig_sign_counts, f2_rank, solve_integer, unimodular_inverse
 from combings.combing import (
     euler_class,
+    gamma_orbit_modulus,
     p1,
     p1_image,
+    parity_check,
     reference_parallelization,
     spin_c_equal,
     theta_g,
@@ -20,14 +23,20 @@ from combings.errors import NonTorsionError
 from combings.linalg import (
     MEMO_SIZE,
     IntMatrix,
+    _normalize_sign,
+    _smith,
+    _smith_generator,
     analysis,
+    det,
     smith_normal_form,
     solve_rational,
 )
 from combings.surgery import (
     ModClass,
     SurgeryPresentation,
+    classes_equal,
     enumerate_torsion,
+    homology_summary,
     is_torsion_class,
     linking_form,
     meridian_pairing,
@@ -354,41 +363,145 @@ def _oracle_lifts(pres, u_inv):
         yield u_inv.matvec(y)
 
 
+def _smith_coordinates(pres):
+    """v -> U v reduced by the invariant factors: the Smith coordinates of
+    the class of v, free ones kept, an oracle for classes_equal that reads
+    no Hermite form."""
+    snf = smith_normal_form(pres.matrix)
+    return lambda v: tuple(y % d if d else y for y, d in zip(snf.U.matvec(v), snf.diag))
+
+
 @pytest.mark.parametrize("index", range(len(DERIVED_PRESENTATIONS)))
 def test_columns_read_off_bv_match_cofactor_inverse(index):
-    """reduce_class, the enumerated representatives and the saturation basis
-    read U^{-1} columns off B V = U^{-1} D; each equals the cofactor inverse's."""
+    """For singular B, reduce_class, the enumerated representatives and the
+    saturation basis read U^{-1} columns off B V = U^{-1} D; each equals the
+    cofactor inverse's.  For nonsingular B the representatives come from the
+    Hermite form instead and must hold the same classes: the same Smith
+    coordinates, each enumerated class once."""
     pres = DERIVED_PRESENTATIONS[index]
     snf = smith_normal_form(pres.matrix)
+    singular = snf.rank < pres.n
+    coords = _smith_coordinates(pres)
     u_inv = _oracle_u_inverse(pres)
     rng = random.Random(index)
     for _ in range(12):
         v = [rng.randint(-9, 9) for _ in range(pres.n)]
-        y = [yi % d if d else yi for yi, d in zip(snf.U.matvec(v), snf.diag)]
-        assert reduce_class(pres, v) == u_inv.matvec(y)
+        y = coords(v)
+        if singular:
+            assert reduce_class(pres, v) == u_inv.matvec(y)
+        else:
+            assert coords(reduce_class(pres, v)) == y
     want = list(_oracle_lifts(pres, u_inv))
-    assert [rep for rep, _ in enumerate_torsion(pres, cap=3000)] == want
+    got = [rep for rep, _ in enumerate_torsion(pres, cap=3000)]
+    if singular:
+        assert got == want
+    else:
+        assert sorted(map(coords, got)) == sorted(map(coords, want))
     assert saturation_basis(pres) == [u_inv.column(i) for i in range(snf.rank)]
 
 
 @pytest.mark.parametrize("index", range(len(TORSION_PRESENTATIONS)))
 def test_smith_coordinates_agree_with_fraction_route(index):
-    """enumerate_torsion lifts U^{-1} y in order with the n x n linking form,
-    and the formula side of p1_image is p_1(reference) - 4 lk built with
-    Fractions."""
+    """enumerate_torsion against U^{-1} y over the Smith coordinates y, with
+    the n x n linking form: in order for singular B, and as the same classes
+    with the same values for nonsingular B, whose representatives come from
+    the Hermite box.  The formula side of p1_image is p_1(reference) - 4 lk
+    built with Fractions."""
     pres = TORSION_PRESENTATIONS[index]
-    data = analysis(pres.matrix)
+    snf = smith_normal_form(pres.matrix)
     want = []
     for rep in _oracle_lifts(pres, _oracle_u_inverse(pres)):
         assert _solution(pres, rep) is not None
         want.append((rep, linking_form(pres, rep)))
-    positions = tuple(i for i, d in enumerate(data.snf.diag) if d > 1)
-    assert data.torsion_form.positions == positions
     got = enumerate_torsion(pres, cap=3000)
-    assert got == tuple(want)
+    if snf.rank < pres.n:
+        positions = tuple(i for i, d in enumerate(snf.diag) if d > 1)
+        assert analysis(pres.matrix).torsion_form.positions == positions
+        assert got == tuple(want)
+    else:
+        coords = _smith_coordinates(pres)
+        assert len(got) == len(want)
+        assert {coords(rep): ell for rep, ell in got} == {coords(rep): ell for rep, ell in want}
     ref = p1(reference_parallelization(pres)).value
     formula = {ModClass(ref - 4 * ell.value, Fraction(4)) for _, ell in want}
     assert p1_image(pres, cap=3000, box=1).formula_side == formula
+
+
+def _hermite_presentations(seed, count):
+    """Nonsingular B against the Smith reference: n <= 8 with entry bounds
+    1..9, a few n in 16..24, and the edge cases n = 0, unimodular B (no
+    position with h_ii > 1, one class) and negative 1 x 1 B."""
+    out = []
+    k = 0
+    while len(out) < count:
+        rng = random.Random(f"{seed}:{k}")
+        k += 1
+        b = random_symmetric(rng, rng.randint(1, 8), rng.randint(1, 9))
+        if det(b):
+            out.append((rng, SurgeryPresentation(b)))
+    for n in (16, 20, 24):
+        rng = random.Random(f"{seed}:large:{n}")
+        out.append((rng, SurgeryPresentation(random_symmetric(rng, n, 5))))
+    rng = random.Random(f"{seed}:edge")
+    for n in (3, 6):
+        p = random_unimodular(rng, n, steps=3 * n)
+        signs = _diagonal([rng.choice((1, -1)) for _ in range(n)])
+        out.append((rng, SurgeryPresentation(p.transpose() @ signs @ p)))
+    for rows in ([], [[-1]], [[-5]], [[-12]]):
+        out.append((rng, SurgeryPresentation.from_rows(rows)))
+    return out
+
+
+HERMITE_PRESENTATIONS = _hermite_presentations(61, 90)
+
+
+@pytest.mark.parametrize("index", range(len(HERMITE_PRESENTATIONS)))
+def test_hermite_route_matches_smith_reference(index):
+    """The Hermite route for nonsingular B against the Smith form with
+    transforms: invariant factors, dim_h1_mod2, representatives that hold
+    the class of the input inside the Hermite box, and, where |det B| is at
+    most 3000, an enumeration of |det B| distinct classes whose values are
+    those of the Smith route as a multiset."""
+    rng, pres = HERMITE_PRESENTATIONS[index]
+    b = pres.matrix
+    snf = smith_normal_form(b)
+    coords = _smith_coordinates(pres)
+    order = abs(det(b))
+    summary = homology_summary(pres)
+    assert summary.invariant_factors == tuple(d for d in snf.diag if d > 1)
+    assert summary.dim_h1_mod2 == sum(1 for d in snf.diag if d % 2 == 0)
+    assert (summary.torsion_order, summary.betti_1, summary.kernel_basis) == (order, 0, ())
+    hermite = analysis(b).hermite
+    diag = [col[-1] for col in hermite]
+    for j, col in enumerate(hermite):
+        assert all(0 <= x < d for x, d in zip(col[:j], diag)) and col[j] > 0
+        assert not any(coords(col + (0,) * (pres.n - j - 1)))  # a column of H lies in B Z^n
+    for _ in range(6):
+        v = tuple(rng.randint(-50, 50) for _ in range(pres.n))
+        u = [rng.randint(-4, 4) for _ in range(pres.n)]
+        rep = reduce_class(pres, v)
+        assert rep == reduce_class(pres, tuple(x + y for x, y in zip(v, b.matvec(u))))
+        assert coords(rep) == coords(v)
+        # 0 <= x_i < h_ii, so x_i = 0 wherever h_ii = 1
+        assert all(0 <= x < d for x, d in zip(rep, diag))
+    if order > 3000:
+        return
+    got = enumerate_torsion(pres, cap=3000)
+    assert len(got) == order == len({coords(rep) for rep, _ in got})
+    positions = [i for i, d in enumerate(snf.diag) if d > 1]
+    gens = [_smith_generator(b, snf, i) for i in positions]
+    lift = IntMatrix.from_rows([[g[k] for g in gens] for k in range(pres.n)])  # U^{-1} y
+    want = Counter(
+        linking_form(pres, lift.matvec(y))
+        for y in itertools.product(*(range(snf.diag[i]) for i in positions))
+    )
+    assert Counter(ell for _, ell in got) == want
+
+
+def test_hermite_presentations_cover_edges():
+    orders = [abs(det(p.matrix)) for _, p in HERMITE_PRESENTATIONS]
+    assert sum(1 for d in orders if d <= 3000) >= len(orders) // 3
+    assert orders.count(1) >= 3 and max(p.n for _, p in HERMITE_PRESENTATIONS) == 24
 
 
 def test_form_is_inverse_for_nonsingular():
@@ -432,7 +545,10 @@ def test_singular_questions_build_only_what_they_read():
 def test_nonsingular_questions_build_no_smith_form():
     """theta_g, spin_c_equal, euler_class and is_torsion_class on nonsingular
     B read the signature and the adjugate pass only; is_torsion_class builds
-    no integer form, for singular B neither."""
+    no integer form, for singular B neither.  homology_summary, reduce_class,
+    classes_equal, enumerate_torsion, p1_image, parity_check and
+    gamma_orbit_modulus read the Hermite form, so no Smith form is built for
+    nonsingular B."""
     pres = SurgeryPresentation.from_rows([[3, 1, 0, 2], [1, -2, 1, 0], [0, 1, 4, -1], [2, 0, -1, 5]])
     data = analysis(pres.matrix)
     assert is_torsion_class(pres, (1, 0, 2, -1))
@@ -446,6 +562,25 @@ def test_nonsingular_questions_build_no_smith_form():
     assert is_torsion_class(singular, (1, 2, 5))
     assert not is_torsion_class(singular, (1, 0, 0))
     assert "form" not in analysis(singular.matrix).__dict__
+    # the lattice questions read the Hermite form; a singular B still
+    # answers from its Smith form, kernel basis included
+    pres = SurgeryPresentation.from_rows([[2, 1, 0, 1], [1, -3, 1, 0], [0, 1, 4, 1], [1, 0, 1, -2]])
+    data = analysis(pres.matrix)
+    summary = homology_summary(pres)
+    assert summary.torsion_order == abs(det(pres.matrix)) and summary.kernel_basis == ()
+    v = (3, -1, 4, 1)
+    assert reduce_class(pres, v) == reduce_class(pres, tuple(x + 2 * y for x, y in zip(v, pres.matrix.row(2))))
+    assert classes_equal(pres, v, tuple(x - y for x, y in zip(v, pres.matrix.row(1))))
+    assert len(enumerate_torsion(pres)) == summary.torsion_order
+    p1_image(pres, box=1)
+    assert parity_check(pres)
+    assert gamma_orbit_modulus(pres, data.c_ref) == 0
+    assert "hermite" in data.__dict__ and "snf" not in data.__dict__
+    singular = SurgeryPresentation.from_rows([[2, 1, 3], [1, 2, 3], [3, 3, 6]])
+    snf = _smith(singular.matrix)
+    want = tuple(_normalize_sign(snf.V.column(j)) for j in range(snf.rank, singular.n))
+    assert homology_summary(singular).kernel_basis == want == ((1, 1, -1),)
+    assert "hermite" not in analysis(singular.matrix).__dict__
 
 
 def test_dim_h1_mod2_matches_f2_rank():
