@@ -2,10 +2,11 @@
 
 Deliberately different algorithms from the library: cofactor determinants
 and adjugates, plain Fraction-elimination ranks, F_2 ranks over bit-mask
-rows, and eigenvalue sign counts read off the characteristic polynomial
+rows, eigenvalue sign counts read off the characteristic polynomial
 (Descartes' rule of signs is exact for the all-real spectrum of a symmetric
-matrix).  `solve_integer` alone reads the library's Smith form, by a route
-the integer form G / L does not take.
+matrix), Spin^c class keys from a Fraction inverse, and the Ozsvath-Szabo
+recursion for the d-invariants of lens spaces.  `solve_integer` alone reads
+the library's Smith form, by a route the integer form G / L does not take.
 """
 
 from __future__ import annotations
@@ -86,6 +87,24 @@ def frac_inverse(rows) -> tuple[list[list[Fraction]] | None, int]:
                 f = m[i][col]
                 m[i] = [a - f * b for a, b in zip(m[i], m[col])]
     return [row[n:] for row in m], int(det)
+
+
+def spin_c_key(rows):
+    """c -> a key of the class of c modulo 2 B Z^n for a nonsingular
+    symmetric B: B^{-1} c modulo 2, coordinatewise, since c - c' lies in
+    2 B Z^n iff B^{-1} (c - c') lies in 2 Z^n."""
+    inv, _ = frac_inverse(rows)
+    return lambda c: tuple(sum(x * y for x, y in zip(row, c)) % 2 for row in inv)
+
+
+def lens_d(p, q, i):
+    """d(-L(p, q), i) by the Ozsvath-Szabo recursion (Absolutely graded
+    Floer homologies and intersection forms for four-manifolds with
+    boundary, Prop. 4.8): (pq - (2i + 1 - p - q)^2) / (4pq) - d(-L(q, r), j)
+    with r = p mod q and j = i mod q, down to d(-L(1, 0), 0) = 0."""
+    if p == 1:
+        return Fraction(0)
+    return Fraction(p * q - (2 * i + 1 - p - q) ** 2, 4 * p * q) - lens_d(q, p % q, i % q)
 
 
 def f2_rank(rows) -> int:
