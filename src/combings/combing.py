@@ -120,9 +120,9 @@ def theta_g(pres: SurgeryPresentation, c: Sequence[int]) -> Fraction:
     """
     validate_combing(pres, c)
     data = analysis(pres.matrix)
+    form = data.form  # first: its pass also gives the signature read below
     if not data.is_torsion(c):
         raise NonTorsionError("combing coefficient vector is not torsion")
-    form = data.form
     return Fraction(form.pair(c, c), form.L) + _theta_constant(data)
 
 
@@ -173,9 +173,11 @@ def gamma_orbit_modulus(pres: SurgeryPresentation, c: Sequence[int]) -> int:
     The combings in one Spin^c structure form an affine space over
     Z / (pairings of the Euler class with surface classes); the surface
     classes are the kernel vectors of B.  Returns 0 when the action is free
-    (trivial kernel or all pairings zero).
+    (trivial kernel, read off the signature, or all pairings zero).
     """
     validate_combing(pres, c)
+    if analysis(pres.matrix).signature.n_zero == 0:
+        return 0
     modulus = 0
     for z in homology_summary(pres).kernel_basis:
         modulus = math.gcd(modulus, abs(sum(ci * zi for ci, zi in zip(c, z))))
@@ -202,13 +204,16 @@ def parity_check(pres: SurgeryPresentation) -> bool:
     """Kirby-Melvin parity self-test.
 
     p_1 of the reference parallelization minus dim H_1(M;Z/2) minus the
-    first Betti number must be even; returns the truth value.
+    first Betti number must be even; returns the truth value.  Both come
+    without the homology summary: dim H_1(M;Z/2) = n - rank_F2(B) from the
+    F_2 elimination that builds c_ref, and the Betti number is the zero
+    count of the signature.
     """
     value = p1(reference_parallelization(pres)).value
     if value.denominator != 1:
         return False
-    summary = homology_summary(pres)
-    return (value.numerator - summary.dim_h1_mod2 - summary.betti_1) % 2 == 0
+    data = analysis(pres.matrix)
+    return (value.numerator - data.dim_h1_mod2 - data.signature.n_zero) % 2 == 0
 
 
 def stabilize(x: CombingSpec, sign: int, c0: int) -> CombingSpec:

@@ -1,9 +1,13 @@
-"""Exact linear algebra over the integers and the rationals.
+"""Exact linear algebra over the integers.
 
 Small dense matrices only.  Every elimination runs on Python's
-arbitrary-precision integers (fractions.Fraction appears only in the input and
-output of solve_rational); no floating point is used anywhere, so Smith and
-Hermite forms, solves, kernels and signatures are exact and reproducible.
+arbitrary-precision integers, with no Fraction and no floating point, so
+Smith and Hermite forms, kernels, signatures and the integer form G / L are
+exact and reproducible.  There is one fraction-free elimination, the
+symmetric Bareiss pass `_signature`: with an empty border it gives the
+signature and det B, with the border I also G / L and the kernel of B.  The
+others are the Smith pass `_diagonalize`, the Hermite pass `_hermite`
+modulo a determinant, and the F_2 elimination `solve_mod2`.
 """
 
 from __future__ import annotations
@@ -11,13 +15,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
-from operator import mul, sub
+from operator import add, mul, sub
 from typing import Iterable, NamedTuple, Sequence
 
 Vector = tuple[int, ...]
-QVector = tuple[Fraction, ...]
 
 
 @dataclass(frozen=True)
@@ -99,43 +101,6 @@ class IntMatrix:
             for j in range(other.cols):
                 m[self.rows + i][self.cols + j] = other.at(i, j)
         return IntMatrix.from_rows(m)
-
-
-def _bareiss_jordan(m: list[list[int]]) -> tuple[list[int], int, int]:
-    """Reduce m in place to scale * RREF(m) by fraction-free Gauss-Jordan.
-
-    Bareiss-style: each update divides exactly by the previous pivot, so every
-    entry stays an integer minor of the input.  scale, the last pivot, is the
-    determinant of the pivot block after the row swaps, so a square m of full
-    rank has determinant sign * scale.  Returns (pivot columns, scale, sign).
-    """
-    pivots: list[int] = []
-    scale = sign = 1
-    for col in range(len(m[0]) if m else 0):
-        k = len(pivots)
-        row = next((i for i in range(k, len(m)) if m[i][col]), None)
-        if row is None:
-            continue
-        if row != k:
-            m[k], m[row] = m[row], m[k]
-            sign = -sign
-        pk = m[k]
-        p = pk[col]
-        for i, mi in enumerate(m):
-            if i != k:
-                f = mi[col]
-                m[i] = [(p * x - f * y) // scale for x, y in zip(mi, pk)]
-        pivots.append(col)
-        scale = p
-    return pivots, scale, sign
-
-
-def det(a: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    if a.rows != a.cols:
-        raise ValueError("determinant needs a square matrix")
-    pivots, scale, sign = _bareiss_jordan(a.to_rows())
-    return sign * scale if len(pivots) == a.rows else 0
 
 
 @dataclass(frozen=True)
@@ -268,11 +233,11 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
     The pivot is always the smallest nonzero entry in absolute value, ties
     broken by lowest row then column, so U and V are reproducible.  Kept in
     the per-matrix memo of `analysis`.  Its transforms grow with the pivoting
-    (thousands of bits at n = 40), so the library reads it only for singular
-    symmetric B and for matrices that are not symmetric; a nonsingular
-    symmetric B is answered by its Hermite form (`MatrixAnalysis.hermite`).
-    It stays public for those, for the laws `verify` checks, and for callers
-    such as the benchmark's warm-up.
+    (thousands of bits at n = 40), so the library reads it only for the
+    lattice questions on singular symmetric B and on matrices that are not
+    symmetric; a nonsingular symmetric B is answered by its Hermite form
+    (`MatrixAnalysis.hermite`).  It stays public for those and for callers
+    such as the tests and the benchmark's warm-up.
     """
     return analysis(a).snf
 
@@ -341,50 +306,6 @@ def _hermite(b: list[list[int]], det: int) -> tuple[Vector, ...]:
     return tuple(map(tuple, reversed(columns)))
 
 
-@dataclass(frozen=True)
-class RationalSolve:
-    """Outcome of a rational linear solve.
-
-    ``solution`` is None when b is outside the column space; ``kernel``
-    is always a basis of the rational kernel of A.
-    """
-
-    solution: QVector | None
-    kernel: tuple[QVector, ...]
-
-
-def solve_rational(a: IntMatrix, b: Sequence[int | Fraction]) -> RationalSolve:
-    """Solve A x = b over Q, read off the reduced echelon form of [A | l b].
-
-    l is the lcm of the denominators of b, so the fraction-free Gauss-Jordan
-    kernel runs on integers; b lies in the column space iff the last column
-    is not a pivot.
-    """
-    r, c = a.rows, a.cols
-    if len(b) != r:
-        raise ValueError("right-hand side length must equal row count")
-    rhs = [Fraction(x) for x in b]
-    lcm = math.lcm(*(x.denominator for x in rhs))
-    m = [list(a.row(i)) + [int(x * lcm)] for i, x in enumerate(rhs)]
-    pivots, scale, _ = _bareiss_jordan(m)
-    solution: QVector | None = None
-    if pivots and pivots[-1] == c:
-        pivots.pop()
-    else:
-        x = [Fraction(0)] * c
-        for k, col in enumerate(pivots):
-            x[col] = Fraction(m[k][c], scale * lcm)
-        solution = tuple(x)
-    kernel = []
-    for f in (j for j in range(c) if j not in pivots):
-        z = [Fraction(0)] * c
-        z[f] = Fraction(1)
-        for k, col in enumerate(pivots):
-            z[col] = Fraction(-m[k][f], scale)
-        kernel.append(tuple(z))
-    return RationalSolve(solution=solution, kernel=tuple(kernel))
-
-
 class SignatureTriple(NamedTuple):
     n_plus: int
     n_minus: int
@@ -401,26 +322,49 @@ def signature(s: IntMatrix) -> SignatureTriple:
     return analysis(s).signature
 
 
-def _signature(s: IntMatrix) -> tuple[SignatureTriple, int]:
-    """The inertia of s and det s.
+def _signature(
+    s: IntMatrix, border: Sequence[Sequence[int]] = ()
+) -> tuple[SignatureTriple, int, IntegerForm]:
+    """The inertia of s, det s, and the integer form of s on the columns of
+    a border C (given by its rows), from one symmetric Bareiss pass on
+    [[s, C], [C^T, 0]] (Bareiss 1968; Sylvester's law of inertia).
 
-    Every step is a congruence by a matrix of determinant +-1 (a symmetric
-    swap, or e_k -> e_k + e_partner), so the last pivot D_n is det s when no
-    zero row is split off, and det s = 0 when one is.
+    Pivots are taken in s's block only.  Every step is a congruence by a
+    matrix P of determinant +-1 there (a symmetric swap, or e_k -> e_k +
+    e_partner), so the k-th pivot D_k is the leading k x k minor of P^T s P:
+    the k-th square has the sign of D_k / D_{k-1}, and the last pivot is
+    det s when no zero row of the Schur complement is split off, and
+    det s = 0 when one is.
+
+    Each entry outside the pivots is D_k times the Schur complement of the
+    first k pivots.  After all r of them the border block is -D_r C^T G_0 C,
+    where G_0 = P diag(S^{-1}, 0) P^T over the pivot block S satisfies
+    s G_0 s = s, the Schur complement being zero; with C = I and s
+    nonsingular the block is -adj s.  A row split off after k pivots holds
+    D_k z^T C in its border, for a z in ker s; those z span ker s over Q.
     """
     if not s.is_symmetric():
         raise ValueError("signature needs a symmetric matrix")
-    m = s.to_rows()
+    n = s.rows
+    width = len(border[0]) if border else 0
+    m = [row + list(c) for row, c in zip(s.to_rows(), border)] if border else s.to_rows()
+    m += [[0] * (n + width) for _ in range(width)]
+    # the matrix stays symmetric, so row i is kept from column i on only
 
     def swap(i: int, j: int) -> None:
+        # symmetric swap of i <= j; the entries that cross the diagonal are
+        # read from the other triangle
         m[i], m[j] = m[j], m[i]
         for row in m:
             row[i], row[j] = row[j], row[i]
+        for x in range(i + 1, j):
+            m[i][x], m[x][j] = m[x][i], m[j][x]
+        m[i][j] = m[j][i]
 
-    # rows and columns k..end-1 are the active block: each entry is a minor of
-    # a matrix congruent to s, D_k times the Schur complement of k pivots
+    # rows and columns k..end-1 are the active block, and each row of the
+    # Schur complement found zero is split off to end..n-1
     n_plus = k = 0
-    end, prev = s.rows, 1
+    end, prev = n, 1
     while k < end:
         if m[k][k] == 0:
             nz_diag = next((i for i in range(k + 1, end) if m[i][i]), None)
@@ -432,22 +376,32 @@ def _signature(s: IntMatrix) -> tuple[SignatureTriple, int]:
                 swap(k, end)
                 continue
             else:
-                # e_k -> e_k + e_partner; m[k][k] becomes 2 m[k][partner]
-                for row in m[k:end]:
-                    row[k] += row[partner]
-                for j in range(k, end):
-                    m[k][j] += m[partner][j]
+                # e_k -> e_k + e_partner adds row partner (above the diagonal
+                # read as column partner) to row k; m[k][k] becomes 2 m[k][partner]
+                pk, pp = m[k], m[partner]
+                col = [m[i][partner] for i in range(k + 1, partner)] + pp[partner:]
+                pk[k + 1 :] = map(add, pk[k + 1 :], col)
+                pk[k] = 2 * pk[partner]
         pk = m[k]
         p = pk[k]
         n_plus += (p > 0) == (prev > 0)
-        for mi in m[k + 1 : end]:
-            f = mi[k]
-            mi[k + 1 : end] = [
-                (p * x - f * y) // prev for x, y in zip(mi[k + 1 : end], pk[k + 1 : end])
-            ]
+        for i in itertools.chain(range(k + 1, end), range(n, n + width)):
+            mi, f = m[i], pk[i]
+            mi[i:] = [(p * x - f * y) // prev for x, y in zip(mi[i:], pk[i:])]
         prev = p
         k += 1
-    return SignatureTriple(n_plus, end - n_plus, s.rows - end), prev if end == s.rows else 0
+    block = [row[n:] for row in m[n:]]
+    for i in range(width):
+        for j in range(i):
+            block[i][j] = block[j][i]
+    g = math.gcd(prev, *itertools.chain.from_iterable(block))
+    sign = -1 if prev > 0 else 1
+    form = IntegerForm(
+        G=tuple(tuple(sign * x // g for x in row) for row in block),
+        L=abs(prev) // g,
+        kernel=tuple(tuple(row[n:]) for row in m[end:n]),
+    )
+    return SignatureTriple(n_plus, end - n_plus, n - end), prev if end == n else 0, form
 
 
 def _normalize_sign(v: Sequence[int]) -> Vector:
@@ -467,8 +421,9 @@ def kernel_basis(a: IntMatrix) -> tuple[Vector, ...]:
     return analysis(a).homology.kernel_basis
 
 
-def solve_mod2(a: IntMatrix, b: Sequence[int]) -> Vector | None:
-    """One solution of A x = b over F_2 (free variables set to zero)."""
+def solve_mod2(a: IntMatrix, b: Sequence[int]) -> tuple[Vector | None, int]:
+    """One solution of A x = b over F_2 (free variables set to zero), or
+    None, and the rank of A over F_2, the pivot count."""
     if len(b) != a.rows:
         raise ValueError("right-hand side length must equal row count")
     r, c = a.rows, a.cols
@@ -486,11 +441,11 @@ def solve_mod2(a: IntMatrix, b: Sequence[int]) -> Vector | None:
         pivot_cols.append(col)
         prow += 1
     if any(aug[i][c] for i in range(prow, r)):
-        return None
+        return None, prow
     x = [0] * c
     for k, col in enumerate(pivot_cols):
         x[col] = aug[k][c]
-    return tuple(x)
+    return tuple(x), prow
 
 
 @dataclass(frozen=True)
@@ -507,18 +462,22 @@ class HomologySummary:
 @dataclass(frozen=True)
 class IntegerForm:
     """An integer generalized inverse G of a symmetric B over one
-    denominator L >= 1: B G B = L B.
+    denominator L >= 1, B G B = L B, and rows spanning ker B over Q.
 
-    Read off one fraction-free Gauss-Jordan pass on [B | I], for singular and
-    nonsingular B alike.  For nonsingular B, G = L B^{-1}, a multiple of the
-    adjugate, and L is the largest invariant factor; for singular B, L is
-    whatever the pass leaves.  Either way x = G c / L solves B x = c for
-    every torsion c = B a, since B G B a = L B a; the torsion test itself is
-    `MatrixAnalysis.is_torsion`, which reads no G.
+    Read off the border of one symmetric Bareiss pass on [[B, I], [I, 0]]
+    (see `_signature`), for singular and nonsingular B alike.  For
+    nonsingular B, G = L B^{-1}, a multiple of the adjugate, and L is the
+    largest invariant factor; for singular B, L is whatever the pass leaves.
+    Either way x = G c / L solves B x = c for every torsion c = B a, since
+    B G B a = L B a.  `kernel` holds the border of each row split off as a
+    zero row of the Schur complement after k pivots: D_k times a vector of
+    ker B.  c is torsion iff it is orthogonal to each of them
+    (`MatrixAnalysis.is_torsion`).
     """
 
     G: tuple[Vector, ...]
     L: int
+    kernel: tuple[Vector, ...]
 
     def pair(self, v: Sequence[int], w: Sequence[int]) -> int:
         """v^T G w, which is L v^T x for the solution x = G w / L of B x = w."""
@@ -589,43 +548,17 @@ def _hermite_torsion_form(hermite: Sequence[Vector], form: IntegerForm) -> Torsi
     )
 
 
-def _integer_form(b: list[list[int]]) -> IntegerForm:
-    """G / L, a generalized inverse of B (B G B = L B), from one
-    fraction-free pass.
-
-    Gauss-Jordan on [B | I] leaves scale * [R | E] with E B = R, the reduced
-    echelon form of B.  Row k of R, k < rank, has its pivot in column p_k,
-    and B = sum_k B e_{p_k} R_k, so the G/scale that puts row k of E at row
-    p_k (and zero elsewhere) has G B = sum_k e_{p_k} R_k and B G B = B.  For
-    nonsingular B, G/scale = B^{-1} and the gcd g of the adjugate's entries
-    is the product of all invariant factors but the last, so L = |scale| / g
-    is the largest one.
-    """
-    n = len(b)
-    m = [row + [int(i == j) for j in range(n)] for i, row in enumerate(b)]
-    pivots, scale, _ = _bareiss_jordan(m)
-    block = [[0] * n for _ in range(n)]
-    for row, col in zip(m, pivots):
-        if col < n:
-            block[col] = row[n:]
-    # with scale in the gcd, n = 0 and B = 0 give g = 1
-    g = math.gcd(scale, *itertools.chain.from_iterable(block))
-    sign = 1 if scale > 0 else -1
-    return IntegerForm(
-        G=tuple(tuple(sign * x // g for x in row) for row in block),
-        L=abs(scale) // g,
-    )
-
-
 class MatrixAnalysis:
     """What the library derives from one integer matrix.
 
     Each field is computed on first use and kept while the matrix stays in
     the memo of `analysis`.  `form`, `c_ref` and the lattice questions need
-    a symmetric matrix.  For a nonsingular symmetric one (read off the
-    signature) they read the signature pass, `form` and `hermite`, and none
-    of them builds the Smith form `snf`; a singular one, or a matrix that is
-    not symmetric, is answered by `snf`.
+    a symmetric matrix.  The signature and `form` come from the one
+    symmetric Bareiss pass (`_signature`), with an empty border and with the
+    border I, and the torsion test reads them alone.  For a nonsingular
+    symmetric matrix (read off the signature) the lattice questions read
+    `hermite`, and nothing builds the Smith form `snf`; for a singular one,
+    or a matrix that is not symmetric, they are answered by `snf`.
     """
 
     def __init__(self, matrix: IntMatrix) -> None:
@@ -634,9 +567,9 @@ class MatrixAnalysis:
     def is_torsion(self, c: Sequence[int]) -> bool:
         """c in the rational column space of B, i.e. of a torsion class: B is
         symmetric, so c is orthogonal to the kernel (none if B is nonsingular,
-        read off the signature)."""
+        read off the signature; else spanned by `form.kernel`)."""
         return self.signature.n_zero == 0 or not any(
-            sum(map(mul, k, c)) for k in self.homology.kernel_basis
+            sum(map(mul, k, c)) for k in self.form.kernel
         )
 
     def in_lattice(self, c: Sequence[int]) -> bool:
@@ -685,8 +618,8 @@ class MatrixAnalysis:
 
     @cached_property
     def _inertia(self) -> tuple[SignatureTriple, int]:
-        """The signature and det B, from one symmetric Bareiss pass."""
-        return _signature(self.matrix)
+        """The signature and det B, from the pass with an empty border."""
+        return _signature(self.matrix)[:2]
 
     @cached_property
     def signature(self) -> SignatureTriple:
@@ -731,16 +664,28 @@ class MatrixAnalysis:
 
     @cached_property
     def form(self) -> IntegerForm:
-        return _integer_form(self.matrix.to_rows())
+        sig, det, form = _signature(self.matrix, _identity_lists(self.matrix.rows))
+        self.__dict__.setdefault("_inertia", (sig, det))  # the same pass gives them
+        return form
 
     @cached_property
+    def _mod2(self) -> tuple[Vector, int]:
+        """c_ref and rank_F2(B), from one F_2 elimination."""
+        u, rank = solve_mod2(self.matrix, self.matrix.diagonal())
+        if u is None:  # impossible for symmetric B
+            raise RuntimeError("diagonal not in the F_2 column space of B")
+        return self.matrix.matvec(u), rank
+
+    @property
     def c_ref(self) -> Vector:
         """B u for a solution u of B u = diag(B) over F_2: a characteristic
         vector in B Z^n."""
-        u = solve_mod2(self.matrix, self.matrix.diagonal())
-        if u is None:  # impossible for symmetric B
-            raise RuntimeError("diagonal not in the F_2 column space of B")
-        return self.matrix.matvec(u)
+        return self._mod2[0]
+
+    @property
+    def dim_h1_mod2(self) -> int:
+        """dim H_1(M; F_2) = n - rank_F2(B), without the homology summary."""
+        return self.matrix.rows - self._mod2[1]
 
     @cached_property
     def torsion_form(self) -> TorsionForm:

@@ -106,11 +106,11 @@ def meridian_pairing(
     v = _check_length(pres, v)
     w = _check_length(pres, w)
     data = analysis(pres.matrix)
+    form = data.form  # first: its pass also gives the signature read below
     if not data.is_torsion(v):
         raise NonTorsionError("first class is not torsion")
     if not data.is_torsion(w):
         raise NonTorsionError("second class is not torsion")
-    form = data.form
     return Fraction(-form.pair(v, w), form.L)
 
 

@@ -1,12 +1,13 @@
 """Independent oracles for the test suite.
 
 Deliberately different algorithms from the library: cofactor determinants
-and adjugates, plain Fraction-elimination ranks, F_2 ranks over bit-mask
-rows, eigenvalue sign counts read off the characteristic polynomial
-(Descartes' rule of signs is exact for the all-real spectrum of a symmetric
-matrix), Spin^c class keys from a Fraction inverse, and the Ozsvath-Szabo
-recursion for the d-invariants of lens spaces.  `solve_integer` alone reads
-the library's Smith form, by a route the integer form G / L does not take.
+and adjugates, plain Fraction-elimination ranks, inverses and solves, F_2
+ranks over bit-mask rows, eigenvalue sign counts read off the characteristic
+polynomial (Descartes' rule of signs is exact for the all-real spectrum of a
+symmetric matrix), Spin^c class keys from a Fraction inverse, and the
+Ozsvath-Szabo recursion for the d-invariants of lens spaces.
+`solve_integer` alone reads the library's Smith form, by a route the
+integer form G / L does not take.
 """
 
 from __future__ import annotations
@@ -87,6 +88,42 @@ def frac_inverse(rows) -> tuple[list[list[Fraction]] | None, int]:
                 f = m[i][col]
                 m[i] = [a - f * b for a, b in zip(m[i], m[col])]
     return [row[n:] for row in m], int(det)
+
+
+def frac_solve(rows, b):
+    """(one solution or None, a kernel basis) of A x = b over Q, by
+    Gauss-Jordan with Fractions on [A | b]; free variables are set to zero.
+    b may hold Fractions.  For A with no rows every x solves, so the
+    solution is the zero vector."""
+    ncols = len(rows[0]) if rows else 0
+    m = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(rows, b)]
+    pivots: list[int] = []
+    for col in range(ncols + 1):
+        k = len(pivots)
+        pivot = next((i for i in range(k, len(m)) if m[i][col] != 0), None)
+        if pivot is None:
+            continue
+        m[k], m[pivot] = m[pivot], m[k]
+        m[k] = [x / m[k][col] for x in m[k]]
+        for i in range(len(m)):
+            if i != k and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [a - f * y for a, y in zip(m[i], m[k])]
+        pivots.append(col)
+    solution = None
+    if not pivots or pivots[-1] != ncols:
+        solution = [Fraction(0)] * ncols
+        for k, col in enumerate(pivots):
+            solution[col] = m[k][ncols]
+    pivots = [col for col in pivots if col < ncols]
+    kernel = []
+    for free in (j for j in range(ncols) if j not in pivots):
+        z = [Fraction(0)] * ncols
+        z[free] = Fraction(1)
+        for k, col in enumerate(pivots):
+            z[col] = -m[k][free]
+        kernel.append(z)
+    return solution, kernel
 
 
 def spin_c_key(rows):

@@ -9,12 +9,13 @@ one pass/fail line per criterion from the report as well.
 
 import random
 from fractions import Fraction
+from operator import mul
 
 from combings import verify
 from combings.combing import p1, reference_parallelization
-from combings.linalg import kernel_basis, signature, smith_normal_form, solve_rational
+from combings.linalg import IntMatrix, analysis, kernel_basis, signature, smith_normal_form
 from combings.surgery import EMPTY_PRESENTATION, ModClass
-from combings.verify import random_matrix, random_symmetric, random_unimodular
+from combings.verify import random_symmetric, random_unimodular
 
 from _oracles import frac_rank, naive_det
 
@@ -88,10 +89,14 @@ def test_criterion_10_hf_grading():
     _passed(10, "grading 0 for the S^3 reference, +1 per gamma step")
 
 
+def _random_matrix(rng, rows, cols, bound):
+    return IntMatrix(rows, cols, tuple(rng.randint(-bound, bound) for _ in range(rows * cols)))
+
+
 def test_criterion_11_linear_algebra_substrate():
     rng = random.Random(1011)
     for _ in range(1000):
-        a = random_matrix(rng, rng.randint(0, 6), rng.randint(0, 6), bound=9)
+        a = _random_matrix(rng, rng.randint(0, 6), rng.randint(0, 6), bound=9)
         rows, cols = a.rows, a.cols
 
         # SNF suite
@@ -104,6 +109,8 @@ def test_criterion_11_linear_algebra_substrate():
         nonzero = [d for d in diag if d]
         for i in range(len(nonzero) - 1):
             assert nonzero[i + 1] % nonzero[i] == 0
+        assert len(nonzero) == snf.rank == frac_rank(a.to_rows())
+        assert not any(diag[snf.rank :])
         if rows == cols:
             d = naive_det(a.to_rows())
             if d:
@@ -120,20 +127,19 @@ def test_criterion_11_linear_algebra_substrate():
         p = random_unimodular(rng, rows)
         assert signature(p.transpose() @ s @ p) == sig
 
-        # solve suite
+        # solve suite: the library's solve x = G c / L on s, where c lies in
+        # the column space of s (the torsion test) iff rank [s | c] = rank s
         if rng.random() < 0.5:
-            x0 = [rng.randint(-4, 4) for _ in range(cols)]
-            b = list(a.matvec(x0))
+            x0 = [rng.randint(-4, 4) for _ in range(rows)]
+            c = list(s.matvec(x0))
         else:
-            b = [rng.randint(-6, 6) for _ in range(rows)]
-        res = solve_rational(a, b)
-        if res.solution is not None:
-            for i in range(rows):
-                assert sum(a.at(i, j) * res.solution[j] for j in range(cols)) == b[i]
-        for z in res.kernel:
-            for i in range(rows):
-                assert sum(a.at(i, j) * z[j] for j in range(cols)) == 0
-        rank_a = frac_rank(a.to_rows())
-        rank_aug = frac_rank([list(a.row(i)) + [b[i]] for i in range(rows)])
-        assert (res.solution is not None) == (rank_a == rank_aug)
+            c = [rng.randint(-6, 6) for _ in range(rows)]
+        data = analysis(s)
+        rank_s = frac_rank(s.to_rows())
+        rank_aug = frac_rank([list(s.row(i)) + [c[i]] for i in range(rows)])
+        assert data.is_torsion(c) == (rank_s == rank_aug)
+        if rank_s == rank_aug:
+            form = data.form
+            x = [Fraction(sum(map(mul, row, c)), form.L) for row in form.G]
+            assert list(s.matvec(x)) == c
     _passed(11, "SNF/signature/solve suites on 1000 random matrices")

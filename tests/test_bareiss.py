@@ -1,4 +1,4 @@
-"""The fraction-free eliminations of `linalg` against independent oracles.
+"""The symmetric Bareiss pass of `linalg` against independent oracles.
 
 Seeded generators aim at the paths random matrices rarely reach: a hollow
 (zero-diagonal) block left after some Bareiss updates, which needs the
@@ -9,20 +9,10 @@ import random
 from fractions import Fraction
 from operator import mul
 
-from combings.linalg import IntMatrix, det, signature, solve_rational
+from combings.linalg import IntMatrix, _signature, analysis, signature
+from combings.verify import random_symmetric
 
-from _oracles import eig_sign_counts, frac_rank, naive_det
-
-
-def _matrix(rows, cols=None):
-    return IntMatrix.from_rows(rows) if rows else IntMatrix(0, cols or 0, ())
-
-
-def _low_rank(rng, r, c, bound=3):
-    k = rng.randint(0, min(r, c))
-    x = [[rng.randint(-bound, bound) for _ in range(k)] for _ in range(r)]
-    y = [[rng.randint(-bound, bound) for _ in range(c)] for _ in range(k)]
-    return [[sum(x[i][t] * y[t][j] for t in range(k)) for j in range(c)] for i in range(r)]
+from _oracles import eig_sign_counts, frac_inverse, frac_rank, frac_solve, naive_det
 
 
 def _hollow(rng, n):
@@ -62,39 +52,71 @@ def test_signature_on_hollow_and_rank_deficient_matrices():
     for t in range(360):
         n = rng.randint(1, 8)
         rows = (_hollow, _blocks, _singular_symmetric)[t % 3](rng, n)
-        assert tuple(signature(_matrix(rows))) == eig_sign_counts(rows), rows
+        assert tuple(signature(IntMatrix.from_rows(rows))) == eig_sign_counts(rows), rows
+
+
+def _families(seed, count):
+    """count symmetric B with n in 1..7, hollow, block, rank-deficient and
+    random in turn, and the empty B."""
+    rng = random.Random(seed)
+    out = [[]]
+    for t in range(count):
+        n = rng.randint(1, 7)
+        if t % 4 == 3:
+            out.append(random_symmetric(rng, n, 4).to_rows())
+        else:
+            out.append((_hollow, _blocks, _singular_symmetric)[t % 4](rng, n))
+    return out
+
+
+FAMILIES = _families(5, 400)
+
+
+def _identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def test_det_against_cofactor_expansion():
-    rng = random.Random(5)
-    for t in range(400):
-        n = rng.randint(0, 6)
-        if t % 2:
-            rows = _low_rank(rng, n, n)
-        else:
-            rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        assert det(_matrix(rows)) == naive_det(rows), rows
+    """The pass's last pivot is det B, also with an empty border."""
+    for rows in FAMILIES:
+        b = IntMatrix.from_rows(rows)
+        assert _signature(b)[1] == _signature(b, _identity(b.rows))[1] == naive_det(rows), rows
 
 
-def test_solve_rational_with_fraction_right_hand_sides():
+def test_bordered_pass_against_oracles():
+    """With the border I: the signature of the empty border, B G B = L B,
+    kernel rows that span ker B, and G / L = B^{-1} for nonsingular B."""
+    for rows in FAMILIES:
+        b = IntMatrix.from_rows(rows)
+        n = b.rows
+        sig, _, form = _signature(b, _identity(n))
+        assert sig == _signature(b)[0] == signature(b)
+        g = IntMatrix.from_rows(form.G)
+        assert b @ g @ b == IntMatrix(n, n, tuple(form.L * x for x in b.entries)), rows
+        assert len(form.kernel) == sig.n_zero == n - frac_rank(rows)
+        assert frac_rank(form.kernel) == len(form.kernel)
+        assert all(not any(b.matvec(z)) for z in form.kernel), rows
+        inv, _ = frac_inverse(rows)
+        if inv is not None:
+            assert [[Fraction(x, form.L) for x in row] for row in form.G] == inv
+
+
+def test_form_solves_fraction_right_hand_sides():
+    """x = G c / L solves B x = c for every c in the column space of B,
+    Fractions included, and the torsion test agrees with the Fraction
+    solve."""
     rng = random.Random(6)
-    for t in range(400):
-        r, c = rng.randint(0, 6), rng.randint(0, 6)
-        rows = _low_rank(rng, r, c) if t % 2 else [
-            [rng.randint(-5, 5) for _ in range(c)] for _ in range(r)
-        ]
-        if t % 4 < 2 and c:
-            x0 = [Fraction(rng.randint(-6, 6), rng.randint(1, 7)) for _ in range(c)]
-            b = [sum(map(mul, row, x0)) for row in rows]
+    for t, rows in enumerate(FAMILIES):
+        n = len(rows)
+        if t % 2 and n:
+            x0 = [Fraction(rng.randint(-6, 6), rng.randint(1, 7)) for _ in range(n)]
+            c = [sum(map(mul, row, x0)) for row in rows]
         else:
-            b = [Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(r)]
-        res = solve_rational(_matrix(rows, c), b)
-        rank = frac_rank(rows)
-        assert len(res.kernel) == c - rank
-        assert frac_rank(list(res.kernel)) == len(res.kernel)
-        for z in res.kernel:
-            assert all(sum(map(mul, row, z)) == 0 for row in rows)
-        solvable = frac_rank([row + [x] for row, x in zip(rows, b)]) == rank
-        assert (res.solution is not None) == solvable
-        if solvable:
-            assert [sum(map(mul, row, res.solution)) for row in rows] == b
+            c = [Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(n)]
+        data = analysis(IntMatrix.from_rows(rows))
+        solution, kernel = frac_solve(rows, c)
+        assert data.is_torsion(c) == (solution is not None)
+        assert len(kernel) == len(data.form.kernel)
+        if solution is not None:
+            x = [Fraction(sum(map(mul, row, c)), data.form.L) for row in data.form.G]
+            assert [sum(map(mul, row, x)) for row in rows] == c

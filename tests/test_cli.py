@@ -310,7 +310,7 @@ class TestDeterminism:
     def test_verify_reports_all_checks(self):
         code, out, _ = run(["verify"])
         assert code == 0
-        assert "passed 16/16 checks" in out
+        assert "passed 14/14 checks" in out
 
 
 class TestFileIO:

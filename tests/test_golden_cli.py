@@ -22,9 +22,9 @@ from pathlib import Path
 
 import pytest
 
-from _oracles import frac_inverse, solve_integer
+from _oracles import frac_inverse, frac_solve, solve_integer
 from combings.cli import main
-from combings.linalg import IntMatrix, solve_rational
+from combings.linalg import IntMatrix
 
 CORPUS = Path(__file__).with_name("golden_cli.json")
 
@@ -220,7 +220,7 @@ def _replay_case(argv, doc, stdout):
     def solve(v):
         if inv is not None:
             return [sum(map(mul, row, v)) for row in inv]
-        return solve_rational(IntMatrix.from_rows(b), v).solution
+        return frac_solve(b, v)[0]
 
     def in_lattice(v):
         if inv is not None:

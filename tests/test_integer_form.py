@@ -1,5 +1,5 @@
 """The integer form G/L and the per-matrix memo against the references
-solve_rational over Q (in linalg) and solve_integer over Z (in _oracles)."""
+frac_solve over Q and solve_integer over Z (both in _oracles)."""
 
 import itertools
 import random
@@ -8,7 +8,14 @@ from fractions import Fraction
 
 import pytest
 
-from _oracles import eig_sign_counts, f2_rank, solve_integer, unimodular_inverse
+from _oracles import (
+    eig_sign_counts,
+    f2_rank,
+    frac_inverse,
+    frac_solve,
+    solve_integer,
+    unimodular_inverse,
+)
 from combings.combing import (
     euler_class,
     gamma_orbit_modulus,
@@ -27,9 +34,7 @@ from combings.linalg import (
     _smith,
     _smith_generator,
     analysis,
-    det,
     smith_normal_form,
-    solve_rational,
 )
 from combings.surgery import (
     ModClass,
@@ -72,8 +77,12 @@ def _presentations(seed, count, max_n=8):
     return out
 
 
+def _det(b):
+    return frac_inverse(b.to_rows())[1]
+
+
 def _solution(pres, v):
-    return solve_rational(pres.matrix, v).solution
+    return frac_solve(pres.matrix.to_rows(), v)[0]
 
 
 def _characteristic(rng, pres):
@@ -164,7 +173,7 @@ def _assert_generalized_inverse(b):
 @pytest.mark.parametrize("index", range(len(RADICAL_PRESENTATIONS)))
 def test_singular_form_agrees_with_references_on_wide_kernel(index):
     """The integer form of a B with a kernel of rank >= 2 against
-    solve_rational and solve_integer."""
+    frac_solve and solve_integer."""
     rng, pres = RADICAL_PRESENTATIONS[index]
     diag = smith_normal_form(pres.matrix).diag
     assert diag.count(0) >= 2
@@ -437,7 +446,7 @@ def _hermite_presentations(seed, count):
         rng = random.Random(f"{seed}:{k}")
         k += 1
         b = random_symmetric(rng, rng.randint(1, 8), rng.randint(1, 9))
-        if det(b):
+        if _det(b):
             out.append((rng, SurgeryPresentation(b)))
     for n in (16, 20, 24):
         rng = random.Random(f"{seed}:large:{n}")
@@ -466,7 +475,7 @@ def test_hermite_route_matches_smith_reference(index):
     b = pres.matrix
     snf = smith_normal_form(b)
     coords = _smith_coordinates(pres)
-    order = abs(det(b))
+    order = abs(_det(b))
     summary = homology_summary(pres)
     assert summary.invariant_factors == tuple(d for d in snf.diag if d > 1)
     assert summary.dim_h1_mod2 == sum(1 for d in snf.diag if d % 2 == 0)
@@ -499,7 +508,7 @@ def test_hermite_route_matches_smith_reference(index):
 
 
 def test_hermite_presentations_cover_edges():
-    orders = [abs(det(p.matrix)) for _, p in HERMITE_PRESENTATIONS]
+    orders = [abs(_det(p.matrix)) for _, p in HERMITE_PRESENTATIONS]
     assert sum(1 for d in orders if d <= 3000) >= len(orders) // 3
     assert orders.count(1) >= 3 and max(p.n for _, p in HERMITE_PRESENTATIONS) == 24
 
@@ -544,8 +553,9 @@ def test_singular_questions_build_only_what_they_read():
 
 def test_nonsingular_questions_build_no_smith_form():
     """theta_g, spin_c_equal, euler_class and is_torsion_class on nonsingular
-    B read the signature and the adjugate pass only; is_torsion_class builds
-    no integer form, for singular B neither.  homology_summary, reduce_class,
+    B read the signature and the bordered pass only; is_torsion_class builds
+    no integer form.  On singular B, theta_g and is_torsion_class read the
+    kernel rows of the integer form and build no Smith form.  homology_summary, reduce_class,
     classes_equal, enumerate_torsion, p1_image, parity_check and
     gamma_orbit_modulus read the Hermite form, so no Smith form is built for
     nonsingular B."""
@@ -561,13 +571,17 @@ def test_nonsingular_questions_build_no_smith_form():
     singular = SurgeryPresentation.from_rows([[1, 2, 0], [2, 4, 0], [0, 0, 3]])
     assert is_torsion_class(singular, (1, 2, 5))
     assert not is_torsion_class(singular, (1, 0, 0))
-    assert "form" not in analysis(singular.matrix).__dict__
+    assert "snf" not in analysis(singular.matrix).__dict__
+    singular = _cold([[2, 1, 3], [1, 7, 8], [3, 8, 11]])
+    c = (0, 1, 1)
+    assert theta_g(singular, c) == _reference_theta(singular, c, _theta_constant(singular))
+    assert "snf" not in analysis(singular.matrix).__dict__
     # the lattice questions read the Hermite form; a singular B still
     # answers from its Smith form, kernel basis included
     pres = SurgeryPresentation.from_rows([[2, 1, 0, 1], [1, -3, 1, 0], [0, 1, 4, 1], [1, 0, 1, -2]])
     data = analysis(pres.matrix)
     summary = homology_summary(pres)
-    assert summary.torsion_order == abs(det(pres.matrix)) and summary.kernel_basis == ()
+    assert summary.torsion_order == abs(_det(pres.matrix)) and summary.kernel_basis == ()
     v = (3, -1, 4, 1)
     assert reduce_class(pres, v) == reduce_class(pres, tuple(x + 2 * y for x, y in zip(v, pres.matrix.row(2))))
     assert classes_equal(pres, v, tuple(x - y for x, y in zip(v, pres.matrix.row(1))))
@@ -583,10 +597,35 @@ def test_nonsingular_questions_build_no_smith_form():
     assert "hermite" not in analysis(singular.matrix).__dict__
 
 
+def _cold(rows):
+    pres = SurgeryPresentation.from_rows(rows)
+    assert analysis(pres.matrix).__dict__.keys() == {"matrix"}  # a fresh memo entry
+    return pres
+
+
+def test_signature_level_questions_build_no_homology():
+    """parity_check reads dim H_1(M; F_2) off the F_2 elimination of c_ref
+    and betti_1 off the signature, and gamma_orbit_modulus on nonsingular B
+    reads the signature alone: none builds the homology summary, the
+    Hermite form or the Smith form."""
+    built = {"homology", "hermite", "snf"}
+    for rows in (
+        [[3, 2, 0, 1], [2, -5, 1, 0], [0, 1, 6, 2], [1, 0, 2, -7]],  # nonsingular
+        [[2, 1, 3, 0], [1, 5, 6, 0], [3, 6, 9, 0], [0, 0, 0, 0]],  # rank 2
+    ):
+        pres = _cold(rows)
+        assert parity_check(pres)
+        assert not built & analysis(pres.matrix).__dict__.keys()
+    pres = _cold([[5, 2, 1], [2, -3, 0], [1, 0, 7]])
+    assert gamma_orbit_modulus(pres, analysis(pres.matrix).c_ref) == 0
+    assert not built & analysis(pres.matrix).__dict__.keys()
+
+
 def test_dim_h1_mod2_matches_f2_rank():
     for _, pres in PRESENTATIONS:
         want = pres.n - f2_rank(pres.matrix.to_rows())
-        assert analysis(pres.matrix).homology.dim_h1_mod2 == want
+        data = analysis(pres.matrix)
+        assert data.homology.dim_h1_mod2 == data.dim_h1_mod2 == want
 
 
 def test_memo_stays_bounded():

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -9,15 +10,15 @@ from hypothesis import strategies as st
 
 from combings.linalg import (
     IntMatrix,
+    analysis,
     kernel_basis,
     signature,
     smith_normal_form,
     solve_mod2,
-    solve_rational,
 )
 from combings.verify import random_unimodular
 
-from _oracles import eig_sign_counts, frac_rank, naive_det, solve_integer
+from _oracles import eig_sign_counts, f2_rank, frac_rank, frac_solve, naive_det, solve_integer
 
 entries = st.integers(min_value=-9, max_value=9)
 
@@ -93,6 +94,8 @@ class TestSmithNormalForm:
         nonzero = [d for d in diag if d]
         for i in range(len(nonzero) - 1):
             assert nonzero[i + 1] % nonzero[i] == 0
+        # D_ii != 0 exactly for i < rank
+        assert len(nonzero) == snf.rank and not any(diag[snf.rank :])
         # D is diagonal
         for i in range(snf.D.rows):
             for j in range(snf.D.cols):
@@ -124,22 +127,36 @@ class TestSmithNormalForm:
         assert sum(1 for d in diag if d) == rank
 
 
+def _form_solution(a, b):
+    """x = G b / L for symmetric A, or None when b is not in the column
+    space of A (the torsion test)."""
+    data = analysis(a)
+    if not data.is_torsion(b):
+        return None
+    form = data.form
+    return tuple(Fraction(sum(map(mul, row, b)), form.L) for row in form.G)
+
+
 class TestSolveRational:
+    """The library's rational solve, G b / L on symmetric A, against the
+    Fraction solve of `_oracles`."""
+
     def test_scalar(self):
-        assert solve_rational(IntMatrix.from_rows([[2]]), [1]).solution == (
-            Fraction(1, 2),
-        )
+        assert _form_solution(IntMatrix.from_rows([[2]]), [1]) == (Fraction(1, 2),)
+        assert frac_solve([[2]], [1]) == ([Fraction(1, 2)], [])
 
     def test_absent(self):
-        assert solve_rational(IntMatrix.from_rows([[0]]), [1]).solution is None
+        assert _form_solution(IntMatrix.from_rows([[0]]), [1]) is None
+        assert frac_solve([[0]], [1])[0] is None
 
     def test_two_by_two(self):
         # oracle: Gaussian elimination by hand
-        res = solve_rational(IntMatrix.from_rows([[2, 1], [1, 2]]), [1, 1])
-        assert res.solution == (Fraction(1, 3), Fraction(1, 3))
-        assert res.kernel == ()
+        a = IntMatrix.from_rows([[2, 1], [1, 2]])
+        assert _form_solution(a, [1, 1]) == (Fraction(1, 3), Fraction(1, 3))
+        assert analysis(a).form.kernel == ()
+        assert frac_solve(a.to_rows(), [1, 1]) == ([Fraction(1, 3), Fraction(1, 3)], [])
 
-    @given(int_matrices(max_dim=4), st.integers(0, 10**6))
+    @given(symmetric_matrices(max_dim=4), st.integers(0, 10**6))
     @settings(deadline=None)
     def test_solve_properties(self, a, seed):
         rng = random.Random(seed)
@@ -148,21 +165,20 @@ class TestSolveRational:
             b = list(a.matvec(x0))
         else:
             b = [rng.randint(-5, 5) for _ in range(a.rows)]
-        res = solve_rational(a, b)
-        if res.solution is not None:
-            for i in range(a.rows):
-                assert sum(a.at(i, j) * res.solution[j] for j in range(a.cols)) == b[i]
-        for z in res.kernel:
-            for i in range(a.rows):
-                assert sum(a.at(i, j) * z[j] for j in range(a.cols)) == 0
+        x = _form_solution(a, b)
+        if x is not None:
+            assert list(a.matvec(x)) == b
+        solution, kernel = frac_solve(a.to_rows(), b)
+        if solution is not None:
+            assert list(a.matvec(solution)) == b
+        for z in kernel + list(analysis(a).form.kernel):
+            assert not any(a.matvec(z))
         # presence agrees with the rank comparison of [A] and [A|b]
         rank_a = frac_rank(a.to_rows())
-        rank_aug = frac_rank(
-            [list(a.row(i)) + [b[i]] for i in range(a.rows)]
-        )
-        assert (res.solution is not None) == (rank_a == rank_aug)
+        rank_aug = frac_rank([list(a.row(i)) + [b[i]] for i in range(a.rows)])
+        assert (x is not None) == (solution is not None) == (rank_a == rank_aug)
         # kernel dimension complements the rank
-        assert len(res.kernel) == a.cols - rank_a
+        assert len(kernel) == len(analysis(a).form.kernel) == a.cols - rank_a
 
 
 class TestSignature:
@@ -255,8 +271,8 @@ class TestIntegerSolve:
 class TestMod2:
     def test_solve_mod2(self):
         a = IntMatrix.from_rows([[2, 1], [1, 2]])
-        x = solve_mod2(a, [1, 0])
-        assert x is not None
+        x, rank = solve_mod2(a, [1, 0])
+        assert x is not None and rank == 2
         got = a.matvec(x)
         assert [v % 2 for v in got] == [1, 0]
 
@@ -265,5 +281,6 @@ class TestMod2:
     def test_diagonal_always_solvable(self, s):
         # the diagonal of a symmetric matrix lies in its F_2 column space
         diag = [s.at(i, i) for i in range(s.rows)]
-        assert solve_mod2(s, diag) is not None
+        x, rank = solve_mod2(s, diag)
+        assert x is not None and rank == f2_rank(s.to_rows())
 
