@@ -35,7 +35,6 @@ from .surgery import (
     ModClass,
     SurgeryPresentation,
     _check_length,
-    homology_summary,
     is_torsion_class,
 )
 
@@ -100,9 +99,8 @@ def euler_class(pres: SurgeryPresentation, c: Sequence[int]) -> EulerClassInfo:
     validate_combing(pres, c)
     c = tuple(c)
     data = analysis(pres.matrix)
-    return EulerClassInfo(
-        class_vector=c, is_torsion=data.is_torsion(c), is_zero=data.in_lattice(c)
-    )
+    is_zero = data.in_lattice(c)  # first: it reads form, whose pass gives the signature
+    return EulerClassInfo(class_vector=c, is_torsion=data.is_torsion(c), is_zero=is_zero)
 
 
 def _theta_constant(data: MatrixAnalysis) -> int:
@@ -173,13 +171,15 @@ def gamma_orbit_modulus(pres: SurgeryPresentation, c: Sequence[int]) -> int:
     The combings in one Spin^c structure form an affine space over
     Z / (pairings of the Euler class with surface classes); the surface
     classes are the kernel vectors of B.  Returns 0 when the action is free
-    (trivial kernel, read off the signature, or all pairings zero).
+    (trivial kernel, read off the signature, or all pairings zero).  Any
+    kernel basis gives the gcd: the split's serves, so no homology is built.
     """
     validate_combing(pres, c)
-    if analysis(pres.matrix).signature.n_zero == 0:
+    data = analysis(pres.matrix)
+    if data.signature.n_zero == 0:
         return 0
     modulus = 0
-    for z in homology_summary(pres).kernel_basis:
+    for z in data.split.kernel:
         modulus = math.gcd(modulus, abs(sum(ci * zi for ci, zi in zip(c, z))))
     return modulus
 
@@ -310,6 +310,7 @@ def p1_image(
     if cap < 0 or box < 0:
         raise ValueError(f"cap and box must be nonnegative, got cap={cap}, box={box}")
     data = analysis(pres.matrix)
+    form = data.form  # first: its pass also gives the det B the Hermite form reads
     torsion_order = data.homology.torsion_order
     if torsion_order > cap:
         raise CapExceededError(torsion_order, cap)
@@ -325,7 +326,6 @@ def p1_image(
         message = f"image-p1 sweep of {size} vectors exceeds cap {cap}"
         raise CapExceededError(torsion_order, cap, message)
 
-    form = data.form
     # residues of c^T G c + const L modulo 4L, i.e. of theta_g mod 4 times L
     shift = _theta_constant(data) * form.L
     modulus = 4 * form.L

@@ -7,7 +7,8 @@ exact and reproducible.  There is one fraction-free elimination, the
 symmetric Bareiss pass `_signature`: with an empty border it gives the
 signature and det B, with the border I also G / L and the kernel of B.  The
 others are the Smith pass `_diagonalize`, the Hermite pass `_hermite`
-modulo a determinant, and the F_2 elimination `solve_mod2`.
+modulo a determinant, the Euclid steps `_euclid` of `_split` and
+`_echelon`, and the F_2 elimination `solve_mod2`.
 """
 
 from __future__ import annotations
@@ -205,11 +206,7 @@ def _diagonalize(
 
 
 def _smith(a: IntMatrix) -> SnfResult:
-    """Smith normal form U * A * V = D (see `_diagonalize`).
-
-    U^{-1} is not tracked: A V = U^{-1} D gives its column i as
-    A V e_i / d_i wherever d_i != 0 (see `_smith_generator`).
-    """
+    """Smith normal form U * A * V = D (see `_diagonalize`)."""
     m = a.to_rows()
     u = _identity_lists(a.rows)
     v = _identity_lists(a.cols)
@@ -221,25 +218,17 @@ def _smith(a: IntMatrix) -> SnfResult:
     )
 
 
-def _smith_generator(a: IntMatrix, snf: SnfResult, i: int) -> Vector:
-    """U^{-1} e_i = A V e_i / d_i for d_i != 0, exact since A V = U^{-1} D."""
-    d = snf.diag[i]
-    return tuple(x // d for x in a.matvec(snf.V.column(i)))
-
-
 def smith_normal_form(a: IntMatrix) -> SnfResult:
     """Diagonalize an integer matrix by unimodular row/column operations.
 
     The pivot is always the smallest nonzero entry in absolute value, ties
-    broken by lowest row then column, so U and V are reproducible.  Kept in
-    the per-matrix memo of `analysis`.  Its transforms grow with the pivoting
-    (thousands of bits at n = 40), so the library reads it only for the
-    lattice questions on singular symmetric B and on matrices that are not
-    symmetric; a nonsingular symmetric B is answered by its Hermite form
-    (`MatrixAnalysis.hermite`).  It stays public for those and for callers
-    such as the tests and the benchmark's warm-up.
+    broken by lowest row then column, so U and V are reproducible.  Built
+    afresh on each call, never kept in a memo: its transforms grow with the
+    pivoting (thousands of bits at n = 40), and no question on a symmetric B
+    reads them.  It stays public as the tests' reference, for `kernel_basis`
+    and for the benchmark's warm-up.
     """
-    return analysis(a).snf
+    return _smith(a)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -404,21 +393,85 @@ def _signature(
     return SignatureTriple(n_plus, end - n_plus, n - end), prev if end == n else 0, form
 
 
-def _normalize_sign(v: Sequence[int]) -> Vector:
-    for x in v:
-        if x:
-            return tuple(v) if x > 0 else tuple(-y for y in v)
-    return tuple(v)
+def _euclid(
+    m: list[list[int]], candidates: Sequence[int], j: int, inverse: list | None = None
+) -> int | None:
+    """Steps row i -= q row p among the rows `candidates` of m, p the one
+    with the least nonzero |m[p][j]|, until one is nonzero in column j;
+    returns it (None if none is).  Each step is undone on the columns of
+    `inverse`, if given: column p gains q times column i."""
+    while True:
+        live = [i for i in candidates if m[i][j]]
+        if not live:
+            return None
+        p = min(live, key=lambda i: abs(m[i][j]))
+        if len(live) == 1:
+            return p
+        x = m[p][j]
+        for i in live:
+            q = m[i][j] // x
+            if i != p and q:
+                m[i] = [a - q * b for a, b in zip(m[i], m[p])]
+                if inverse:
+                    inverse[p] = [a + q * b for a, b in zip(inverse[p], inverse[i])]
+
+
+def _echelon(vectors: Sequence[Vector]) -> tuple[Vector, ...]:
+    """The echelon (Hermite) basis of the lattice spanned by independent
+    vectors: pivots positive and moving right, the other entries of a pivot
+    column in [0, pivot).  It depends on the lattice alone."""
+    rows = [list(v) for v in vectors]
+    t = 0
+    for j in range(len(rows[0]) if rows else 0):
+        p = _euclid(rows, range(t, len(rows)), j)
+        if p is None:
+            continue
+        rows[t], rows[p] = rows[p], rows[t]
+        if rows[t][j] < 0:
+            rows[t] = [-x for x in rows[t]]
+        for i in range(t):
+            q = rows[i][j] // rows[t][j]
+            rows[i] = [a - q * b for a, b in zip(rows[i], rows[t])]
+        t += 1
+    return tuple(map(tuple, rows))
+
+
+class KernelSplit(NamedTuple):
+    """P = [W_1 | K] unimodular up to column order, K a basis of ker B cap
+    Z^n, and R_1 the rows of R = P^{-1} dual to W_1.  Then B = R_1^T B' R_1
+    for the nonsingular core B' = W_1^T B W_1, so coker B = coker B' + Z^k,
+    and R_1 G R_1^T / L = B'^{-1} for any G with B G B = L B."""
+
+    rows: tuple[Vector, ...]
+    columns: tuple[Vector, ...]
+    kernel: tuple[Vector, ...]
+
+
+def _split(kernel: Sequence[Vector], n: int) -> KernelSplit:
+    """Euclid row steps R on the n x k matrix Z of k independent vectors of
+    ker B leave one nonzero row per column.  P = R^{-1} is tracked by columns,
+    so Z = P (R Z) spans the columns K of P at those rows, saturated as P is
+    unimodular."""
+    k = len(kernel)
+    z = [[v[i] for v in kernel] + e for i, e in enumerate(_identity_lists(n))]  # [Z | R]
+    p = _identity_lists(n)  # P, by columns
+    free = list(range(n))
+    taken = []
+    for t in range(k):
+        taken.append(_euclid(z, free, t, p))
+        free.remove(taken[-1])
+    return KernelSplit(
+        rows=tuple(tuple(z[i][k:]) for i in free),
+        columns=tuple(map(tuple, (p[i] for i in free))),
+        kernel=tuple(map(tuple, (p[i] for i in taken))),
+    )
 
 
 def kernel_basis(a: IntMatrix) -> tuple[Vector, ...]:
-    """Basis of the integer kernel lattice of A (primitive and saturated).
-
-    The basis vectors are the kernel columns of the Smith V, each normalized
-    so its first nonzero coordinate is positive.  Kept in the per-matrix
-    memo of `analysis`.
-    """
-    return analysis(a).homology.kernel_basis
+    """The echelon basis of the integer kernel lattice of A, from the kernel
+    columns of its Smith V; `homology` prints the same basis for symmetric A."""
+    snf = smith_normal_form(a)
+    return _echelon([snf.V.column(j) for j in range(snf.rank, a.cols)])
 
 
 def solve_mod2(a: IntMatrix, b: Sequence[int]) -> tuple[Vector | None, int]:
@@ -491,13 +544,10 @@ class TorsionForm:
 
     Every torsion class is `generators` y for exactly one y in the box
     0 <= y_i < d_i over the k `factors` d_i; column i of the n x k matrix
-    `generators` is g_i.  For nonsingular B the box is the Hermite box: the
-    `positions` are the i with h_ii > 1, d_i = h_ii and g_i = e_i, so
-    `generators` y is the class's Hermite representative (the d_i need not
-    be invariant factors).  For singular B the positions are those of the
-    Smith invariant factors d_i > 1, the torsion subgroup is the direct sum
-    of the Z/d_i, and g_i = U^{-1} e_i, read off B V = U^{-1} D as
-    g_i = B V e_i / d_i (U^{-1} itself is never formed).  Either way the
+    `generators` is g_i.  The box is the Hermite box of B, or of the core B'
+    of a singular B: the `positions` are the i with h_ii > 1, d_i = h_ii and
+    g_i = e_i, or R_1^T e_i for singular B, so `generators` y is the class's
+    `reduce` (the d_i need not be invariant factors).  Either way the
     k x k matrix Q_ij = g_i^T G g_j mod L gives v^T G v = y^T Q y (mod L).
     """
 
@@ -521,14 +571,18 @@ class TorsionForm:
         return -sum(a * sum(map(mul, row, y)) for a, row in zip(y, self.Q)) % self.L
 
 
-def _torsion_form(a: IntMatrix, snf: SnfResult, form: IntegerForm) -> TorsionForm:
-    positions = tuple(i for i, d in enumerate(snf.diag) if d > 1)
-    g = [_smith_generator(a, snf, i) for i in positions]
+def _torsion_form(
+    hermite: Sequence[Vector], form: IntegerForm, rows: Sequence[Vector]
+) -> TorsionForm:
+    """For singular B: the generators are the rows of R_1 at the positions
+    i with h_ii > 1 of the core's Hermite form, and Q_ij = g_i^T G g_j mod L."""
+    positions = tuple(i for i, col in enumerate(hermite) if col[-1] > 1)
+    g = [rows[i] for i in positions]
     g_images = [[sum(map(mul, row, gj)) for row in form.G] for gj in g]  # G g_j
     return TorsionForm(
         positions=positions,
-        factors=tuple(snf.diag[i] for i in positions),
-        generators=tuple(tuple(gj[row] for gj in g) for row in range(a.rows)),
+        factors=tuple(hermite[i][-1] for i in positions),
+        generators=tuple(tuple(gj[row] for gj in g) for row in range(len(form.G))),
         Q=tuple(tuple(sum(map(mul, gi, ggj)) % form.L for ggj in g_images) for gi in g),
         L=form.L,
     )
@@ -549,16 +603,14 @@ def _hermite_torsion_form(hermite: Sequence[Vector], form: IntegerForm) -> Torsi
 
 
 class MatrixAnalysis:
-    """What the library derives from one integer matrix.
+    """What the library derives from one symmetric integer matrix.
 
     Each field is computed on first use and kept while the matrix stays in
-    the memo of `analysis`.  `form`, `c_ref` and the lattice questions need
-    a symmetric matrix.  The signature and `form` come from the one
+    the memo of `analysis`.  The signature and `form` come from the one
     symmetric Bareiss pass (`_signature`), with an empty border and with the
     border I, and the torsion test reads them alone.  For a nonsingular
-    symmetric matrix (read off the signature) the lattice questions read
-    `hermite`, and nothing builds the Smith form `snf`; for a singular one,
-    or a matrix that is not symmetric, they are answered by `snf`.
+    matrix (read off the signature) the lattice questions read `hermite`;
+    for a singular one the `hermite` of its `core`, through the `split`.
     """
 
     def __init__(self, matrix: IntMatrix) -> None:
@@ -575,17 +627,18 @@ class MatrixAnalysis:
     def in_lattice(self, c: Sequence[int]) -> bool:
         """c in B Z^n.
 
-        For nonsingular B (read off the signature), G c / L = B^{-1} c is the
-        only solution of B x = c, so the test is that L divides G c, and no
-        Smith form is built.  For singular B, U B V = D with U and V
-        unimodular, so c = B x has an integer solution iff U c = D z does:
-        (U c)_i is a multiple of d_i where d_i != 0 and zero where d_i = 0.
+        For nonsingular B (read off the signature of the pass that builds
+        `form`), G c / L = B^{-1} c is the only solution of B x = c, so the
+        test is that L divides G c.  For singular B, c must be torsion, and
+        then B'^{-1} W_1^T c = R_1 G c / L, so L must divide R_1 G c.
         """
+        form = self.form
         if self.signature.n_zero == 0:
-            form = self.form
             return not any(sum(map(mul, row, c)) % form.L for row in form.G)
-        snf = self.snf
-        return not any(y % d if d else y for y, d in zip(snf.U.matvec(c), snf.diag))
+        if not self.is_torsion(c):
+            return False
+        gc = [sum(map(mul, row, c)) for row in form.G]
+        return not any(sum(map(mul, row, gc)) % form.L for row in self.split.rows)
 
     def reduce(self, v: Sequence[int]) -> Vector:
         """The canonical representative of v modulo B Z^n.
@@ -593,11 +646,9 @@ class MatrixAnalysis:
         For nonsingular B it is the one vector of the Hermite box
         0 <= x_i < h_ii in the class of v: the box is a fundamental domain of
         B Z^n since H is triangular, and the vector is zero wherever
-        h_ii = 1.  For singular B, in Smith coordinates y = U v the
-        image of B is spanned coordinatewise by the invariant factors, so
-        each torsion coordinate is reduced to [0, d_i) and free coordinates
-        are kept: U^{-1}(y - D q) = v - B V q with q_i = y_i // d_i, or 0
-        where d_i = 0, since U^{-1} D = B V.
+        h_ii = 1.  For singular B, B Z^n = R_1^T B' Z^r, so it is
+        v - R_1^T (y - reduce_B'(y)) with y = W_1^T v; v + B u gives
+        y + B' R_1 u, hence the same vector.
         """
         if self.signature.n_zero == 0:
             # from the last coordinate up, subtract the multiple of column i
@@ -608,13 +659,12 @@ class MatrixAnalysis:
                 if q:
                     x[: i + 1] = [a - q * h for a, h in zip(x, col)]
             return tuple(x)
-        snf = self.snf
-        q = [y // d if d else 0 for y, d in zip(snf.U.matvec(v), snf.diag)]
-        return tuple(map(sub, v, self.matrix.matvec(snf.V.matvec(q))))
-
-    @cached_property
-    def snf(self) -> SnfResult:
-        return _smith(self.matrix)
+        split = self.split
+        y = [sum(map(mul, w, v)) for w in split.columns]
+        d = list(map(sub, y, self.core.reduce(y)))
+        return tuple(
+            x - sum(a * row[j] for a, row in zip(d, split.rows)) for j, x in enumerate(v)
+        )
 
     @cached_property
     def _inertia(self) -> tuple[SignatureTriple, int]:
@@ -633,8 +683,21 @@ class MatrixAnalysis:
         return _hermite(self.matrix.to_rows(), self._inertia[1])
 
     @cached_property
+    def split(self) -> KernelSplit:
+        return _split(self.form.kernel, self.matrix.rows)
+
+    @cached_property
+    def core(self) -> "MatrixAnalysis":
+        """B' = W_1^T B W_1, kept here and not in the memo of `analysis`."""
+        w = self.split.columns
+        bw = [self.matrix.matvec(col) for col in w]
+        return MatrixAnalysis(
+            IntMatrix.from_rows([[sum(map(mul, wi, x)) for x in bw] for wi in w])
+        )
+
+    @cached_property
     def homology(self) -> HomologySummary:
-        if self.matrix.is_symmetric() and self.signature.n_zero == 0:
+        if self.signature.n_zero == 0:
             # a row of H with h_ii = 1 is e_i^T, so Z^n / H Z^n is Z^T / H[T, T]
             # over the positions T with h_ii > 1; its Smith form runs on that
             # |T| x |T| block only
@@ -646,12 +709,10 @@ class MatrixAnalysis:
             betti_1 = 0
             kernel: tuple[Vector, ...] = ()
         else:
-            snf = self.snf
-            diag = snf.diag
-            betti_1 = self.matrix.rows - snf.rank
-            kernel = tuple(
-                _normalize_sign(snf.V.column(j)) for j in range(snf.rank, self.matrix.cols)
-            )
+            # coker B = coker B' + Z^k
+            betti_1 = self.signature.n_zero
+            diag = self.core.homology.invariant_factors + (0,) * betti_1
+            kernel = _echelon(self.split.kernel)
         factors = tuple(d for d in diag if d > 1)
         return HomologySummary(
             invariant_factors=factors,
@@ -691,7 +752,7 @@ class MatrixAnalysis:
     def torsion_form(self) -> TorsionForm:
         if self.signature.n_zero == 0:
             return _hermite_torsion_form(self.hermite, self.form)
-        return _torsion_form(self.matrix, self.snf, self.form)
+        return _torsion_form(self.core.hermite, self.form, self.split.rows)
 
 
 # The library's one per-matrix cache.  32 entries hold every presentation of

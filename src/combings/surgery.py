@@ -129,9 +129,9 @@ def reduce_class(pres: SurgeryPresentation, v: Sequence[int]) -> MeridianClass:
 
     For nonsingular B it is the unique vector of the Hermite box
     0 <= x_i < h_ii in the class of v, zero wherever h_ii = 1, so each
-    coordinate is below |det B| and no Smith form is built.  For singular B
-    it is read off Smith coordinates: torsion coordinates reduced to
-    [0, d_i), free ones kept.
+    coordinate is below |det B|.  For singular B the box is that of the
+    nonsingular core B' = W_1^T B W_1, lifted by R_1^T, and the free part
+    of v is kept (`linalg.KernelSplit`).  No Smith form is built.
     """
     return analysis(pres.matrix).reduce(_check_length(pres, v))
 
@@ -149,10 +149,9 @@ def enumerate_torsion(
     """One representative per torsion class of H_1, with its linking-form
     value, from the box coordinates of linalg.TorsionForm, each factor d_i
     enumerated 0..d_i-1 with the first varying slowest, so the output order
-    is reproducible; each value is read off its k x k form.  For nonsingular
-    B the box is the Hermite box, so every representative is the one
-    `reduce_class` returns; for singular B they are lifted from Smith
-    coordinates.
+    is reproducible; each value is read off its k x k form.  The box is the
+    Hermite box of B, or of the core of a singular B lifted by R_1^T, so
+    every representative is the one `reduce_class` returns.
     """
     if cap < 0:
         raise ValueError(f"cap must be nonnegative, got {cap}")

@@ -34,7 +34,6 @@ from .framed import (
 )
 from .linalg import (
     IntMatrix,
-    _smith_generator,
     analysis,
     kernel_basis,
     signature,
@@ -117,9 +116,9 @@ def random_unimodular(rng: random.Random, n: int, steps: int = 8) -> IntMatrix:
 
 
 def saturation_basis(pres: SurgeryPresentation) -> list[tuple[int, ...]]:
-    """Basis of the integer vectors lying in the rational column space of B."""
-    snf = analysis(pres.matrix).snf
-    return [_smith_generator(pres.matrix, snf, i) for i in range(snf.rank)]
+    """Basis of the integer vectors lying in the rational column space of B:
+    the rows R_1 of its split, as K^T x = 0 gives x = R_1^T W_1^T x."""
+    return list(analysis(pres.matrix).split.rows)
 
 
 def random_torsion_characteristic(

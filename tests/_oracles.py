@@ -4,10 +4,11 @@ Deliberately different algorithms from the library: cofactor determinants
 and adjugates, plain Fraction-elimination ranks, inverses and solves, F_2
 ranks over bit-mask rows, eigenvalue sign counts read off the characteristic
 polynomial (Descartes' rule of signs is exact for the all-real spectrum of a
-symmetric matrix), Spin^c class keys from a Fraction inverse, and the
-Ozsvath-Szabo recursion for the d-invariants of lens spaces.
-`solve_integer` alone reads the library's Smith form, by a route the
-integer form G / L does not take.
+symmetric matrix), Spin^c class keys from a Fraction inverse, the
+Ozsvath-Szabo recursion for the d-invariants of lens spaces, and echelon
+lattice bases by 2 x 2 extended-gcd steps.  `solve_integer` and the Smith
+coordinates read the library's public Smith form, with its transforms, by
+a route that no question on a symmetric B takes.
 """
 
 from __future__ import annotations
@@ -211,3 +212,67 @@ def solve_integer(a, b):
         elif y[i]:
             return None
     return snf.V.matvec(tuple(xprime))
+
+
+def smith_coordinates(a):
+    """v -> U v reduced by the invariant factors, for U A V = D: the Smith
+    coordinates of the class of v in coker A, free ones kept.  Two vectors
+    lie in one class iff their coordinates agree, and v lies in A Z^n iff
+    they are all zero."""
+    snf = smith_normal_form(a)
+    return lambda v: tuple(y % d if d else y for y, d in zip(snf.U.matvec(tuple(v)), snf.diag))
+
+
+def smith_generators(a):
+    """U^{-1} e_i = A V e_i / d_i at each invariant factor d_i > 1, exact
+    since A V = U^{-1} D: the generators of the torsion of coker A as a sum
+    of the cyclic groups Z/d_i, with the d_i."""
+    snf = smith_normal_form(a)
+    return [
+        (tuple(x // d for x in a.matvec(snf.V.column(i))), d)
+        for i, d in enumerate(snf.diag)
+        if d > 1
+    ]
+
+
+def smith_kernel(a):
+    """The kernel columns of the Smith V: a basis of ker A cap Z^n."""
+    snf = smith_normal_form(a)
+    return [snf.V.column(j) for j in range(snf.rank, a.cols)]
+
+
+def _xgcd(a, b):
+    """(g, x, y) with x a + y b = g = gcd(a, b) >= 0, by recursion."""
+    if b == 0:
+        return (abs(a), 1 if a >= 0 else -1, 0)
+    g, x, y = _xgcd(b, a % b)
+    return g, y, x - (a // b) * y
+
+
+def echelon(vectors):
+    """The echelon (Hermite) basis of the lattice spanned by independent
+    vectors: pivots positive and moving right, the other entries of a pivot
+    column in [0, pivot).  Each step replaces two rows p, q by
+    (x p + y q, (a/g) q - (b/g) p) for x a + y b = g, a determinant-1 move."""
+    rows = [list(v) for v in vectors]
+    t = 0
+    for j in range(len(rows[0]) if rows else 0):
+        if t == len(rows):
+            break
+        for i in range(t + 1, len(rows)):
+            a, b = rows[t][j], rows[i][j]
+            if b:
+                g, x, y = _xgcd(a, b)
+                rows[t], rows[i] = (
+                    [x * p + y * q for p, q in zip(rows[t], rows[i])],
+                    [(a // g) * q - (b // g) * p for p, q in zip(rows[t], rows[i])],
+                )
+        if rows[t][j] == 0:
+            continue
+        if rows[t][j] < 0:
+            rows[t] = [-x for x in rows[t]]
+        for i in range(t):
+            f = rows[i][j] // rows[t][j]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[t])]
+        t += 1
+    return tuple(map(tuple, rows))

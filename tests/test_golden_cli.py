@@ -6,13 +6,16 @@ byte for byte.  Regenerate it only when an output is meant to change:
 
     PYTHONPATH=src python tests/test_golden_cli.py
 
-`test_replay_by_property` also checks every stored `linking-form` and
-`framed-class` output by property, whatever representatives it prints, so a
-regenerated case can be shown to hold the same classes with the same values.
+`test_replay_by_property` also checks every stored `homology`,
+`linking-form` and `framed-class` output by property, whatever kernel basis
+or representatives it prints, so a regenerated case can be shown to hold
+the same lattice, or the same classes with the same values.
 """
 
 import io
+import itertools
 import json
+import math
 import os
 import random
 import subprocess
@@ -22,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from _oracles import frac_inverse, frac_solve, solve_integer
+from _oracles import frac_inverse, frac_rank, frac_solve, naive_det, solve_integer
 from combings.cli import main
 from combings.linalg import IntMatrix
 
@@ -252,17 +255,43 @@ def _replay_case(argv, doc, stdout):
             assert len(reps) == bound
 
 
+def _replay_homology(doc, stdout):
+    """Check one homology output by property: the kernel basis has betti_1 =
+    n - rank B vectors, each annihilated by B, and it is saturated, the gcd
+    of its k x k minors being 1; the invariant factors exceed 1, each
+    divides the next, and their product is the torsion order."""
+    b = doc["linking_matrix"]
+    obj = json.loads(stdout)
+    kernel = obj["kernel_basis"]
+    assert len(kernel) == obj["betti_1"] == len(b) - frac_rank(b)
+    for z in kernel:
+        assert not any(sum(map(mul, row, z)) for row in b)
+    minors = 0
+    for rows in itertools.combinations(range(len(b)), len(kernel)):
+        minors = math.gcd(minors, naive_det([[z[i] for z in kernel] for i in rows]))
+    assert minors == 1
+    factors = obj["invariant_factors"]
+    assert all(d > 1 for d in factors)
+    assert all(e % d == 0 for d, e in zip(factors, factors[1:]))
+    assert math.prod(factors) == obj["torsion_order"]
+
+
 def test_replay_by_property():
-    """Every stored linking-form and framed-class output that succeeded
-    holds by property: representatives may change, classes and values may
-    not."""
-    replayed = 0
+    """Every stored homology, linking-form and framed-class output that
+    succeeded holds by property: kernel bases and representatives may
+    change, lattices, classes and values may not."""
+    replayed = homologies = 0
     for case in _load():
-        if case["argv"][0] in ("linking-form", "framed-class") and case["code"] == 0:
-            doc = json.loads(case["stdin"])
-            _replay_case(case["argv"], doc, case["stdout"])
+        if case["code"] != 0:
+            continue
+        if case["argv"][0] in ("linking-form", "framed-class"):
+            _replay_case(case["argv"], json.loads(case["stdin"]), case["stdout"])
             replayed += 1
+        elif case["argv"][0] == "homology":
+            _replay_homology(json.loads(case["stdin"]), case["stdout"])
+            homologies += 1
     assert replayed >= 29
+    assert homologies == len(_documents())
 
 
 def test_corpus_covers_every_document_command():

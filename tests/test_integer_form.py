@@ -2,17 +2,25 @@
 frac_solve over Q and solve_integer over Z (both in _oracles)."""
 
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
 from _oracles import (
+    echelon,
     eig_sign_counts,
     f2_rank,
     frac_inverse,
+    frac_rank,
     frac_solve,
+    naive_det,
+    smith_coordinates,
+    smith_generators,
+    smith_kernel,
     solve_integer,
     unimodular_inverse,
 )
@@ -26,13 +34,11 @@ from combings.combing import (
     spin_c_equal,
     theta_g,
 )
+from combings import linalg
 from combings.errors import NonTorsionError
 from combings.linalg import (
     MEMO_SIZE,
     IntMatrix,
-    _normalize_sign,
-    _smith,
-    _smith_generator,
     analysis,
     smith_normal_form,
 )
@@ -372,65 +378,61 @@ def _oracle_lifts(pres, u_inv):
         yield u_inv.matvec(y)
 
 
-def _smith_coordinates(pres):
-    """v -> U v reduced by the invariant factors: the Smith coordinates of
-    the class of v, free ones kept, an oracle for classes_equal that reads
-    no Hermite form."""
-    snf = smith_normal_form(pres.matrix)
-    return lambda v: tuple(y % d if d else y for y, d in zip(snf.U.matvec(v), snf.diag))
+def _assert_saturation_basis(pres):
+    """saturation_basis is a basis of (ker B)^perp cap Z^n: as many vectors
+    as the rank, each orthogonal to ker B, and the gcd of their maximal
+    minors is 1, so they span a saturated lattice of that rank."""
+    sat = saturation_basis(pres)
+    rank = frac_rank(pres.matrix.to_rows())
+    assert len(sat) == rank
+    for z in smith_kernel(pres.matrix):
+        assert not any(sum(map(mul, v, z)) for v in sat)
+    minors = 0
+    for cols in itertools.combinations(range(pres.n), rank):
+        minors = math.gcd(minors, naive_det([[v[j] for j in cols] for v in sat]))
+    assert minors == 1
 
 
 @pytest.mark.parametrize("index", range(len(DERIVED_PRESENTATIONS)))
 def test_columns_read_off_bv_match_cofactor_inverse(index):
-    """For singular B, reduce_class, the enumerated representatives and the
-    saturation basis read U^{-1} columns off B V = U^{-1} D; each equals the
-    cofactor inverse's.  For nonsingular B the representatives come from the
-    Hermite form instead and must hold the same classes: the same Smith
-    coordinates, each enumerated class once."""
+    """reduce_class and the enumerated representatives against U^{-1} y for
+    the Smith coordinates y, U^{-1} from the cofactor oracle: they hold the
+    same classes (the same Smith coordinates, free ones included), each
+    enumerated class once, for singular and nonsingular B alike.  The
+    saturation basis is a basis of (ker B)^perp cap Z^n."""
     pres = DERIVED_PRESENTATIONS[index]
-    snf = smith_normal_form(pres.matrix)
-    singular = snf.rank < pres.n
-    coords = _smith_coordinates(pres)
+    coords = smith_coordinates(pres.matrix)
     u_inv = _oracle_u_inverse(pres)
     rng = random.Random(index)
     for _ in range(12):
         v = [rng.randint(-9, 9) for _ in range(pres.n)]
         y = coords(v)
-        if singular:
-            assert reduce_class(pres, v) == u_inv.matvec(y)
-        else:
-            assert coords(reduce_class(pres, v)) == y
+        assert coords(u_inv.matvec(y)) == y
+        assert coords(reduce_class(pres, v)) == y
     want = list(_oracle_lifts(pres, u_inv))
     got = [rep for rep, _ in enumerate_torsion(pres, cap=3000)]
-    if singular:
-        assert got == want
-    else:
-        assert sorted(map(coords, got)) == sorted(map(coords, want))
-    assert saturation_basis(pres) == [u_inv.column(i) for i in range(snf.rank)]
+    assert len(got) == len(want) == len(set(map(coords, got)))
+    assert sorted(map(coords, got)) == sorted(map(coords, want))
+    _assert_saturation_basis(pres)
 
 
 @pytest.mark.parametrize("index", range(len(TORSION_PRESENTATIONS)))
 def test_smith_coordinates_agree_with_fraction_route(index):
     """enumerate_torsion against U^{-1} y over the Smith coordinates y, with
-    the n x n linking form: in order for singular B, and as the same classes
-    with the same values for nonsingular B, whose representatives come from
-    the Hermite box.  The formula side of p1_image is p_1(reference) - 4 lk
-    built with Fractions."""
+    the n x n linking form: the same classes with the same values, each
+    once, for singular and nonsingular B alike; every representative is
+    its own reduce_class.  The formula side of p1_image is
+    p_1(reference) - 4 lk built with Fractions."""
     pres = TORSION_PRESENTATIONS[index]
-    snf = smith_normal_form(pres.matrix)
     want = []
     for rep in _oracle_lifts(pres, _oracle_u_inverse(pres)):
         assert _solution(pres, rep) is not None
         want.append((rep, linking_form(pres, rep)))
     got = enumerate_torsion(pres, cap=3000)
-    if snf.rank < pres.n:
-        positions = tuple(i for i, d in enumerate(snf.diag) if d > 1)
-        assert analysis(pres.matrix).torsion_form.positions == positions
-        assert got == tuple(want)
-    else:
-        coords = _smith_coordinates(pres)
-        assert len(got) == len(want)
-        assert {coords(rep): ell for rep, ell in got} == {coords(rep): ell for rep, ell in want}
+    coords = smith_coordinates(pres.matrix)
+    assert len(got) == len(want) == len({coords(rep) for rep, _ in got})
+    assert {coords(rep): ell for rep, ell in got} == {coords(rep): ell for rep, ell in want}
+    assert all(reduce_class(pres, rep) == rep for rep, _ in got)
     ref = p1(reference_parallelization(pres)).value
     formula = {ModClass(ref - 4 * ell.value, Fraction(4)) for _, ell in want}
     assert p1_image(pres, cap=3000, box=1).formula_side == formula
@@ -474,7 +476,7 @@ def test_hermite_route_matches_smith_reference(index):
     rng, pres = HERMITE_PRESENTATIONS[index]
     b = pres.matrix
     snf = smith_normal_form(b)
-    coords = _smith_coordinates(pres)
+    coords = smith_coordinates(b)
     order = abs(_det(b))
     summary = homology_summary(pres)
     assert summary.invariant_factors == tuple(d for d in snf.diag if d > 1)
@@ -497,12 +499,11 @@ def test_hermite_route_matches_smith_reference(index):
         return
     got = enumerate_torsion(pres, cap=3000)
     assert len(got) == order == len({coords(rep) for rep, _ in got})
-    positions = [i for i, d in enumerate(snf.diag) if d > 1]
-    gens = [_smith_generator(b, snf, i) for i in positions]
-    lift = IntMatrix.from_rows([[g[k] for g in gens] for k in range(pres.n)])  # U^{-1} y
+    gens = smith_generators(b)
+    lift = IntMatrix.from_rows([[g[k] for g, _ in gens] for k in range(pres.n)])  # U^{-1} y
     want = Counter(
         linking_form(pres, lift.matvec(y))
-        for y in itertools.product(*(range(snf.diag[i]) for i in positions))
+        for y in itertools.product(*(range(d) for _, d in gens))
     )
     assert Counter(ell for _, ell in got) == want
 
@@ -538,27 +539,71 @@ def test_form_is_generalized_inverse():
         _assert_generalized_inverse(b)
 
 
-def test_singular_questions_build_only_what_they_read():
-    """On singular B, form builds neither the Smith form nor the signature,
-    and spin_c_equal answers from the Smith form without building form."""
+@pytest.fixture
+def passes(monkeypatch):
+    """An empty memo, and a log of the border width of each symmetric pass
+    (`linalg._signature`) and of the number of Smith forms with transforms
+    (`linalg._smith`) built from here on."""
+    log = {"widths": [], "smith": 0}
+    signature_pass, smith = linalg._signature, linalg._smith
+
+    def counting_signature(s, border=()):
+        log["widths"].append(len(border[0]) if border else 0)
+        return signature_pass(s, border)
+
+    def counting_smith(a):
+        log["smith"] += 1
+        return smith(a)
+
+    monkeypatch.setattr(linalg, "_signature", counting_signature)
+    monkeypatch.setattr(linalg, "_smith", counting_smith)
+    analysis.cache_clear()
+    return log
+
+
+def test_singular_questions_build_only_what_they_read(passes):
+    """On singular B, form builds neither the core nor the signature, and
+    spin_c_equal answers from form and the split: one pass, bordered by I,
+    with no core and no Smith form."""
     pres = SurgeryPresentation.from_rows([[2, 1, 3], [1, 5, 6], [3, 6, 9]])
     data = analysis(pres.matrix)
     data.form
-    assert "snf" not in data.__dict__ and "signature" not in data.__dict__
-    pres = SurgeryPresentation.from_rows([[4, 1, 5], [1, 3, 4], [5, 4, 9]])
+    assert "core" not in data.__dict__ and "signature" not in data.__dict__
+    pres = _cold([[4, 1, 5], [1, 3, 4], [5, 4, 9]])
+    passes["widths"].clear()
     assert spin_c_equal(pres, (0, 1, 1), (8, 3, 11))
     assert not spin_c_equal(pres, (0, 1, 1), (2, 1, 1))
-    assert "form" not in analysis(pres.matrix).__dict__
+    assert passes == {"widths": [3], "smith": 0}
+    assert "core" not in analysis(pres.matrix).__dict__
 
 
-def test_nonsingular_questions_build_no_smith_form():
+def test_cold_questions_run_one_pass(passes):
+    """euler_class, spin_c_equal and p1_image on a fresh nonsingular B read
+    form first, so one symmetric pass, bordered by I, gives the signature
+    and det B too."""
+    b = [[3, 1, 0], [1, -2, 1], [0, 1, 4]]
+    c = (1, 0, 0)
+    other = (7, 2, 0)  # c + 2 B e_0
+    for question in (
+        lambda pres: euler_class(pres, c),
+        lambda pres: spin_c_equal(pres, c, other),
+        lambda pres: p1_image(pres, box=1),
+    ):
+        analysis.cache_clear()
+        passes["widths"].clear()
+        question(_cold(b))
+        assert passes["widths"] == [3]
+    assert passes["smith"] == 0
+
+
+def test_nonsingular_questions_build_no_smith_form(passes):
     """theta_g, spin_c_equal, euler_class and is_torsion_class on nonsingular
     B read the signature and the bordered pass only; is_torsion_class builds
     no integer form.  On singular B, theta_g and is_torsion_class read the
-    kernel rows of the integer form and build no Smith form.  homology_summary, reduce_class,
+    kernel rows of the integer form.  homology_summary, reduce_class,
     classes_equal, enumerate_torsion, p1_image, parity_check and
-    gamma_orbit_modulus read the Hermite form, so no Smith form is built for
-    nonsingular B."""
+    gamma_orbit_modulus read the Hermite form of B, or of the core of a
+    singular B.  None of them builds a Smith form."""
     pres = SurgeryPresentation.from_rows([[3, 1, 0, 2], [1, -2, 1, 0], [0, 1, 4, -1], [2, 0, -1, 5]])
     data = analysis(pres.matrix)
     assert is_torsion_class(pres, (1, 0, 2, -1))
@@ -567,17 +612,17 @@ def test_nonsingular_questions_build_no_smith_form():
     theta_g(pres, c)
     assert spin_c_equal(pres, c, tuple(x + 2 * y for x, y in zip(c, pres.matrix.row(0))))
     assert euler_class(pres, c).is_zero
-    assert "form" in data.__dict__ and "snf" not in data.__dict__
+    assert "form" in data.__dict__ and passes["smith"] == 0
     singular = SurgeryPresentation.from_rows([[1, 2, 0], [2, 4, 0], [0, 0, 3]])
     assert is_torsion_class(singular, (1, 2, 5))
     assert not is_torsion_class(singular, (1, 0, 0))
-    assert "snf" not in analysis(singular.matrix).__dict__
+    assert "core" not in analysis(singular.matrix).__dict__
     singular = _cold([[2, 1, 3], [1, 7, 8], [3, 8, 11]])
     c = (0, 1, 1)
     assert theta_g(singular, c) == _reference_theta(singular, c, _theta_constant(singular))
-    assert "snf" not in analysis(singular.matrix).__dict__
-    # the lattice questions read the Hermite form; a singular B still
-    # answers from its Smith form, kernel basis included
+    assert "core" not in analysis(singular.matrix).__dict__ and passes["smith"] == 0
+    # the lattice questions read the Hermite form; a singular B reads that
+    # of its core, and its kernel basis is the echelon basis of the lattice
     pres = SurgeryPresentation.from_rows([[2, 1, 0, 1], [1, -3, 1, 0], [0, 1, 4, 1], [1, 0, 1, -2]])
     data = analysis(pres.matrix)
     summary = homology_summary(pres)
@@ -589,12 +634,12 @@ def test_nonsingular_questions_build_no_smith_form():
     p1_image(pres, box=1)
     assert parity_check(pres)
     assert gamma_orbit_modulus(pres, data.c_ref) == 0
-    assert "hermite" in data.__dict__ and "snf" not in data.__dict__
+    assert "hermite" in data.__dict__ and passes["smith"] == 0
     singular = SurgeryPresentation.from_rows([[2, 1, 3], [1, 2, 3], [3, 3, 6]])
-    snf = _smith(singular.matrix)
-    want = tuple(_normalize_sign(snf.V.column(j)) for j in range(snf.rank, singular.n))
-    assert homology_summary(singular).kernel_basis == want == ((1, 1, -1),)
+    got = homology_summary(singular).kernel_basis
     assert "hermite" not in analysis(singular.matrix).__dict__
+    assert "hermite" in analysis(singular.matrix).core.__dict__ and passes["smith"] == 0
+    assert got == echelon(smith_kernel(singular.matrix)) == ((1, 1, -1),)
 
 
 def _cold(rows):
@@ -605,10 +650,10 @@ def _cold(rows):
 
 def test_signature_level_questions_build_no_homology():
     """parity_check reads dim H_1(M; F_2) off the F_2 elimination of c_ref
-    and betti_1 off the signature, and gamma_orbit_modulus on nonsingular B
-    reads the signature alone: none builds the homology summary, the
-    Hermite form or the Smith form."""
-    built = {"homology", "hermite", "snf"}
+    and betti_1 off the signature, gamma_orbit_modulus on nonsingular B
+    reads the signature alone, and on singular B the kernel basis of the
+    split: none builds the homology summary, the Hermite form or the core."""
+    built = {"homology", "hermite", "core"}
     for rows in (
         [[3, 2, 0, 1], [2, -5, 1, 0], [0, 1, 6, 2], [1, 0, 2, -7]],  # nonsingular
         [[2, 1, 3, 0], [1, 5, 6, 0], [3, 6, 9, 0], [0, 0, 0, 0]],  # rank 2
@@ -618,6 +663,11 @@ def test_signature_level_questions_build_no_homology():
         assert not built & analysis(pres.matrix).__dict__.keys()
     pres = _cold([[5, 2, 1], [2, -3, 0], [1, 0, 7]])
     assert gamma_orbit_modulus(pres, analysis(pres.matrix).c_ref) == 0
+    assert not built & analysis(pres.matrix).__dict__.keys()
+    pres = _cold([[2, 1, 3, 0], [1, 5, 6, 0], [3, 6, 9, 0], [0, 0, 0, 4]])  # kernel (1, 1, -1, 0)
+    assert gamma_orbit_modulus(pres, (2, 1, 1, 0)) == 2
+    assert gamma_orbit_modulus(pres, (0, 1, 3, 0)) == 2
+    assert gamma_orbit_modulus(pres, (0, 3, 1, 0)) == 2
     assert not built & analysis(pres.matrix).__dict__.keys()
 
 
