@@ -175,11 +175,8 @@ def gamma_orbit_modulus(pres: SurgeryPresentation, c: Sequence[int]) -> int:
     kernel basis gives the gcd: the split's serves, so no homology is built.
     """
     validate_combing(pres, c)
-    data = analysis(pres.matrix)
-    if data.signature.n_zero == 0:
-        return 0
     modulus = 0
-    for z in data.split.kernel:
+    for z in analysis(pres.matrix).split.kernel:
         modulus = math.gcd(modulus, abs(sum(ci * zi for ci, zi in zip(c, z))))
     return modulus
 

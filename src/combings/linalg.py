@@ -8,7 +8,8 @@ symmetric Bareiss pass `_signature`: with an empty border it gives the
 signature and det B, with the border I also G / L and the kernel of B.  The
 others are the Smith pass `_diagonalize`, the Hermite pass `_hermite`
 modulo a determinant, the Euclid steps `_euclid` of `_split` and
-`_echelon`, and the F_2 elimination `solve_mod2`.
+`_echelon`, and the F_2 elimination `solve_mod2`.  Every lattice question
+reads one box, the Hermite box of the nonsingular core of B.
 """
 
 from __future__ import annotations
@@ -225,8 +226,8 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
     broken by lowest row then column, so U and V are reproducible.  Built
     afresh on each call, never kept in a memo: its transforms grow with the
     pivoting (thousands of bits at n = 40), and no question on a symmetric B
-    reads them.  It stays public as the tests' reference, for `kernel_basis`
-    and for the benchmark's warm-up.
+    reads them.  It stays public as the tests' reference and for the
+    benchmark's warm-up.
     """
     return _smith(a)
 
@@ -440,7 +441,8 @@ class KernelSplit(NamedTuple):
     """P = [W_1 | K] unimodular up to column order, K a basis of ker B cap
     Z^n, and R_1 the rows of R = P^{-1} dual to W_1.  Then B = R_1^T B' R_1
     for the nonsingular core B' = W_1^T B W_1, so coker B = coker B' + Z^k,
-    and R_1 G R_1^T / L = B'^{-1} for any G with B G B = L B."""
+    and R_1 G R_1^T / L = B'^{-1} for any G with B G B = L B.  A nonsingular
+    B has the trivial split: R_1 = W_1 = I, no K, and B' = B."""
 
     rows: tuple[Vector, ...]
     columns: tuple[Vector, ...]
@@ -465,13 +467,6 @@ def _split(kernel: Sequence[Vector], n: int) -> KernelSplit:
         columns=tuple(map(tuple, (p[i] for i in free))),
         kernel=tuple(map(tuple, (p[i] for i in taken))),
     )
-
-
-def kernel_basis(a: IntMatrix) -> tuple[Vector, ...]:
-    """The echelon basis of the integer kernel lattice of A, from the kernel
-    columns of its Smith V; `homology` prints the same basis for symmetric A."""
-    snf = smith_normal_form(a)
-    return _echelon([snf.V.column(j) for j in range(snf.rank, a.cols)])
 
 
 def solve_mod2(a: IntMatrix, b: Sequence[int]) -> tuple[Vector | None, int]:
@@ -544,14 +539,13 @@ class TorsionForm:
 
     Every torsion class is `generators` y for exactly one y in the box
     0 <= y_i < d_i over the k `factors` d_i; column i of the n x k matrix
-    `generators` is g_i.  The box is the Hermite box of B, or of the core B'
-    of a singular B: the `positions` are the i with h_ii > 1, d_i = h_ii and
-    g_i = e_i, or R_1^T e_i for singular B, so `generators` y is the class's
-    `reduce` (the d_i need not be invariant factors).  Either way the
-    k x k matrix Q_ij = g_i^T G g_j mod L gives v^T G v = y^T Q y (mod L).
+    `generators` is g_i.  The box is the Hermite box of the core B' (B
+    itself when nonsingular): over the i with h_ii > 1, d_i = h_ii and
+    g_i = R_1^T e_i, so `generators` y is the class's `reduce` (the d_i need
+    not be invariant factors).  The k x k matrix Q_ij = g_i^T G g_j mod L
+    gives v^T G v = y^T Q y (mod L).
     """
 
-    positions: tuple[int, ...]
     factors: tuple[int, ...]
     generators: tuple[Vector, ...]
     Q: tuple[Vector, ...]
@@ -574,30 +568,15 @@ class TorsionForm:
 def _torsion_form(
     hermite: Sequence[Vector], form: IntegerForm, rows: Sequence[Vector]
 ) -> TorsionForm:
-    """For singular B: the generators are the rows of R_1 at the positions
-    i with h_ii > 1 of the core's Hermite form, and Q_ij = g_i^T G g_j mod L."""
+    """The generators are the rows of R_1 at the positions i with h_ii > 1
+    of the core's Hermite form, and Q_ij = g_i^T G g_j mod L."""
     positions = tuple(i for i, col in enumerate(hermite) if col[-1] > 1)
     g = [rows[i] for i in positions]
     g_images = [[sum(map(mul, row, gj)) for row in form.G] for gj in g]  # G g_j
     return TorsionForm(
-        positions=positions,
         factors=tuple(hermite[i][-1] for i in positions),
         generators=tuple(tuple(gj[row] for gj in g) for row in range(len(form.G))),
         Q=tuple(tuple(sum(map(mul, gi, ggj)) % form.L for ggj in g_images) for gi in g),
-        L=form.L,
-    )
-
-
-def _hermite_torsion_form(hermite: Sequence[Vector], form: IntegerForm) -> TorsionForm:
-    """The generators are e_i at the positions i with h_ii > 1, so Q is the
-    block G[T, T] mod L."""
-    diag = [col[-1] for col in hermite]
-    positions = tuple(i for i, d in enumerate(diag) if d > 1)
-    return TorsionForm(
-        positions=positions,
-        factors=tuple(diag[i] for i in positions),
-        generators=tuple(tuple(int(k == i) for i in positions) for k in range(len(diag))),
-        Q=tuple(tuple(form.G[i][j] % form.L for j in positions) for i in positions),
         L=form.L,
     )
 
@@ -608,9 +587,9 @@ class MatrixAnalysis:
     Each field is computed on first use and kept while the matrix stays in
     the memo of `analysis`.  The signature and `form` come from the one
     symmetric Bareiss pass (`_signature`), with an empty border and with the
-    border I, and the torsion test reads them alone.  For a nonsingular
-    matrix (read off the signature) the lattice questions read `hermite`;
-    for a singular one the `hermite` of its `core`, through the `split`.
+    border I, and the torsion test reads them alone.  The lattice questions
+    read the `split` and the `hermite` of the `core`: the matrix itself when
+    it is nonsingular, which only `split` reads off the signature.
     """
 
     def __init__(self, matrix: IntMatrix) -> None:
@@ -625,45 +604,34 @@ class MatrixAnalysis:
         )
 
     def in_lattice(self, c: Sequence[int]) -> bool:
-        """c in B Z^n.
-
-        For nonsingular B (read off the signature of the pass that builds
-        `form`), G c / L = B^{-1} c is the only solution of B x = c, so the
-        test is that L divides G c.  For singular B, c must be torsion, and
-        then B'^{-1} W_1^T c = R_1 G c / L, so L must divide R_1 G c.
-        """
-        form = self.form
-        if self.signature.n_zero == 0:
-            return not any(sum(map(mul, row, c)) % form.L for row in form.G)
-        if not self.is_torsion(c):
-            return False
-        gc = [sum(map(mul, row, c)) for row in form.G]
-        return not any(sum(map(mul, row, gc)) % form.L for row in self.split.rows)
+        """c in B Z^n: c is torsion and L divides R_1 G c, since
+        B'^{-1} W_1^T c = R_1 G c / L (G c / L = B^{-1} c for nonsingular B)."""
+        form = self.form  # first: its pass also gives the signature is_torsion reads
+        return self.is_torsion(c) and not any(
+            sum(map(mul, row, c)) % form.L for row in self._lattice_rows
+        )
 
     def reduce(self, v: Sequence[int]) -> Vector:
         """The canonical representative of v modulo B Z^n.
 
-        For nonsingular B it is the one vector of the Hermite box
-        0 <= x_i < h_ii in the class of v: the box is a fundamental domain of
-        B Z^n since H is triangular, and the vector is zero wherever
-        h_ii = 1.  For singular B, B Z^n = R_1^T B' Z^r, so it is
-        v - R_1^T (y - reduce_B'(y)) with y = W_1^T v; v + B u gives
-        y + B' R_1 u, hence the same vector.
+        B Z^n = R_1^T B' Z^r, so it is v - R_1^T (y - x) with y = W_1^T v and
+        x the one vector of the core's Hermite box 0 <= x_i < h_ii in the
+        class of y: the box is a fundamental domain of B' Z^r since H is
+        triangular, and x is zero wherever h_ii = 1.  v + B u gives
+        y + B' R_1 u, hence the same vector; the free part of v is kept.
         """
-        if self.signature.n_zero == 0:
-            # from the last coordinate up, subtract the multiple of column i
-            # that brings x_i into [0, h_ii); it leaves the coordinates after i
-            x = list(v)
-            for i, col in reversed(list(enumerate(self.hermite))):
-                q = x[i] // col[i]
-                if q:
-                    x[: i + 1] = [a - q * h for a, h in zip(x, col)]
-            return tuple(x)
         split = self.split
         y = [sum(map(mul, w, v)) for w in split.columns]
-        d = list(map(sub, y, self.core.reduce(y)))
+        # from the last coordinate up, subtract the multiple of column i
+        # that brings x_i into [0, h_ii); it leaves the coordinates after i
+        x = list(y)
+        for i, col in reversed(list(enumerate(self.core.hermite))):
+            q = x[i] // col[i]
+            if q:
+                x[: i + 1] = [a - q * h for a, h in zip(x, col)]
+        d = list(map(sub, y, x))
         return tuple(
-            x - sum(a * row[j] for a, row in zip(d, split.rows)) for j, x in enumerate(v)
+            a - sum(b * row[j] for b, row in zip(d, split.rows)) for j, a in enumerate(v)
         )
 
     @cached_property
@@ -677,18 +645,26 @@ class MatrixAnalysis:
 
     @cached_property
     def hermite(self) -> tuple[Vector, ...]:
-        """The columns of the Hermite form H of B Z^n (see `_hermite`), for
-        a nonsingular symmetric B; its modulus |det B| is the last pivot of
-        the signature pass."""
+        """The columns of the Hermite form H of B Z^n (see `_hermite`) for a
+        nonsingular symmetric B, read through `core`; its modulus |det B| is
+        the last pivot of the signature pass."""
         return _hermite(self.matrix.to_rows(), self._inertia[1])
 
     @cached_property
     def split(self) -> KernelSplit:
-        return _split(self.form.kernel, self.matrix.rows)
+        """The split along ker B; a nonsingular B gets the trivial one, without `form`."""
+        kernel = self.form.kernel if self.signature.n_zero else ()
+        return _split(kernel, self.matrix.rows)
+
+    @property
+    def core(self) -> "MatrixAnalysis":
+        """B' = W_1^T B W_1, or this analysis when the split has no kernel."""
+        return self._core if self.split.kernel else self
 
     @cached_property
-    def core(self) -> "MatrixAnalysis":
-        """B' = W_1^T B W_1, kept here and not in the memo of `analysis`."""
+    def _core(self) -> "MatrixAnalysis":
+        """The core of a singular B, kept here and not in the memo of `analysis`;
+        apart from `core`, so no entry holds itself and eviction frees it at once."""
         w = self.split.columns
         bw = [self.matrix.matvec(col) for col in w]
         return MatrixAnalysis(
@@ -696,31 +672,30 @@ class MatrixAnalysis:
         )
 
     @cached_property
+    def _lattice_rows(self) -> tuple[Vector, ...]:
+        """The rows of R_1 G (G is symmetric, so entry j of r^T G is r . G_j)."""
+        g = self.form.G
+        return tuple(tuple(sum(map(mul, r, gj)) for gj in g) for r in self.split.rows)
+
+    @cached_property
     def homology(self) -> HomologySummary:
-        if self.signature.n_zero == 0:
-            # a row of H with h_ii = 1 is e_i^T, so Z^n / H Z^n is Z^T / H[T, T]
-            # over the positions T with h_ii > 1; its Smith form runs on that
-            # |T| x |T| block only
-            cols = self.hermite
-            t = [i for i, col in enumerate(cols) if col[i] > 1]
-            block = [[cols[j][i] if i <= j else 0 for j in t] for i in t]
-            _diagonalize(block)
-            diag = tuple(row[k] for k, row in enumerate(block))
-            betti_1 = 0
-            kernel: tuple[Vector, ...] = ()
-        else:
-            # coker B = coker B' + Z^k
-            betti_1 = self.signature.n_zero
-            diag = self.core.homology.invariant_factors + (0,) * betti_1
-            kernel = _echelon(self.split.kernel)
+        # coker B = coker B' + Z^k.  A row of the core's H with h_ii = 1 is
+        # e_i^T, so coker B' is Z^T / H[T, T] over the positions T with
+        # h_ii > 1; its Smith form runs on that |T| x |T| block only
+        cols = self.core.hermite
+        t = [i for i, col in enumerate(cols) if col[i] > 1]
+        block = [[cols[j][i] if i <= j else 0 for j in t] for i in t]
+        _diagonalize(block)
+        kernel = self.split.kernel
+        diag = tuple(row[k] for k, row in enumerate(block)) + (0,) * len(kernel)
         factors = tuple(d for d in diag if d > 1)
         return HomologySummary(
             invariant_factors=factors,
-            betti_1=betti_1,
+            betti_1=len(kernel),
             # H_1 (x) F_2 has one Z/2 per even invariant factor, zeros included
             dim_h1_mod2=sum(1 for d in diag if d % 2 == 0),
             torsion_order=math.prod(factors),
-            kernel_basis=kernel,
+            kernel_basis=_echelon(kernel),
         )
 
     @cached_property
@@ -750,8 +725,6 @@ class MatrixAnalysis:
 
     @cached_property
     def torsion_form(self) -> TorsionForm:
-        if self.signature.n_zero == 0:
-            return _hermite_torsion_form(self.hermite, self.form)
         return _torsion_form(self.core.hermite, self.form, self.split.rows)
 
 

@@ -89,7 +89,7 @@ def _check_length(pres: SurgeryPresentation, v: Sequence[int]) -> Vector:
 
 def is_torsion_class(pres: SurgeryPresentation, v: Sequence[int]) -> bool:
     """True when v lies in the rational column space of B
-    (`MatrixAnalysis.is_torsion`); no integer form is built."""
+    (`MatrixAnalysis.is_torsion`); only a singular B builds the integer form."""
     return analysis(pres.matrix).is_torsion(_check_length(pres, v))
 
 
@@ -127,11 +127,10 @@ def reduce_class(pres: SurgeryPresentation, v: Sequence[int]) -> MeridianClass:
     """Canonical representative of [v] in Z^n / im(B)
     (`MatrixAnalysis.reduce`).
 
-    For nonsingular B it is the unique vector of the Hermite box
-    0 <= x_i < h_ii in the class of v, zero wherever h_ii = 1, so each
-    coordinate is below |det B|.  For singular B the box is that of the
-    nonsingular core B' = W_1^T B W_1, lifted by R_1^T, and the free part
-    of v is kept (`linalg.KernelSplit`).  No Smith form is built.
+    It is v - R_1^T (y - x) for y = W_1^T v and x the point in the class of
+    y of the Hermite box 0 <= x_i < h_ii of the core B' = W_1^T B W_1
+    (`linalg.KernelSplit`).  A nonsingular B is its own core, and then the
+    representative is x, zero wherever h_ii = 1.  No Smith form is built.
     """
     return analysis(pres.matrix).reduce(_check_length(pres, v))
 
@@ -150,8 +149,8 @@ def enumerate_torsion(
     value, from the box coordinates of linalg.TorsionForm, each factor d_i
     enumerated 0..d_i-1 with the first varying slowest, so the output order
     is reproducible; each value is read off its k x k form.  The box is the
-    Hermite box of B, or of the core of a singular B lifted by R_1^T, so
-    every representative is the one `reduce_class` returns.
+    Hermite box of the core B' lifted by R_1^T (B itself when nonsingular),
+    so every representative is the one `reduce_class` returns.
     """
     if cap < 0:
         raise ValueError(f"cap must be nonnegative, got {cap}")

@@ -2,9 +2,10 @@
 
 Criteria 1-10 run the `verify` battery's checks on pinned seeds and case
 counts, so each law is coded once; criterion 11 keeps its own reference
-oracles (cofactor determinants, Fraction ranks), which `verify` cannot
-import.  Every test prints its own pass line; run with `pytest -v` to get
-one pass/fail line per criterion from the report as well.
+oracles (cofactor determinants, Fraction ranks, the echelon basis of the
+Smith kernel), which `verify` cannot import.  Every test prints its own
+pass line; run with `pytest -v` to get one pass/fail line per criterion
+from the report as well.
 """
 
 import random
@@ -13,11 +14,11 @@ from operator import mul
 
 from combings import verify
 from combings.combing import p1, reference_parallelization
-from combings.linalg import IntMatrix, analysis, kernel_basis, signature, smith_normal_form
+from combings.linalg import IntMatrix, analysis, signature, smith_normal_form
 from combings.surgery import EMPTY_PRESENTATION, ModClass
 from combings.verify import random_symmetric, random_unimodular
 
-from _oracles import frac_rank, naive_det
+from _oracles import echelon, frac_rank, naive_det, smith_kernel
 
 
 def _passed(number: int, name: str) -> None:
@@ -123,7 +124,8 @@ def test_criterion_11_linear_algebra_substrate():
         s = random_symmetric(rng, rows, bound=5)
         sig = signature(s)
         assert sig.n_plus + sig.n_minus + sig.n_zero == rows
-        assert sig.n_zero == len(kernel_basis(s))
+        kernel = echelon(smith_kernel(s))
+        assert sig.n_zero == len(kernel) and analysis(s).homology.kernel_basis == kernel
         p = random_unimodular(rng, rows)
         assert signature(p.transpose() @ s @ p) == sig
 

@@ -508,6 +508,29 @@ def test_hermite_route_matches_smith_reference(index):
     assert Counter(ell for _, ell in got) == want
 
 
+@pytest.mark.parametrize("index", range(len(HERMITE_PRESENTATIONS)))
+def test_nonsingular_b_is_its_own_core(index):
+    """A nonsingular B gets the trivial split from the signature, without
+    the integer form, and is its own core.  The torsion form of the one
+    lattice route then has the generators e_i at the positions T with
+    h_ii > 1 and Q = G[T, T] mod L, and in_lattice reads the rows of G."""
+    _, pres = HERMITE_PRESENTATIONS[index]
+    b, n = pres.matrix, pres.n
+    data = linalg.MatrixAnalysis(b)  # a fresh analysis, outside the memo
+    identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    assert data.split == (identity, identity, ())
+    assert "form" not in data.__dict__
+    assert data.core is data and "_core" not in data.__dict__
+    assert analysis(b).core is analysis(b)
+    form, hermite = data.form, data.hermite
+    positions = [i for i, col in enumerate(hermite) if col[-1] > 1]
+    tf = data.torsion_form
+    assert tf.factors == tuple(hermite[i][-1] for i in positions)
+    assert tf.generators == tuple(tuple(int(k == i) for i in positions) for k in range(n))
+    assert tf.Q == tuple(tuple(form.G[i][j] % form.L for j in positions) for i in positions)
+    assert data._lattice_rows == form.G
+
+
 def test_hermite_presentations_cover_edges():
     orders = [abs(_det(p.matrix)) for _, p in HERMITE_PRESENTATIONS]
     assert sum(1 for d in orders if d <= 3000) >= len(orders) // 3
@@ -640,6 +663,26 @@ def test_nonsingular_questions_build_no_smith_form(passes):
     assert "hermite" not in analysis(singular.matrix).__dict__
     assert "hermite" in analysis(singular.matrix).core.__dict__ and passes["smith"] == 0
     assert got == echelon(smith_kernel(singular.matrix)) == ((1, 1, -1),)
+
+
+def test_only_box_questions_build_the_singular_core(passes):
+    """A singular B keeps its core as `_core`: the torsion test, in_lattice,
+    theta_g and the orbit modulus read the split alone, and the questions
+    on the Hermite box build the core once."""
+    pres = _cold([[2, 1, 3, 0], [1, 5, 6, 0], [3, 6, 9, 0], [0, 0, 0, 5]])  # kernel (1, 1, -1, 0)
+    data = analysis(pres.matrix)
+    c = (0, 1, 1, 1)
+    assert is_torsion_class(pres, c) and not is_torsion_class(pres, (1, 0, 0, 0))
+    assert spin_c_equal(pres, c, (4, 3, 7, 1))  # c + 2 B e_0
+    theta_g(pres, c)
+    assert gamma_orbit_modulus(pres, c) == 0
+    assert "_core" not in data.__dict__ and len(data.split.kernel) == 1
+    core = data.core
+    assert core is data._core and core is not data and core.matrix.rows == 3
+    assert reduce_class(pres, (4, 3, 7, 1)) == reduce_class(pres, c)
+    assert homology_summary(pres).betti_1 == 1 and data.core is core
+    assert "hermite" in core.__dict__ and "hermite" not in data.__dict__
+    assert passes["smith"] == 0
 
 
 def _cold(rows):
