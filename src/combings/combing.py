@@ -114,14 +114,16 @@ def theta_g(pres: SurgeryPresentation, c: Sequence[int]) -> Fraction:
 
     c^T x - 2(n+1) - 3 sig(B) for any rational solution of B x = c; the
     quadratic term does not depend on the solution choice, and is read off
-    the integer form as c^T G c / L.
+    an integer form as c^T G c / L.  On a fresh B that form comes from one
+    (n+1)-square pass bordered by c alone (`MatrixAnalysis.form_on`); once
+    a pass has run, from `form`.
     """
     validate_combing(pres, c)
     data = analysis(pres.matrix)
-    form = data.form  # first: its pass also gives the signature read below
-    if not data.is_torsion(c):
+    form, (x,) = data.form_on((c,))  # first: its pass also gives the signature read below
+    if not form.is_torsion(x):
         raise NonTorsionError("combing coefficient vector is not torsion")
-    return Fraction(form.pair(c, c), form.L) + _theta_constant(data)
+    return Fraction(form.pair(x, x), form.L) + _theta_constant(data)
 
 
 def p1(x: CombingSpec) -> P1Value:
@@ -158,6 +160,7 @@ def combing_equal(x: CombingSpec, y: CombingSpec) -> bool:
     """
     if x.presentation != y.presentation:
         raise ValueError("combings live on different presentations")
+    analysis(x.presentation.matrix).form  # first: one pass answers every question below
     if not is_torsion_class(x.presentation, x.c):
         raise NonTorsionError("first combing is not torsion")
     if not is_torsion_class(y.presentation, y.c):

@@ -5,7 +5,8 @@ arbitrary-precision integers, with no Fraction and no floating point, so
 Smith and Hermite forms, kernels, signatures and the integer form G / L are
 exact and reproducible.  There is one fraction-free elimination, the
 symmetric Bareiss pass `_signature`: with an empty border it gives the
-signature and det B, with the border I also G / L and the kernel of B.  The
+signature and det B, with a border c also c^T B^+ c and whether c is
+torsion, with the border I all of G / L and the kernel of B.  The
 others are the Smith pass `_diagonalize`, the Hermite pass `_hermite`
 modulo a determinant, the Euclid steps `_euclid` of `_split` and
 `_echelon`, and the F_2 elimination `solve_mod2`.  Every lattice question
@@ -18,7 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import add, mul, sub
+from operator import add, mul
 from typing import Iterable, NamedTuple, Sequence
 
 Vector = tuple[int, ...]
@@ -316,8 +317,9 @@ def _signature(
     s: IntMatrix, border: Sequence[Sequence[int]] = ()
 ) -> tuple[SignatureTriple, int, IntegerForm]:
     """The inertia of s, det s, and the integer form of s on the columns of
-    a border C (given by its rows), from one symmetric Bareiss pass on
-    [[s, C], [C^T, 0]] (Bareiss 1968; Sylvester's law of inertia).
+    a border C of any width (given by its rows), from one symmetric Bareiss
+    pass on [[s, C], [C^T, 0]] (Bareiss 1968; Sylvester's law of inertia).
+    The width is read off the first row, so an empty s carries no border.
 
     Pivots are taken in s's block only.  Every step is a congruence by a
     matrix P of determinant +-1 there (a symmetric swap, or e_k -> e_k +
@@ -330,8 +332,9 @@ def _signature(
     first k pivots.  After all r of them the border block is -D_r C^T G_0 C,
     where G_0 = P diag(S^{-1}, 0) P^T over the pivot block S satisfies
     s G_0 s = s, the Schur complement being zero; with C = I and s
-    nonsingular the block is -adj s.  A row split off after k pivots holds
-    D_k z^T C in its border, for a z in ker s; those z span ker s over Q.
+    nonsingular the block is -adj s, and with C = c it is -D_r c^T G_0 c.
+    A row split off after k pivots holds D_k z^T C in its border, for a z in
+    ker s; those z span ker s over Q.
     """
     if not s.is_symmetric():
         raise ValueError("signature needs a symmetric matrix")
@@ -439,14 +442,16 @@ def _echelon(vectors: Sequence[Vector]) -> tuple[Vector, ...]:
 
 class KernelSplit(NamedTuple):
     """P = [W_1 | K] unimodular up to column order, K a basis of ker B cap
-    Z^n, and R_1 the rows of R = P^{-1} dual to W_1.  Then B = R_1^T B' R_1
-    for the nonsingular core B' = W_1^T B W_1, so coker B = coker B' + Z^k,
-    and R_1 G R_1^T / L = B'^{-1} for any G with B G B = L B.  A nonsingular
-    B has the trivial split: R_1 = W_1 = I, no K, and B' = B."""
+    Z^n, and R_1 and R_K the rows of R = P^{-1} dual to W_1 and to K, so
+    R_1^T W_1^T + R_K^T K^T = I.  Then B = R_1^T B' R_1 for the nonsingular
+    core B' = W_1^T B W_1, so coker B = coker B' + Z^k, and R_1 G R_1^T / L =
+    B'^{-1} for any G with B G B = L B.  A nonsingular B has the trivial
+    split: R_1 = W_1 = I, no K and no R_K, and B' = B."""
 
     rows: tuple[Vector, ...]
     columns: tuple[Vector, ...]
     kernel: tuple[Vector, ...]
+    kernel_rows: tuple[Vector, ...]
 
 
 def _split(kernel: Sequence[Vector], n: int) -> KernelSplit:
@@ -466,6 +471,7 @@ def _split(kernel: Sequence[Vector], n: int) -> KernelSplit:
         rows=tuple(tuple(z[i][k:]) for i in free),
         columns=tuple(map(tuple, (p[i] for i in free))),
         kernel=tuple(map(tuple, (p[i] for i in taken))),
+        kernel_rows=tuple(tuple(z[i][k:]) for i in taken),
     )
 
 
@@ -519,8 +525,11 @@ class IntegerForm:
     Either way x = G c / L solves B x = c for every torsion c = B a, since
     B G B a = L B a.  `kernel` holds the border of each row split off as a
     zero row of the Schur complement after k pivots: D_k times a vector of
-    ker B.  c is torsion iff it is orthogonal to each of them
-    (`MatrixAnalysis.is_torsion`).
+    ker B.  c is torsion iff it is orthogonal to each of them.
+
+    A pass bordered by other columns C gives the form of B on them: G / L =
+    C^T G_0 C and kernel rows D_k z^T C, so `pair` and `is_torsion` take
+    coordinates y of the vector C y (`MatrixAnalysis.form_on`).
     """
 
     G: tuple[Vector, ...]
@@ -530,6 +539,10 @@ class IntegerForm:
     def pair(self, v: Sequence[int], w: Sequence[int]) -> int:
         """v^T G w, which is L v^T x for the solution x = G w / L of B x = w."""
         return sum(map(mul, v, [sum(map(mul, row, w)) for row in self.G]))
+
+    def is_torsion(self, v: Sequence[int]) -> bool:
+        """v in the rational column space of B: orthogonal to each kernel row."""
+        return not any(sum(map(mul, k, v)) for k in self.kernel)
 
 
 @dataclass(frozen=True)
@@ -587,9 +600,11 @@ class MatrixAnalysis:
     Each field is computed on first use and kept while the matrix stays in
     the memo of `analysis`.  The signature and `form` come from the one
     symmetric Bareiss pass (`_signature`), with an empty border and with the
-    border I, and the torsion test reads them alone.  The lattice questions
-    read the `split` and the `hermite` of the `core`: the matrix itself when
-    it is nonsingular, which only `split` reads off the signature.
+    border I, and the torsion test reads them alone.  On a fresh entry,
+    `form_on` borders the pass by the vectors it is asked about instead.
+    The lattice questions read the `split` and the `hermite` of the `core`:
+    the matrix itself when it is nonsingular, which only `split` reads off
+    the signature.
     """
 
     def __init__(self, matrix: IntMatrix) -> None:
@@ -599,9 +614,23 @@ class MatrixAnalysis:
         """c in the rational column space of B, i.e. of a torsion class: B is
         symmetric, so c is orthogonal to the kernel (none if B is nonsingular,
         read off the signature; else spanned by `form.kernel`)."""
-        return self.signature.n_zero == 0 or not any(
-            sum(map(mul, k, c)) for k in self.form.kernel
-        )
+        return self.signature.n_zero == 0 or self.form.is_torsion(c)
+
+    def form_on(self, vectors: Sequence[Vector]) -> tuple[IntegerForm, Sequence[Vector]]:
+        """An integer form of B that pairs `vectors`, and their coordinates in it.
+
+        An entry that has run a pass reads `form`, in which each vector is
+        its own coordinates.  A fresh one runs one pass bordered by the
+        vectors alone, C = [v_1 ... v_m], which also gives the signature and
+        det B; v_j is then e_j, so v_i^T B^+ v_j = G_ij / L, and v_j is
+        torsion iff entry j of each kernel row is zero.  The empty B has no
+        row to carry a border and reads `form`.
+        """
+        if "form" in self.__dict__ or "_inertia" in self.__dict__ or not self.matrix.rows:
+            return self.form, vectors
+        sig, det, form = _signature(self.matrix, list(zip(*vectors)))
+        self.__dict__["_inertia"] = (sig, det)
+        return form, _identity_lists(len(vectors))
 
     def in_lattice(self, c: Sequence[int]) -> bool:
         """c in B Z^n: c is torsion and L divides R_1 G c, since
@@ -619,20 +648,23 @@ class MatrixAnalysis:
         class of y: the box is a fundamental domain of B' Z^r since H is
         triangular, and x is zero wherever h_ii = 1.  v + B u gives
         y + B' R_1 u, hence the same vector; the free part of v is kept.
+        As R_1^T W_1^T + R_K^T K^T = I, it is R_K^T K^T v + R_1^T x, and only
+        the nonzero entries of x are lifted.
         """
         split = self.split
-        y = [sum(map(mul, w, v)) for w in split.columns]
+        x = [sum(map(mul, w, v)) for w in split.columns]  # y, reduced in place
         # from the last coordinate up, subtract the multiple of column i
         # that brings x_i into [0, h_ii); it leaves the coordinates after i
-        x = list(y)
         for i, col in reversed(list(enumerate(self.core.hermite))):
             q = x[i] // col[i]
             if q:
                 x[: i + 1] = [a - q * h for a, h in zip(x, col)]
-        d = list(map(sub, y, x))
-        return tuple(
-            a - sum(b * row[j] for b, row in zip(d, split.rows)) for j, a in enumerate(v)
-        )
+        free = [sum(map(mul, z, v)) for z in split.kernel]  # K^T v
+        out = [0] * len(v)
+        for a, row in zip(free + x, split.kernel_rows + split.rows):
+            if a:
+                out = [b + a * r for b, r in zip(out, row)]
+        return tuple(out)
 
     @cached_property
     def _inertia(self) -> tuple[SignatureTriple, int]:

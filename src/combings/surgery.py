@@ -101,17 +101,19 @@ def meridian_pairing(
     Computed as -v^T x for the rational solution x = G w / L of B x = w
     (see linalg.IntegerForm); kernel components pair to zero against the
     torsion class v, so the value does not depend on the solution and is
-    symmetric in v and w.
+    symmetric in v and w.  On a fresh B the form comes from one pass
+    bordered by the distinct vectors among (v, w) alone
+    (`MatrixAnalysis.form_on`).
     """
     v = _check_length(pres, v)
     w = _check_length(pres, w)
-    data = analysis(pres.matrix)
-    form = data.form  # first: its pass also gives the signature read below
-    if not data.is_torsion(v):
+    form, coords = analysis(pres.matrix).form_on((v,) if v == w else (v, w))
+    x, y = coords[0], coords[-1]
+    if not form.is_torsion(x):
         raise NonTorsionError("first class is not torsion")
-    if not data.is_torsion(w):
+    if not form.is_torsion(y):
         raise NonTorsionError("second class is not torsion")
-    return Fraction(-form.pair(v, w), form.L)
+    return Fraction(-form.pair(x, y), form.L)
 
 
 def linking_form(pres: SurgeryPresentation, v: Sequence[int]) -> ModClass:

@@ -5,11 +5,13 @@ Seeded generators aim at the paths random matrices rarely reach: a hollow
 e_k -> e_k + e_partner step, and zero rows of the Schur complement.
 """
 
+import itertools
+import math
 import random
 from fractions import Fraction
 from operator import mul
 
-from combings.linalg import IntMatrix, _signature, analysis, signature
+from combings.linalg import IntMatrix, MatrixAnalysis, _signature, analysis, signature
 from combings.verify import random_symmetric
 
 from _oracles import eig_sign_counts, frac_inverse, frac_rank, frac_solve, naive_det
@@ -120,3 +122,44 @@ def test_form_solves_fraction_right_hand_sides():
         if solution is not None:
             x = [Fraction(sum(map(mul, row, c)), data.form.L) for row in data.form.G]
             assert [sum(map(mul, row, x)) for row in rows] == c
+
+
+def _torsion_and_free(rng, rows):
+    """An integer c in the column space of B (B a divided by the gcd of its
+    entries, so not always in B Z^n) and a random c, torsion only by chance
+    when B is singular."""
+    n = len(rows)
+    ba = [sum(row[j] * x for j, x in enumerate(rng.choices(range(-4, 5), k=n))) for row in rows]
+    g = math.gcd(*ba) or 1
+    return [x // g for x in ba], [rng.randint(-6, 6) for _ in range(n)]
+
+
+def test_border_by_vectors_against_form_and_fraction_solve():
+    """A fresh entry borders the pass by the vectors asked about
+    (`MatrixAnalysis.form_on`): it gives the signature and det of the empty
+    border, the torsion verdict and v^T B^+ w of the form route and of the
+    Fraction solve, for hollow, block, rank-deficient, random and empty B."""
+    rng = random.Random(7)
+    verdicts = set()
+    for rows in FAMILIES:
+        b = IntMatrix.from_rows(rows)
+        for v, w in itertools.permutations(_torsion_and_free(rng, rows)):
+            fresh, warm = MatrixAnalysis(b), MatrixAnalysis(b)
+            bordered, (x, y) = fresh.form_on((v, w))
+            assert fresh._inertia == _signature(b)[:2]
+            form = warm.form
+            for vector, coords in ((v, x), (w, y)):
+                solution = frac_solve(rows, vector)[0]
+                torsion = solution is not None
+                verdicts.add((b.rows > 0 and fresh.signature.n_zero > 0, torsion))
+                assert bordered.is_torsion(coords) == form.is_torsion(vector) == torsion, rows
+                assert warm.is_torsion(vector) == torsion
+            if bordered.is_torsion(x) and bordered.is_torsion(y):
+                want = sum(map(mul, v, frac_solve(rows, w)[0]), Fraction(0))
+                assert Fraction(bordered.pair(x, y), bordered.L) == want, rows
+                assert Fraction(form.pair(v, w), form.L) == want
+            one, (z,) = MatrixAnalysis(b).form_on((v,))
+            assert one.is_torsion(z) == bordered.is_torsion(x)
+            if one.is_torsion(z):
+                assert Fraction(one.pair(z, z), one.L) == Fraction(form.pair(v, v), form.L)
+    assert verdicts == {(False, True), (True, True), (True, False)}

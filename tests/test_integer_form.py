@@ -25,8 +25,11 @@ from _oracles import (
     unimodular_inverse,
 )
 from combings.combing import (
+    CombingSpec,
+    combing_equal,
     euler_class,
     gamma_orbit_modulus,
+    hf_grading,
     p1,
     p1_image,
     parity_check,
@@ -518,7 +521,7 @@ def test_nonsingular_b_is_its_own_core(index):
     b, n = pres.matrix, pres.n
     data = linalg.MatrixAnalysis(b)  # a fresh analysis, outside the memo
     identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    assert data.split == (identity, identity, ())
+    assert data.split == (identity, identity, (), ())
     assert "form" not in data.__dict__
     assert data.core is data and "_core" not in data.__dict__
     assert analysis(b).core is analysis(b)
@@ -683,6 +686,110 @@ def test_only_box_questions_build_the_singular_core(passes):
     assert homology_summary(pres).betti_1 == 1 and data.core is core
     assert "hermite" in core.__dict__ and "hermite" not in data.__dict__
     assert passes["smith"] == 0
+
+
+def test_cold_theta_borders_by_c_alone(passes):
+    """On a fresh nonsingular B, theta_g, p1, hf_grading and parity_check run
+    one pass bordered by c alone and build no integer form."""
+    b = [[3, 1, 0], [1, -2, 1], [0, 1, 4]]
+    c = (1, 0, 0)
+    want = _reference_theta(SurgeryPresentation.from_rows(b), c, -2 * 4 - 3 * 1)
+    for question in (
+        lambda pres: theta_g(pres, c) == want,
+        lambda pres: p1(CombingSpec(pres, c, 1)).value == want + 4,
+        lambda pres: hf_grading(CombingSpec(pres, c)) == (2 + want) / 4,
+        parity_check,
+    ):
+        analysis.cache_clear()
+        pres = _cold(b)
+        passes["widths"].clear()
+        assert question(pres)
+        assert passes["widths"] == [1]
+        assert "form" not in analysis(pres.matrix).__dict__
+    assert passes["smith"] == 0
+
+
+def test_cold_singular_theta_borders_by_c_alone(passes):
+    """A fresh singular B answers a torsion c, and refuses a non-torsion
+    one, from the one pass bordered by c."""
+    b = [[2, 1, 3], [1, 7, 8], [3, 8, 11]]  # kernel (1, 1, -1)
+    c = (0, 1, 1)
+    pres = _cold(b)
+    passes["widths"].clear()
+    assert theta_g(pres, c) == _reference_theta(pres, c, _theta_constant(pres))
+    assert passes["widths"] == [1]
+    analysis.cache_clear()
+    pres = _cold(b)
+    passes["widths"].clear()
+    with pytest.raises(NonTorsionError, match="not torsion"):
+        theta_g(pres, (0, 1, 3))
+    assert passes["widths"] == [1]
+    assert "form" not in analysis(pres.matrix).__dict__
+
+
+def test_theta_scan_runs_at_most_one_extra_pass(passes):
+    """The second theta_g on one B finds a pass run and builds form once;
+    every later one reads it."""
+    b = [[3, 1, 0, 2], [1, -2, 1, 0], [0, 1, 4, -1], [2, 0, -1, 5]]
+    pres = _cold(b)
+    c_ref = analysis(pres.matrix).c_ref
+    passes["widths"].clear()
+    values = [theta_g(pres, tuple(x + 2 * k for x in c_ref)) for k in range(2)]
+    assert passes["widths"] == [1, 4]
+    values += [theta_g(pres, tuple(x + 2 * k for x in c_ref)) for k in range(2, 100)]
+    assert passes["widths"] == [1, 4]
+    for k in (0, 1, 57, 99):
+        c = tuple(x + 2 * k for x in c_ref)
+        assert values[k] == _reference_theta(pres, c, _theta_constant(pres))
+
+
+def test_cold_meridian_pairing_borders_by_its_vectors(passes):
+    """meridian_pairing on a fresh B borders the pass by its distinct
+    vectors: width 2 for v != w, width 1 for v == w."""
+    b = [[5, 2, 1], [2, -3, 0], [1, 0, 7]]
+    v, w = (1, 0, 2), (0, 3, -1)
+    for args, width in (((v, w), 2), ((w, v), 2), ((v, v), 1)):
+        analysis.cache_clear()
+        pres = _cold(b)
+        passes["widths"].clear()
+        got = meridian_pairing(pres, *args)
+        assert passes["widths"] == [width]
+        x = _solution(pres, args[1])
+        assert got == -sum((Fraction(a) * y for a, y in zip(args[0], x)), Fraction(0))
+    analysis.cache_clear()
+    pres = _cold([[2, 1, 3], [1, 7, 8], [3, 8, 11]])  # kernel (1, 1, -1)
+    with pytest.raises(NonTorsionError, match="second class"):
+        meridian_pairing(pres, (0, 1, 1), (1, 0, 0))
+    assert linking_form(pres, (0, 1, 1)) == ModClass(-_reference_theta(pres, (0, 1, 1), 0), 1)
+
+
+def test_empty_presentation_reads_form(passes):
+    """S^3 has no row to carry a border: theta_g, p1, parity_check and the
+    self-linking of the empty class read `form`, an empty pass."""
+    s3 = _cold([])
+    passes["widths"].clear()
+    assert theta_g(s3, ()) == -2
+    assert p1(CombingSpec(s3, (), 1)).value == 2
+    assert parity_check(s3)
+    assert meridian_pairing(s3, (), ()) == 0
+    assert passes["widths"] == [0]
+
+
+def test_cold_combing_equal_runs_one_pass(passes):
+    """combing_equal reads form first, so the torsion tests, spin_c_equal
+    and both p1 values come from one pass bordered by I."""
+    b = [[3, 1, 0], [1, -2, 1], [0, 1, 4]]
+    c, other = (1, 0, 0), (7, 2, 0)  # c + 2 B e_0, so theta_g grows by 4 (c_0 + b_00)
+    for gamma_offset, equal in ((-4, True), (0, False)):
+        analysis.cache_clear()
+        pres = _cold(b)
+        passes["widths"].clear()
+        assert combing_equal(CombingSpec(pres, c), CombingSpec(pres, other, gamma_offset)) == equal
+        assert passes["widths"] == [3]
+    singular = _cold([[2, 1, 3], [1, 7, 8], [3, 8, 11]])  # kernel (1, 1, -1)
+    for x, y, message in (((0, 1, 3), (0, 1, 1), "first"), ((0, 1, 1), (0, 1, 3), "second")):
+        with pytest.raises(NonTorsionError, match=message):
+            combing_equal(CombingSpec(singular, x), CombingSpec(singular, y))
 
 
 def _cold(rows):
