@@ -49,11 +49,11 @@ from .framed import (
 )
 from .surgery import (
     DEFAULT_CAP,
-    ModClass,
     SurgeryPresentation,
-    enumerate_torsion,
+    format_residue,
     homology_summary,
     linking_form,
+    torsion_residues,
 )
 from .theta import ThetaInput, theta_invariant
 from .verify import format_report, run_battery
@@ -143,9 +143,9 @@ def _bool(value: bool) -> str:
     return "true" if value else "false"
 
 
-def _residues(classes: frozenset[ModClass]) -> str:
-    ordered = sorted(classes, key=lambda m: m.value)
-    return ", ".join(str(m) for m in ordered)
+def _residues(residues: frozenset[int], L: int, m: int) -> str:
+    """The classes r / L mod m, in increasing order, as ModClass prints them."""
+    return ", ".join(format_residue(r, L, m) for r in sorted(residues))
 
 
 def _cmd_homology(args, doc: Document) -> str:
@@ -160,20 +160,21 @@ def _cmd_homology(args, doc: Document) -> str:
     return json.dumps(obj, indent=2)
 
 
-def _enumeration_json(entries: tuple[tuple[tuple[int, ...], ModClass], ...]) -> str:
-    """`json.dumps([{"class": [...], "ell": str(ell)}, ...], indent=2)`,
-    byte for byte.  json's indented encoder runs in Python, so the fixed
-    layout is written here: each distinct ModClass is formatted and quoted by
-    json once, and each coordinate is written as json writes an int, its
-    repr."""
+def _enumeration_json(L: int, entries: tuple[tuple[tuple[int, ...], int], ...]) -> str:
+    """`json.dumps([{"class": [...], "ell": str(ell)}, ...], indent=2)` of
+    `enumerate_torsion`, byte for byte, from the residues r of
+    `torsion_residues` (ell = r / L mod 1).  json's indented encoder runs in
+    Python, so the fixed layout is written here: each distinct residue is
+    formatted and quoted by json once, and each coordinate is written as json
+    writes an int, its repr."""
     if not entries:
         return "[]"
-    ells: dict[ModClass, str] = {}
+    ells: dict[int, str] = {}
     items = []
-    for rep, ell in entries:
-        text = ells.get(ell)
+    for rep, r in entries:
+        text = ells.get(r)
         if text is None:
-            text = ells[ell] = json.dumps(str(ell))
+            text = ells[r] = json.dumps(format_residue(r, L, 1))
         cls = "[\n      " + ",\n      ".join(map(repr, rep)) + "\n    ]" if rep else "[]"
         items.append(f'  {{\n    "class": {cls},\n    "ell": {text}\n  }}')
     return "[\n" + ",\n".join(items) + "\n]"
@@ -183,7 +184,7 @@ def _cmd_linking_form(args, doc: Document) -> str:
     pres = _presentation(doc)
     if doc.meridian is not None:
         return str(linking_form(pres, doc.meridian))
-    return _enumeration_json(enumerate_torsion(pres, cap=args.cap))
+    return _enumeration_json(*torsion_residues(pres, cap=args.cap))
 
 
 def _cmd_theta_g(args, doc: Document) -> str:
@@ -221,8 +222,8 @@ def _cmd_image_p1(args, doc: Document) -> str:
     )
     return "\n".join(
         [
-            f"formula: {_residues(report.formula_side)}",
-            f"enumeration: {_residues(report.enumeration_side)}",
+            f"formula: {_residues(report.formula_residues, report.denominator, 4)}",
+            f"enumeration: {_residues(report.enumeration_residues, report.denominator, 4)}",
             f"check: {check}",
         ]
     )

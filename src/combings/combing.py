@@ -287,17 +287,31 @@ def apply_modification(
 class P1ImageReport:
     """Image of p_1 on torsion combings, mod 4Z, from both routes.
 
-    formula_side comes from p_1(reference) - 4*linking form over the torsion
-    subgroup; enumeration_side sweeps characteristic torsion vectors within
-    the box.  The enumeration is always a subset and equals the formula side
-    once the box passes a presentation-dependent threshold.
+    The formula side comes from p_1(reference) - 4*linking form over the
+    torsion subgroup; the enumeration side sweeps characteristic torsion
+    vectors within the box.  The enumeration is always a subset and equals
+    the formula side once the box passes a presentation-dependent threshold.
+    Each side is held as the residues p_1 * denominator mod 4 * denominator;
+    `formula_side` and `enumeration_side` give them as ModClass values.
     """
 
-    formula_side: frozenset[ModClass]
-    enumeration_side: frozenset[ModClass]
+    denominator: int
+    formula_residues: frozenset[int]
+    enumeration_residues: frozenset[int]
     is_subset: bool
     is_equal: bool
     box: int
+
+    def _classes(self, residues: frozenset[int]) -> frozenset[ModClass]:
+        return frozenset(ModClass(Fraction(r, self.denominator), MOD_4Z) for r in residues)
+
+    @property
+    def formula_side(self) -> frozenset[ModClass]:
+        return self._classes(self.formula_residues)
+
+    @property
+    def enumeration_side(self) -> frozenset[ModClass]:
+        return self._classes(self.enumeration_residues)
 
 
 def p1_image(
@@ -341,12 +355,10 @@ def p1_image(
         if data.is_torsion(c)
     }
 
-    def classes(residues: set[int]) -> frozenset[ModClass]:
-        return frozenset(ModClass(Fraction(r, form.L), MOD_4Z) for r in residues)
-
     return P1ImageReport(
-        formula_side=classes(formula),
-        enumeration_side=classes(enumeration),
+        denominator=form.L,
+        formula_residues=frozenset(formula),
+        enumeration_residues=frozenset(enumeration),
         is_subset=enumeration <= formula,
         is_equal=enumeration == formula,
         box=box,

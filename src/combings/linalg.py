@@ -652,7 +652,8 @@ class MatrixAnalysis:
         the nonzero entries of x are lifted.
         """
         split = self.split
-        x = [sum(map(mul, w, v)) for w in split.columns]  # y, reduced in place
+        # y, reduced in place; W_1 = I when the split has no kernel
+        x = [sum(map(mul, w, v)) for w in split.columns] if split.kernel else list(v)
         # from the last coordinate up, subtract the multiple of column i
         # that brings x_i into [0, h_ii); it leaves the coordinates after i
         for i, col in reversed(list(enumerate(self.core.hermite))):
@@ -705,8 +706,11 @@ class MatrixAnalysis:
 
     @cached_property
     def _lattice_rows(self) -> tuple[Vector, ...]:
-        """The rows of R_1 G (G is symmetric, so entry j of r^T G is r . G_j)."""
+        """The rows of R_1 G (G is symmetric, so entry j of r^T G is r . G_j);
+        G itself when the split has no kernel, since then R_1 = I."""
         g = self.form.G
+        if not self.split.kernel:
+            return g
         return tuple(tuple(sum(map(mul, r, gj)) for gj in g) for r in self.split.rows)
 
     @cached_property

@@ -9,6 +9,7 @@ stabilization arithmetic (see the combing module).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -72,6 +73,14 @@ class ModClass:
 
     def __str__(self) -> str:
         return f"{self.value} (mod {self.modulus})"
+
+
+def format_residue(r: int, L: int, m: int) -> str:
+    """`str(ModClass(Fraction(r, L), m))` for 0 <= r < m L, without building
+    either: r / L in lowest terms, an integer when the denominator is 1."""
+    g = math.gcd(r, L)
+    p, q = r // g, L // g
+    return f"{p} (mod {m})" if q == 1 else f"{p}/{q} (mod {m})"
 
 
 def homology_summary(pres: SurgeryPresentation) -> HomologySummary:
@@ -144,15 +153,17 @@ def classes_equal(
     return reduce_class(pres, v) == reduce_class(pres, w)
 
 
-def enumerate_torsion(
+def torsion_residues(
     pres: SurgeryPresentation, cap: int = DEFAULT_CAP
-) -> tuple[tuple[MeridianClass, ModClass], ...]:
-    """One representative per torsion class of H_1, with its linking-form
-    value, from the box coordinates of linalg.TorsionForm, each factor d_i
-    enumerated 0..d_i-1 with the first varying slowest, so the output order
-    is reproducible; each value is read off its k x k form.  The box is the
-    Hermite box of the core B' lifted by R_1^T (B itself when nonsingular),
-    so every representative is the one `reduce_class` returns.
+) -> tuple[int, tuple[tuple[MeridianClass, int], ...]]:
+    """(L, ((rep, r), ...)): one representative per torsion class of H_1 with
+    the residue r in [0, L) of its linking-form value r / L mod 1.
+
+    The representatives are the box coordinates of linalg.TorsionForm, each
+    factor d_i enumerated 0..d_i-1 with the first varying slowest, so the
+    output order is reproducible; each r is read off the k x k form.  The box
+    is the Hermite box of the core B' lifted by R_1^T (B itself when
+    nonsingular), so every representative is the one `reduce_class` returns.
     """
     if cap < 0:
         raise ValueError(f"cap must be nonnegative, got {cap}")
@@ -160,12 +171,20 @@ def enumerate_torsion(
     if summary.torsion_order > cap:
         raise CapExceededError(summary.torsion_order, cap)
     tf = analysis(pres.matrix).torsion_form
+    return tf.L, tuple((tf.lift(y), tf.residue(y)) for y in tf.coordinates())
+
+
+def enumerate_torsion(
+    pres: SurgeryPresentation, cap: int = DEFAULT_CAP
+) -> tuple[tuple[MeridianClass, ModClass], ...]:
+    """`torsion_residues` with each value as a ModClass mod Z, one object
+    per distinct value."""
+    L, entries = torsion_residues(pres, cap)
     values: dict[int, ModClass] = {}
     out = []
-    for y in tf.coordinates():
-        r = tf.residue(y)
+    for rep, r in entries:
         ell = values.get(r)
         if ell is None:
-            ell = values[r] = ModClass(Fraction(r, tf.L), MOD_Z)
-        out.append((tf.lift(y), ell))
+            ell = values[r] = ModClass(Fraction(r, L), MOD_Z)
+        out.append((rep, ell))
     return tuple(out)

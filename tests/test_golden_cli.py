@@ -145,6 +145,9 @@ def _documents():
             "linking_matrix": [[2, 1], [1, 2]],
             "combing": {"c": [1, 0], "gamma": 0},
         }),
+        # no meridian, so linking-form prints the whole enumeration
+        ("lens12-classes", with_reference([[12]])),
+        ("singular-z2z6", with_reference([[4, 2, 6], [2, -2, 0], [6, 0, 6]])),
     ]
 
 

@@ -534,6 +534,15 @@ def test_nonsingular_b_is_its_own_core(index):
     assert data._lattice_rows == form.G
 
 
+@pytest.mark.parametrize("index", range(len(HERMITE_PRESENTATIONS)))
+def test_nonsingular_lattice_rows_are_g(index):
+    """R_1 = I on a nonsingular B, so in_lattice reads the rows of G itself,
+    with no product by the identity."""
+    _, pres = HERMITE_PRESENTATIONS[index]
+    data = linalg.MatrixAnalysis(pres.matrix)
+    assert data._lattice_rows is data.form.G
+
+
 def test_hermite_presentations_cover_edges():
     orders = [abs(_det(p.matrix)) for _, p in HERMITE_PRESENTATIONS]
     assert sum(1 for d in orders if d <= 3000) >= len(orders) // 3
