@@ -324,8 +324,8 @@ def p1_image(
     if cap < 0 or box < 0:
         raise ValueError(f"cap and box must be nonnegative, got cap={cap}, box={box}")
     data = analysis(pres.matrix)
-    form = data.form  # first: its pass also gives the det B the Hermite form reads
-    torsion_order = data.homology.torsion_order
+    tf = data.torsion_form
+    torsion_order = math.prod(tf.factors)
     if torsion_order > cap:
         raise CapExceededError(torsion_order, cap)
     # the v in [-box, box] with v = b_ii mod 2, as lazy ranges whose length is
@@ -341,13 +341,13 @@ def p1_image(
         raise CapExceededError(torsion_order, cap, message)
 
     # residues of c^T G c + const L modulo 4L, i.e. of theta_g mod 4 times L
+    form = data.form
     shift = _theta_constant(data) * form.L
     modulus = 4 * form.L
     # p_1(reference) L = ref is an integer and lk(x, x) = r / L (mod 1) for the
     # residue r of the torsion form, so p_1(reference) - 4 lk(x, x) is
     # (ref - 4 r) / L modulo 4
     ref = form.pair(data.c_ref, data.c_ref) + shift
-    tf = data.torsion_form
     formula = {(ref - 4 * tf.residue(y)) % modulus for y in tf.coordinates()}
     enumeration = {
         (form.pair(c, c) + shift) % modulus

@@ -130,107 +130,65 @@ def _identity_lists(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _diagonalize(
-    m: list[list[int]], u: list[list[int]] | None = None, v: list[list[int]] | None = None
-) -> None:
-    """Bring m to Smith normal form in place by unimodular row and column
-    operations, repeating each row operation on u and each column operation
-    on v where they are given.
+def _diagonalize(m: list[list[int]], r: int | None = None, c: int | None = None) -> None:
+    """Bring the r x c matrix A to Smith normal form in place by unimodular
+    row and column operations.  With r and c given, m is the bordered matrix
+    [[A, I_r], [I_c, 0]]: the row operations, on the first r rows, carry U
+    in its right block, and the column operations, on the first c columns,
+    carry V in its bottom block, so U A V = D.  Without them, m is A alone.
 
-    The pivot is always the smallest nonzero entry in absolute value, ties
-    broken by lowest row then column, so the operations are reproducible.
+    The pivot is always the smallest nonzero entry of A in absolute value,
+    ties broken by lowest row then column, so the operations are
+    reproducible.
     """
-    r = len(m)
-    c = len(m[0]) if m else 0
-    row_mats = (m,) if u is None else (m, u)
-    col_mats = (m,) if v is None else (m, v)
-
-    def swap_rows(i: int, j: int) -> None:
-        for x in row_mats:
-            x[i], x[j] = x[j], x[i]
-
-    def swap_cols(i: int, j: int) -> None:
-        for x in col_mats:
-            for row in x:
-                row[i], row[j] = row[j], row[i]
-
-    def negate_row(i: int) -> None:
-        for x in row_mats:
-            x[i] = [-y for y in x[i]]
-
-    def row_sub(i: int, j: int, q: int) -> None:
-        if q:
-            for x in row_mats:
-                x[i] = [a - q * b for a, b in zip(x[i], x[j])]
-
-    def col_sub(i: int, j: int, q: int) -> None:
-        if q:
-            for x in col_mats:
-                for row in x:
-                    row[i] -= q * row[j]
-
+    if r is None or c is None:
+        r, c = len(m), len(m[0]) if m else 0
     t = 0
-    bound = min(r, c)
-    while t < bound:
-        best = None
-        for i in range(t, r):
-            for j in range(t, c):
-                e = m[i][j]
-                if e and (best is None or abs(e) < best[0]):
-                    best = (abs(e), i, j)
+    while t < min(r, c):
+        entries = ((abs(m[i][j]), i, j) for i in range(t, r) for j in range(t, c) if m[i][j])
+        best = min(entries, default=None)
         if best is None:
             break
         _, pi, pj = best
-        if pi != t:
-            swap_rows(t, pi)
+        m[t], m[pi] = m[pi], m[t]
         if pj != t:
-            swap_cols(t, pj)
+            for row in m:
+                row[t], row[pj] = row[pj], row[t]
         if m[t][t] < 0:
-            negate_row(t)
+            m[t] = [-y for y in m[t]]
         p = m[t][t]
         for i in range(t + 1, r):
-            row_sub(i, t, m[i][t] // p)
+            if q := m[i][t] // p:
+                m[i] = [a - q * b for a, b in zip(m[i], m[t])]
         for j in range(t + 1, c):
-            col_sub(j, t, m[t][j] // p)
-        if any(m[i][t] for i in range(t + 1, r)) or any(
-            m[t][j] for j in range(t + 1, c)
-        ):
+            if q := m[t][j] // p:
+                for row in m:
+                    row[j] -= q * row[t]
+        if any(m[i][t] for i in range(t + 1, r)) or any(m[t][j] for j in range(t + 1, c)):
             continue  # a remainder smaller than the pivot appeared; re-pivot
-        bad_row = None
-        for i in range(t + 1, r):
-            if any(m[i][j] % p for j in range(t + 1, c)):
-                bad_row = i
-                break
-        if bad_row is not None:
-            row_sub(t, bad_row, -1)  # pull the non-multiple into row t
-            continue
-        t += 1
-
-
-def _smith(a: IntMatrix) -> SnfResult:
-    """Smith normal form U * A * V = D (see `_diagonalize`)."""
-    m = a.to_rows()
-    u = _identity_lists(a.rows)
-    v = _identity_lists(a.cols)
-    _diagonalize(m, u, v)
-    return SnfResult(
-        U=IntMatrix.from_rows(u),
-        D=IntMatrix.from_rows(m) if a.rows else IntMatrix(0, a.cols, ()),
-        V=IntMatrix.from_rows(v),
-    )
+        rest = range(t + 1, c)
+        bad = next((i for i in range(t + 1, r) if any(m[i][j] % p for j in rest)), None)
+        if bad is None:
+            t += 1
+        else:  # pull the non-multiple into row t
+            m[t] = [a + b for a, b in zip(m[t], m[bad])]
 
 
 def smith_normal_form(a: IntMatrix) -> SnfResult:
-    """Diagonalize an integer matrix by unimodular row/column operations.
-
-    The pivot is always the smallest nonzero entry in absolute value, ties
-    broken by lowest row then column, so U and V are reproducible.  Built
-    afresh on each call, never kept in a memo: its transforms grow with the
-    pivoting (thousands of bits at n = 40), and no question on a symmetric B
-    reads them.  It stays public as the tests' reference and for the
-    benchmark's warm-up.
-    """
-    return _smith(a)
+    """U A V = D by one pass of `_diagonalize` on [[A, I], [I, 0]], whose
+    pivoting makes U and V reproducible.  Built afresh on each call, never
+    kept in a memo: its transforms grow with the pivoting (thousands of bits
+    at n = 40), and no question on a symmetric B reads them.  It stays
+    public as the tests' reference and for the benchmark's warm-up."""
+    r, c = a.rows, a.cols
+    m = [row + e for row, e in zip(a.to_rows(), _identity_lists(r))]
+    m += [e + [0] * r for e in _identity_lists(c)]
+    _diagonalize(m, r, c)
+    return SnfResult(
+        U=IntMatrix(r, r, tuple(x for row in m[:r] for x in row[c:])),
+        D=IntMatrix(r, c, tuple(x for row in m[:r] for x in row[:c])),
+        V=IntMatrix(c, c, tuple(x for row in m[r:] for x in row[:c])),
+    )
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -579,15 +537,15 @@ class TorsionForm:
 
 
 def _torsion_form(
-    hermite: Sequence[Vector], form: IntegerForm, rows: Sequence[Vector]
+    box: Sequence[Vector], form: IntegerForm, rows: Sequence[Vector]
 ) -> TorsionForm:
     """The generators are the rows of R_1 at the positions i with h_ii > 1
-    of the core's Hermite form, and Q_ij = g_i^T G g_j mod L."""
-    positions = tuple(i for i, col in enumerate(hermite) if col[-1] > 1)
+    of the box, and Q_ij = g_i^T G g_j mod L."""
+    positions = tuple(i for i, col in enumerate(box) if col[-1] > 1)
     g = [rows[i] for i in positions]
     g_images = [[sum(map(mul, row, gj)) for row in form.G] for gj in g]  # G g_j
     return TorsionForm(
-        factors=tuple(hermite[i][-1] for i in positions),
+        factors=tuple(box[i][-1] for i in positions),
         generators=tuple(tuple(gj[row] for gj in g) for row in range(len(form.G))),
         Q=tuple(tuple(sum(map(mul, gi, ggj)) % form.L for ggj in g_images) for gi in g),
         L=form.L,
@@ -602,9 +560,9 @@ class MatrixAnalysis:
     symmetric Bareiss pass (`_signature`), with an empty border and with the
     border I, and the torsion test reads them alone.  On a fresh entry,
     `form_on` borders the pass by the vectors it is asked about instead.
-    The lattice questions read the `split` and the `hermite` of the `core`:
-    the matrix itself when it is nonsingular, which only `split` reads off
-    the signature.
+    The lattice questions read the `split` and the `box`, the Hermite form
+    of the nonsingular core: the matrix itself when it is nonsingular,
+    which only `split` reads off the signature.
     """
 
     def __init__(self, matrix: IntMatrix) -> None:
@@ -656,7 +614,7 @@ class MatrixAnalysis:
         x = [sum(map(mul, w, v)) for w in split.columns] if split.kernel else list(v)
         # from the last coordinate up, subtract the multiple of column i
         # that brings x_i into [0, h_ii); it leaves the coordinates after i
-        for i, col in reversed(list(enumerate(self.core.hermite))):
+        for i, col in reversed(list(enumerate(self.box))):
             q = x[i] // col[i]
             if q:
                 x[: i + 1] = [a - q * h for a, h in zip(x, col)]
@@ -677,32 +635,24 @@ class MatrixAnalysis:
         return self._inertia[0]
 
     @cached_property
-    def hermite(self) -> tuple[Vector, ...]:
-        """The columns of the Hermite form H of B Z^n (see `_hermite`) for a
-        nonsingular symmetric B, read through `core`; its modulus |det B| is
-        the last pivot of the signature pass."""
-        return _hermite(self.matrix.to_rows(), self._inertia[1])
-
-    @cached_property
     def split(self) -> KernelSplit:
         """The split along ker B; a nonsingular B gets the trivial one, without `form`."""
         kernel = self.form.kernel if self.signature.n_zero else ()
         return _split(kernel, self.matrix.rows)
 
-    @property
-    def core(self) -> "MatrixAnalysis":
-        """B' = W_1^T B W_1, or this analysis when the split has no kernel."""
-        return self._core if self.split.kernel else self
-
     @cached_property
-    def _core(self) -> "MatrixAnalysis":
-        """The core of a singular B, kept here and not in the memo of `analysis`;
-        apart from `core`, so no entry holds itself and eviction frees it at once."""
-        w = self.split.columns
-        bw = [self.matrix.matvec(col) for col in w]
-        return MatrixAnalysis(
-            IntMatrix.from_rows([[sum(map(mul, wi, x)) for x in bw] for wi in w])
-        )
+    def box(self) -> tuple[Vector, ...]:
+        """The columns of the Hermite form H of B' Z^r (see `_hermite`) for
+        the nonsingular core B' = W_1^T B W_1 of the split, whose box
+        0 <= x_i < h_ii is a fundamental domain of B' Z^r.  A nonsingular B
+        is its own core, with modulus det B from the signature pass; a
+        singular B runs one more pass, on B', for det B'."""
+        split = self.split
+        if not split.kernel:
+            return _hermite(self.matrix.to_rows(), self._inertia[1])
+        bw = [self.matrix.matvec(w) for w in split.columns]
+        core = [[sum(map(mul, wi, x)) for x in bw] for wi in split.columns]
+        return _hermite(core, _signature(IntMatrix.from_rows(core))[1])
 
     @cached_property
     def _lattice_rows(self) -> tuple[Vector, ...]:
@@ -718,7 +668,7 @@ class MatrixAnalysis:
         # coker B = coker B' + Z^k.  A row of the core's H with h_ii = 1 is
         # e_i^T, so coker B' is Z^T / H[T, T] over the positions T with
         # h_ii > 1; its Smith form runs on that |T| x |T| block only
-        cols = self.core.hermite
+        cols = self.box
         t = [i for i, col in enumerate(cols) if col[i] > 1]
         block = [[cols[j][i] if i <= j else 0 for j in t] for i in t]
         _diagonalize(block)
@@ -761,7 +711,8 @@ class MatrixAnalysis:
 
     @cached_property
     def torsion_form(self) -> TorsionForm:
-        return _torsion_form(self.core.hermite, self.form, self.split.rows)
+        form = self.form  # first: its pass also gives the det B the box reads
+        return _torsion_form(self.box, form, self.split.rows)
 
 
 # The library's one per-matrix cache.  32 entries hold every presentation of

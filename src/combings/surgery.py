@@ -167,10 +167,10 @@ def torsion_residues(
     """
     if cap < 0:
         raise ValueError(f"cap must be nonnegative, got {cap}")
-    summary = homology_summary(pres)
-    if summary.torsion_order > cap:
-        raise CapExceededError(summary.torsion_order, cap)
     tf = analysis(pres.matrix).torsion_form
+    order = math.prod(tf.factors)
+    if order > cap:
+        raise CapExceededError(order, cap)
     return tf.L, tuple((tf.lift(y), tf.residue(y)) for y in tf.coordinates())
 
 

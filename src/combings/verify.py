@@ -421,15 +421,28 @@ def check_injectivity(rng: random.Random, cases: int) -> CheckResult:
 
 
 def check_telescoping(rng: random.Random, cases: int) -> CheckResult:
+    """The variation of p_1 as a linking number, along a path x -> y -> z of
+    torsion Spin^c structures: for torsion v,
+    p_1(c + 2v, j) - p_1(c, j) = -4 (lk(v, c) + lk(v, v)).  Each step v is
+    an integer combination of the saturation basis; both steps and the
+    whole path must obey the law."""
     failures = 0
     for _ in range(cases):
         pres = random_presentation(rng, max_n=4)
         x = random_torsion_combing(rng, pres)
-        y = random_torsion_combing(rng, pres)
-        z = random_torsion_combing(rng, pres)
-        lhs = p1(z).value - p1(x).value
-        rhs = (p1(z).value - p1(y).value) + (p1(y).value - p1(x).value)
-        failures += lhs != rhs
+        basis = saturation_basis(pres)
+        v1, v2 = (
+            tuple(sum(a * b[i] for a, b in zip(coefficients, basis)) for i in range(pres.n))
+            for coefficients in [[rng.randint(-2, 2) for _ in basis] for _ in range(2)]
+        )
+        y = CombingSpec(pres, tuple(c + 2 * v for c, v in zip(x.c, v1)), x.gamma_offset)
+        z = CombingSpec(pres, tuple(c + 2 * v for c, v in zip(y.c, v2)), x.gamma_offset)
+        w = tuple(a + b for a, b in zip(v1, v2))
+        failures += any(
+            p1(end).value - p1(start).value
+            != -4 * (meridian_pairing(pres, v, start.c) + meridian_pairing(pres, v, v))
+            for start, end, v in ((x, y, v1), (y, z, v2), (x, z, w))
+        )
     return CheckResult("variation-telescoping", cases, failures)
 
 

@@ -55,6 +55,7 @@ from combings.surgery import (
     linking_form,
     meridian_pairing,
     reduce_class,
+    torsion_residues,
 )
 from combings.verify import (
     random_symmetric,
@@ -485,7 +486,7 @@ def test_hermite_route_matches_smith_reference(index):
     assert summary.invariant_factors == tuple(d for d in snf.diag if d > 1)
     assert summary.dim_h1_mod2 == sum(1 for d in snf.diag if d % 2 == 0)
     assert (summary.torsion_order, summary.betti_1, summary.kernel_basis) == (order, 0, ())
-    hermite = analysis(b).hermite
+    hermite = analysis(b).box
     diag = [col[-1] for col in hermite]
     for j, col in enumerate(hermite):
         assert all(0 <= x < d for x, d in zip(col[:j], diag)) and col[j] > 0
@@ -514,7 +515,8 @@ def test_hermite_route_matches_smith_reference(index):
 @pytest.mark.parametrize("index", range(len(HERMITE_PRESENTATIONS)))
 def test_nonsingular_b_is_its_own_core(index):
     """A nonsingular B gets the trivial split from the signature, without
-    the integer form, and is its own core.  The torsion form of the one
+    the integer form, and is its own core: its box is the Hermite form of B,
+    built by the first box question only.  The torsion form of the one
     lattice route then has the generators e_i at the positions T with
     h_ii > 1 and Q = G[T, T] mod L, and in_lattice reads the rows of G."""
     _, pres = HERMITE_PRESENTATIONS[index]
@@ -522,12 +524,13 @@ def test_nonsingular_b_is_its_own_core(index):
     data = linalg.MatrixAnalysis(b)  # a fresh analysis, outside the memo
     identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     assert data.split == (identity, identity, (), ())
-    assert "form" not in data.__dict__
-    assert data.core is data and "_core" not in data.__dict__
-    assert analysis(b).core is analysis(b)
-    form, hermite = data.form, data.hermite
+    assert "form" not in data.__dict__ and "box" not in data.__dict__
+    hermite = data.box
+    assert hermite == linalg._hermite(b.to_rows(), _det(b))
+    form = data.form
     positions = [i for i, col in enumerate(hermite) if col[-1] > 1]
     tf = data.torsion_form
+    assert data.box is hermite
     assert tf.factors == tuple(hermite[i][-1] for i in positions)
     assert tf.generators == tuple(tuple(int(k == i) for i in positions) for k in range(n))
     assert tf.Q == tuple(tuple(form.G[i][j] % form.L for j in positions) for i in positions)
@@ -578,9 +581,9 @@ def test_form_is_generalized_inverse():
 def passes(monkeypatch):
     """An empty memo, and a log of the border width of each symmetric pass
     (`linalg._signature`) and of the number of Smith forms with transforms
-    (`linalg._smith`) built from here on."""
+    (`linalg.smith_normal_form`) built from here on."""
     log = {"widths": [], "smith": 0}
-    signature_pass, smith = linalg._signature, linalg._smith
+    signature_pass, smith = linalg._signature, linalg.smith_normal_form
 
     def counting_signature(s, border=()):
         log["widths"].append(len(border[0]) if border else 0)
@@ -591,25 +594,25 @@ def passes(monkeypatch):
         return smith(a)
 
     monkeypatch.setattr(linalg, "_signature", counting_signature)
-    monkeypatch.setattr(linalg, "_smith", counting_smith)
+    monkeypatch.setattr(linalg, "smith_normal_form", counting_smith)
     analysis.cache_clear()
     return log
 
 
 def test_singular_questions_build_only_what_they_read(passes):
-    """On singular B, form builds neither the core nor the signature, and
+    """On singular B, form builds neither the box nor the signature, and
     spin_c_equal answers from form and the split: one pass, bordered by I,
-    with no core and no Smith form."""
+    with no box and no Smith form."""
     pres = SurgeryPresentation.from_rows([[2, 1, 3], [1, 5, 6], [3, 6, 9]])
     data = analysis(pres.matrix)
     data.form
-    assert "core" not in data.__dict__ and "signature" not in data.__dict__
+    assert "box" not in data.__dict__ and "signature" not in data.__dict__
     pres = _cold([[4, 1, 5], [1, 3, 4], [5, 4, 9]])
     passes["widths"].clear()
     assert spin_c_equal(pres, (0, 1, 1), (8, 3, 11))
     assert not spin_c_equal(pres, (0, 1, 1), (2, 1, 1))
     assert passes == {"widths": [3], "smith": 0}
-    assert "core" not in analysis(pres.matrix).__dict__
+    assert "box" not in analysis(pres.matrix).__dict__
 
 
 def test_cold_questions_run_one_pass(passes):
@@ -628,6 +631,25 @@ def test_cold_questions_run_one_pass(passes):
         passes["widths"].clear()
         question(_cold(b))
         assert passes["widths"] == [3]
+    assert passes["smith"] == 0
+
+
+def test_cold_torsion_walk_reads_the_torsion_form(passes):
+    """torsion_residues (linking-form) and p1_image take the torsion order
+    from the factors of the torsion form, which reads form before the box:
+    one pass bordered by I on a nonsingular B, plus the core's empty pass
+    on a singular one, and no homology summary."""
+    for rows, widths in (
+        ([[3, 1, 0], [1, -2, 1], [0, 1, 4]], [3]),
+        ([[2, 1, 3], [1, 5, 6], [3, 6, 9]], [3, 0]),  # kernel (1, 1, -1)
+    ):
+        for question in (torsion_residues, lambda pres: p1_image(pres, box=1)):
+            analysis.cache_clear()
+            pres = _cold(rows)
+            passes["widths"].clear()
+            question(pres)
+            assert passes["widths"] == widths
+            assert "homology" not in analysis(pres.matrix).__dict__
     assert passes["smith"] == 0
 
 
@@ -651,11 +673,11 @@ def test_nonsingular_questions_build_no_smith_form(passes):
     singular = SurgeryPresentation.from_rows([[1, 2, 0], [2, 4, 0], [0, 0, 3]])
     assert is_torsion_class(singular, (1, 2, 5))
     assert not is_torsion_class(singular, (1, 0, 0))
-    assert "core" not in analysis(singular.matrix).__dict__
+    assert "box" not in analysis(singular.matrix).__dict__
     singular = _cold([[2, 1, 3], [1, 7, 8], [3, 8, 11]])
     c = (0, 1, 1)
     assert theta_g(singular, c) == _reference_theta(singular, c, _theta_constant(singular))
-    assert "core" not in analysis(singular.matrix).__dict__ and passes["smith"] == 0
+    assert "box" not in analysis(singular.matrix).__dict__ and passes["smith"] == 0
     # the lattice questions read the Hermite form; a singular B reads that
     # of its core, and its kernel basis is the echelon basis of the lattice
     pres = SurgeryPresentation.from_rows([[2, 1, 0, 1], [1, -3, 1, 0], [0, 1, 4, 1], [1, 0, 1, -2]])
@@ -669,18 +691,18 @@ def test_nonsingular_questions_build_no_smith_form(passes):
     p1_image(pres, box=1)
     assert parity_check(pres)
     assert gamma_orbit_modulus(pres, data.c_ref) == 0
-    assert "hermite" in data.__dict__ and passes["smith"] == 0
+    assert "box" in data.__dict__ and passes["smith"] == 0
     singular = SurgeryPresentation.from_rows([[2, 1, 3], [1, 2, 3], [3, 3, 6]])
     got = homology_summary(singular).kernel_basis
-    assert "hermite" not in analysis(singular.matrix).__dict__
-    assert "hermite" in analysis(singular.matrix).core.__dict__ and passes["smith"] == 0
+    assert "box" in analysis(singular.matrix).__dict__ and passes["smith"] == 0
     assert got == echelon(smith_kernel(singular.matrix)) == ((1, 1, -1),)
 
 
 def test_only_box_questions_build_the_singular_core(passes):
-    """A singular B keeps its core as `_core`: the torsion test, in_lattice,
-    theta_g and the orbit modulus read the split alone, and the questions
-    on the Hermite box build the core once."""
+    """A singular B keeps the box of its core as `box`: the torsion test,
+    in_lattice, theta_g and the orbit modulus read the split alone, and the
+    questions on the Hermite box build it once, with one more pass, on the
+    core."""
     pres = _cold([[2, 1, 3, 0], [1, 5, 6, 0], [3, 6, 9, 0], [0, 0, 0, 5]])  # kernel (1, 1, -1, 0)
     data = analysis(pres.matrix)
     c = (0, 1, 1, 1)
@@ -688,12 +710,13 @@ def test_only_box_questions_build_the_singular_core(passes):
     assert spin_c_equal(pres, c, (4, 3, 7, 1))  # c + 2 B e_0
     theta_g(pres, c)
     assert gamma_orbit_modulus(pres, c) == 0
-    assert "_core" not in data.__dict__ and len(data.split.kernel) == 1
-    core = data.core
-    assert core is data._core and core is not data and core.matrix.rows == 3
+    assert "box" not in data.__dict__ and len(data.split.kernel) == 1
+    passes["widths"].clear()
     assert reduce_class(pres, (4, 3, 7, 1)) == reduce_class(pres, c)
-    assert homology_summary(pres).betti_1 == 1 and data.core is core
-    assert "hermite" in core.__dict__ and "hermite" not in data.__dict__
+    box = data.box
+    assert len(box) == 3 and passes["widths"] == [0]  # the core's empty pass
+    assert homology_summary(pres).betti_1 == 1 and len(enumerate_torsion(pres)) == 45
+    assert data.box is box and passes["widths"] == [0]
     assert passes["smith"] == 0
 
 
@@ -811,8 +834,8 @@ def test_signature_level_questions_build_no_homology():
     """parity_check reads dim H_1(M; F_2) off the F_2 elimination of c_ref
     and betti_1 off the signature, gamma_orbit_modulus on nonsingular B
     reads the signature alone, and on singular B the kernel basis of the
-    split: none builds the homology summary, the Hermite form or the core."""
-    built = {"homology", "hermite", "core"}
+    split: none builds the homology summary or the box."""
+    built = {"homology", "box"}
     for rows in (
         [[3, 2, 0, 1], [2, -5, 1, 0], [0, 1, 6, 2], [1, 0, 2, -7]],  # nonsingular
         [[2, 1, 3, 0], [1, 5, 6, 0], [3, 6, 9, 0], [0, 0, 0, 0]],  # rank 2

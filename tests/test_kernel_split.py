@@ -204,8 +204,8 @@ def test_singular_commands_build_no_smith_form(monkeypatch):
                      "combing2": {"c": c2, "gamma": 1},
                      "framed": {"lambda_matrix": [["1"]], "classes": [v]}})
     calls = []
-    smith = linalg._smith
-    monkeypatch.setattr(linalg, "_smith", lambda a: calls.append(a) or smith(a))
+    smith = linalg.smith_normal_form
+    monkeypatch.setattr(linalg, "smith_normal_form", lambda a: calls.append(a) or smith(a))
     analysis.cache_clear()
     for doc in docs:
         for argv in (["homology"], ["framed-class"], ["linking-form"], ["spinc-equal"],
