@@ -164,20 +164,16 @@ def _enumeration_json(L: int, entries: tuple[tuple[tuple[int, ...], int], ...]) 
     """`json.dumps([{"class": [...], "ell": str(ell)}, ...], indent=2)` of
     `enumerate_torsion`, byte for byte, from the residues r of
     `torsion_residues` (ell = r / L mod 1).  json's indented encoder runs in
-    Python, so the fixed layout is written here: each distinct residue is
-    formatted and quoted by json once, and each coordinate is written as json
-    writes an int, its repr."""
+    Python, so the fixed layout is one `%` template for the n coordinates,
+    each written as json writes an int (`%d` is its repr), and each
+    distinct residue is formatted and quoted by json once."""
     if not entries:
         return "[]"
-    ells: dict[int, str] = {}
-    items = []
-    for rep, r in entries:
-        text = ells.get(r)
-        if text is None:
-            text = ells[r] = json.dumps(format_residue(r, L, 1))
-        cls = "[\n      " + ",\n      ".join(map(repr, rep)) + "\n    ]" if rep else "[]"
-        items.append(f'  {{\n    "class": {cls},\n    "ell": {text}\n  }}')
-    return "[\n" + ",\n".join(items) + "\n]"
+    n = len(entries[0][0])
+    cls = "[\n      " + ",\n      ".join(["%d"] * n) + "\n    ]" if n else "[]"
+    item = '  {\n    "class": ' + cls + ',\n    "ell": %s\n  }'
+    ells = {r: json.dumps(format_residue(r, L, 1)) for r in {r for _, r in entries}}
+    return "[\n" + ",\n".join([item % (*rep, ells[r]) for rep, r in entries]) + "\n]"
 
 
 def _cmd_linking_form(args, doc: Document) -> str:

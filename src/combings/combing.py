@@ -348,7 +348,7 @@ def p1_image(
     # residue r of the torsion form, so p_1(reference) - 4 lk(x, x) is
     # (ref - 4 r) / L modulo 4
     ref = form.pair(data.c_ref, data.c_ref) + shift
-    formula = {(ref - 4 * tf.residue(y)) % modulus for y in tf.coordinates()}
+    formula = {(ref - 4 * r) % modulus for r in set(tf.table()[1])}
     enumeration = {
         (form.pair(c, c) + shift) % modulus
         for c in itertools.product(*ranges)

@@ -19,7 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import add, mul
+from operator import add, mod, mul
 from typing import Iterable, NamedTuple, Sequence
 
 Vector = tuple[int, ...]
@@ -514,7 +514,7 @@ class TorsionForm:
     itself when nonsingular): over the i with h_ii > 1, d_i = h_ii and
     g_i = R_1^T e_i, so `generators` y is the class's `reduce` (the d_i need
     not be invariant factors).  The k x k matrix Q_ij = g_i^T G g_j mod L
-    gives v^T G v = y^T Q y (mod L).
+    gives v^T G v = y^T Q y (mod L).  `table` walks the whole box.
     """
 
     factors: tuple[int, ...]
@@ -522,18 +522,38 @@ class TorsionForm:
     Q: tuple[Vector, ...]
     L: int
 
-    def coordinates(self) -> Iterable[Vector]:
-        """The coordinates of every torsion class, each factor 0..d_i-1,
-        the first factor varying slowest."""
-        return itertools.product(*(range(d) for d in self.factors))
-
-    def lift(self, y: Sequence[int]) -> Vector:
-        """`generators` y: the meridian vector of the class with coordinates y."""
-        return tuple(sum(map(mul, row, y)) for row in self.generators)
-
-    def residue(self, y: Sequence[int]) -> int:
-        """r = -(y^T Q y) mod L, so the class has self-linking r / L mod 1."""
-        return -sum(a * sum(map(mul, row, y)) for a, row in zip(y, self.Q)) % self.L
+    def table(self, lifts: bool = False) -> tuple[list[Vector], list[int]]:
+        """(reps, residues) over the box in `itertools.product` order, the
+        first factor slowest: r = -(y^T Q y) mod L, the class of y has
+        self-linking r / L mod 1 and, if `lifts`, meridian vector `generators` y
+        (else `reps` is empty).  A unit step of y_j adds 2 (Q y)_j + Q_jj to
+        y^T Q y, row j of Q to Q y and g_j to the lift; along the last factor the
+        first differences step by 2 Q_ll: O(1) per residue, O(n) per lift."""
+        n, L, Q, factors = len(self.generators), self.L, self.Q, self.factors
+        if not factors:
+            return [(0,) * n] if lifts else [], [0]
+        g, last = list(zip(*self.generators)), len(factors) - 1
+        prefixes = [(0, [0] * len(factors), (0,) * n)]  # y^T Q y mod L, Q y, lift
+        for j in range(last):  # the prefixes of length j + 1, in product order
+            longer = []
+            for q, s, b in prefixes:
+                for _ in range(factors[j]):
+                    longer.append((q, s, b))
+                    q = (q + 2 * s[j] + Q[j][j]) % L
+                    s = list(map(add, s, Q[j]))
+                    b = tuple(map(add, b, g[j])) if lifts else b
+            prefixes = longer
+        d, qll, gl, accumulate = factors[last], Q[last][last], g[last], itertools.accumulate
+        second, modulus = (-2 * qll,) * (d - 2), (L,) * d
+        reps: list[Vector] = []
+        residues: list[int] = []
+        for q, s, b in prefixes:
+            diffs = accumulate(second, initial=-2 * s[last] - qll)
+            residues.extend(map(mod, accumulate(diffs, initial=-q), modulus))
+            if lifts:
+                reps.extend(zip(*[range(x, x + d * y, y) if y else itertools.repeat(x, d)
+                                  for x, y in zip(b, gl)]))
+        return reps, residues
 
 
 def _torsion_form(

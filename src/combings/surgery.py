@@ -159,10 +159,10 @@ def torsion_residues(
     """(L, ((rep, r), ...)): one representative per torsion class of H_1 with
     the residue r in [0, L) of its linking-form value r / L mod 1.
 
-    The representatives are the box coordinates of linalg.TorsionForm, each
-    factor d_i enumerated 0..d_i-1 with the first varying slowest, so the
-    output order is reproducible; each r is read off the k x k form.  The box
-    is the Hermite box of the core B' lifted by R_1^T (B itself when
+    The representatives lift the box points of linalg.TorsionForm, the first
+    factor varying slowest, so the output order is reproducible; one walk of
+    the box by finite differences (`TorsionForm.table`) gives them all.  The
+    box is the Hermite box of the core B' lifted by R_1^T (B itself when
     nonsingular), so every representative is the one `reduce_class` returns.
     """
     if cap < 0:
@@ -171,7 +171,7 @@ def torsion_residues(
     order = math.prod(tf.factors)
     if order > cap:
         raise CapExceededError(order, cap)
-    return tf.L, tuple((tf.lift(y), tf.residue(y)) for y in tf.coordinates())
+    return tf.L, tuple(zip(*tf.table(lifts=True)))
 
 
 def enumerate_torsion(

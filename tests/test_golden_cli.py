@@ -148,6 +148,9 @@ def _documents():
         # no meridian, so linking-form prints the whole enumeration
         ("lens12-classes", with_reference([[12]])),
         ("singular-z2z6", with_reference([[4, 2, 6], [2, -2, 0], [6, 0, 6]])),
+        # a nonsingular B with three box factors (5, 3, 2), the last one small,
+        # and an off-diagonal torsion form
+        ("three-factor", with_reference([[2, 3, 0], [3, -5, 2], [0, 2, -2]])),
     ]
 
 

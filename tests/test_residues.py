@@ -1,13 +1,19 @@
-"""The torsion residues print exactly as their ModClass values do.
+"""The torsion residues print exactly as their ModClass values do, and the
+table they come from holds the torsion form at every box point.
 
 `linking-form` and `image-p1` print integer residues over the torsion
 form's denominator L.  Their stdout is compared with what the ModClass
 values of `enumerate_torsion` and `p1_image` print, on seeded
 presentations: lens spaces L(d, 1) up to d ~ 2000, signed permutations of
 A_k, random n <= 4, singular B with torsion, unimodular B and the empty B.
+`TorsionForm.table`, which builds the residues and lifts by finite
+differences, is compared point by point with -(y^T Q y) mod L and
+`generators` y computed directly, on boxes with no factor, one factor, a
+small last or first factor, eight factors and a singular B.
 """
 
 import io
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -15,7 +21,8 @@ from fractions import Fraction
 import pytest
 
 from combings.cli import main
-from combings.combing import p1_image
+from combings.combing import p1, p1_image, reference_parallelization
+from combings.linalg import analysis
 from combings.surgery import ModClass, SurgeryPresentation, enumerate_torsion, format_residue
 from combings.verify import random_symmetric
 
@@ -108,3 +115,44 @@ def test_presentations_cover_their_kinds():
 def test_format_residue_is_modclass_str(L, m):
     for r in range(m * L):
         assert format_residue(r, L, m) == str(ModClass(Fraction(r, L), m))
+
+
+def _diag(*d):
+    return [[d[i] if i == j else 0 for j in range(len(d))] for i in range(len(d))]
+
+
+# (name, rows, box factors of the torsion form)
+TABLE_CASES = [
+    ("unimodular2", [[2, 1], [1, 1]], ()),
+    ("empty", [], ()),
+    *((f"lens{d}", [[d]], (abs(d),)) for d in (2, 97, -7, 2048)),
+    ("small-last", _diag(898, 2), (898, 2)),
+    ("three-factor", [[2, 3, 0], [3, -5, 2], [0, 2, -2]], (5, 3, 2)),
+    ("small-first", _diag(2, 898), (2, 898)),
+    ("eight-twos", _diag(*[2] * 8), (2,) * 8),
+    ("singular", [[4, 2, 6], [2, -2, 0], [6, 0, 6]], (2, 6)),
+]
+
+
+@pytest.mark.parametrize("name, rows, factors", TABLE_CASES, ids=[c[0] for c in TABLE_CASES])
+def test_table_is_the_form_at_every_box_point(name, rows, factors):
+    """Residue and lift of the i-th box point of `itertools.product`, as
+    -(y^T Q y) mod L and `generators` y; without lifts, the same residues.
+    The formula side of `p1_image` is p_1(reference) L - 4 r mod 4L over
+    those residues."""
+    pres = SurgeryPresentation.from_rows(rows)
+    tf = analysis(pres.matrix).torsion_form
+    assert tf.factors == factors
+    if name == "three-factor":  # the box pairs its coordinates
+        assert any(tf.Q[i][j] for i in range(3) for j in range(3) if i != j)
+    points = list(itertools.product(*(range(d) for d in tf.factors)))
+    want_r = [-sum(tf.Q[i][j] * y[i] * y[j] for i in range(len(y)) for j in range(len(y))) % tf.L
+              for y in points]
+    want_lifts = [tuple(sum(g * t for g, t in zip(row, y)) for row in tf.generators)
+                  for y in points]
+    assert tf.table(lifts=True) == (want_lifts, want_r)
+    assert tf.table() == ([], want_r)
+    ref = p1(reference_parallelization(pres)).value * tf.L
+    assert ref.denominator == 1
+    formula = {(int(ref) - 4 * r) % (4 * tf.L) for r in want_r}
+    assert p1_image(pres, box=0).formula_residues == formula
