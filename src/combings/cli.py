@@ -56,7 +56,6 @@ from .surgery import (
     torsion_residues,
 )
 from .theta import ThetaInput, theta_invariant
-from .verify import format_report, run_battery
 
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs) -> None:
@@ -324,6 +323,8 @@ def main(
     try:
         args = parser.parse_args(argv)
         if args.command == "verify":
+            from .verify import format_report, run_battery  # only this command reads it
+
             results = run_battery(seed=args.seed)
             _write(args, stdout, format_report(results, args.seed))
             return 0 if all(r.ok for r in results) else 2

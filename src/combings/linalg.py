@@ -8,8 +8,9 @@ symmetric Bareiss pass `_signature`: with an empty border it gives the
 signature and det B, with a border c also c^T B^+ c and whether c is
 torsion, with the border I all of G / L and the kernel of B.  The
 others are the Smith pass `_diagonalize`, the Hermite pass `_hermite`
-modulo a determinant, the Euclid steps `_euclid` of `_split` and
-`_echelon`, and the F_2 elimination `solve_mod2`.  Every lattice question
+(its working vectors matter modulo a determinant and are reduced only where
+they are read), the Euclid steps `_euclid` of `_split` and `_echelon`, and
+the F_2 elimination `solve_mod2`.  Every lattice question
 reads one box, the Hermite box of the nonsingular core of B.
 """
 
@@ -204,9 +205,9 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 def _hermite(b: list[list[int]], det: int) -> tuple[Vector, ...]:
     """The columns of the Hermite normal form H of B Z^n for a symmetric B
-    with det B = det != 0, computed with every entry kept modulo a
-    determinant (Domich-Kannan-Trotter 1987; Cohen, A Course in
-    Computational Algebraic Number Theory, Alg. 2.4.8).
+    with det B = det != 0, computed modulo a determinant
+    (Domich-Kannan-Trotter 1987; Cohen, A Course in Computational Algebraic
+    Number Theory, Alg. 2.4.8).  b is not modified.
 
     H Z^n = B Z^n, H is upper triangular with h_ii > 0, and 0 <= h_ij < h_ii
     for j > i; such an H is unique.  Column j is returned as its entries
@@ -215,44 +216,57 @@ def _hermite(b: list[list[int]], det: int) -> tuple[Vector, ...]:
     B is symmetric, so its rows generate B Z^n.  Coordinates are taken from
     the last to the first.  At coordinate i the lattice left is the part of
     B Z^n supported on coordinates 0..i, of determinant r, so it contains
-    r Z^{i+1} and the working vectors may be reduced modulo r.  Unimodular
-    gcd steps gather coordinate i of the working vectors into one vector p;
-    with u p_i = g = gcd(p_i, r) mod r, column i is u p with h_ii = g, and
-    the lattice left for coordinates 0..i-1 has determinant r / g.  Each
-    column built earlier is then reduced at coordinate i by column i.
+    r Z^{i+1} and a working vector matters only modulo r.  It is reduced
+    lazily: its coordinate i when read as a coefficient, the whole vector
+    once when it becomes the pivot p.  Unimodular gcd steps gather
+    coordinate i of the working vectors into p; while p_i = 1 a step is
+    w - c p with no reduction, so entries grow only additively.  With
+    u p_i = g = gcd(p_i, r) mod r, column i is (u p mod r, g) with h_ii = g,
+    and the lattice left for coordinates 0..i-1 has determinant r / g.
+
+    The columns are then finished from the first: column j is reduced by
+    the finished columns i = j-1, ..., 0.  A finished column is zero at
+    every row k with h_kk = 1, so each step touches only the rows with
+    h_kk > 1 and row i.
     """
     r = abs(det)
-    work = [[x % r for x in row] for row in b]
-    columns: list[list[int]] = []
+    work = list(b)
+    tails = []
     for i in reversed(range(len(b))):
-        p = work.pop()
+        row = work.pop()
+        p = [x % r for x in row[:i]]
+        a = row[i] % r
         rest = []
         for w in work:
-            c = w[i]
-            if c:
-                g, u, v = _xgcd(p[i], c)
-                a, c = p[i] // g, c // g
-                # a 2 x 2 step of determinant u a + v c = 1; w loses coordinate i
-                p, w = (
-                    [(u * x + v * y) % r for x, y in zip(p, w)] if v else p,
-                    [(a * y - c * x) % r for x, y in zip(p[:i], w)],
-                )
+            c = w[i] % r
+            if not c:
+                rest.append(w)
+            elif a == 1:
+                rest.append([y - c * x for x, y in zip(p, w)])
             else:
-                del w[i:]
-            rest.append(w)
-        g, u, _ = _xgcd(p[i], r)
-        if g > 1:
-            r //= g
-            rest = [[x % r for x in w] for w in rest]
-        tail = [u * x % r for x in p[:i]]
-        for col in columns:
-            q = col[i] // g
-            if q or g > 1:
-                col[i] -= q * g
-                col[:i] = [(x - q * y) % r for x, y in zip(col, tail)]
-        columns.append(tail + [g])
+                g, u, v = _xgcd(a, c)
+                s, t = a // g, c // g
+                # a 2 x 2 step of determinant u s + v t = 1; w loses coordinate i
+                rest.append([(s * y - t * x) % r for x, y in zip(p, w)])
+                if v:
+                    p = [(u * x + v * y) % r for x, y in zip(p, w)]
+                a = g
+        g, u, _ = _xgcd(a, r)
+        r //= g
+        tails.append([u * x % r for x in p] + [g])
         work = rest
-    return tuple(map(tuple, reversed(columns)))
+    columns: list[Vector] = []
+    # the nonzero entries (k, h_kj) of each finished column
+    sparse: list[list[tuple[int, int]]] = []
+    for j, col in enumerate(reversed(tails)):
+        for i in reversed(range(j)):
+            q = col[i] // columns[i][i]
+            if q:
+                for k, h in sparse[i]:
+                    col[k] -= q * h
+        sparse.append([(k, x) for k, x in enumerate(col) if x])
+        columns.append(tuple(col))
+    return tuple(columns)
 
 
 class SignatureTriple(NamedTuple):

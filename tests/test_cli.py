@@ -2,8 +2,11 @@
 
 import io
 import json
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 from combings import cli
 from combings.cli import build_parser, main
@@ -363,3 +366,13 @@ class TestLongIntegers:
         code, out, err = run(argv, S3)
         assert (code, out) == (1, "")
         assert err.startswith("error: parse: argument --lk-par: Exceeds the limit")
+
+
+def test_cli_import_leaves_verify_out():
+    """Only the verify command reads the verify battery, so a fresh process
+    that imports the CLI does not load it."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    code = "import sys, combings.cli; print('combings.verify' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
