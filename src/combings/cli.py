@@ -160,12 +160,12 @@ def _cmd_homology(args, doc: Document) -> str:
 
 
 def _enumeration_json(L: int, entries: tuple[tuple[tuple[int, ...], int], ...]) -> str:
-    """`json.dumps([{"class": [...], "ell": str(ell)}, ...], indent=2)` of
-    `enumerate_torsion`, byte for byte, from the residues r of
-    `torsion_residues` (ell = r / L mod 1).  json's indented encoder runs in
-    Python, so the fixed layout is one `%` template for the n coordinates,
-    each written as json writes an int (`%d` is its repr), and each
-    distinct residue is formatted and quoted by json once."""
+    """`json.dumps([{"class": [...], "ell": format_residue(r, L, 1)}, ...],
+    indent=2)` over the entries (rep, r) of `torsion_residues`, byte for
+    byte (ell = r / L mod 1).  json's indented encoder runs in Python, so
+    the fixed layout is one `%` template for the n coordinates, each
+    written as json writes an int (`%d` is its repr), and each distinct
+    residue is formatted and quoted by json once."""
     if not entries:
         return "[]"
     n = len(entries[0][0])

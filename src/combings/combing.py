@@ -30,9 +30,7 @@ from .errors import (
 from .linalg import IntMatrix, MatrixAnalysis, analysis
 from .surgery import (
     DEFAULT_CAP,
-    MOD_4Z,
     MeridianClass,
-    ModClass,
     SurgeryPresentation,
     _check_length,
     is_torsion_class,
@@ -83,10 +81,6 @@ class P1Value:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "value", Fraction(self.value))
-
-    @property
-    def is_integral(self) -> bool:
-        return self.value.denominator == 1
 
 
 def euler_class(pres: SurgeryPresentation, c: Sequence[int]) -> EulerClassInfo:
@@ -291,8 +285,7 @@ class P1ImageReport:
     torsion subgroup; the enumeration side sweeps characteristic torsion
     vectors within the box.  The enumeration is always a subset and equals
     the formula side once the box passes a presentation-dependent threshold.
-    Each side is held as the residues p_1 * denominator mod 4 * denominator;
-    `formula_side` and `enumeration_side` give them as ModClass values.
+    Each side is held as the residues p_1 * denominator mod 4 * denominator.
     """
 
     denominator: int
@@ -301,17 +294,6 @@ class P1ImageReport:
     is_subset: bool
     is_equal: bool
     box: int
-
-    def _classes(self, residues: frozenset[int]) -> frozenset[ModClass]:
-        return frozenset(ModClass(Fraction(r, self.denominator), MOD_4Z) for r in residues)
-
-    @property
-    def formula_side(self) -> frozenset[ModClass]:
-        return self._classes(self.formula_residues)
-
-    @property
-    def enumeration_side(self) -> frozenset[ModClass]:
-        return self._classes(self.enumeration_residues)
 
 
 def p1_image(

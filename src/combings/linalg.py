@@ -10,8 +10,9 @@ torsion, with the border I all of G / L and the kernel of B.  The
 others are the Smith pass `_diagonalize`, the Hermite pass `_hermite`
 (its working vectors matter modulo a determinant and are reduced only where
 they are read), the Euclid steps `_euclid` of `_split` and `_echelon`, and
-the F_2 elimination `solve_mod2`.  Every lattice question
-reads one box, the Hermite box of the nonsingular core of B.
+the F_2 elimination `solve_mod2`.  Every class question
+reads one box, the Hermite box of the nonsingular core of B; membership in
+B Z^n reads the rows of R_1 G instead (`MatrixAnalysis.in_lattice`).
 """
 
 from __future__ import annotations
@@ -594,9 +595,11 @@ class MatrixAnalysis:
     symmetric Bareiss pass (`_signature`), with an empty border and with the
     border I, and the torsion test reads them alone.  On a fresh entry,
     `form_on` borders the pass by the vectors it is asked about instead.
-    The lattice questions read the `split` and the `box`, the Hermite form
-    of the nonsingular core: the matrix itself when it is nonsingular,
-    which only `split` reads off the signature.
+    The class questions (`reduce`, `homology`, `torsion_form`) read the
+    `split` and the `box`, the Hermite form of the nonsingular core: the
+    matrix itself when it is nonsingular, which only `split` reads off the
+    signature.  Membership (`in_lattice`) reads the split and `form`, not
+    the box: most vectors outside B Z^n fail at the first row of R_1 G.
     """
 
     def __init__(self, matrix: IntMatrix) -> None:

@@ -29,7 +29,6 @@ DEFAULT_CAP = 10_000
 MeridianClass = Vector
 
 MOD_Z = Fraction(1)
-MOD_4Z = Fraction(4)
 
 
 @dataclass(frozen=True)
@@ -173,18 +172,3 @@ def torsion_residues(
         raise CapExceededError(order, cap)
     return tf.L, tuple(zip(*tf.table(lifts=True)))
 
-
-def enumerate_torsion(
-    pres: SurgeryPresentation, cap: int = DEFAULT_CAP
-) -> tuple[tuple[MeridianClass, ModClass], ...]:
-    """`torsion_residues` with each value as a ModClass mod Z, one object
-    per distinct value."""
-    L, entries = torsion_residues(pres, cap)
-    values: dict[int, ModClass] = {}
-    out = []
-    for rep, r in entries:
-        ell = values.get(r)
-        if ell is None:
-            ell = values[r] = ModClass(Fraction(r, L), MOD_Z)
-        out.append((rep, ell))
-    return tuple(out)

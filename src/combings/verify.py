@@ -40,11 +40,11 @@ from .linalg import (
 )
 from .surgery import (
     SurgeryPresentation,
-    enumerate_torsion,
     homology_summary,
     linking_form,
     meridian_pairing,
     reduce_class,
+    torsion_residues,
 )
 from .theta import ThetaInput, theta_invariant
 
@@ -235,11 +235,13 @@ def check_torsion_enumeration(rng: random.Random, cases: int) -> CheckResult:
     for matrix in BUILTIN_MATRICES:
         pres = SurgeryPresentation.from_rows(matrix)
         summary = homology_summary(pres)
-        classes = enumerate_torsion(pres, cap=10_000)
+        L, classes = torsion_residues(pres, cap=10_000)
         ok = len(classes) == summary.torsion_order == len({rep for rep, _ in classes})
         # canonical representatives, valued by the pairing G and not the table
-        ok = ok and all(reduce_class(pres, rep) == rep and ell == linking_form(pres, rep)
-                        for rep, ell in classes)
+        ok = ok and all(
+            reduce_class(pres, rep) == rep and linking_form(pres, rep).value == Fraction(r, L)
+            for rep, r in classes
+        )
         d = analysis(pres.matrix)._inertia[1]  # det B, from the signature pass
         if d:
             ok = ok and len(classes) == abs(d)

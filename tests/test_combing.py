@@ -32,7 +32,7 @@ from combings.errors import (
     NonTorsionError,
     NotCharacteristicError,
 )
-from combings.surgery import EMPTY_PRESENTATION, ModClass, SurgeryPresentation
+from combings.surgery import EMPTY_PRESENTATION, SurgeryPresentation
 from combings.verify import (
     random_presentation,
     random_torsion_characteristic,
@@ -357,32 +357,37 @@ class TestModifications:
         assert got.value == 3
 
 
+def _p1_values(report, residues):
+    """A side of a P1ImageReport as p_1 values in [0, 4): the residues are
+    p_1 * denominator modulo 4 * denominator."""
+    assert all(0 <= r < 4 * report.denominator for r in residues)
+    return {Fraction(r, report.denominator) for r in residues}
+
+
 class TestP1Image:
     def test_rp3(self):
         report = p1_image(pres([[2]]), box=8)
-        expected = {ModClass(Fraction(1), Fraction(4)), ModClass(Fraction(3), Fraction(4))}
-        assert set(report.formula_side) == expected
-        assert set(report.enumeration_side) == expected
+        expected = {Fraction(1), Fraction(3)}
+        assert _p1_values(report, report.formula_residues) == expected
+        assert _p1_values(report, report.enumeration_residues) == expected
         assert report.is_subset and report.is_equal
 
     def test_rp3_enumeration_oracle(self):
         # independent oracle: theta_g on c = 2k is 2k^2 - 7
-        residues = {ModClass(Fraction(2 * k * k - 7), Fraction(4)) for k in range(-4, 5)}
-        assert set(p1_image(pres([[2]]), box=8).enumeration_side) == residues
+        values = {Fraction(2 * k * k - 7) % 4 for k in range(-4, 5)}
+        report = p1_image(pres([[2]]), box=8)
+        assert _p1_values(report, report.enumeration_residues) == values
 
     def test_s3(self):
         report = p1_image(S3, box=4)
-        assert set(report.formula_side) == {ModClass(Fraction(2), Fraction(4))}
+        assert _p1_values(report, report.formula_residues) == {Fraction(2)}
         assert report.is_equal
 
     def test_lens_three(self):
         report = p1_image(pres([[3]]), box=9)
         ref = p1(reference_parallelization(pres([[3]]))).value
-        expected = {
-            ModClass(ref, Fraction(4)),
-            ModClass(ref - 4 * Fraction(2, 3), Fraction(4)),
-        }
-        assert set(report.formula_side) == expected
+        expected = {ref % 4, (ref - 4 * Fraction(2, 3)) % 4}
+        assert _p1_values(report, report.formula_residues) == expected
         assert report.is_equal
 
     def test_subset_even_for_small_boxes(self):
@@ -394,7 +399,7 @@ class TestP1Image:
 
     def test_singular_presentation(self):
         report = p1_image(pres([[0]]), box=6)
-        assert set(report.formula_side) == {ModClass(Fraction(0), Fraction(4))}
+        assert _p1_values(report, report.formula_residues) == {Fraction(0)}
         assert report.is_equal
 
     def test_torsion_cap_comes_before_sweep_cap(self):

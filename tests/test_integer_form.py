@@ -49,7 +49,6 @@ from combings.surgery import (
     ModClass,
     SurgeryPresentation,
     classes_equal,
-    enumerate_torsion,
     homology_summary,
     is_torsion_class,
     linking_form,
@@ -189,9 +188,10 @@ def test_singular_form_agrees_with_references_on_wide_kernel(index):
     assert diag.count(0) >= 2
     _assert_generalized_inverse(pres.matrix)
     _check_against_references(rng, pres)
-    for rep, ell in enumerate_torsion(pres, cap=5000):
+    L, classes = torsion_residues(pres, cap=5000)
+    for rep, r in classes:
         x = _solution(pres, rep)
-        assert ell.value == -sum((Fraction(a) * b for a, b in zip(rep, x)), Fraction(0)) % 1
+        assert Fraction(r, L) == -sum((Fraction(a) * b for a, b in zip(rep, x)), Fraction(0)) % 1
 
 
 @pytest.mark.parametrize("index", range(len(LARGE_SINGULAR_PRESENTATIONS)))
@@ -279,7 +279,9 @@ def _reference_sweep(pres, box):
 def test_sweep_agrees_with_fraction_solve(index):
     _, pres = SWEEP_PRESENTATIONS[index]
     report = p1_image(pres, cap=10**6, box=2)
-    assert {m.value for m in report.enumeration_side} == _reference_sweep(pres, 2)
+    assert {Fraction(r, report.denominator) for r in report.enumeration_residues} == (
+        _reference_sweep(pres, 2)
+    )
 
 
 def _plumbing(k):
@@ -414,7 +416,7 @@ def test_columns_read_off_bv_match_cofactor_inverse(index):
         assert coords(u_inv.matvec(y)) == y
         assert coords(reduce_class(pres, v)) == y
     want = list(_oracle_lifts(pres, u_inv))
-    got = [rep for rep, _ in enumerate_torsion(pres, cap=3000)]
+    got = [rep for rep, _ in torsion_residues(pres, cap=3000)[1]]
     assert len(got) == len(want) == len(set(map(coords, got)))
     assert sorted(map(coords, got)) == sorted(map(coords, want))
     _assert_saturation_basis(pres)
@@ -422,24 +424,25 @@ def test_columns_read_off_bv_match_cofactor_inverse(index):
 
 @pytest.mark.parametrize("index", range(len(TORSION_PRESENTATIONS)))
 def test_smith_coordinates_agree_with_fraction_route(index):
-    """enumerate_torsion against U^{-1} y over the Smith coordinates y, with
-    the n x n linking form: the same classes with the same values, each
-    once, for singular and nonsingular B alike; every representative is
-    its own reduce_class.  The formula side of p1_image is
+    """torsion_residues against U^{-1} y over the Smith coordinates y, with
+    the n x n linking form: the same classes with the same values r / L,
+    each once, for singular and nonsingular B alike; every representative
+    is its own reduce_class.  The formula side of p1_image is
     p_1(reference) - 4 lk built with Fractions."""
     pres = TORSION_PRESENTATIONS[index]
     want = []
     for rep in _oracle_lifts(pres, _oracle_u_inverse(pres)):
         assert _solution(pres, rep) is not None
-        want.append((rep, linking_form(pres, rep)))
-    got = enumerate_torsion(pres, cap=3000)
+        want.append((rep, linking_form(pres, rep).value))
+    L, got = torsion_residues(pres, cap=3000)
     coords = smith_coordinates(pres.matrix)
     assert len(got) == len(want) == len({coords(rep) for rep, _ in got})
-    assert {coords(rep): ell for rep, ell in got} == {coords(rep): ell for rep, ell in want}
+    assert {coords(rep): Fraction(r, L) for rep, r in got} == {coords(rep): v for rep, v in want}
     assert all(reduce_class(pres, rep) == rep for rep, _ in got)
     ref = p1(reference_parallelization(pres)).value
-    formula = {ModClass(ref - 4 * ell.value, Fraction(4)) for _, ell in want}
-    assert p1_image(pres, cap=3000, box=1).formula_side == formula
+    report = p1_image(pres, cap=3000, box=1)
+    formula = {(ref - 4 * v) % 4 * report.denominator for _, v in want}
+    assert report.formula_residues == formula
 
 
 def _hermite_presentations(seed, count):
@@ -501,15 +504,15 @@ def test_hermite_route_matches_smith_reference(index):
         assert all(0 <= x < d for x, d in zip(rep, diag))
     if order > 3000:
         return
-    got = enumerate_torsion(pres, cap=3000)
+    L, got = torsion_residues(pres, cap=3000)
     assert len(got) == order == len({coords(rep) for rep, _ in got})
     gens = smith_generators(b)
     lift = IntMatrix.from_rows([[g[k] for g, _ in gens] for k in range(pres.n)])  # U^{-1} y
     want = Counter(
-        linking_form(pres, lift.matvec(y))
+        linking_form(pres, lift.matvec(y)).value
         for y in itertools.product(*(range(d) for _, d in gens))
     )
-    assert Counter(ell for _, ell in got) == want
+    assert Counter(Fraction(r, L) for _, r in got) == want
 
 
 @pytest.mark.parametrize("index", range(len(HERMITE_PRESENTATIONS)))
@@ -659,7 +662,7 @@ def test_nonsingular_questions_build_no_smith_form(passes):
     B read the signature and the bordered pass only; is_torsion_class builds
     no integer form.  On singular B, theta_g and is_torsion_class read the
     kernel rows of the integer form.  homology_summary, reduce_class,
-    classes_equal, enumerate_torsion, p1_image, parity_check and
+    classes_equal, torsion_residues, p1_image, parity_check and
     gamma_orbit_modulus read the Hermite form of B, or of the core of a
     singular B.  None of them builds a Smith form."""
     pres = SurgeryPresentation.from_rows([[3, 1, 0, 2], [1, -2, 1, 0], [0, 1, 4, -1], [2, 0, -1, 5]])
@@ -688,7 +691,7 @@ def test_nonsingular_questions_build_no_smith_form(passes):
     v = (3, -1, 4, 1)
     assert reduce_class(pres, v) == reduce_class(pres, tuple(x + 2 * y for x, y in zip(v, pres.matrix.row(2))))
     assert classes_equal(pres, v, tuple(x - y for x, y in zip(v, pres.matrix.row(1))))
-    assert len(enumerate_torsion(pres)) == summary.torsion_order
+    assert len(torsion_residues(pres)[1]) == summary.torsion_order
     p1_image(pres, box=1)
     assert parity_check(pres)
     assert gamma_orbit_modulus(pres, data.c_ref) == 0
@@ -716,7 +719,7 @@ def test_only_box_questions_build_the_singular_core(passes):
     assert reduce_class(pres, (4, 3, 7, 1)) == reduce_class(pres, c)
     box = data.box
     assert len(box) == 3 and passes["widths"] == [0]  # the core's empty pass
-    assert homology_summary(pres).betti_1 == 1 and len(enumerate_torsion(pres)) == 45
+    assert homology_summary(pres).betti_1 == 1 and len(torsion_residues(pres)[1]) == 45
     assert data.box is box and passes["widths"] == [0]
     assert passes["smith"] == 0
 

@@ -23,7 +23,7 @@ from combings import linalg
 from combings.cli import main
 from combings.combing import reference_parallelization
 from combings.linalg import IntMatrix, analysis, smith_normal_form
-from combings.surgery import SurgeryPresentation, enumerate_torsion, homology_summary, reduce_class
+from combings.surgery import SurgeryPresentation, homology_summary, reduce_class, torsion_residues
 from combings.verify import random_symmetric, random_unimodular
 
 MAX_ORDER = 1000
@@ -140,11 +140,11 @@ def _check(rng, pres, enumerate_classes):
             assert not any(coords([x - y for x, y in zip(rep, w)]))  # rep - w in B Z^n
     if not enumerate_classes:
         return
-    got = enumerate_torsion(pres, cap=MAX_ORDER)
+    L, got = torsion_residues(pres, cap=MAX_ORDER)
     assert len(got) == order == len({coords(rep) for rep, _ in got})
-    for rep, ell in got:
+    for rep, r in got:
         x = frac_solve(b.to_rows(), rep)[0]
-        assert ell.value == -sum((Fraction(a) * y for a, y in zip(rep, x)), Fraction(0)) % 1
+        assert Fraction(r, L) == -sum((Fraction(a) * y for a, y in zip(rep, x)), Fraction(0)) % 1
 
 
 @pytest.mark.parametrize("index", range(len(FAMILY)))

@@ -1,11 +1,14 @@
-"""The torsion residues print exactly as their ModClass values do, and the
-table they come from holds the torsion form at every box point.
+"""The torsion residues print as the values of the linking form and of p_1,
+and the table they come from holds the torsion form at every box point.
 
 `linking-form` and `image-p1` print integer residues over the torsion
-form's denominator L.  Their stdout is compared with what the ModClass
-values of `enumerate_torsion` and `p1_image` print, on seeded
-presentations: lens spaces L(d, 1) up to d ~ 2000, signed permutations of
-A_k, random n <= 4, singular B with torsion, unimodular B and the empty B.
+form's denominator L.  Their stdout is compared with values computed
+without the table, on seeded presentations: lens spaces L(d, 1) up to
+d ~ 2000, signed permutations of A_k, random n <= 4, singular B with
+torsion, unimodular B and the empty B.  `linking-form` is checked against
+the pairing G (`linking_form`) on each representative of
+`torsion_residues`, `image-p1` against p_1 of the reference
+parallelization and of every swept torsion combing.
 `TorsionForm.table`, which builds the residues and lifts by finite
 differences, is compared point by point with -(y^T Q y) mod L and
 `generators` y computed directly, on boxes with no factor, one factor, a
@@ -21,9 +24,18 @@ from fractions import Fraction
 import pytest
 
 from combings.cli import main
-from combings.combing import p1, p1_image, reference_parallelization
+from combings.combing import CombingSpec, p1, p1_image, reference_parallelization
 from combings.linalg import analysis
-from combings.surgery import ModClass, SurgeryPresentation, enumerate_torsion, format_residue
+from combings.surgery import (
+    ModClass,
+    SurgeryPresentation,
+    format_residue,
+    homology_summary,
+    is_torsion_class,
+    linking_form,
+    reduce_class,
+    torsion_residues,
+)
 from combings.verify import random_symmetric
 
 
@@ -80,30 +92,55 @@ def _presentations():
 PRESENTATIONS = _presentations()
 
 
+# The name is older than `torsion_residues`; it is kept so that the test
+# ids stay stable.
 @pytest.mark.parametrize("name, rows, box", PRESENTATIONS, ids=[p[0] for p in PRESENTATIONS])
 def test_linking_form_prints_enumerate_torsion(name, rows, box):
-    """stdout is json.dumps of the ModClass enumeration, byte for byte."""
-    entries = enumerate_torsion(SurgeryPresentation.from_rows(rows))
-    want = [{"class": list(rep), "ell": str(ell)} for rep, ell in entries]
+    """stdout is the indented json of the classes of `torsion_residues`,
+    one per torsion class and each its own `reduce_class`, valued by the
+    pairing G on the class, byte for byte."""
+    pres = SurgeryPresentation.from_rows(rows)
+    L, entries = torsion_residues(pres)
+    reps = [rep for rep, _ in entries]
+    assert len(reps) == len(set(reps)) == homology_summary(pres).torsion_order
+    assert all(reduce_class(pres, rep) == rep for rep in reps)
+    values = [linking_form(pres, rep).value for rep in reps]
+    assert [Fraction(r, L) for _, r in entries] == values
+    want = [{"class": list(rep), "ell": f"{value} (mod 1)"} for rep, value in zip(reps, values)]
     assert _run(["linking-form"], rows) == json.dumps(want, indent=2) + "\n"
+
+
+def _sweep(pres, box):
+    """The characteristic torsion vectors c with every |c_i| <= box."""
+    ranges = [[v for v in range(-box, box + 1) if (v - pres.matrix.at(i, i)) % 2 == 0]
+              for i in range(pres.n)]
+    return [c for c in itertools.product(*ranges) if is_torsion_class(pres, c)]
 
 
 @pytest.mark.parametrize("name, rows, box", PRESENTATIONS, ids=[p[0] for p in PRESENTATIONS])
 def test_image_p1_prints_sorted_side_sets(name, rows, box):
-    """Each side is printed as its ModClass set sorted by value."""
-    report = p1_image(SurgeryPresentation.from_rows(rows), box=box)
+    """Each side is printed as its set of p_1 values mod 4 sorted by value:
+    p_1(reference) - 4 lk(x, x) over the torsion classes x, and p_1 of
+    every swept torsion combing."""
+    pres = SurgeryPresentation.from_rows(rows)
+    ref = p1(reference_parallelization(pres)).value
+    formula = {(ref - 4 * linking_form(pres, rep).value) % 4
+               for rep, _ in torsion_residues(pres)[1]}
+    enumeration = {p1(CombingSpec(pres, c)).value % 4 for c in _sweep(pres, box)}
 
-    def line(side):
-        return ", ".join(str(m) for m in sorted(side, key=lambda m: m.value))
+    def line(values):
+        return ", ".join(f"{v} (mod 4)" for v in sorted(values))
 
     lines = _run(["image-p1", "--box", str(box)], rows).split("\n")
-    assert lines[:2] == [f"formula: {line(report.formula_side)}",
-                         f"enumeration: {line(report.enumeration_side)}"]
+    assert lines[:2] == [f"formula: {line(formula)}", f"enumeration: {line(enumeration)}"]
+    report = p1_image(pres, box=box)
+    assert report.formula_residues == {v * report.denominator for v in formula}
+    assert report.enumeration_residues == {v * report.denominator for v in enumeration}
 
 
 def test_presentations_cover_their_kinds():
     """Some singular B has torsion, and some B is unimodular."""
-    orders = {name: len(enumerate_torsion(SurgeryPresentation.from_rows(rows)))
+    orders = {name: len(torsion_residues(SurgeryPresentation.from_rows(rows))[1])
               for name, rows, _ in PRESENTATIONS}
     assert any(orders[name] > 1 for name in orders if name.startswith("singular"))
     assert orders["unimodular2"] == orders["hyperbolic"] == orders["empty"] == 1

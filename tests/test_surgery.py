@@ -11,12 +11,12 @@ from combings.surgery import (
     ModClass,
     SurgeryPresentation,
     classes_equal,
-    enumerate_torsion,
     homology_summary,
     is_torsion_class,
     linking_form,
     meridian_pairing,
     reduce_class,
+    torsion_residues,
 )
 from combings.verify import random_presentation, saturation_basis
 
@@ -164,27 +164,29 @@ class TestModClass:
 
 
 class TestEnumerateTorsion:
+    """`torsion_residues`: one representative per torsion class with the
+    residue r of its linking form r / L mod 1."""
+
     def test_three_classes(self):
-        got = enumerate_torsion(pres([[3]]), 10)
-        values = sorted(m.value for _, m in got)
+        L, got = torsion_residues(pres([[3]]), 10)
+        values = sorted(Fraction(r, L) for _, r in got)
         assert values == [Fraction(0), Fraction(2, 3), Fraction(2, 3)]
 
     def test_two_classes(self):
-        got = enumerate_torsion(pres([[2]]), 10)
-        assert sorted(m.value for _, m in got) == [Fraction(0), Fraction(1, 2)]
+        L, got = torsion_residues(pres([[2]]), 10)
+        assert sorted(Fraction(r, L) for _, r in got) == [Fraction(0), Fraction(1, 2)]
 
     def test_trivial_group(self):
-        got = enumerate_torsion(EMPTY_PRESENTATION, 10)
-        assert got == (((), ModClass(Fraction(0), Fraction(1))),)
+        assert torsion_residues(EMPTY_PRESENTATION, 10) == (1, (((), 0),))
 
     def test_cap(self):
         with pytest.raises(CapExceededError) as err:
-            enumerate_torsion(pres([[5]]), 4)
+            torsion_residues(pres([[5]]), 4)
         assert err.value.torsion_order == 5
 
     def test_negative_cap_is_refused(self):
         with pytest.raises(ValueError):
-            enumerate_torsion(pres([[5]]), -1)
+            torsion_residues(pres([[5]]), -1)
 
     def test_count_matches_determinant(self):
         rng = random.Random(7)
@@ -194,11 +196,14 @@ class TestEnumerateTorsion:
             d = naive_det(p.matrix.to_rows())
             if d == 0 or abs(d) > 60:
                 continue
-            got = enumerate_torsion(p, cap=100)
+            L, got = torsion_residues(p, cap=100)
             assert len(got) == abs(d)
             # distinct classes: canonical representatives must not repeat
             reps = {reduce_class(p, rep) for rep, _ in got}
             assert len(reps) == abs(d)
+            # each residue is the value of the pairing G on its class
+            assert all(0 <= r < L for _, r in got)
+            assert all(linking_form(p, rep).value == Fraction(r, L) for rep, r in got)
             checked += 1
 
     def test_brute_force_class_sweep(self):
@@ -215,7 +220,7 @@ class TestEnumerateTorsion:
             for v in candidates:
                 box.add(reduce_class(p, v))
             assert len(box) == d
-            enumerated = {rep for rep, _ in enumerate_torsion(p, cap=100)}
+            enumerated = {rep for rep, _ in torsion_residues(p, cap=100)[1]}
             assert enumerated == box
 
 
