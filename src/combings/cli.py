@@ -121,20 +121,24 @@ def _presentation(doc: Document) -> SurgeryPresentation:
     return SurgeryPresentation.from_rows(doc.linking_matrix)
 
 
-def _combing(doc: Document, which: str = "combing") -> CombingSpec:
+def _combing(
+    doc: Document, which: str = "combing", pres: SurgeryPresentation | None = None
+) -> CombingSpec:
+    """The document's combing on `pres`; a command that reads the document
+    twice builds the presentation once and passes it to both readers."""
     raw = doc.combing if which == "combing" else doc.combing2
     if raw is None:
         raise ParseError(f"this command needs a '{which}' entry in the document")
-    return CombingSpec(_presentation(doc), raw.c, raw.gamma)
+    return CombingSpec(pres or _presentation(doc), raw.c, raw.gamma)
 
 
-def _framed(doc: Document) -> FramedLinkData:
+def _framed(doc: Document, pres: SurgeryPresentation | None = None) -> FramedLinkData:
     if doc.framed is None:
         raise ParseError("this command needs a 'framed' entry in the document")
     return FramedLinkData.from_rows(
         doc.framed.lambda_matrix,
         classes=doc.framed.classes,
-        ambient=_presentation(doc),
+        ambient=pres or _presentation(doc),
     )
 
 
@@ -165,13 +169,15 @@ def _enumeration_json(L: int, entries: tuple[tuple[tuple[int, ...], int], ...]) 
     byte (ell = r / L mod 1).  json's indented encoder runs in Python, so
     the fixed layout is one `%` template for the n coordinates, each
     written as json writes an int (`%d` is its repr), and each distinct
-    residue is formatted and quoted by json once."""
+    residue is formatted once.  Its text holds only digits, "/", spaces,
+    parentheses and "mod", which json writes unescaped, so the template
+    holds the quotes."""
     if not entries:
         return "[]"
     n = len(entries[0][0])
     cls = "[\n      " + ",\n      ".join(["%d"] * n) + "\n    ]" if n else "[]"
-    item = '  {\n    "class": ' + cls + ',\n    "ell": %s\n  }'
-    ells = {r: json.dumps(format_residue(r, L, 1)) for r in {r for _, r in entries}}
+    item = '  {\n    "class": ' + cls + ',\n    "ell": "%s"\n  }'
+    ells = {r: format_residue(r, L, 1) for r in {r for _, r in entries}}
     return "[\n" + ",\n".join([item % (*rep, ells[r]) for rep, r in entries]) + "\n]"
 
 
@@ -193,12 +199,13 @@ def _cmd_p1(args, doc: Document) -> str:
 
 def _cmd_spinc_equal(args, doc: Document) -> str:
     x = _combing(doc)
-    y = _combing(doc, "combing2")
+    y = _combing(doc, "combing2", x.presentation)
     return _bool(spin_c_equal(x.presentation, x.c, y.c))
 
 
 def _cmd_combing_equal(args, doc: Document) -> str:
-    return _bool(combing_equal(_combing(doc), _combing(doc, "combing2")))
+    x = _combing(doc)
+    return _bool(combing_equal(x, _combing(doc, "combing2", x.presentation)))
 
 
 def _cmd_orbit_modulus(args, doc: Document) -> str:
@@ -239,8 +246,8 @@ def _cmd_framed_class(args, doc: Document) -> str:
 
 
 def _cmd_pontrjagin_p1(args, doc: Document) -> str:
-    p_tau = p1(_combing(doc)).value
-    return format_rational(pontrjagin_p1(p_tau, _framed(doc)))
+    x = _combing(doc)
+    return format_rational(pontrjagin_p1(p1(x).value, _framed(doc, x.presentation)))
 
 
 def _cmd_stabilize(args, doc: Document) -> str:

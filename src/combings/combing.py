@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal, Sequence
+from typing import Literal, NamedTuple, Sequence
 
 from .errors import (
     BadEtaError,
@@ -28,6 +27,7 @@ from .errors import (
     NotCharacteristicError,
 )
 from .linalg import IntMatrix, MatrixAnalysis, analysis
+from .record import Record
 from .surgery import (
     DEFAULT_CAP,
     MeridianClass,
@@ -50,21 +50,22 @@ def validate_combing(pres: SurgeryPresentation, c: Sequence[int]) -> None:
             raise NotCharacteristicError(i)
 
 
-@dataclass(frozen=True)
-class CombingSpec:
+class CombingSpec(Record):
     """A combing: characteristic vector plus pi_3(S^2) offset."""
 
-    presentation: SurgeryPresentation
-    c: tuple[int, ...]
-    gamma_offset: int = 0
+    __slots__ = _fields = ("presentation", "c", "gamma_offset")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "c", tuple(self.c))
-        validate_combing(self.presentation, self.c)
+    def __init__(
+        self, presentation: SurgeryPresentation, c: Sequence[int], gamma_offset: int = 0
+    ) -> None:
+        c = tuple(c)
+        validate_combing(presentation, c)
+        object.__setattr__(self, "presentation", presentation)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "gamma_offset", gamma_offset)
 
 
-@dataclass(frozen=True)
-class EulerClassInfo:
+class EulerClassInfo(NamedTuple):
     """Euler class of the plane field orthogonal to a combing."""
 
     class_vector: MeridianClass
@@ -72,15 +73,14 @@ class EulerClassInfo:
     is_zero: bool
 
 
-@dataclass(frozen=True)
-class P1Value:
+class P1Value(Record):
     """A rational p_1 value; integral whenever c lies in the column
     lattice of B (the combing extends to a parallelization)."""
 
-    value: Fraction
+    __slots__ = _fields = ("value",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", Fraction(self.value))
+    def __init__(self, value: Fraction) -> None:
+        object.__setattr__(self, "value", Fraction(value))
 
 
 def euler_class(pres: SurgeryPresentation, c: Sequence[int]) -> EulerClassInfo:
@@ -277,8 +277,7 @@ def apply_modification(
     raise ValueError(f"unknown modification kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class P1ImageReport:
+class P1ImageReport(NamedTuple):
     """Image of p_1 on torsion combings, mod 4Z, from both routes.
 
     The formula side comes from p_1(reference) - 4*linking form over the

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ParseError
 
@@ -23,20 +23,17 @@ _RATIONAL_RE = re.compile(r"-?\d+(/[1-9]\d*)?\Z")
 _TOP_KEYS = ("linking_matrix", "combing", "combing2", "meridian", "framed", "lambda")
 
 
-@dataclass(frozen=True)
-class CombingDoc:
+class CombingDoc(NamedTuple):
     c: tuple[int, ...]
     gamma: int
 
 
-@dataclass(frozen=True)
-class FramedDoc:
+class FramedDoc(NamedTuple):
     lambda_matrix: tuple[tuple[Fraction, ...], ...]
     classes: tuple[tuple[int, ...], ...] | None
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(NamedTuple):
     linking_matrix: tuple[tuple[int, ...], ...]
     combing: CombingDoc | None = None
     combing2: CombingDoc | None = None

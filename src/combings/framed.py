@@ -9,15 +9,15 @@ classifies framed links up to framed cobordism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     MissingClassesError,
     NonTorsionError,
     NotZSphereError,
 )
+from .record import Record
 from .surgery import (
     MeridianClass,
     SurgeryPresentation,
@@ -30,8 +30,7 @@ from .surgery import (
 QMatrix = tuple[tuple[Fraction, ...], ...]
 
 
-@dataclass(frozen=True)
-class FramedLinkData:
+class FramedLinkData(Record):
     """Linking data of a framed link.
 
     lambda_matrix holds self-linkings on the diagonal and pairwise linkings
@@ -40,26 +39,28 @@ class FramedLinkData:
     meridian pairing modulo Z.
     """
 
-    lambda_matrix: QMatrix
-    classes: tuple[MeridianClass, ...] | None = None
-    ambient: SurgeryPresentation | None = None
+    __slots__ = _fields = ("lambda_matrix", "classes", "ambient")
 
-    def __post_init__(self) -> None:
-        n = len(self.lambda_matrix)
-        for row in self.lambda_matrix:
+    def __init__(self, lambda_matrix: QMatrix, classes: tuple[MeridianClass, ...] | None = None,
+                 ambient: SurgeryPresentation | None = None) -> None:
+        n = len(lambda_matrix)
+        for row in lambda_matrix:
             if len(row) != n:
                 raise ValueError("linking data must be a square matrix")
         for i in range(n):
             for j in range(i + 1, n):
-                if self.lambda_matrix[i][j] != self.lambda_matrix[j][i]:
+                if lambda_matrix[i][j] != lambda_matrix[j][i]:
                     raise ValueError("linking data must be symmetric")
-        if self.classes is not None:
-            if self.ambient is None:
+        object.__setattr__(self, "lambda_matrix", lambda_matrix)
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "ambient", ambient)
+        if classes is not None:
+            if ambient is None:
                 raise ValueError("component classes need an ambient presentation")
-            if len(self.classes) != n:
+            if len(classes) != n:
                 raise ValueError("one homology class per component is required")
-            for v in self.classes:
-                if len(v) != self.ambient.n:
+            for v in classes:
+                if len(v) != ambient.n:
                     raise ValueError("class vector length must match the ambient")
             self._check_consistency()
 
@@ -103,8 +104,7 @@ class FramedLinkData:
         return len(self.lambda_matrix)
 
 
-@dataclass(frozen=True)
-class FramedCobordismClass:
+class FramedCobordismClass(NamedTuple):
     """Complete framed-cobordism data: summed homology class (reduced to its
     canonical representative) and total self-linking."""
 

@@ -19,30 +19,47 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import add, mod, mul
 from typing import Iterable, NamedTuple, Sequence
 
+from .record import Record
+
 Vector = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class IntMatrix:
-    """Immutable integer matrix with entries stored row-major."""
+class IntMatrix(Record):
+    """Immutable integer matrix with entries stored row-major.
 
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
+    It is the key of the `analysis` memo, so its hash is taken once, when it
+    is built."""
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
+    __slots__ = ("rows", "cols", "entries", "_hash")
+    _fields = ("rows", "cols", "entries")
+
+    def __init__(self, rows: int, cols: int, entries: Iterable[int]) -> None:
+        entries = tuple(entries)
+        if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows * self.cols:
+        if len(entries) != rows * cols:
             raise ValueError("entry count must equal rows * cols")
-        for e in self.entries:
+        for e in entries:
             if not isinstance(e, int):
                 raise ValueError("matrix entries must be integers")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_hash", hash((rows, cols, entries)))
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return other is self or (
+            self.entries == other.entries and self.rows == other.rows and self.cols == other.cols
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def from_rows(cls, data: Iterable[Iterable[int]]) -> "IntMatrix":
@@ -52,7 +69,7 @@ class IntMatrix:
         for r in rows:
             if len(r) != ncols:
                 raise ValueError("rows must all have the same length")
-        return cls(nrows, ncols, tuple(x for row in rows for x in row))
+        return cls(nrows, ncols, itertools.chain.from_iterable(rows))
 
     def at(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
@@ -108,8 +125,7 @@ class IntMatrix:
         return IntMatrix.from_rows(m)
 
 
-@dataclass(frozen=True)
-class SnfResult:
+class SnfResult(NamedTuple):
     """Smith normal form U * A * V = D with U, V unimodular.
 
     The diagonal of D is nonnegative and each entry divides the next.
@@ -475,8 +491,7 @@ def solve_mod2(a: IntMatrix, b: Sequence[int]) -> tuple[Vector | None, int]:
     return tuple(x), prow
 
 
-@dataclass(frozen=True)
-class HomologySummary:
+class HomologySummary(NamedTuple):
     """coker(B) data: H_1 = Z^n / im(B)."""
 
     invariant_factors: tuple[int, ...]
@@ -486,8 +501,7 @@ class HomologySummary:
     kernel_basis: tuple[Vector, ...]
 
 
-@dataclass(frozen=True)
-class IntegerForm:
+class IntegerForm(NamedTuple):
     """An integer generalized inverse G of a symmetric B over one
     denominator L >= 1, B G B = L B, and rows spanning ker B over Q.
 
@@ -518,8 +532,7 @@ class IntegerForm:
         return not any(sum(map(mul, k, v)) for k in self.kernel)
 
 
-@dataclass(frozen=True)
-class TorsionForm:
+class TorsionForm(NamedTuple):
     """The linking form on the torsion subgroup of coker(B), in box
     coordinates.
 

@@ -10,7 +10,6 @@ stabilization arithmetic (see the combing module).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -21,6 +20,7 @@ from .linalg import (
     Vector,
     analysis,
 )
+from .record import Record
 
 DEFAULT_CAP = 10_000
 
@@ -31,17 +31,17 @@ MeridianClass = Vector
 MOD_Z = Fraction(1)
 
 
-@dataclass(frozen=True)
-class SurgeryPresentation:
+class SurgeryPresentation(Record):
     """An integral surgery presentation, i.e. a symmetric linking matrix."""
 
-    matrix: IntMatrix
+    __slots__ = _fields = ("matrix",)
 
-    def __post_init__(self) -> None:
-        if self.matrix.rows != self.matrix.cols:
+    def __init__(self, matrix: IntMatrix) -> None:
+        if matrix.rows != matrix.cols:
             raise ValueError("linking matrix must be square")
-        if not self.matrix.is_symmetric():
+        if not matrix.is_symmetric():
             raise ValueError("linking matrix must be symmetric")
+        object.__setattr__(self, "matrix", matrix)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "SurgeryPresentation":
@@ -55,20 +55,18 @@ class SurgeryPresentation:
 EMPTY_PRESENTATION = SurgeryPresentation(IntMatrix(0, 0, ()))  # presents S^3
 
 
-@dataclass(frozen=True)
-class ModClass:
+class ModClass(Record):
     """An exact residue in Q/(modulus Z), stored by its canonical
     representative in [0, modulus)."""
 
-    value: Fraction
-    modulus: Fraction
+    __slots__ = _fields = ("value", "modulus")
 
-    def __post_init__(self) -> None:
-        modulus = Fraction(self.modulus)
+    def __init__(self, value: Fraction, modulus: Fraction) -> None:
+        modulus = Fraction(modulus)
         if modulus <= 0:
             raise ValueError("modulus must be positive")
         object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "value", Fraction(self.value) % modulus)
+        object.__setattr__(self, "value", Fraction(value) % modulus)
 
     def __str__(self) -> str:
         return f"{self.value} (mod {self.modulus})"

@@ -7,20 +7,19 @@ combing change is exactly the linking number driving the p_1 variation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from .record import Record
 
-@dataclass(frozen=True)
-class ThetaInput:
+
+class ThetaInput(Record):
     """Casson-Walker invariant of the manifold and p_1 of the combing."""
 
-    casson_walker: Fraction
-    p1: Fraction
+    __slots__ = _fields = ("casson_walker", "p1")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "casson_walker", Fraction(self.casson_walker))
-        object.__setattr__(self, "p1", Fraction(self.p1))
+    def __init__(self, casson_walker: Fraction, p1: Fraction) -> None:
+        object.__setattr__(self, "casson_walker", Fraction(casson_walker))
+        object.__setattr__(self, "p1", Fraction(p1))
 
 
 def theta_invariant(data: ThetaInput) -> Fraction:

@@ -5,9 +5,8 @@ randomized inputs, driven by a seeded generator so runs are reproducible.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .combing import (
     CombingSpec,
@@ -175,8 +174,7 @@ def random_framed(
     return FramedLinkData.from_rows(lam, classes=classes, ambient=pres)
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     cases: int
     failures: int

@@ -3,10 +3,13 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
 from pathlib import Path
+
+import pytest
 
 from combings import cli
 from combings.cli import build_parser, main
@@ -376,3 +379,61 @@ def test_cli_import_leaves_verify_out():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
+def _package_stdlib_imports():
+    """The top-level modules that `src/combings` imports from outside itself,
+    but for the two that the import check below looks for."""
+    names = set()
+    for path in (Path(__file__).parents[1] / "src" / "combings").glob("*.py"):
+        for line in path.read_text(encoding="utf-8").splitlines():
+            m = re.match(r"(?:from|import) ([a-z_]\w*)", line)
+            if m:
+                names.add(m.group(1))
+    return sorted(names - {"__future__", "dataclasses", "inspect"})
+
+
+@pytest.mark.parametrize("module", ["combings.cli", "combings"])
+def test_import_loads_neither_dataclasses_nor_inspect(module):
+    """The value types are NamedTuples and slotted records, so a fresh
+    process that imports the package loads no `dataclasses` or `inspect`
+    beyond what the package's own stdlib imports load on this Python."""
+    stdlib = _package_stdlib_imports()
+    assert {"argparse", "fractions", "json", "typing"} <= set(stdlib)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    code = (
+        f"import sys\nfor name in {stdlib!r}: __import__(name)\n"
+        f"before = set(sys.modules)\nimport {module}\n"
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_each_command_builds_the_presentation_once(monkeypatch):
+    """A command that reads the document twice (two combings, or a combing
+    and framed data) builds, validates and hashes its matrix once."""
+    built, presentation = [], cli._presentation
+
+    def counting(doc):
+        built.append(doc)
+        return presentation(doc)
+
+    monkeypatch.setattr(cli, "_presentation", counting)
+    doc = json.dumps({
+        "linking_matrix": [[2, 1], [1, 2]],
+        "combing": {"c": [0, 0], "gamma": 0},
+        "combing2": {"c": [2, 2], "gamma": 1},
+        "meridian": [1, 0],
+        "framed": {"lambda_matrix": [["1/3"]], "classes": [[1, 1]]},
+        "lambda": "1/3",
+    })
+    extra = {
+        "stabilize": ["--sign", "1", "--c0", "1"],
+        "modify": ["--kind", "half-twist", "--k", "1"],
+    }
+    for command in cli._HANDLERS:
+        built.clear()
+        code, _, err = run([command, *extra.get(command, [])], doc)
+        assert (code, err, len(built)) == (0, "", 1), command
