@@ -62,7 +62,6 @@ from .surgery import (
     DEFAULT_CAP,
     EMPTY_PRESENTATION,
     HomologySummary,
-    ModClass,
     SurgeryPresentation,
     classes_equal,
     homology_summary,
@@ -72,7 +71,7 @@ from .surgery import (
     reduce_class,
     torsion_residues,
 )
-from .theta import ThetaInput, theta_invariant
+from .theta import theta_invariant
 
 __version__ = "0.1.0"
 
@@ -92,7 +91,6 @@ __all__ = [
     "HomologySummary",
     "IntMatrix",
     "MissingClassesError",
-    "ModClass",
     "NonTorsionError",
     "NotCharacteristicError",
     "NotZSphereError",
@@ -102,7 +100,6 @@ __all__ = [
     "SignatureTriple",
     "SnfResult",
     "SurgeryPresentation",
-    "ThetaInput",
     "add_hopf",
     "apply_modification",
     "band_sum",

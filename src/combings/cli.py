@@ -55,7 +55,7 @@ from .surgery import (
     linking_form,
     torsion_residues,
 )
-from .theta import ThetaInput, theta_invariant
+from .theta import theta_invariant
 
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs) -> None:
@@ -147,7 +147,8 @@ def _bool(value: bool) -> str:
 
 
 def _residues(residues: frozenset[int], L: int, m: int) -> str:
-    """The classes r / L mod m, in increasing order, as ModClass prints them."""
+    """The classes r / L mod m, in increasing order, as `format_residue`
+    prints them."""
     return ", ".join(format_residue(r, L, m) for r in sorted(residues))
 
 
@@ -184,7 +185,7 @@ def _enumeration_json(L: int, entries: tuple[tuple[tuple[int, ...], int], ...]) 
 def _cmd_linking_form(args, doc: Document) -> str:
     pres = _presentation(doc)
     if doc.meridian is not None:
-        return str(linking_form(pres, doc.meridian))
+        return format_residue(*linking_form(pres, doc.meridian).as_integer_ratio(), 1)
     return _enumeration_json(*torsion_residues(pres, cap=args.cap))
 
 
@@ -272,8 +273,7 @@ def _cmd_modify(args, doc: Document) -> str:
 def _cmd_theta(args, doc: Document) -> str:
     if doc.casson_walker is None:
         raise ParseError("this command needs a 'lambda' entry in the document")
-    value = theta_invariant(ThetaInput(doc.casson_walker, p1(_combing(doc)).value))
-    return format_rational(value)
+    return format_rational(theta_invariant(doc.casson_walker, p1(_combing(doc)).value))
 
 
 _HANDLERS = {

@@ -113,6 +113,11 @@ def theta_g(pres: SurgeryPresentation, c: Sequence[int]) -> Fraction:
     a pass has run, from `form`.
     """
     validate_combing(pres, c)
+    return _theta_g(pres, c)
+
+
+def _theta_g(pres: SurgeryPresentation, c: Sequence[int]) -> Fraction:
+    """`theta_g` of a c already checked by `validate_combing`."""
     data = analysis(pres.matrix)
     form, (x,) = data.form_on((c,))  # first: its pass also gives the signature read below
     if not form.is_torsion(x):
@@ -122,8 +127,8 @@ def theta_g(pres: SurgeryPresentation, c: Sequence[int]) -> Fraction:
 
 def p1(x: CombingSpec) -> P1Value:
     """p_1 of a torsion combing: the Gompf invariant shifted by 4 per
-    gamma step."""
-    return P1Value(theta_g(x.presentation, x.c) + 4 * x.gamma_offset)
+    gamma step; `CombingSpec` has validated c."""
+    return P1Value(_theta_g(x.presentation, x.c) + 4 * x.gamma_offset)
 
 
 def gamma(x: CombingSpec, t: int) -> CombingSpec:
@@ -292,7 +297,6 @@ class P1ImageReport(NamedTuple):
     enumeration_residues: frozenset[int]
     is_subset: bool
     is_equal: bool
-    box: int
 
 
 def p1_image(
@@ -342,5 +346,4 @@ def p1_image(
         enumeration_residues=frozenset(enumeration),
         is_subset=enumeration <= formula,
         is_equal=enumeration == formula,
-        box=box,
     )

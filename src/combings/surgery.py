@@ -28,8 +28,6 @@ DEFAULT_CAP = 10_000
 # equality of classes is decided modulo the column lattice of B.
 MeridianClass = Vector
 
-MOD_Z = Fraction(1)
-
 
 class SurgeryPresentation(Record):
     """An integral surgery presentation, i.e. a symmetric linking matrix."""
@@ -55,26 +53,9 @@ class SurgeryPresentation(Record):
 EMPTY_PRESENTATION = SurgeryPresentation(IntMatrix(0, 0, ()))  # presents S^3
 
 
-class ModClass(Record):
-    """An exact residue in Q/(modulus Z), stored by its canonical
-    representative in [0, modulus)."""
-
-    __slots__ = _fields = ("value", "modulus")
-
-    def __init__(self, value: Fraction, modulus: Fraction) -> None:
-        modulus = Fraction(modulus)
-        if modulus <= 0:
-            raise ValueError("modulus must be positive")
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "value", Fraction(value) % modulus)
-
-    def __str__(self) -> str:
-        return f"{self.value} (mod {self.modulus})"
-
-
 def format_residue(r: int, L: int, m: int) -> str:
-    """`str(ModClass(Fraction(r, L), m))` for 0 <= r < m L, without building
-    either: r / L in lowest terms, an integer when the denominator is 1."""
+    """The residue r / L in Q / mZ, for 0 <= r < m L, as "p/q (mod m)": r / L
+    in lowest terms, without the "/q" when q is 1, by one gcd."""
     g = math.gcd(r, L)
     p, q = r // g, L // g
     return f"{p} (mod {m})" if q == 1 else f"{p}/{q} (mod {m})"
@@ -122,13 +103,14 @@ def meridian_pairing(
     return Fraction(-form.pair(x, y), form.L)
 
 
-def linking_form(pres: SurgeryPresentation, v: Sequence[int]) -> ModClass:
-    """Self-linking of a torsion class, as a residue mod Z.
+def linking_form(pres: SurgeryPresentation, v: Sequence[int]) -> Fraction:
+    """Self-linking of a torsion class in Q/Z, as its representative in
+    [0, 1).
 
     Independent of the representative: v -> v + B u changes the pairing by
     an integer.
     """
-    return ModClass(meridian_pairing(pres, v, v), MOD_Z)
+    return meridian_pairing(pres, v, v) % 1
 
 
 def reduce_class(pres: SurgeryPresentation, v: Sequence[int]) -> MeridianClass:

@@ -9,20 +9,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .record import Record
 
-
-class ThetaInput(Record):
-    """Casson-Walker invariant of the manifold and p_1 of the combing."""
-
-    __slots__ = _fields = ("casson_walker", "p1")
-
-    def __init__(self, casson_walker: Fraction, p1: Fraction) -> None:
-        object.__setattr__(self, "casson_walker", Fraction(casson_walker))
-        object.__setattr__(self, "p1", Fraction(p1))
-
-
-def theta_invariant(data: ThetaInput) -> Fraction:
-    """Theta = 6*lambda + p_1/4."""
-    return 6 * data.casson_walker + data.p1 / 4
-
+def theta_invariant(casson_walker: Fraction | int, p1: Fraction | int) -> Fraction:
+    """Theta = 6*lambda + p_1/4, from the Casson-Walker invariant lambda of
+    the manifold and p_1 of the combing."""
+    return 6 * Fraction(casson_walker) + Fraction(p1) / 4

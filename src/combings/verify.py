@@ -45,7 +45,7 @@ from .surgery import (
     reduce_class,
     torsion_residues,
 )
-from .theta import ThetaInput, theta_invariant
+from .theta import theta_invariant
 
 # linking matrices exercised by every battery run
 BUILTIN_MATRICES: tuple[tuple[tuple[int, ...], ...], ...] = (
@@ -220,7 +220,7 @@ def check_linking_form(rng: random.Random, cases: int) -> CheckResult:
             pres, v, w
         ) + meridian_pairing(pres, w, w)
         zero = (0,) * pres.n
-        ok = ok and linking_form(pres, zero).value == 0
+        ok = ok and linking_form(pres, zero) == 0
         neg = tuple(-a for a in v)
         ok = ok and linking_form(pres, neg) == linking_form(pres, v)
         failures += not ok
@@ -237,7 +237,7 @@ def check_torsion_enumeration(rng: random.Random, cases: int) -> CheckResult:
         ok = len(classes) == summary.torsion_order == len({rep for rep, _ in classes})
         # canonical representatives, valued by the pairing G and not the table
         ok = ok and all(
-            reduce_class(pres, rep) == rep and linking_form(pres, rep).value == Fraction(r, L)
+            reduce_class(pres, rep) == rep and linking_form(pres, rep) == Fraction(r, L)
             for rep, r in classes
         )
         d = analysis(pres.matrix)._inertia[1]  # det B, from the signature pass
@@ -369,26 +369,34 @@ def check_framed_calculus(rng: random.Random, cases: int) -> CheckResult:
 
 
 def check_modifications(rng: random.Random, cases: int) -> CheckResult:
+    """Each modification kind against a route to p_1 that does not go
+    through `apply_modification`: an r-twist is the gamma action by eta r, a
+    half-twist by -k, global-Z is the Pontrjagin construction along a framed
+    link of total self-linking lk_par, and D is global-Z followed by D with
+    lk_par = 0, which for an integral lk_euler = r is the r-twist."""
     failures = 0
     done = 0
     for eta in (1, -1):
+        x = random_torsion_combing(rng, random_presentation(rng, max_n=4))
+        p = p1(x)
         for r in range(-5, 6):
-            ok = apply_modification(Fraction(-2), "r-twist", eta=eta, r=r).value == -2 + 4 * eta * r
-            failures += not ok
+            failures += apply_modification(p, "r-twist", eta=eta, r=r) != p1(gamma(x, eta * r))
             done += 1
         for k in range(-5, 6):
-            ok = apply_modification(Fraction(-2), "half-twist", k=k).value == -2 - 4 * k
-            failures += not ok
+            failures += apply_modification(p, "half-twist", k=k) != p1(gamma(x, -k))
             done += 1
         for _ in range(cases):
-            p = random_rational(rng)
+            p = p1(random_torsion_combing(rng, random_presentation(rng, max_n=4)))
+            f = random_framed(rng)
+            lk_par = total_self_linking(f)
             lk_e = random_rational(rng)
-            lk_p = random_rational(rng)
-            got = apply_modification(p, "D", eta=eta, lk_euler=lk_e, lk_par=lk_p)
-            ok = got.value == p + 4 * (eta * lk_e - lk_p)
-            trivial = apply_modification(p, "D", eta=eta, lk_euler=0, lk_par=lk_p)
-            global_z = apply_modification(p, "global-Z", lk_par=lk_p)
-            ok = ok and trivial == global_z and global_z.value == p - 4 * lk_p
+            global_z = apply_modification(p, "global-Z", lk_par=lk_par)
+            ok = global_z.value == pontrjagin_p1(p.value, f)
+            got = apply_modification(p, "D", eta=eta, lk_euler=lk_e, lk_par=lk_par)
+            ok = ok and got == apply_modification(global_z, "D", eta=eta, lk_euler=lk_e, lk_par=0)
+            r = rng.choice((-3, -2, -1, 1, 2, 3))
+            twist = apply_modification(p, "r-twist", eta=eta, r=r)
+            ok = ok and apply_modification(p, "D", eta=eta, lk_euler=r, lk_par=0) == twist
             failures += not ok
             done += 1
     return CheckResult("modification-calculus", done, failures)
@@ -400,11 +408,8 @@ def check_theta_law(rng: random.Random, cases: int) -> CheckResult:
         lam = random_rational(rng)
         p = random_rational(rng)
         delta = random_rational(rng)
-        lhs = theta_invariant(ThetaInput(lam, p + 4 * delta)) - theta_invariant(
-            ThetaInput(lam, p)
-        )
-        failures += lhs != delta
-    failures += theta_invariant(ThetaInput(Fraction(0), Fraction(-2))) != Fraction(-1, 2)
+        failures += theta_invariant(lam, p + 4 * delta) - theta_invariant(lam, p) != delta
+    failures += theta_invariant(0, -2) != Fraction(-1, 2)
     return CheckResult("theta-law", cases + 1, failures)
 
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from combings import combing
 from combings.combing import (
     CombingSpec,
     P1Value,
@@ -129,6 +130,27 @@ class TestP1:
             except NotCharacteristicError:
                 continue
             assert theta_g(p, c).denominator == 1
+
+    def test_one_validation_per_p1(self, monkeypatch):
+        """`CombingSpec` checks c once; p1 does not check it again, while
+        the public theta_g still does."""
+        calls = []
+
+        def counting(pres, c):
+            calls.append(c)
+            return validate_combing(pres, c)
+
+        monkeypatch.setattr(combing, "validate_combing", counting)
+        rng = random.Random(41)
+        for _ in range(20):
+            p = random_presentation(rng, max_n=4)
+            c = random_torsion_characteristic(rng, p)
+            calls.clear()
+            value = p1(CombingSpec(p, c, 2)).value
+            assert calls == [c]
+            assert theta_g(p, c) == value - 8 and calls == [c, c]
+        with pytest.raises(NotCharacteristicError, match="^index 0: "):
+            theta_g(pres([[2]]), (1,))
 
 
 class TestGamma:

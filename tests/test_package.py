@@ -27,6 +27,18 @@ class TestAll:
         assert "enumerate_torsion" not in combings.__all__
         assert not hasattr(combings, "enumerate_torsion")
 
+    def test_exported_value_types(self):
+        # the linking form is a Fraction and Theta takes two rationals, so
+        # no residue or Theta input type is exported
+        types = {name for name in combings.__all__
+                 if isinstance(getattr(combings, name), type)
+                 and not issubclass(getattr(combings, name), Exception)}
+        assert types == {
+            "CombingSpec", "EulerClassInfo", "FramedCobordismClass", "FramedLinkData",
+            "HomologySummary", "IntMatrix", "P1ImageReport", "P1Value",
+            "SignatureTriple", "SnfResult", "SurgeryPresentation",
+        }
+
 
 def _readme_examples():
     """(stdin, argv, stdout) of each `$ echo '...' | combings ...` line of

@@ -2,13 +2,14 @@
 
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
 from combings.errors import CapExceededError, DimensionMismatchError, NonTorsionError
+from combings.linalg import IntMatrix
 from combings.surgery import (
     EMPTY_PRESENTATION,
-    ModClass,
     SurgeryPresentation,
     classes_equal,
     homology_summary,
@@ -18,9 +19,14 @@ from combings.surgery import (
     reduce_class,
     torsion_residues,
 )
-from combings.verify import random_presentation, saturation_basis
+from combings.verify import (
+    random_presentation,
+    random_symmetric,
+    random_unimodular,
+    saturation_basis,
+)
 
-from _oracles import f2_rank, naive_det
+from _oracles import f2_rank, frac_solve, naive_det
 
 
 def pres(rows):
@@ -123,13 +129,13 @@ class TestMeridianPairing:
 class TestLinkingForm:
     def test_quarter(self):
         got = linking_form(pres([[4]]), (1,))
-        assert got == ModClass(Fraction(3, 4), Fraction(1))
+        assert type(got) is Fraction and got == Fraction(3, 4)
 
     def test_zero_class(self):
-        assert linking_form(pres([[2]]), (2,)).value == 0
+        assert linking_form(pres([[2]]), (2,)) == 0
 
     def test_two_thirds(self):
-        assert linking_form(pres([[3]]), (2,)).value == Fraction(2, 3)
+        assert linking_form(pres([[3]]), (2,)) == Fraction(2, 3)
 
     def test_representative_independence(self):
         rng = random.Random(23)
@@ -146,21 +152,75 @@ class TestLinkingForm:
             shifted = tuple(a + b for a, b in zip(v, p.matrix.matvec(u)))
             assert linking_form(p, shifted) == linking_form(p, v)
             assert linking_form(p, tuple(-a for a in v)) == linking_form(p, v)
-        assert linking_form(EMPTY_PRESENTATION, ()).value == 0
+        assert linking_form(EMPTY_PRESENTATION, ()) == 0
 
 
-class TestModClass:
-    def test_canonical_representative(self):
-        m = ModClass(Fraction(-1, 4), Fraction(1))
-        assert m.value == Fraction(3, 4)
-        assert str(m) == "3/4 (mod 1)"
+def _linking_cases(seed, count):
+    """(rng, presentation, torsion v, -v^T x mod 1 for a Fraction solution
+    x of B x = v) on seeded B with n in 1..5, one rng per case.  Every
+    other B is P^T (D + 0_k) P with k >= 1 zeros (and a nonzero D from
+    n = 2 on), hence singular, and
+    v = P^T (e + 0_k) is torsion; the others are random, with a random v
+    kept once it is torsion."""
+    out = []
+    for case in range(count):
+        rng = random.Random(f"{seed}:{case}")
+        x = None
+        while x is None:
+            n = rng.randint(1, 5)
+            if case % 2:
+                k = rng.randint(1, max(1, n - 1))
+                d = [rng.choice((-6, -4, -3, -2, 2, 3, 5)) for _ in range(n - k)] + [0] * k
+                p = random_unimodular(rng, n, steps=3 * n)
+                diagonal = IntMatrix(n, n, [d[i] if i == j else 0 for i in range(n) for j in range(n)])
+                b = p.transpose() @ diagonal @ p
+                v = p.transpose().matvec([rng.randint(-4, 4) if x else 0 for x in d])
+            else:
+                b = random_symmetric(rng, n, 4)
+                v = tuple(rng.randint(-4, 4) for _ in range(n))
+            x = frac_solve(b.to_rows(), v)[0]
+        out.append((rng, SurgeryPresentation(b), v, -sum(map(mul, v, x)) % 1))
+    return out
 
-    def test_mod_four(self):
-        assert ModClass(Fraction(-7), Fraction(4)).value == 1
 
-    def test_rejects_nonpositive_modulus(self):
-        with pytest.raises(ValueError):
-            ModClass(Fraction(1), Fraction(0))
+LINKING_CASES = _linking_cases(61, 40)
+
+
+def test_linking_cases_include_singular_b():
+    singular = sum(naive_det(p.matrix.to_rows()) == 0 for _, p, _, _ in LINKING_CASES)
+    assert singular >= len(LINKING_CASES) // 2
+    assert sum(lk != 0 for *_, lk in LINKING_CASES) >= len(LINKING_CASES) // 2
+    small = [p for _, p, _, _ in LINKING_CASES if homology_summary(p).torsion_order <= 400]
+    assert len(small) >= len(LINKING_CASES) // 2
+
+
+@pytest.mark.parametrize("index", range(len(LINKING_CASES)))
+class TestLinkingFormValue:
+    """`linking_form` returns the self-linking in Q/Z as a `Fraction` in
+    [0, 1), checked against a Fraction solution of B x = v."""
+
+    def test_fraction_in_unit_interval(self, index):
+        _, p, v, want = LINKING_CASES[index]
+        got = linking_form(p, v)
+        assert type(got) is Fraction and 0 <= got < 1
+        assert got == want == meridian_pairing(p, v, v) % 1
+
+    def test_representative_independence(self, index):
+        rng, p, v, want = LINKING_CASES[index]
+        u = [rng.randint(-3, 3) for _ in range(p.n)]
+        assert linking_form(p, [a + b for a, b in zip(v, p.matrix.matvec(u))]) == want
+
+    def test_unimodular_change_of_basis(self, index):
+        rng, p, v, want = LINKING_CASES[index]
+        q = random_unimodular(rng, p.n)
+        moved = SurgeryPresentation(q.transpose() @ p.matrix @ q)
+        assert linking_form(moved, q.transpose().matvec(v)) == want
+
+    def test_residues_of_the_enumeration(self, index):
+        _, p, _, _ = LINKING_CASES[index]
+        if homology_summary(p).torsion_order <= 400:
+            L, entries = torsion_residues(p)
+            assert all(linking_form(p, rep) == Fraction(r, L) for rep, r in entries)
 
 
 class TestEnumerateTorsion:
@@ -203,7 +263,7 @@ class TestEnumerateTorsion:
             assert len(reps) == abs(d)
             # each residue is the value of the pairing G on its class
             assert all(0 <= r < L for _, r in got)
-            assert all(linking_form(p, rep).value == Fraction(r, L) for rep, r in got)
+            assert all(linking_form(p, rep) == Fraction(r, L) for rep, r in got)
             checked += 1
 
     def test_brute_force_class_sweep(self):
