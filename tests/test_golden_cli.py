@@ -47,7 +47,8 @@ def _random_symmetric(rng, n, bound):
 
 
 def _documents():
-    """(name, document) pairs: empty, lens, plumbing, singular and n >= 10."""
+    """(name, document) pairs: empty, lens, plumbing, singular, n >= 10, and
+    dense, zero-diagonal and non-cyclic B for the routes of the Hermite box."""
     from combings import SurgeryPresentation, reference_parallelization
 
     def with_reference(b, **extra):
@@ -63,6 +64,10 @@ def _documents():
     chain10 = [[(2, 3)[i % 2] if i == j else int(abs(i - j) == 1) for j in range(10)]
                for i in range(10)]
     a4 = [[-2, 1, 0, 0], [1, -2, 1, 0], [0, 1, -2, 1], [0, 0, 1, -2]]
+    rng = random.Random(3)
+    dense24, dense40 = _random_symmetric(rng, 24, 3), _random_symmetric(rng, 40, 3)
+    hollow6 = [[0, 0, -1, 2, 1, 2], [0, 0, -1, -2, 0, -3], [-1, -1, 0, -1, 0, -1],
+               [2, -2, -1, 0, 2, 3], [1, 0, 0, 2, 0, 0], [2, -3, -1, 3, 0, 0]]
     return [
         ("empty", {
             "linking_matrix": [],
@@ -151,6 +156,19 @@ def _documents():
         # a nonsingular B with three box factors (5, 3, 2), the last one small,
         # and an off-diagonal torsion form
         ("three-factor", with_reference([[2, 3, 0], [3, -5, 2], [0, 2, -2]])),
+        # dense B whose box questions read the functional a = adj(B) (1, ..., 1):
+        # gcd(a, det B) is 1 at n = 24 and 2 at n = 40 (test_functional_documents)
+        ("dense24", with_reference(dense24, framed={"lambda_matrix": [["2/3"]],
+                                                    "classes": [[1, -1] * 12]})),
+        ("dense40", with_reference(dense40, framed={"lambda_matrix": [["-1/2"]],
+                                                    "classes": [[0, 2, -1, 1] * 10]})),
+        # a zero diagonal, so the symmetric pass starts with e_0 -> e_0 + e_partner;
+        # det B = -76
+        ("hollow6", with_reference(hollow6, framed={"lambda_matrix": [["1"]],
+                                                    "classes": [[1, 2, 3, 4, 5, 6]]})),
+        # P^T diag(2, 2, 4, 3) P: coker Z/2 + Z/2 + Z/12 is not cyclic
+        ("noncyclic", with_reference([[13, 0, -2, -9], [0, 4, 8, 0], [-2, 8, 18, 2],
+                                      [-9, 0, 2, 7]])),
     ]
 
 
@@ -298,6 +316,15 @@ def test_replay_by_property():
             homologies += 1
     assert replayed >= 29
     assert homologies == len(_documents())
+
+
+def test_functional_documents():
+    """The dense documents pin both routes of the box: with a = adj(B) c for
+    c = (1, ..., 1), gcd(a, det B) is 1 for dense24 and 2 for dense40."""
+    docs = dict(_documents())
+    for name, want in (("dense24", 1), ("dense40", 2)):
+        inv, det = frac_inverse(docs[name]["linking_matrix"])
+        assert math.gcd(det, *(int(det * sum(row)) for row in inv)) == want
 
 
 def test_corpus_covers_every_document_command():
