@@ -21,6 +21,7 @@ from .combing import (
     DEFAULT_BOX,
     MODIFICATION_KINDS,
     CombingSpec,
+    _spin_c_equal,
     apply_modification,
     combing_equal,
     gamma_orbit_modulus,
@@ -28,7 +29,6 @@ from .combing import (
     p1,
     p1_image,
     parity_check,
-    spin_c_equal,
     stabilize,
     theta_g,
 )
@@ -201,7 +201,7 @@ def _cmd_p1(args, doc: Document) -> str:
 def _cmd_spinc_equal(args, doc: Document) -> str:
     x = _combing(doc)
     y = _combing(doc, "combing2", x.presentation)
-    return _bool(spin_c_equal(x.presentation, x.c, y.c))
+    return _bool(_spin_c_equal(x.presentation, x.c, y.c))
 
 
 def _cmd_combing_equal(args, doc: Document) -> str:

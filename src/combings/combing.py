@@ -146,6 +146,11 @@ def spin_c_equal(
     """
     validate_combing(pres, c)
     validate_combing(pres, c_other)
+    return _spin_c_equal(pres, c, c_other)
+
+
+def _spin_c_equal(pres: SurgeryPresentation, c: Sequence[int], c_other: Sequence[int]) -> bool:
+    """`spin_c_equal` for vectors already validated, as a `CombingSpec`'s are."""
     half = tuple((a - b) // 2 for a, b in zip(c, c_other))
     return analysis(pres.matrix).in_lattice(half)
 
@@ -164,7 +169,7 @@ def combing_equal(x: CombingSpec, y: CombingSpec) -> bool:
         raise NonTorsionError("first combing is not torsion")
     if not is_torsion_class(y.presentation, y.c):
         raise NonTorsionError("second combing is not torsion")
-    return spin_c_equal(x.presentation, x.c, y.c) and p1(x) == p1(y)
+    return _spin_c_equal(x.presentation, x.c, y.c) and p1(x) == p1(y)
 
 
 def gamma_orbit_modulus(pres: SurgeryPresentation, c: Sequence[int]) -> int:

@@ -5,14 +5,17 @@ arbitrary-precision integers, with no Fraction and no floating point, so
 Smith and Hermite forms, kernels, signatures and the integer form G / L are
 exact and reproducible.  There is one fraction-free elimination, the
 symmetric Bareiss pass `_signature`: with an empty border it gives the
-signature and det B, with a border c also c^T B^+ c and whether c is
+signature and det B, and on request two columns of adj B by
+back-substitution, with a border c also c^T B^+ c and whether c is
 torsion, with the border I all of G / L and the kernel of B.  The
-others are the Smith pass `_diagonalize`, the Hermite pass `_hermite`
-(its working vectors matter modulo a determinant and are reduced only where
-they are read), the Euclid steps `_euclid` of `_split` and `_echelon`, and
-the F_2 elimination `solve_mod2`.  Every class question
-reads one box, the Hermite box of the nonsingular core of B; membership in
-B Z^n reads the rows of R_1 G instead (`MatrixAnalysis.in_lattice`).
+others are the Smith pass `_diagonalize`, the gcd chains `_kernel_lattice`
+that cut the Hermite box out of those adjugate columns (`_box`), the
+Hermite pass `_hermite` on what they leave (its working vectors matter
+modulo a determinant and are reduced only where they are read), the Euclid
+steps `_euclid` of `_split` and `_echelon`, and the F_2 elimination
+`solve_mod2`.  Every class question reads one box, the Hermite box of the
+nonsingular core of B; membership in B Z^n reads the rows of R_1 G instead
+(`MatrixAnalysis.in_lattice`).
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import itertools
 import math
 from functools import cached_property, lru_cache
 from operator import add, mod, mul
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .record import Record
 
@@ -221,30 +224,25 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def _hermite(b: list[list[int]], det: int) -> tuple[Vector, ...]:
-    """The columns of the Hermite normal form H of B Z^n for a symmetric B
-    with det B = det != 0, computed modulo a determinant
-    (Domich-Kannan-Trotter 1987; Cohen, A Course in Computational Algebraic
-    Number Theory, Alg. 2.4.8).  b is not modified.
+    """The columns of the Hermite normal form H of the full-rank lattice
+    generated by the n vectors b, of determinant +-det, computed modulo a
+    determinant (Domich-Kannan-Trotter 1987; Cohen, A Course in
+    Computational Algebraic Number Theory, Alg. 2.4.8).  b is not modified.
 
-    H Z^n = B Z^n, H is upper triangular with h_ii > 0, and 0 <= h_ij < h_ii
-    for j > i; such an H is unique.  Column j is returned as its entries
-    0..j, the rest being zero.
+    H Z^n is the lattice, H is upper triangular with h_ii > 0, and
+    0 <= h_ij < h_ii for j > i; such an H is unique.  Column j is returned
+    as its entries 0..j, the rest being zero.
 
-    B is symmetric, so its rows generate B Z^n.  Coordinates are taken from
-    the last to the first.  At coordinate i the lattice left is the part of
-    B Z^n supported on coordinates 0..i, of determinant r, so it contains
-    r Z^{i+1} and a working vector matters only modulo r.  It is reduced
-    lazily: its coordinate i when read as a coefficient, the whole vector
-    once when it becomes the pivot p.  Unimodular gcd steps gather
-    coordinate i of the working vectors into p; while p_i = 1 a step is
-    w - c p with no reduction, so entries grow only additively.  With
+    Coordinates are taken from the last to the first.  At coordinate i the
+    lattice left is the part supported on coordinates 0..i, of determinant
+    r, so it contains r Z^{i+1} and a working vector matters only modulo r.
+    It is reduced lazily: its coordinate i when read as a coefficient, the
+    whole vector once when it becomes the pivot p.  Unimodular gcd steps
+    gather coordinate i of the working vectors into p; while p_i = 1 a step
+    is w - c p with no reduction, so entries grow only additively.  With
     u p_i = g = gcd(p_i, r) mod r, column i is (u p mod r, g) with h_ii = g,
-    and the lattice left for coordinates 0..i-1 has determinant r / g.
-
-    The columns are then finished from the first: column j is reduced by
-    the finished columns i = j-1, ..., 0.  A finished column is zero at
-    every row k with h_kk = 1, so each step touches only the rows with
-    h_kk > 1 and row i.
+    and the lattice left for coordinates 0..i-1 has determinant r / g.  The
+    columns are then finished by `_finish`.
     """
     r = abs(det)
     work = list(b)
@@ -272,10 +270,19 @@ def _hermite(b: list[list[int]], det: int) -> tuple[Vector, ...]:
         r //= g
         tails.append([u * x % r for x in p] + [g])
         work = rest
+    return _finish(tails[::-1])
+
+
+def _finish(tails: Sequence[list[int]]) -> tuple[Vector, ...]:
+    """The Hermite form of the lattice of an upper triangular basis with
+    positive diagonal, column j given as its entries 0..j (changed in
+    place): column j is reduced by the finished columns i = j-1, ..., 0.  A
+    finished column is zero at every row k with h_kk = 1, so each step
+    touches only the rows with h_kk > 1 and row i."""
     columns: list[Vector] = []
     # the nonzero entries (k, h_kj) of each finished column
     sparse: list[list[tuple[int, int]]] = []
-    for j, col in enumerate(reversed(tails)):
+    for j, col in enumerate(tails):
         for i in reversed(range(j)):
             q = col[i] // columns[i][i]
             if q:
@@ -284,6 +291,73 @@ def _hermite(b: list[list[int]], det: int) -> tuple[Vector, ...]:
         sparse.append([(k, x) for k, x in enumerate(col) if x])
         columns.append(tuple(col))
     return tuple(columns)
+
+
+def _product(sparse: Sequence[list[tuple[int, int]]], factor: Sequence[Vector]) -> list[list[int]]:
+    """The columns of H F for upper triangular H and F, H given by the
+    nonzero entries (k, h_ki) of each column."""
+    out = []
+    for j, fcol in enumerate(factor):
+        col = [0] * (j + 1)
+        for i, y in enumerate(fcol):
+            for k, x in sparse[i] if y else ():
+                col[k] += y * x
+        out.append(col)
+    return out
+
+
+def _kernel_lattice(f: Sequence[int], r: int) -> tuple[list[list[int]], int]:
+    """The Hermite form of {y : f . y = 0 mod r}, of index r / g, and
+    g = gcd(f, r), from the gcd chain g_j = gcd(r, f_0, ..., f_j) in
+    O(n |T|) over the positions T with h_ii > 1: h_jj = g_{j-1} / g_j
+    (g_{-1} = r), and column j solves f_0 y_0 + ... + f_{j-1} y_{j-1} =
+    -f_j h_jj mod r one digit y_i in [0, h_ii) per position of T, from the
+    last, with f_i y_i = t mod g_{i-1}."""
+    columns, chain = [], []  # chain: (i, f_i, 1 / (f_i / g_i) mod h_ii, h_ii, g_i) over T
+    for j, fj in enumerate(f):
+        g = math.gcd(r, fj)
+        h = r // g
+        col, t = [0] * j + [h], -fj * h
+        for i, fi, inverse, hi, gi in reversed(chain):
+            col[i] = y = t // gi * inverse % hi
+            t -= fi * y
+        if h > 1:
+            chain.append((j, fj, pow(fj // g, -1, h), h, g))
+        columns.append(col)
+        r = g
+    return columns, r
+
+
+def _box(b: list[list[int]], det: int, adjugate: Iterable[Sequence[int]]) -> tuple[Vector, ...]:
+    """The columns of the Hermite form H of B Z^n (see `_hermite`) for a
+    nonsingular symmetric B, from det B and columns a = adj(B) c of its
+    adjugate, c integral (after Micciancio-Warinschi 2001).
+
+    a^T B y = det(B) c^T y, so each a cuts a lattice holding B Z^n out of the
+    current one, H Z^n of index r over B Z^n (at first H = I, r = |det B|):
+    as r H Z^n lies in B Z^n, f = a^T H / (|det B| / r) is integral, and
+    B Z^n lies in H K Z^n for K the `_kernel_lattice` of f mod r.  Columns
+    are read while r > 1; then B = H Y, and H times the Hermite form of
+    Y Z^n, by `_hermite` modulo r, finished, is the box.
+    """
+    n, r, adjugate = len(b), abs(det), iter(adjugate)
+    columns: Sequence[Sequence[int]] = [[0] * j + [1] for j in range(n)]
+    sparse = [[(j, 1)] for j in range(n)]
+    while r > 1 and (a := next(adjugate, None)) is not None:
+        scale = abs(det) // r
+        kernel, r = _kernel_lattice([sum(a[k] * x for k, x in col) // scale for col in sparse], r)
+        columns = _product(sparse, kernel)
+        sparse = [[(k, x) for k, x in enumerate(col) if x] for col in columns]
+    if r > 1:
+        # B = H Y: Y agrees with B outside the rows T with h_tt > 1, and row t
+        # of Y is (row t of B - h_t,>t Y_>t) / h_tt, from the last t of T up
+        rows = [(t, [col[t] for col in columns[t:]]) for t in reversed(range(n)) if columns[t][t] > 1]
+        coords = [list(row) for row in b]  # the columns of Y, as B is symmetric
+        for y in coords:
+            for t, h in rows:
+                y[t] = (y[t] - sum(map(mul, h[1:], y[t + 1 :]))) // h[0]
+        columns = _product(sparse, _hermite(coords, r))
+    return _finish(columns)
 
 
 class SignatureTriple(NamedTuple):
@@ -303,12 +377,14 @@ def signature(s: IntMatrix) -> SignatureTriple:
 
 
 def _signature(
-    s: IntMatrix, border: Sequence[Sequence[int]] = ()
-) -> tuple[SignatureTriple, int, IntegerForm]:
-    """The inertia of s, det s, and the integer form of s on the columns of
-    a border C of any width (given by its rows), from one symmetric Bareiss
-    pass on [[s, C], [C^T, 0]] (Bareiss 1968; Sylvester's law of inertia).
-    The width is read off the first row, so an empty s carries no border.
+    s: IntMatrix, border: Sequence[Sequence[int]] = (), adjugate: bool = False
+) -> tuple[SignatureTriple, int, Iterator[Vector] | None, IntegerForm]:
+    """The inertia of s, det s, if asked and s is nonsingular two columns
+    adj(s) c of its adjugate, each computed when read (else None), and the
+    integer form of s on the columns of a border C of any width (given by
+    its rows), from one symmetric Bareiss pass on [[s, C], [C^T, 0]]
+    (Bareiss 1968; Sylvester's law of inertia).  The width is read off the
+    first row, so an empty s carries no border.
 
     Pivots are taken in s's block only.  Every step is a congruence by a
     matrix P of determinant +-1 there (a symmetric swap, or e_k -> e_k +
@@ -324,6 +400,14 @@ def _signature(
     nonsingular the block is -adj s, and with C = c it is -D_r c^T G_0 c.
     A row split off after k pivots holds D_k z^T C in its border, for a z in
     ker s; those z span ker s over Q.
+
+    On a nonsingular s the pivot rows, in the final basis, are the upper
+    triangular system U y = w that Bareiss elimination makes of P^T s P y =
+    e_j, so a step e_k -> e_k + e_partner also adds column partner into
+    column k of the rows already pivoted.  For the last two j, w is O(1).
+    Back-substitution gives z = det(s) y, each division exact as z is
+    integral, in O(n^2); the steps, undone in reverse, map z to P z =
+    adj(s) c for the integral c = P^{-T} e_j.
     """
     if not s.is_symmetric():
         raise ValueError("signature needs a symmetric matrix")
@@ -347,12 +431,14 @@ def _signature(
     # Schur complement found zero is split off to end..n-1
     n_plus = k = 0
     end, prev = n, 1
+    steps = []  # (k, j, is_swap) per congruence step
     while k < end:
         if m[k][k] == 0:
             nz_diag = next((i for i in range(k + 1, end) if m[i][i]), None)
             partner = next((j for j in range(k + 1, end) if m[k][j]), None)
             if nz_diag is not None:
                 swap(k, nz_diag)
+                steps.append((k, nz_diag, True))
             elif partner is None:
                 end -= 1  # a zero row of the Schur complement
                 swap(k, end)
@@ -364,6 +450,9 @@ def _signature(
                 col = [m[i][partner] for i in range(k + 1, partner)] + pp[partner:]
                 pk[k + 1 :] = map(add, pk[k + 1 :], col)
                 pk[k] = 2 * pk[partner]
+                for row in m[:k]:
+                    row[k] += row[partner]
+                steps.append((k, partner, False))
         pk = m[k]
         p = pk[k]
         n_plus += (p > 0) == (prev > 0)
@@ -372,6 +461,27 @@ def _signature(
             mi[i:] = [(p * x - f * y) // prev for x, y in zip(mi[i:], pk[i:])]
         prev = p
         k += 1
+    columns = None
+    if adjugate and end == n:
+
+        def back_substitute(w: list[int]) -> Vector:
+            z = [0] * n
+            for k in reversed(range(n)):
+                row = m[k]
+                z[k] = (prev * w[k] - sum(map(mul, row[k + 1 : n], z[k + 1 :]))) // row[k]
+            for k, j, is_swap in reversed(steps):
+                if is_swap:
+                    z[k], z[j] = z[j], z[k]
+                else:
+                    z[j] += z[k]
+            return tuple(z)
+
+        # the columns for e_{n-1} and e_{n-2}, each computed when read: w is
+        # D_j at row j, and -m[n-2][n-1] at row n - 1 if j = n - 2
+        columns = map(back_substitute, (
+            [0] * j + [m[j - 1][j - 1] if j else 1] + [-m[j][n - 1]] * (n - 1 - j)
+            for j in reversed(range(max(n - 2, 0), n))
+        ))
     block = [row[n:] for row in m[n:]]
     for i in range(width):
         for j in range(i):
@@ -383,7 +493,8 @@ def _signature(
         L=abs(prev) // g,
         kernel=tuple(tuple(row[n:]) for row in m[end:n]),
     )
-    return SignatureTriple(n_plus, end - n_plus, n - end), prev if end == n else 0, form
+    sig = SignatureTriple(n_plus, end - n_plus, n - end)
+    return sig, prev if end == n else 0, columns, form
 
 
 def _euclid(
@@ -611,7 +722,8 @@ class MatrixAnalysis:
     The class questions (`reduce`, `homology`, `torsion_form`) read the
     `split` and the `box`, the Hermite form of the nonsingular core: the
     matrix itself when it is nonsingular, which only `split` reads off the
-    signature.  Membership (`in_lattice`) reads the split and `form`, not
+    signature.  A `box` asked on a fresh entry runs the first pass itself,
+    with two adjugate columns.  Membership (`in_lattice`) reads the split and `form`, not
     the box: most vectors outside B Z^n fail at the first row of R_1 G.
     """
 
@@ -636,7 +748,7 @@ class MatrixAnalysis:
         """
         if "form" in self.__dict__ or "_inertia" in self.__dict__ or not self.matrix.rows:
             return self.form, vectors
-        sig, det, form = _signature(self.matrix, list(zip(*vectors)))
+        sig, det, _, form = _signature(self.matrix, list(zip(*vectors)))
         self.__dict__["_inertia"] = (sig, det)
         return form, _identity_lists(len(vectors))
 
@@ -659,12 +771,12 @@ class MatrixAnalysis:
         As R_1^T W_1^T + R_K^T K^T = I, it is R_K^T K^T v + R_1^T x, and only
         the nonzero entries of x are lifted.
         """
-        split = self.split
+        box, split = self.box, self.split  # the box first: it runs the pass
         # y, reduced in place; W_1 = I when the split has no kernel
         x = [sum(map(mul, w, v)) for w in split.columns] if split.kernel else list(v)
         # from the last coordinate up, subtract the multiple of column i
         # that brings x_i into [0, h_ii); it leaves the coordinates after i
-        for i, col in reversed(list(enumerate(self.box))):
+        for i, col in reversed(list(enumerate(box))):
             q = x[i] // col[i]
             if q:
                 x[: i + 1] = [a - q * h for a, h in zip(x, col)]
@@ -692,17 +804,27 @@ class MatrixAnalysis:
 
     @cached_property
     def box(self) -> tuple[Vector, ...]:
-        """The columns of the Hermite form H of B' Z^r (see `_hermite`) for
-        the nonsingular core B' = W_1^T B W_1 of the split, whose box
-        0 <= x_i < h_ii is a fundamental domain of B' Z^r.  A nonsingular B
-        is its own core, with modulus det B from the signature pass; a
-        singular B runs one more pass, on B', for det B'."""
+        """The columns of the Hermite form H of B' Z^r (see `_box`) for the
+        nonsingular core B' = W_1^T B W_1 of the split, whose box
+        0 <= x_i < h_ii is a fundamental domain of B' Z^r.  `_box` reads
+        det B' and columns of adj B' off a pass on B'.  A nonsingular B is
+        its own core: on a fresh entry that pass is the first, and gives the
+        signature too, and after `form` the columns of adj B =
+        +-(|det B| / L) G are read off G with no pass."""
+        matrix, adjugate = self.matrix, None
+        if "_inertia" not in self.__dict__:
+            sig, det, adjugate, _ = _signature(matrix, (), True)
+            self.__dict__["_inertia"] = (sig, det)
         split = self.split
-        if not split.kernel:
-            return _hermite(self.matrix.to_rows(), self._inertia[1])
-        bw = [self.matrix.matvec(w) for w in split.columns]
-        core = [[sum(map(mul, wi, x)) for x in bw] for wi in split.columns]
-        return _hermite(core, _signature(IntMatrix.from_rows(core))[1])
+        if split.kernel:
+            bw = [matrix.matvec(w) for w in split.columns]
+            matrix = IntMatrix.from_rows([[sum(map(mul, wi, x)) for x in bw] for wi in split.columns])
+        elif adjugate is None and "form" in self.__dict__:
+            det, form = self._inertia[1], self.form
+            adjugate = ([abs(det) // form.L * x for x in row] for row in reversed(form.G))
+        if split.kernel or adjugate is None:
+            _, det, adjugate, _ = _signature(matrix, (), True)
+        return _box(matrix.to_rows(), det, adjugate)
 
     @cached_property
     def _lattice_rows(self) -> tuple[Vector, ...]:
@@ -736,7 +858,7 @@ class MatrixAnalysis:
 
     @cached_property
     def form(self) -> IntegerForm:
-        sig, det, form = _signature(self.matrix, _identity_lists(self.matrix.rows))
+        sig, det, _, form = _signature(self.matrix, _identity_lists(self.matrix.rows))
         self.__dict__.setdefault("_inertia", (sig, det))  # the same pass gives them
         return form
 

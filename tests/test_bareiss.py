@@ -91,7 +91,7 @@ def test_bordered_pass_against_oracles():
     for rows in FAMILIES:
         b = IntMatrix.from_rows(rows)
         n = b.rows
-        sig, _, form = _signature(b, _identity(n))
+        sig, _, _, form = _signature(b, _identity(n))
         assert sig == _signature(b)[0] == signature(b)
         g = IntMatrix.from_rows(form.G)
         assert b @ g @ b == IntMatrix(n, n, tuple(form.L * x for x in b.entries)), rows

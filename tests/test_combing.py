@@ -195,6 +195,41 @@ class TestSpinC:
             assert diff.denominator == 1 and diff.numerator % 8 == 0
             assert spin_c_equal(p, c, c2)
 
+    def test_one_validation_per_combing(self, monkeypatch):
+        """combing_equal and the spinc-equal command check each combing once,
+        when its `CombingSpec` is built; the public spin_c_equal checks each
+        of its vectors, with its own messages."""
+        import io
+        import json
+
+        from combings.cli import main
+
+        calls = []
+
+        def counting(pres, c):
+            calls.append(tuple(c))
+            return validate_combing(pres, c)
+
+        monkeypatch.setattr(combing, "validate_combing", counting)
+        rng = random.Random(43)
+        for _ in range(20):
+            p = random_presentation(rng, max_n=4)
+            c = random_torsion_characteristic(rng, p)
+            other = tuple(x + 2 * y for x, y in zip(c, p.matrix.row(0))) if p.n else c
+            x, y = CombingSpec(p, c), CombingSpec(p, other, -1)
+            calls.clear()
+            combing_equal(x, y)
+            assert calls == []
+            assert spin_c_equal(p, c, other) and calls == [c, other]
+            calls.clear()
+            doc = {"linking_matrix": p.matrix.to_rows(), "combing": {"c": list(c), "gamma": 0},
+                   "combing2": {"c": list(other), "gamma": 0}}
+            out = io.StringIO()
+            assert main(["spinc-equal"], stdin=io.StringIO(json.dumps(doc)), stdout=out) == 0
+            assert out.getvalue() == "true\n" and calls == [c, other]
+        with pytest.raises(NotCharacteristicError, match="^index 0: "):
+            spin_c_equal(pres([[2]]), (0,), (1,))
+
 
 class TestCombingEqual:
     def test_equal_after_gamma_compensation(self):

@@ -8,6 +8,7 @@ that the other entries of a pivot column lie in [0, pivot).  So column j
 is row n-1-j of the echelon basis of the reversed rows of B, read back.
 """
 
+import math
 import random
 
 import pytest
@@ -117,3 +118,146 @@ def test_inputs_divide_the_modulus_during_the_pass():
     counts = [sum(1 for col in box if col[-1] > 1) for box in boxes]
     assert sum(1 for c in counts if c >= 2) >= 10
     assert counts.count(0) >= 3 and max(map(len, NONSINGULAR)) == 10
+
+
+def _zero_diagonal(seed):
+    """Nonsingular B with a zero diagonal, n in 2..9: the pass starts with a
+    step e_0 -> e_0 + e_partner."""
+    out = []
+    k = 0
+    while len(out) < 60:
+        rng = random.Random(f"{seed}:hollow:{k}")
+        k += 1
+        rows = random_symmetric(rng, rng.randint(2, 9), rng.randint(1, 5)).to_rows()
+        for i, row in enumerate(rows):
+            row[i] = 0
+        if _det(rows):
+            out.append(rows)
+    return out
+
+
+ZERO_DIAGONAL = _zero_diagonal(22)
+
+
+def _late_partner(seed):
+    """B = [[1, a^T], [a, a a^T + Z]] with Z of zero diagonal, n in 3..9: after
+    the first pivot the Schur complement is Z, so the second step is
+    e_1 -> e_1 + e_partner with row 0 already pivoted."""
+    out = []
+    k = 0
+    while len(out) < 40:
+        rng = random.Random(f"{seed}:late:{k}")
+        k += 1
+        n = rng.randint(3, 9)
+        a = [rng.randint(-3, 3) for _ in range(n - 1)]
+        z = random_symmetric(rng, n - 1, rng.randint(1, 4)).to_rows()
+        rows = [[1] + a] + [[x] + [x * y + (i != j) * z[i][j] for j, y in enumerate(a)]
+                            for i, x in enumerate(a)]
+        if _det(rows) and any(a[1:]) and any(z[0][1:]):
+            out.append(rows)
+    return out
+
+
+LATE_PARTNER = _late_partner(22)
+
+
+def _dense(seed):
+    """Dense random B with n in 10..16, whose cokernels are mostly cyclic or
+    need two generators."""
+    out = []
+    k = 0
+    while len(out) < 20:
+        rng = random.Random(f"{seed}:dense:{k}")
+        k += 1
+        rows = random_symmetric(rng, rng.randint(10, 16), 4).to_rows()
+        if _det(rows):
+            out.append(rows)
+    return out
+
+
+DENSE = _dense(22)
+FUNCTIONAL_CASES = NONSINGULAR + ZERO_DIAGONAL + LATE_PARTNER + DENSE
+
+
+def _adjugate_columns(rows):
+    return tuple(linalg._signature(IntMatrix.from_rows(rows), (), True)[2])
+
+
+@pytest.mark.parametrize("index", range(len(FUNCTIONAL_CASES)))
+def test_adjugate_columns_match_fraction_inverse(index):
+    """The pass's back-substitution gives columns a = adj(B) c with c = B a /
+    det B integral and primitive (c = P^{-T} e_j for the pass's unimodular
+    congruence P): c against the Fraction inverse, through swaps and
+    partner steps."""
+    rows = FUNCTIONAL_CASES[index]
+    inv, det = frac_inverse(rows)
+    columns = _adjugate_columns(rows)
+    assert len(columns) == min(len(rows), 2)
+    for a in columns:
+        c = [sum(x * y for x, y in zip(row, a)) for row in rows]
+        assert all(x % det == 0 for x in c)
+        c = [x // det for x in c]
+        assert math.gcd(*c) == 1
+        assert a == tuple(det * sum(x * y for x, y in zip(row, c)) for row in inv)
+
+
+def _route(rows, monkeypatch):
+    """(gcd(a, det B) for the first column a, the moduli `_hermite` ran at)."""
+    moduli = []
+    hermite = linalg._hermite
+
+    def recording(b, det):
+        moduli.append(det)
+        return hermite(b, det)
+
+    monkeypatch.setattr(linalg, "_hermite", recording)
+    columns = _adjugate_columns(rows)
+    box = linalg._box(rows, _det(rows), columns)
+    monkeypatch.setattr(linalg, "_hermite", hermite)
+    assert box == reference(rows)
+    return math.gcd(_det(rows), *columns[0]) if columns else 1, moduli
+
+
+@pytest.mark.parametrize("index", range(len(FUNCTIONAL_CASES)))
+def test_box_from_adjugate_columns_matches_echelon(index, monkeypatch):
+    """The box from the pass's columns, from one, from none and from those of
+    G, against the echelon oracle; `_hermite` runs at most once, on the
+    cofactor, at a modulus below |det B| unless no column was read."""
+    rows = FUNCTIONAL_CASES[index]
+    det, want = _det(rows), reference(rows)
+    _, moduli = _route(rows, monkeypatch)
+    assert all(abs(x) < abs(det) for x in moduli) and len(moduli) <= 1
+    columns = _adjugate_columns(rows)
+    assert linalg._box(rows, det, columns[:1]) == linalg._box(rows, det, ()) == want
+    data = linalg.MatrixAnalysis(IntMatrix.from_rows(rows))
+    data.form
+    assert data.box == want  # read off G, with no further pass
+
+
+def test_box_routes_all_occur(monkeypatch):
+    """g = 1, g > 1 finished by the second column, g > 1 left to `_hermite`,
+    and swaps and partner steps in the pass, at the first step and after a
+    pivot, all occur among the cases."""
+    routes = [_route(rows, monkeypatch) for rows in FUNCTIONAL_CASES]
+    assert sum(1 for g, moduli in routes if g == 1) >= 40
+    assert sum(1 for g, moduli in routes if g > 1 and not moduli) >= 25
+    assert sum(1 for g, moduli in routes if moduli) >= 40
+    # b_00 = 0 with another nonzero diagonal entry makes the first step a
+    # swap, and an all-zero diagonal a partner step
+    assert sum(1 for rows in FUNCTIONAL_CASES if not rows[0][0] and any(
+        rows[i][i] for i in range(len(rows)))) >= 5
+    assert all(not any(rows[i][i] for i in range(len(rows))) for rows in ZERO_DIAGONAL)
+    assert all(rows[0][0] == 1 and not any(rows[i][i] - rows[0][i] ** 2 for i in range(len(rows)))
+               for rows in LATE_PARTNER)
+
+
+@pytest.mark.parametrize("index", range(len(SINGULAR)))
+def test_singular_box_from_the_core_pass(index):
+    """A fresh singular B, asked for its box first, answers through its
+    core, and matches the echelon oracle of the core."""
+    b = IntMatrix.from_rows(SINGULAR[index])
+    data = linalg.MatrixAnalysis(b)
+    box = data.box
+    columns = data.split.columns
+    bw = [b.matvec(w) for w in columns]
+    assert box == reference([[sum(x * y for x, y in zip(wi, v)) for v in bw] for wi in columns])

@@ -588,9 +588,9 @@ def passes(monkeypatch):
     log = {"widths": [], "smith": 0}
     signature_pass, diagonalize = linalg._signature, linalg._diagonalize
 
-    def counting_signature(s, border=()):
+    def counting_signature(s, border=(), adjugate=False):
         log["widths"].append(len(border[0]) if border else 0)
-        return signature_pass(s, border)
+        return signature_pass(s, border, adjugate)
 
     def counting_diagonalize(m, r=None, c=None):
         log["smith"] += r is not None
@@ -699,6 +699,42 @@ def test_nonsingular_questions_build_no_smith_form(passes):
     got = homology_summary(singular).kernel_basis
     assert "box" in analysis(singular.matrix).__dict__ and passes["smith"] == 0
     assert got == echelon(smith_kernel(singular.matrix)) == ((1, 1, -1),)
+
+
+def test_cold_box_runs_one_pass_and_no_full_modulus_hermite(passes, monkeypatch):
+    """homology and reduce_class (framed-class) on a fresh nonsingular B run
+    one empty-border pass, as before, and read the box off two of its
+    adjugate columns: `_hermite` does not run when they cut out B Z^n, and
+    otherwise runs once, at a modulus below |det B|.  After `form`, the box
+    reads the adjugate off G and runs no pass."""
+    moduli = []
+    hermite = linalg._hermite
+
+    def recording(b, det):
+        moduli.append(abs(det))
+        return hermite(b, det)
+
+    monkeypatch.setattr(linalg, "_hermite", recording)
+    cases = (
+        ([[3, 1, 0], [1, -2, 1], [0, 1, 4]], []),  # coker Z/29
+        ([[13, 0, -2, -9], [0, 4, 8, 0], [-2, 8, 18, 2], [-9, 0, 2, 7]], [4]),  # Z/2 + Z/2 + Z/12
+    )
+    for rows, want in cases:
+        for question in (homology_summary, lambda pres: reduce_class(pres, (1,) * pres.n)):
+            analysis.cache_clear()
+            pres = _cold(rows)
+            passes["widths"].clear()
+            moduli.clear()
+            question(pres)
+            assert passes["widths"] == [0] and moduli == want
+            assert all(m < abs(_det(pres.matrix)) for m in moduli)
+        analysis.cache_clear()
+        pres = _cold(rows)
+        analysis(pres.matrix).form
+        passes["widths"].clear()
+        assert analysis(pres.matrix).box == linalg._box(rows, _det(pres.matrix), ())
+        assert passes["widths"] == []
+    assert passes["smith"] == 0
 
 
 def test_only_box_questions_build_the_singular_core(passes):
