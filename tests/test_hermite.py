@@ -104,11 +104,12 @@ def test_singular_box_matches_echelon_of_core(index):
     B' = W_1^T B W_1."""
     b = IntMatrix.from_rows(SINGULAR[index])
     data = linalg.MatrixAnalysis(b)
+    box = data.box  # asked first, on a fresh entry
     columns = data.split.columns
     assert columns and len(columns) < b.rows
     bw = [b.matvec(w) for w in columns]
     core = [[sum(x * y for x, y in zip(wi, v)) for v in bw] for wi in columns]
-    assert data.box == reference(core)
+    assert box == reference(core)
 
 
 def test_inputs_divide_the_modulus_during_the_pass():
@@ -210,19 +211,19 @@ def _route(rows, monkeypatch):
         moduli.append(det)
         return hermite(b, det)
 
-    monkeypatch.setattr(linalg, "_hermite", recording)
     columns = _adjugate_columns(rows)
-    box = linalg._box(rows, _det(rows), columns)
-    monkeypatch.setattr(linalg, "_hermite", hermite)
-    assert box == reference(rows)
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "_hermite", recording)
+        assert linalg._box(rows, _det(rows), columns) == reference(rows)
     return math.gcd(_det(rows), *columns[0]) if columns else 1, moduli
 
 
 @pytest.mark.parametrize("index", range(len(FUNCTIONAL_CASES)))
 def test_box_from_adjugate_columns_matches_echelon(index, monkeypatch):
-    """The box from the pass's columns, from one, from none and from those of
-    G, against the echelon oracle; `_hermite` runs at most once, on the
-    cofactor, at a modulus below |det B| unless no column was read."""
+    """The box from the pass's columns, from one, from none (the Hermite pass
+    modulo |det B| alone) and from those of G, against the echelon oracle;
+    from the pass's columns `_hermite` runs at most once, on the cofactor,
+    at a modulus below |det B|."""
     rows = FUNCTIONAL_CASES[index]
     det, want = _det(rows), reference(rows)
     _, moduli = _route(rows, monkeypatch)
@@ -249,15 +250,3 @@ def test_box_routes_all_occur(monkeypatch):
     assert all(not any(rows[i][i] for i in range(len(rows))) for rows in ZERO_DIAGONAL)
     assert all(rows[0][0] == 1 and not any(rows[i][i] - rows[0][i] ** 2 for i in range(len(rows)))
                for rows in LATE_PARTNER)
-
-
-@pytest.mark.parametrize("index", range(len(SINGULAR)))
-def test_singular_box_from_the_core_pass(index):
-    """A fresh singular B, asked for its box first, answers through its
-    core, and matches the echelon oracle of the core."""
-    b = IntMatrix.from_rows(SINGULAR[index])
-    data = linalg.MatrixAnalysis(b)
-    box = data.box
-    columns = data.split.columns
-    bw = [b.matvec(w) for w in columns]
-    assert box == reference([[sum(x * y for x, y in zip(wi, v)) for v in bw] for wi in columns])
