@@ -250,3 +250,10 @@ def test_box_routes_all_occur(monkeypatch):
     assert all(not any(rows[i][i] for i in range(len(rows))) for rows in ZERO_DIAGONAL)
     assert all(rows[0][0] == 1 and not any(rows[i][i] - rows[0][i] ** 2 for i in range(len(rows)))
                for rows in LATE_PARTNER)
+
+
+def test_empty_box_on_a_fresh_entry():
+    """The empty B asks its pass for no columns and has the empty box."""
+    empty = IntMatrix.from_rows([])
+    assert _adjugate_columns([]) == ()
+    assert linalg.MatrixAnalysis(empty).box == ()
