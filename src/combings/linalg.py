@@ -5,17 +5,15 @@ arbitrary-precision integers, with no Fraction and no floating point, so
 Smith and Hermite forms, kernels, signatures and the integer form G / L are
 exact and reproducible.  There is one fraction-free elimination, the
 symmetric Bareiss pass `_signature`: with an empty border it gives the
-signature and det B, and on request two columns of adj B by
-back-substitution, with a border c also c^T B^+ c and whether c is
-torsion, with the border I all of G / L and the kernel of B.  The
-others are the Smith pass `_diagonalize`, the gcd chains `_kernel_lattice`
-that cut the Hermite box out of those adjugate columns (`_box`), the
-Hermite pass `_hermite` on what they leave (its working vectors matter
-modulo a determinant and are reduced only where they are read), the Euclid
-steps `_euclid` of `_split` and `_echelon`, and the F_2 elimination
-`solve_mod2`.  Every class question reads one box, the Hermite box of the
-nonsingular core of B; membership in B Z^n reads the rows of R_1 G instead
-(`MatrixAnalysis.in_lattice`).
+signature and det B, and for a nonsingular B the columns of adj B, each by
+forward elimination and back-substitution when read; with a border c also
+c^T B^+ c and whether c is torsion, with the border I all of G / L and the
+kernel of B.  The others are the Smith pass `_diagonalize`, the gcd chains
+`_kernel_lattice` that cut the Hermite box out of adjugate columns until
+they reach B Z^n (`_box`), the Euclid steps `_euclid` of `_split` and
+`_echelon`, and the F_2 elimination `solve_mod2`.  Every class question
+reads one box, the Hermite box of the nonsingular core of B; membership in
+B Z^n reads the rows of R_1 G instead (`MatrixAnalysis.in_lattice`).
 """
 
 from __future__ import annotations
@@ -212,67 +210,6 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
     )
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, u, v) with u a + v b = g = gcd(a, b) >= 0."""
-    u0, u1, v0, v1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        u0, u1 = u1, u0 - q * u1
-        v0, v1 = v1, v0 - q * v1
-    return (a, u0, v0) if a >= 0 else (-a, -u0, -v0)
-
-
-def _hermite(b: list[list[int]], det: int) -> tuple[Vector, ...]:
-    """The columns of the Hermite normal form H of the full-rank lattice
-    generated by the n vectors b, of determinant +-det, computed modulo a
-    determinant (Domich-Kannan-Trotter 1987; Cohen, A Course in
-    Computational Algebraic Number Theory, Alg. 2.4.8).  b is not modified.
-
-    H Z^n is the lattice, H is upper triangular with h_ii > 0, and
-    0 <= h_ij < h_ii for j > i; such an H is unique.  Column j is returned
-    as its entries 0..j, the rest being zero.
-
-    Coordinates are taken from the last to the first.  At coordinate i the
-    lattice left is the part supported on coordinates 0..i, of determinant
-    r, so it contains r Z^{i+1} and a working vector matters only modulo r.
-    It is reduced lazily: its coordinate i when read as a coefficient, the
-    whole vector once when it becomes the pivot p.  Unimodular gcd steps
-    gather coordinate i of the working vectors into p; while p_i = 1 a step
-    is w - c p with no reduction, so entries grow only additively.  With
-    u p_i = g = gcd(p_i, r) mod r, column i is (u p mod r, g) with h_ii = g,
-    and the lattice left for coordinates 0..i-1 has determinant r / g.  The
-    columns are then finished by `_finish`.
-    """
-    r = abs(det)
-    work = list(b)
-    tails = []
-    for i in reversed(range(len(b))):
-        row = work.pop()
-        p = [x % r for x in row[:i]]
-        a = row[i] % r
-        rest = []
-        for w in work:
-            c = w[i] % r
-            if not c:
-                rest.append(w)
-            elif a == 1:
-                rest.append([y - c * x for x, y in zip(p, w)])
-            else:
-                g, u, v = _xgcd(a, c)
-                s, t = a // g, c // g
-                # a 2 x 2 step of determinant u s + v t = 1; w loses coordinate i
-                rest.append([(s * y - t * x) % r for x, y in zip(p, w)])
-                if v:
-                    p = [(u * x + v * y) % r for x, y in zip(p, w)]
-                a = g
-        g, u, _ = _xgcd(a, r)
-        r //= g
-        tails.append([u * x % r for x in p] + [g])
-        work = rest
-    return _finish(tails[::-1])
-
-
 def _finish(tails: Sequence[list[int]]) -> tuple[Vector, ...]:
     """The Hermite form of the lattice of an upper triangular basis with
     positive diagonal, column j given as its entries 0..j (changed in
@@ -328,35 +265,29 @@ def _kernel_lattice(f: Sequence[int], r: int) -> tuple[list[list[int]], int]:
     return columns, r
 
 
-def _box(b: list[list[int]], det: int, adjugate: Iterable[Sequence[int]]) -> tuple[Vector, ...]:
-    """The columns of the Hermite form H of B Z^n (see `_hermite`) for a
-    nonsingular symmetric B, from det B and columns a = adj(B) c of its
-    adjugate, c integral (after Micciancio-Warinschi 2001).
+def _box(n: int, det: int, adjugate: Iterable[Sequence[int]]) -> tuple[Vector, ...]:
+    """The columns of the Hermite form H of B Z^n for an n x n nonsingular
+    symmetric B: H Z^n = B Z^n, H is upper triangular with h_ii > 0, and
+    0 <= h_ij < h_ii for j > i; such an H is unique.  Column j is returned
+    as its entries 0..j.  H is cut out of Z^n by det B and columns
+    a = adj(B) c of the adjugate, c integral (after Micciancio-Warinschi 2001).
 
     a^T B y = det(B) c^T y, so each a cuts a lattice holding B Z^n out of the
     current one, H Z^n of index r over B Z^n (at first H = I, r = |det B|):
     as r H Z^n lies in B Z^n, f = a^T H / (|det B| / r) is integral, and
     B Z^n lies in H K Z^n for K the `_kernel_lattice` of f mod r.  Columns
-    are read while r > 1; then B = H Y, and H times the Hermite form of
-    Y Z^n, by `_hermite` modulo r, finished, is the box.
+    are read while r > 1.  y lies in B Z^n iff c^T B^{-1} y is an integer for
+    every c of a basis of Z^n, so columns whose c form a basis reach r = 1
+    after at most n; most B need one or two.
     """
-    n, r, adjugate = len(b), abs(det), iter(adjugate)
-    columns: Sequence[Sequence[int]] = [[0] * j + [1] for j in range(n)]
+    r, adjugate = abs(det), iter(adjugate)
+    columns = [[0] * j + [1] for j in range(n)]
     sparse = [[(j, 1)] for j in range(n)]
-    while r > 1 and (a := next(adjugate, None)) is not None:
-        scale = abs(det) // r
+    while r > 1:
+        a, scale = next(adjugate), abs(det) // r
         kernel, r = _kernel_lattice([sum(a[k] * x for k, x in col) // scale for col in sparse], r)
         columns = _product(sparse, kernel)
         sparse = [[(k, x) for k, x in enumerate(col) if x] for col in columns]
-    if r > 1:
-        # B = H Y: Y agrees with B outside the rows T with h_tt > 1, and row t
-        # of Y is (row t of B - h_t,>t Y_>t) / h_tt, from the last t of T up
-        rows = [(t, [col[t] for col in columns[t:]]) for t in reversed(range(n)) if columns[t][t] > 1]
-        coords = [list(row) for row in b]  # the columns of Y, as B is symmetric
-        for y in coords:
-            for t, h in rows:
-                y[t] = (y[t] - sum(map(mul, h[1:], y[t + 1 :]))) // h[0]
-        columns = _product(sparse, _hermite(coords, r))
     return _finish(columns)
 
 
@@ -377,11 +308,11 @@ def signature(s: IntMatrix) -> SignatureTriple:
 
 
 def _signature(
-    s: IntMatrix, border: Sequence[Sequence[int]] = (), adjugate: bool = False
+    s: IntMatrix, border: Sequence[Sequence[int]] = ()
 ) -> tuple[SignatureTriple, int, Iterator[Vector] | None, IntegerForm]:
-    """The inertia of s, det s, if asked and s is nonsingular two columns
-    adj(s) c of its adjugate, each computed when read (else None), and the
-    integer form of s on the columns of a border C of any width (given by
+    """The inertia of s, det s, if s is nonsingular the columns adj(s) c of
+    its adjugate for a basis of c, each computed when read (else None), and
+    the integer form of s on the columns of a border C of any width (given by
     its rows), from one symmetric Bareiss pass on [[s, C], [C^T, 0]]
     (Bareiss 1968; Sylvester's law of inertia).  The width is read off the
     first row, so an empty s carries no border.
@@ -404,10 +335,13 @@ def _signature(
     On a nonsingular s the pivot rows, in the final basis, are the upper
     triangular system U y = w that Bareiss elimination makes of P^T s P y =
     e_j, so a step e_k -> e_k + e_partner also adds column partner into
-    column k of the rows already pivoted.  For the last two j, w is O(1).
+    column k of the rows already pivoted.  The stages before j scale e_j to
+    w_j = D_j, and the stage of each later pivot row k sets w_i =
+    (D_{k+1} w_i - m_ki w_k) / D_k for i > k, exactly (D_0 = 1).
     Back-substitution gives z = det(s) y, each division exact as z is
-    integral, in O(n^2); the steps, undone in reverse, map z to P z =
-    adj(s) c for the integral c = P^{-T} e_j.
+    integral; the steps, undone in reverse, map z to P z = adj(s) c for the
+    integral c = P^{-T} e_j, and these c form a basis of Z^n.  The columns
+    come for j = n-1 down to 0, in O(n^2) each.
     """
     if not s.is_symmetric():
         raise ValueError("signature needs a symmetric matrix")
@@ -462,26 +396,30 @@ def _signature(
         prev = p
         k += 1
     columns = None
-    if adjugate and end == n:
+    if end == n:
 
-        def back_substitute(w: list[int]) -> Vector:
+        def column(j: int) -> Vector:
+            # forward elimination of e_j through the pivot rows j..n-2
+            w = [0] * n
+            w[j] = before = m[j - 1][j - 1] if j else 1
+            for k in range(j, n - 1):
+                row, wk = m[k], w[k]
+                p = row[k]
+                w[k + 1 :] = [(p * x - f * wk) // before for x, f in zip(w[k + 1 :], row[k + 1 :])]
+                before = p
+            # back-substitution, then the steps undone in reverse
             z = [0] * n
             for k in reversed(range(n)):
                 row = m[k]
                 z[k] = (prev * w[k] - sum(map(mul, row[k + 1 : n], z[k + 1 :]))) // row[k]
-            for k, j, is_swap in reversed(steps):
+            for k, i, is_swap in reversed(steps):
                 if is_swap:
-                    z[k], z[j] = z[j], z[k]
+                    z[k], z[i] = z[i], z[k]
                 else:
-                    z[j] += z[k]
+                    z[i] += z[k]
             return tuple(z)
 
-        # the columns for e_{n-1} and e_{n-2}, each computed when read: w is
-        # D_j at row j, and -m[n-2][n-1] at row n - 1 if j = n - 2
-        columns = map(back_substitute, (
-            [0] * j + [m[j - 1][j - 1] if j else 1] + [-m[j][n - 1]] * (n - 1 - j)
-            for j in reversed(range(max(n - 2, 0), n))
-        ))
+        columns = map(column, reversed(range(n)))
     block = [row[n:] for row in m[n:]]
     for i in range(width):
         for j in range(i):
@@ -722,9 +660,10 @@ class MatrixAnalysis:
     The class questions (`reduce`, `homology`, `torsion_form`) read the
     `split` and the `box`, the Hermite form of the nonsingular core: the
     matrix itself when it is nonsingular, which only `split` reads off the
-    signature.  A `box` asked on a fresh entry runs the first pass itself,
-    with two adjugate columns.  Membership (`in_lattice`) reads the split and `form`, not
-    the box: most vectors outside B Z^n fail at the first row of R_1 G.
+    signature.  A `box` asked on a fresh entry runs the first pass itself
+    and reads its adjugate columns.  Membership (`in_lattice`) reads the
+    split and `form`, not the box: most vectors outside B Z^n fail at the
+    first row of R_1 G.
     """
 
     def __init__(self, matrix: IntMatrix) -> None:
@@ -807,13 +746,13 @@ class MatrixAnalysis:
         """The columns of the Hermite form H of B' Z^r (see `_box`) for the
         nonsingular core B' = W_1^T B W_1 of the split, whose box
         0 <= x_i < h_ii is a fundamental domain of B' Z^r.  `_box` reads
-        det B' and columns of adj B' off a pass on B'.  A nonsingular B is
-        its own core: on a fresh entry that pass is the first, and gives the
-        signature too, and after `form` the columns of adj B =
-        +-(|det B| / L) G are read off G with no pass."""
+        det B' and columns of adj B' off a pass on B' until they cut out
+        B' Z^r.  A nonsingular B is its own core: on a fresh entry that pass
+        is the first, and gives the signature too, and after `form` the
+        columns of adj B = +-(|det B| / L) G are read off G with no pass."""
         matrix, adjugate = self.matrix, None
         if "_inertia" not in self.__dict__:
-            sig, det, adjugate, _ = _signature(matrix, (), True)
+            sig, det, adjugate, _ = _signature(matrix)
             self.__dict__["_inertia"] = (sig, det)
         split = self.split
         if split.kernel:
@@ -823,8 +762,8 @@ class MatrixAnalysis:
             det, form = self._inertia[1], self.form
             adjugate = ([abs(det) // form.L * x for x in row] for row in reversed(form.G))
         if split.kernel or adjugate is None:
-            _, det, adjugate, _ = _signature(matrix, (), True)
-        return _box(matrix.to_rows(), det, adjugate)
+            _, det, adjugate, _ = _signature(matrix)
+        return _box(matrix.rows, det, adjugate)
 
     @cached_property
     def _lattice_rows(self) -> tuple[Vector, ...]:

@@ -6,7 +6,8 @@ ranks over bit-mask rows, eigenvalue sign counts read off the characteristic
 polynomial (Descartes' rule of signs is exact for the all-real spectrum of a
 symmetric matrix), Spin^c class keys from a Fraction inverse, the
 Ozsvath-Szabo recursion for the d-invariants of lens spaces, and echelon
-lattice bases by 2 x 2 extended-gcd steps.  `solve_integer` and the Smith
+lattice bases by 2 x 2 extended-gcd steps, and the Hermite box of B Z^n read
+off such a basis.  `solve_integer` and the Smith
 coordinates read the library's public Smith form, with its transforms, by
 a route that no question on a symmetric B takes.
 """
@@ -276,3 +277,16 @@ def echelon(vectors):
             rows[i] = [x - f * y for x, y in zip(rows[i], rows[t])]
         t += 1
     return tuple(map(tuple, rows))
+
+
+def reference(rows):
+    """The columns of the Hermite form H of B Z^n, entries 0..j of column j,
+    from the echelon basis.  Read from the last coordinate to the first,
+    the columns of H are the echelon basis of B Z^n: with the coordinate
+    order reversed, column j of H has its pivot h_jj at position n-1-j, and
+    0 <= h_ij < h_ii for j > i says that the other entries of a pivot column
+    lie in [0, pivot).  So column j is row n-1-j of the echelon basis of the
+    reversed rows of B, read back."""
+    n = len(rows)
+    basis = echelon([row[::-1] for row in rows])
+    return tuple(basis[n - 1 - j][::-1][: j + 1] for j in range(n))

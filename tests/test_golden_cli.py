@@ -25,7 +25,9 @@ from pathlib import Path
 
 import pytest
 
-from _oracles import frac_inverse, frac_rank, frac_solve, naive_det, solve_integer
+from _oracles import (
+    frac_inverse, frac_rank, frac_solve, naive_det, smith_generators, solve_integer,
+)
 from combings.cli import main
 from combings.linalg import IntMatrix
 
@@ -68,6 +70,17 @@ def _documents():
     dense24, dense40 = _random_symmetric(rng, 24, 3), _random_symmetric(rng, 40, 3)
     hollow6 = [[0, 0, -1, 2, 1, 2], [0, 0, -1, -2, 0, -3], [-1, -1, 0, -1, 0, -1],
                [2, -2, -1, 0, 2, 3], [1, 0, 0, 2, 0, 0], [2, -3, -1, 3, 0, 0]]
+    # P^T (2 I_8 + diag(3, 3, 12)) P by symmetric row and column steps with a
+    # pinned seed: coker (Z/2)^8 + Z/3 + Z/3 + Z/12 needs nine generators
+    generators11 = [[(2, 2, 2, 2, 2, 2, 2, 2, 3, 3, 12)[i] * (i == j) for j in range(11)]
+                    for i in range(11)]
+    rng = random.Random(23)
+    for _ in range(22):
+        i, j = rng.sample(range(11), 2)
+        q = rng.choice((-1, 1))
+        generators11[i] = [x + q * y for x, y in zip(generators11[i], generators11[j])]
+        for row in generators11:
+            row[i] += q * row[j]
     return [
         ("empty", {
             "linking_matrix": [],
@@ -169,6 +182,11 @@ def _documents():
         # P^T diag(2, 2, 4, 3) P: coker Z/2 + Z/2 + Z/12 is not cyclic
         ("noncyclic", with_reference([[13, 0, -2, -9], [0, 4, 8, 0], [-2, 8, 18, 2],
                                       [-9, 0, 2, 7]])),
+        # a cokernel with nine generators, so the box reads many adjugate
+        # columns before they cut out B Z^n
+        ("generators11", with_reference(generators11, meridian=[1] * 11,
+                                        framed={"lambda_matrix": [["1/2"]],
+                                                "classes": [[1, 0] * 5 + [1]]})),
     ]
 
 
@@ -320,11 +338,15 @@ def test_replay_by_property():
 
 def test_functional_documents():
     """The dense documents pin both routes of the box: with a = adj(B) c for
-    c = (1, ..., 1), gcd(a, det B) is 1 for dense24 and 2 for dense40."""
+    c = (1, ..., 1), gcd(a, det B) is 1 for dense24 and 2 for dense40.  The
+    cokernel of generators11 needs nine generators (its Smith form, through
+    the oracle)."""
     docs = dict(_documents())
     for name, want in (("dense24", 1), ("dense40", 2)):
         inv, det = frac_inverse(docs[name]["linking_matrix"])
         assert math.gcd(det, *(int(det * sum(row)) for row in inv)) == want
+    generators = smith_generators(IntMatrix.from_rows(docs["generators11"]["linking_matrix"]))
+    assert sorted(d for _, d in generators) == [2] * 6 + [6, 6, 12]
 
 
 def test_corpus_covers_every_document_command():

@@ -1,29 +1,16 @@
 """The Hermite box against the echelon oracle, which works with exact
-integers and no modulus.
-
-The columns of H, read from the last coordinate to the first, are the
-echelon basis of B Z^n: with the coordinate order reversed, column j of H
-has its pivot h_jj at position n-1-j, and 0 <= h_ij < h_ii for j > i says
-that the other entries of a pivot column lie in [0, pivot).  So column j
-is row n-1-j of the echelon basis of the reversed rows of B, read back.
+integers and no modulus (`_oracles.reference`), and the adjugate columns
+that cut it out against the Fraction inverse.
 """
 
-import math
 import random
 
 import pytest
 
-from _oracles import echelon, frac_inverse
+from _oracles import frac_inverse, reference
 from combings import linalg
 from combings.linalg import IntMatrix
 from combings.verify import random_symmetric, random_unimodular
-
-
-def reference(rows):
-    """The columns of H, entries 0..j of column j, from the echelon basis."""
-    n = len(rows)
-    basis = echelon([row[::-1] for row in rows])
-    return tuple(basis[n - 1 - j][::-1][: j + 1] for j in range(n))
 
 
 def _det(rows):
@@ -83,19 +70,24 @@ def test_hand_worked_a3():
     """B = A_3 has coker Z/4.  Lattice vectors with x_2 = 0 have
     x_1 = a - 3c for any a, c, so h_22 = h_11 = 1 and h_00 = 4; column 1 is
     the row (2, 1, 0), and column 2 is the row (1, 2, 1) minus twice the
-    first, plus (4, 0, 0)."""
+    first, plus (4, 0, 0).  -A_3 spans the same lattice."""
     a3 = [[2, 1, 0], [1, 2, 1], [0, 1, 2]]
     want = ((4,), (2, 1), (1, 0, 1))
     assert reference(a3) == want
-    assert linalg._hermite(a3, 4) == linalg._hermite(a3, -4) == want
+    for rows in (a3, [[-x for x in row] for row in a3]):
+        assert linalg.MatrixAnalysis(IntMatrix.from_rows(rows)).box == want
+
+
+def _pass_columns(rows):
+    """det B and the lazy adjugate columns of the pass on B."""
+    _, det, columns, _ = linalg._signature(IntMatrix.from_rows(rows))
+    return det, columns
 
 
 @pytest.mark.parametrize("index", range(len(NONSINGULAR)))
 def test_hermite_matches_echelon(index):
     rows = NONSINGULAR[index]
-    copy = [list(row) for row in rows]
-    assert linalg._hermite(rows, _det(rows)) == reference(rows)
-    assert rows == copy  # the argument is left unchanged
+    assert linalg._box(len(rows), *_pass_columns(rows)) == reference(rows)
 
 
 @pytest.mark.parametrize("index", range(len(SINGULAR)))
@@ -181,68 +173,66 @@ FUNCTIONAL_CASES = NONSINGULAR + ZERO_DIAGONAL + LATE_PARTNER + DENSE
 
 
 def _adjugate_columns(rows):
-    return tuple(linalg._signature(IntMatrix.from_rows(rows), (), True)[2])
+    return tuple(_pass_columns(rows)[1])
 
 
 @pytest.mark.parametrize("index", range(len(FUNCTIONAL_CASES)))
 def test_adjugate_columns_match_fraction_inverse(index):
-    """The pass's back-substitution gives columns a = adj(B) c with c = B a /
-    det B integral and primitive (c = P^{-T} e_j for the pass's unimodular
-    congruence P): c against the Fraction inverse, through swaps and
-    partner steps."""
+    """The pass gives all n columns a = adj(B) c with c = B a / det B
+    integral, c = P^{-T} e_j for the pass's unimodular congruence P: c
+    against the Fraction inverse, through swaps and partner steps, and the
+    matrix of the c has determinant +-1."""
     rows = FUNCTIONAL_CASES[index]
     inv, det = frac_inverse(rows)
     columns = _adjugate_columns(rows)
-    assert len(columns) == min(len(rows), 2)
+    assert len(columns) == len(rows)
+    basis = []
     for a in columns:
         c = [sum(x * y for x, y in zip(row, a)) for row in rows]
         assert all(x % det == 0 for x in c)
         c = [x // det for x in c]
-        assert math.gcd(*c) == 1
         assert a == tuple(det * sum(x * y for x, y in zip(row, c)) for row in inv)
+        basis.append(c)
+    assert abs(_det(basis)) == 1
 
 
-def _route(rows, monkeypatch):
-    """(gcd(a, det B) for the first column a, the moduli `_hermite` ran at)."""
-    moduli = []
-    hermite = linalg._hermite
+def _columns_read(rows):
+    """The box from the pass's columns, and how many of them `_box` read."""
+    det, columns = _pass_columns(rows)
+    read = []
 
-    def recording(b, det):
-        moduli.append(det)
-        return hermite(b, det)
+    def counted():
+        for a in columns:
+            read.append(a)
+            yield a
 
-    columns = _adjugate_columns(rows)
-    with monkeypatch.context() as patch:
-        patch.setattr(linalg, "_hermite", recording)
-        assert linalg._box(rows, _det(rows), columns) == reference(rows)
-    return math.gcd(_det(rows), *columns[0]) if columns else 1, moduli
+    return linalg._box(len(rows), det, counted()), len(read)
 
 
 @pytest.mark.parametrize("index", range(len(FUNCTIONAL_CASES)))
-def test_box_from_adjugate_columns_matches_echelon(index, monkeypatch):
-    """The box from the pass's columns, from one, from none (the Hermite pass
-    modulo |det B| alone) and from those of G, against the echelon oracle;
-    from the pass's columns `_hermite` runs at most once, on the cofactor,
-    at a modulus below |det B|."""
+def test_box_from_adjugate_columns_matches_echelon(index):
+    """The box from the pass's columns, from the same columns in the
+    opposite order, and from those of G after `form`, against the echelon
+    oracle; `_box` reads at most n columns."""
     rows = FUNCTIONAL_CASES[index]
     det, want = _det(rows), reference(rows)
-    _, moduli = _route(rows, monkeypatch)
-    assert all(abs(x) < abs(det) for x in moduli) and len(moduli) <= 1
-    columns = _adjugate_columns(rows)
-    assert linalg._box(rows, det, columns[:1]) == linalg._box(rows, det, ()) == want
+    box, read = _columns_read(rows)
+    assert box == want and read <= len(rows)
+    assert linalg._box(len(rows), det, _adjugate_columns(rows)[::-1]) == want
     data = linalg.MatrixAnalysis(IntMatrix.from_rows(rows))
     data.form
     assert data.box == want  # read off G, with no further pass
 
 
-def test_box_routes_all_occur(monkeypatch):
-    """g = 1, g > 1 finished by the second column, g > 1 left to `_hermite`,
-    and swaps and partner steps in the pass, at the first step and after a
-    pivot, all occur among the cases."""
-    routes = [_route(rows, monkeypatch) for rows in FUNCTIONAL_CASES]
-    assert sum(1 for g, moduli in routes if g == 1) >= 40
-    assert sum(1 for g, moduli in routes if g > 1 and not moduli) >= 25
-    assert sum(1 for g, moduli in routes if moduli) >= 40
+def test_box_routes_all_occur():
+    """B cut out by 0 (|det B| = 1), 1, 2 and 3 or more columns, and swaps
+    and partner steps in the pass, at the first step and after a pivot, all
+    occur among the cases."""
+    counts = [_columns_read(rows)[1] for rows in FUNCTIONAL_CASES]
+    assert counts.count(0) >= 10
+    assert counts.count(1) >= 60
+    assert counts.count(2) >= 45
+    assert sum(1 for read in counts if read >= 3) >= 80
     # b_00 = 0 with another nonzero diagonal entry makes the first step a
     # swap, and an all-zero diagonal a partner step
     assert sum(1 for rows in FUNCTIONAL_CASES if not rows[0][0] and any(
@@ -250,6 +240,56 @@ def test_box_routes_all_occur(monkeypatch):
     assert all(not any(rows[i][i] for i in range(len(rows))) for rows in ZERO_DIAGONAL)
     assert all(rows[0][0] == 1 and not any(rows[i][i] - rows[0][i] ** 2 for i in range(len(rows)))
                for rows in LATE_PARTNER)
+
+
+def _many_generators(seed):
+    """B whose cokernels need many generators: P^T (d I_k + D) P with a
+    repeated small d, block sums of two random blocks, and diag(2..8),
+    plain at n = 10, 20, 30 and congruent at n up to 12."""
+    out = []
+    for k in range(20):
+        rng = random.Random(f"{seed}:repeated:{k}")
+        d = rng.choice((2, 3, 4))
+        rest = [rng.choice((1, -1)) * rng.choice((1, 2, 3, 6)) for _ in range(rng.randint(0, 4))]
+        out.append(_congruent(rng, [d] * rng.randint(3, 8) + rest))
+    k = 0
+    while len(out) < 30:
+        rng = random.Random(f"{seed}:blocks:{k}")
+        k += 1
+        first = random_symmetric(rng, rng.randint(2, 8), 4)
+        rows = first.direct_sum(random_symmetric(rng, rng.randint(2, 8), 4)).to_rows()
+        if _det(rows):
+            out.append(rows)
+    for n in (10, 20, 30):
+        rng = random.Random(f"{seed}:diagonal:{n}")
+        out.append([[rng.randint(2, 8) * (i == j) for j in range(n)] for i in range(n)])
+    for k in range(5):
+        rng = random.Random(f"{seed}:diagonal:congruent:{k}")
+        out.append(_congruent(rng, [rng.randint(2, 8) for _ in range(rng.randint(6, 12))]))
+    return out
+
+
+MANY_GENERATORS = _many_generators(23)
+
+
+@pytest.mark.parametrize("index", range(len(MANY_GENERATORS)))
+def test_many_generator_box_matches_echelon(index):
+    """The box of a B whose cokernel needs many generators, on a fresh entry
+    and from the pass's columns, against the echelon oracle: `_box` reads at
+    most n columns."""
+    rows = MANY_GENERATORS[index]
+    want = reference(rows)
+    box, read = _columns_read(rows)
+    assert box == want and read <= len(rows)
+    assert linalg.MatrixAnalysis(IntMatrix.from_rows(rows)).box == want
+
+
+def test_many_generators_read_many_columns():
+    """Every B of the family needs three or more columns, and many of them
+    eight or more, up to n = 30."""
+    counts = [_columns_read(rows)[1] for rows in MANY_GENERATORS]
+    assert min(counts) >= 3 and max(counts) == 30
+    assert sum(1 for read in counts if read >= 8) >= 15
 
 
 def test_empty_box_on_a_fresh_entry():
