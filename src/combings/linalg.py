@@ -9,11 +9,12 @@ signature and det B, and for a nonsingular B the columns of adj B, each by
 forward elimination and back-substitution when read; with a border c also
 c^T B^+ c and whether c is torsion, with the border I all of G / L and the
 kernel of B.  The others are the Smith pass `_diagonalize`, the gcd chains
-`_kernel_lattice` that cut the Hermite box out of adjugate columns until
-they reach B Z^n (`_box`), the Euclid steps `_euclid` of `_split` and
-`_echelon`, and the F_2 elimination `solve_mod2`.  Every class question
-reads one box, the Hermite box of the nonsingular core of B; membership in
-B Z^n reads the rows of R_1 G instead (`MatrixAnalysis.in_lattice`).
+of `_box` that cut the Hermite box, one list of sparse columns, out of
+adjugate columns until they reach B Z^n, the Euclid steps `_euclid` of
+`_split` and `_echelon`, and the F_2 elimination `solve_mod2`.  Every class
+question reads one box, the Hermite box of the nonsingular core of B;
+membership in B Z^n reads the rows of R_1 G instead
+(`MatrixAnalysis.in_lattice`).
 """
 
 from __future__ import annotations
@@ -210,59 +211,20 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
     )
 
 
-def _finish(tails: Sequence[list[int]]) -> tuple[Vector, ...]:
+def _finish(columns: list[dict[int, int]]) -> tuple[Vector, ...]:
     """The Hermite form of the lattice of an upper triangular basis with
-    positive diagonal, column j given as its entries 0..j (changed in
-    place): column j is reduced by the finished columns i = j-1, ..., 0.  A
-    finished column is zero at every row k with h_kk = 1, so each step
-    touches only the rows with h_kk > 1 and row i."""
-    columns: list[Vector] = []
-    # the nonzero entries (k, h_kj) of each finished column
-    sparse: list[list[tuple[int, int]]] = []
-    for j, col in enumerate(tails):
+    positive diagonal, column j given by its nonzero entries {k: h_kj}, k <=
+    j (reduced in place), as the dense tuples of entries 0..j: column j is
+    reduced by the finished columns i = j-1, ..., 0.  A finished column keeps
+    only its nonzero entries, on its own row and the rows k with h_kk > 1, so
+    each step touches only those."""
+    for j, col in enumerate(columns):
         for i in reversed(range(j)):
-            q = col[i] // columns[i][i]
-            if q:
-                for k, h in sparse[i]:
-                    col[k] -= q * h
-        sparse.append([(k, x) for k, x in enumerate(col) if x])
-        columns.append(tuple(col))
-    return tuple(columns)
-
-
-def _product(sparse: Sequence[list[tuple[int, int]]], factor: Sequence[Vector]) -> list[list[int]]:
-    """The columns of H F for upper triangular H and F, H given by the
-    nonzero entries (k, h_ki) of each column."""
-    out = []
-    for j, fcol in enumerate(factor):
-        col = [0] * (j + 1)
-        for i, y in enumerate(fcol):
-            for k, x in sparse[i] if y else ():
-                col[k] += y * x
-        out.append(col)
-    return out
-
-
-def _kernel_lattice(f: Sequence[int], r: int) -> tuple[list[list[int]], int]:
-    """The Hermite form of {y : f . y = 0 mod r}, of index r / g, and
-    g = gcd(f, r), from the gcd chain g_j = gcd(r, f_0, ..., f_j) in
-    O(n |T|) over the positions T with h_ii > 1: h_jj = g_{j-1} / g_j
-    (g_{-1} = r), and column j solves f_0 y_0 + ... + f_{j-1} y_{j-1} =
-    -f_j h_jj mod r one digit y_i in [0, h_ii) per position of T, from the
-    last, with f_i y_i = t mod g_{i-1}."""
-    columns, chain = [], []  # chain: (i, f_i, 1 / (f_i / g_i) mod h_ii, h_ii, g_i) over T
-    for j, fj in enumerate(f):
-        g = math.gcd(r, fj)
-        h = r // g
-        col, t = [0] * j + [h], -fj * h
-        for i, fi, inverse, hi, gi in reversed(chain):
-            col[i] = y = t // gi * inverse % hi
-            t -= fi * y
-        if h > 1:
-            chain.append((j, fj, pow(fj // g, -1, h), h, g))
-        columns.append(col)
-        r = g
-    return columns, r
+            if q := col.get(i, 0) // columns[i][i]:
+                for k, h in columns[i].items():
+                    col[k] = col.get(k, 0) - q * h
+        columns[j] = {k: x for k, x in col.items() if x}
+    return tuple(tuple(col.get(k, 0) for k in range(j + 1)) for j, col in enumerate(columns))
 
 
 def _box(n: int, det: int, adjugate: Iterable[Sequence[int]]) -> tuple[Vector, ...]:
@@ -275,19 +237,44 @@ def _box(n: int, det: int, adjugate: Iterable[Sequence[int]]) -> tuple[Vector, .
     a^T B y = det(B) c^T y, so each a cuts a lattice holding B Z^n out of the
     current one, H Z^n of index r over B Z^n (at first H = I, r = |det B|):
     as r H Z^n lies in B Z^n, f = a^T H / (|det B| / r) is integral, and
-    B Z^n lies in H K Z^n for K the `_kernel_lattice` of f mod r.  Columns
-    are read while r > 1.  y lies in B Z^n iff c^T B^{-1} y is an integer for
-    every c of a basis of Z^n, so columns whose c form a basis reach r = 1
-    after at most n; most B need one or two.
+    B Z^n lies in H K Z^n for K the Hermite form of {y : f . y = 0 mod r}.
+    K has index r / g over Z^n, g = gcd(f, r), and is read off the gcd
+    chain g_j = gcd(r, f_0, ..., f_j) (g_{-1} = r) in O(n |T|) over the
+    positions T with k_ii > 1: k_jj = d_j = g_{j-1} / g_j, and column j
+    solves f_0 y_0 + ... + f_{j-1} y_{j-1} = -f_j d_j mod r one digit y_i in
+    [0, k_ii) per position of T, from the last, with f_i y_i = t mod g_{i-1}.
+    H K replaces H in place from the last column down, since its column j,
+    d_j H_j + sum y_i H_i, reads only the columns i <= j of H; H is kept
+    as sparse columns {k: h_kj}.  Columns are read while r > 1.  y lies in
+    B Z^n iff c^T B^{-1} y is an integer for every c of a basis of Z^n, so
+    columns whose c form a basis reach r = 1 after at most n; most B need
+    one or two.
     """
     r, adjugate = abs(det), iter(adjugate)
-    columns = [[0] * j + [1] for j in range(n)]
-    sparse = [[(j, 1)] for j in range(n)]
+    columns = [{j: 1} for j in range(n)]
     while r > 1:
         a, scale = next(adjugate), abs(det) // r
-        kernel, r = _kernel_lattice([sum(a[k] * x for k, x in col) // scale for col in sparse], r)
-        columns = _product(sparse, kernel)
-        sparse = [[(k, x) for k, x in enumerate(col) if x] for col in columns]
+        chain, steps = [], []  # chain: (i, f_i, 1 / (f_i / g_i) mod d_i, d_i, g_i) over T
+        for j, col in enumerate(columns):
+            fj = sum(a[k] * x for k, x in col.items()) // scale
+            g = math.gcd(r, fj)
+            d, digits = r // g, []
+            t = -fj * d
+            for i, fi, inverse, di, gi in reversed(chain):
+                if y := t // gi * inverse % di:
+                    digits.append((i, y))
+                    t -= fi * y
+            if d > 1:
+                chain.append((j, fj, pow(fj // g, -1, d), d, g))
+            steps.append((d, digits))
+            r = g
+        for col, (d, digits) in zip(reversed(columns), reversed(steps)):
+            if d > 1:
+                for k in col:
+                    col[k] *= d
+            for i, y in digits:
+                for k, x in columns[i].items():
+                    col[k] = col.get(k, 0) + y * x
     return _finish(columns)
 
 
@@ -655,8 +642,9 @@ class MatrixAnalysis:
     Each field is computed on first use and kept while the matrix stays in
     the memo of `analysis`.  The signature and `form` come from the one
     symmetric Bareiss pass (`_signature`), with an empty border and with the
-    border I, and the torsion test reads them alone.  On a fresh entry,
-    `form_on` borders the pass by the vectors it is asked about instead.
+    border I, and the torsion test reads them alone.  Until `form` is built,
+    the first `form_on` borders a pass by the vectors it is asked about
+    instead.
     The class questions (`reduce`, `homology`, `torsion_form`) read the
     `split` and the `box`, the Hermite form of the nonsingular core: the
     matrix itself when it is nonsingular, which only `split` reads off the
@@ -665,6 +653,9 @@ class MatrixAnalysis:
     split and `form`, not the box: most vectors outside B Z^n fail at the
     first row of R_1 G.
     """
+
+    # whether `form_on` has run its pass bordered by vectors
+    _bordered = False
 
     def __init__(self, matrix: IntMatrix) -> None:
         self.matrix = matrix
@@ -678,17 +669,20 @@ class MatrixAnalysis:
     def form_on(self, vectors: Sequence[Vector]) -> tuple[IntegerForm, Sequence[Vector]]:
         """An integer form of B that pairs `vectors`, and their coordinates in it.
 
-        An entry that has run a pass reads `form`, in which each vector is
-        its own coordinates.  A fresh one runs one pass bordered by the
-        vectors alone, C = [v_1 ... v_m], which also gives the signature and
-        det B; v_j is then e_j, so v_i^T B^+ v_j = G_ij / L, and v_j is
-        torsion iff entry j of each kernel row is zero.  The empty B has no
-        row to carry a border and reads `form`.
+        An entry with `form`, or whose first such question has run its pass,
+        reads `form`, in which each vector is its own coordinates.  Else it
+        runs one pass bordered by the vectors alone, C = [v_1 ... v_m], which
+        also gives the signature and det B; v_j is then e_j, so v_i^T B^+ v_j
+        = G_ij / L, and v_j is torsion iff entry j of each kernel row is
+        zero.  An empty-border pass run before (for `homology`, say) does not
+        count, as it gives no pairing.  The empty B has no row to carry a
+        border and reads `form`.
         """
-        if "form" in self.__dict__ or "_inertia" in self.__dict__ or not self.matrix.rows:
+        if self._bordered or "form" in self.__dict__ or not self.matrix.rows:
             return self.form, vectors
         sig, det, _, form = _signature(self.matrix, list(zip(*vectors)))
-        self.__dict__["_inertia"] = (sig, det)
+        self.__dict__.setdefault("_inertia", (sig, det))
+        self._bordered = True
         return form, _identity_lists(len(vectors))
 
     def in_lattice(self, c: Sequence[int]) -> bool:

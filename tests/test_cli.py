@@ -397,9 +397,11 @@ def _package_stdlib_imports():
 def test_import_loads_neither_dataclasses_nor_inspect(module):
     """The value types are NamedTuples and slotted records, so a fresh
     process that imports the package loads no `dataclasses` or `inspect`
-    beyond what the package's own stdlib imports load on this Python."""
+    beyond what the package's own stdlib imports load on this Python.  Those
+    imports are all in the standard library."""
     stdlib = _package_stdlib_imports()
     assert {"argparse", "fractions", "json", "typing"} <= set(stdlib)
+    assert set(stdlib) <= sys.stdlib_module_names  # the runtime needs no third-party package
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
     code = (
         f"import sys\nfor name in {stdlib!r}: __import__(name)\n"

@@ -3,11 +3,12 @@ integers and no modulus (`_oracles.reference`), and the adjugate columns
 that cut it out against the Fraction inverse.
 """
 
+import functools
 import random
 
 import pytest
 
-from _oracles import frac_inverse, reference
+from _oracles import f2_rank, frac_inverse, reference
 from combings import linalg
 from combings.linalg import IntMatrix
 from combings.verify import random_symmetric, random_unimodular
@@ -242,10 +243,19 @@ def test_box_routes_all_occur():
                for rows in LATE_PARTNER)
 
 
+def _block_sum(rng, count, largest):
+    """The block sum of `count` random blocks, each of size 2..largest."""
+    blocks = [random_symmetric(rng, rng.randint(2, largest), 4) for _ in range(count)]
+    return functools.reduce(IntMatrix.direct_sum, blocks).to_rows()
+
+
 def _many_generators(seed):
     """B whose cokernels need many generators: P^T (d I_k + D) P with a
-    repeated small d, block sums of two random blocks, and diag(2..8),
-    plain at n = 10, 20, 30 and congruent at n up to 12."""
+    repeated small d, block sums of two random blocks, diag(2..8), plain at
+    n = 10, 20, 30 and congruent at n up to 12, and block sums of three and
+    four random blocks, plain and (three blocks) congruent, with H_1 (x) F_2
+    of dimension 3 or more.  On the last, later columns cut where H already
+    has off-diagonal entries on several rows."""
     out = []
     for k in range(20):
         rng = random.Random(f"{seed}:repeated:{k}")
@@ -256,8 +266,7 @@ def _many_generators(seed):
     while len(out) < 30:
         rng = random.Random(f"{seed}:blocks:{k}")
         k += 1
-        first = random_symmetric(rng, rng.randint(2, 8), 4)
-        rows = first.direct_sum(random_symmetric(rng, rng.randint(2, 8), 4)).to_rows()
+        rows = _block_sum(rng, 2, 8)
         if _det(rows):
             out.append(rows)
     for n in (10, 20, 30):
@@ -266,6 +275,16 @@ def _many_generators(seed):
     for k in range(5):
         rng = random.Random(f"{seed}:diagonal:congruent:{k}")
         out.append(_congruent(rng, [rng.randint(2, 8) for _ in range(rng.randint(6, 12))]))
+    k = 0
+    while len(out) < 45:  # three blocks thrice, four blocks thrice, three congruent
+        rng = random.Random(f"{seed}:blocks:many:{k}")
+        k += 1
+        rows = _block_sum(rng, 4 if 41 <= len(out) < 44 else 3, 6)
+        if len(out) == 44:
+            p = random_unimodular(rng, len(rows), steps=3 * len(rows))
+            rows = (p.transpose() @ IntMatrix.from_rows(rows) @ p).to_rows()
+        if _det(rows) and len(rows) - f2_rank(rows) >= 3:
+            out.append(rows)
     return out
 
 
