@@ -109,8 +109,8 @@ def theta_g(pres: SurgeryPresentation, c: Sequence[int]) -> Fraction:
     c^T x - 2(n+1) - 3 sig(B) for any rational solution of B x = c; the
     quadratic term does not depend on the solution choice, and is read off
     an integer form as c^T G c / L.  On a fresh B that form comes from one
-    (n+1)-square pass bordered by c alone (`MatrixAnalysis.form_on`), also
-    after an empty-border pass; once such a pass has run, from `form`.
+    (n+1)-square pass bordered by c alone (`MatrixAnalysis.form_on`); once
+    a pass has run, from `form`.
     """
     validate_combing(pres, c)
     return _theta_g(pres, c)

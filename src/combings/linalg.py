@@ -642,9 +642,8 @@ class MatrixAnalysis:
     Each field is computed on first use and kept while the matrix stays in
     the memo of `analysis`.  The signature and `form` come from the one
     symmetric Bareiss pass (`_signature`), with an empty border and with the
-    border I, and the torsion test reads them alone.  Until `form` is built,
-    the first `form_on` borders a pass by the vectors it is asked about
-    instead.
+    border I, and the torsion test reads them alone.  On a fresh entry,
+    `form_on` borders the pass by the vectors it is asked about instead.
     The class questions (`reduce`, `homology`, `torsion_form`) read the
     `split` and the `box`, the Hermite form of the nonsingular core: the
     matrix itself when it is nonsingular, which only `split` reads off the
@@ -653,9 +652,6 @@ class MatrixAnalysis:
     split and `form`, not the box: most vectors outside B Z^n fail at the
     first row of R_1 G.
     """
-
-    # whether `form_on` has run its pass bordered by vectors
-    _bordered = False
 
     def __init__(self, matrix: IntMatrix) -> None:
         self.matrix = matrix
@@ -669,20 +665,17 @@ class MatrixAnalysis:
     def form_on(self, vectors: Sequence[Vector]) -> tuple[IntegerForm, Sequence[Vector]]:
         """An integer form of B that pairs `vectors`, and their coordinates in it.
 
-        An entry with `form`, or whose first such question has run its pass,
-        reads `form`, in which each vector is its own coordinates.  Else it
-        runs one pass bordered by the vectors alone, C = [v_1 ... v_m], which
-        also gives the signature and det B; v_j is then e_j, so v_i^T B^+ v_j
-        = G_ij / L, and v_j is torsion iff entry j of each kernel row is
-        zero.  An empty-border pass run before (for `homology`, say) does not
-        count, as it gives no pairing.  The empty B has no row to carry a
-        border and reads `form`.
+        An entry that has run a pass reads `form`, in which each vector is
+        its own coordinates.  A fresh one runs one pass bordered by the
+        vectors alone, C = [v_1 ... v_m], which also gives the signature and
+        det B; v_j is then e_j, so v_i^T B^+ v_j = G_ij / L, and v_j is
+        torsion iff entry j of each kernel row is zero.  The empty B has no
+        row to carry a border and reads `form`.
         """
-        if self._bordered or "form" in self.__dict__ or not self.matrix.rows:
+        if "form" in self.__dict__ or "_inertia" in self.__dict__ or not self.matrix.rows:
             return self.form, vectors
         sig, det, _, form = _signature(self.matrix, list(zip(*vectors)))
-        self.__dict__.setdefault("_inertia", (sig, det))
-        self._bordered = True
+        self.__dict__["_inertia"] = (sig, det)
         return form, _identity_lists(len(vectors))
 
     def in_lattice(self, c: Sequence[int]) -> bool:

@@ -819,37 +819,6 @@ def test_theta_scan_runs_at_most_one_extra_pass(passes):
         assert values[k] == _reference_theta(pres, c, _theta_constant(pres))
 
 
-def test_pairing_after_an_empty_pass_borders_by_its_vectors(passes):
-    """An empty-border pass (homology_summary, reduce_class, the torsion
-    test) gives no pairing: theta_g after it borders its pass by c alone,
-    and the next theta_g of a scan builds form once.  meridian_pairing
-    after reduce_class borders by its two vectors."""
-    b = [[3, 1, 0, 2], [1, -2, 1, 0], [0, 1, 4, -1], [2, 0, -1, 5]]
-    for first in (homology_summary, lambda pres: is_torsion_class(pres, (1, 0, 2, -1))):
-        analysis.cache_clear()
-        pres = _cold(b)
-        c_ref = analysis(pres.matrix).c_ref
-        passes["widths"].clear()
-        first(pres)
-        assert passes["widths"] == [0]
-        values = [theta_g(pres, c_ref)]
-        assert passes["widths"] == [0, 1] and "form" not in analysis(pres.matrix).__dict__
-        values += [theta_g(pres, tuple(x + 2 * k for x in c_ref)) for k in range(1, 10)]
-        assert passes["widths"] == [0, 1, 4]
-        for k in (0, 1, 9):
-            c = tuple(x + 2 * k for x in c_ref)
-            assert values[k] == _reference_theta(pres, c, _theta_constant(pres))
-    analysis.cache_clear()
-    pres = _cold(b)
-    v, w = (1, 0, 2, -1), (0, 3, -1, 1)
-    passes["widths"].clear()
-    reduce_class(pres, v)
-    got = meridian_pairing(pres, v, w)
-    assert passes["widths"] == [0, 2]
-    assert got == -sum((Fraction(a) * y for a, y in zip(v, _solution(pres, w))), Fraction(0))
-    assert passes["smith"] == 0
-
-
 def test_cold_meridian_pairing_borders_by_its_vectors(passes):
     """meridian_pairing on a fresh B borders the pass by its distinct
     vectors: width 2 for v != w, width 1 for v == w."""
