@@ -93,8 +93,7 @@ def euler_class(pres: SurgeryPresentation, c: Sequence[int]) -> EulerClassInfo:
     validate_combing(pres, c)
     c = tuple(c)
     data = analysis(pres.matrix)
-    is_zero = data.in_lattice(c)  # first: it reads form, whose pass gives the signature
-    return EulerClassInfo(class_vector=c, is_torsion=data.is_torsion(c), is_zero=is_zero)
+    return EulerClassInfo(class_vector=c, is_torsion=data.is_torsion(c), is_zero=data.in_lattice(c))
 
 
 def _theta_constant(data: MatrixAnalysis) -> int:
@@ -108,9 +107,9 @@ def theta_g(pres: SurgeryPresentation, c: Sequence[int]) -> Fraction:
 
     c^T x - 2(n+1) - 3 sig(B) for any rational solution of B x = c; the
     quadratic term does not depend on the solution choice, and is read off
-    an integer form as c^T G c / L.  On a fresh B that form comes from one
-    (n+1)-square pass bordered by c alone (`MatrixAnalysis.form_on`); once
-    a pass has run, from `form`.
+    an integer form as c^T G c / L.  On a fresh B that form solves c alone
+    through the pass (`MatrixAnalysis.form_on`); once the pass has run, it is
+    `form`.
     """
     validate_combing(pres, c)
     return _theta_g(pres, c)
@@ -119,7 +118,7 @@ def theta_g(pres: SurgeryPresentation, c: Sequence[int]) -> Fraction:
 def _theta_g(pres: SurgeryPresentation, c: Sequence[int]) -> Fraction:
     """`theta_g` of a c already checked by `validate_combing`."""
     data = analysis(pres.matrix)
-    form, (x,) = data.form_on((c,))  # first: its pass also gives the signature read below
+    form, (x,) = data.form_on((c,))
     if not form.is_torsion(x):
         raise NonTorsionError("combing coefficient vector is not torsion")
     return Fraction(form.pair(x, x), form.L) + _theta_constant(data)
@@ -164,7 +163,6 @@ def combing_equal(x: CombingSpec, y: CombingSpec) -> bool:
     """
     if x.presentation != y.presentation:
         raise ValueError("combings live on different presentations")
-    analysis(x.presentation.matrix).form  # first: one pass answers every question below
     if not is_torsion_class(x.presentation, x.c):
         raise NonTorsionError("first combing is not torsion")
     if not is_torsion_class(y.presentation, y.c):
@@ -309,13 +307,14 @@ def p1_image(
 ) -> P1ImageReport:
     """Compute the image of p_1 mod 4Z by formula and by enumeration.
 
-    cap bounds both the torsion order and the number of swept vectors.
+    cap bounds both the torsion order and the number of swept vectors; a
+    nonsingular B compares its order with it before any box or integer form
+    is built (`MatrixAnalysis.torsion_order`).
     """
     if cap < 0 or box < 0:
         raise ValueError(f"cap and box must be nonnegative, got cap={cap}, box={box}")
     data = analysis(pres.matrix)
-    tf = data.torsion_form
-    torsion_order = math.prod(tf.factors)
+    torsion_order = data.torsion_order
     if torsion_order > cap:
         raise CapExceededError(torsion_order, cap)
     # the v in [-box, box] with v = b_ii mod 2, as lazy ranges whose length is
@@ -338,7 +337,7 @@ def p1_image(
     # residue r of the torsion form, so p_1(reference) - 4 lk(x, x) is
     # (ref - 4 r) / L modulo 4
     ref = form.pair(data.c_ref, data.c_ref) + shift
-    formula = {(ref - 4 * r) % modulus for r in set(tf.table()[1])}
+    formula = {(ref - 4 * r) % modulus for r in set(data.torsion_form.table()[1])}
     enumeration = {
         (form.pair(c, c) + shift) % modulus
         for c in itertools.product(*ranges)

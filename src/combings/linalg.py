@@ -4,16 +4,16 @@ Small dense matrices only.  Every elimination runs on Python's
 arbitrary-precision integers, with no Fraction and no floating point, so
 Smith and Hermite forms, kernels, signatures and the integer form G / L are
 exact and reproducible.  There is one fraction-free elimination, the
-symmetric Bareiss pass `_signature`: with an empty border it gives the
-signature and det B, and for a nonsingular B the columns of adj B, each by
-forward elimination and back-substitution when read; with a border c also
-c^T B^+ c and whether c is torsion, with the border I all of G / L and the
-kernel of B.  The others are the Smith pass `_diagonalize`, the gcd chains
-of `_box` that cut the Hermite box, one list of sparse columns, out of
-adjugate columns until they reach B Z^n, the Euclid steps `_euclid` of
-`_split` and `_echelon`, and the F_2 elimination `solve_mod2`.  Every class
-question reads one box, the Hermite box of the nonsingular core of B;
-membership in B Z^n reads the rows of R_1 G instead
+symmetric Bareiss pass `_signature`, run once per matrix: it gives the
+signature, det B, the pivot rows and the kernel of B, and every other
+quantity is a triangular solve through those pivot rows (`_substitute`): the
+columns of adj B that cut the Hermite box, and the integer form G / L of B
+on any columns C, C = I included.  The others are the Smith pass
+`_diagonalize`, the gcd chains of `_box` that cut the Hermite box, one list
+of sparse columns, out of adjugate columns until they reach B Z^n, the
+Euclid steps `_euclid` of `_split` and `_echelon`, and the F_2 elimination
+`solve_mod2`.  Every class question reads one box, the Hermite box of the
+nonsingular core of B; membership in B Z^n reads the rows of R_1 G instead
 (`MatrixAnalysis.in_lattice`).
 """
 
@@ -23,7 +23,7 @@ import itertools
 import math
 from functools import cached_property, lru_cache
 from operator import add, mod, mul
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .record import Record
 
@@ -294,53 +294,91 @@ def signature(s: IntMatrix) -> SignatureTriple:
     return analysis(s).signature
 
 
-def _signature(
-    s: IntMatrix, border: Sequence[Sequence[int]] = ()
-) -> tuple[SignatureTriple, int, Iterator[Vector] | None, IntegerForm]:
-    """The inertia of s, det s, if s is nonsingular the columns adj(s) c of
-    its adjugate for a basis of c, each computed when read (else None), and
-    the integer form of s on the columns of a border C of any width (given by
-    its rows), from one symmetric Bareiss pass on [[s, C], [C^T, 0]]
-    (Bareiss 1968; Sylvester's law of inertia).  The width is read off the
-    first row, so an empty s carries no border.
+class BareissPass(NamedTuple):
+    """The record of one symmetric Bareiss pass on s (`_signature`): the
+    inertia, det s (0 for a singular s), the r pivot rows of P^T s P from
+    their diagonal on (`rows[k][0]` is the pivot D_{k+1}, the leading
+    (k+1) x (k+1) minor), the congruence steps (k, i, is_swap) whose product
+    is P, and one vector D_k z of ker s per row split off after k pivots."""
 
-    Pivots are taken in s's block only.  Every step is a congruence by a
-    matrix P of determinant +-1 there (a symmetric swap, or e_k -> e_k +
-    e_partner), so the k-th pivot D_k is the leading k x k minor of P^T s P:
-    the k-th square has the sign of D_k / D_{k-1}, and the last pivot is
-    det s when no zero row of the Schur complement is split off, and
-    det s = 0 when one is.
+    signature: SignatureTriple
+    det: int
+    rows: tuple[list[int], ...]
+    steps: tuple[tuple[int, int, bool], ...]
+    kernel: tuple[Vector, ...]
+
+    def solve(self, b: Sequence[int]) -> Vector:
+        """D_r G_0 b for G_0 = P diag(S^{-1}, 0) P^T over the r x r pivot
+        block S of P^T s P, D_r = det S, from w = P^T b: adj(s) b for a
+        nonsingular s.  s G_0 s = s, the Schur complement of S being zero, so
+        G_0 b solves s x = b for every b in the column space of s."""
+        w = list(b)
+        for k, i, is_swap in self.steps:
+            if is_swap:
+                w[k], w[i] = w[i], w[k]
+            else:
+                w[k] += w[i]
+        return _substitute(self.rows, self.steps, w, [0] * len(w))
+
+
+def _substitute(rows: Sequence[list[int]], steps: Sequence, w: list[int], z: list[int]) -> Vector:
+    """P z, for U the k pivot rows given: forward elimination of w, in the
+    final basis, then back-substitution U z[:k] = D_k w[:k] - U[:, k:] z[k:]
+    with the entries of z from k on as given, then the steps undone in
+    reverse.  The stage of pivot row t sets w_i = (D_{t+1} w_i - u_ti w_t) /
+    D_t for i > t, exactly (D_0 = 1), so the stages before the first nonzero
+    w_j only scale w to D_j w: elimination starts at stage j.  Each division
+    of the back-substitution is exact when the solution is integral."""
+    k = len(rows)
+    j = next((t for t in range(k) if w[t]), k)
+    before = rows[j - 1][0] if j else 1
+    w[j:k] = [before * x for x in w[j:k]]
+    for t in range(j, k - 1):
+        row, wt, p = rows[t], w[t], rows[t][0]
+        w[t + 1 : k] = [(p * x - f * wt) // before for x, f in zip(w[t + 1 : k], row[1:])]
+        before = p
+    scale = rows[-1][0] if rows else 1
+    for t in reversed(range(k)):
+        z[t] = (scale * w[t] - sum(map(mul, rows[t][1:], z[t + 1 :]))) // rows[t][0]
+    for t, i, is_swap in reversed(steps):
+        if is_swap:
+            z[t], z[i] = z[i], z[t]
+        else:
+            z[i] += z[t]
+    return tuple(z)
+
+
+def _signature(s: IntMatrix) -> BareissPass:
+    """One symmetric Bareiss pass on s (Bareiss 1968; Sylvester's law of
+    inertia), as a `BareissPass`.
+
+    Every step is a congruence by a matrix P of determinant +-1 (a symmetric
+    swap, or e_k -> e_k + e_partner), so the k-th pivot D_k is the leading
+    k x k minor of P^T s P: the k-th square has the sign of D_k / D_{k-1},
+    and the last pivot is det s when no zero row of the Schur complement is
+    split off, and det s = 0 when one is.  A row split off swaps to the end
+    of the active block, a step of P too.
 
     Each entry outside the pivots is D_k times the Schur complement of the
-    first k pivots.  After all r of them the border block is -D_r C^T G_0 C,
-    where G_0 = P diag(S^{-1}, 0) P^T over the pivot block S satisfies
-    s G_0 s = s, the Schur complement being zero; with C = I and s
-    nonsingular the block is -adj s, and with C = c it is -D_r c^T G_0 c.
-    A row split off after k pivots holds D_k z^T C in its border, for a z in
-    ker s; those z span ker s over Q.
-
-    On a nonsingular s the pivot rows, in the final basis, are the upper
-    triangular system U y = w that Bareiss elimination makes of P^T s P y =
-    e_j, so a step e_k -> e_k + e_partner also adds column partner into
-    column k of the rows already pivoted.  The stages before j scale e_j to
-    w_j = D_j, and the stage of each later pivot row k sets w_i =
-    (D_{k+1} w_i - m_ki w_k) / D_k for i > k, exactly (D_0 = 1).
-    Back-substitution gives z = det(s) y, each division exact as z is
-    integral; the steps, undone in reverse, map z to P z = adj(s) c for the
-    integral c = P^{-T} e_j, and these c form a basis of Z^n.  The columns
-    come for j = n-1 down to 0, in O(n^2) each.
+    first k pivots, so the pivot rows, in the final basis, are the upper
+    triangular system U y = w that forward elimination makes of P^T s P y =
+    P^T b (`BareissPass.solve`); a step e_k -> e_k + e_partner also adds
+    column partner into column k of the rows already pivoted.  A row at
+    position i split off after k pivots is zero in the Schur complement, so
+    z = e_i - S_k^{-1} u, for u its column in the first k rows, spans a
+    kernel direction; D_k z is integral, and is back-substitution through
+    the first k pivot rows of D_k e_i.  The later steps act on positions k
+    and on, where z is zero, so P z is in ker s.
     """
     if not s.is_symmetric():
         raise ValueError("signature needs a symmetric matrix")
-    n = s.rows
-    width = len(border[0]) if border else 0
-    m = [row + list(c) for row, c in zip(s.to_rows(), border)] if border else s.to_rows()
-    m += [[0] * (n + width) for _ in range(width)]
+    n, m = s.rows, s.to_rows()
     # the matrix stays symmetric, so row i is kept from column i on only
 
     def swap(i: int, j: int) -> None:
-        # symmetric swap of i <= j; the entries that cross the diagonal are
-        # read from the other triangle
+        # symmetric swap of i <= j, a step; the entries that cross the
+        # diagonal are read from the other triangle
+        steps.append((i, j, True))
         m[i], m[j] = m[j], m[i]
         for row in m:
             row[i], row[j] = row[j], row[i]
@@ -353,16 +391,17 @@ def _signature(
     n_plus = k = 0
     end, prev = n, 1
     steps = []  # (k, j, is_swap) per congruence step
+    splits = []  # (k, position) per row split off
     while k < end:
         if m[k][k] == 0:
             nz_diag = next((i for i in range(k + 1, end) if m[i][i]), None)
             partner = next((j for j in range(k + 1, end) if m[k][j]), None)
             if nz_diag is not None:
                 swap(k, nz_diag)
-                steps.append((k, nz_diag, True))
             elif partner is None:
                 end -= 1  # a zero row of the Schur complement
                 swap(k, end)
+                splits.append((k, end))
                 continue
             else:
                 # e_k -> e_k + e_partner adds row partner (above the diagonal
@@ -374,52 +413,21 @@ def _signature(
                 for row in m[:k]:
                     row[k] += row[partner]
                 steps.append((k, partner, False))
-        pk = m[k]
-        p = pk[k]
+        pk, p = m[k], m[k][k]
         n_plus += (p > 0) == (prev > 0)
-        for i in itertools.chain(range(k + 1, end), range(n, n + width)):
+        for i in range(k + 1, end):
             mi, f = m[i], pk[i]
             mi[i:] = [(p * x - f * y) // prev for x, y in zip(mi[i:], pk[i:])]
         prev = p
         k += 1
-    columns = None
-    if end == n:
-
-        def column(j: int) -> Vector:
-            # forward elimination of e_j through the pivot rows j..n-2
-            w = [0] * n
-            w[j] = before = m[j - 1][j - 1] if j else 1
-            for k in range(j, n - 1):
-                row, wk = m[k], w[k]
-                p = row[k]
-                w[k + 1 :] = [(p * x - f * wk) // before for x, f in zip(w[k + 1 :], row[k + 1 :])]
-                before = p
-            # back-substitution, then the steps undone in reverse
-            z = [0] * n
-            for k in reversed(range(n)):
-                row = m[k]
-                z[k] = (prev * w[k] - sum(map(mul, row[k + 1 : n], z[k + 1 :]))) // row[k]
-            for k, i, is_swap in reversed(steps):
-                if is_swap:
-                    z[k], z[i] = z[i], z[k]
-                else:
-                    z[i] += z[k]
-            return tuple(z)
-
-        columns = map(column, reversed(range(n)))
-    block = [row[n:] for row in m[n:]]
-    for i in range(width):
-        for j in range(i):
-            block[i][j] = block[j][i]
-    g = math.gcd(prev, *itertools.chain.from_iterable(block))
-    sign = -1 if prev > 0 else 1
-    form = IntegerForm(
-        G=tuple(tuple(sign * x // g for x in row) for row in block),
-        L=abs(prev) // g,
-        kernel=tuple(tuple(row[n:]) for row in m[end:n]),
-    )
+    rows = tuple(m[i][i:] for i in range(end))
+    kernel = []
+    for k, i in reversed(splits):  # by position: the last row split off lies first
+        z = [0] * n
+        z[i] = rows[k - 1][0] if k else 1
+        kernel.append(_substitute(rows[:k], steps, [0] * k, z))
     sig = SignatureTriple(n_plus, end - n_plus, n - end)
-    return sig, prev if end == n else 0, columns, form
+    return BareissPass(sig, prev if end == n else 0, rows, tuple(steps), tuple(kernel))
 
 
 def _euclid(
@@ -541,18 +549,16 @@ class IntegerForm(NamedTuple):
     """An integer generalized inverse G of a symmetric B over one
     denominator L >= 1, B G B = L B, and rows spanning ker B over Q.
 
-    Read off the border of one symmetric Bareiss pass on [[B, I], [I, 0]]
-    (see `_signature`), for singular and nonsingular B alike.  For
-    nonsingular B, G = L B^{-1}, a multiple of the adjugate, and L is the
-    largest invariant factor; for singular B, L is whatever the pass leaves.
-    Either way x = G c / L solves B x = c for every torsion c = B a, since
-    B G B a = L B a.  `kernel` holds the border of each row split off as a
-    zero row of the Schur complement after k pivots: D_k times a vector of
-    ker B.  c is torsion iff it is orthogonal to each of them.
+    Built by `_integer_form` from the one pass on B, for singular and
+    nonsingular B alike.  For nonsingular B, G = L B^{-1}, a multiple of the
+    adjugate, and L is the largest invariant factor; for singular B, L is
+    whatever the pass leaves.  Either way x = G c / L solves B x = c for
+    every torsion c = B a, since B G B a = L B a.  `kernel` holds the pass's
+    kernel vectors D_k z; c is torsion iff it is orthogonal to each of them.
 
-    A pass bordered by other columns C gives the form of B on them: G / L =
-    C^T G_0 C and kernel rows D_k z^T C, so `pair` and `is_torsion` take
-    coordinates y of the vector C y (`MatrixAnalysis.form_on`).
+    The form of B on other columns C has G / L = C^T G_0 C and kernel rows
+    D_k z^T C, so `pair` and `is_torsion` take coordinates y of the vector
+    C y (`MatrixAnalysis.form_on`).
     """
 
     G: tuple[Vector, ...]
@@ -566,6 +572,25 @@ class IntegerForm(NamedTuple):
     def is_torsion(self, v: Sequence[int]) -> bool:
         """v in the rational column space of B: orthogonal to each kernel row."""
         return not any(sum(map(mul, k, v)) for k in self.kernel)
+
+
+def _integer_form(p: BareissPass, vectors: Sequence[Sequence[int]]) -> IntegerForm:
+    """The integer form of B on the columns of C = [v_1 ... v_m], from the
+    pass p on B: each column solved (`BareissPass.solve`), paired with the
+    others, C^T (D_r G_0 C) = D_r C^T G_0 C, and the pairing and D_r divided
+    by their gcd g, so G / L = C^T G_0 C with L = |D_r| / g.  The kernel rows
+    are D_k z^T C."""
+    scale = p.rows[-1][0] if p.rows else 1  # D_r
+    solved = list(map(p.solve, vectors))
+    # each v by its nonzero entries: a column of I has one
+    sparse = [[(k, x) for k, x in enumerate(v) if x] for v in vectors]
+    pairs = [[sum(x * z[k] for k, x in v) for z in solved] for v in sparse]
+    g = math.gcd(scale, *itertools.chain.from_iterable(pairs)) * (1 if scale > 0 else -1)
+    return IntegerForm(
+        G=tuple(tuple(x // g for x in row) for row in pairs),
+        L=scale // g,
+        kernel=tuple(tuple(sum(x * z[k] for k, x in v) for v in sparse) for z in p.kernel),
+    )
 
 
 class TorsionForm(NamedTuple):
@@ -620,70 +645,67 @@ class TorsionForm(NamedTuple):
         return reps, residues
 
 
-def _torsion_form(
-    box: Sequence[Vector], form: IntegerForm, rows: Sequence[Vector]
-) -> TorsionForm:
-    """The generators are the rows of R_1 at the positions i with h_ii > 1
-    of the box, and Q_ij = g_i^T G g_j mod L."""
-    positions = tuple(i for i, col in enumerate(box) if col[-1] > 1)
-    g = [rows[i] for i in positions]
-    g_images = [[sum(map(mul, row, gj)) for row in form.G] for gj in g]  # G g_j
-    return TorsionForm(
-        factors=tuple(box[i][-1] for i in positions),
-        generators=tuple(tuple(gj[row] for gj in g) for row in range(len(form.G))),
-        Q=tuple(tuple(sum(map(mul, gi, ggj)) % form.L for ggj in g_images) for gi in g),
-        L=form.L,
-    )
-
-
 class MatrixAnalysis:
     """What the library derives from one symmetric integer matrix.
 
     Each field is computed on first use and kept while the matrix stays in
-    the memo of `analysis`.  The signature and `form` come from the one
-    symmetric Bareiss pass (`_signature`), with an empty border and with the
-    border I, and the torsion test reads them alone.  On a fresh entry,
-    `form_on` borders the pass by the vectors it is asked about instead.
-    The class questions (`reduce`, `homology`, `torsion_form`) read the
-    `split` and the `box`, the Hermite form of the nonsingular core: the
-    matrix itself when it is nonsingular, which only `split` reads off the
-    signature.  A `box` asked on a fresh entry runs the first pass itself
-    and reads its adjugate columns.  Membership (`in_lattice`) reads the
-    split and `form`, not the box: most vectors outside B Z^n fail at the
-    first row of R_1 G.
+    the memo of `analysis`.  Every field reads the one symmetric Bareiss pass
+    on B, `_pass` (`_signature`), directly or through another field: the
+    signature and det B are in it, the torsion test and the `split` read its
+    kernel vectors, `form` and a fresh entry's `form_on` solve through its
+    pivot rows, and `box` reads its adjugate columns.  So any question, in
+    any order, costs one pass on B, plus one on the nonsingular core for the
+    box of a singular B.  The class questions (`reduce`, `homology`,
+    `torsion_form`) read the `split` and the `box`, the Hermite form of the
+    core: the matrix itself when it is nonsingular.  Membership
+    (`in_lattice`) reads the split and `form`, not the box: most vectors
+    outside B Z^n fail at the first row of R_1 G.
     """
 
     def __init__(self, matrix: IntMatrix) -> None:
         self.matrix = matrix
 
+    @cached_property
+    def _pass(self) -> BareissPass:
+        return _signature(self.matrix)
+
+    @property
+    def signature(self) -> SignatureTriple:
+        return self._pass.signature
+
+    @property
+    def torsion_order(self) -> int:
+        """The order of the torsion subgroup of coker B: |det B|, off the
+        pass, for a nonsingular B, so no box is built to compare it with a
+        cap; else the product of the torsion form's factors."""
+        return abs(self._pass.det) or math.prod(self.torsion_form.factors)
+
     def is_torsion(self, c: Sequence[int]) -> bool:
         """c in the rational column space of B, i.e. of a torsion class: B is
-        symmetric, so c is orthogonal to the kernel (none if B is nonsingular,
-        read off the signature; else spanned by `form.kernel`)."""
-        return self.signature.n_zero == 0 or self.form.is_torsion(c)
+        symmetric, so c is orthogonal to the pass's kernel vectors (none if
+        B is nonsingular)."""
+        kernel = self._pass.kernel
+        return not kernel or not any(sum(map(mul, z, c)) for z in kernel)
 
     def form_on(self, vectors: Sequence[Vector]) -> tuple[IntegerForm, Sequence[Vector]]:
         """An integer form of B that pairs `vectors`, and their coordinates in it.
 
-        An entry that has run a pass reads `form`, in which each vector is
-        its own coordinates.  A fresh one runs one pass bordered by the
-        vectors alone, C = [v_1 ... v_m], which also gives the signature and
-        det B; v_j is then e_j, so v_i^T B^+ v_j = G_ij / L, and v_j is
-        torsion iff entry j of each kernel row is zero.  The empty B has no
-        row to carry a border and reads `form`.
+        An entry that has run its pass reads `form`, in which each vector is
+        its own coordinates.  A fresh one runs the pass and solves the
+        vectors alone, C = [v_1 ... v_m] (`_integer_form`); v_j is then e_j,
+        so v_i^T B^+ v_j = G_ij / L, and v_j is torsion iff entry j of each
+        kernel row is zero.
         """
-        if "form" in self.__dict__ or "_inertia" in self.__dict__ or not self.matrix.rows:
+        if "_pass" in self.__dict__:
             return self.form, vectors
-        sig, det, _, form = _signature(self.matrix, list(zip(*vectors)))
-        self.__dict__["_inertia"] = (sig, det)
-        return form, _identity_lists(len(vectors))
+        return _integer_form(self._pass, vectors), _identity_lists(len(vectors))
 
     def in_lattice(self, c: Sequence[int]) -> bool:
         """c in B Z^n: c is torsion and L divides R_1 G c, since
         B'^{-1} W_1^T c = R_1 G c / L (G c / L = B^{-1} c for nonsingular B)."""
-        form = self.form  # first: its pass also gives the signature is_torsion reads
+        L = self.form.L
         return self.is_torsion(c) and not any(
-            sum(map(mul, row, c)) % form.L for row in self._lattice_rows
+            sum(map(mul, row, c)) % L for row in self._lattice_rows
         )
 
     def reduce(self, v: Sequence[int]) -> Vector:
@@ -697,12 +719,12 @@ class MatrixAnalysis:
         As R_1^T W_1^T + R_K^T K^T = I, it is R_K^T K^T v + R_1^T x, and only
         the nonzero entries of x are lifted.
         """
-        box, split = self.box, self.split  # the box first: it runs the pass
+        split = self.split
         # y, reduced in place; W_1 = I when the split has no kernel
         x = [sum(map(mul, w, v)) for w in split.columns] if split.kernel else list(v)
         # from the last coordinate up, subtract the multiple of column i
         # that brings x_i into [0, h_ii); it leaves the coordinates after i
-        for i, col in reversed(list(enumerate(box))):
+        for i, col in reversed(list(enumerate(self.box))):
             q = x[i] // col[i]
             if q:
                 x[: i + 1] = [a - q * h for a, h in zip(x, col)]
@@ -714,43 +736,24 @@ class MatrixAnalysis:
         return tuple(out)
 
     @cached_property
-    def _inertia(self) -> tuple[SignatureTriple, int]:
-        """The signature and det B, from the pass with an empty border."""
-        return _signature(self.matrix)[:2]
-
-    @cached_property
-    def signature(self) -> SignatureTriple:
-        return self._inertia[0]
-
-    @cached_property
     def split(self) -> KernelSplit:
-        """The split along ker B; a nonsingular B gets the trivial one, without `form`."""
-        kernel = self.form.kernel if self.signature.n_zero else ()
-        return _split(kernel, self.matrix.rows)
+        """The split along the pass's kernel vectors; trivial for a nonsingular B."""
+        return _split(self._pass.kernel, self.matrix.rows)
 
     @cached_property
     def box(self) -> tuple[Vector, ...]:
         """The columns of the Hermite form H of B' Z^r (see `_box`) for the
         nonsingular core B' = W_1^T B W_1 of the split, whose box
         0 <= x_i < h_ii is a fundamental domain of B' Z^r.  `_box` reads
-        det B' and columns of adj B' off a pass on B' until they cut out
-        B' Z^r.  A nonsingular B is its own core: on a fresh entry that pass
-        is the first, and gives the signature too, and after `form` the
-        columns of adj B = +-(|det B| / L) G are read off G with no pass."""
-        matrix, adjugate = self.matrix, None
-        if "_inertia" not in self.__dict__:
-            sig, det, adjugate, _ = _signature(matrix)
-            self.__dict__["_inertia"] = (sig, det)
-        split = self.split
-        if split.kernel:
-            bw = [matrix.matvec(w) for w in split.columns]
-            matrix = IntMatrix.from_rows([[sum(map(mul, wi, x)) for x in bw] for wi in split.columns])
-        elif adjugate is None and "form" in self.__dict__:
-            det, form = self._inertia[1], self.form
-            adjugate = ([abs(det) // form.L * x for x in row] for row in reversed(form.G))
-        if split.kernel or adjugate is None:
-            _, det, adjugate, _ = _signature(matrix)
-        return _box(matrix.rows, det, adjugate)
+        det B' and the columns adj(B') e_j, j = r-1 down to 0, each solved
+        through the pass on B' when read, until they cut out B' Z^r: `_pass`
+        for a nonsingular B, its own core, and a pass on the core of a
+        singular one."""
+        p, w = self._pass, self.split.columns
+        if self.split.kernel:
+            bw = [self.matrix.matvec(x) for x in w]
+            p = _signature(IntMatrix.from_rows([[sum(map(mul, wi, x)) for x in bw] for wi in w]))
+        return _box(len(p.rows), p.det, map(p.solve, reversed(_identity_lists(len(p.rows)))))
 
     @cached_property
     def _lattice_rows(self) -> tuple[Vector, ...]:
@@ -784,9 +787,8 @@ class MatrixAnalysis:
 
     @cached_property
     def form(self) -> IntegerForm:
-        sig, det, _, form = _signature(self.matrix, _identity_lists(self.matrix.rows))
-        self.__dict__.setdefault("_inertia", (sig, det))  # the same pass gives them
-        return form
+        """The integer form of B on the columns of I (`_integer_form`)."""
+        return _integer_form(self._pass, _identity_lists(self.matrix.rows))
 
     @cached_property
     def _mod2(self) -> tuple[Vector, int]:
@@ -809,8 +811,18 @@ class MatrixAnalysis:
 
     @cached_property
     def torsion_form(self) -> TorsionForm:
-        form = self.form  # first: its pass also gives the det B the box reads
-        return _torsion_form(self.box, form, self.split.rows)
+        """The generators are the rows of R_1 at the positions i with h_ii > 1
+        of the box, and Q_ij = g_i^T G g_j mod L."""
+        form = self.form
+        positions = tuple(i for i, col in enumerate(self.box) if col[-1] > 1)
+        g = [self.split.rows[i] for i in positions]
+        g_images = [[sum(map(mul, row, gj)) for row in form.G] for gj in g]  # G g_j
+        return TorsionForm(
+            factors=tuple(self.box[i][-1] for i in positions),
+            generators=tuple(tuple(gj[row] for gj in g) for row in range(len(form.G))),
+            Q=tuple(tuple(sum(map(mul, gi, ggj)) % form.L for ggj in g_images) for gi in g),
+            L=form.L,
+        )
 
 
 # The library's one per-matrix cache.  32 entries hold every presentation of

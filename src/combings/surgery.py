@@ -88,9 +88,8 @@ def meridian_pairing(
     Computed as -v^T x for the rational solution x = G w / L of B x = w
     (see linalg.IntegerForm); kernel components pair to zero against the
     torsion class v, so the value does not depend on the solution and is
-    symmetric in v and w.  On a fresh B the form comes from one pass
-    bordered by the distinct vectors among (v, w) alone
-    (`MatrixAnalysis.form_on`).
+    symmetric in v and w.  On a fresh B the form solves the distinct
+    vectors among (v, w) alone through the pass (`MatrixAnalysis.form_on`).
     """
     v = _check_length(pres, v)
     w = _check_length(pres, w)
@@ -143,12 +142,15 @@ def torsion_residues(
     the box by finite differences (`TorsionForm.table`) gives them all.  The
     box is the Hermite box of the core B' lifted by R_1^T (B itself when
     nonsingular), so every representative is the one `reduce_class` returns.
+    The order is compared with `cap` before the walk, and for a nonsingular
+    B before the box (`MatrixAnalysis.torsion_order`).
     """
     if cap < 0:
         raise ValueError(f"cap must be nonnegative, got {cap}")
-    tf = analysis(pres.matrix).torsion_form
-    order = math.prod(tf.factors)
+    data = analysis(pres.matrix)
+    order = data.torsion_order
     if order > cap:
         raise CapExceededError(order, cap)
+    tf = data.torsion_form
     return tf.L, tuple(zip(*tf.table(lifts=True)))
 

@@ -240,7 +240,7 @@ def check_torsion_enumeration(rng: random.Random, cases: int) -> CheckResult:
             reduce_class(pres, rep) == rep and linking_form(pres, rep) == Fraction(r, L)
             for rep, r in classes
         )
-        d = analysis(pres.matrix)._inertia[1]  # det B, from the signature pass
+        d = analysis(pres.matrix)._pass.det
         if d:
             ok = ok and len(classes) == abs(d)
         failures += not ok

@@ -5,6 +5,7 @@ Seeded generators aim at the paths random matrices rarely reach: a hollow
 e_k -> e_k + e_partner step, and zero rows of the Schur complement.
 """
 
+import hashlib
 import itertools
 import math
 import random
@@ -74,25 +75,22 @@ def _families(seed, count):
 FAMILIES = _families(5, 400)
 
 
-def _identity(n):
-    return [[int(i == j) for j in range(n)] for i in range(n)]
-
-
 def test_det_against_cofactor_expansion():
-    """The pass's last pivot is det B, also with an empty border."""
+    """The pass's last pivot is det B, and 0 when a row is split off."""
     for rows in FAMILIES:
         b = IntMatrix.from_rows(rows)
-        assert _signature(b)[1] == _signature(b, _identity(b.rows))[1] == naive_det(rows), rows
+        assert _signature(b).det == naive_det(rows), rows
 
 
 def test_bordered_pass_against_oracles():
-    """With the border I: the signature of the empty border, B G B = L B,
+    """`form`, solved through the pass on the columns of I, against the
+    Fraction oracles: the signature of the eigenvalue signs, B G B = L B,
     kernel rows that span ker B, and G / L = B^{-1} for nonsingular B."""
     for rows in FAMILIES:
         b = IntMatrix.from_rows(rows)
         n = b.rows
-        sig, _, _, form = _signature(b, _identity(n))
-        assert sig == _signature(b)[0] == signature(b)
+        form, sig = MatrixAnalysis(b).form, signature(b)
+        assert sig == eig_sign_counts(rows), rows
         g = IntMatrix.from_rows(form.G)
         assert b @ g @ b == IntMatrix(n, n, tuple(form.L * x for x in b.entries)), rows
         assert len(form.kernel) == sig.n_zero == n - frac_rank(rows)
@@ -135,31 +133,68 @@ def _torsion_and_free(rng, rows):
 
 
 def test_border_by_vectors_against_form_and_fraction_solve():
-    """A fresh entry borders the pass by the vectors asked about
-    (`MatrixAnalysis.form_on`): it gives the signature and det of the empty
-    border, the torsion verdict and v^T B^+ w of the form route and of the
-    Fraction solve, for hollow, block, rank-deficient, random and empty B."""
+    """A fresh entry solves the vectors asked about alone through its pass
+    (`MatrixAnalysis.form_on`): the pass gives the signature and det of the
+    Fraction oracles, and the form the torsion verdict and v^T B^+ w of the
+    form route and of the Fraction solve, for hollow, block, rank-deficient,
+    random and empty B."""
     rng = random.Random(7)
     verdicts = set()
     for rows in FAMILIES:
         b = IntMatrix.from_rows(rows)
+        inertia = (eig_sign_counts(rows), frac_inverse(rows)[1])
         for v, w in itertools.permutations(_torsion_and_free(rng, rows)):
             fresh, warm = MatrixAnalysis(b), MatrixAnalysis(b)
-            bordered, (x, y) = fresh.form_on((v, w))
-            assert fresh._inertia == _signature(b)[:2]
+            solved, (x, y) = fresh.form_on((v, w))
+            assert (fresh.signature, fresh._pass.det) == inertia, rows
             form = warm.form
             for vector, coords in ((v, x), (w, y)):
                 solution = frac_solve(rows, vector)[0]
                 torsion = solution is not None
                 verdicts.add((b.rows > 0 and fresh.signature.n_zero > 0, torsion))
-                assert bordered.is_torsion(coords) == form.is_torsion(vector) == torsion, rows
+                assert solved.is_torsion(coords) == form.is_torsion(vector) == torsion, rows
                 assert warm.is_torsion(vector) == torsion
-            if bordered.is_torsion(x) and bordered.is_torsion(y):
+            if solved.is_torsion(x) and solved.is_torsion(y):
                 want = sum(map(mul, v, frac_solve(rows, w)[0]), Fraction(0))
-                assert Fraction(bordered.pair(x, y), bordered.L) == want, rows
+                assert Fraction(solved.pair(x, y), solved.L) == want, rows
                 assert Fraction(form.pair(v, w), form.L) == want
             one, (z,) = MatrixAnalysis(b).form_on((v,))
-            assert one.is_torsion(z) == bordered.is_torsion(x)
+            assert one.is_torsion(z) == solved.is_torsion(x)
             if one.is_torsion(z):
                 assert Fraction(one.pair(z, z), one.L) == Fraction(form.pair(v, v), form.L)
     assert verdicts == {(False, True), (True, True), (True, False)}
+
+
+def _pinned_cases():
+    """The seeded families and 24 random and 24 rank-deficient B with n in
+    8..16, whose entries grow over many pivots."""
+    rng = random.Random(8)
+    out = list(FAMILIES)
+    for _ in range(24):
+        n = rng.randint(8, 16)
+        out += [random_symmetric(rng, n, 5).to_rows(), _singular_symmetric(rng, n)]
+    return out
+
+
+def test_integer_form_is_pinned():
+    """G, L and the kernel rows are reproducible, not just G / L: a digest of
+    `form` and of a fresh `form_on` of width 1, 2 and 3 (random vectors,
+    torsion or not) over singular and nonsingular B pins the scale, the sign
+    and the order of the kernel rows.  The empty B has no vector to pair."""
+    rng = random.Random(9)
+    digest = hashlib.sha256()
+    singular = 0
+    for rows in _pinned_cases():
+        b = IntMatrix.from_rows(rows)
+        forms = [MatrixAnalysis(b).form]
+        singular += bool(forms[0].kernel)
+        if b.rows:
+            for width in (1, 2, 3):
+                vectors = [tuple(rng.randint(-6, 6) for _ in range(b.rows)) for _ in range(width)]
+                forms.append(MatrixAnalysis(b).form_on(vectors)[0])
+        for form in forms:
+            digest.update(repr(tuple(form)).encode())
+    assert singular >= 200
+    assert digest.hexdigest() == (
+        "bb74a6914f47d2e3b41a4ae615ad3cf8bd6ef008905d3b5013a40c89bc750325"
+    )

@@ -56,7 +56,7 @@ class TestConstruction:
         # a lone component has no pair whose linking its class decides
         pres = SurgeryPresentation.from_rows([[7, 2, 1], [2, -5, 3], [1, 3, 11]])
         framed([[Fraction(1, 3)]], classes=[(1, 0, 2)], ambient=pres)
-        assert "signature" not in analysis(pres.matrix).__dict__
+        assert "_pass" not in analysis(pres.matrix).__dict__
 
     def test_rational_strings_accepted(self):
         f = framed([["-1/2"]])

@@ -80,9 +80,10 @@ def test_hand_worked_a3():
 
 
 def _pass_columns(rows):
-    """det B and the lazy adjugate columns of the pass on B."""
-    _, det, columns, _ = linalg._signature(IntMatrix.from_rows(rows))
-    return det, columns
+    """det B and the columns adj(B) e_j, j = n-1 down to 0, each solved
+    through the pass on B when read."""
+    p = linalg._signature(IntMatrix.from_rows(rows))
+    return p.det, map(p.solve, reversed(linalg._identity_lists(len(rows))))
 
 
 @pytest.mark.parametrize("index", range(len(NONSINGULAR)))
@@ -179,10 +180,9 @@ def _adjugate_columns(rows):
 
 @pytest.mark.parametrize("index", range(len(FUNCTIONAL_CASES)))
 def test_adjugate_columns_match_fraction_inverse(index):
-    """The pass gives all n columns a = adj(B) c with c = B a / det B
-    integral, c = P^{-T} e_j for the pass's unimodular congruence P: c
-    against the Fraction inverse, through swaps and partner steps, and the
-    matrix of the c has determinant +-1."""
+    """Solving e_j through the pass gives the n columns a = adj(B) c with
+    c = B a / det B = e_j, j = n-1 down to 0, against the Fraction inverse,
+    through swaps and partner steps of the pass."""
     rows = FUNCTIONAL_CASES[index]
     inv, det = frac_inverse(rows)
     columns = _adjugate_columns(rows)
@@ -194,7 +194,7 @@ def test_adjugate_columns_match_fraction_inverse(index):
         c = [x // det for x in c]
         assert a == tuple(det * sum(x * y for x, y in zip(row, c)) for row in inv)
         basis.append(c)
-    assert abs(_det(basis)) == 1
+    assert basis == linalg._identity_lists(len(rows))[::-1]
 
 
 def _columns_read(rows):
@@ -213,8 +213,8 @@ def _columns_read(rows):
 @pytest.mark.parametrize("index", range(len(FUNCTIONAL_CASES)))
 def test_box_from_adjugate_columns_matches_echelon(index):
     """The box from the pass's columns, from the same columns in the
-    opposite order, and from those of G after `form`, against the echelon
-    oracle; `_box` reads at most n columns."""
+    opposite order, and as `MatrixAnalysis.box` after `form`, against the
+    echelon oracle; `_box` reads at most n columns."""
     rows = FUNCTIONAL_CASES[index]
     det, want = _det(rows), reference(rows)
     box, read = _columns_read(rows)
@@ -222,7 +222,7 @@ def test_box_from_adjugate_columns_matches_echelon(index):
     assert linalg._box(len(rows), det, _adjugate_columns(rows)[::-1]) == want
     data = linalg.MatrixAnalysis(IntMatrix.from_rows(rows))
     data.form
-    assert data.box == want  # read off G, with no further pass
+    assert data.box == want
 
 
 def test_box_routes_all_occur():

@@ -1,7 +1,9 @@
 """The integer form G/L and the per-matrix memo against the references
 frac_solve over Q and solve_integer over Z (both in _oracles)."""
 
+import io
 import itertools
+import json
 import math
 import random
 from collections import Counter
@@ -39,7 +41,8 @@ from combings.combing import (
     theta_g,
 )
 from combings import linalg
-from combings.errors import NonTorsionError
+from combings.cli import main
+from combings.errors import CapExceededError, NonTorsionError
 from combings.linalg import (
     MEMO_SIZE,
     IntMatrix,
@@ -582,16 +585,17 @@ def test_form_is_generalized_inverse():
 
 @pytest.fixture
 def passes(monkeypatch):
-    """An empty memo, and a log of the border width of each symmetric pass
-    (`linalg._signature`) and of the number of Smith forms with transforms
-    built from here on: Smith passes `linalg._diagonalize` with a border,
-    which every copy of `smith_normal_form` runs, whatever name calls it."""
-    log = {"widths": [], "smith": 0}
+    """An empty memo, and a log of the number of symmetric passes
+    (`linalg._signature`) run on each matrix and of the number of Smith
+    forms with transforms built from here on: Smith passes
+    `linalg._diagonalize` with a border, which every copy of
+    `smith_normal_form` runs, whatever name calls it."""
+    log = {"passes": Counter(), "smith": 0}
     signature_pass, diagonalize = linalg._signature, linalg._diagonalize
 
-    def counting_signature(s, border=()):
-        log["widths"].append(len(border[0]) if border else 0)
-        return signature_pass(s, border)
+    def counting_signature(s):
+        log["passes"][s] += 1
+        return signature_pass(s)
 
     def counting_diagonalize(m, r=None, c=None):
         log["smith"] += r is not None
@@ -604,64 +608,164 @@ def passes(monkeypatch):
 
 
 def test_singular_questions_build_only_what_they_read(passes):
-    """On singular B, form builds neither the box nor the signature, and
-    spin_c_equal answers from form and the split: one pass, bordered by I,
-    with no box and no Smith form."""
+    """On singular B, form builds neither the box nor the split, and
+    spin_c_equal answers from form and the split: one pass, with no box and
+    no Smith form."""
     pres = SurgeryPresentation.from_rows([[2, 1, 3], [1, 5, 6], [3, 6, 9]])
     data = analysis(pres.matrix)
     data.form
-    assert "box" not in data.__dict__ and "signature" not in data.__dict__
+    assert "box" not in data.__dict__ and "split" not in data.__dict__
     pres = _cold([[4, 1, 5], [1, 3, 4], [5, 4, 9]])
-    passes["widths"].clear()
+    passes["passes"].clear()
     assert spin_c_equal(pres, (0, 1, 1), (8, 3, 11))
     assert not spin_c_equal(pres, (0, 1, 1), (2, 1, 1))
-    assert passes == {"widths": [3], "smith": 0}
+    assert passes == {"passes": {pres.matrix: 1}, "smith": 0}
     assert "box" not in analysis(pres.matrix).__dict__
 
 
 def test_cold_questions_run_one_pass(passes):
-    """euler_class, spin_c_equal and p1_image on a fresh nonsingular B read
-    form first, so one symmetric pass, bordered by I, gives the signature
-    and det B too."""
-    b = [[3, 1, 0], [1, -2, 1], [0, 1, 4]]
-    c = (1, 0, 0)
-    other = (7, 2, 0)  # c + 2 B e_0
-    for question in (
-        lambda pres: euler_class(pres, c),
-        lambda pres: spin_c_equal(pres, c, other),
-        lambda pres: p1_image(pres, box=1),
+    """Every question on a fresh entry runs one symmetric pass on B, which
+    gives the signature, det B, the kernel and `form`, and a question that
+    reads the box of a singular B one more, on its core."""
+    questions = (
+        (lambda pres, c: theta_g(pres, c), False),
+        (lambda pres, c: p1(CombingSpec(pres, c, 1)), False),
+        (lambda pres, c: hf_grading(CombingSpec(pres, c)), False),
+        (lambda pres, c: euler_class(pres, c), False),
+        (lambda pres, c: spin_c_equal(pres, c, c), False),
+        (lambda pres, c: combing_equal(CombingSpec(pres, c), CombingSpec(pres, c)), False),
+        (lambda pres, c: gamma_orbit_modulus(pres, c), False),
+        (lambda pres, c: parity_check(pres), False),
+        (lambda pres, c: is_torsion_class(pres, c), False),
+        (lambda pres, c: meridian_pairing(pres, c, c), False),
+        (lambda pres, c: linking_form(pres, c), False),
+        (lambda pres, c: homology_summary(pres), True),
+        (lambda pres, c: reduce_class(pres, c), True),
+        (lambda pres, c: classes_equal(pres, c, c), True),
+        (lambda pres, c: torsion_residues(pres), True),
+        (lambda pres, c: p1_image(pres, box=1), True),
+    )
+    for rows, c, singular in (
+        ([[3, 1, 0], [1, -2, 1], [0, 1, 4]], (1, 0, 0), False),
+        ([[2, 1, 3], [1, 7, 8], [3, 8, 11]], (0, 1, 1), True),  # kernel (1, 1, -1)
     ):
-        analysis.cache_clear()
-        passes["widths"].clear()
-        question(_cold(b))
-        assert passes["widths"] == [3]
+        for question, reads_box in questions:
+            analysis.cache_clear()
+            pres = _cold(rows)
+            passes["passes"].clear()
+            question(pres, c)
+            assert passes["passes"][pres.matrix] == 1
+            assert sum(passes["passes"].values()) == 1 + (singular and reads_box)
     assert passes["smith"] == 0
 
 
 def test_cold_torsion_walk_reads_the_torsion_form(passes):
-    """torsion_residues (linking-form) and p1_image take the torsion order
-    from the factors of the torsion form, which reads form before the box:
-    one pass bordered by I on a nonsingular B, plus the core's empty pass
-    on a singular one, and no homology summary."""
-    for rows, widths in (
-        ([[3, 1, 0], [1, -2, 1], [0, 1, 4]], [3]),
-        ([[2, 1, 3], [1, 5, 6], [3, 6, 9]], [3, 0]),  # kernel (1, 1, -1)
+    """torsion_residues (linking-form) and p1_image read the factors of the
+    torsion form: one pass on a nonsingular B, plus the core's pass on a
+    singular one, and no homology summary."""
+    for rows, singular in (
+        ([[3, 1, 0], [1, -2, 1], [0, 1, 4]], False),
+        ([[2, 1, 3], [1, 5, 6], [3, 6, 9]], True),  # kernel (1, 1, -1)
     ):
         for question in (torsion_residues, lambda pres: p1_image(pres, box=1)):
             analysis.cache_clear()
             pres = _cold(rows)
-            passes["widths"].clear()
+            passes["passes"].clear()
             question(pres)
-            assert passes["widths"] == widths
+            assert passes["passes"][pres.matrix] == 1
+            assert sorted(passes["passes"].values()) == [1] * (1 + singular)
             assert "homology" not in analysis(pres.matrix).__dict__
+    assert passes["smith"] == 0
+
+
+def test_refused_torsion_walk_reads_det_alone(passes):
+    """A cold linking-form or image-p1 on a nonsingular B whose order
+    |det B| is over the cap is refused after the one pass, before the box
+    or the integer form; the message is the one the torsion form's order
+    gave."""
+    b = [[3, 1, 0], [1, -2, 1], [0, 1, 4]]  # coker Z/31
+    doc = {"linking_matrix": b}
+    for argv in (["linking-form", "--cap", "30"], ["image-p1", "--cap", "30"]):
+        analysis.cache_clear()
+        pres = _cold(b)
+        passes["passes"].clear()
+        err = io.StringIO()
+        code = main(argv, stdin=io.StringIO(json.dumps(doc)), stdout=io.StringIO(), stderr=err)
+        assert code == 2
+        assert err.getvalue() == "error: CapExceeded: torsion order 31 exceeds cap 30\n"
+        assert passes["passes"] == {pres.matrix: 1}
+        assert not {"form", "box", "torsion_form"} & analysis(pres.matrix).__dict__.keys()
+    analysis.cache_clear()
+    pres = _cold(b)
+    with pytest.raises(CapExceededError, match="^torsion order 31 exceeds cap 30$"):
+        torsion_residues(pres, cap=30)
+    assert len(torsion_residues(pres, cap=31)[1]) == 31
+    assert passes["smith"] == 0
+
+
+def test_one_pass_per_fresh_entry_in_any_order(passes):
+    """signature, form, box and form_on, asked in each of the 24 orders on a
+    fresh entry, run one pass on B, and a singular B one more on the core
+    when the box is asked; each answer equals that of an entry that was
+    asked it alone."""
+    v = (1, 0, 2)
+    for rows in (
+        [[3, 1, 0], [1, -2, 1], [0, 1, 4]],
+        [[2, 1, 3], [1, 5, 6], [3, 6, 9]],  # kernel (1, 1, -1)
+    ):
+        b = IntMatrix.from_rows(rows)
+        questions = {
+            "signature": lambda data: data.signature,
+            "form": lambda data: data.form,
+            "box": lambda data: data.box,
+            "form_on": lambda data: Fraction(*_pairing(data, v)),
+        }
+        alone = {name: ask(linalg.MatrixAnalysis(b)) for name, ask in questions.items()}
+        for order in itertools.permutations(questions):
+            passes["passes"].clear()
+            data = linalg.MatrixAnalysis(b)
+            for name in order:
+                assert questions[name](data) == alone[name], order
+            assert passes["passes"][b] == 1
+            assert sum(passes["passes"].values()) == 1 + bool(alone["signature"].n_zero)
+    assert passes["smith"] == 0
+
+
+def _pairing(data, v):
+    form, (x,) = data.form_on((v,))
+    return form.pair(x, x), form.L
+
+
+def test_parity_then_homology_run_one_pass(passes):
+    """parity_check (a cold theta_g) and then homology_summary on a fresh
+    nonsingular B: the box reads the adjugate columns of the pass theta_g
+    ran, with no second pass."""
+    pres = _cold([[3, 1, 0], [1, -2, 1], [0, 1, 4]])
+    passes["passes"].clear()
+    assert parity_check(pres)
+    assert homology_summary(pres).invariant_factors == (31,)
+    assert passes["passes"] == {pres.matrix: 1}
+
+
+def test_singular_homology_runs_one_pass_and_the_cores(passes):
+    """homology_summary on a fresh singular B runs one pass on B, whose
+    kernel vectors give the split, and one on the core B' = W_1^T B W_1."""
+    pres = _cold([[2, 1, 3, 0], [1, 5, 6, 0], [3, 6, 9, 0], [0, 0, 0, 5]])  # kernel (1, 1, -1, 0)
+    passes["passes"].clear()
+    summary = homology_summary(pres)
+    assert summary.betti_1 == 1 and summary.torsion_order == 45
+    columns = analysis(pres.matrix).split.columns
+    bw = [pres.matrix.matvec(w) for w in columns]
+    core = IntMatrix.from_rows([[sum(map(mul, wi, x)) for x in bw] for wi in columns])
+    assert passes["passes"] == {pres.matrix: 1, core: 1}
     assert passes["smith"] == 0
 
 
 def test_nonsingular_questions_build_no_smith_form(passes):
     """theta_g, spin_c_equal, euler_class and is_torsion_class on nonsingular
-    B read the signature and the bordered pass only; is_torsion_class builds
-    no integer form.  On singular B, theta_g and is_torsion_class read the
-    kernel rows of the integer form.  homology_summary, reduce_class,
+    B read the pass and the integer form only; is_torsion_class builds no
+    integer form.  On singular B, theta_g and is_torsion_class read the
+    pass's kernel vectors.  homology_summary, reduce_class,
     classes_equal, torsion_residues, p1_image, parity_check and
     gamma_orbit_modulus read the Hermite form of B, or of the core of a
     singular B.  None of them builds a Smith form."""
@@ -704,10 +808,9 @@ def test_nonsingular_questions_build_no_smith_form(passes):
 
 def test_cold_box_runs_one_pass_and_no_full_modulus_hermite(passes, monkeypatch):
     """homology and reduce_class (framed-class) on a fresh nonsingular B run
-    one empty-border pass, as before, and read the box off its adjugate
-    columns until they cut out B Z^n: one on coker Z/29, three on the
-    non-cyclic coker.  After `form`, the box reads the adjugate off G and
-    runs no pass."""
+    one pass and read the box off its adjugate columns until they cut out
+    B Z^n: one on coker Z/31, three on the non-cyclic coker.  After `form`,
+    the box reads the same columns of the same pass."""
     read = []
     cut = linalg._box
 
@@ -721,24 +824,25 @@ def test_cold_box_runs_one_pass_and_no_full_modulus_hermite(passes, monkeypatch)
 
     monkeypatch.setattr(linalg, "_box", counting_box)
     cases = (
-        ([[3, 1, 0], [1, -2, 1], [0, 1, 4]], 1),  # coker Z/29
+        ([[3, 1, 0], [1, -2, 1], [0, 1, 4]], 1),  # coker Z/31
         ([[13, 0, -2, -9], [0, 4, 8, 0], [-2, 8, 18, 2], [-9, 0, 2, 7]], 3),  # Z/2 + Z/2 + Z/12
     )
     for rows, want in cases:
         for question in (homology_summary, lambda pres: reduce_class(pres, (1,) * pres.n)):
             analysis.cache_clear()
             pres = _cold(rows)
-            passes["widths"].clear()
+            passes["passes"].clear()
             read.clear()
             question(pres)
-            assert passes["widths"] == [0] and len(read) == want
+            assert passes["passes"] == {pres.matrix: 1} and len(read) == want
         box = analysis(pres.matrix).box
         analysis.cache_clear()
         pres = _cold(rows)
         analysis(pres.matrix).form
-        passes["widths"].clear()
+        passes["passes"].clear()
+        read.clear()
         assert analysis(pres.matrix).box == box
-        assert passes["widths"] == []
+        assert not passes["passes"] and len(read) == want
     assert passes["smith"] == 0
 
 
@@ -755,18 +859,20 @@ def test_only_box_questions_build_the_singular_core(passes):
     theta_g(pres, c)
     assert gamma_orbit_modulus(pres, c) == 0
     assert "box" not in data.__dict__ and len(data.split.kernel) == 1
-    passes["widths"].clear()
+    assert passes["passes"] == {pres.matrix: 1}
+    passes["passes"].clear()
     assert reduce_class(pres, (4, 3, 7, 1)) == reduce_class(pres, c)
     box = data.box
-    assert len(box) == 3 and passes["widths"] == [0]  # the core's empty pass
+    assert len(box) == 3 and sum(passes["passes"].values()) == 1  # the core's pass
+    assert pres.matrix not in passes["passes"]
     assert homology_summary(pres).betti_1 == 1 and len(torsion_residues(pres)[1]) == 45
-    assert data.box is box and passes["widths"] == [0]
+    assert data.box is box and sum(passes["passes"].values()) == 1
     assert passes["smith"] == 0
 
 
 def test_cold_theta_borders_by_c_alone(passes):
     """On a fresh nonsingular B, theta_g, p1, hf_grading and parity_check run
-    one pass bordered by c alone and build no integer form."""
+    one pass and solve c alone through it, building no integer form."""
     b = [[3, 1, 0], [1, -2, 1], [0, 1, 4]]
     c = (1, 0, 0)
     want = _reference_theta(SurgeryPresentation.from_rows(b), c, -2 * 4 - 3 * 1)
@@ -778,60 +884,74 @@ def test_cold_theta_borders_by_c_alone(passes):
     ):
         analysis.cache_clear()
         pres = _cold(b)
-        passes["widths"].clear()
+        passes["passes"].clear()
         assert question(pres)
-        assert passes["widths"] == [1]
+        assert passes["passes"] == {pres.matrix: 1}
         assert "form" not in analysis(pres.matrix).__dict__
     assert passes["smith"] == 0
 
 
 def test_cold_singular_theta_borders_by_c_alone(passes):
     """A fresh singular B answers a torsion c, and refuses a non-torsion
-    one, from the one pass bordered by c."""
+    one, from the one pass, solving c alone."""
     b = [[2, 1, 3], [1, 7, 8], [3, 8, 11]]  # kernel (1, 1, -1)
     c = (0, 1, 1)
     pres = _cold(b)
-    passes["widths"].clear()
+    passes["passes"].clear()
     assert theta_g(pres, c) == _reference_theta(pres, c, _theta_constant(pres))
-    assert passes["widths"] == [1]
+    assert passes["passes"] == {pres.matrix: 1}
     analysis.cache_clear()
     pres = _cold(b)
-    passes["widths"].clear()
+    passes["passes"].clear()
     with pytest.raises(NonTorsionError, match="not torsion"):
         theta_g(pres, (0, 1, 3))
-    assert passes["widths"] == [1]
+    assert passes["passes"] == {pres.matrix: 1}
     assert "form" not in analysis(pres.matrix).__dict__
 
 
 def test_theta_scan_runs_at_most_one_extra_pass(passes):
-    """The second theta_g on one B finds a pass run and builds form once;
-    every later one reads it."""
+    """A theta_g scan on one B runs one pass: the first theta_g solves its c
+    alone, the second finds the pass run and builds form once, and every
+    later one reads it."""
     b = [[3, 1, 0, 2], [1, -2, 1, 0], [0, 1, 4, -1], [2, 0, -1, 5]]
     pres = _cold(b)
-    c_ref = analysis(pres.matrix).c_ref
-    passes["widths"].clear()
-    values = [theta_g(pres, tuple(x + 2 * k for x in c_ref)) for k in range(2)]
-    assert passes["widths"] == [1, 4]
+    data = analysis(pres.matrix)
+    c_ref = data.c_ref
+    passes["passes"].clear()
+    values = [theta_g(pres, c_ref)]
+    assert passes["passes"] == {pres.matrix: 1} and "form" not in data.__dict__
+    values.append(theta_g(pres, tuple(x + 2 for x in c_ref)))
+    form = data.form
     values += [theta_g(pres, tuple(x + 2 * k for x in c_ref)) for k in range(2, 100)]
-    assert passes["widths"] == [1, 4]
+    assert passes["passes"] == {pres.matrix: 1} and data.form is form
     for k in (0, 1, 57, 99):
         c = tuple(x + 2 * k for x in c_ref)
         assert values[k] == _reference_theta(pres, c, _theta_constant(pres))
 
 
 def test_cold_meridian_pairing_borders_by_its_vectors(passes):
-    """meridian_pairing on a fresh B borders the pass by its distinct
-    vectors: width 2 for v != w, width 1 for v == w."""
+    """meridian_pairing on a fresh B runs one pass and solves its distinct
+    vectors alone: a form of width 2 for v != w, of width 1 for v == w."""
     b = [[5, 2, 1], [2, -3, 0], [1, 0, 7]]
     v, w = (1, 0, 2), (0, 3, -1)
-    for args, width in (((v, w), 2), ((w, v), 2), ((v, v), 1)):
-        analysis.cache_clear()
-        pres = _cold(b)
-        passes["widths"].clear()
-        got = meridian_pairing(pres, *args)
-        assert passes["widths"] == [width]
-        x = _solution(pres, args[1])
-        assert got == -sum((Fraction(a) * y for a, y in zip(args[0], x)), Fraction(0))
+    integer_form = linalg._integer_form
+    widths = []
+
+    def counting_form(p, vectors):
+        widths.append(len(vectors))
+        return integer_form(p, vectors)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "_integer_form", counting_form)
+        for args, width in (((v, w), 2), ((w, v), 2), ((v, v), 1)):
+            analysis.cache_clear()
+            pres = _cold(b)
+            passes["passes"].clear()
+            widths.clear()
+            got = meridian_pairing(pres, *args)
+            assert passes["passes"] == {pres.matrix: 1} and widths == [width]
+            x = _solution(pres, args[1])
+            assert got == -sum((Fraction(a) * y for a, y in zip(args[0], x)), Fraction(0))
     analysis.cache_clear()
     pres = _cold([[2, 1, 3], [1, 7, 8], [3, 8, 11]])  # kernel (1, 1, -1)
     with pytest.raises(NonTorsionError, match="second class"):
@@ -840,28 +960,28 @@ def test_cold_meridian_pairing_borders_by_its_vectors(passes):
 
 
 def test_empty_presentation_reads_form(passes):
-    """S^3 has no row to carry a border: theta_g, p1, parity_check and the
-    self-linking of the empty class read `form`, an empty pass."""
+    """S^3: theta_g, p1, parity_check and the self-linking of the empty
+    class run one pass, on the empty B, and read the form it gives."""
     s3 = _cold([])
-    passes["widths"].clear()
+    passes["passes"].clear()
     assert theta_g(s3, ()) == -2
     assert p1(CombingSpec(s3, (), 1)).value == 2
     assert parity_check(s3)
     assert meridian_pairing(s3, (), ()) == 0
-    assert passes["widths"] == [0]
+    assert passes["passes"] == {s3.matrix: 1}
 
 
 def test_cold_combing_equal_runs_one_pass(passes):
-    """combing_equal reads form first, so the torsion tests, spin_c_equal
-    and both p1 values come from one pass bordered by I."""
+    """combing_equal on a fresh B: the torsion tests, spin_c_equal and both
+    p1 values come from one pass, in the order combing_equal asks them."""
     b = [[3, 1, 0], [1, -2, 1], [0, 1, 4]]
     c, other = (1, 0, 0), (7, 2, 0)  # c + 2 B e_0, so theta_g grows by 4 (c_0 + b_00)
     for gamma_offset, equal in ((-4, True), (0, False)):
         analysis.cache_clear()
         pres = _cold(b)
-        passes["widths"].clear()
+        passes["passes"].clear()
         assert combing_equal(CombingSpec(pres, c), CombingSpec(pres, other, gamma_offset)) == equal
-        assert passes["widths"] == [3]
+        assert passes["passes"] == {pres.matrix: 1}
     singular = _cold([[2, 1, 3], [1, 7, 8], [3, 8, 11]])  # kernel (1, 1, -1)
     for x, y, message in (((0, 1, 3), (0, 1, 1), "first"), ((0, 1, 1), (0, 1, 3), "second")):
         with pytest.raises(NonTorsionError, match=message):

@@ -13,6 +13,7 @@ import io
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from operator import mul
 
@@ -193,7 +194,8 @@ def test_n40_representatives_stay_small():
 def test_singular_commands_build_no_smith_form(monkeypatch):
     """homology, framed-class, linking-form, spinc-equal, combing-equal,
     orbit-modulus and image-p1 on seeded singular B never run a bordered
-    Smith pass, the one every copy of `smith_normal_form` runs."""
+    Smith pass, the one every copy of `smith_normal_form` runs, and all
+    seven run one symmetric pass on each B and one on its core."""
     docs = []
     for _, pres in FAMILY[:24]:
         b = pres.matrix
@@ -204,18 +206,27 @@ def test_singular_commands_build_no_smith_form(monkeypatch):
                      "combing2": {"c": c2, "gamma": 1},
                      "framed": {"lambda_matrix": [["1"]], "classes": [v]}})
     calls = []
-    diagonalize = linalg._diagonalize
+    passes = Counter()
+    diagonalize, signature_pass = linalg._diagonalize, linalg._signature
 
     def counting_diagonalize(m, r=None, c=None):
         if r is not None:
             calls.append(m)
         return diagonalize(m, r, c)
 
+    def counting_signature(s):
+        passes[s] += 1
+        return signature_pass(s)
+
     monkeypatch.setattr(linalg, "_diagonalize", counting_diagonalize)
+    monkeypatch.setattr(linalg, "_signature", counting_signature)
     analysis.cache_clear()
     for doc in docs:
+        b = IntMatrix.from_rows(doc["linking_matrix"])
+        passes.clear()
         for argv in (["homology"], ["framed-class"], ["linking-form"], ["spinc-equal"],
                      ["combing-equal"], ["orbit-modulus"], ["image-p1", "--box", "1"]):
             code, _ = _run(argv, doc)
             assert code == 0, (argv, doc)
+        assert passes[b] == 1 and sorted(passes.values()) == [1, 1], doc
     assert calls == []
