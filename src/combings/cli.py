@@ -22,6 +22,7 @@ from .combing import (
     MODIFICATION_KINDS,
     CombingSpec,
     _spin_c_equal,
+    _theta_g,
     apply_modification,
     combing_equal,
     gamma_orbit_modulus,
@@ -30,7 +31,6 @@ from .combing import (
     p1_image,
     parity_check,
     stabilize,
-    theta_g,
 )
 from .document import (
     CombingDoc,
@@ -191,7 +191,7 @@ def _cmd_linking_form(args, doc: Document) -> str:
 
 def _cmd_theta_g(args, doc: Document) -> str:
     x = _combing(doc)
-    return format_rational(theta_g(x.presentation, x.c))
+    return format_rational(_theta_g(x.presentation, x.c))
 
 
 def _cmd_p1(args, doc: Document) -> str:

@@ -61,7 +61,9 @@ def _expect_int(value, where: str) -> int:
 def _parse_int_vector(value, where: str) -> tuple[int, ...]:
     if not isinstance(value, list):
         raise ParseError(f"{where} must be a list of integers")
-    return tuple(_expect_int(x, where) for x in value)
+    if {int}.issuperset(map(type, value)):
+        return tuple(value)
+    return tuple(_expect_int(x, where) for x in value)  # names the first bad entry
 
 
 def _parse_int_matrix(value, where: str) -> tuple[tuple[int, ...], ...]:
@@ -134,10 +136,8 @@ def parse_document(text: str) -> Document:
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ParseError("linking_matrix must be square")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if matrix[i][j] != matrix[j][i]:
-                raise ParseError("linking_matrix must be symmetric")
+    if tuple(zip(*matrix)) != matrix:
+        raise ParseError("linking_matrix must be symmetric")
 
     return Document(
         linking_matrix=matrix,

@@ -8,12 +8,17 @@ symmetric Bareiss pass `_signature`, run once per matrix: it gives the
 signature, det B, the pivot rows and the kernel of B, and every other
 quantity is a triangular solve through those pivot rows (`_substitute`): the
 columns of adj B that cut the Hermite box, and the integer form G / L of B
-on any columns C, C = I included.  The others are the Smith pass
-`_diagonalize`, the gcd chains of `_box` that cut the Hermite box, one list
-of sparse columns, out of adjugate columns until they reach B Z^n, the
-Euclid steps `_euclid` of `_split` and `_echelon`, and the F_2 elimination
-`solve_mod2`.  Every class question reads one box, the Hermite box of the
-nonsingular core of B; membership in B Z^n reads the rows of R_1 G instead
+on any columns C, C = I included.  The pass takes two pivots per sweep of
+the rows below them (Bareiss's two-step form) wherever the second pivot is
+nonzero, with one exact division by D_k^2 per entry, and one pivot where it
+is zero or the active block ends; the pivot rows are the same either way.
+The others are the Smith pass `_diagonalize`, the gcd chains of `_box` that
+cut the Hermite box, one list of sparse columns, out of adjugate columns
+until they reach B Z^n and finished (`_finish`) over only the rows each
+column holds and the positions with h_ii > 1, the Euclid steps `_euclid` of
+`_split` and `_echelon`, and the F_2 elimination `solve_mod2`.  Every class
+question reads one box, the Hermite box of the nonsingular core of B;
+membership in B Z^n reads the rows of R_1 G instead
 (`MatrixAnalysis.in_lattice`).
 """
 
@@ -45,9 +50,8 @@ class IntMatrix(Record):
             raise ValueError("matrix dimensions must be nonnegative")
         if len(entries) != rows * cols:
             raise ValueError("entry count must equal rows * cols")
-        for e in entries:
-            if not isinstance(e, int):
-                raise ValueError("matrix entries must be integers")
+        if not all(map(isinstance, entries, itertools.repeat(int))):
+            raise ValueError("matrix entries must be integers")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", entries)
@@ -217,14 +221,23 @@ def _finish(columns: list[dict[int, int]]) -> tuple[Vector, ...]:
     j (reduced in place), as the dense tuples of entries 0..j: column j is
     reduced by the finished columns i = j-1, ..., 0.  A finished column keeps
     only its nonzero entries, on its own row and the rows k with h_kk > 1, so
-    each step touches only those."""
+    reducing by it adds no other row: column j visits only the rows it holds
+    and the finished positions with h_ii > 1, O(n |T|) in all, and each step
+    touches only the entries of the finished column."""
+    t, dense = [], []  # t: the finished positions with h_ii > 1
     for j, col in enumerate(columns):
-        for i in reversed(range(j)):
+        for i in sorted({*t, *col} - {j}, reverse=True):
             if q := col.get(i, 0) // columns[i][i]:
                 for k, h in columns[i].items():
                     col[k] = col.get(k, 0) - q * h
-        columns[j] = {k: x for k, x in col.items() if x}
-    return tuple(tuple(col.get(k, 0) for k in range(j + 1)) for j, col in enumerate(columns))
+        columns[j] = col = {k: x for k, x in col.items() if x}
+        if col[j] > 1:
+            t.append(j)
+        entries = [0] * (j + 1)
+        for k, x in col.items():
+            entries[k] = x
+        dense.append(tuple(entries))
+    return tuple(dense)
 
 
 def _box(n: int, det: int, adjugate: Iterable[Sequence[int]]) -> tuple[Vector, ...]:
@@ -360,9 +373,24 @@ def _signature(s: IntMatrix) -> BareissPass:
     of the active block, a step of P too.
 
     Each entry outside the pivots is D_k times the Schur complement of the
-    first k pivots, so the pivot rows, in the final basis, are the upper
-    triangular system U y = w that forward elimination makes of P^T s P y =
-    P^T b (`BareissPass.solve`); a step e_k -> e_k + e_partner also adds
+    first k pivots.  One step from stage k sets x <- (a x - u y) / D_k for
+    each entry x of a row i > k, with a = D_{k+1} = m_kk, y the entry of row
+    k in its column and u = m_ki.  Where D_{k+2} = (a d - b^2) / D_k is
+    nonzero (b = m_k,k+1, d = m_k+1,k+1 at stage k) and k+1 is in the
+    active block, the pass takes pivots k and k+1 in one sweep of the rows
+    i > k+1 (Bareiss's two-step form, from Sylvester's identity): x <-
+    (D_{k+2} D_k x + (b v - d u) y + (b u - a v) z) / D_k^2, with z the entry
+    of row k+1 and v = m_k+1,i, which is the two steps composed, so it is
+    exact and leaves every entry as the one-step pass leaves it.  Row k+1
+    then takes its own one step, to be stored as a pivot row, and both
+    pivot signs count.  Where D_{k+2} = 0 the pass takes one step and meets
+    the zero pivot at k+1 as usual.  The two-step sweep makes half the
+    sweeps over the rows and half the divisions, and three products per
+    entry where two steps make four.
+
+    So the pivot rows, in the final basis, are the upper triangular system
+    U y = w that forward elimination makes of P^T s P y = P^T b
+    (`BareissPass.solve`); a step e_k -> e_k + e_partner also adds
     column partner into column k of the rows already pivoted.  A row at
     position i split off after k pivots is zero in the Schur complement, so
     z = e_i - S_k^{-1} u, for u its column in the first k rows, spans a
@@ -415,6 +443,22 @@ def _signature(s: IntMatrix) -> BareissPass:
                 steps.append((k, partner, False))
         pk, p = m[k], m[k][k]
         n_plus += (p > 0) == (prev > 0)
+        if k + 1 < end:
+            pl, b, d = m[k + 1], pk[k + 1], m[k + 1][k + 1]
+            if after := (p * d - b * b) // prev:  # D_{k+2}: pivots k and k+1 in one sweep
+                scale, square = after * prev, prev * prev
+                for i in range(k + 2, end):
+                    mi, u, v = m[i], pk[i], pl[i]
+                    fy, fz = b * v - d * u, b * u - p * v
+                    mi[i:] = [
+                        (scale * x + fy * y + fz * z) // square
+                        for x, y, z in zip(mi[i:], pk[i:], pl[i:])
+                    ]
+                pl[k + 1 :] = [(p * z - b * y) // prev for y, z in zip(pk[k + 1 :], pl[k + 1 :])]
+                n_plus += (after > 0) == (p > 0)
+                prev = after
+                k += 2
+                continue
         for i in range(k + 1, end):
             mi, f = m[i], pk[i]
             mi[i:] = [(p * x - f * y) // prev for x, y in zip(mi[i:], pk[i:])]
@@ -491,8 +535,12 @@ def _split(kernel: Sequence[Vector], n: int) -> KernelSplit:
     """Euclid row steps R on the n x k matrix Z of k independent vectors of
     ker B leave one nonzero row per column.  P = R^{-1} is tracked by columns,
     so Z = P (R Z) spans the columns K of P at those rows, saturated as P is
-    unimodular."""
+    unimodular.  No kernel vectors (a nonsingular B) give the trivial split
+    at once."""
     k = len(kernel)
+    if not k:
+        identity = tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n))
+        return KernelSplit(identity, identity, (), ())
     z = [[v[i] for v in kernel] + e for i, e in enumerate(_identity_lists(n))]  # [Z | R]
     p = _identity_lists(n)  # P, by columns
     free = list(range(n))
@@ -748,12 +796,14 @@ class MatrixAnalysis:
         det B' and the columns adj(B') e_j, j = r-1 down to 0, each solved
         through the pass on B' when read, until they cut out B' Z^r: `_pass`
         for a nonsingular B, its own core, and a pass on the core of a
-        singular one."""
+        singular one.  The unit vectors are made as the columns are read."""
         p, w = self._pass, self.split.columns
         if self.split.kernel:
             bw = [self.matrix.matvec(x) for x in w]
             p = _signature(IntMatrix.from_rows([[sum(map(mul, wi, x)) for x in bw] for wi in w]))
-        return _box(len(p.rows), p.det, map(p.solve, reversed(_identity_lists(len(p.rows)))))
+        r = len(p.rows)
+        units = ([0] * j + [1] + [0] * (r - 1 - j) for j in reversed(range(r)))
+        return _box(r, p.det, map(p.solve, units))
 
     @cached_property
     def _lattice_rows(self) -> tuple[Vector, ...]:

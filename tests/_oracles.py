@@ -7,7 +7,8 @@ polynomial (Descartes' rule of signs is exact for the all-real spectrum of a
 symmetric matrix), Spin^c class keys from a Fraction inverse, the
 Ozsvath-Szabo recursion for the d-invariants of lens spaces, and echelon
 lattice bases by 2 x 2 extended-gcd steps, and the Hermite box of B Z^n read
-off such a basis.  `solve_integer` and the Smith
+off such a basis, and the one-step symmetric Bareiss pass that the library's
+two-step pass must reproduce.  `solve_integer` and the Smith
 coordinates read the library's public Smith form, with its transforms, by
 a route that no question on a symmetric B takes.
 """
@@ -15,8 +16,9 @@ a route that no question on a symmetric B takes.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
-from combings.linalg import smith_normal_form
+from combings.linalg import BareissPass, SignatureTriple, _substitute, smith_normal_form
 
 
 def naive_det(rows) -> int:
@@ -290,3 +292,66 @@ def reference(rows):
     n = len(rows)
     basis = echelon([row[::-1] for row in rows])
     return tuple(basis[n - 1 - j][::-1][: j + 1] for j in range(n))
+
+
+def one_step_pass(rows):
+    """(the `BareissPass` of `linalg._signature`, its stages) by the one-step
+    symmetric Bareiss loop: one pivot and one sweep of the rows below it per
+    stage.  Each stage is (k, kind), kind 'split' for a zero row of the Schur
+    complement split off, else the move that brought a nonzero pivot to k
+    ('swap', 'partner', or 'plain' for none), so a test can tell which path
+    the two-step pass takes on the same matrix."""
+    n, m = len(rows), [list(row) for row in rows]
+
+    def swap(i, j):
+        steps.append((i, j, True))
+        m[i], m[j] = m[j], m[i]
+        for row in m:
+            row[i], row[j] = row[j], row[i]
+        for x in range(i + 1, j):
+            m[i][x], m[x][j] = m[x][i], m[j][x]
+        m[i][j] = m[j][i]
+
+    n_plus = k = 0
+    end, prev = n, 1
+    steps, splits, stages = [], [], []
+    while k < end:
+        kind = "plain"
+        if m[k][k] == 0:
+            nz_diag = next((i for i in range(k + 1, end) if m[i][i]), None)
+            partner = next((j for j in range(k + 1, end) if m[k][j]), None)
+            if nz_diag is not None:
+                kind = "swap"
+                swap(k, nz_diag)
+            elif partner is None:
+                end -= 1
+                swap(k, end)
+                splits.append((k, end))
+                stages.append((k, "split"))
+                continue
+            else:
+                kind = "partner"
+                pk, pp = m[k], m[partner]
+                col = [m[i][partner] for i in range(k + 1, partner)] + pp[partner:]
+                pk[k + 1 :] = map(add, pk[k + 1 :], col)
+                pk[k] = 2 * pk[partner]
+                for row in m[:k]:
+                    row[k] += row[partner]
+                steps.append((k, partner, False))
+        stages.append((k, kind))
+        pk, p = m[k], m[k][k]
+        n_plus += (p > 0) == (prev > 0)
+        for i in range(k + 1, end):
+            mi, f = m[i], pk[i]
+            mi[i:] = [(p * x - f * y) // prev for x, y in zip(mi[i:], pk[i:])]
+        prev = p
+        k += 1
+    pivots = tuple(m[i][i:] for i in range(end))
+    kernel = []
+    for k, i in reversed(splits):
+        z = [0] * n
+        z[i] = pivots[k - 1][0] if k else 1
+        kernel.append(_substitute(pivots[:k], steps, [0] * k, z))
+    sig = SignatureTriple(n_plus, end - n_plus, n - end)
+    record = BareissPass(sig, prev if end == n else 0, pivots, tuple(steps), tuple(kernel))
+    return record, stages

@@ -12,10 +12,26 @@ import random
 from fractions import Fraction
 from operator import mul
 
-from combings.linalg import IntMatrix, MatrixAnalysis, _signature, analysis, signature
+import pytest
+
+from combings.linalg import (
+    BareissPass,
+    IntMatrix,
+    MatrixAnalysis,
+    _signature,
+    analysis,
+    signature,
+)
 from combings.verify import random_symmetric
 
-from _oracles import eig_sign_counts, frac_inverse, frac_rank, frac_solve, naive_det
+from _oracles import (
+    eig_sign_counts,
+    frac_inverse,
+    frac_rank,
+    frac_solve,
+    naive_det,
+    one_step_pass,
+)
 
 
 def _hollow(rng, n):
@@ -198,3 +214,82 @@ def test_integer_form_is_pinned():
     assert digest.hexdigest() == (
         "bb74a6914f47d2e3b41a4ae615ad3cf8bd6ef008905d3b5013a40c89bc750325"
     )
+
+
+def _path(stages):
+    """The moves of the two-step pass, read off the stages of the one-step
+    pass on the same B.  From a pivot on k it takes pivots k and k+1 in one
+    sweep ('two') when stage k+1 pivots with no move, since its pivot is
+    D_{k+2}; else one step: 'fallback' when stage k+1 exists (D_{k+2} = 0),
+    'last' when k ends the active block.  Each move is paired with what
+    brought the pivot to k: 'plain', 'swap' or 'partner' ('split' for a row
+    split off)."""
+    path, idx = [], 0
+    while idx < len(stages):
+        k, kind = stages[idx]
+        after = stages[idx + 1] if idx + 1 < len(stages) else None
+        if kind == "split":
+            move = "split"
+        elif after == (k + 1, "plain"):
+            move = "two"
+            idx += 1
+        else:
+            move = "last" if after is None else "fallback"
+        path.append((move, kind))
+        idx += 1
+    return path
+
+
+def _chain(n):
+    """The plumbing of a chain of n -2-framed unknots."""
+    return [[-2 if i == j else int(abs(i - j) == 1) for j in range(n)] for i in range(n)]
+
+
+# B picked to reach each path of the two-step pass, with the moves each
+# takes: D_{k+2} = 0 after a pivot, and a swap right before two pivots; two
+# pivots and then a row split off; a partner step right before two pivots;
+# an active block of odd length; D_{k+2} = 0 after a swap, then a split
+PICKED = [
+    ([[1, 1, 0], [1, 1, 1], [0, 1, 1]], [("fallback", "plain"), ("two", "swap")]),
+    ([[1, 0, 1], [0, 1, 1], [1, 1, 2]], [("two", "plain"), ("split", "split")]),
+    ([[0, 1, 1], [1, 0, 1], [1, 1, 0]], [("two", "partner"), ("last", "plain")]),
+    (
+        [[0, 1, 2, 1], [1, 0, 1, 1], [2, 1, 0, 3], [1, 1, 3, 0]],
+        [("two", "partner"), ("two", "plain")],
+    ),
+    ([[2, 1, 0], [1, 2, 1], [0, 1, 2]], [("two", "plain"), ("last", "plain")]),
+    (
+        [[1, 2, 3], [2, 4, 6], [3, 6, 1]],
+        [("fallback", "plain"), ("fallback", "swap"), ("split", "split")],
+    ),
+]
+
+
+def _two_step_cases():
+    rng = random.Random(10)
+    dense = [random_symmetric(rng, n, 5).to_rows() for n in range(8, 41, 2)]
+    return FAMILIES + dense + [_chain(n) for n in range(1, 61)] + [rows for rows, _ in PICKED]
+
+
+def test_two_step_pass_matches_the_one_step_pass():
+    """Two pivots per sweep give the one-step pass's record field by field:
+    the inertia, det B, every pivot row, the steps and the kernel vectors,
+    on the seeded families, dense random B with n = 8..40, -2 chains up to
+    n = 60 and the picked B; together they reach every move of the pass."""
+    moves = set()
+    for rows in _two_step_cases():
+        want, stages = one_step_pass(rows)
+        got = _signature(IntMatrix.from_rows(rows))
+        for name, x, y in zip(BareissPass._fields, got, want):
+            assert x == y, (name, rows)
+        moves.update(_path(stages))
+    assert moves >= {
+        ("two", "plain"), ("two", "swap"), ("two", "partner"), ("fallback", "plain"),
+        ("fallback", "swap"), ("fallback", "partner"), ("last", "plain"), ("split", "split"),
+    }
+
+
+@pytest.mark.parametrize("rows, moves", PICKED)
+def test_picked_matrices_reach_their_moves(rows, moves):
+    """Each picked B takes the moves it was picked for."""
+    assert _path(one_step_pass(rows)[1]) == moves

@@ -152,6 +152,32 @@ class TestP1:
         with pytest.raises(NotCharacteristicError, match="^index 0: "):
             theta_g(pres([[2]]), (1,))
 
+    def test_one_validation_per_theta_g_command(self, monkeypatch):
+        """The theta-g command checks c once, when its `CombingSpec` is
+        built, and prints the public theta_g."""
+        import io
+        import json
+
+        from combings.cli import main
+
+        calls = []
+
+        def counting(pres, c):
+            calls.append(tuple(c))
+            return validate_combing(pres, c)
+
+        monkeypatch.setattr(combing, "validate_combing", counting)
+        rng = random.Random(42)
+        for _ in range(20):
+            p = random_presentation(rng, max_n=4)
+            c = random_torsion_characteristic(rng, p)
+            doc = {"linking_matrix": p.matrix.to_rows(), "combing": {"c": list(c), "gamma": 0}}
+            out = io.StringIO()
+            calls.clear()
+            assert main(["theta-g"], stdin=io.StringIO(json.dumps(doc)), stdout=out) == 0
+            assert calls == [c]
+            assert out.getvalue() == f"{theta_g(p, c)}\n"
+
 
 class TestGamma:
     def test_iterated(self):

@@ -97,6 +97,107 @@ class TestParse:
             )
 
 
+# (document, the exact ParseError text), as the validation has always
+# written them: a float, bool, string and null entry in each integer list,
+# the first bad entry of several named, then ragged, non-square, asymmetric
+# and non-list input
+VALIDATION_MESSAGES = [
+    ('{"linking_matrix": [[1.5]]}',
+     'linking_matrix must be an integer, got 1.5'),
+    ('{"linking_matrix": [[2, 1], [1, 1.5]]}',
+     'linking_matrix must be an integer, got 1.5'),
+    ('{"linking_matrix": [[2]], "combing": {"c": [1.5], "gamma": 0}}',
+     'combing.c must be an integer, got 1.5'),
+    ('{"linking_matrix": [[2]], "combing": {"c": [0, 1.5], "gamma": 0}}',
+     'combing.c must be an integer, got 1.5'),
+    ('{"linking_matrix": [[2]], "meridian": [1.5]}',
+     'meridian must be an integer, got 1.5'),
+    ('{"linking_matrix": [[2]], "framed": {"lambda_matrix": [["1"]], "classes": [[1.5]]}}',
+     'framed.classes must be an integer, got 1.5'),
+    ('{"linking_matrix": [[2]], "framed": {"lambda_matrix": [["1"]], "classes": [[1], [1.5]]}}',
+     'framed.classes must be an integer, got 1.5'),
+    ('{"linking_matrix": [[true]]}',
+     'linking_matrix must be an integer, got True'),
+    ('{"linking_matrix": [[2, 1], [1, true]]}',
+     'linking_matrix must be an integer, got True'),
+    ('{"linking_matrix": [[2]], "combing": {"c": [true], "gamma": 0}}',
+     'combing.c must be an integer, got True'),
+    ('{"linking_matrix": [[2]], "combing": {"c": [0, true], "gamma": 0}}',
+     'combing.c must be an integer, got True'),
+    ('{"linking_matrix": [[2]], "meridian": [true]}',
+     'meridian must be an integer, got True'),
+    ('{"linking_matrix": [[2]], "framed": {"lambda_matrix": [["1"]], "classes": [[true]]}}',
+     'framed.classes must be an integer, got True'),
+    ('{"linking_matrix": [[2]], "framed": {"lambda_matrix": [["1"]], "classes": [[1], [true]]}}',
+     'framed.classes must be an integer, got True'),
+    ('{"linking_matrix": [["1"]]}',
+     "linking_matrix must be an integer, got '1'"),
+    ('{"linking_matrix": [[2, 1], [1, "1"]]}',
+     "linking_matrix must be an integer, got '1'"),
+    ('{"linking_matrix": [[2]], "combing": {"c": ["1"], "gamma": 0}}',
+     "combing.c must be an integer, got '1'"),
+    ('{"linking_matrix": [[2]], "combing": {"c": [0, "1"], "gamma": 0}}',
+     "combing.c must be an integer, got '1'"),
+    ('{"linking_matrix": [[2]], "meridian": ["1"]}',
+     "meridian must be an integer, got '1'"),
+    ('{"linking_matrix": [[2]], "framed": {"lambda_matrix": [["1"]], "classes": [["1"]]}}',
+     "framed.classes must be an integer, got '1'"),
+    ('{"linking_matrix": [[2]], "framed": {"lambda_matrix": [["1"]], "classes": [[1], ["1"]]}}',
+     "framed.classes must be an integer, got '1'"),
+    ('{"linking_matrix": [[null]]}',
+     'linking_matrix must be an integer, got None'),
+    ('{"linking_matrix": [[2, 1], [1, null]]}',
+     'linking_matrix must be an integer, got None'),
+    ('{"linking_matrix": [[2]], "combing": {"c": [null], "gamma": 0}}',
+     'combing.c must be an integer, got None'),
+    ('{"linking_matrix": [[2]], "combing": {"c": [0, null], "gamma": 0}}',
+     'combing.c must be an integer, got None'),
+    ('{"linking_matrix": [[2]], "meridian": [null]}',
+     'meridian must be an integer, got None'),
+    ('{"linking_matrix": [[2]], "framed": {"lambda_matrix": [["1"]], "classes": [[null]]}}',
+     'framed.classes must be an integer, got None'),
+    ('{"linking_matrix": [[2]], "framed": {"lambda_matrix": [["1"]], "classes": [[1], [null]]}}',
+     'framed.classes must be an integer, got None'),
+    ('{"linking_matrix": [[1, 2], [3]]}',
+     'linking_matrix has ragged rows'),
+    ('{"linking_matrix": [[1], [2, 3]]}',
+     'linking_matrix has ragged rows'),
+    ('{"linking_matrix": [[1, 2]]}',
+     'linking_matrix must be square'),
+    ('{"linking_matrix": [[1], [2]]}',
+     'linking_matrix must be square'),
+    ('{"linking_matrix": [[1, 2, 3], [2, 4, 5]]}',
+     'linking_matrix must be square'),
+    ('{"linking_matrix": [[1, 2], [3, 4]]}',
+     'linking_matrix must be symmetric'),
+    ('{"linking_matrix": [[1, 2, 3], [2, 4, 5], [3, 6, 7]]}',
+     'linking_matrix must be symmetric'),
+    ('{"linking_matrix": [[1, 2, 3], [2, 4, 5], [4, 5, 6]]}',
+     'linking_matrix must be symmetric'),
+    ('{"linking_matrix": [[2]], "framed": {"lambda_matrix": [["1"]], "classes": [[1], [1, 2]]}}',
+     'framed.classes has ragged rows'),
+    ('{"linking_matrix": [[2]], "combing": {"c": 1, "gamma": 0}}',
+     'combing.c must be a list of integers'),
+    ('{"linking_matrix": [[2]], "meridian": 1}',
+     'meridian must be a list of integers'),
+    ('{"linking_matrix": [1]}',
+     'linking_matrix must be a list of integers'),
+    ('{"linking_matrix": [[1, 2.5, true], [2, null, "x"], [1]]}',
+     'linking_matrix must be an integer, got 2.5'),
+    ('{"linking_matrix": [[2]], "meridian": [1, 2, true, 1.5]}',
+     'meridian must be an integer, got True'),
+    ('{"linking_matrix": 1}',
+     'linking_matrix must be a list of rows'),
+]
+
+
+@pytest.mark.parametrize("text, message", VALIDATION_MESSAGES)
+def test_validation_messages_are_pinned(text, message):
+    with pytest.raises(ParseError) as caught:
+        parse_document(text)
+    assert str(caught.value) == message
+
+
 rationals = st.fractions(
     min_value=-9, max_value=9, max_denominator=6
 )
