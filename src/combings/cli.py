@@ -22,7 +22,6 @@ from .combing import (
     MODIFICATION_KINDS,
     CombingSpec,
     _spin_c_equal,
-    _theta_g,
     apply_modification,
     combing_equal,
     gamma_orbit_modulus,
@@ -31,6 +30,7 @@ from .combing import (
     p1_image,
     parity_check,
     stabilize,
+    theta_g,
 )
 from .document import (
     CombingDoc,
@@ -121,14 +121,20 @@ def _presentation(doc: Document) -> SurgeryPresentation:
     return SurgeryPresentation.from_rows(doc.linking_matrix)
 
 
+def _raw_combing(doc: Document, which: str = "combing") -> CombingDoc:
+    """The document's `which` entry, not yet checked against the matrix."""
+    raw = doc.combing if which == "combing" else doc.combing2
+    if raw is None:
+        raise ParseError(f"this command needs a '{which}' entry in the document")
+    return raw
+
+
 def _combing(
     doc: Document, which: str = "combing", pres: SurgeryPresentation | None = None
 ) -> CombingSpec:
     """The document's combing on `pres`; a command that reads the document
     twice builds the presentation once and passes it to both readers."""
-    raw = doc.combing if which == "combing" else doc.combing2
-    if raw is None:
-        raise ParseError(f"this command needs a '{which}' entry in the document")
+    raw = _raw_combing(doc, which)
     return CombingSpec(pres or _presentation(doc), raw.c, raw.gamma)
 
 
@@ -190,8 +196,8 @@ def _cmd_linking_form(args, doc: Document) -> str:
 
 
 def _cmd_theta_g(args, doc: Document) -> str:
-    x = _combing(doc)
-    return format_rational(_theta_g(x.presentation, x.c))
+    c = _raw_combing(doc).c
+    return format_rational(theta_g(_presentation(doc), c))
 
 
 def _cmd_p1(args, doc: Document) -> str:

@@ -107,9 +107,10 @@ def theta_g(pres: SurgeryPresentation, c: Sequence[int]) -> Fraction:
 
     c^T x - 2(n+1) - 3 sig(B) for any rational solution of B x = c; the
     quadratic term does not depend on the solution choice, and is read off
-    an integer form as c^T G c / L.  On a fresh B that form solves c alone
-    through the pass (`MatrixAnalysis.form_on`); once the pass has run, it is
-    `form`.
+    an integer form as c^T G c / L (`MatrixAnalysis.pairing`).  On a fresh
+    B that form solves c alone through the pass; once the pass has run, it
+    is `form`.  The pairing is asked before the torsion test, which then
+    reads the pass it ran.
     """
     validate_combing(pres, c)
     return _theta_g(pres, c)
@@ -118,10 +119,10 @@ def theta_g(pres: SurgeryPresentation, c: Sequence[int]) -> Fraction:
 def _theta_g(pres: SurgeryPresentation, c: Sequence[int]) -> Fraction:
     """`theta_g` of a c already checked by `validate_combing`."""
     data = analysis(pres.matrix)
-    form, (x,) = data.form_on((c,))
-    if not form.is_torsion(x):
+    value = data.pairing(c, c)
+    if not data.is_torsion(c):
         raise NonTorsionError("combing coefficient vector is not torsion")
-    return Fraction(form.pair(x, x), form.L) + _theta_constant(data)
+    return value + _theta_constant(data)
 
 
 def p1(x: CombingSpec) -> P1Value:
@@ -333,11 +334,13 @@ def p1_image(
     form = data.form
     shift = _theta_constant(data) * form.L
     modulus = 4 * form.L
-    # p_1(reference) L = ref is an integer and lk(x, x) = r / L (mod 1) for the
-    # residue r of the torsion form, so p_1(reference) - 4 lk(x, x) is
-    # (ref - 4 r) / L modulo 4
+    # p_1(reference) L = ref is an integer and lk(x, x) = r / L_t (mod 1) for
+    # the residue r of the torsion form, whose denominator L_t divides L, so
+    # p_1(reference) - 4 lk(x, x) is (ref - 4 r L / L_t) / L modulo 4
     ref = form.pair(data.c_ref, data.c_ref) + shift
-    formula = {(ref - 4 * r) % modulus for r in set(data.torsion_form.table()[1])}
+    tf = data.torsion_form
+    scale = form.L // tf.L
+    formula = {(ref - 4 * scale * r) % modulus for r in set(tf.table()[1])}
     enumeration = {
         (form.pair(c, c) + shift) % modulus
         for c in itertools.product(*ranges)

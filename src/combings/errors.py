@@ -25,12 +25,9 @@ class NotCharacteristicError(DomainError):
 
     code = "NotCharacteristic"
 
-    def __init__(self, index: int, message: str | None = None) -> None:
+    def __init__(self, index: int) -> None:
         self.index = index
-        super().__init__(
-            message
-            or f"index {index}: coefficient parity differs from the framing parity"
-        )
+        super().__init__(f"index {index}: coefficient parity differs from the framing parity")
 
 
 class CapExceededError(DomainError):

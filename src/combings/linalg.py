@@ -8,24 +8,27 @@ symmetric Bareiss pass `_signature`, run once per matrix: it gives the
 signature, det B, the pivot rows and the kernel of B, and every other
 quantity is a triangular solve through those pivot rows (`_substitute`): the
 columns of adj B that cut the Hermite box, and the integer form G / L of B
-on any columns C, C = I included.  The pass takes two pivots per sweep of
-the rows below them (Bareiss's two-step form) wherever the second pivot is
-nonzero, with one exact division by D_k^2 per entry, and one pivot where it
-is zero or the active block ends; the pivot rows are the same either way.
-The others are the Smith pass `_diagonalize`, the gcd chains of `_box` that
-cut the Hermite box, one list of sparse columns, out of adjugate columns
-until they reach B Z^n and finished (`_finish`) over only the rows each
-column holds and the positions with h_ii > 1, the Euclid steps `_euclid` of
-`_split` and `_echelon`, and the F_2 elimination `solve_mod2`.  Every class
-question reads one box, the Hermite box of the nonsingular core of B;
-membership in B Z^n reads the rows of R_1 G instead
-(`MatrixAnalysis.in_lattice`).
+on any columns C: C = I (`form`), the distinct vectors of one pairing of a
+fresh entry (`pairing`), or the k generators of the torsion form.  The pass
+takes two pivots per sweep of the rows below them (Bareiss's two-step form)
+wherever the second pivot is nonzero, with one exact division by D_k^2 per
+entry, and one pivot where it is zero or the active block ends; the pivot
+rows are the same either way.  The others are the Smith pass
+`_diagonalize`, the gcd chains of `_box` that cut the Hermite box, one list
+of sparse columns, out of adjugate columns until they reach B Z^n and
+finished (`_finish`) over only the rows each column holds and the positions
+with h_ii > 1, the Euclid steps `_euclid` of `_split` and `_echelon`, and
+the F_2 elimination `solve_mod2`.  Every class question reads one box, the
+Hermite box of the nonsingular core of B; membership in B Z^n reads the
+rows of R_1 G instead (`MatrixAnalysis.in_lattice`).  The one torsion test
+is `MatrixAnalysis.is_torsion`, on the pass's kernel vectors.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import add, mod, mul
 from typing import Iterable, NamedTuple, Sequence
@@ -595,50 +598,39 @@ class HomologySummary(NamedTuple):
 
 class IntegerForm(NamedTuple):
     """An integer generalized inverse G of a symmetric B over one
-    denominator L >= 1, B G B = L B, and rows spanning ker B over Q.
+    denominator L >= 1, B G B = L B.
 
     Built by `_integer_form` from the one pass on B, for singular and
     nonsingular B alike.  For nonsingular B, G = L B^{-1}, a multiple of the
     adjugate, and L is the largest invariant factor; for singular B, L is
     whatever the pass leaves.  Either way x = G c / L solves B x = c for
-    every torsion c = B a, since B G B a = L B a.  `kernel` holds the pass's
-    kernel vectors D_k z; c is torsion iff it is orthogonal to each of them.
+    every torsion c = B a, since B G B a = L B a.
 
-    The form of B on other columns C has G / L = C^T G_0 C and kernel rows
-    D_k z^T C, so `pair` and `is_torsion` take coordinates y of the vector
-    C y (`MatrixAnalysis.form_on`).
+    The form of B on other columns C has G / L = C^T G_0 C, so `pair` takes
+    coordinates y of the vector C y (`MatrixAnalysis.pairing` and
+    `MatrixAnalysis.torsion_form` solve their own vectors that way).
     """
 
     G: tuple[Vector, ...]
     L: int
-    kernel: tuple[Vector, ...]
 
     def pair(self, v: Sequence[int], w: Sequence[int]) -> int:
         """v^T G w, which is L v^T x for the solution x = G w / L of B x = w."""
         return sum(map(mul, v, [sum(map(mul, row, w)) for row in self.G]))
-
-    def is_torsion(self, v: Sequence[int]) -> bool:
-        """v in the rational column space of B: orthogonal to each kernel row."""
-        return not any(sum(map(mul, k, v)) for k in self.kernel)
 
 
 def _integer_form(p: BareissPass, vectors: Sequence[Sequence[int]]) -> IntegerForm:
     """The integer form of B on the columns of C = [v_1 ... v_m], from the
     pass p on B: each column solved (`BareissPass.solve`), paired with the
     others, C^T (D_r G_0 C) = D_r C^T G_0 C, and the pairing and D_r divided
-    by their gcd g, so G / L = C^T G_0 C with L = |D_r| / g.  The kernel rows
-    are D_k z^T C."""
+    by their gcd g, so G / L = C^T G_0 C with L = |D_r| / g."""
     scale = p.rows[-1][0] if p.rows else 1  # D_r
     solved = list(map(p.solve, vectors))
     # each v by its nonzero entries: a column of I has one
     sparse = [[(k, x) for k, x in enumerate(v) if x] for v in vectors]
     pairs = [[sum(x * z[k] for k, x in v) for z in solved] for v in sparse]
     g = math.gcd(scale, *itertools.chain.from_iterable(pairs)) * (1 if scale > 0 else -1)
-    return IntegerForm(
-        G=tuple(tuple(x // g for x in row) for row in pairs),
-        L=scale // g,
-        kernel=tuple(tuple(sum(x * z[k] for k, x in v) for v in sparse) for z in p.kernel),
-    )
+    return IntegerForm(G=tuple(tuple(x // g for x in row) for row in pairs), L=scale // g)
 
 
 class TorsionForm(NamedTuple):
@@ -650,8 +642,12 @@ class TorsionForm(NamedTuple):
     `generators` is g_i.  The box is the Hermite box of the core B' (B
     itself when nonsingular): over the i with h_ii > 1, d_i = h_ii and
     g_i = R_1^T e_i, so `generators` y is the class's `reduce` (the d_i need
-    not be invariant factors).  The k x k matrix Q_ij = g_i^T G g_j mod L
-    gives v^T G v = y^T Q y (mod L).  `table` walks the whole box.
+    not be invariant factors).  Q / L is the integer form of B on the
+    generators alone (`_integer_form`), Q_ij / L = g_i^T B^+ g_j, with Q
+    reduced mod L, so v^T B^+ v = y^T Q y / L (mod 1).  The pairings are
+    integer combinations of the entries of D_r G_0, so L divides the L of
+    `MatrixAnalysis.form`; it can be smaller for a singular B.  `table`
+    walks the whole box.
     """
 
     factors: tuple[int, ...]
@@ -699,15 +695,17 @@ class MatrixAnalysis:
     Each field is computed on first use and kept while the matrix stays in
     the memo of `analysis`.  Every field reads the one symmetric Bareiss pass
     on B, `_pass` (`_signature`), directly or through another field: the
-    signature and det B are in it, the torsion test and the `split` read its
-    kernel vectors, `form` and a fresh entry's `form_on` solve through its
-    pivot rows, and `box` reads its adjugate columns.  So any question, in
-    any order, costs one pass on B, plus one on the nonsingular core for the
-    box of a singular B.  The class questions (`reduce`, `homology`,
-    `torsion_form`) read the `split` and the `box`, the Hermite form of the
-    core: the matrix itself when it is nonsingular.  Membership
-    (`in_lattice`) reads the split and `form`, not the box: most vectors
-    outside B Z^n fail at the first row of R_1 G.
+    signature and det B are in it, the torsion test `is_torsion` and the
+    `split` read its kernel vectors, `form`, a fresh entry's `pairing` and
+    the `torsion_form` solve through its pivot rows, and `box` reads its
+    adjugate columns.  So any question, in any order, costs one pass on B,
+    plus one on the nonsingular core for the box of a singular B.  The
+    class questions (`reduce`, `homology`, `torsion_form`, and
+    `torsion_order` for a singular B) read the `split` and the `box`, the
+    Hermite form of the core: the matrix itself when it is nonsingular;
+    none of them reads `form`.  Membership (`in_lattice`) reads the split
+    and `form`, not the box: most vectors outside B Z^n fail at the first
+    row of R_1 G.
     """
 
     def __init__(self, matrix: IntMatrix) -> None:
@@ -725,28 +723,30 @@ class MatrixAnalysis:
     def torsion_order(self) -> int:
         """The order of the torsion subgroup of coker B: |det B|, off the
         pass, for a nonsingular B, so no box is built to compare it with a
-        cap; else the product of the torsion form's factors."""
-        return abs(self._pass.det) or math.prod(self.torsion_form.factors)
+        cap; else the product of the diagonal of the core's box."""
+        return abs(self._pass.det) or math.prod(col[-1] for col in self.box)
 
     def is_torsion(self, c: Sequence[int]) -> bool:
         """c in the rational column space of B, i.e. of a torsion class: B is
         symmetric, so c is orthogonal to the pass's kernel vectors (none if
-        B is nonsingular)."""
+        B is nonsingular).  The library's one torsion test."""
         kernel = self._pass.kernel
         return not kernel or not any(sum(map(mul, z, c)) for z in kernel)
 
-    def form_on(self, vectors: Sequence[Vector]) -> tuple[IntegerForm, Sequence[Vector]]:
-        """An integer form of B that pairs `vectors`, and their coordinates in it.
+    def pairing(self, v: Sequence[int], w: Sequence[int]) -> Fraction:
+        """v^T G w / L, which is v^T x for every solution x of B x = w when
+        v and w are torsion (`is_torsion`, which the caller asks).
 
-        An entry that has run its pass reads `form`, in which each vector is
-        its own coordinates.  A fresh one runs the pass and solves the
-        vectors alone, C = [v_1 ... v_m] (`_integer_form`); v_j is then e_j,
-        so v_i^T B^+ v_j = G_ij / L, and v_j is torsion iff entry j of each
-        kernel row is zero.
+        An entry that has run its pass reads `form`.  A fresh one runs the
+        pass and solves the distinct vectors among v and w alone,
+        C = [v] or [v, w] (`_integer_form`), whose entry (0, m-1) is then
+        v^T G w.
         """
         if "_pass" in self.__dict__:
-            return self.form, vectors
-        return _integer_form(self._pass, vectors), _identity_lists(len(vectors))
+            form = self.form
+            return Fraction(form.pair(v, w), form.L)
+        form = _integer_form(self._pass, (v,) if v == w else (v, w))
+        return Fraction(form.G[0][-1], form.L)
 
     def in_lattice(self, c: Sequence[int]) -> bool:
         """c in B Z^n: c is torsion and L divides R_1 G c, since
@@ -862,15 +862,15 @@ class MatrixAnalysis:
     @cached_property
     def torsion_form(self) -> TorsionForm:
         """The generators are the rows of R_1 at the positions i with h_ii > 1
-        of the box, and Q_ij = g_i^T G g_j mod L."""
-        form = self.form
+        of the box, and Q / L is the integer form of B on them alone: k
+        solves through the pass, and no `form`."""
         positions = tuple(i for i, col in enumerate(self.box) if col[-1] > 1)
         g = [self.split.rows[i] for i in positions]
-        g_images = [[sum(map(mul, row, gj)) for row in form.G] for gj in g]  # G g_j
+        form = _integer_form(self._pass, g)
         return TorsionForm(
             factors=tuple(self.box[i][-1] for i in positions),
-            generators=tuple(tuple(gj[row] for gj in g) for row in range(len(form.G))),
-            Q=tuple(tuple(sum(map(mul, gi, ggj)) % form.L for ggj in g_images) for gi in g),
+            generators=tuple(tuple(gj[row] for gj in g) for row in range(self.matrix.rows)),
+            Q=tuple(tuple(x % form.L for x in row) for row in form.G),
             L=form.L,
         )
 

@@ -76,7 +76,8 @@ def _check_length(pres: SurgeryPresentation, v: Sequence[int]) -> Vector:
 
 def is_torsion_class(pres: SurgeryPresentation, v: Sequence[int]) -> bool:
     """True when v lies in the rational column space of B
-    (`MatrixAnalysis.is_torsion`); only a singular B builds the integer form."""
+    (`MatrixAnalysis.is_torsion`): it reads the pass's kernel vectors and
+    builds no integer form."""
     return analysis(pres.matrix).is_torsion(_check_length(pres, v))
 
 
@@ -89,17 +90,17 @@ def meridian_pairing(
     (see linalg.IntegerForm); kernel components pair to zero against the
     torsion class v, so the value does not depend on the solution and is
     symmetric in v and w.  On a fresh B the form solves the distinct
-    vectors among (v, w) alone through the pass (`MatrixAnalysis.form_on`).
+    vectors among (v, w) alone through the pass (`MatrixAnalysis.pairing`).
     """
     v = _check_length(pres, v)
     w = _check_length(pres, w)
-    form, coords = analysis(pres.matrix).form_on((v,) if v == w else (v, w))
-    x, y = coords[0], coords[-1]
-    if not form.is_torsion(x):
+    data = analysis(pres.matrix)
+    value = data.pairing(v, w)
+    if not data.is_torsion(v):
         raise NonTorsionError("first class is not torsion")
-    if not form.is_torsion(y):
+    if not data.is_torsion(w):
         raise NonTorsionError("second class is not torsion")
-    return Fraction(-form.pair(x, y), form.L)
+    return -value
 
 
 def linking_form(pres: SurgeryPresentation, v: Sequence[int]) -> Fraction:

@@ -121,6 +121,19 @@ def saturation_basis(pres: SurgeryPresentation) -> list[tuple[int, ...]]:
     return list(analysis(pres.matrix).split.rows)
 
 
+def random_torsion_vector(
+    rng: random.Random, pres: SurgeryPresentation, spread: int = 2
+) -> tuple[int, ...]:
+    """An integer vector in the rational column space of B: a combination
+    of the saturation basis whose coefficients in [-spread, spread] are
+    drawn in basis order."""
+    v = [0] * pres.n
+    for basis_vector in saturation_basis(pres):
+        a = rng.randint(-spread, spread)
+        v = [x + a * y for x, y in zip(v, basis_vector)]
+    return tuple(v)
+
+
 def random_torsion_characteristic(
     rng: random.Random, pres: SurgeryPresentation, spread: int = 2
 ) -> tuple[int, ...]:
@@ -130,12 +143,8 @@ def random_torsion_characteristic(
     of the saturation lattice, so this generator covers all torsion
     Spin^c structures.
     """
-    c = list(reference_parallelization(pres).c)
-    for basis_vector in saturation_basis(pres):
-        a = rng.randint(-spread, spread)
-        for i, x in enumerate(basis_vector):
-            c[i] += 2 * a * x
-    return tuple(c)
+    v = random_torsion_vector(rng, pres, spread)
+    return tuple(c + 2 * x for c, x in zip(reference_parallelization(pres).c, v))
 
 
 def random_torsion_combing(
@@ -201,16 +210,7 @@ def check_linking_form(rng: random.Random, cases: int) -> CheckResult:
     failures = 0
     for _ in range(cases):
         pres = random_presentation(rng, max_n=4, bound=4)
-        sat = saturation_basis(pres)
-        def torsion_vector() -> tuple[int, ...]:
-            v = [0] * pres.n
-            for basis_vector in sat:
-                a = rng.randint(-2, 2)
-                for i, x in enumerate(basis_vector):
-                    v[i] += a * x
-            return tuple(v)
-
-        v, w = torsion_vector(), torsion_vector()
+        v, w = random_torsion_vector(rng, pres), random_torsion_vector(rng, pres)
         u = [rng.randint(-2, 2) for _ in range(pres.n)]
         shifted = tuple(a + b for a, b in zip(v, pres.matrix.matvec(u)))
         ok = linking_form(pres, shifted) == linking_form(pres, v)
@@ -439,11 +439,7 @@ def check_telescoping(rng: random.Random, cases: int) -> CheckResult:
     for _ in range(cases):
         pres = random_presentation(rng, max_n=4)
         x = random_torsion_combing(rng, pres)
-        basis = saturation_basis(pres)
-        v1, v2 = (
-            tuple(sum(a * b[i] for a, b in zip(coefficients, basis)) for i in range(pres.n))
-            for coefficients in [[rng.randint(-2, 2) for _ in basis] for _ in range(2)]
-        )
+        v1, v2 = random_torsion_vector(rng, pres), random_torsion_vector(rng, pres)
         y = CombingSpec(pres, tuple(c + 2 * v for c, v in zip(x.c, v1)), x.gamma_offset)
         z = CombingSpec(pres, tuple(c + 2 * v for c, v in zip(y.c, v2)), x.gamma_offset)
         w = tuple(a + b for a, b in zip(v1, v2))

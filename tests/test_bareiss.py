@@ -18,6 +18,7 @@ from combings.linalg import (
     BareissPass,
     IntMatrix,
     MatrixAnalysis,
+    _integer_form,
     _signature,
     analysis,
     signature,
@@ -101,17 +102,19 @@ def test_det_against_cofactor_expansion():
 def test_bordered_pass_against_oracles():
     """`form`, solved through the pass on the columns of I, against the
     Fraction oracles: the signature of the eigenvalue signs, B G B = L B,
-    kernel rows that span ker B, and G / L = B^{-1} for nonsingular B."""
+    kernel vectors of the pass that span ker B, and G / L = B^{-1} for
+    nonsingular B."""
     for rows in FAMILIES:
         b = IntMatrix.from_rows(rows)
         n = b.rows
-        form, sig = MatrixAnalysis(b).form, signature(b)
+        data = MatrixAnalysis(b)
+        form, kernel, sig = data.form, data._pass.kernel, signature(b)
         assert sig == eig_sign_counts(rows), rows
         g = IntMatrix.from_rows(form.G)
         assert b @ g @ b == IntMatrix(n, n, tuple(form.L * x for x in b.entries)), rows
-        assert len(form.kernel) == sig.n_zero == n - frac_rank(rows)
-        assert frac_rank(form.kernel) == len(form.kernel)
-        assert all(not any(b.matvec(z)) for z in form.kernel), rows
+        assert len(kernel) == sig.n_zero == n - frac_rank(rows)
+        assert frac_rank(kernel) == len(kernel)
+        assert all(not any(b.matvec(z)) for z in kernel), rows
         inv, _ = frac_inverse(rows)
         if inv is not None:
             assert [[Fraction(x, form.L) for x in row] for row in form.G] == inv
@@ -132,7 +135,7 @@ def test_form_solves_fraction_right_hand_sides():
         data = analysis(IntMatrix.from_rows(rows))
         solution, kernel = frac_solve(rows, c)
         assert data.is_torsion(c) == (solution is not None)
-        assert len(kernel) == len(data.form.kernel)
+        assert len(kernel) == len(data._pass.kernel)
         if solution is not None:
             x = [Fraction(sum(map(mul, row, c)), data.form.L) for row in data.form.G]
             assert [sum(map(mul, row, x)) for row in rows] == c
@@ -150,10 +153,10 @@ def _torsion_and_free(rng, rows):
 
 def test_border_by_vectors_against_form_and_fraction_solve():
     """A fresh entry solves the vectors asked about alone through its pass
-    (`MatrixAnalysis.form_on`): the pass gives the signature and det of the
-    Fraction oracles, and the form the torsion verdict and v^T B^+ w of the
-    form route and of the Fraction solve, for hollow, block, rank-deficient,
-    random and empty B."""
+    (`MatrixAnalysis.pairing`): the pass gives the signature and det of the
+    Fraction oracles and the torsion verdict of the Fraction solve, and the
+    pairing v^T B^+ w of the form route and of the Fraction solve, for
+    hollow, block, rank-deficient, random and empty B."""
     rng = random.Random(7)
     verdicts = set()
     for rows in FAMILIES:
@@ -161,23 +164,24 @@ def test_border_by_vectors_against_form_and_fraction_solve():
         inertia = (eig_sign_counts(rows), frac_inverse(rows)[1])
         for v, w in itertools.permutations(_torsion_and_free(rng, rows)):
             fresh, warm = MatrixAnalysis(b), MatrixAnalysis(b)
-            solved, (x, y) = fresh.form_on((v, w))
+            got = fresh.pairing(v, w)
+            assert "form" not in fresh.__dict__
             assert (fresh.signature, fresh._pass.det) == inertia, rows
             form = warm.form
-            for vector, coords in ((v, x), (w, y)):
+            torsion = []
+            for vector in (v, w):
                 solution = frac_solve(rows, vector)[0]
-                torsion = solution is not None
-                verdicts.add((b.rows > 0 and fresh.signature.n_zero > 0, torsion))
-                assert solved.is_torsion(coords) == form.is_torsion(vector) == torsion, rows
-                assert warm.is_torsion(vector) == torsion
-            if solved.is_torsion(x) and solved.is_torsion(y):
+                torsion.append(solution is not None)
+                verdicts.add((b.rows > 0 and fresh.signature.n_zero > 0, torsion[-1]))
+                assert fresh.is_torsion(vector) == warm.is_torsion(vector) == torsion[-1], rows
+            if all(torsion):
                 want = sum(map(mul, v, frac_solve(rows, w)[0]), Fraction(0))
-                assert Fraction(solved.pair(x, y), solved.L) == want, rows
-                assert Fraction(form.pair(v, w), form.L) == want
-            one, (z,) = MatrixAnalysis(b).form_on((v,))
-            assert one.is_torsion(z) == solved.is_torsion(x)
-            if one.is_torsion(z):
-                assert Fraction(one.pair(z, z), one.L) == Fraction(form.pair(v, v), form.L)
+                assert got == want, rows
+                assert Fraction(form.pair(v, w), form.L) == warm.pairing(v, w) == want
+            if torsion[0]:
+                one = MatrixAnalysis(b)
+                assert one.pairing(v, v) == Fraction(form.pair(v, v), form.L)
+                assert "form" not in one.__dict__
     assert verdicts == {(False, True), (True, True), (True, False)}
 
 
@@ -194,22 +198,28 @@ def _pinned_cases():
 
 def test_integer_form_is_pinned():
     """G, L and the kernel rows are reproducible, not just G / L: a digest of
-    `form` and of a fresh `form_on` of width 1, 2 and 3 (random vectors,
-    torsion or not) over singular and nonsingular B pins the scale, the sign
-    and the order of the kernel rows.  The empty B has no vector to pair."""
+    `form` and of the form on C = [v_1 ... v_m] of a fresh pass
+    (`_integer_form`), m = 1, 2 and 3 (random vectors, torsion or not), each
+    with the kernel rows D_k z^T C of the pass's kernel vectors D_k z, over
+    singular and nonsingular B pins the scale, the sign and the order of the
+    kernel rows.  The empty B has no vector to pair."""
     rng = random.Random(9)
     digest = hashlib.sha256()
     singular = 0
     for rows in _pinned_cases():
         b = IntMatrix.from_rows(rows)
-        forms = [MatrixAnalysis(b).form]
-        singular += bool(forms[0].kernel)
+        data = MatrixAnalysis(b)
+        kernel = data._pass.kernel
+        forms = [(*data.form, kernel)]  # C = I: the rows are the vectors
+        singular += bool(kernel)
         if b.rows:
             for width in (1, 2, 3):
                 vectors = [tuple(rng.randint(-6, 6) for _ in range(b.rows)) for _ in range(width)]
-                forms.append(MatrixAnalysis(b).form_on(vectors)[0])
+                p = MatrixAnalysis(b)._pass
+                rows_c = tuple(tuple(sum(map(mul, z, v)) for v in vectors) for z in p.kernel)
+                forms.append((*_integer_form(p, vectors), rows_c))
         for form in forms:
-            digest.update(repr(tuple(form)).encode())
+            digest.update(repr(form).encode())
     assert singular >= 200
     assert digest.hexdigest() == (
         "bb74a6914f47d2e3b41a4ae615ad3cf8bd6ef008905d3b5013a40c89bc750325"

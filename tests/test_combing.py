@@ -153,20 +153,26 @@ class TestP1:
             theta_g(pres([[2]]), (1,))
 
     def test_one_validation_per_theta_g_command(self, monkeypatch):
-        """The theta-g command checks c once, when its `CombingSpec` is
-        built, and prints the public theta_g."""
+        """The theta-g command calls the public theta_g on the document's
+        combing, which checks c once, and prints its value."""
         import io
         import json
 
+        from combings import cli
         from combings.cli import main
 
-        calls = []
+        calls, public = [], []
 
         def counting(pres, c):
             calls.append(tuple(c))
             return validate_combing(pres, c)
 
+        def traced(pres, c):
+            public.append(tuple(c))
+            return theta_g(pres, c)
+
         monkeypatch.setattr(combing, "validate_combing", counting)
+        monkeypatch.setattr(cli, "theta_g", traced)
         rng = random.Random(42)
         for _ in range(20):
             p = random_presentation(rng, max_n=4)
@@ -174,8 +180,9 @@ class TestP1:
             doc = {"linking_matrix": p.matrix.to_rows(), "combing": {"c": list(c), "gamma": 0}}
             out = io.StringIO()
             calls.clear()
+            public.clear()
             assert main(["theta-g"], stdin=io.StringIO(json.dumps(doc)), stdout=out) == 0
-            assert calls == [c]
+            assert calls == [c] and public == [c]
             assert out.getvalue() == f"{theta_g(p, c)}\n"
 
 

@@ -369,6 +369,34 @@ def test_derived_presentations_cover_split_and_singular():
     assert max(pres.n for pres in DERIVED_PRESENTATIONS) == 6
 
 
+# a singular B whose torsion form has a smaller denominator than `form`
+SMALL_TORSION_L = [[5, -2, -1, 5], [-2, 4, 2, -2], [-1, 2, 1, -1], [5, -2, -1, 5]]
+
+
+def test_torsion_form_is_the_pairing_of_its_generators():
+    """Q_ij / L = g_i^T B^+ g_j (mod 1) against the Fraction solve of
+    B x = g_j, on nonsingular and singular B; the torsion form's L divides
+    that of `form`, and is smaller on SMALL_TORSION_L (4 against 16)."""
+    families = (TORSION_PRESENTATIONS, DERIVED_PRESENTATIONS,
+                [SurgeryPresentation.from_rows(SMALL_TORSION_L)])
+    smaller = singular = 0
+    for pres in itertools.chain(*families):
+        rows = pres.matrix.to_rows()
+        data = linalg.MatrixAnalysis(pres.matrix)
+        tf, form = data.torsion_form, data.form
+        g = list(zip(*tf.generators))
+        for i, gi in enumerate(g):
+            for j, gj in enumerate(g):
+                value = sum(map(mul, gi, frac_solve(rows, gj)[0]), Fraction(0))
+                assert (Fraction(tf.Q[i][j], tf.L) - value).denominator == 1, rows
+        assert form.L % tf.L == 0
+        smaller += tf.L != form.L
+        singular += bool(data._pass.kernel)
+    data = linalg.MatrixAnalysis(IntMatrix.from_rows(SMALL_TORSION_L))
+    assert (data.torsion_form.L, data.form.L) == (4, 16)
+    assert smaller >= 1 and singular >= len(TORSION_PRESENTATIONS) // 3
+
+
 def _oracle_u_inverse(pres):
     """U^{-1} of the Smith form of B, from the cofactor oracle."""
     u = smith_normal_form(pres.matrix).U
@@ -703,8 +731,48 @@ def test_refused_torsion_walk_reads_det_alone(passes):
     assert passes["smith"] == 0
 
 
+def test_cold_torsion_form_builds_no_form(passes):
+    """The torsion form solves its k generators through the pass, and the
+    order of a singular B is the product of the box diagonal: a cold
+    torsion_residues, torsion_form or torsion_order builds no `form`, on
+    nonsingular and singular B."""
+    for rows in (
+        [[3, 1, 0], [1, -2, 1], [0, 1, 4]],
+        [[2, 1, 3], [1, 5, 6], [3, 6, 9]],  # kernel (1, 1, -1), coker Z + (Z/3)^2
+        [[2, 1, 3, 0], [1, 5, 6, 0], [3, 6, 9, 0], [0, 0, 0, 5]],  # order 45
+    ):
+        for question in (
+            torsion_residues,
+            lambda pres: analysis(pres.matrix).torsion_form,
+            lambda pres: analysis(pres.matrix).torsion_order,
+        ):
+            analysis.cache_clear()
+            pres = _cold(rows)
+            passes["passes"].clear()
+            question(pres)
+            assert passes["passes"][pres.matrix] == 1
+            assert "form" not in analysis(pres.matrix).__dict__
+    assert passes["smith"] == 0
+
+
+def test_refused_singular_torsion_walk_builds_no_form(passes):
+    """A cold torsion_residues on a singular B whose order is over the cap
+    reads the order off the box and is refused before `form` or the torsion
+    form is built: one pass on B and one on its core."""
+    b = [[2, 1, 3, 0], [1, 5, 6, 0], [3, 6, 9, 0], [0, 0, 0, 5]]  # order 45
+    pres = _cold(b)
+    passes["passes"].clear()
+    with pytest.raises(CapExceededError, match="^torsion order 45 exceeds cap 44$"):
+        torsion_residues(pres, cap=44)
+    assert passes["passes"][pres.matrix] == 1 and sum(passes["passes"].values()) == 2
+    assert not {"form", "torsion_form"} & analysis(pres.matrix).__dict__.keys()
+    assert len(torsion_residues(pres, cap=45)[1]) == 45
+    assert "form" not in analysis(pres.matrix).__dict__
+    assert passes["smith"] == 0
+
+
 def test_one_pass_per_fresh_entry_in_any_order(passes):
-    """signature, form, box and form_on, asked in each of the 24 orders on a
+    """signature, form, box and pairing, asked in each of the 24 orders on a
     fresh entry, run one pass on B, and a singular B one more on the core
     when the box is asked; each answer equals that of an entry that was
     asked it alone."""
@@ -718,7 +786,7 @@ def test_one_pass_per_fresh_entry_in_any_order(passes):
             "signature": lambda data: data.signature,
             "form": lambda data: data.form,
             "box": lambda data: data.box,
-            "form_on": lambda data: Fraction(*_pairing(data, v)),
+            "pairing": lambda data: data.pairing(v, v),
         }
         alone = {name: ask(linalg.MatrixAnalysis(b)) for name, ask in questions.items()}
         for order in itertools.permutations(questions):
@@ -729,11 +797,6 @@ def test_one_pass_per_fresh_entry_in_any_order(passes):
             assert passes["passes"][b] == 1
             assert sum(passes["passes"].values()) == 1 + bool(alone["signature"].n_zero)
     assert passes["smith"] == 0
-
-
-def _pairing(data, v):
-    form, (x,) = data.form_on((v,))
-    return form.pair(x, x), form.L
 
 
 def test_parity_then_homology_run_one_pass(passes):

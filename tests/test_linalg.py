@@ -179,7 +179,7 @@ class TestSolveRational:
         # oracle: Gaussian elimination by hand
         a = IntMatrix.from_rows([[2, 1], [1, 2]])
         assert _form_solution(a, [1, 1]) == (Fraction(1, 3), Fraction(1, 3))
-        assert analysis(a).form.kernel == ()
+        assert analysis(a)._pass.kernel == ()
         assert frac_solve(a.to_rows(), [1, 1]) == ([Fraction(1, 3), Fraction(1, 3)], [])
 
     @given(symmetric_matrices(max_dim=4), st.integers(0, 10**6))
@@ -197,14 +197,14 @@ class TestSolveRational:
         solution, kernel = frac_solve(a.to_rows(), b)
         if solution is not None:
             assert list(a.matvec(solution)) == b
-        for z in kernel + list(analysis(a).form.kernel):
+        for z in kernel + list(analysis(a)._pass.kernel):
             assert not any(a.matvec(z))
         # presence agrees with the rank comparison of [A] and [A|b]
         rank_a = frac_rank(a.to_rows())
         rank_aug = frac_rank([list(a.row(i)) + [b[i]] for i in range(a.rows)])
         assert (x is not None) == (solution is not None) == (rank_a == rank_aug)
         # kernel dimension complements the rank
-        assert len(kernel) == len(analysis(a).form.kernel) == a.cols - rank_a
+        assert len(kernel) == len(analysis(a)._pass.kernel) == a.cols - rank_a
 
 
 class TestSignature:

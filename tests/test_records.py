@@ -54,7 +54,7 @@ PLAIN = [
     (SnfResult, dict(U=M, D=M, V=M)),
     (HomologySummary, dict(invariant_factors=(3,), betti_1=1, dim_h1_mod2=1,
                            torsion_order=3, kernel_basis=((1, -1),))),
-    (IntegerForm, dict(G=((2, -1), (-1, 2)), L=3, kernel=())),
+    (IntegerForm, dict(G=((2, -1), (-1, 2)), L=3)),
     (TorsionForm, dict(factors=(3,), generators=((0,), (1,)), Q=((2,),), L=3)),
     (EulerClassInfo, dict(class_vector=(0, 0), is_torsion=True, is_zero=True)),
     (P1ImageReport, dict(denominator=3, formula_residues=frozenset({1}),
