@@ -107,10 +107,8 @@ def theta_g(pres: SurgeryPresentation, c: Sequence[int]) -> Fraction:
 
     c^T x - 2(n+1) - 3 sig(B) for any rational solution of B x = c; the
     quadratic term does not depend on the solution choice, and is read off
-    an integer form as c^T G c / L (`MatrixAnalysis.pairing`).  On a fresh
-    B that form solves c alone through the pass; once the pass has run, it
-    is `form`.  The pairing is asked before the torsion test, which then
-    reads the pass it ran.
+    one solution of B x = c (`MatrixAnalysis.pairing`): on a fresh B, c
+    solved alone through the pass.
     """
     validate_combing(pres, c)
     return _theta_g(pres, c)
@@ -119,10 +117,9 @@ def theta_g(pres: SurgeryPresentation, c: Sequence[int]) -> Fraction:
 def _theta_g(pres: SurgeryPresentation, c: Sequence[int]) -> Fraction:
     """`theta_g` of a c already checked by `validate_combing`."""
     data = analysis(pres.matrix)
-    value = data.pairing(c, c)
     if not data.is_torsion(c):
         raise NonTorsionError("combing coefficient vector is not torsion")
-    return value + _theta_constant(data)
+    return data.pairing(c, c) + _theta_constant(data)
 
 
 def p1(x: CombingSpec) -> P1Value:

@@ -130,24 +130,17 @@ def band_sum(f: FramedLinkData, i: int, j: int) -> FramedLinkData:
     if i == j:
         raise IndexError("band sum needs two distinct components")
     a, b = sorted((i, j))
-    keep = [k for k in range(n) if k != b]
+    # the components merged into each new one: Lambda' = S^T Lambda S for
+    # the n x (n-1) matrix S with column p the indicator of parts[p]
+    parts = [(a, b) if k == a else (k,) for k in range(n) if k != b]
     lam = f.lambda_matrix
-
-    def merged(p: int, q: int) -> Fraction:
-        if p == a and q == a:
-            return lam[a][a] + lam[b][b] + 2 * lam[a][b]
-        if p == a:
-            return lam[a][q] + lam[b][q]
-        if q == a:
-            return lam[p][a] + lam[p][b]
-        return lam[p][q]
-
-    new_matrix = tuple(tuple(merged(p, q) for q in keep) for p in keep)
+    new_matrix = tuple(
+        tuple(sum(lam[p][q] for p in row for q in col) for col in parts) for row in parts
+    )
     new_classes = None
     if f.classes is not None:
-        merged_class = tuple(x + y for x, y in zip(f.classes[a], f.classes[b]))
         new_classes = tuple(
-            merged_class if k == a else f.classes[k] for k in keep
+            tuple(map(sum, zip(*(f.classes[k] for k in part)))) for part in parts
         )
     return FramedLinkData(new_matrix, new_classes, f.ambient)
 
@@ -173,19 +166,21 @@ def add_hopf(f: FramedLinkData, sign: int) -> FramedLinkData:
     return FramedLinkData(new_matrix, new_classes, f.ambient)
 
 
+def _total_class(f: FramedLinkData) -> MeridianClass:
+    """The sum of the component classes, of the ambient's length even for
+    an empty link."""
+    assert f.classes is not None and f.ambient is not None
+    return tuple(sum(v[i] for v in f.classes) for i in range(f.ambient.n))
+
+
 def pontrjagin_p1(p1_tau: Fraction | int, f: FramedLinkData) -> Fraction:
     """p_1 of the combing built from a parallelization with p_1 = p1_tau by
     the Pontrjagin construction on f: p1_tau - 4 lk(L, L_parallel).
 
     The link must be rationally null-homologous.
     """
-    if f.classes is not None:
-        assert f.ambient is not None
-        total_class = tuple(
-            sum(v[i] for v in f.classes) for i in range(f.ambient.n)
-        )
-        if not is_torsion_class(f.ambient, total_class):
-            raise NonTorsionError("link homology class is not torsion")
+    if f.classes is not None and not is_torsion_class(f.ambient, _total_class(f)):
+        raise NonTorsionError("link homology class is not torsion")
     return Fraction(p1_tau) - 4 * total_self_linking(f)
 
 
@@ -214,8 +209,7 @@ def cobordism_class(f: FramedLinkData) -> FramedCobordismClass:
         raise MissingClassesError(
             "cobordism class needs an ambient presentation and component classes"
         )
-    total_class = tuple(sum(v[i] for v in f.classes) for i in range(f.ambient.n))
     return FramedCobordismClass(
-        homology=reduce_class(f.ambient, total_class),
+        homology=reduce_class(f.ambient, _total_class(f)),
         total=total_self_linking(f),
     )

@@ -7,21 +7,22 @@ exact and reproducible.  There is one fraction-free elimination, the
 symmetric Bareiss pass `_signature`, run once per matrix: it gives the
 signature, det B, the pivot rows and the kernel of B, and every other
 quantity is a triangular solve through those pivot rows (`_substitute`): the
-columns of adj B that cut the Hermite box, and the integer form G / L of B
-on any columns C: C = I (`form`), the distinct vectors of one pairing of a
-fresh entry (`pairing`), or the k generators of the torsion form.  The pass
-takes two pivots per sweep of the rows below them (Bareiss's two-step form)
-wherever the second pivot is nonzero, with one exact division by D_k^2 per
-entry, and one pivot where it is zero or the active block ends; the pivot
-rows are the same either way.  The others are the Smith pass
-`_diagonalize`, the gcd chains of `_box` that cut the Hermite box, one list
-of sparse columns, out of adjugate columns until they reach B Z^n and
-finished (`_finish`) over only the rows each column holds and the positions
-with h_ii > 1, the Euclid steps `_euclid` of `_split` and `_echelon`, and
-the F_2 elimination `solve_mod2`.  Every class question reads one box, the
-Hermite box of the nonsingular core of B; membership in B Z^n reads the
-rows of R_1 G instead (`MatrixAnalysis.in_lattice`).  The one torsion test
-is `MatrixAnalysis.is_torsion`, on the pass's kernel vectors.
+columns of adj B that cut the Hermite box, the integer form G / L of B on
+the columns C = I (`form`) or on the k generators of the torsion form, and
+the one vector of a fresh entry's first vector question
+(`MatrixAnalysis._solution`).  The pass takes two pivots per sweep of the
+rows below them (Bareiss's two-step form) wherever the second pivot is
+nonzero, with one exact division by D_k^2 per entry, and one pivot where it
+is zero or the active block ends; the pivot rows are the same either way.
+The others are the Smith pass `_diagonalize`, the gcd chains of `_box` that
+cut the Hermite box, one list of sparse columns, out of adjugate columns
+until they reach B Z^n and finished (`_finish`) over only the rows each
+column holds and the positions with h_ii > 1, the Euclid steps `_euclid` of
+`_split` and `_echelon`, and the F_2 elimination `solve_mod2`.  Every class
+question reads one box, the Hermite box of the nonsingular core of B, kept
+as those sparse columns; every vector question, a pairing or membership in
+B Z^n, reads one solution G_0 w (`MatrixAnalysis._solution`).  The one
+torsion test is `MatrixAnalysis.is_torsion`, on the pass's kernel vectors.
 """
 
 from __future__ import annotations
@@ -85,9 +86,6 @@ class IntMatrix(Record):
 
     def row(self, i: int) -> Vector:
         return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def column(self, j: int) -> Vector:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
 
     def to_rows(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
@@ -218,16 +216,16 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
     )
 
 
-def _finish(columns: list[dict[int, int]]) -> tuple[Vector, ...]:
+def _finish(columns: list[dict[int, int]]) -> tuple[dict[int, int], ...]:
     """The Hermite form of the lattice of an upper triangular basis with
     positive diagonal, column j given by its nonzero entries {k: h_kj}, k <=
-    j (reduced in place), as the dense tuples of entries 0..j: column j is
+    j, reduced in place and returned as those sparse columns: column j is
     reduced by the finished columns i = j-1, ..., 0.  A finished column keeps
     only its nonzero entries, on its own row and the rows k with h_kk > 1, so
     reducing by it adds no other row: column j visits only the rows it holds
     and the finished positions with h_ii > 1, O(n |T|) in all, and each step
     touches only the entries of the finished column."""
-    t, dense = [], []  # t: the finished positions with h_ii > 1
+    t = []  # the finished positions with h_ii > 1
     for j, col in enumerate(columns):
         for i in sorted({*t, *col} - {j}, reverse=True):
             if q := col.get(i, 0) // columns[i][i]:
@@ -236,19 +234,16 @@ def _finish(columns: list[dict[int, int]]) -> tuple[Vector, ...]:
         columns[j] = col = {k: x for k, x in col.items() if x}
         if col[j] > 1:
             t.append(j)
-        entries = [0] * (j + 1)
-        for k, x in col.items():
-            entries[k] = x
-        dense.append(tuple(entries))
-    return tuple(dense)
+    return tuple(columns)
 
 
-def _box(n: int, det: int, adjugate: Iterable[Sequence[int]]) -> tuple[Vector, ...]:
+def _box(n: int, det: int, adjugate: Iterable[Sequence[int]]) -> tuple[dict[int, int], ...]:
     """The columns of the Hermite form H of B Z^n for an n x n nonsingular
     symmetric B: H Z^n = B Z^n, H is upper triangular with h_ii > 0, and
     0 <= h_ij < h_ii for j > i; such an H is unique.  Column j is returned
-    as its entries 0..j.  H is cut out of Z^n by det B and columns
-    a = adj(B) c of the adjugate, c integral (after Micciancio-Warinschi 2001).
+    as its nonzero entries {k: h_kj} (`_finish`).  H is cut out of Z^n by
+    det B and columns a = adj(B) c of the adjugate, c integral (after
+    Micciancio-Warinschi 2001).
 
     a^T B y = det(B) c^T y, so each a cuts a lattice holding B Z^n out of the
     current one, H Z^n of index r over B Z^n (at first H = I, r = |det B|):
@@ -607,8 +602,8 @@ class IntegerForm(NamedTuple):
     every torsion c = B a, since B G B a = L B a.
 
     The form of B on other columns C has G / L = C^T G_0 C, so `pair` takes
-    coordinates y of the vector C y (`MatrixAnalysis.pairing` and
-    `MatrixAnalysis.torsion_form` solve their own vectors that way).
+    coordinates y of the vector C y (`MatrixAnalysis.torsion_form` solves
+    its generators that way).
     """
 
     G: tuple[Vector, ...]
@@ -696,17 +691,22 @@ class MatrixAnalysis:
     the memo of `analysis`.  Every field reads the one symmetric Bareiss pass
     on B, `_pass` (`_signature`), directly or through another field: the
     signature and det B are in it, the torsion test `is_torsion` and the
-    `split` read its kernel vectors, `form`, a fresh entry's `pairing` and
-    the `torsion_form` solve through its pivot rows, and `box` reads its
-    adjugate columns.  So any question, in any order, costs one pass on B,
-    plus one on the nonsingular core for the box of a singular B.  The
-    class questions (`reduce`, `homology`, `torsion_form`, and
-    `torsion_order` for a singular B) read the `split` and the `box`, the
-    Hermite form of the core: the matrix itself when it is nonsingular;
-    none of them reads `form`.  Membership (`in_lattice`) reads the split
-    and `form`, not the box: most vectors outside B Z^n fail at the first
-    row of R_1 G.
+    `split` read its kernel vectors, `form` and the `torsion_form` solve
+    through its pivot rows, and `box` reads its adjugate columns.  So any
+    question, in any order, costs one pass on B, plus one on the nonsingular
+    core for the box of a singular B.  The class questions (`reduce`,
+    `homology`, `torsion_form`, and `torsion_order` for a singular B) read
+    the `split` and the `box`, the Hermite form of the core: the matrix
+    itself when it is nonsingular; none of them reads `form`.
+
+    The vector questions, `pairing` and `in_lattice`, read G_0 w through
+    `_solution`, whose one rule depends on the entry's history alone: the
+    first vector question solves w through the pass, and every later one
+    reads `form`, which it builds once.  So a single question pays for one
+    solve, and a scan on one B for n solves and then a product per vector.
     """
+
+    _asked = False  # set on the entry by its first vector question
 
     def __init__(self, matrix: IntMatrix) -> None:
         self.matrix = matrix
@@ -724,7 +724,7 @@ class MatrixAnalysis:
         """The order of the torsion subgroup of coker B: |det B|, off the
         pass, for a nonsingular B, so no box is built to compare it with a
         cap; else the product of the diagonal of the core's box."""
-        return abs(self._pass.det) or math.prod(col[-1] for col in self.box)
+        return abs(self._pass.det) or math.prod(col[i] for i, col in enumerate(self.box))
 
     def is_torsion(self, c: Sequence[int]) -> bool:
         """c in the rational column space of B, i.e. of a torsion class: B is
@@ -733,28 +733,37 @@ class MatrixAnalysis:
         kernel = self._pass.kernel
         return not kernel or not any(sum(map(mul, z, c)) for z in kernel)
 
-    def pairing(self, v: Sequence[int], w: Sequence[int]) -> Fraction:
-        """v^T G w / L, which is v^T x for every solution x of B x = w when
-        v and w are torsion (`is_torsion`, which the caller asks).
+    def _solution(self, w: Sequence[int]) -> tuple[Iterable[int], int]:
+        """(y, d) with y / d = G_0 w, which solves B x = w for a torsion w.
+        The entry's first vector question solves w through the pass, y =
+        D_r G_0 w and d = D_r; every later one reads `form`, y = G w produced
+        row by row, so a reader may stop early, and d = L."""
+        if not self._asked:
+            self._asked = True
+            p = self._pass
+            return p.solve(w), p.rows[-1][0] if p.rows else 1
+        form = self.form
+        return (sum(map(mul, row, w)) for row in form.G), form.L
 
-        An entry that has run its pass reads `form`.  A fresh one runs the
-        pass and solves the distinct vectors among v and w alone,
-        C = [v] or [v, w] (`_integer_form`), whose entry (0, m-1) is then
-        v^T G w.
-        """
-        if "_pass" in self.__dict__:
-            form = self.form
-            return Fraction(form.pair(v, w), form.L)
-        form = _integer_form(self._pass, (v,) if v == w else (v, w))
-        return Fraction(form.G[0][-1], form.L)
+    def pairing(self, v: Sequence[int], w: Sequence[int]) -> Fraction:
+        """v^T G_0 w, which is v^T x for every solution x of B x = w when
+        v and w are torsion (`is_torsion`, which the caller asks); one
+        `_solution`, of w."""
+        y, d = self._solution(w)
+        return Fraction(sum(map(mul, v, y)), d)
 
     def in_lattice(self, c: Sequence[int]) -> bool:
-        """c in B Z^n: c is torsion and L divides R_1 G c, since
-        B'^{-1} W_1^T c = R_1 G c / L (G c / L = B^{-1} c for nonsingular B)."""
-        L = self.form.L
-        return self.is_torsion(c) and not any(
-            sum(map(mul, row, c)) % L for row in self._lattice_rows
-        )
+        """c in B Z^n: c is torsion and R_1 G_0 c = B'^{-1} W_1^T c is
+        integral, for y / d = G_0 c (`_solution`): d divides every entry of
+        y for a nonsingular B, where R_1 = I, and of R_1 y otherwise.  The
+        first entry that d does not divide ends the test."""
+        if not self.is_torsion(c):
+            return False
+        y, d = self._solution(c)
+        if self._pass.kernel:
+            x = list(y)
+            y = (sum(map(mul, r, x)) for r in self.split.rows)
+        return not any(e % d for e in y)
 
     def reduce(self, v: Sequence[int]) -> Vector:
         """The canonical representative of v modulo B Z^n.
@@ -773,9 +782,9 @@ class MatrixAnalysis:
         # from the last coordinate up, subtract the multiple of column i
         # that brings x_i into [0, h_ii); it leaves the coordinates after i
         for i, col in reversed(list(enumerate(self.box))):
-            q = x[i] // col[i]
-            if q:
-                x[: i + 1] = [a - q * h for a, h in zip(x, col)]
+            if q := x[i] // col[i]:
+                for k, h in col.items():
+                    x[k] -= q * h
         free = [sum(map(mul, z, v)) for z in split.kernel]  # K^T v
         out = [0] * len(v)
         for a, row in zip(free + x, split.kernel_rows + split.rows):
@@ -789,10 +798,10 @@ class MatrixAnalysis:
         return _split(self._pass.kernel, self.matrix.rows)
 
     @cached_property
-    def box(self) -> tuple[Vector, ...]:
-        """The columns of the Hermite form H of B' Z^r (see `_box`) for the
-        nonsingular core B' = W_1^T B W_1 of the split, whose box
-        0 <= x_i < h_ii is a fundamental domain of B' Z^r.  `_box` reads
+    def box(self) -> tuple[dict[int, int], ...]:
+        """The sparse columns {k: h_kj} of the Hermite form H of B' Z^r (see
+        `_box`) for the nonsingular core B' = W_1^T B W_1 of the split, whose
+        box 0 <= x_i < h_ii is a fundamental domain of B' Z^r.  `_box` reads
         det B' and the columns adj(B') e_j, j = r-1 down to 0, each solved
         through the pass on B' when read, until they cut out B' Z^r: `_pass`
         for a nonsingular B, its own core, and a pass on the core of a
@@ -806,22 +815,13 @@ class MatrixAnalysis:
         return _box(r, p.det, map(p.solve, units))
 
     @cached_property
-    def _lattice_rows(self) -> tuple[Vector, ...]:
-        """The rows of R_1 G (G is symmetric, so entry j of r^T G is r . G_j);
-        G itself when the split has no kernel, since then R_1 = I."""
-        g = self.form.G
-        if not self.split.kernel:
-            return g
-        return tuple(tuple(sum(map(mul, r, gj)) for gj in g) for r in self.split.rows)
-
-    @cached_property
     def homology(self) -> HomologySummary:
         # coker B = coker B' + Z^k.  A row of the core's H with h_ii = 1 is
         # e_i^T, so coker B' is Z^T / H[T, T] over the positions T with
         # h_ii > 1; its Smith form runs on that |T| x |T| block only
         cols = self.box
         t = [i for i, col in enumerate(cols) if col[i] > 1]
-        block = [[cols[j][i] if i <= j else 0 for j in t] for i in t]
+        block = [[cols[j].get(i, 0) for j in t] for i in t]
         _diagonalize(block)
         kernel = self.split.kernel
         diag = tuple(row[k] for k, row in enumerate(block)) + (0,) * len(kernel)
@@ -864,11 +864,11 @@ class MatrixAnalysis:
         """The generators are the rows of R_1 at the positions i with h_ii > 1
         of the box, and Q / L is the integer form of B on them alone: k
         solves through the pass, and no `form`."""
-        positions = tuple(i for i, col in enumerate(self.box) if col[-1] > 1)
+        positions = tuple(i for i, col in enumerate(self.box) if col[i] > 1)
         g = [self.split.rows[i] for i in positions]
         form = _integer_form(self._pass, g)
         return TorsionForm(
-            factors=tuple(self.box[i][-1] for i in positions),
+            factors=tuple(self.box[i][i] for i in positions),
             generators=tuple(tuple(gj[row] for gj in g) for row in range(self.matrix.rows)),
             Q=tuple(tuple(x % form.L for x in row) for row in form.G),
             L=form.L,

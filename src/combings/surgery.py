@@ -86,21 +86,19 @@ def meridian_pairing(
 ) -> Fraction:
     """Linking number of the torsion meridian classes v and w.
 
-    Computed as -v^T x for the rational solution x = G w / L of B x = w
-    (see linalg.IntegerForm); kernel components pair to zero against the
-    torsion class v, so the value does not depend on the solution and is
-    symmetric in v and w.  On a fresh B the form solves the distinct
-    vectors among (v, w) alone through the pass (`MatrixAnalysis.pairing`).
+    Computed as -v^T x for the rational solution x = G_0 w of B x = w
+    (`MatrixAnalysis.pairing`: on a fresh B, w alone is solved through the
+    pass); kernel components pair to zero against the torsion class v, so
+    the value does not depend on the solution and is symmetric in v and w.
     """
     v = _check_length(pres, v)
     w = _check_length(pres, w)
     data = analysis(pres.matrix)
-    value = data.pairing(v, w)
     if not data.is_torsion(v):
         raise NonTorsionError("first class is not torsion")
     if not data.is_torsion(w):
         raise NonTorsionError("second class is not torsion")
-    return -value
+    return -data.pairing(v, w)
 
 
 def linking_form(pres: SurgeryPresentation, v: Sequence[int]) -> Fraction:

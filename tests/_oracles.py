@@ -232,7 +232,7 @@ def smith_generators(a):
     of the cyclic groups Z/d_i, with the d_i."""
     snf = smith_normal_form(a)
     return [
-        (tuple(x // d for x in a.matvec(snf.V.column(i))), d)
+        (tuple(x // d for x in a.matvec(snf.V.transpose().row(i))), d)
         for i, d in enumerate(snf.diag)
         if d > 1
     ]
@@ -241,7 +241,7 @@ def smith_generators(a):
 def smith_kernel(a):
     """The kernel columns of the Smith V: a basis of ker A cap Z^n."""
     snf = smith_normal_form(a)
-    return [snf.V.column(j) for j in range(snf.rank, a.cols)]
+    return [snf.V.transpose().row(j) for j in range(snf.rank, a.cols)]
 
 
 def _xgcd(a, b):
@@ -292,6 +292,12 @@ def reference(rows):
     n = len(rows)
     basis = echelon([row[::-1] for row in rows])
     return tuple(basis[n - 1 - j][::-1][: j + 1] for j in range(n))
+
+
+def dense(box):
+    """The sparse columns {k: h_kj} of a Hermite box (`linalg._finish`) as
+    the tuples of entries 0..j of `reference`."""
+    return tuple(tuple(col.get(k, 0) for k in range(j + 1)) for j, col in enumerate(box))
 
 
 def one_step_pass(rows):

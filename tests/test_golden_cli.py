@@ -29,7 +29,7 @@ from _oracles import (
     frac_inverse, frac_rank, frac_solve, naive_det, smith_generators, solve_integer,
 )
 from combings.cli import main
-from combings.linalg import IntMatrix
+from combings.linalg import IntMatrix, analysis
 
 CORPUS = Path(__file__).with_name("golden_cli.json")
 
@@ -248,6 +248,21 @@ def test_golden_case(case):
     assert run(case["argv"], case["stdin"]) == (
         case["code"], case["stdout"], case["stderr"]
     )
+
+
+def test_corpus_replays_in_any_memo_history():
+    """A vector question is answered by one solve or by `form` depending on
+    what the memo entry was asked before, and never differently: the whole
+    corpus replays byte for byte in one process with the memo cleared
+    before each case, in corpus order, and in reverse order."""
+    cases = _load()
+    for order, clear in ((cases, True), (cases, False), (cases[::-1], False)):
+        analysis.cache_clear()
+        for case in order:
+            if clear:
+                analysis.cache_clear()
+            got = run(case["argv"], case["stdin"])
+            assert got == (case["code"], case["stdout"], case["stderr"]), (clear, case["name"])
 
 
 def _replay_case(argv, doc, stdout):

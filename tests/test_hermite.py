@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from _oracles import f2_rank, frac_inverse, reference
+from _oracles import dense, f2_rank, frac_inverse, reference
 from combings import linalg
 from combings.linalg import IntMatrix
 from combings.verify import random_symmetric, random_unimodular
@@ -76,7 +76,7 @@ def test_hand_worked_a3():
     want = ((4,), (2, 1), (1, 0, 1))
     assert reference(a3) == want
     for rows in (a3, [[-x for x in row] for row in a3]):
-        assert linalg.MatrixAnalysis(IntMatrix.from_rows(rows)).box == want
+        assert dense(linalg.MatrixAnalysis(IntMatrix.from_rows(rows)).box) == want
 
 
 def _pass_columns(rows):
@@ -89,7 +89,7 @@ def _pass_columns(rows):
 @pytest.mark.parametrize("index", range(len(NONSINGULAR)))
 def test_hermite_matches_echelon(index):
     rows = NONSINGULAR[index]
-    assert linalg._box(len(rows), *_pass_columns(rows)) == reference(rows)
+    assert dense(linalg._box(len(rows), *_pass_columns(rows))) == reference(rows)
 
 
 @pytest.mark.parametrize("index", range(len(SINGULAR)))
@@ -103,7 +103,7 @@ def test_singular_box_matches_echelon_of_core(index):
     assert columns and len(columns) < b.rows
     bw = [b.matvec(w) for w in columns]
     core = [[sum(x * y for x, y in zip(wi, v)) for v in bw] for wi in columns]
-    assert box == reference(core)
+    assert dense(box) == reference(core)
 
 
 def test_inputs_divide_the_modulus_during_the_pass():
@@ -218,11 +218,11 @@ def test_box_from_adjugate_columns_matches_echelon(index):
     rows = FUNCTIONAL_CASES[index]
     det, want = _det(rows), reference(rows)
     box, read = _columns_read(rows)
-    assert box == want and read <= len(rows)
-    assert linalg._box(len(rows), det, _adjugate_columns(rows)[::-1]) == want
+    assert dense(box) == want and read <= len(rows)
+    assert dense(linalg._box(len(rows), det, _adjugate_columns(rows)[::-1])) == want
     data = linalg.MatrixAnalysis(IntMatrix.from_rows(rows))
     data.form
-    assert data.box == want
+    assert dense(data.box) == want
 
 
 def test_box_routes_all_occur():
@@ -299,8 +299,8 @@ def test_many_generator_box_matches_echelon(index):
     rows = MANY_GENERATORS[index]
     want = reference(rows)
     box, read = _columns_read(rows)
-    assert box == want and read <= len(rows)
-    assert linalg.MatrixAnalysis(IntMatrix.from_rows(rows)).box == want
+    assert dense(box) == want and read <= len(rows)
+    assert dense(linalg.MatrixAnalysis(IntMatrix.from_rows(rows)).box) == want
 
 
 def test_many_generators_read_many_columns():

@@ -13,6 +13,7 @@ from operator import mul
 import pytest
 
 from _oracles import (
+    dense,
     echelon,
     eig_sign_counts,
     f2_rank,
@@ -520,7 +521,7 @@ def test_hermite_route_matches_smith_reference(index):
     assert summary.invariant_factors == tuple(d for d in snf.diag if d > 1)
     assert summary.dim_h1_mod2 == sum(1 for d in snf.diag if d % 2 == 0)
     assert (summary.torsion_order, summary.betti_1, summary.kernel_basis) == (order, 0, ())
-    hermite = analysis(b).box
+    hermite = dense(analysis(b).box)
     diag = [col[-1] for col in hermite]
     for j, col in enumerate(hermite):
         assert all(0 <= x < d for x, d in zip(col[:j], diag)) and col[j] > 0
@@ -552,7 +553,8 @@ def test_nonsingular_b_is_its_own_core(index):
     the integer form, and is its own core: its box is the Hermite form of B,
     built by the first box question only.  The torsion form of the one
     lattice route then has the generators e_i at the positions T with
-    h_ii > 1 and Q = G[T, T] mod L, and in_lattice reads the rows of G."""
+    h_ii > 1 and Q = G[T, T] mod L.  in_lattice holds the columns of H and
+    no e_i at a position of T."""
     _, pres = HERMITE_PRESENTATIONS[index]
     b, n = pres.matrix, pres.n
     data = linalg.MatrixAnalysis(b)  # a fresh analysis, outside the memo
@@ -560,24 +562,34 @@ def test_nonsingular_b_is_its_own_core(index):
     assert data.split == (identity, identity, (), ())
     assert "form" not in data.__dict__ and "box" not in data.__dict__
     hermite = data.box
-    assert hermite == reference(b.to_rows())
+    assert dense(hermite) == reference(b.to_rows())
     form = data.form
-    positions = [i for i, col in enumerate(hermite) if col[-1] > 1]
+    positions = [i for i, col in enumerate(hermite) if col[i] > 1]
     tf = data.torsion_form
     assert data.box is hermite
-    assert tf.factors == tuple(hermite[i][-1] for i in positions)
+    assert tf.factors == tuple(hermite[i][i] for i in positions)
     assert tf.generators == tuple(tuple(int(k == i) for i in positions) for k in range(n))
     assert tf.Q == tuple(tuple(form.G[i][j] % form.L for j in positions) for i in positions)
-    assert data._lattice_rows == form.G
+    assert all(data.in_lattice(col + (0,) * (n - j - 1)) for j, col in enumerate(dense(hermite)))
+    assert not any(data.in_lattice(tuple(int(k == i) for k in range(n))) for i in positions)
 
 
 @pytest.mark.parametrize("index", range(len(HERMITE_PRESENTATIONS)))
 def test_nonsingular_lattice_rows_are_g(index):
-    """R_1 = I on a nonsingular B, so in_lattice reads the rows of G itself,
-    with no product by the identity."""
+    """R_1 = I on a nonsingular B, so in_lattice reads the entries of G_0 c
+    itself, with no split: it agrees with the Fraction solve, cold and warm,
+    on vectors of B Z^n and on random ones."""
     _, pres = HERMITE_PRESENTATIONS[index]
-    data = linalg.MatrixAnalysis(pres.matrix)
-    assert data._lattice_rows is data.form.G
+    b, n = pres.matrix, pres.n
+    rng = random.Random(f"lattice:{index}")
+    vectors = [b.matvec([rng.randint(-3, 3) for _ in range(n)]) for _ in range(3)]
+    vectors += [tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(3)]
+    want = {c: all(x.denominator == 1 for x in _solution(pres, c)) for c in vectors}
+    for cold in vectors:  # each vector once as the first question of an entry
+        data = linalg.MatrixAnalysis(b)
+        for c in (cold, *vectors):
+            assert data.in_lattice(c) == want[c], (b, c)
+        assert "split" not in data.__dict__ and "form" in data.__dict__
 
 
 def test_hermite_presentations_cover_edges():
@@ -637,8 +649,8 @@ def passes(monkeypatch):
 
 def test_singular_questions_build_only_what_they_read(passes):
     """On singular B, form builds neither the box nor the split, and
-    spin_c_equal answers from form and the split: one pass, with no box and
-    no Smith form."""
+    spin_c_equal answers from one solve, then from form, and the split: one
+    pass, with no box and no Smith form."""
     pres = SurgeryPresentation.from_rows([[2, 1, 3], [1, 5, 6], [3, 6, 9]])
     data = analysis(pres.matrix)
     data.form
@@ -972,49 +984,41 @@ def test_cold_singular_theta_borders_by_c_alone(passes):
     assert "form" not in analysis(pres.matrix).__dict__
 
 
-def test_theta_scan_runs_at_most_one_extra_pass(passes):
-    """A theta_g scan on one B runs one pass: the first theta_g solves its c
-    alone, the second finds the pass run and builds form once, and every
-    later one reads it."""
+def test_theta_scan_runs_at_most_one_extra_pass(passes, solves):
+    """A theta_g scan on one B runs one pass: its first question solves c
+    alone, its second builds `form`, n solves, and every later one reads
+    that `form` with no solve."""
     b = [[3, 1, 0, 2], [1, -2, 1, 0], [0, 1, 4, -1], [2, 0, -1, 5]]
     pres = _cold(b)
     data = analysis(pres.matrix)
     c_ref = data.c_ref
     passes["passes"].clear()
-    values = [theta_g(pres, c_ref)]
-    assert passes["passes"] == {pres.matrix: 1} and "form" not in data.__dict__
-    values.append(theta_g(pres, tuple(x + 2 for x in c_ref)))
-    form = data.form
-    values += [theta_g(pres, tuple(x + 2 * k for x in c_ref)) for k in range(2, 100)]
-    assert passes["passes"] == {pres.matrix: 1} and data.form is form
+    values, built = [], []
+    for k in range(100):
+        values.append(theta_g(pres, tuple(x + 2 * k for x in c_ref)))
+        built.append((len(solves), "form" in data.__dict__))
+    assert built == [(1, False)] + [(1 + pres.n, True)] * 99
+    assert passes["passes"] == {pres.matrix: 1}
     for k in (0, 1, 57, 99):
         c = tuple(x + 2 * k for x in c_ref)
         assert values[k] == _reference_theta(pres, c, _theta_constant(pres))
 
 
-def test_cold_meridian_pairing_borders_by_its_vectors(passes):
-    """meridian_pairing on a fresh B runs one pass and solves its distinct
-    vectors alone: a form of width 2 for v != w, of width 1 for v == w."""
+def test_cold_meridian_pairing_borders_by_its_vectors(passes, solves):
+    """meridian_pairing on a fresh B runs one pass and one solve through it,
+    of w alone, for v != w and for v == w, and builds no `form`."""
     b = [[5, 2, 1], [2, -3, 0], [1, 0, 7]]
     v, w = (1, 0, 2), (0, 3, -1)
-    integer_form = linalg._integer_form
-    widths = []
-
-    def counting_form(p, vectors):
-        widths.append(len(vectors))
-        return integer_form(p, vectors)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(linalg, "_integer_form", counting_form)
-        for args, width in (((v, w), 2), ((w, v), 2), ((v, v), 1)):
-            analysis.cache_clear()
-            pres = _cold(b)
-            passes["passes"].clear()
-            widths.clear()
-            got = meridian_pairing(pres, *args)
-            assert passes["passes"] == {pres.matrix: 1} and widths == [width]
-            x = _solution(pres, args[1])
-            assert got == -sum((Fraction(a) * y for a, y in zip(args[0], x)), Fraction(0))
+    for args in ((v, w), (w, v), (v, v)):
+        analysis.cache_clear()
+        pres = _cold(b)
+        passes["passes"].clear()
+        solves.clear()
+        got = meridian_pairing(pres, *args)
+        assert passes["passes"] == {pres.matrix: 1} and solves == [args[1]]
+        assert "form" not in analysis(pres.matrix).__dict__
+        x = _solution(pres, args[1])
+        assert got == -sum((Fraction(a) * y for a, y in zip(args[0], x)), Fraction(0))
     analysis.cache_clear()
     pres = _cold([[2, 1, 3], [1, 7, 8], [3, 8, 11]])  # kernel (1, 1, -1)
     with pytest.raises(NonTorsionError, match="second class"):
@@ -1049,6 +1053,103 @@ def test_cold_combing_equal_runs_one_pass(passes):
     for x, y, message in (((0, 1, 3), (0, 1, 1), "first"), ((0, 1, 1), (0, 1, 3), "second")):
         with pytest.raises(NonTorsionError, match=message):
             combing_equal(CombingSpec(singular, x), CombingSpec(singular, y))
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """A log of the vectors solved through a pass (`BareissPass.solve`),
+    adjugate columns of the box and columns of `form` included."""
+    log = []
+    solve = linalg.BareissPass.solve
+
+    def counting_solve(p, vector):
+        log.append(tuple(vector))
+        return solve(p, vector)
+
+    monkeypatch.setattr(linalg.BareissPass, "solve", counting_solve)
+    return log
+
+
+def test_cold_membership_runs_one_pass_and_one_solve(passes, solves):
+    """A cold spin_c_equal or euler_class is one vector question: one pass
+    and one solve, of (c - c') / 2 or of c, and no `form`, on nonsingular
+    and singular B (whose split the membership reads, with no core)."""
+    for rows, c in (
+        ([[3, 1, 0], [1, -2, 1], [0, 1, 4]], (1, 0, 0)),
+        ([[2, 1, 3], [1, 7, 8], [3, 8, 11]], (0, 1, 1)),  # kernel (1, 1, -1)
+    ):
+        b = IntMatrix.from_rows(rows)
+        # c + 2 B e_0, in the Spin^c structure of c, and c - 2 (1, 0, 1), a
+        # torsion (1, 0, 1) outside B Z^3
+        inside = tuple(x + 2 * y for x, y in zip(c, b.row(0)))
+        outside = tuple(x - 2 * y for x, y in zip(c, (1, 0, 1)))
+        for other, want in ((inside, True), (outside, False)):
+            half = tuple((x - y) // 2 for x, y in zip(c, other))
+            for question, solved, answer in (
+                (lambda pres: spin_c_equal(pres, c, other), half, want),
+                (lambda pres: euler_class(pres, other).is_zero, other, False),
+            ):
+                analysis.cache_clear()
+                pres = _cold(rows)
+                passes["passes"].clear()
+                passes["smith"] = 0
+                solves.clear()
+                assert question(pres) == answer
+                assert passes == {"passes": {b: 1}, "smith": 0} and solves == [solved]
+                assert "form" not in analysis(b).__dict__
+                assert answer == _in_lattice(pres, solved)
+
+
+def test_theta_after_homology_builds_no_form(passes, solves):
+    """The box's adjugate columns are no vector question: a theta_g after
+    homology_summary on one B is the entry's first, solved alone."""
+    for rows, c in (
+        ([[3, 1, 0], [1, -2, 1], [0, 1, 4]], (1, 0, 0)),
+        ([[2, 1, 3], [1, 7, 8], [3, 8, 11]], (0, 1, 1)),  # kernel (1, 1, -1)
+    ):
+        analysis.cache_clear()
+        pres = _cold(rows)
+        homology_summary(pres)
+        solves.clear()
+        assert theta_g(pres, c) == _reference_theta(pres, c, _theta_constant(pres))
+        assert solves == [c] and "form" not in analysis(pres.matrix).__dict__
+
+
+def _membership_cases():
+    """B = [[-4, 2], [2, -1]], on which R_1 y and y disagree for c = (-2, 1),
+    and the singular and nonsingular B of the seeded families."""
+    out = [SurgeryPresentation.from_rows([[-4, 2], [2, -1]])]
+    for family in (PRESENTATIONS, RADICAL_PRESENTATIONS, LARGE_SINGULAR_PRESENTATIONS):
+        out += [pres for _, pres in family]
+    return out
+
+
+def test_in_lattice_agrees_cold_and_warm():
+    """in_lattice against solve_integer on lattice vectors B u, torsion
+    vectors B u / g and random vectors, each asked first on a fresh entry
+    (one solve) and then on an entry that reads `form`, over singular and
+    nonsingular B; (-2, 1) = B (0, -1) lies in the lattice of
+    [[-4, 2], [2, -1]], whose core is [[-1]] with R_1 = (-2, 1)."""
+    rng = random.Random(12)
+    singular = inside = 0
+    for pres in _membership_cases():
+        b, n = pres.matrix, pres.n
+        vectors = [(-2, 1)] if n == 2 and b.entries == (-4, 2, 2, -1) else []
+        for _ in range(3):
+            u = [rng.randint(-3, 3) for _ in range(n)]
+            ba = b.matvec(u)
+            vectors += [ba, tuple(x // (math.gcd(*ba) or 1) for x in ba)]
+            vectors.append(tuple(rng.randint(-5, 5) for _ in range(n)))
+        want = {v: _in_lattice(pres, v) for v in vectors}
+        warm = linalg.MatrixAnalysis(b)
+        warm.pairing(vectors[0], vectors[0])  # its first vector question
+        for v in vectors:
+            assert linalg.MatrixAnalysis(b).in_lattice(v) == want[v], (b, v)
+            assert warm.in_lattice(v) == want[v], (b, v)
+        assert "form" in warm.__dict__
+        singular += bool(warm._pass.kernel)
+        inside += sum(want.values())
+    assert singular >= 60 and inside >= 300
 
 
 def _cold(rows):
