@@ -305,9 +305,9 @@ def p1_image(
 ) -> P1ImageReport:
     """Compute the image of p_1 mod 4Z by formula and by enumeration.
 
-    cap bounds both the torsion order and the number of swept vectors; a
-    nonsingular B compares its order with it before any box or integer form
-    is built (`MatrixAnalysis.torsion_order`).
+    cap bounds both the torsion order and the number of swept vectors; the
+    order is compared with it before any box or integer form is built, on
+    singular and nonsingular B (`MatrixAnalysis.torsion_order`).
     """
     if cap < 0 or box < 0:
         raise ValueError(f"cap and box must be nonnegative, got cap={cap}, box={box}")

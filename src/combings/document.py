@@ -66,10 +66,18 @@ def _parse_int_vector(value, where: str) -> tuple[int, ...]:
     return tuple(_expect_int(x, where) for x in value)  # names the first bad entry
 
 
-def _parse_int_matrix(value, where: str) -> tuple[tuple[int, ...], ...]:
+def _parse_rational_row(value, where: str) -> tuple[Fraction, ...]:
     if not isinstance(value, list):
         raise ParseError(f"{where} must be a list of rows")
-    rows = tuple(_parse_int_vector(row, where) for row in value)
+    return tuple(map(parse_rational, value))
+
+
+def _parse_matrix(value, where: str, parse_row=_parse_int_vector) -> tuple[tuple, ...]:
+    """The rows of a list of rows, each parsed by `parse_row`, in order, and
+    then checked to share one length."""
+    if not isinstance(value, list):
+        raise ParseError(f"{where} must be a list of rows")
+    rows = tuple(parse_row(row, where) for row in value)
     width = len(rows[0]) if rows else 0
     if any(len(r) != width for r in rows):
         raise ParseError(f"{where} has ragged rows")
@@ -98,21 +106,10 @@ def _parse_framed(value) -> FramedDoc:
         raise ParseError(f"framed has unknown keys: {sorted(unknown)}")
     if "lambda_matrix" not in value:
         raise ParseError("framed needs lambda_matrix")
-    raw = value["lambda_matrix"]
-    if not isinstance(raw, list):
-        raise ParseError("framed.lambda_matrix must be a list of rows")
-    rows = []
-    for row in raw:
-        if not isinstance(row, list):
-            raise ParseError("framed.lambda_matrix must be a list of rows")
-        rows.append(tuple(parse_rational(x) for x in row))
-    matrix = tuple(rows)
-    width = len(matrix[0]) if matrix else 0
-    if any(len(r) != width for r in matrix):
-        raise ParseError("framed.lambda_matrix has ragged rows")
+    matrix = _parse_matrix(value["lambda_matrix"], "framed.lambda_matrix", _parse_rational_row)
     classes = None
     if "classes" in value:
-        classes = _parse_int_matrix(value["classes"], "framed.classes")
+        classes = _parse_matrix(value["classes"], "framed.classes")
     return FramedDoc(lambda_matrix=matrix, classes=classes)
 
 
@@ -132,7 +129,7 @@ def parse_document(text: str) -> Document:
     if "linking_matrix" not in obj:
         raise ParseError("document needs linking_matrix")
 
-    matrix = _parse_int_matrix(obj["linking_matrix"], "linking_matrix")
+    matrix = _parse_matrix(obj["linking_matrix"], "linking_matrix")
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ParseError("linking_matrix must be square")

@@ -4,13 +4,16 @@ Small dense matrices only.  Every elimination runs on Python's
 arbitrary-precision integers, with no Fraction and no floating point, so
 Smith and Hermite forms, kernels, signatures and the integer form G / L are
 exact and reproducible.  There is one fraction-free elimination, the
-symmetric Bareiss pass `_signature`, run once per matrix: it gives the
-signature, det B, the pivot rows and the kernel of B, and every other
-quantity is a triangular solve through those pivot rows (`_substitute`): the
-columns of adj B that cut the Hermite box, the integer form G / L of B on
-the columns C = I (`form`) or on the k generators of the torsion form, and
-the one vector of a fresh entry's first vector question
-(`MatrixAnalysis._solution`).  The pass takes two pivots per sweep of the
+symmetric Bareiss pass `_signature`, run once per matrix, singular or not,
+and on no other matrix: it gives the signature, det B, the pivot rows and
+the kernel of B, and every other quantity is a triangular solve through
+those pivot rows (`_substitute`): the adjugate columns of the nonsingular
+core B' that cut the Hermite box, adj B itself for a nonsingular B, the
+integer form G / L of B on the columns C = I (`form`) or on the k
+generators of the torsion form, and the one vector of a fresh entry's first
+vector question (`MatrixAnalysis._solution`); the order of the torsion
+subgroup is |D_r| / det(A)^2, off the pass and the kernel split
+(`MatrixAnalysis.torsion_order`).  The pass takes two pivots per sweep of the
 rows below them (Bareiss's two-step form) wherever the second pivot is
 nonzero, with one exact division by D_k^2 per entry, and one pivot where it
 is zero or the active block ends; the pivot rows are the same either way.
@@ -120,16 +123,9 @@ class IntMatrix(Record):
         return IntMatrix(self.rows, other.cols, tuple(out))
 
     def direct_sum(self, other: "IntMatrix") -> "IntMatrix":
-        rows = self.rows + other.rows
-        cols = self.cols + other.cols
-        m = [[0] * cols for _ in range(rows)]
-        for i in range(self.rows):
-            for j in range(self.cols):
-                m[i][j] = self.at(i, j)
-        for i in range(other.rows):
-            for j in range(other.cols):
-                m[self.rows + i][self.cols + j] = other.at(i, j)
-        return IntMatrix.from_rows(m)
+        top = [self.row(i) + (0,) * other.cols for i in range(self.rows)]
+        bottom = [(0,) * self.cols + other.row(i) for i in range(other.rows)]
+        return IntMatrix.from_rows(top + bottom)
 
 
 class SnfResult(NamedTuple):
@@ -264,7 +260,9 @@ def _box(n: int, det: int, adjugate: Iterable[Sequence[int]]) -> tuple[dict[int,
     r, adjugate = abs(det), iter(adjugate)
     columns = [{j: 1} for j in range(n)]
     while r > 1:
-        a, scale = next(adjugate), abs(det) // r
+        if (a := next(adjugate, None)) is None:
+            raise RuntimeError(f"the columns ran out with B Z^n of index {r} in the lattice")
+        scale = abs(det) // r
         chain, steps = [], []  # chain: (i, f_i, 1 / (f_i / g_i) mod d_i, d_i, g_i) over T
         for j, col in enumerate(columns):
             fj = sum(a[k] * x for k, x in col.items()) // scale
@@ -310,13 +308,22 @@ class BareissPass(NamedTuple):
     inertia, det s (0 for a singular s), the r pivot rows of P^T s P from
     their diagonal on (`rows[k][0]` is the pivot D_{k+1}, the leading
     (k+1) x (k+1) minor), the congruence steps (k, i, is_swap) whose product
-    is P, and one vector D_k z of ker s per row split off after k pivots."""
+    is P, one vector D_k z of ker s per row split off after k pivots, and
+    the product of the |D_k| of those rows (1 for a nonsingular s), which
+    `MatrixAnalysis.torsion_order` reads."""
 
     signature: SignatureTriple
     det: int
     rows: tuple[list[int], ...]
     steps: tuple[tuple[int, int, bool], ...]
     kernel: tuple[Vector, ...]
+    kernel_scale: int
+
+    @property
+    def minor(self) -> int:
+        """D_r, the last pivot: det S for the r x r pivot block S of P^T s P
+        (det s for a nonsingular s, 1 for r = 0)."""
+        return self.rows[-1][0] if self.rows else 1
 
     def solve(self, b: Sequence[int]) -> Vector:
         """D_r G_0 b for G_0 = P diag(S^{-1}, 0) P^T over the r x r pivot
@@ -463,13 +470,14 @@ def _signature(s: IntMatrix) -> BareissPass:
         prev = p
         k += 1
     rows = tuple(m[i][i:] for i in range(end))
-    kernel = []
+    kernel, scale = [], 1
     for k, i in reversed(splits):  # by position: the last row split off lies first
         z = [0] * n
         z[i] = rows[k - 1][0] if k else 1
+        scale *= abs(z[i])
         kernel.append(_substitute(rows[:k], steps, [0] * k, z))
     sig = SignatureTriple(n_plus, end - n_plus, n - end)
-    return BareissPass(sig, prev if end == n else 0, rows, tuple(steps), tuple(kernel))
+    return BareissPass(sig, prev if end == n else 0, rows, tuple(steps), tuple(kernel), scale)
 
 
 def _euclid(
@@ -520,8 +528,9 @@ class KernelSplit(NamedTuple):
     Z^n, and R_1 and R_K the rows of R = P^{-1} dual to W_1 and to K, so
     R_1^T W_1^T + R_K^T K^T = I.  Then B = R_1^T B' R_1 for the nonsingular
     core B' = W_1^T B W_1, so coker B = coker B' + Z^k, and R_1 G R_1^T / L =
-    B'^{-1} for any G with B G B = L B.  A nonsingular B has the trivial
-    split: R_1 = W_1 = I, no K and no R_K, and B' = B."""
+    B'^{-1} for any G with B G B = L B: the box of B' reads solves through
+    the pass on B, and B' itself is never built.  A nonsingular B has the
+    trivial split: R_1 = W_1 = I, no K and no R_K, and B' = B."""
 
     rows: tuple[Vector, ...]
     columns: tuple[Vector, ...]
@@ -619,7 +628,7 @@ def _integer_form(p: BareissPass, vectors: Sequence[Sequence[int]]) -> IntegerFo
     pass p on B: each column solved (`BareissPass.solve`), paired with the
     others, C^T (D_r G_0 C) = D_r C^T G_0 C, and the pairing and D_r divided
     by their gcd g, so G / L = C^T G_0 C with L = |D_r| / g."""
-    scale = p.rows[-1][0] if p.rows else 1  # D_r
+    scale = p.minor
     solved = list(map(p.solve, vectors))
     # each v by its nonzero entries: a column of I has one
     sparse = [[(k, x) for k, x in enumerate(v) if x] for v in vectors]
@@ -691,13 +700,15 @@ class MatrixAnalysis:
     the memo of `analysis`.  Every field reads the one symmetric Bareiss pass
     on B, `_pass` (`_signature`), directly or through another field: the
     signature and det B are in it, the torsion test `is_torsion` and the
-    `split` read its kernel vectors, `form` and the `torsion_form` solve
-    through its pivot rows, and `box` reads its adjugate columns.  So any
-    question, in any order, costs one pass on B, plus one on the nonsingular
-    core for the box of a singular B.  The class questions (`reduce`,
-    `homology`, `torsion_form`, and `torsion_order` for a singular B) read
-    the `split` and the `box`, the Hermite form of the core: the matrix
-    itself when it is nonsingular; none of them reads `form`.
+    `split` read its kernel vectors, `torsion_order` its pivots and the
+    split, `form` and the `torsion_form` solve through its pivot rows, and
+    `box` reads the adjugate columns of the nonsingular core through them.
+    So any question, in any order, on a singular or a nonsingular B, costs
+    one pass, on B, and none on any other matrix.  The class questions
+    (`reduce`, `homology` and `torsion_form`) read the `split` and the
+    `box`, the Hermite form of the core: the matrix itself when it is
+    nonsingular; none of them reads `form`, and `torsion_order` reads
+    neither `box` nor `form`.
 
     The vector questions, `pairing` and `in_lattice`, read G_0 w through
     `_solution`, whose one rule depends on the entry's history alone: the
@@ -719,12 +730,22 @@ class MatrixAnalysis:
     def signature(self) -> SignatureTriple:
         return self._pass.signature
 
-    @property
+    @cached_property
     def torsion_order(self) -> int:
-        """The order of the torsion subgroup of coker B: |det B|, off the
-        pass, for a nonsingular B, so no box is built to compare it with a
-        cap; else the product of the diagonal of the core's box."""
-        return abs(self._pass.det) or math.prod(col[i] for i, col in enumerate(self.box))
+        """The order |det B'| of the torsion subgroup coker B' of coker B,
+        off the pass, and the split for a singular B, so no box is built to
+        compare it with a cap.  The pass's first r congruence columns are P_1 = W_1 A + K C for
+        integral A and C, since [W_1 | K] is unimodular, and B K = 0, so its
+        pivot block is A^T B' A and |det B'| = |D_r| / det(A)^2.  The kernel
+        vectors Z have P-coordinates diag(D_{k_i}) below row r and are K T
+        for T = R_K Z, so |det A| = prod |D_{k_i}| / |det T|, and T is upper
+        triangular: the Euclid steps of `_split` clear column t from every
+        row still free, so det T is the product of the R_K[t] . Z_t.  For a
+        nonsingular B, det A = 1 and this is |det B|."""
+        p = self._pass
+        pairs = zip(self.split.kernel_rows, p.kernel) if p.kernel else ()  # a nonsingular B builds no split
+        t = math.prod(abs(sum(map(mul, x, z))) for x, z in pairs)
+        return abs(p.minor) // (p.kernel_scale // t) ** 2
 
     def is_torsion(self, c: Sequence[int]) -> bool:
         """c in the rational column space of B, i.e. of a torsion class: B is
@@ -740,8 +761,7 @@ class MatrixAnalysis:
         row by row, so a reader may stop early, and d = L."""
         if not self._asked:
             self._asked = True
-            p = self._pass
-            return p.solve(w), p.rows[-1][0] if p.rows else 1
+            return self._pass.solve(w), self._pass.minor
         form = self.form
         return (sum(map(mul, row, w)) for row in form.G), form.L
 
@@ -802,17 +822,18 @@ class MatrixAnalysis:
         """The sparse columns {k: h_kj} of the Hermite form H of B' Z^r (see
         `_box`) for the nonsingular core B' = W_1^T B W_1 of the split, whose
         box 0 <= x_i < h_ii is a fundamental domain of B' Z^r.  `_box` reads
-        det B' and the columns adj(B') e_j, j = r-1 down to 0, each solved
-        through the pass on B' when read, until they cut out B' Z^r: `_pass`
-        for a nonsingular B, its own core, and a pass on the core of a
-        singular one.  The unit vectors are made as the columns are read."""
-        p, w = self._pass, self.split.columns
-        if self.split.kernel:
-            bw = [self.matrix.matvec(x) for x in w]
-            p = _signature(IntMatrix.from_rows([[sum(map(mul, wi, x)) for x in bw] for wi in w]))
-        r = len(p.rows)
-        units = ([0] * j + [1] + [0] * (r - 1 - j) for j in reversed(range(r)))
-        return _box(r, p.det, map(p.solve, units))
+        |det B'| (`torsion_order`) and the columns adj(B') e_j, j = r-1 down
+        to 0, each solved through the pass on B when read, until they cut
+        out B' Z^r.  A nonsingular B is its own core, R_1 = I, and the
+        column is `_pass.solve`(e_j).  For a singular one B'^{-1} = R_1 G_0
+        R_1^T (`KernelSplit`), so the column is R_1 `_pass.solve`(R_1^T e_j)
+        / det(A)^2, an exact division, with det(A)^2 = |D_r| / |det B'|."""
+        p, rows, order = self._pass, self.split.rows, self.torsion_order
+        columns = map(p.solve, reversed(rows))
+        if p.kernel:
+            square = abs(p.minor) // order
+            columns = ([sum(map(mul, x, y)) // square for x in rows] for y in columns)
+        return _box(len(rows), order, columns)
 
     @cached_property
     def homology(self) -> HomologySummary:

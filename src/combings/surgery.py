@@ -117,7 +117,8 @@ def reduce_class(pres: SurgeryPresentation, v: Sequence[int]) -> MeridianClass:
 
     It is v - R_1^T (y - x) for y = W_1^T v and x the point in the class of
     y of the Hermite box 0 <= x_i < h_ii of the core B' = W_1^T B W_1
-    (`linalg.KernelSplit`).  A nonsingular B is its own core, and then the
+    (`linalg.KernelSplit`), cut by solves through the one pass on B, so B'
+    itself is never built.  A nonsingular B is its own core, and then the
     representative is x, zero wherever h_ii = 1.  No Smith form is built.
     """
     return analysis(pres.matrix).reduce(_check_length(pres, v))
@@ -141,8 +142,9 @@ def torsion_residues(
     the box by finite differences (`TorsionForm.table`) gives them all.  The
     box is the Hermite box of the core B' lifted by R_1^T (B itself when
     nonsingular), so every representative is the one `reduce_class` returns.
-    The order is compared with `cap` before the walk, and for a nonsingular
-    B before the box (`MatrixAnalysis.torsion_order`).
+    The order is compared with `cap` before the box or the walk, singular B
+    or not: it is read off the one pass and the split
+    (`MatrixAnalysis.torsion_order`).
     """
     if cap < 0:
         raise ValueError(f"cap must be nonnegative, got {cap}")

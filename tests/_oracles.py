@@ -15,6 +15,7 @@ a route that no question on a symmetric B takes.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from operator import add
 
@@ -358,6 +359,9 @@ def one_step_pass(rows):
         z = [0] * n
         z[i] = pivots[k - 1][0] if k else 1
         kernel.append(_substitute(pivots[:k], steps, [0] * k, z))
+    # the product of the |D_k| at which the rows were split off, read from
+    # the stages rather than from the kernel vectors
+    scale = math.prod(abs(pivots[k - 1][0]) if k else 1 for k, kind in stages if kind == "split")
     sig = SignatureTriple(n_plus, end - n_plus, n - end)
-    record = BareissPass(sig, prev if end == n else 0, pivots, tuple(steps), tuple(kernel))
+    record = BareissPass(sig, prev if end == n else 0, pivots, tuple(steps), tuple(kernel), scale)
     return record, stages

@@ -100,7 +100,8 @@ class TestParse:
 # (document, the exact ParseError text), as the validation has always
 # written them: a float, bool, string and null entry in each integer list,
 # the first bad entry of several named, then ragged, non-square, asymmetric
-# and non-list input
+# and non-list input, and the non-list, ragged and first bad rows of
+# framed.lambda_matrix
 VALIDATION_MESSAGES = [
     ('{"linking_matrix": [[1.5]]}',
      'linking_matrix must be an integer, got 1.5'),
@@ -188,6 +189,14 @@ VALIDATION_MESSAGES = [
      'meridian must be an integer, got True'),
     ('{"linking_matrix": 1}',
      'linking_matrix must be a list of rows'),
+    ('{"linking_matrix": [[2]], "framed": {"lambda_matrix": "1"}}',
+     'framed.lambda_matrix must be a list of rows'),
+    ('{"linking_matrix": [[2]], "framed": {"lambda_matrix": [["1"], "1"]}}',
+     'framed.lambda_matrix must be a list of rows'),
+    ('{"linking_matrix": [[2]], "framed": {"lambda_matrix": [["1"], ["1", "2"]]}}',
+     'framed.lambda_matrix has ragged rows'),
+    ('{"linking_matrix": [[2]], "framed": {"lambda_matrix": [["x"], 1]}}',
+     "not a rational 'p/q' string: 'x'"),
 ]
 
 

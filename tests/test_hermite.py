@@ -106,6 +106,60 @@ def test_singular_box_matches_echelon_of_core(index):
     assert dense(box) == reference(core)
 
 
+def _singular_dense(seed):
+    """P^T (B_0 + 0_k) P with B_0 a random nonsingular symmetric matrix,
+    n <= 9 and k <= 3, after three B of rank 1 whose pass pivots on twice
+    a generator of the core's lattice, so |det A| = 2 (`torsion_order`)."""
+    out = [[[4, 2], [2, 1]], [[8, 4], [4, 2]], [[-4, 2], [2, -1]]]
+    k = 0
+    while len(out) < 63:
+        rng = random.Random(f"{seed}:singular-dense:{k}")
+        k += 1
+        n = rng.randint(2, 9)
+        zeros = rng.randint(1, min(3, n - 1))
+        b0 = random_symmetric(rng, n - zeros, rng.randint(1, 5)).to_rows()
+        if _det(b0):
+            zero = IntMatrix.from_rows([[0] * zeros for _ in range(zeros)])
+            d = IntMatrix.from_rows(b0).direct_sum(zero)
+            p = random_unimodular(rng, n, steps=2 * n)
+            out.append((p.transpose() @ d @ p).to_rows())
+    return out
+
+
+SINGULAR_DENSE = _singular_dense(30)
+
+
+def _core(b, columns):
+    bw = [b.matvec(w) for w in columns]
+    return [[sum(x * y for x, y in zip(wi, v)) for v in bw] for wi in columns]
+
+
+@pytest.mark.parametrize("index", range(len(SINGULAR_DENSE)))
+def test_singular_box_and_order_read_the_pass_on_b(index):
+    """The box and the torsion order of a singular B, read off the pass on
+    B and the split, against the echelon reference and the determinant of
+    the core B' = W_1^T B W_1, on B whose pass's pivot block is A^T B' A
+    with |det A| > 1 and on a seeded dense family."""
+    b = IntMatrix.from_rows(SINGULAR_DENSE[index])
+    data = linalg.MatrixAnalysis(b)
+    order = data.torsion_order  # asked first, on a fresh entry
+    core = _core(b, data.split.columns)
+    assert order == abs(_det(core))
+    assert dense(data.box) == reference(core)
+
+
+def test_singular_dense_family_needs_the_det_a_correction():
+    """On the three hand-picked B and on a share of the seeded family the
+    last pivot D_r of the pass is det(A)^2 |det B'| with |det A| > 1."""
+    ratios, orders = [], []
+    for rows in SINGULAR_DENSE:
+        data = linalg.MatrixAnalysis(IntMatrix.from_rows(rows))
+        orders.append(data.torsion_order)
+        ratios.append(abs(data._pass.minor) // data.torsion_order)
+    assert orders[:3] == [1, 2, 1] and ratios[:3] == [4, 4, 4]
+    assert sum(1 for r in ratios[3:] if r > 1) >= 5
+
+
 def test_inputs_divide_the_modulus_during_the_pass():
     """Boxes with several positions h_ii > 1 occur, as do unimodular B and
     n = 10."""
@@ -241,6 +295,17 @@ def test_box_routes_all_occur():
     assert all(not any(rows[i][i] for i in range(len(rows))) for rows in ZERO_DIAGONAL)
     assert all(rows[0][0] == 1 and not any(rows[i][i] - rows[0][i] ** 2 for i in range(len(rows)))
                for rows in LATE_PARTNER)
+
+
+def test_box_names_columns_that_run_out():
+    """Columns that end before the index reaches 1 raise a RuntimeError, not
+    a StopIteration, which a caller inside a generator would turn into a
+    silent stop.  On [[4, 2], [2, 1]] the core is B' = (1) and D_r = 4, so a
+    torsion order of |D_r| with no det(A)^2 taken out gives the one column
+    4 adj(B') = (4) and a lattice of index 4 that it never cuts."""
+    with pytest.raises(RuntimeError, match="ran out"):
+        linalg._box(1, 4, [[4]])
+    assert linalg._box(1, 1, [[1]]) == ({0: 1},)
 
 
 def _block_sum(rng, count, largest):

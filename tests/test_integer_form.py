@@ -664,56 +664,55 @@ def test_singular_questions_build_only_what_they_read(passes):
 
 
 def test_cold_questions_run_one_pass(passes):
-    """Every question on a fresh entry runs one symmetric pass on B, which
-    gives the signature, det B, the kernel and `form`, and a question that
-    reads the box of a singular B one more, on its core."""
+    """Every question on a fresh entry runs one symmetric pass, on B, which
+    gives the signature, det B, the kernel, `form` and the box, and none on
+    any other matrix: a singular B's box and torsion order read B's pass
+    too."""
     questions = (
-        (lambda pres, c: theta_g(pres, c), False),
-        (lambda pres, c: p1(CombingSpec(pres, c, 1)), False),
-        (lambda pres, c: hf_grading(CombingSpec(pres, c)), False),
-        (lambda pres, c: euler_class(pres, c), False),
-        (lambda pres, c: spin_c_equal(pres, c, c), False),
-        (lambda pres, c: combing_equal(CombingSpec(pres, c), CombingSpec(pres, c)), False),
-        (lambda pres, c: gamma_orbit_modulus(pres, c), False),
-        (lambda pres, c: parity_check(pres), False),
-        (lambda pres, c: is_torsion_class(pres, c), False),
-        (lambda pres, c: meridian_pairing(pres, c, c), False),
-        (lambda pres, c: linking_form(pres, c), False),
-        (lambda pres, c: homology_summary(pres), True),
-        (lambda pres, c: reduce_class(pres, c), True),
-        (lambda pres, c: classes_equal(pres, c, c), True),
-        (lambda pres, c: torsion_residues(pres), True),
-        (lambda pres, c: p1_image(pres, box=1), True),
+        lambda pres, c: theta_g(pres, c),
+        lambda pres, c: p1(CombingSpec(pres, c, 1)),
+        lambda pres, c: hf_grading(CombingSpec(pres, c)),
+        lambda pres, c: euler_class(pres, c),
+        lambda pres, c: spin_c_equal(pres, c, c),
+        lambda pres, c: combing_equal(CombingSpec(pres, c), CombingSpec(pres, c)),
+        lambda pres, c: gamma_orbit_modulus(pres, c),
+        lambda pres, c: parity_check(pres),
+        lambda pres, c: is_torsion_class(pres, c),
+        lambda pres, c: meridian_pairing(pres, c, c),
+        lambda pres, c: linking_form(pres, c),
+        lambda pres, c: homology_summary(pres),
+        lambda pres, c: reduce_class(pres, c),
+        lambda pres, c: classes_equal(pres, c, c),
+        lambda pres, c: torsion_residues(pres),
+        lambda pres, c: p1_image(pres, box=1),
     )
-    for rows, c, singular in (
-        ([[3, 1, 0], [1, -2, 1], [0, 1, 4]], (1, 0, 0), False),
-        ([[2, 1, 3], [1, 7, 8], [3, 8, 11]], (0, 1, 1), True),  # kernel (1, 1, -1)
+    for rows, c in (
+        ([[3, 1, 0], [1, -2, 1], [0, 1, 4]], (1, 0, 0)),
+        ([[2, 1, 3], [1, 7, 8], [3, 8, 11]], (0, 1, 1)),  # kernel (1, 1, -1)
     ):
-        for question, reads_box in questions:
+        for question in questions:
             analysis.cache_clear()
             pres = _cold(rows)
             passes["passes"].clear()
             question(pres, c)
-            assert passes["passes"][pres.matrix] == 1
-            assert sum(passes["passes"].values()) == 1 + (singular and reads_box)
+            assert passes["passes"] == {pres.matrix: 1}
     assert passes["smith"] == 0
 
 
 def test_cold_torsion_walk_reads_the_torsion_form(passes):
     """torsion_residues (linking-form) and p1_image read the factors of the
-    torsion form: one pass on a nonsingular B, plus the core's pass on a
-    singular one, and no homology summary."""
-    for rows, singular in (
-        ([[3, 1, 0], [1, -2, 1], [0, 1, 4]], False),
-        ([[2, 1, 3], [1, 5, 6], [3, 6, 9]], True),  # kernel (1, 1, -1)
+    torsion form: one pass, on B, nonsingular or singular, and no homology
+    summary."""
+    for rows in (
+        [[3, 1, 0], [1, -2, 1], [0, 1, 4]],
+        [[2, 1, 3], [1, 5, 6], [3, 6, 9]],  # kernel (1, 1, -1)
     ):
         for question in (torsion_residues, lambda pres: p1_image(pres, box=1)):
             analysis.cache_clear()
             pres = _cold(rows)
             passes["passes"].clear()
             question(pres)
-            assert passes["passes"][pres.matrix] == 1
-            assert sorted(passes["passes"].values()) == [1] * (1 + singular)
+            assert passes["passes"] == {pres.matrix: 1}
             assert "homology" not in analysis(pres.matrix).__dict__
     assert passes["smith"] == 0
 
@@ -745,7 +744,7 @@ def test_refused_torsion_walk_reads_det_alone(passes):
 
 def test_cold_torsion_form_builds_no_form(passes):
     """The torsion form solves its k generators through the pass, and the
-    order of a singular B is the product of the box diagonal: a cold
+    order of a singular B is |D_r| / det(A)^2, off the pass: a cold
     torsion_residues, torsion_form or torsion_order builds no `form`, on
     nonsingular and singular B."""
     for rows in (
@@ -768,16 +767,19 @@ def test_cold_torsion_form_builds_no_form(passes):
 
 
 def test_refused_singular_torsion_walk_builds_no_form(passes):
-    """A cold torsion_residues on a singular B whose order is over the cap
-    reads the order off the box and is refused before `form` or the torsion
-    form is built: one pass on B and one on its core."""
+    """A cold torsion_residues (linking-form) or p1_image (image-p1) on a
+    singular B whose order is over the cap reads the order off the pass and
+    the split and is refused before the box, `form` or the torsion form is
+    built, as on a nonsingular B: one pass, on B."""
     b = [[2, 1, 3, 0], [1, 5, 6, 0], [3, 6, 9, 0], [0, 0, 0, 5]]  # order 45
-    pres = _cold(b)
-    passes["passes"].clear()
-    with pytest.raises(CapExceededError, match="^torsion order 45 exceeds cap 44$"):
-        torsion_residues(pres, cap=44)
-    assert passes["passes"][pres.matrix] == 1 and sum(passes["passes"].values()) == 2
-    assert not {"form", "torsion_form"} & analysis(pres.matrix).__dict__.keys()
+    for question in (torsion_residues, lambda pres, cap: p1_image(pres, cap=cap, box=0)):
+        analysis.cache_clear()
+        pres = _cold(b)
+        passes["passes"].clear()
+        with pytest.raises(CapExceededError, match="^torsion order 45 exceeds cap 44$"):
+            question(pres, cap=44)
+        assert passes["passes"] == {pres.matrix: 1}
+        assert not {"box", "form", "torsion_form"} & analysis(pres.matrix).__dict__.keys()
     assert len(torsion_residues(pres, cap=45)[1]) == 45
     assert "form" not in analysis(pres.matrix).__dict__
     assert passes["smith"] == 0
@@ -785,9 +787,8 @@ def test_refused_singular_torsion_walk_builds_no_form(passes):
 
 def test_one_pass_per_fresh_entry_in_any_order(passes):
     """signature, form, box and pairing, asked in each of the 24 orders on a
-    fresh entry, run one pass on B, and a singular B one more on the core
-    when the box is asked; each answer equals that of an entry that was
-    asked it alone."""
+    fresh entry, run one pass, on B, nonsingular or singular; each answer
+    equals that of an entry that was asked it alone."""
     v = (1, 0, 2)
     for rows in (
         [[3, 1, 0], [1, -2, 1], [0, 1, 4]],
@@ -806,8 +807,7 @@ def test_one_pass_per_fresh_entry_in_any_order(passes):
             data = linalg.MatrixAnalysis(b)
             for name in order:
                 assert questions[name](data) == alone[name], order
-            assert passes["passes"][b] == 1
-            assert sum(passes["passes"].values()) == 1 + bool(alone["signature"].n_zero)
+            assert passes["passes"] == {b: 1}
     assert passes["smith"] == 0
 
 
@@ -822,17 +822,15 @@ def test_parity_then_homology_run_one_pass(passes):
     assert passes["passes"] == {pres.matrix: 1}
 
 
-def test_singular_homology_runs_one_pass_and_the_cores(passes):
-    """homology_summary on a fresh singular B runs one pass on B, whose
-    kernel vectors give the split, and one on the core B' = W_1^T B W_1."""
+def test_singular_homology_runs_one_pass(passes):
+    """homology_summary on a fresh singular B runs one pass, on B: its
+    kernel vectors give the split, and the core B' = W_1^T B W_1 is never
+    built, since its box reads solves through B's pass."""
     pres = _cold([[2, 1, 3, 0], [1, 5, 6, 0], [3, 6, 9, 0], [0, 0, 0, 5]])  # kernel (1, 1, -1, 0)
     passes["passes"].clear()
     summary = homology_summary(pres)
     assert summary.betti_1 == 1 and summary.torsion_order == 45
-    columns = analysis(pres.matrix).split.columns
-    bw = [pres.matrix.matvec(w) for w in columns]
-    core = IntMatrix.from_rows([[sum(map(mul, wi, x)) for x in bw] for wi in columns])
-    assert passes["passes"] == {pres.matrix: 1, core: 1}
+    assert passes["passes"] == {pres.matrix: 1}
     assert passes["smith"] == 0
 
 
@@ -921,11 +919,10 @@ def test_cold_box_runs_one_pass_and_no_full_modulus_hermite(passes, monkeypatch)
     assert passes["smith"] == 0
 
 
-def test_only_box_questions_build_the_singular_core(passes):
+def test_only_box_questions_build_the_singular_box(passes):
     """A singular B keeps the box of its core as `box`: the torsion test,
     in_lattice, theta_g and the orbit modulus read the split alone, and the
-    questions on the Hermite box build it once, with one more pass, on the
-    core."""
+    questions on the Hermite box build it once, with no further pass."""
     pres = _cold([[2, 1, 3, 0], [1, 5, 6, 0], [3, 6, 9, 0], [0, 0, 0, 5]])  # kernel (1, 1, -1, 0)
     data = analysis(pres.matrix)
     c = (0, 1, 1, 1)
@@ -935,13 +932,11 @@ def test_only_box_questions_build_the_singular_core(passes):
     assert gamma_orbit_modulus(pres, c) == 0
     assert "box" not in data.__dict__ and len(data.split.kernel) == 1
     assert passes["passes"] == {pres.matrix: 1}
-    passes["passes"].clear()
     assert reduce_class(pres, (4, 3, 7, 1)) == reduce_class(pres, c)
     box = data.box
-    assert len(box) == 3 and sum(passes["passes"].values()) == 1  # the core's pass
-    assert pres.matrix not in passes["passes"]
+    assert len(box) == 3 and passes["passes"] == {pres.matrix: 1}
     assert homology_summary(pres).betti_1 == 1 and len(torsion_residues(pres)[1]) == 45
-    assert data.box is box and sum(passes["passes"].values()) == 1
+    assert data.box is box and passes["passes"] == {pres.matrix: 1}
     assert passes["smith"] == 0
 
 

@@ -195,7 +195,7 @@ def test_singular_commands_build_no_smith_form(monkeypatch):
     """homology, framed-class, linking-form, spinc-equal, combing-equal,
     orbit-modulus and image-p1 on seeded singular B never run a bordered
     Smith pass, the one every copy of `smith_normal_form` runs, and all
-    seven run one symmetric pass on each B and one on its core."""
+    seven run one symmetric pass on each B and none on any other matrix."""
     docs = []
     for _, pres in FAMILY[:24]:
         b = pres.matrix
@@ -228,5 +228,5 @@ def test_singular_commands_build_no_smith_form(monkeypatch):
                      ["combing-equal"], ["orbit-modulus"], ["image-p1", "--box", "1"]):
             code, _ = _run(argv, doc)
             assert code == 0, (argv, doc)
-        assert passes[b] == 1 and sorted(passes.values()) == [1, 1], doc
+        assert passes == {b: 1}, doc
     assert calls == []

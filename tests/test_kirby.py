@@ -1,0 +1,116 @@
+"""Presentation independence of the class questions.
+
+A change of basis of the meridians replaces (B, v) by (P^T B P, P^T v) for a
+unimodular P, and P^T carries B Z^n onto P^T B P Z^n, so it is an
+isomorphism of H_1 that keeps the linking form.  The answers must follow:
+the homology, the multiset of linking values of `torsion_residues`, the
+classes of `reduce_class` and the formula side of `p1_image`.  The inputs
+are seeded nonsingular B and singular P^T (D + 0_k) P, among them B whose
+pass pivots on a multiple of the core's lattice (|det A| > 1 in
+`linalg.MatrixAnalysis.torsion_order`), so an answer that depends on the
+pass's pivot order fails the law.
+"""
+
+import math
+import random
+from collections import Counter
+from fractions import Fraction
+
+from _oracles import frac_inverse
+from combings.combing import p1_image
+from combings.linalg import IntMatrix, analysis
+from combings.surgery import SurgeryPresentation, homology_summary, reduce_class, torsion_residues
+from combings.verify import random_symmetric, random_unimodular
+
+
+def _diagonal(d):
+    return IntMatrix.from_rows([[x * (i == j) for j in range(len(d))] for i, x in enumerate(d)])
+
+
+def _cases(seed):
+    """(B, P) pairs: 20 nonsingular B with n <= 6, 30 singular P_0^T (D + 0_k)
+    P_0 with d_i in +-{1, ..., 6}, n <= 6 and k <= 2, and [[4, 2], [2, 1]];
+    each with its own unimodular P."""
+    rng = random.Random(seed)
+    matrices = []
+    while len(matrices) < 20:
+        b = random_symmetric(rng, rng.randint(1, 6), rng.randint(1, 4))
+        if analysis(b).signature.n_zero == 0:
+            matrices.append(b)
+    for _ in range(30):
+        n = rng.randint(2, 6)
+        k = rng.randint(1, min(2, n - 1))
+        d = [rng.choice((1, -1)) * rng.randint(1, 6) for _ in range(n - k)] + [0] * k
+        p = random_unimodular(rng, n, steps=2 * n)
+        matrices.append(p.transpose() @ _diagonal(d) @ p)
+    matrices.append(IntMatrix.from_rows([[4, 2], [2, 1]]))
+    return [(b, random_unimodular(rng, b.rows, steps=2 * b.rows)) for b in matrices]
+
+
+CASES = _cases(2024)
+
+
+def _pair(b, p):
+    return SurgeryPresentation(b), SurgeryPresentation(p.transpose() @ b @ p)
+
+
+def _det_a(b):
+    """|det A| of B's pass: sqrt(|D_r| / |det B'|)."""
+    data = analysis(b)
+    return math.isqrt(abs(data._pass.minor) // data.torsion_order)
+
+
+def test_cases_reach_singular_b_with_det_a_over_one():
+    """The law is asked of singular B on both sides, and on at least ten
+    pairs one side has |det A| > 1."""
+    singular = [(b, p) for b, p in CASES if analysis(b).signature.n_zero]
+    assert len(singular) == 31 and len(CASES) - len(singular) == 20
+    hits = sum(1 for b, p in singular if max(_det_a(b), _det_a(p.transpose() @ b @ p)) > 1)
+    assert hits >= 10
+
+
+def test_homology_is_presentation_independent():
+    for b, p in CASES:
+        pres, moved = _pair(b, p)
+        got, want = homology_summary(moved), homology_summary(pres)
+        assert got.invariant_factors == want.invariant_factors, b
+        assert (got.betti_1, got.dim_h1_mod2) == (want.betti_1, want.dim_h1_mod2), b
+
+
+def test_linking_values_are_presentation_independent():
+    """The multisets of linking values r / L of the torsion classes agree;
+    L itself may differ for a singular B."""
+    for b, p in CASES:
+        values = []
+        for pres in _pair(b, p):
+            L, table = torsion_residues(pres)
+            values.append(Counter(Fraction(r, L) for _, r in table))
+        assert values[0] == values[1], b
+
+
+def test_reduce_class_maps_back():
+    """reduce_class on P^T B P of P^T v, carried back by P^{-T}, is in the
+    class of v, and P^T carries the representative of v into the class of
+    P^T v."""
+    rng = random.Random(7)
+    for b, p in CASES:
+        pres, moved = _pair(b, p)
+        inverse = [[int(x) for x in row] for row in frac_inverse(p.to_rows())[0]]
+        for _ in range(4):
+            v = tuple(rng.randint(-9, 9) for _ in range(b.rows))
+            w = reduce_class(moved, p.transpose().matvec(v))
+            back = tuple(sum(inverse[j][i] * x for j, x in enumerate(w)) for i in range(b.rows))
+            assert reduce_class(pres, back) == reduce_class(pres, v), (b, v)
+            forth = p.transpose().matvec(reduce_class(pres, v))
+            assert reduce_class(moved, forth) == w, (b, v)
+
+
+def test_p1_image_formula_is_presentation_independent():
+    """The formula side of p1_image, p_1 mod 4 over the torsion combings,
+    agrees as a set of rationals; its denominator may differ."""
+    for b, p in CASES:
+        sides = []
+        for pres in _pair(b, p):
+            report = p1_image(pres, box=0)
+            sides.append({Fraction(r, report.denominator) for r in report.formula_residues})
+        assert sides[0] == sides[1], b

@@ -1,0 +1,168 @@
+"""Run the committed list of mutants and report which the tests kill.
+
+Each mutant replaces one source fragment, which must occur exactly once in
+its file, in a fresh copy of `src/`, `tests/` and `pyproject.toml`, and runs
+`python -m pytest -q -x -p no:cacheprovider` on the tests listed for it (test
+files, or node ids where one file is slow).  A mutant is killed when those
+tests fail or run out of time or memory, survived when they pass, and stale
+when its fragment no longer occurs exactly once: a change to the code it
+targets must then re-anchor or retire it.  A control run of every selected
+test on the unmutated tree comes first, so that a kill means the mutant
+failed them.  The exit status is nonzero if the control fails or any mutant
+survived or is stale.  Standard library only; pytest does not collect
+it.
+
+    python tools/mutants.py [ID ...]
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import resource
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+MEMORY = 1 << 30  # address-space limit of each test run, in bytes
+TIMEOUT = 600.0  # seconds of each test run before it counts as failed
+
+
+class Mutant(NamedTuple):
+    id: str
+    file: str
+    fragment: str
+    replacement: str
+    tests: tuple[str, ...]
+
+
+LINALG = "src/combings/linalg.py"
+SURGERY = "src/combings/surgery.py"
+COMBING = "src/combings/combing.py"
+
+MUTANTS = (
+    Mutant("in-lattice-skips-r1", LINALG,
+           "y = (sum(map(mul, r, x)) for r in self.split.rows)", "y = iter(x)",
+           ("tests/test_kernel_split.py",)),
+    Mutant("solution-never-asked", LINALG,
+           "self._asked = True", "self._asked = False",
+           ("tests/test_integer_form.py",)),
+    Mutant("warm-solution-divides-by-d-r", LINALG,
+           "for row in form.G), form.L", "for row in form.G), self._pass.minor",
+           ("tests/test_integer_form.py",)),
+    Mutant("torsion-form-reads-col-0", LINALG,
+           "factors=tuple(self.box[i][i] for i in positions)",
+           "factors=tuple(self.box[i].get(0, 0) for i in positions)",
+           ("tests/test_surgery.py", "tests/test_residues.py")),
+    Mutant("p1-image-drops-scale", COMBING,
+           "scale = form.L // tf.L", "scale = 1",
+           ("tests/test_residues.py",)),
+    Mutant("integer-form-drops-sign", LINALG,
+           "* (1 if scale > 0 else -1)", "",
+           ("tests/test_integer_form.py::test_integer_form_is_pinned",)),
+    Mutant("meridian-pairing-sign", SURGERY,
+           "return -data.pairing(v, w)", "return data.pairing(v, w)",
+           ("tests/test_surgery.py",)),
+    Mutant("modification-d-eta-sign", COMBING,
+           "value + 4 * (eta * Fraction(lk_euler)", "value + 4 * (-eta * Fraction(lk_euler)",
+           ("tests/test_acceptance.py",)),
+    Mutant("modification-r-twist-sign", COMBING,
+           "value + 4 * eta * r", "value - 4 * eta * r",
+           ("tests/test_acceptance.py",)),
+    Mutant("modification-half-twist-sign", COMBING,
+           "value - 4 * k", "value + 4 * k",
+           ("tests/test_acceptance.py",)),
+    Mutant("modification-global-z-sign", COMBING,
+           "value - 4 * Fraction(lk_par)", "value + 4 * Fraction(lk_par)",
+           ("tests/test_acceptance.py",)),
+    Mutant("torsion-order-drops-det-a", LINALG,
+           "return abs(p.minor) // (p.kernel_scale // t) ** 2", "return abs(p.minor)",
+           ("tests/test_kirby.py", "tests/test_hermite.py")),
+    Mutant("kernel-scale-never-accumulated", LINALG,
+           "scale *= abs(z[i])", "scale *= 1",
+           ("tests/test_bareiss.py", "tests/test_hermite.py")),
+    Mutant("singular-box-skips-r1", LINALG,
+           "[sum(map(mul, x, y)) // square for x in rows]", "[e // square for e in y]",
+           ("tests/test_hermite.py",)),
+)
+
+# Mutants whose code is gone, kept with the reason so that the list's
+# history shows in its diff.
+RETIRED = {
+    "torsion-order-multiplies-col-0":
+        "torsion_order of a singular B no longer reads the box diagonal",
+}
+
+
+def _copy(tmp: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", "*.pyc")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, tmp / name, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", tmp / "pyproject.toml")
+
+
+def _limit() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY, MEMORY))
+
+
+def _passes(tests: tuple[str, ...], edit: tuple[str, str] | None = None) -> bool:
+    """Whether the tests pass in a fresh copy of the tree, with the file
+    edit[0] given the text edit[1]; a run out of time or memory fails."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as name:
+        tmp = Path(name)
+        _copy(tmp)
+        if edit:
+            (tmp / edit[0]).write_text(edit[1], encoding="utf-8")
+        env = {**os.environ, "PYTHONPATH": "src", "PYTHONDONTWRITEBYTECODE": "1"}
+        argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+        try:
+            proc = subprocess.run(argv, cwd=tmp, env=env, stdout=subprocess.DEVNULL,
+                                  stderr=subprocess.DEVNULL, timeout=TIMEOUT, preexec_fn=_limit)
+        except subprocess.TimeoutExpired:
+            return False
+        return proc.returncode == 0
+
+
+def run(mutant: Mutant) -> str:
+    """The status of one mutant: killed, survived or stale."""
+    source = (ROOT / mutant.file).read_text(encoding="utf-8")
+    if source.count(mutant.fragment) != 1:
+        return "stale"
+    edit = (mutant.file, source.replace(mutant.fragment, mutant.replacement))
+    return "survived" if _passes(mutant.tests, edit) else "killed"
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("ids", nargs="*", help="run only these mutants")
+    args = parser.parse_args(argv)
+    unknown = set(args.ids) - {m.id for m in MUTANTS}
+    if unknown:
+        parser.error(f"unknown mutant ids: {', '.join(sorted(unknown))}")
+    chosen = [m for m in MUTANTS if not args.ids or m.id in args.ids]
+    start = time.perf_counter()
+    # the unmutated tree must pass every selected test, or a kill shows nothing
+    if not _passes(tuple(dict.fromkeys(t for m in chosen for t in m.tests))):
+        print("the selected tests fail on the unmutated tree")
+        return 2
+    print(f"control   {time.perf_counter() - start:6.1f} s  the unmutated tree passes", flush=True)
+    counts = {"killed": 0, "survived": 0, "stale": 0}
+    for mutant in chosen:
+        began = time.perf_counter()
+        status = run(mutant)
+        counts[status] += 1
+        print(f"{status:9s} {time.perf_counter() - began:6.1f} s  {mutant.id}", flush=True)
+    for mutant_id, reason in RETIRED.items():
+        print(f"retired             {mutant_id}: {reason}")
+    print(", ".join(f"{n} {s}" for s, n in counts.items())
+          + f" in {time.perf_counter() - start:.0f} s")
+    return 1 if counts["survived"] or counts["stale"] else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
