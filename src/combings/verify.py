@@ -1,12 +1,15 @@
 """Self-verification battery: algebraic property checks on built-in and
 randomized inputs, driven by a seeded generator so runs are reproducible.
+
+Each check yields one verdict per case, and `run_check` counts the cases
+and the failures.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .combing import (
     CombingSpec,
@@ -121,21 +124,19 @@ def saturation_basis(pres: SurgeryPresentation) -> list[tuple[int, ...]]:
     return list(analysis(pres.matrix).split.rows)
 
 
-def random_torsion_vector(
-    rng: random.Random, pres: SurgeryPresentation, spread: int = 2
-) -> tuple[int, ...]:
+def random_torsion_vector(rng: random.Random, pres: SurgeryPresentation) -> tuple[int, ...]:
     """An integer vector in the rational column space of B: a combination
-    of the saturation basis whose coefficients in [-spread, spread] are
-    drawn in basis order."""
+    of the saturation basis whose coefficients in [-2, 2] are drawn in
+    basis order."""
     v = [0] * pres.n
     for basis_vector in saturation_basis(pres):
-        a = rng.randint(-spread, spread)
+        a = rng.randint(-2, 2)
         v = [x + a * y for x, y in zip(v, basis_vector)]
     return tuple(v)
 
 
 def random_torsion_characteristic(
-    rng: random.Random, pres: SurgeryPresentation, spread: int = 2
+    rng: random.Random, pres: SurgeryPresentation
 ) -> tuple[int, ...]:
     """A characteristic vector in the rational column space of B.
 
@@ -143,16 +144,12 @@ def random_torsion_characteristic(
     of the saturation lattice, so this generator covers all torsion
     Spin^c structures.
     """
-    v = random_torsion_vector(rng, pres, spread)
+    v = random_torsion_vector(rng, pres)
     return tuple(c + 2 * x for c, x in zip(reference_parallelization(pres).c, v))
 
 
-def random_torsion_combing(
-    rng: random.Random, pres: SurgeryPresentation, spread: int = 2
-) -> CombingSpec:
-    return CombingSpec(
-        pres, random_torsion_characteristic(rng, pres, spread), rng.randint(-3, 3)
-    )
+def random_torsion_combing(rng: random.Random, pres: SurgeryPresentation) -> CombingSpec:
+    return CombingSpec(pres, random_torsion_characteristic(rng, pres), rng.randint(-3, 3))
 
 
 def random_rational(rng: random.Random, num_bound: int = 6, den_bound: int = 4) -> Fraction:
@@ -193,21 +190,28 @@ class CheckResult(NamedTuple):
         return self.failures == 0
 
 
-def check_signature(rng: random.Random, cases: int) -> CheckResult:
-    failures = 0
+# a check draws its random cases from rng, in order, and yields one verdict
+# per case, True where the case obeys the law
+Check = Callable[[random.Random, int], Iterator[bool]]
+
+
+def run_check(name: str, verdicts: Iterable[bool]) -> CheckResult:
+    """The tally of one check: a case per verdict, a failure per False."""
+    failed = [not ok for ok in verdicts]
+    return CheckResult(name, len(failed), sum(failed))
+
+
+def check_signature(rng: random.Random, cases: int) -> Iterator[bool]:
     for _ in range(cases):
         s = random_symmetric(rng, rng.randint(0, 6))
         sig = signature(s)
         ok = sig.n_plus + sig.n_minus + sig.n_zero == s.rows
         ok = ok and sig.n_zero == s.rows - smith_normal_form(s).rank
         p = random_unimodular(rng, s.rows)
-        ok = ok and signature(p.transpose() @ s @ p) == sig
-        failures += not ok
-    return CheckResult("signature-congruence", cases, failures)
+        yield ok and signature(p.transpose() @ s @ p) == sig
 
 
-def check_linking_form(rng: random.Random, cases: int) -> CheckResult:
-    failures = 0
+def check_linking_form(rng: random.Random, cases: int) -> Iterator[bool]:
     for _ in range(cases):
         pres = random_presentation(rng, max_n=4, bound=4)
         v, w = random_torsion_vector(rng, pres), random_torsion_vector(rng, pres)
@@ -222,14 +226,10 @@ def check_linking_form(rng: random.Random, cases: int) -> CheckResult:
         zero = (0,) * pres.n
         ok = ok and linking_form(pres, zero) == 0
         neg = tuple(-a for a in v)
-        ok = ok and linking_form(pres, neg) == linking_form(pres, v)
-        failures += not ok
-    return CheckResult("linking-form-laws", cases, failures)
+        yield ok and linking_form(pres, neg) == linking_form(pres, v)
 
 
-def check_torsion_enumeration(rng: random.Random, cases: int) -> CheckResult:
-    failures = 0
-    done = 0
+def check_torsion_enumeration(rng: random.Random, cases: int) -> Iterator[bool]:
     for matrix in BUILTIN_MATRICES:
         pres = SurgeryPresentation.from_rows(matrix)
         summary = homology_summary(pres)
@@ -243,13 +243,10 @@ def check_torsion_enumeration(rng: random.Random, cases: int) -> CheckResult:
         d = analysis(pres.matrix)._pass.det
         if d:
             ok = ok and len(classes) == abs(d)
-        failures += not ok
-        done += 1
-    return CheckResult("torsion-enumeration", done, failures)
+        yield ok
 
 
-def check_gamma_law(rng: random.Random, cases: int) -> CheckResult:
-    failures = 0
+def check_gamma_law(rng: random.Random, cases: int) -> Iterator[bool]:
     for _ in range(cases):
         x = random_torsion_combing(rng, random_presentation(rng))
         base = p1(x).value
@@ -257,13 +254,10 @@ def check_gamma_law(rng: random.Random, cases: int) -> CheckResult:
             p1(gamma(x, t)).value - base == 4 * t for t in range(-3, 4)
         )
         ok = ok and gamma(gamma(x, -1), 1) == x and gamma(x, 0) == x
-        ok = ok and hf_grading(gamma(x, 1)) - hf_grading(x) == 1
-        failures += not ok
-    return CheckResult("gamma-law", cases, failures)
+        yield ok and hf_grading(gamma(x, 1)) - hf_grading(x) == 1
 
 
-def check_spinc_coset(rng: random.Random, cases: int) -> CheckResult:
-    failures = 0
+def check_spinc_coset(rng: random.Random, cases: int) -> Iterator[bool]:
     for _ in range(cases):
         pres = random_presentation(rng)
         c = random_torsion_characteristic(rng, pres)
@@ -272,47 +266,34 @@ def check_spinc_coset(rng: random.Random, cases: int) -> CheckResult:
         c2 = tuple(a + 2 * b for a, b in zip(c, shift))
         diff = theta_g(pres, c2) - theta_g(pres, c)
         ok = diff.denominator == 1 and diff.numerator % 8 == 0
-        ok = ok and spin_c_equal(pres, c, c2)
-        failures += not ok
-    return CheckResult("spinc-coset-law", cases, failures)
+        yield ok and spin_c_equal(pres, c, c2)
 
 
-def check_parity(rng: random.Random, cases: int) -> CheckResult:
-    failures = 0
-    done = 0
+def check_parity(rng: random.Random, cases: int) -> Iterator[bool]:
     for matrix in BUILTIN_MATRICES:
-        failures += not parity_check(SurgeryPresentation.from_rows(matrix))
-        done += 1
+        yield parity_check(SurgeryPresentation.from_rows(matrix))
     for matrix in random_linking_matrices(rng, cases):
-        failures += not parity_check(SurgeryPresentation(matrix))
-        done += 1
-    return CheckResult("kirby-melvin-parity", done, failures)
+        yield parity_check(SurgeryPresentation(matrix))
 
 
-def check_stabilization(rng: random.Random, cases: int) -> CheckResult:
-    failures = 0
+def check_stabilization(rng: random.Random, cases: int) -> Iterator[bool]:
     for _ in range(cases):
         x = random_torsion_combing(rng, random_presentation(rng, max_n=4))
         base = p1(x)
-        failures += any(
-            p1(stabilize(x, sign, c0)) != base
+        yield all(
+            p1(stabilize(x, sign, c0)) == base
             for sign in (1, -1)
             for c0 in (-9, -7, -5, -3, -1, 1, 3, 5, 7, 9)
         )
-    return CheckResult("stabilization-invariance", cases, failures)
 
 
-def check_image_theorem(rng: random.Random, cases: int) -> CheckResult:
-    failures = 0
-    done = 0
+def check_image_theorem(rng: random.Random, cases: int) -> Iterator[bool]:
     for matrix in IMAGE_BATTERY:
         report = p1_image(SurgeryPresentation.from_rows(matrix), cap=10_000, box=10)
-        failures += not (report.is_subset and report.is_equal)
-        done += 1
-    return CheckResult("p1-image-theorem", done, failures)
+        yield report.is_subset and report.is_equal
 
 
-def check_gompf_arithmetic(rng: random.Random, cases: int) -> CheckResult:
+def check_gompf_arithmetic(rng: random.Random, cases: int) -> Iterator[bool]:
     s3 = SurgeryPresentation.from_rows([])
     x = CombingSpec(s3, (), 0)
     ok = theta_g(s3, ()) == -2
@@ -323,13 +304,10 @@ def check_gompf_arithmetic(rng: random.Random, cases: int) -> CheckResult:
     ok = ok and p1(one) == p1(x) == p1(three)
     ok = ok and p1(CombingSpec(s3, (), 1)).value == 2
     ok = ok and hf_grading(x) == 0
-    ok = ok and all(hf_grading(gamma(x, k)) == k for k in range(-4, 5))
-    failures = 0 if ok else 1
-    return CheckResult("gompf-surgery-arithmetic", 1, failures)
+    yield ok and all(hf_grading(gamma(x, k)) == k for k in range(-4, 5))
 
 
-def check_framed_calculus(rng: random.Random, cases: int) -> CheckResult:
-    failures = 0
+def check_framed_calculus(rng: random.Random, cases: int) -> Iterator[bool]:
     for _ in range(cases):
         f = random_framed(rng, with_classes=rng.random() < 0.5)
         total = total_self_linking(f)
@@ -358,33 +336,28 @@ def check_framed_calculus(rng: random.Random, cases: int) -> CheckResult:
         ok = ok and total_self_linking(via_hopf) == total_self_linking(direct)
         if f.classes is not None:
             ok = ok and cobordism_class(via_hopf) == cobordism_class(direct)
-        failures += not ok
+        yield ok
     empty = FramedLinkData.from_rows([])
     pair = FramedLinkData.from_rows([[1, 0], [0, -1]])
-    failures += not framed_cobordant_zsphere(pair, empty)
-    failures += framed_cobordant_zsphere(
+    yield framed_cobordant_zsphere(pair, empty)
+    yield not framed_cobordant_zsphere(
         FramedLinkData.from_rows([[-1]]), FramedLinkData.from_rows([[1]])
     )
-    return CheckResult("framed-calculus", cases + 2, failures)
 
 
-def check_modifications(rng: random.Random, cases: int) -> CheckResult:
+def check_modifications(rng: random.Random, cases: int) -> Iterator[bool]:
     """Each modification kind against a route to p_1 that does not go
     through `apply_modification`: an r-twist is the gamma action by eta r, a
     half-twist by -k, global-Z is the Pontrjagin construction along a framed
     link of total self-linking lk_par, and D is global-Z followed by D with
     lk_par = 0, which for an integral lk_euler = r is the r-twist."""
-    failures = 0
-    done = 0
     for eta in (1, -1):
         x = random_torsion_combing(rng, random_presentation(rng, max_n=4))
         p = p1(x)
         for r in range(-5, 6):
-            failures += apply_modification(p, "r-twist", eta=eta, r=r) != p1(gamma(x, eta * r))
-            done += 1
+            yield apply_modification(p, "r-twist", eta=eta, r=r) == p1(gamma(x, eta * r))
         for k in range(-5, 6):
-            failures += apply_modification(p, "half-twist", k=k) != p1(gamma(x, -k))
-            done += 1
+            yield apply_modification(p, "half-twist", k=k) == p1(gamma(x, -k))
         for _ in range(cases):
             p = p1(random_torsion_combing(rng, random_presentation(rng, max_n=4)))
             f = random_framed(rng)
@@ -396,46 +369,39 @@ def check_modifications(rng: random.Random, cases: int) -> CheckResult:
             ok = ok and got == apply_modification(global_z, "D", eta=eta, lk_euler=lk_e, lk_par=0)
             r = rng.choice((-3, -2, -1, 1, 2, 3))
             twist = apply_modification(p, "r-twist", eta=eta, r=r)
-            ok = ok and apply_modification(p, "D", eta=eta, lk_euler=r, lk_par=0) == twist
-            failures += not ok
-            done += 1
-    return CheckResult("modification-calculus", done, failures)
+            yield ok and apply_modification(p, "D", eta=eta, lk_euler=r, lk_par=0) == twist
 
 
-def check_theta_law(rng: random.Random, cases: int) -> CheckResult:
-    failures = 0
+def check_theta_law(rng: random.Random, cases: int) -> Iterator[bool]:
     for _ in range(cases):
         lam = random_rational(rng)
         p = random_rational(rng)
         delta = random_rational(rng)
-        failures += theta_invariant(lam, p + 4 * delta) - theta_invariant(lam, p) != delta
-    failures += theta_invariant(0, -2) != Fraction(-1, 2)
-    return CheckResult("theta-law", cases + 1, failures)
+        yield theta_invariant(lam, p + 4 * delta) - theta_invariant(lam, p) == delta
+    yield theta_invariant(0, -2) == Fraction(-1, 2)
 
 
-def check_injectivity(rng: random.Random, cases: int) -> CheckResult:
+def check_injectivity(rng: random.Random, cases: int) -> Iterator[bool]:
     pres = SurgeryPresentation.from_rows([[2]])
     ok = combing_equal(CombingSpec(pres, (0,), 1), CombingSpec(pres, (4,), -1))
     ok = ok and not any(
         combing_equal(CombingSpec(pres, (0,), j), CombingSpec(pres, (0,), j2))
         for j, j2 in ((0, 1), (2, -2), (5, 4))
     )
-    ok = ok and not spin_c_equal(pres, (0,), (2,))
+    yield ok and not spin_c_equal(pres, (0,), (2,))
     for _ in range(cases):
         x = random_torsion_combing(rng, random_presentation(rng, max_n=3))
-        ok = ok and combing_equal(x, x)
+        ok = combing_equal(x, x)
         t = rng.choice((-2, -1, 1, 2))
-        ok = ok and not combing_equal(x, gamma(x, t))
-    return CheckResult("spinc-injectivity", cases + 1, 0 if ok else 1)
+        yield ok and not combing_equal(x, gamma(x, t))
 
 
-def check_telescoping(rng: random.Random, cases: int) -> CheckResult:
+def check_telescoping(rng: random.Random, cases: int) -> Iterator[bool]:
     """The variation of p_1 as a linking number, along a path x -> y -> z of
     torsion Spin^c structures: for torsion v,
     p_1(c + 2v, j) - p_1(c, j) = -4 (lk(v, c) + lk(v, v)).  Each step v is
     an integer combination of the saturation basis; both steps and the
     whole path must obey the law."""
-    failures = 0
     for _ in range(cases):
         pres = random_presentation(rng, max_n=4)
         x = random_torsion_combing(rng, pres)
@@ -443,35 +409,34 @@ def check_telescoping(rng: random.Random, cases: int) -> CheckResult:
         y = CombingSpec(pres, tuple(c + 2 * v for c, v in zip(x.c, v1)), x.gamma_offset)
         z = CombingSpec(pres, tuple(c + 2 * v for c, v in zip(y.c, v2)), x.gamma_offset)
         w = tuple(a + b for a, b in zip(v1, v2))
-        failures += any(
+        yield all(
             p1(end).value - p1(start).value
-            != -4 * (meridian_pairing(pres, v, start.c) + meridian_pairing(pres, v, v))
+            == -4 * (meridian_pairing(pres, v, start.c) + meridian_pairing(pres, v, v))
             for start, end, v in ((x, y, v1), (y, z, v2), (x, z, w))
         )
-    return CheckResult("variation-telescoping", cases, failures)
 
 
-ALL_CHECKS: tuple[Callable[[random.Random, int], CheckResult], ...] = (
-    check_signature,
-    check_linking_form,
-    check_torsion_enumeration,
-    check_gamma_law,
-    check_spinc_coset,
-    check_parity,
-    check_stabilization,
-    check_image_theorem,
-    check_gompf_arithmetic,
-    check_framed_calculus,
-    check_modifications,
-    check_theta_law,
-    check_injectivity,
-    check_telescoping,
+ALL_CHECKS: tuple[tuple[str, Check], ...] = (
+    ("signature-congruence", check_signature),
+    ("linking-form-laws", check_linking_form),
+    ("torsion-enumeration", check_torsion_enumeration),
+    ("gamma-law", check_gamma_law),
+    ("spinc-coset-law", check_spinc_coset),
+    ("kirby-melvin-parity", check_parity),
+    ("stabilization-invariance", check_stabilization),
+    ("p1-image-theorem", check_image_theorem),
+    ("gompf-surgery-arithmetic", check_gompf_arithmetic),
+    ("framed-calculus", check_framed_calculus),
+    ("modification-calculus", check_modifications),
+    ("theta-law", check_theta_law),
+    ("spinc-injectivity", check_injectivity),
+    ("variation-telescoping", check_telescoping),
 )
 
 
 def run_battery(seed: int = 0, cases: int = 40) -> list[CheckResult]:
     rng = random.Random(seed)
-    return [check(rng, cases) for check in ALL_CHECKS]
+    return [run_check(name, check(rng, cases)) for name, check in ALL_CHECKS]
 
 
 def format_report(results: list[CheckResult], seed: int) -> str:

@@ -26,7 +26,7 @@ def _passed(number: int, name: str) -> None:
 
 
 def _check(check, seed: int, cases: int, want_cases: int) -> None:
-    result = check(random.Random(seed), cases)
+    result = verify.run_check(check.__name__, check(random.Random(seed), cases))
     assert (result.cases, result.failures) == (want_cases, 0), result
 
 

@@ -99,7 +99,7 @@ def test_det_against_cofactor_expansion():
         assert _signature(b).det == naive_det(rows), rows
 
 
-def test_bordered_pass_against_oracles():
+def test_form_through_the_pass_against_oracles():
     """`form`, solved through the pass on the columns of I, against the
     Fraction oracles: the signature of the eigenvalue signs, B G B = L B,
     kernel vectors of the pass that span ker B, and G / L = B^{-1} for
@@ -151,7 +151,7 @@ def _torsion_and_free(rng, rows):
     return [x // g for x in ba], [rng.randint(-6, 6) for _ in range(n)]
 
 
-def test_border_by_vectors_against_form_and_fraction_solve():
+def test_pairing_solves_its_vectors_against_form_and_fraction_solve():
     """A fresh entry solves the vectors asked about alone through its pass
     (`MatrixAnalysis.pairing`): the pass gives the signature and det of the
     Fraction oracles and the torsion verdict of the Fraction solve, and the

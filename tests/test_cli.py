@@ -318,6 +318,26 @@ class TestDeterminism:
         assert code == 0
         assert "passed 14/14 checks" in out
 
+    def test_verify_reports_a_failing_check(self, monkeypatch):
+        """A check with one False verdict fails the battery: exit 2, its line
+        counts the failure and its cases, and every other line is as in a
+        passing run."""
+        from combings import verify
+
+        def failing(rng, cases):
+            yield from (True, False, True)
+
+        _, passing, _ = run(["verify"])
+        name = "linking-form-laws"
+        checks = tuple((n, failing if n == name else c) for n, c in verify.ALL_CHECKS)
+        monkeypatch.setattr(verify, "ALL_CHECKS", checks)
+        code, out, err = run(["verify"])
+        line = f"  {name}: FAIL (1 failures) [3 cases]"
+        want = [line if x.startswith(f"  {name}:") else x for x in passing.splitlines()]
+        assert (code, err) == (2, "")
+        assert out.splitlines() == [*want[:-1], "passed 13/14 checks"]
+        assert line in out and want[-1] == "passed 14/14 checks"
+
 
 class TestFileIO:
     def test_input_output_files(self, tmp_path):

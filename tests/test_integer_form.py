@@ -879,7 +879,7 @@ def test_nonsingular_questions_build_no_smith_form(passes):
     assert got == echelon(smith_kernel(singular.matrix)) == ((1, 1, -1),)
 
 
-def test_cold_box_runs_one_pass_and_no_full_modulus_hermite(passes, monkeypatch):
+def test_cold_box_runs_one_pass_and_reads_adjugate_columns(passes, monkeypatch):
     """homology and reduce_class (framed-class) on a fresh nonsingular B run
     one pass and read the box off its adjugate columns until they cut out
     B Z^n: one on coker Z/31, three on the non-cyclic coker.  After `form`,
@@ -940,7 +940,7 @@ def test_only_box_questions_build_the_singular_box(passes):
     assert passes["smith"] == 0
 
 
-def test_cold_theta_borders_by_c_alone(passes):
+def test_cold_theta_solves_c_alone(passes):
     """On a fresh nonsingular B, theta_g, p1, hf_grading and parity_check run
     one pass and solve c alone through it, building no integer form."""
     b = [[3, 1, 0], [1, -2, 1], [0, 1, 4]]
@@ -961,7 +961,7 @@ def test_cold_theta_borders_by_c_alone(passes):
     assert passes["smith"] == 0
 
 
-def test_cold_singular_theta_borders_by_c_alone(passes):
+def test_cold_singular_theta_solves_c_alone(passes):
     """A fresh singular B answers a torsion c, and refuses a non-torsion
     one, from the one pass, solving c alone."""
     b = [[2, 1, 3], [1, 7, 8], [3, 8, 11]]  # kernel (1, 1, -1)
@@ -979,7 +979,7 @@ def test_cold_singular_theta_borders_by_c_alone(passes):
     assert "form" not in analysis(pres.matrix).__dict__
 
 
-def test_theta_scan_runs_at_most_one_extra_pass(passes, solves):
+def test_theta_scan_runs_one_pass(passes, solves):
     """A theta_g scan on one B runs one pass: its first question solves c
     alone, its second builds `form`, n solves, and every later one reads
     that `form` with no solve."""
@@ -999,7 +999,7 @@ def test_theta_scan_runs_at_most_one_extra_pass(passes, solves):
         assert values[k] == _reference_theta(pres, c, _theta_constant(pres))
 
 
-def test_cold_meridian_pairing_borders_by_its_vectors(passes, solves):
+def test_cold_meridian_pairing_solves_w_alone(passes, solves):
     """meridian_pairing on a fresh B runs one pass and one solve through it,
     of w alone, for v != w and for v == w, and builds no `form`."""
     b = [[5, 2, 1], [2, -3, 0], [1, 0, 7]]

@@ -5,12 +5,13 @@ its file, in a fresh copy of `src/`, `tests/` and `pyproject.toml`, and runs
 `python -m pytest -q -x -p no:cacheprovider` on the tests listed for it (test
 files, or node ids where one file is slow).  A mutant is killed when those
 tests fail or run out of time or memory, survived when they pass, and stale
-when its fragment no longer occurs exactly once: a change to the code it
-targets must then re-anchor or retire it.  A control run of every selected
-test on the unmutated tree comes first, so that a kill means the mutant
-failed them.  The exit status is nonzero if the control fails or any mutant
-survived or is stale.  Standard library only; pytest does not collect
-it.
+when its fragment no longer occurs exactly once or its tests select nothing
+(pytest exits 4 on a node id it does not find, 5 when it collects no test):
+a change to the code or the tests it targets must then re-anchor or retire
+it.  A control run of every selected test on the unmutated tree comes
+first, so that a kill means the mutant failed them.  The exit status is
+nonzero if the control fails or any mutant survived or is stale.  Standard
+library only; pytest does not collect it.
 
     python tools/mutants.py [ID ...]
 """
@@ -31,6 +32,8 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parents[1]
 MEMORY = 1 << 30  # address-space limit of each test run, in bytes
 TIMEOUT = 600.0  # seconds of each test run before it counts as failed
+# a mutant's status by pytest's exit status on its tests; any other fails them
+STATUS = {0: "survived", 4: "stale", 5: "stale"}
 
 
 class Mutant(NamedTuple):
@@ -42,8 +45,11 @@ class Mutant(NamedTuple):
 
 
 LINALG = "src/combings/linalg.py"
+CLI = "src/combings/cli.py"
+VERIFY = "src/combings/verify.py"
 SURGERY = "src/combings/surgery.py"
 COMBING = "src/combings/combing.py"
+FAILING_CHECK = "tests/test_cli.py::TestDeterminism::test_verify_reports_a_failing_check"
 
 MUTANTS = (
     Mutant("in-lattice-skips-r1", LINALG,
@@ -64,7 +70,7 @@ MUTANTS = (
            ("tests/test_residues.py",)),
     Mutant("integer-form-drops-sign", LINALG,
            "* (1 if scale > 0 else -1)", "",
-           ("tests/test_integer_form.py::test_integer_form_is_pinned",)),
+           ("tests/test_bareiss.py::test_integer_form_is_pinned",)),
     Mutant("meridian-pairing-sign", SURGERY,
            "return -data.pairing(v, w)", "return data.pairing(v, w)",
            ("tests/test_surgery.py",)),
@@ -89,6 +95,31 @@ MUTANTS = (
     Mutant("singular-box-skips-r1", LINALG,
            "[sum(map(mul, x, y)) // square for x in rows]", "[e // square for e in y]",
            ("tests/test_hermite.py",)),
+    # the two-step sweep of `_signature`, pivots k and k+1 at once
+    Mutant("two-step-divides-by-d-k", LINALG,
+           "scale, square = after * prev, prev * prev", "scale, square = after * prev, prev",
+           ("tests/test_bareiss.py",)),
+    Mutant("two-step-z-factor-sign", LINALG,
+           "fy, fz = b * v - d * u, b * u - p * v", "fy, fz = b * v - d * u, p * v - b * u",
+           ("tests/test_bareiss.py",)),
+    Mutant("two-step-without-fallback", LINALG,
+           "if after := (p * d - b * b) // prev:", "if (after := (p * d - b * b) // prev) or True:",
+           ("tests/test_bareiss.py",)),
+    Mutant("two-step-skips-row-k1", LINALG,
+           "pl[k + 1 :] = [(p * z - b * y) // prev for y, z in zip(pk[k + 1 :], pl[k + 1 :])]",
+           "pass",
+           ("tests/test_bareiss.py",)),
+    # the battery's failure path: a failing check must fail the report
+    Mutant("verify-exits-0-on-failure", CLI,
+           "return 0 if all(r.ok for r in results) else 2", "return 0",
+           (FAILING_CHECK,)),
+    Mutant("report-prints-pass-for-failure", VERIFY,
+           'status = "pass" if res.ok else f"FAIL ({res.failures} failures)"', 'status = "pass"',
+           (FAILING_CHECK,)),
+    Mutant("run-check-counts-no-failures", VERIFY,
+           "return CheckResult(name, len(failed), sum(failed))",
+           "return CheckResult(name, len(failed), 0)",
+           (FAILING_CHECK,)),
 )
 
 # Mutants whose code is gone, kept with the reason so that the list's
@@ -110,9 +141,9 @@ def _limit() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY, MEMORY))
 
 
-def _passes(tests: tuple[str, ...], edit: tuple[str, str] | None = None) -> bool:
-    """Whether the tests pass in a fresh copy of the tree, with the file
-    edit[0] given the text edit[1]; a run out of time or memory fails."""
+def _pytest(tests: tuple[str, ...], edit: tuple[str, str] | None = None) -> int:
+    """pytest's exit status on the tests in a fresh copy of the tree, with
+    the file edit[0] given the text edit[1]; a run out of time fails (1)."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as name:
         tmp = Path(name)
         _copy(tmp)
@@ -124,8 +155,8 @@ def _passes(tests: tuple[str, ...], edit: tuple[str, str] | None = None) -> bool
             proc = subprocess.run(argv, cwd=tmp, env=env, stdout=subprocess.DEVNULL,
                                   stderr=subprocess.DEVNULL, timeout=TIMEOUT, preexec_fn=_limit)
         except subprocess.TimeoutExpired:
-            return False
-        return proc.returncode == 0
+            return 1
+        return proc.returncode
 
 
 def run(mutant: Mutant) -> str:
@@ -134,7 +165,7 @@ def run(mutant: Mutant) -> str:
     if source.count(mutant.fragment) != 1:
         return "stale"
     edit = (mutant.file, source.replace(mutant.fragment, mutant.replacement))
-    return "survived" if _passes(mutant.tests, edit) else "killed"
+    return STATUS.get(_pytest(mutant.tests, edit), "killed")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -147,8 +178,8 @@ def main(argv: list[str] | None = None) -> int:
     chosen = [m for m in MUTANTS if not args.ids or m.id in args.ids]
     start = time.perf_counter()
     # the unmutated tree must pass every selected test, or a kill shows nothing
-    if not _passes(tuple(dict.fromkeys(t for m in chosen for t in m.tests))):
-        print("the selected tests fail on the unmutated tree")
+    if status := _pytest(tuple(dict.fromkeys(t for m in chosen for t in m.tests))):
+        print(f"the selected tests fail on the unmutated tree (pytest exit {status})")
         return 2
     print(f"control   {time.perf_counter() - start:6.1f} s  the unmutated tree passes", flush=True)
     counts = {"killed": 0, "survived": 0, "stale": 0}
