@@ -35,7 +35,6 @@ from .combing import (
 from .document import (
     CombingDoc,
     Document,
-    emit_document,
     format_rational,
     parse_document,
     parse_rational,
@@ -173,14 +172,12 @@ def _cmd_homology(args, doc: Document) -> str:
 def _enumeration_json(L: int, entries: tuple[tuple[tuple[int, ...], int], ...]) -> str:
     """`json.dumps([{"class": [...], "ell": format_residue(r, L, 1)}, ...],
     indent=2)` over the entries (rep, r) of `torsion_residues`, byte for
-    byte (ell = r / L mod 1).  json's indented encoder runs in Python, so
-    the fixed layout is one `%` template for the n coordinates, each
-    written as json writes an int (`%d` is its repr), and each distinct
-    residue is formatted once.  Its text holds only digits, "/", spaces,
-    parentheses and "mod", which json writes unescaped, so the template
-    holds the quotes."""
-    if not entries:
-        return "[]"
+    byte (ell = r / L mod 1); there is always one, the zero class.  json's
+    indented encoder runs in Python, so the fixed layout is one `%` template
+    for the n coordinates, each written as json writes an int (`%d` is its
+    repr), and each distinct residue is formatted once.  Its text holds only
+    digits, "/", spaces, parentheses and "mod", which json writes unescaped,
+    so the template holds the quotes."""
     n = len(entries[0][0])
     cls = "[\n      " + ",\n      ".join(["%d"] * n) + "\n    ]" if n else "[]"
     item = '  {\n    "class": ' + cls + ',\n    "ell": "%s"\n  }'
@@ -259,13 +256,9 @@ def _cmd_pontrjagin_p1(args, doc: Document) -> str:
 
 def _cmd_stabilize(args, doc: Document) -> str:
     new = stabilize(_combing(doc), args.sign, args.c0)
-    out = Document(
-        linking_matrix=tuple(
-            tuple(new.presentation.matrix.row(i)) for i in range(new.presentation.n)
-        ),
-        combing=CombingDoc(c=new.c, gamma=new.gamma_offset),
-    )
-    return emit_document(out).rstrip("\n")
+    combing = {"c": list(new.c), "gamma": new.gamma_offset}
+    obj = {"linking_matrix": new.presentation.matrix.to_rows(), "combing": combing}
+    return json.dumps(obj, indent=2)
 
 
 def _cmd_modify(args, doc: Document) -> str:

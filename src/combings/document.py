@@ -1,7 +1,7 @@
-"""Structured text documents for the CLI.
+"""Structured text documents for the CLI: the input format and its parser.
 
-A document is a JSON object with a fixed key order and exact "p/q" rational
-strings.  emit(parse(text)) reproduces canonical input byte for byte.
+A document is a JSON object whose rationals are exact "p/q" strings.  This
+module only reads documents; each command writes its own output.
 
 Keys: linking_matrix (required, list of integer rows), combing {c, gamma},
 combing2 (second combing for the comparison commands), meridian (integer
@@ -151,28 +151,3 @@ def parse_document(text: str) -> Document:
         casson_walker=parse_rational(obj["lambda"]) if "lambda" in obj else None,
     )
 
-
-def document_to_obj(doc: Document) -> dict:
-    """Canonical plain-JSON form of a document (fixed key order)."""
-    obj: dict = {"linking_matrix": [list(row) for row in doc.linking_matrix]}
-    for key, combing in (("combing", doc.combing), ("combing2", doc.combing2)):
-        if combing is not None:
-            obj[key] = {"c": list(combing.c), "gamma": combing.gamma}
-    if doc.meridian is not None:
-        obj["meridian"] = list(doc.meridian)
-    if doc.framed is not None:
-        framed: dict = {
-            "lambda_matrix": [
-                [format_rational(x) for x in row] for row in doc.framed.lambda_matrix
-            ]
-        }
-        if doc.framed.classes is not None:
-            framed["classes"] = [list(v) for v in doc.framed.classes]
-        obj["framed"] = framed
-    if doc.casson_walker is not None:
-        obj["lambda"] = format_rational(doc.casson_walker)
-    return obj
-
-
-def emit_document(doc: Document) -> str:
-    return json.dumps(document_to_obj(doc), indent=2) + "\n"

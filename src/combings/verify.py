@@ -152,8 +152,8 @@ def random_torsion_combing(rng: random.Random, pres: SurgeryPresentation) -> Com
     return CombingSpec(pres, random_torsion_characteristic(rng, pres), rng.randint(-3, 3))
 
 
-def random_rational(rng: random.Random, num_bound: int = 6, den_bound: int = 4) -> Fraction:
-    return Fraction(rng.randint(-num_bound, num_bound), rng.randint(1, den_bound))
+def random_rational(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
 
 
 def random_framed(
@@ -416,6 +416,8 @@ def check_telescoping(rng: random.Random, cases: int) -> Iterator[bool]:
         )
 
 
+CASES = 40  # the random cases each check of the battery draws
+
 ALL_CHECKS: tuple[tuple[str, Check], ...] = (
     ("signature-congruence", check_signature),
     ("linking-form-laws", check_linking_form),
@@ -434,9 +436,9 @@ ALL_CHECKS: tuple[tuple[str, Check], ...] = (
 )
 
 
-def run_battery(seed: int = 0, cases: int = 40) -> list[CheckResult]:
+def run_battery(seed: int = 0) -> list[CheckResult]:
     rng = random.Random(seed)
-    return [run_check(name, check(rng, cases)) for name, check in ALL_CHECKS]
+    return [run_check(name, check(rng, CASES)) for name, check in ALL_CHECKS]
 
 
 def format_report(results: list[CheckResult], seed: int) -> str:

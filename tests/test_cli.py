@@ -160,6 +160,9 @@ class TestBasicCommands:
             code, out, err = run([*argv, "-1"], doc)
             assert (code, out) == (1, "")
             assert err == f"error: parse: argument {argv[1]}: must be nonnegative, got -1\n"
+            code, out, err = run([*argv, "abc"], doc)
+            assert (code, out) == (1, "")
+            assert err == f"error: parse: argument {argv[1]}: invalid int value: 'abc'\n"
         code, out, _ = run(["image-p1", "--box", "0"], doc)  # zero stays valid
         assert code == 0 and out.endswith("check: subset (box threshold not reached)\n")
 
@@ -212,6 +215,15 @@ class TestTransformingCommands:
             "linking_matrix": [[1]],
             "combing": {"c": [1], "gamma": 1},
         }
+        # the round trip the command promises: its output is a document
+        # whose p_1 is the input's
+        lens = '{"linking_matrix": [[4, 1], [1, -3]], "combing": {"c": [2, 1], "gamma": 2}}'
+        for before, sign, c0, p1 in ((doc, "1", "1", "-2"), (lens, "-1", "3", "38/13"),
+                                     (lens, "1", "-5", "38/13")):
+            assert run(["p1"], before) == (0, p1 + "\n", "")
+            code, after, _ = run(["stabilize", "--sign", sign, "--c0", c0], before)
+            assert code == 0
+            assert run(["p1"], after) == (0, p1 + "\n", "")
 
     def test_stabilize_even_coefficient(self):
         doc = '{"linking_matrix": [], "combing": {"c": [], "gamma": 0}}'
@@ -232,6 +244,17 @@ class TestTransformingCommands:
             joined = run([*base, other, f"{flag}=-1/3"], doc)
             assert joined[0] == 0
             assert run([*base, other, flag, "-1/3"], doc) == joined
+
+    @pytest.mark.parametrize("kind, needs", [
+        ("D", "eta, lk_euler and lk_par"),
+        ("global-Z", "lk_par"),
+        ("r-twist", "eta and r"),
+        ("half-twist", "k"),
+    ])
+    def test_modify_without_its_flags(self, kind, needs):
+        code, out, err = run(["modify", "--kind", kind], S3)
+        assert (code, out) == (1, "")
+        assert err == f"error: invalid input: kind '{kind}' needs {needs}\n"
 
     def test_modify_bad_eta(self):
         code, _, err = run(

@@ -396,6 +396,10 @@ class TestStabilize:
         with pytest.raises(EvenCoefficientError):
             stabilize(CombingSpec(S3, (), 0), 1, 2)
 
+    def test_bad_sign(self):
+        with pytest.raises(ValueError, match=r"^sign must be \+1 or -1$"):
+            stabilize(CombingSpec(S3, (), 0), 2, 1)
+
     def test_invariance(self):
         rng = random.Random(53)
         for _ in range(40):

@@ -1,5 +1,6 @@
-"""Document parsing and canonical emission."""
+"""Document parsing: the input format and its validation messages."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,6 @@ from combings.document import (
     CombingDoc,
     Document,
     FramedDoc,
-    emit_document,
     format_rational,
     parse_document,
     parse_rational,
@@ -100,8 +100,9 @@ class TestParse:
 # (document, the exact ParseError text), as the validation has always
 # written them: a float, bool, string and null entry in each integer list,
 # the first bad entry of several named, then ragged, non-square, asymmetric
-# and non-list input, and the non-list, ragged and first bad rows of
-# framed.lambda_matrix
+# and non-list input, the non-list, ragged and first bad rows of
+# framed.lambda_matrix, and a framed entry that is no object, has an unknown
+# key or lacks lambda_matrix
 VALIDATION_MESSAGES = [
     ('{"linking_matrix": [[1.5]]}',
      'linking_matrix must be an integer, got 1.5'),
@@ -197,6 +198,12 @@ VALIDATION_MESSAGES = [
      'framed.lambda_matrix has ragged rows'),
     ('{"linking_matrix": [[2]], "framed": {"lambda_matrix": [["x"], 1]}}',
      "not a rational 'p/q' string: 'x'"),
+    ('{"linking_matrix": [[2]], "framed": 3}',
+     'framed must be an object'),
+    ('{"linking_matrix": [[2]], "framed": {"lambda_matrix": [["1"]], "x": 1}}',
+     "framed has unknown keys: ['x']"),
+    ('{"linking_matrix": [[2]], "framed": {"classes": [[1]]}}',
+     'framed needs lambda_matrix'),
 ]
 
 
@@ -207,55 +214,61 @@ def test_validation_messages_are_pinned(text, message):
     assert str(caught.value) == message
 
 
-rationals = st.fractions(
-    min_value=-9, max_value=9, max_denominator=6
-)
+def rationals():
+    """(text, value): a "p" or "p/q" string, not always in lowest terms."""
+    whole = st.integers(-9, 9).map(lambda p: (str(p), Fraction(p)))
+    ratio = st.tuples(st.integers(-9, 9), st.integers(1, 6)).map(
+        lambda pq: ("%d/%d" % pq, Fraction(*pq))
+    )
+    return whole | ratio
+
+
+def vectors(n):
+    return st.lists(st.integers(-5, 5), min_size=n, max_size=n)
 
 
 @st.composite
 def documents(draw):
+    """(obj, doc): a document as plain dicts, lists and strings, its keys in
+    any order, and the Document that parse_document must return for it."""
     n = draw(st.integers(0, 3))
     matrix = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
             matrix[i][j] = matrix[j][i] = draw(st.integers(-5, 5))
-    combing = None
+    obj = {"linking_matrix": matrix}
+    fields = {"linking_matrix": tuple(map(tuple, matrix))}
+    for key in ("combing", "combing2"):
+        if draw(st.booleans()):
+            c, gamma = draw(vectors(n)), draw(st.integers(-3, 3))
+            obj[key] = {"c": c, "gamma": gamma}
+            fields[key] = CombingDoc(tuple(c), gamma)
     if draw(st.booleans()):
-        combing = CombingDoc(
-            c=tuple(draw(st.integers(-5, 5)) for _ in range(n)),
-            gamma=draw(st.integers(-3, 3)),
-        )
-    framed = None
+        obj["meridian"] = draw(vectors(n))
+        fields["meridian"] = tuple(obj["meridian"])
     if draw(st.booleans()):
-        k = draw(st.integers(0, 2))
-        lam = [[Fraction(0)] * k for _ in range(k)]
-        for i in range(k):
-            for j in range(i, k):
-                lam[i][j] = lam[j][i] = draw(rationals)
-        framed = FramedDoc(
-            lambda_matrix=tuple(tuple(row) for row in lam), classes=None
-        )
-    return Document(
-        linking_matrix=tuple(tuple(row) for row in matrix),
-        combing=combing,
-        framed=framed,
-        casson_walker=draw(rationals) if draw(st.booleans()) else None,
-    )
+        k, width = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+        cells = [[draw(rationals()) for _ in range(width)] for _ in range(k)]
+        obj["framed"] = {"lambda_matrix": [[text for text, _ in row] for row in cells]}
+        classes = None
+        if draw(st.booleans()):
+            obj["framed"]["classes"] = draw(st.lists(vectors(n), min_size=k, max_size=k))
+            classes = tuple(map(tuple, obj["framed"]["classes"]))
+        lam = tuple(tuple(value for _, value in row) for row in cells)
+        fields["framed"] = FramedDoc(lam, classes)
+    if draw(st.booleans()):
+        obj["lambda"], fields["casson_walker"] = draw(rationals())
+    order = draw(st.permutations(list(obj)))
+    return {key: obj[key] for key in order}, Document(**fields)
 
 
-class TestRoundTrip:
+class TestParseProperty:
     @given(documents())
     @settings(deadline=None)
-    def test_emit_parse_emit(self, doc):
-        text = emit_document(doc)
-        assert emit_document(parse_document(text)) == text
-
-    def test_canonical_bytes(self):
-        text = (
-            '{"linking_matrix": [[2]], "combing": {"c": [0], "gamma": 1},'
-            ' "lambda": "2/4"}'
-        )
-        once = emit_document(parse_document(text))
-        twice = emit_document(parse_document(once))
-        assert once == twice
-        assert '"1/2"' in once  # rationals are canonicalized
+    def test_parse_of_plain_json(self, case):
+        obj, expected = case
+        doc = parse_document(json.dumps(obj))
+        assert doc == expected
+        # NamedTuples and ints compare equal to tuples and Fractions; the
+        # reprs also pin every type: records, tuples, and Fraction rationals
+        assert repr(doc) == repr(expected)

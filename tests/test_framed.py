@@ -129,6 +129,10 @@ class TestAddHopf:
         assert g.lambda_matrix == ((2, 0), (0, -1))
         assert g.classes == ((3,), (0,))
 
+    def test_bad_sign(self):
+        with pytest.raises(ValueError, match=r"^sign must be \+1 or -1$"):
+            add_hopf(framed([]), 0)
+
 
 class TestPontrjagin:
     def test_gamma_step(self):

@@ -72,6 +72,13 @@ class TestIntMatrix:
         s = a.direct_sum(IntMatrix.from_rows([[-1]]))
         assert s.to_rows() == [[1, 2, 0], [3, 4, 0], [0, 0, -1]]
 
+    def test_size_mismatch(self):
+        a = IntMatrix.from_rows([[1, 2], [3, 4]])
+        with pytest.raises(ValueError, match="^vector length must equal column count$"):
+            a.matvec((1, 2, 3))
+        with pytest.raises(ValueError, match="^inner dimensions must agree$"):
+            a @ IntMatrix.from_rows([[1, 2]])
+
 
 class TestSmithNormalForm:
     def test_already_diagonal(self):
@@ -296,6 +303,15 @@ class TestMod2:
         assert x is not None and rank == 2
         got = a.matvec(x)
         assert [v % 2 for v in got] == [1, 0]
+
+    def test_solve_mod2_unsolvable(self):
+        a = IntMatrix.from_rows([[2, 1], [4, 2]])  # rank 1 over F_2
+        assert solve_mod2(a, [1, 0]) == ((0, 1), 1)
+        assert solve_mod2(a, [1, 1]) == (None, 1)
+
+    def test_solve_mod2_short_right_hand_side(self):
+        with pytest.raises(ValueError, match="^right-hand side length must equal row count$"):
+            solve_mod2(IntMatrix.from_rows([[1, 0], [0, 1]]), [1])
 
     @given(symmetric_matrices())
     @settings(deadline=None)

@@ -49,6 +49,7 @@ CLI = "src/combings/cli.py"
 VERIFY = "src/combings/verify.py"
 SURGERY = "src/combings/surgery.py"
 COMBING = "src/combings/combing.py"
+DOCUMENT = "src/combings/document.py"
 FAILING_CHECK = "tests/test_cli.py::TestDeterminism::test_verify_reports_a_failing_check"
 
 MUTANTS = (
@@ -109,6 +110,41 @@ MUTANTS = (
            "pl[k + 1 :] = [(p * z - b * y) // prev for y, z in zip(pk[k + 1 :], pl[k + 1 :])]",
            "pass",
            ("tests/test_bareiss.py",)),
+    # the partner step, the substitution, the box and the torsion table
+    Mutant("partner-step-skips-column", LINALG,
+           "row[k] += row[partner]", "pass",
+           ("tests/test_bareiss.py",)),
+    Mutant("substitute-skips-scaling-to-stage-j", LINALG,
+           "w[j:k] = [before * x for x in w[j:k]]", "pass",
+           ("tests/test_bareiss.py",)),
+    Mutant("substitute-keeps-before", LINALG,
+           "before = p", "pass",
+           ("tests/test_bareiss.py",)),
+    Mutant("box-columns-from-the-first", LINALG,
+           "zip(reversed(columns), reversed(steps))", "zip(columns, steps)",
+           ("tests/test_hermite.py",)),
+    Mutant("box-drops-d-scaling", LINALG,
+           "col[k] *= d", "col[k] *= 1",
+           ("tests/test_hermite.py",)),
+    Mutant("box-digit-row-shifted", LINALG,
+           "digits.append((i, y))", "digits.append((i - 1, y))",
+           ("tests/test_hermite.py",)),
+    Mutant("kernel-in-split-order", LINALG,
+           "reversed(splits)", "splits",
+           ("tests/test_bareiss.py",)),
+    Mutant("solve-partner-step-transposed", LINALG,
+           "w[k] += w[i]", "w[i] += w[k]",
+           ("tests/test_bareiss.py",)),
+    Mutant("table-drops-q-jj", LINALG,
+           " + Q[j][j]", "",
+           ("tests/test_residues.py",)),
+    # error paths: a missing flag or a malformed entry is a typed error
+    Mutant("r-twist-without-its-flags", COMBING,
+           "if eta is None or r is None:", "if False:",
+           ("tests/test_cli.py::TestTransformingCommands::test_modify_without_its_flags",)),
+    Mutant("framed-need-not-be-an-object", DOCUMENT,
+           'raise ParseError("framed must be an object")', "pass",
+           ("tests/test_document.py::test_validation_messages_are_pinned",)),
     # the battery's failure path: a failing check must fail the report
     Mutant("verify-exits-0-on-failure", CLI,
            "return 0 if all(r.ok for r in results) else 2", "return 0",
