@@ -17,7 +17,8 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Literal, NamedTuple, Sequence
+from operator import add, mul
+from typing import NamedTuple, Sequence
 
 from .errors import (
     BadEtaError,
@@ -38,8 +39,14 @@ from .surgery import (
 
 DEFAULT_BOX = 8
 
-ModificationKind = Literal["D", "global-Z", "r-twist", "half-twist"]
-MODIFICATION_KINDS = ("D", "global-Z", "r-twist", "half-twist")
+# the arguments each modification kind reads, as its missing-argument error names them
+_NEEDS = {
+    "D": "eta, lk_euler and lk_par",
+    "global-Z": "lk_par",
+    "r-twist": "eta and r",
+    "half-twist": "k",
+}
+MODIFICATION_KINDS = tuple(_NEEDS)
 
 
 def validate_combing(pres: SurgeryPresentation, c: Sequence[int]) -> None:
@@ -158,6 +165,11 @@ def combing_equal(x: CombingSpec, y: CombingSpec) -> bool:
     p_1 is injective on each torsion Spin^c structure, so two torsion
     combings agree iff their Spin^c structures and p_1 values do.
     Non-torsion input is refused: the relative offset is not decided here.
+    Both answers read one solution v / d = G_0 w of w = (c - c') / 2
+    (`MatrixAnalysis._solution`): the Spin^c structures agree iff w lies in
+    B Z^n (`_integral`), and c^T G_0 c - c'^T G_0 c' = 2 (c + c')^T G_0 w,
+    so p_1(x) = p_1(y) iff (c + c')^T v = 2 d (j' - j) for the gamma
+    offsets j and j'.  On a fresh B that is one pass and one solve.
     """
     if x.presentation != y.presentation:
         raise ValueError("combings live on different presentations")
@@ -165,7 +177,11 @@ def combing_equal(x: CombingSpec, y: CombingSpec) -> bool:
         raise NonTorsionError("first combing is not torsion")
     if not is_torsion_class(y.presentation, y.c):
         raise NonTorsionError("second combing is not torsion")
-    return _spin_c_equal(x.presentation, x.c, y.c) and p1(x) == p1(y)
+    data = analysis(x.presentation.matrix)
+    v, d = data._solution([(a - b) // 2 for a, b in zip(x.c, y.c)])
+    v = list(v)  # read twice
+    j = y.gamma_offset - x.gamma_offset
+    return data._integral(v, d) and sum(map(mul, map(add, x.c, y.c), v)) == 2 * d * j
 
 
 def gamma_orbit_modulus(pres: SurgeryPresentation, c: Sequence[int]) -> int:
@@ -178,10 +194,7 @@ def gamma_orbit_modulus(pres: SurgeryPresentation, c: Sequence[int]) -> int:
     kernel basis gives the gcd: the split's serves, so no homology is built.
     """
     validate_combing(pres, c)
-    modulus = 0
-    for z in analysis(pres.matrix).split.kernel:
-        modulus = math.gcd(modulus, abs(sum(ci * zi for ci, zi in zip(c, z))))
-    return modulus
+    return math.gcd(*(sum(map(mul, c, z)) for z in analysis(pres.matrix).split.kernel))
 
 
 def hf_grading(x: CombingSpec) -> Fraction:
@@ -238,14 +251,9 @@ def stabilize(x: CombingSpec, sign: int, c0: int) -> CombingSpec:
     )
 
 
-def _require_eta(eta: int) -> None:
-    if eta not in (1, -1):
-        raise BadEtaError(f"eta must be +1 or -1, got {eta!r}")
-
-
 def apply_modification(
     p: P1Value | Fraction | int,
-    kind: ModificationKind,
+    kind: str,
     *,
     eta: int | None = None,
     lk_euler: Fraction | int | None = None,
@@ -255,32 +263,29 @@ def apply_modification(
 ) -> P1Value:
     """p_1 after one of the four combing modifications.
 
-    D: reframe along a link, p + 4(eta*lk_euler - lk_par), where lk_euler
-    pairs the link with the zero locus of the orthogonal section and lk_par
-    with the chosen parallel; global-Z: the section extends, p - 4*lk_par;
-    r-twist: rotate the section r times along one component, p + 4*eta*r;
-    half-twist: k half-twists of a two-strand satellite, p - 4*k.
+    Each is the reframing D along a link, p + 4(eta*lk_euler - lk_par),
+    where lk_euler pairs the link with the zero locus of the orthogonal
+    section and lk_par with the chosen parallel; the other three fix some
+    of its arguments.  global-Z, the section extends: eta = 1 and
+    lk_euler = 0, so p - 4*lk_par; r-twist, the section rotated r times
+    along one component: lk_euler = r and lk_par = 0, so p + 4*eta*r;
+    half-twist, k half-twists of a two-strand satellite: eta = 1,
+    lk_euler = 0 and lk_par = k, so p - 4*k.
     """
     value = p.value if isinstance(p, P1Value) else Fraction(p)
-    if kind == "D":
-        if eta is None or lk_euler is None or lk_par is None:
-            raise ValueError("kind 'D' needs eta, lk_euler and lk_par")
-        _require_eta(eta)
-        return P1Value(value + 4 * (eta * Fraction(lk_euler) - Fraction(lk_par)))
-    if kind == "global-Z":
-        if lk_par is None:
-            raise ValueError("kind 'global-Z' needs lk_par")
-        return P1Value(value - 4 * Fraction(lk_par))
-    if kind == "r-twist":
-        if eta is None or r is None:
-            raise ValueError("kind 'r-twist' needs eta and r")
-        _require_eta(eta)
-        return P1Value(value + 4 * eta * r)
-    if kind == "half-twist":
-        if k is None:
-            raise ValueError("kind 'half-twist' needs k")
-        return P1Value(value - 4 * k)
-    raise ValueError(f"unknown modification kind {kind!r}")
+    if kind not in MODIFICATION_KINDS:
+        raise ValueError(f"unknown modification kind {kind!r}")
+    e, le, lp = {
+        "D": (eta, lk_euler, lk_par),
+        "global-Z": (1, 0, lk_par),
+        "r-twist": (eta, r, 0),
+        "half-twist": (1, 0, k),
+    }[kind]
+    if None in (e, le, lp):
+        raise ValueError(f"kind {kind!r} needs {_NEEDS[kind]}")
+    if e not in (1, -1):
+        raise BadEtaError(f"eta must be +1 or -1, got {eta!r}")
+    return P1Value(value + 4 * (e * Fraction(le) - Fraction(lp)))
 
 
 class P1ImageReport(NamedTuple):
@@ -317,10 +322,7 @@ def p1_image(
         raise CapExceededError(torsion_order, cap)
     # the v in [-box, box] with v = b_ii mod 2, as lazy ranges whose length is
     # known before anything is built
-    ranges = [
-        range(-box + (-box - pres.matrix.at(i, i)) % 2, box + 1, 2)
-        for i in range(pres.n)
-    ]
+    ranges = [range(-box + (-box - b) % 2, box + 1, 2) for b in pres.matrix.diagonal()]
     # len() overflows past sys.maxsize, so each range is counted by its bounds
     size = math.prod(max(0, (r.stop - r.start + 1) // 2) for r in ranges)
     if size > cap:

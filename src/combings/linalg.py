@@ -715,6 +715,8 @@ class MatrixAnalysis:
     first vector question solves w through the pass, and every later one
     reads `form`, which it builds once.  So a single question pays for one
     solve, and a scan on one B for n solves and then a product per vector.
+    `combing.combing_equal` is one vector question: it reads a pairing and
+    the lattice test `_integral` off one `_solution`.
     """
 
     _asked = False  # set on the entry by its first vector question
@@ -773,13 +775,16 @@ class MatrixAnalysis:
         return Fraction(sum(map(mul, v, y)), d)
 
     def in_lattice(self, c: Sequence[int]) -> bool:
-        """c in B Z^n: c is torsion and R_1 G_0 c = B'^{-1} W_1^T c is
-        integral, for y / d = G_0 c (`_solution`): d divides every entry of
-        y for a nonsingular B, where R_1 = I, and of R_1 y otherwise.  The
-        first entry that d does not divide ends the test."""
-        if not self.is_torsion(c):
-            return False
-        y, d = self._solution(c)
+        """c in B Z^n: c is torsion and R_1 G_0 c is integral (`_integral`)
+        for y / d = G_0 c (`_solution`)."""
+        return self.is_torsion(c) and self._integral(*self._solution(c))
+
+    def _integral(self, y: Iterable[int], d: int) -> bool:
+        """Is R_1 y / d = B'^{-1} W_1^T w integral, for y / d = G_0 w of a
+        torsion w (`_solution`)?  Then and only then w lies in B Z^n: d
+        divides every entry of y for a nonsingular B, where R_1 = I, and of
+        R_1 y otherwise.  The first entry that d does not divide ends the
+        test."""
         if self._pass.kernel:
             x = list(y)
             y = (sum(map(mul, r, x)) for r in self.split.rows)

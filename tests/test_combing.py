@@ -2,6 +2,7 @@
 image and parity theorems, modification calculus."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -33,8 +34,10 @@ from combings.errors import (
     NonTorsionError,
     NotCharacteristicError,
 )
+from combings.linalg import analysis
 from combings.surgery import EMPTY_PRESENTATION, SurgeryPresentation
 from combings.verify import (
+    random_linking_matrices,
     random_presentation,
     random_torsion_characteristic,
     random_torsion_combing,
@@ -288,6 +291,47 @@ class TestCombingEqual:
                 CombingSpec(pres([[2]]), (0,), 0), CombingSpec(pres([[4]]), (0,), 0)
             )
 
+    def test_conjugate_structures_with_equal_p1(self):
+        """On B = (5), c = 1 and c = -1 give p_1 = -34/5 both, but
+        (1 - (-1)) / 2 = 1 is not in 5Z: two Spin^c structures, so the
+        combings differ though their p_1 values agree."""
+        p = pres([[5]])
+        x, y = CombingSpec(p, (1,)), CombingSpec(p, (-1,))
+        assert p1(x) == p1(y) == P1Value(Fraction(-34, 5))
+        assert not spin_c_equal(p, (1,), (-1,))
+        assert not combing_equal(x, y)
+        assert not combing_equal(y, x)
+
+    def test_agrees_with_spin_c_and_p1(self):
+        """combing_equal against its definition, equal Spin^c structures and
+        equal p_1, on random B (every fifth singular), cold and then warm,
+        for c' drawn at random, c' = -c and c' = c + 2 B u, each with a
+        random gamma offset and, where one exists, the offset that makes
+        the p_1 values equal."""
+        rng = random.Random(11)
+        seen = Counter()
+        for m in random_linking_matrices(rng, 300):
+            p = SurgeryPresentation(m)
+            c = random_torsion_characteristic(rng, p)
+            u = [rng.randint(-2, 2) for _ in range(p.n)]
+            for other in (
+                random_torsion_characteristic(rng, p),
+                tuple(-a for a in c),
+                tuple(a + 2 * b for a, b in zip(c, m.matvec(u))),
+            ):
+                x = CombingSpec(p, c, rng.randint(-3, 3))
+                shift = p1(x).value - theta_g(p, other)
+                offsets = [rng.randint(-3, 3)] + ([int(shift / 4)] if shift % 4 == 0 else [])
+                for gamma_offset in offsets:
+                    y = CombingSpec(p, other, gamma_offset)
+                    want = spin_c_equal(p, c, other) and p1(x) == p1(y)
+                    analysis.cache_clear()
+                    assert combing_equal(x, y) == want  # solves w through the pass
+                    assert combing_equal(x, y) == want  # reads `form`
+                    seen[want, p1(x) == p1(y), bool(analysis(m)._pass.kernel)] += 1
+        # (False, True, _): equal p_1 in two Spin^c structures
+        assert len(seen) == 6 and min(seen.values()) >= 10, seen
+
     def test_equivalence_relation(self):
         rng = random.Random(31)
         for _ in range(30):
@@ -436,7 +480,7 @@ class TestModifications:
         with pytest.raises(ValueError):
             apply_modification(0, "D", eta=1)
         with pytest.raises(ValueError):
-            apply_modification(0, "unknown")  # type: ignore[arg-type]
+            apply_modification(0, "unknown")
 
     def test_zero_euler_term_matches_global(self):
         for eta in (1, -1):

@@ -1033,17 +1033,35 @@ def test_empty_presentation_reads_form(passes):
     assert passes["passes"] == {s3.matrix: 1}
 
 
-def test_cold_combing_equal_runs_one_pass(passes):
-    """combing_equal on a fresh B: the torsion tests, spin_c_equal and both
-    p1 values come from one pass, in the order combing_equal asks them."""
-    b = [[3, 1, 0], [1, -2, 1], [0, 1, 4]]
-    c, other = (1, 0, 0), (7, 2, 0)  # c + 2 B e_0, so theta_g grows by 4 (c_0 + b_00)
-    for gamma_offset, equal in ((-4, True), (0, False)):
-        analysis.cache_clear()
-        pres = _cold(b)
-        passes["passes"].clear()
-        assert combing_equal(CombingSpec(pres, c), CombingSpec(pres, other, gamma_offset)) == equal
-        assert passes["passes"] == {pres.matrix: 1}
+def test_cold_combing_equal_runs_one_pass(passes, solves):
+    """combing_equal on a fresh B: the torsion tests and then one vector
+    question, one solve of (c - c') / 2 whose solution answers both the
+    Spin^c test and the p_1 test, so one pass and one solve and no `form`
+    or box, on nonsingular and singular B, for equal and unequal pairs."""
+    for rows, c in (
+        ([[3, 1, 0], [1, -2, 1], [0, 1, 4]], (1, 0, 0)),
+        ([[2, 1, 3], [1, 7, 8], [3, 8, 11]], (0, 1, 1)),  # kernel (1, 1, -1)
+    ):
+        b = IntMatrix.from_rows(rows)
+        # c + 2 B e_0, so theta_g grows by 4 (c_0 + b_00), and c - 2 (1, 0, 1),
+        # a torsion (1, 0, 1) outside B Z^3
+        inside = tuple(x + 2 * y for x, y in zip(c, b.row(0)))
+        outside = tuple(x - 2 * y for x, y in zip(c, (1, 0, 1)))
+        built = {"matrix", "_asked", "_pass"} | ({"split"} if rows[0][0] == 2 else set())
+        for other, gamma_offset, equal in (
+            (inside, -c[0] - b.at(0, 0), True),
+            (inside, 0, False),
+            (outside, 0, False),
+        ):
+            analysis.cache_clear()
+            pres = _cold(rows)
+            passes["passes"].clear()
+            solves.clear()
+            assert combing_equal(CombingSpec(pres, c), CombingSpec(pres, other, gamma_offset)) == equal
+            assert passes["passes"] == {b: 1}
+            assert solves == [tuple((x - y) // 2 for x, y in zip(c, other))]
+            assert analysis(b).__dict__.keys() == built
+    analysis.cache_clear()
     singular = _cold([[2, 1, 3], [1, 7, 8], [3, 8, 11]])  # kernel (1, 1, -1)
     for x, y, message in (((0, 1, 3), (0, 1, 1), "first"), ((0, 1, 1), (0, 1, 3), "second")):
         with pytest.raises(NonTorsionError, match=message):

@@ -1,7 +1,8 @@
 """Run the committed list of mutants and report which the tests kill.
 
 Each mutant replaces one source fragment, which must occur exactly once in
-its file, in a fresh copy of `src/`, `tests/` and `pyproject.toml`, and runs
+its file, in a fresh copy of `src/`, `tests/`, `pyproject.toml` and
+`README.md` (whose examples `tests/test_package.py` replays), and runs
 `python -m pytest -q -x -p no:cacheprovider` on the tests listed for it (test
 files, or node ids where one file is slow).  A mutant is killed when those
 tests fail or run out of time or memory, survived when they pass, and stale
@@ -75,18 +76,30 @@ MUTANTS = (
     Mutant("meridian-pairing-sign", SURGERY,
            "return -data.pairing(v, w)", "return data.pairing(v, w)",
            ("tests/test_surgery.py",)),
+    # each modification is the reframing D with some arguments fixed: one
+    # formula, and a row of the table for each kind
     Mutant("modification-d-eta-sign", COMBING,
-           "value + 4 * (eta * Fraction(lk_euler)", "value + 4 * (-eta * Fraction(lk_euler)",
+           "e * Fraction(le)", "-e * Fraction(le)",
            ("tests/test_acceptance.py",)),
     Mutant("modification-r-twist-sign", COMBING,
-           "value + 4 * eta * r", "value - 4 * eta * r",
+           "(eta, r, 0)", "(eta, -r, 0)",
            ("tests/test_acceptance.py",)),
     Mutant("modification-half-twist-sign", COMBING,
-           "value - 4 * k", "value + 4 * k",
+           "(1, 0, k)", "(1, 0, -k)",
            ("tests/test_acceptance.py",)),
     Mutant("modification-global-z-sign", COMBING,
-           "value - 4 * Fraction(lk_par)", "value + 4 * Fraction(lk_par)",
+           "(1, 0, lk_par)", "(1, 0, -lk_par)",
            ("tests/test_acceptance.py",)),
+    # combing_equal reads both answers off one solution of (c - c') / 2
+    Mutant("combing-equal-reads-2c", COMBING,
+           "map(add, x.c, y.c)", "map(add, x.c, x.c)",
+           ("tests/test_combing.py::TestCombingEqual",)),
+    Mutant("combing-equal-gamma-swapped", COMBING,
+           "j = y.gamma_offset - x.gamma_offset", "j = x.gamma_offset - y.gamma_offset",
+           ("tests/test_combing.py::TestCombingEqual",)),
+    Mutant("combing-equal-skips-spinc", COMBING,
+           "data._integral(v, d) and ", "",
+           ("tests/test_combing.py::TestCombingEqual", "tests/test_package.py::TestReadmeExamples")),
     Mutant("torsion-order-drops-det-a", LINALG,
            "return abs(p.minor) // (p.kernel_scale // t) ** 2", "return abs(p.minor)",
            ("tests/test_kirby.py", "tests/test_hermite.py")),
@@ -140,7 +153,7 @@ MUTANTS = (
            ("tests/test_residues.py",)),
     # error paths: a missing flag or a malformed entry is a typed error
     Mutant("r-twist-without-its-flags", COMBING,
-           "if eta is None or r is None:", "if False:",
+           "if None in (e, le, lp):", "if False:",
            ("tests/test_cli.py::TestTransformingCommands::test_modify_without_its_flags",)),
     Mutant("framed-need-not-be-an-object", DOCUMENT,
            'raise ParseError("framed must be an object")', "pass",
@@ -170,7 +183,8 @@ def _copy(tmp: Path) -> None:
     ignore = shutil.ignore_patterns("__pycache__", "*.pyc")
     for name in ("src", "tests"):
         shutil.copytree(ROOT / name, tmp / name, ignore=ignore)
-    shutil.copy2(ROOT / "pyproject.toml", tmp / "pyproject.toml")
+    for name in ("pyproject.toml", "README.md"):
+        shutil.copy2(ROOT / name, tmp / name)
 
 
 def _limit() -> None:
