@@ -52,7 +52,7 @@ from .surgery import (
     format_residue,
     homology_summary,
     linking_form,
-    torsion_residues,
+    torsion_columns,
 )
 from .theta import theta_invariant
 
@@ -169,27 +169,30 @@ def _cmd_homology(args, doc: Document) -> str:
     return json.dumps(obj, indent=2)
 
 
-def _enumeration_json(L: int, entries: tuple[tuple[tuple[int, ...], int], ...]) -> str:
+def _enumeration_json(L: int, columns: list[list[int]], residues: list[int]) -> str:
     """`json.dumps([{"class": [...], "ell": format_residue(r, L, 1)}, ...],
-    indent=2)` over the entries (rep, r) of `torsion_residues`, byte for
-    byte (ell = r / L mod 1); there is always one, the zero class.  json's
+    indent=2)` over the classes of `torsion_columns`, byte for byte
+    (ell = r / L mod 1); there is always one, the zero class.  json's
     indented encoder runs in Python, so the fixed layout is one `%` template
     for the n coordinates, each written as json writes an int (`%d` is its
     repr), and each distinct residue is formatted once.  Its text holds only
     digits, "/", spaces, parentheses and "mod", which json writes unescaped,
-    so the template holds the quotes."""
-    n = len(entries[0][0])
+    so the template holds the quotes.  The template is filled from the
+    columns and the residues' texts zipped together, and zip reuses its
+    result tuple, so no object outlives its class."""
+    n = len(columns)
     cls = "[\n      " + ",\n      ".join(["%d"] * n) + "\n    ]" if n else "[]"
     item = '  {\n    "class": ' + cls + ',\n    "ell": "%s"\n  }'
-    ells = {r: format_residue(r, L, 1) for r in {r for _, r in entries}}
-    return "[\n" + ",\n".join([item % (*rep, ells[r]) for rep, r in entries]) + "\n]"
+    ells = {r: format_residue(r, L, 1) for r in set(residues)}
+    classes = zip(*columns, map(ells.__getitem__, residues))
+    return "[\n" + ",\n".join(map(item.__mod__, classes)) + "\n]"
 
 
 def _cmd_linking_form(args, doc: Document) -> str:
     pres = _presentation(doc)
     if doc.meridian is not None:
         return format_residue(*linking_form(pres, doc.meridian).as_integer_ratio(), 1)
-    return _enumeration_json(*torsion_residues(pres, cap=args.cap))
+    return _enumeration_json(*torsion_columns(pres, cap=args.cap))
 
 
 def _cmd_theta_g(args, doc: Document) -> str:

@@ -39,14 +39,21 @@ from .surgery import (
 
 DEFAULT_BOX = 8
 
-# the arguments each modification kind reads, as its missing-argument error names them
-_NEEDS = {
-    "D": "eta, lk_euler and lk_par",
-    "global-Z": "lk_par",
-    "r-twist": "eta and r",
-    "half-twist": "k",
+# the arguments each modification kind reads; it needs all of them and
+# refuses the others
+_READS = {
+    "D": ("eta", "lk_euler", "lk_par"),
+    "global-Z": ("lk_par",),
+    "r-twist": ("eta", "r"),
+    "half-twist": ("k",),
 }
-MODIFICATION_KINDS = tuple(_NEEDS)
+MODIFICATION_KINDS = tuple(_READS)
+
+
+def _listing(names: Sequence[str]) -> str:
+    """The names as the errors list them: "k", "eta and r", "eta, lk_euler
+    and lk_par"."""
+    return " and ".join(filter(None, (", ".join(names[:-1]), names[-1])))
 
 
 def validate_combing(pres: SurgeryPresentation, c: Sequence[int]) -> None:
@@ -270,7 +277,9 @@ def apply_modification(
     lk_euler = 0, so p - 4*lk_par; r-twist, the section rotated r times
     along one component: lk_euler = r and lk_par = 0, so p + 4*eta*r;
     half-twist, k half-twists of a two-strand satellite: eta = 1,
-    lk_euler = 0 and lk_par = k, so p - 4*k.
+    lk_euler = 0 and lk_par = k, so p - 4*k.  A kind takes exactly the
+    arguments it reads: one missing, or one it does not read, is a
+    ValueError that names them.
     """
     value = p.value if isinstance(p, P1Value) else Fraction(p)
     if kind not in MODIFICATION_KINDS:
@@ -282,7 +291,11 @@ def apply_modification(
         "half-twist": (1, 0, k),
     }[kind]
     if None in (e, le, lp):
-        raise ValueError(f"kind {kind!r} needs {_NEEDS[kind]}")
+        raise ValueError(f"kind {kind!r} needs {_listing(_READS[kind])}")
+    given = {"eta": eta, "lk_euler": lk_euler, "lk_par": lk_par, "r": r, "k": k}
+    unread = [name for name, x in given.items() if x is not None and name not in _READS[kind]]
+    if unread:
+        raise ValueError(f"kind {kind!r} does not read {_listing(unread)}")
     if e not in (1, -1):
         raise BadEtaError(f"eta must be +1 or -1, got {eta!r}")
     return P1Value(value + 4 * (e * Fraction(le) - Fraction(lp)))
@@ -329,22 +342,31 @@ def p1_image(
         message = f"image-p1 sweep of {size} vectors exceeds cap {cap}"
         raise CapExceededError(torsion_order, cap, message)
 
-    # residues of c^T G c + const L modulo 4L, i.e. of theta_g mod 4 times L
+    # residues of c^T G c + const L modulo 4L, i.e. of theta_g mod 4 times L;
+    # c^T G c is the sum over i <= j of G_ij (2 - [i = j]) c_i c_j, the packed
+    # upper triangle against the products of combinations_with_replacement
     form = data.form
     shift = _theta_constant(data) * form.L
     modulus = 4 * form.L
+    triangle = [x * (2 - (i == j)) for i, row in enumerate(form.G)
+                for j, x in enumerate(row) if i <= j]
+
+    def quadratic(c: Sequence[int]) -> int:
+        products = itertools.starmap(mul, itertools.combinations_with_replacement(c, 2))
+        return sum(map(mul, triangle, products))
+
     # p_1(reference) L = ref is an integer and lk(x, x) = r / L_t (mod 1) for
     # the residue r of the torsion form, whose denominator L_t divides L, so
     # p_1(reference) - 4 lk(x, x) is (ref - 4 r L / L_t) / L modulo 4
-    ref = form.pair(data.c_ref, data.c_ref) + shift
+    ref = quadratic(data.c_ref) + shift
     tf = data.torsion_form
     scale = form.L // tf.L
     formula = {(ref - 4 * scale * r) % modulus for r in set(tf.table()[1])}
-    enumeration = {
-        (form.pair(c, c) + shift) % modulus
-        for c in itertools.product(*ranges)
-        if data.is_torsion(c)
-    }
+    # every c is torsion when B has no kernel
+    swept = itertools.product(*ranges)
+    if data.signature.n_zero:
+        swept = filter(data.is_torsion, swept)
+    enumeration = {(quadratic(c) + shift) % modulus for c in swept}
 
     return P1ImageReport(
         denominator=form.L,

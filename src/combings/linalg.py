@@ -610,17 +610,12 @@ class IntegerForm(NamedTuple):
     whatever the pass leaves.  Either way x = G c / L solves B x = c for
     every torsion c = B a, since B G B a = L B a.
 
-    The form of B on other columns C has G / L = C^T G_0 C, so `pair` takes
-    coordinates y of the vector C y (`MatrixAnalysis.torsion_form` solves
-    its generators that way).
+    The form of B on other columns C has G / L = C^T G_0 C
+    (`MatrixAnalysis.torsion_form` solves its generators that way).
     """
 
     G: tuple[Vector, ...]
     L: int
-
-    def pair(self, v: Sequence[int], w: Sequence[int]) -> int:
-        """v^T G w, which is L v^T x for the solution x = G w / L of B x = w."""
-        return sum(map(mul, v, [sum(map(mul, row, w)) for row in self.G]))
 
 
 def _integer_form(p: BareissPass, vectors: Sequence[Sequence[int]]) -> IntegerForm:
@@ -659,16 +654,20 @@ class TorsionForm(NamedTuple):
     Q: tuple[Vector, ...]
     L: int
 
-    def table(self, lifts: bool = False) -> tuple[list[Vector], list[int]]:
-        """(reps, residues) over the box in `itertools.product` order, the
+    def table(self, lifts: bool = False) -> tuple[list[list[int]], list[int]]:
+        """(columns, residues) over the box in `itertools.product` order, the
         first factor slowest: r = -(y^T Q y) mod L, the class of y has
-        self-linking r / L mod 1 and, if `lifts`, meridian vector `generators` y
-        (else `reps` is empty).  A unit step of y_j adds 2 (Q y)_j + Q_jj to
+        self-linking r / L mod 1 and, if `lifts`, meridian vector `generators` y,
+        whose k-th coordinate is the class's entry of `columns[k]` (else
+        `columns` is empty).  A unit step of y_j adds 2 (Q y)_j + Q_jj to
         y^T Q y, row j of Q to Q y and g_j to the lift; along the last factor the
-        first differences step by 2 Q_ll: O(1) per residue, O(n) per lift."""
+        first differences step by 2 Q_ll and each coordinate of the lift steps
+        by g_l, so each prefix extends the residues by one running sum and each
+        column by one progression: O(1) per residue and per coordinate, with
+        no tuple built per class."""
         n, L, Q, factors = len(self.generators), self.L, self.Q, self.factors
         if not factors:
-            return [(0,) * n] if lifts else [], [0]
+            return [[0] for _ in range(n)] if lifts else [], [0]
         g, last = list(zip(*self.generators)), len(factors) - 1
         prefixes = [(0, [0] * len(factors), (0,) * n)]  # y^T Q y mod L, Q y, lift
         for j in range(last):  # the prefixes of length j + 1, in product order
@@ -682,15 +681,14 @@ class TorsionForm(NamedTuple):
             prefixes = longer
         d, qll, gl, accumulate = factors[last], Q[last][last], g[last], itertools.accumulate
         second, modulus = (-2 * qll,) * (d - 2), (L,) * d
-        reps: list[Vector] = []
+        columns: list[list[int]] = [[] for _ in range(n)] if lifts else []
         residues: list[int] = []
         for q, s, b in prefixes:
             diffs = accumulate(second, initial=-2 * s[last] - qll)
             residues.extend(map(mod, accumulate(diffs, initial=-q), modulus))
-            if lifts:
-                reps.extend(zip(*[range(x, x + d * y, y) if y else itertools.repeat(x, d)
-                                  for x, y in zip(b, gl)]))
-        return reps, residues
+            for column, x, y in zip(columns, b, gl):
+                column.extend(range(x, x + d * y, y) if y else itertools.repeat(x, d))
+        return columns, residues
 
 
 class MatrixAnalysis:

@@ -131,20 +131,20 @@ def classes_equal(
     return reduce_class(pres, v) == reduce_class(pres, w)
 
 
-def torsion_residues(
+def torsion_columns(
     pres: SurgeryPresentation, cap: int = DEFAULT_CAP
-) -> tuple[int, tuple[tuple[MeridianClass, int], ...]]:
-    """(L, ((rep, r), ...)): one representative per torsion class of H_1 with
-    the residue r in [0, L) of its linking-form value r / L mod 1.
-
-    The representatives lift the box points of linalg.TorsionForm, the first
-    factor varying slowest, so the output order is reproducible; one walk of
-    the box by finite differences (`TorsionForm.table`) gives them all.  The
-    box is the Hermite box of the core B' lifted by R_1^T (B itself when
-    nonsingular), so every representative is the one `reduce_class` returns.
-    The order is compared with `cap` before the box or the walk, singular B
-    or not: it is read off the one pass and the split
-    (`MatrixAnalysis.torsion_order`).
+) -> tuple[int, list[list[int]], list[int]]:
+    """(L, columns, residues): the torsion classes of H_1 as the columns of
+    their representatives, `columns[k]` holding the k-th coordinate of
+    every class, and the residues r in [0, L) of their linking-form values
+    r / L mod 1, both in the order of the box points of linalg.TorsionForm,
+    the first factor varying slowest, so the output order is reproducible.
+    One walk of the box by finite differences (`TorsionForm.table`) gives
+    them all, with no tuple built per class.  The box is the Hermite box of
+    the core B' lifted by R_1^T (B itself when nonsingular), so every
+    representative is the one `reduce_class` returns.  The order is compared
+    with `cap` before the box or the walk, singular B or not: it is read off
+    the one pass and the split (`MatrixAnalysis.torsion_order`).
     """
     if cap < 0:
         raise ValueError(f"cap must be nonnegative, got {cap}")
@@ -153,5 +153,14 @@ def torsion_residues(
     if order > cap:
         raise CapExceededError(order, cap)
     tf = data.torsion_form
-    return tf.L, tuple(zip(*tf.table(lifts=True)))
+    return (tf.L, *tf.table(lifts=True))
 
+
+def torsion_residues(
+    pres: SurgeryPresentation, cap: int = DEFAULT_CAP
+) -> tuple[int, tuple[tuple[MeridianClass, int], ...]]:
+    """(L, ((rep, r), ...)): one representative per torsion class of H_1 with
+    the residue r in [0, L) of its linking-form value r / L mod 1, in the
+    order and under the cap of `torsion_columns`, whose columns it zips."""
+    L, columns, residues = torsion_columns(pres, cap)
+    return L, tuple((t[:-1], t[-1]) for t in zip(*columns, residues))

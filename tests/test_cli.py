@@ -256,6 +256,24 @@ class TestTransformingCommands:
         assert (code, out) == (1, "")
         assert err == f"error: invalid input: kind '{kind}' needs {needs}\n"
 
+    @pytest.mark.parametrize("flags, unread", [
+        (["--kind", "D", "--eta", "1", "--lk-euler", "1", "--lk-par", "0", "--r", "3"], "r"),
+        (["--kind", "global-Z", "--lk-par", "1", "--k", "2"], "k"),
+        (["--kind", "r-twist", "--eta", "1", "--r", "2", "--lk-par", "0", "--k", "1"],
+         "lk_par and k"),
+        (["--kind", "half-twist", "--k", "1", "--eta", "1", "--lk-euler", "0", "--r", "1"],
+         "eta, lk_euler and r"),
+    ])
+    def test_modify_refuses_an_unread_flag(self, flags, unread):
+        code, out, err = run(["modify", *flags], S3)
+        assert (code, out) == (1, "")
+        kind = flags[1]
+        assert err == f"error: invalid input: kind '{kind}' does not read {unread}\n"
+
+    def test_modify_missing_flag_is_named_before_an_unread_one(self):
+        code, _, err = run(["modify", "--kind", "r-twist", "--r", "1", "--k", "1"], S3)
+        assert (code, err) == (1, "error: invalid input: kind 'r-twist' needs eta and r\n")
+
     def test_modify_bad_eta(self):
         code, _, err = run(
             ["modify", "--kind", "r-twist", "--eta", "2", "--r", "1"], S3

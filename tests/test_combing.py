@@ -482,6 +482,14 @@ class TestModifications:
         with pytest.raises(ValueError):
             apply_modification(0, "unknown")
 
+    def test_unread_params(self):
+        with pytest.raises(ValueError, match=r"^kind 'half-twist' does not read eta and r$"):
+            apply_modification(0, "half-twist", k=1, eta=1, r=0)
+        with pytest.raises(ValueError, match=r"^unknown modification kind 'unknown'$"):
+            apply_modification(0, "unknown", r=1)
+        with pytest.raises(ValueError, match=r"^kind 'D' needs eta, lk_euler and lk_par$"):
+            apply_modification(0, "D", eta=1, r=1)
+
     def test_zero_euler_term_matches_global(self):
         for eta in (1, -1):
             for lk_par in (Fraction(-2), Fraction(1, 3), Fraction(5)):

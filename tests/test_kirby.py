@@ -4,19 +4,23 @@ A change of basis of the meridians replaces (B, v) by (P^T B P, P^T v) for a
 unimodular P, and P^T carries B Z^n onto P^T B P Z^n, so it is an
 isomorphism of H_1 that keeps the linking form.  The answers must follow:
 the homology, the multiset of linking values of `torsion_residues`, the
-classes of `reduce_class` and the formula side of `p1_image`.  The inputs
-are seeded nonsingular B and singular P^T (D + 0_k) P, among them B whose
+classes of `reduce_class` and the formula side of `p1_image`, and, through
+`cli.main`, the `ell` values that `linking-form` prints and the `formula:`
+line of `image-p1`.  The inputs are seeded nonsingular B and singular P^T (D + 0_k) P, among them B whose
 pass pivots on a multiple of the core's lattice (|det A| > 1 in
 `linalg.MatrixAnalysis.torsion_order`), so an answer that depends on the
 pass's pivot order fails the law.
 """
 
+import io
+import json
 import math
 import random
 from collections import Counter
 from fractions import Fraction
 
 from _oracles import frac_inverse
+from combings.cli import main
 from combings.combing import p1_image
 from combings.linalg import IntMatrix, analysis
 from combings.surgery import SurgeryPresentation, homology_summary, reduce_class, torsion_residues
@@ -44,10 +48,24 @@ def _cases(seed):
         p = random_unimodular(rng, n, steps=2 * n)
         matrices.append(p.transpose() @ _diagonal(d) @ p)
     matrices.append(IntMatrix.from_rows([[4, 2], [2, 1]]))
+    return _with_moves(rng, matrices)
+
+
+def _with_moves(rng, matrices):
+    """Each B with its own unimodular P."""
     return [(b, random_unimodular(rng, b.rows, steps=2 * b.rows)) for b in matrices]
 
 
 CASES = _cases(2024)
+
+
+def _cli_cases(seed):
+    """CASES with the empty B (n = 0) and a unimodular P_0^T diag(1, -1, 1) P_0
+    in front."""
+    rng = random.Random(seed)
+    p = random_unimodular(rng, 3, steps=6)
+    unimodular = p.transpose() @ _diagonal([1, -1, 1]) @ p
+    return _with_moves(rng, [IntMatrix(0, 0, ()), unimodular]) + CASES
 
 
 def _pair(b, p):
@@ -114,3 +132,28 @@ def test_p1_image_formula_is_presentation_independent():
             report = p1_image(pres, box=0)
             sides.append({Fraction(r, report.denominator) for r in report.formula_residues})
         assert sides[0] == sides[1], b
+
+
+def _cli(argv, b):
+    out, err = io.StringIO(), io.StringIO()
+    doc = json.dumps({"linking_matrix": b.to_rows()})
+    code = main(argv, stdin=io.StringIO(doc), stdout=out, stderr=err)
+    assert (code, err.getvalue()) == (0, ""), (argv, b)
+    return out.getvalue()
+
+
+def test_cli_outputs_are_presentation_independent():
+    """Through the CLI: `linking-form` prints the same multiset of `ell`
+    values on B and P^T B P, and `image-p1` the same `formula:` line, on
+    the empty B, a unimodular B, and nonsingular and singular B."""
+    cases = _cli_cases(7)
+    unimodular = homology_summary(SurgeryPresentation(cases[1][0]))
+    assert cases[0][0].rows == 0 and (unimodular.torsion_order, unimodular.betti_1) == (1, 0)
+    for b, p in cases:
+        ells, formulas = [], []
+        for pres in _pair(b, p):
+            entries = json.loads(_cli(["linking-form"], pres.matrix))
+            ells.append(Counter(e["ell"] for e in entries))
+            formulas.append(_cli(["image-p1", "--box", "0"], pres.matrix).split("\n")[0])
+        assert ells[0] == ells[1], b
+        assert formulas[0] == formulas[1] and formulas[0].startswith("formula: "), b

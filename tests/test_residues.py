@@ -175,7 +175,8 @@ TABLE_CASES = [
 @pytest.mark.parametrize("name, rows, factors", TABLE_CASES, ids=[c[0] for c in TABLE_CASES])
 def test_table_is_the_form_at_every_box_point(name, rows, factors):
     """Residue and lift of the i-th box point of `itertools.product`, as
-    -(y^T Q y) mod L and `generators` y; without lifts, the same residues.
+    -(y^T Q y) mod L and `generators` y, the lift read as the i-th entry of
+    every column; without lifts, the same residues and no columns.
     The formula side of `p1_image` is p_1(reference) L - 4 r mod 4L over
     those residues."""
     pres = SurgeryPresentation.from_rows(rows)
@@ -188,7 +189,11 @@ def test_table_is_the_form_at_every_box_point(name, rows, factors):
               for y in points]
     want_lifts = [tuple(sum(g * t for g, t in zip(row, y)) for row in tf.generators)
                   for y in points]
-    assert tf.table(lifts=True) == (want_lifts, want_r)
+    columns, residues = tf.table(lifts=True)
+    assert len(columns) == len(tf.generators)
+    assert all(len(column) == len(points) for column in columns)
+    assert [tuple(column[i] for column in columns) for i in range(len(points))] == want_lifts
+    assert residues == want_r
     assert tf.table() == ([], want_r)
     ref = p1(reference_parallelization(pres)).value * tf.L
     assert ref.denominator == 1

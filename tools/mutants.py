@@ -151,6 +151,12 @@ MUTANTS = (
     Mutant("table-drops-q-jj", LINALG,
            " + Q[j][j]", "",
            ("tests/test_residues.py",)),
+    Mutant("table-column-repeats", LINALG,
+           "range(x, x + d * y, y) if y else itertools.repeat(x, d)", "itertools.repeat(x, d)",
+           ("tests/test_residues.py",)),
+    Mutant("p1-image-packed-weight-one", COMBING,
+           "x * (2 - (i == j))", "x * 1",
+           ("tests/test_residues.py",)),
     # error paths: a missing flag or a malformed entry is a typed error
     Mutant("r-twist-without-its-flags", COMBING,
            "if None in (e, le, lp):", "if False:",
