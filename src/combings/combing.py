@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from operator import add, mul
+from operator import add, mod, mul, sub
 from typing import NamedTuple, Sequence
 
 from .errors import (
@@ -57,11 +57,12 @@ def _listing(names: Sequence[str]) -> str:
 
 
 def validate_combing(pres: SurgeryPresentation, c: Sequence[int]) -> None:
-    """Check the characteristic condition c_i = B_ii (mod 2) for all i."""
+    """Check the characteristic condition c_i = B_ii (mod 2) for all i, in
+    one pass of C calls over the diagonal; the first i that fails is named."""
     c = _check_length(pres, c)
-    for i, ci in enumerate(c):
-        if (ci - pres.matrix.at(i, i)) % 2:
-            raise NotCharacteristicError(i)
+    odd = list(map(mod, map(sub, c, pres.matrix.diagonal()), itertools.repeat(2)))
+    if any(odd):
+        raise NotCharacteristicError(odd.index(1))
 
 
 class CombingSpec(Record):
@@ -120,9 +121,10 @@ def theta_g(pres: SurgeryPresentation, c: Sequence[int]) -> Fraction:
     """Gompf invariant of the torsion combing with coefficient vector c.
 
     c^T x - 2(n+1) - 3 sig(B) for any rational solution of B x = c; the
-    quadratic term does not depend on the solution choice, and is read off
-    one solution of B x = c (`MatrixAnalysis.pairing`): on a fresh B, c
-    solved alone through the pass.
+    quadratic term does not depend on the solution choice, and is the
+    self-pairing q / d = c^T G_0 c (`MatrixAnalysis.square`): on a fresh B,
+    c solved alone through the pass; on a warm one, the packed triangle of
+    the integer form.
     """
     validate_combing(pres, c)
     return _theta_g(pres, c)
@@ -133,7 +135,8 @@ def _theta_g(pres: SurgeryPresentation, c: Sequence[int]) -> Fraction:
     data = analysis(pres.matrix)
     if not data.is_torsion(c):
         raise NonTorsionError("combing coefficient vector is not torsion")
-    return data.pairing(c, c) + _theta_constant(data)
+    q, d = data.square(c)
+    return Fraction(q + _theta_constant(data) * d, d)
 
 
 def p1(x: CombingSpec) -> P1Value:
@@ -343,18 +346,10 @@ def p1_image(
         raise CapExceededError(torsion_order, cap, message)
 
     # residues of c^T G c + const L modulo 4L, i.e. of theta_g mod 4 times L;
-    # c^T G c is the sum over i <= j of G_ij (2 - [i = j]) c_i c_j, the packed
-    # upper triangle against the products of combinations_with_replacement
-    form = data.form
+    # c^T G c is read off the memo's packed triangle of G
+    form, quadratic = data.form, data._quadratic
     shift = _theta_constant(data) * form.L
     modulus = 4 * form.L
-    triangle = [x * (2 - (i == j)) for i, row in enumerate(form.G)
-                for j, x in enumerate(row) if i <= j]
-
-    def quadratic(c: Sequence[int]) -> int:
-        products = itertools.starmap(mul, itertools.combinations_with_replacement(c, 2))
-        return sum(map(mul, triangle, products))
-
     # p_1(reference) L = ref is an integer and lk(x, x) = r / L_t (mod 1) for
     # the residue r of the torsion form, whose denominator L_t divides L, so
     # p_1(reference) - 4 lk(x, x) is (ref - 4 r L / L_t) / L modulo 4

@@ -24,8 +24,10 @@ column holds and the positions with h_ii > 1, the Euclid steps `_euclid` of
 `_split` and `_echelon`, and the F_2 elimination `solve_mod2`.  Every class
 question reads one box, the Hermite box of the nonsingular core of B, kept
 as those sparse columns; every vector question, a pairing or membership in
-B Z^n, reads one solution G_0 w (`MatrixAnalysis._solution`).  The one
-torsion test is `MatrixAnalysis.is_torsion`, on the pass's kernel vectors.
+B Z^n, reads one solution G_0 w (`MatrixAnalysis._solution`), save a later
+self-pairing c^T G_0 c (`MatrixAnalysis.square`), which reads the packed
+upper triangle of G.  The one torsion test is `MatrixAnalysis.is_torsion`,
+on the pass's kernel vectors.
 """
 
 from __future__ import annotations
@@ -105,7 +107,8 @@ class IntMatrix(Record):
         return self.rows == self.cols and list(zip(*rows)) == rows
 
     def diagonal(self) -> Vector:
-        return tuple(self.at(i, i) for i in range(min(self.rows, self.cols)))
+        """The entries (i, i), one slice of the row-major entries."""
+        return self.entries[: min(self.rows, self.cols) * self.cols : self.cols + 1]
 
     def matvec(self, v: Sequence[int]) -> Vector:
         if len(v) != self.cols:
@@ -708,13 +711,18 @@ class MatrixAnalysis:
     nonsingular; none of them reads `form`, and `torsion_order` reads
     neither `box` nor `form`.
 
-    The vector questions, `pairing` and `in_lattice`, read G_0 w through
-    `_solution`, whose one rule depends on the entry's history alone: the
-    first vector question solves w through the pass, and every later one
-    reads `form`, which it builds once.  So a single question pays for one
-    solve, and a scan on one B for n solves and then a product per vector.
-    `combing.combing_equal` is one vector question: it reads a pairing and
-    the lattice test `_integral` off one `_solution`.
+    The vector questions, `pairing`, `in_lattice` and the self-pairing
+    `square`, follow one rule that depends on the entry's history alone:
+    the first vector question solves w through the pass (`_solution`), and
+    every later one reads `form`, which it builds once, with the packed
+    upper triangle of G beside it (`_triangle`).  A later pairing or
+    membership reads G w row by row; a later `square`, which `theta_g`
+    asks, reads c^T G c off the triangle (`_quadratic`), the one quadratic
+    form routine, which the `combing.p1_image` sweep reads too.  So a
+    single question pays for one solve, and a scan on one B for n solves
+    and then a product per vector.  `combing.combing_equal` is one vector
+    question: it reads a pairing and the lattice test `_integral` off one
+    `_solution`.
     """
 
     _asked = False  # set on the entry by its first vector question
@@ -758,12 +766,38 @@ class MatrixAnalysis:
         """(y, d) with y / d = G_0 w, which solves B x = w for a torsion w.
         The entry's first vector question solves w through the pass, y =
         D_r G_0 w and d = D_r; every later one reads `form`, y = G w produced
-        row by row, so a reader may stop early, and d = L."""
+        row by row in one chain of C calls, so a reader may stop early, and
+        d = L."""
         if not self._asked:
             self._asked = True
             return self._pass.solve(w), self._pass.minor
         form = self.form
-        return (sum(map(mul, row, w)) for row in form.G), form.L
+        return map(sum, map(map, itertools.repeat(mul), form.G, itertools.repeat(w))), form.L
+
+    def square(self, c: Sequence[int]) -> tuple[int, int]:
+        """(q, d) with q / d = c^T G_0 c, which is c^T x for every solution
+        x of B x = c when c is torsion (`is_torsion`, which the caller asks).
+        By the rule of `_solution`: the entry's first vector question pairs c
+        with D_r G_0 c, solved through the pass, d = D_r; every later one
+        reads the packed triangle (`_quadratic`), d = L."""
+        if not self._asked:
+            y, d = self._solution(c)
+            return sum(map(mul, c, y)), d
+        return self._quadratic(c), self.form.L
+
+    def _quadratic(self, c: Sequence[int]) -> int:
+        """c^T G c for G of `form`: the sum over i <= j of G_ij (2 - [i = j])
+        c_i c_j, the packed triangle against the products of
+        `combinations_with_replacement`, n (n + 1) / 2 products in one chain
+        of C calls with no list built per vector."""
+        products = itertools.starmap(mul, itertools.combinations_with_replacement(c, 2))
+        return sum(map(mul, self._triangle, products))
+
+    @cached_property
+    def _triangle(self) -> list[int]:
+        """The upper triangle of G, row by row, off-diagonal entries doubled."""
+        return [x * (2 - (i == j)) for i, row in enumerate(self.form.G)
+                for j, x in enumerate(row) if i <= j]
 
     def pairing(self, v: Sequence[int], w: Sequence[int]) -> Fraction:
         """v^T G_0 w, which is v^T x for every solution x of B x = w when
@@ -786,7 +820,7 @@ class MatrixAnalysis:
         if self._pass.kernel:
             x = list(y)
             y = (sum(map(mul, r, x)) for r in self.split.rows)
-        return not any(e % d for e in y)
+        return not any(map(mod, y, itertools.repeat(d)))
 
     def reduce(self, v: Sequence[int]) -> Vector:
         """The canonical representative of v modulo B Z^n.

@@ -68,6 +68,16 @@ class TestValidateCombing:
             validate_combing(pres([[2, 0], [0, 3]]), (0, 2))
         assert err.value.index == 1
 
+    def test_first_of_two_failing_indices(self):
+        """With two entries of the wrong parity, the error names the first,
+        on an even and on an odd diagonal entry."""
+        b = pres([[3, 1, 0, 0], [1, 2, 0, 1], [0, 0, 5, 2], [0, 1, 2, -4]])
+        for c, index in (((1, 1, 1, 1), 1), ((1, 0, 0, 1), 2), ((0, 0, 1, 1), 0)):
+            with pytest.raises(NotCharacteristicError) as err:
+                validate_combing(b, c)
+            assert err.value.index == index, c
+        validate_combing(b, (-1, 4, 3, -2))
+
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             validate_combing(pres([[2]]), (0, 0))

@@ -10,8 +10,11 @@ byte for byte.  Regenerate it only when an output is meant to change:
 `linking-form` and `framed-class` output by property, whatever kernel basis
 or representatives it prints, so a regenerated case can be shown to hold
 the same lattice, or the same classes with the same values.
+`test_verify_seed_is_pinned` pins the md5 of what `verify` prints on seeds
+0, 1, 7 and 123.
 """
 
+import hashlib
 import io
 import itertools
 import json
@@ -369,6 +372,20 @@ def test_corpus_covers_every_document_command():
 
     seen = {case["argv"][0] for case in _load()}
     assert seen == set(COMMANDS)
+
+
+@pytest.mark.parametrize("seed, digest", [
+    (0, "de8ad0578f1671d22a5d90acaf710f48"),
+    (1, "01e38e84c428c922c7d58c92deed45ca"),
+    (7, "7ec371aedbc65c202619f20cdf94e8d6"),
+    (123, "2712f2ca2544707fd4c03acfb8acb5f3"),
+])
+def test_verify_seed_is_pinned(seed, digest):
+    """The md5 of what `verify --seed s` prints; seed 0 is also a corpus
+    case, replayed byte for byte."""
+    code, out, err = run(["verify", "--seed", str(seed)], "")
+    assert (code, err) == (0, "")
+    assert hashlib.md5(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("name, argv", [("verify", ["verify", "--seed", "0"]),

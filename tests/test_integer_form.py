@@ -63,6 +63,7 @@ from combings.surgery import (
 from combings.verify import (
     random_symmetric,
     random_torsion_characteristic,
+    random_torsion_vector,
     random_unimodular,
     saturation_basis,
 )
@@ -72,14 +73,14 @@ def _diagonal(d):
     return IntMatrix.from_rows([[x * (i == j) for j in range(len(d))] for i, x in enumerate(d)])
 
 
-def _presentations(seed, count, max_n=8):
-    """Random symmetric B with n in 1..max_n; every third one is P^T D P
-    with a zero in D, hence singular."""
+def _presentations(seed, count, max_n=8, singular_every=3):
+    """Random symmetric B with n in 1..max_n; every third one (or every
+    `singular_every`-th) is P^T D P with a zero in D, hence singular."""
     out = []
     for k in range(count):
         rng = random.Random(f"{seed}:{k}")
         n = rng.randint(1, max_n)
-        if k % 3 == 2:
+        if k % singular_every == singular_every - 1:
             d = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(n)]
             d[rng.randrange(n)] = 0
             p = random_unimodular(rng, n, steps=2 * n)
@@ -997,6 +998,85 @@ def test_theta_scan_runs_one_pass(passes, solves):
     for k in (0, 1, 57, 99):
         c = tuple(x + 2 * k for x in c_ref)
         assert values[k] == _reference_theta(pres, c, _theta_constant(pres))
+
+
+def test_warm_theta_makes_no_solve(passes, solves):
+    """Once a scan on B has asked its first two questions, a warm theta_g,
+    p1 or hf_grading runs no pass and no solve: it reads c^T G c off the
+    packed triangle that was built beside `form`, once, on nonsingular and
+    singular B."""
+    for rows in (
+        [[3, 1, 0, 2], [1, -2, 1, 0], [0, 1, 4, -1], [2, 0, -1, 5]],
+        [[2, 1, 3], [1, 7, 8], [3, 8, 11]],  # kernel (1, 1, -1)
+    ):
+        pres = _cold(rows)
+        data = analysis(pres.matrix)
+        c_ref = data.c_ref
+        theta_g(pres, c_ref)
+        theta_g(pres, c_ref)
+        triangle = data._triangle
+        passes["passes"].clear()
+        solves.clear()
+        for k in range(1, 6):
+            u = [(k * (i + 2)) % 5 - 2 for i in range(pres.n)]
+            c = tuple(x + 2 * y for x, y in zip(c_ref, pres.matrix.matvec(u)))
+            want = _reference_theta(pres, c, _theta_constant(pres))
+            assert theta_g(pres, c) == want
+            assert p1(CombingSpec(pres, c, k)).value == want + 4 * k
+            assert hf_grading(CombingSpec(pres, c, -k)) == (2 + want - 4 * k) / 4
+        assert solves == [] and not passes["passes"] and data._triangle is triangle
+
+
+WARM_COLD_PRESENTATIONS = _presentations(23, 300, singular_every=5)
+
+
+def test_theta_agrees_cold_and_warm():
+    """theta_g, p1 and hf_grading give equal Fractions on a cold entry,
+    whose first vector question solves c through the pass, and on the same
+    entry warm, which reads the packed triangle of `form`; the value is the
+    Fraction reference.  300 seeded B, every fifth singular, each with a
+    torsion characteristic c."""
+    questions = (
+        lambda pres, c: theta_g(pres, c),
+        lambda pres, c: p1(CombingSpec(pres, c, 3)).value,
+        lambda pres, c: hf_grading(CombingSpec(pres, c, -1)),
+    )
+    singular = 0
+    for rng, pres in WARM_COLD_PRESENTATIONS:
+        c = random_torsion_characteristic(rng, pres)
+        values = []
+        for question in questions:
+            analysis.cache_clear()
+            data = analysis(pres.matrix)
+            cold = question(pres, c)
+            assert data._asked and "form" not in data.__dict__
+            warm = question(pres, c)
+            assert "_triangle" in data.__dict__
+            assert type(cold) is type(warm) is Fraction and cold == warm, (pres.matrix, c)
+            values.append(cold)
+        want = _reference_theta(pres, c, _theta_constant(pres))
+        assert values == [want, want + 12, (want - 2) / 4], (pres.matrix, c)
+        singular += bool(data._pass.kernel)
+    assert singular >= 60
+
+
+def test_square_is_the_self_pairing():
+    """square(c) is pairing(c, c): on a cold entry both solve c through the
+    pass, over d = D_r; on a warm one square reads the packed triangle and
+    pairing the rows of G, over d = L.  The same 300 B, torsion c."""
+    for rng, pres in WARM_COLD_PRESENTATIONS:
+        b = pres.matrix
+        vectors = [random_torsion_vector(rng, pres) for _ in range(3)]
+        cold = linalg.MatrixAnalysis(b)
+        q, d = cold.square(vectors[0])
+        assert d == cold._pass.minor
+        assert Fraction(q, d) == linalg.MatrixAnalysis(b).pairing(vectors[0], vectors[0])
+        warm = linalg.MatrixAnalysis(b)
+        warm.pairing(vectors[0], vectors[0])  # its first vector question
+        for v in vectors:
+            q, d = warm.square(v)
+            assert d == warm.form.L and Fraction(q, d) == warm.pairing(v, v), (b, v)
+            assert Fraction(q, d) == _reference_theta(pres, v, 0), (b, v)
 
 
 def test_cold_meridian_pairing_solves_w_alone(passes, solves):

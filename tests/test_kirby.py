@@ -5,11 +5,12 @@ unimodular P, and P^T carries B Z^n onto P^T B P Z^n, so it is an
 isomorphism of H_1 that keeps the linking form.  The answers must follow:
 the homology, the multiset of linking values of `torsion_residues`, the
 classes of `reduce_class` and the formula side of `p1_image`, and, through
-`cli.main`, the `ell` values that `linking-form` prints and the `formula:`
-line of `image-p1`.  The inputs are seeded nonsingular B and singular P^T (D + 0_k) P, among them B whose
-pass pivots on a multiple of the core's lattice (|det A| > 1 in
-`linalg.MatrixAnalysis.torsion_order`), so an answer that depends on the
-pass's pivot order fails the law.
+`cli.main`, the `ell` values that `linking-form` prints, the `formula:`
+line of `image-p1` and everything the combing commands print on
+(P^T B P, P^T c).  The inputs are seeded nonsingular B and singular
+P^T (D + 0_k) P, among them B whose pass pivots on a multiple of the core's
+lattice (|det A| > 1 in `linalg.MatrixAnalysis.torsion_order`), so an
+answer that depends on the pass's pivot order fails the law.
 """
 
 import io
@@ -18,13 +19,14 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from operator import mul
 
 from _oracles import frac_inverse
 from combings.cli import main
 from combings.combing import p1_image
 from combings.linalg import IntMatrix, analysis
 from combings.surgery import SurgeryPresentation, homology_summary, reduce_class, torsion_residues
-from combings.verify import random_symmetric, random_unimodular
+from combings.verify import random_symmetric, random_torsion_characteristic, random_unimodular
 
 
 def _diagonal(d):
@@ -134,9 +136,9 @@ def test_p1_image_formula_is_presentation_independent():
         assert sides[0] == sides[1], b
 
 
-def _cli(argv, b):
+def _cli(argv, b, **entries):
     out, err = io.StringIO(), io.StringIO()
-    doc = json.dumps({"linking_matrix": b.to_rows()})
+    doc = json.dumps({"linking_matrix": b.to_rows(), **entries})
     code = main(argv, stdin=io.StringIO(doc), stdout=out, stderr=err)
     assert (code, err.getvalue()) == (0, ""), (argv, b)
     return out.getvalue()
@@ -157,3 +159,39 @@ def test_cli_outputs_are_presentation_independent():
             formulas.append(_cli(["image-p1", "--box", "0"], pres.matrix).split("\n")[0])
         assert ells[0] == ells[1], b
         assert formulas[0] == formulas[1] and formulas[0].startswith("formula: "), b
+
+
+COMBING_COMMANDS = ("theta-g", "p1", "hf-grading", "spinc-equal", "combing-equal",
+                    "orbit-modulus", "parity")
+
+
+def test_cli_combing_outputs_are_presentation_independent():
+    """Through the CLI, every combing command prints the same on (B, c, c')
+    and (P^T B P, P^T c, P^T c'), with c and c' torsion and characteristic:
+    c' = c + 2 B u, in the Spin^c structure of c, with the gamma offset that
+    makes p_1 agree and one off it, and an independent c'.  On the empty B, a
+    unimodular B, and nonsingular and singular B."""
+    rng = random.Random(11)
+    answers = Counter()
+    for b, p in _cli_cases(7):
+        pres = SurgeryPresentation(b)
+        c = random_torsion_characteristic(rng, pres)
+        u = [rng.randint(-2, 2) for _ in range(b.rows)]
+        bu = b.matvec(u)
+        # theta_g(c + 2 B u) - theta_g(c) = 4 (u^T c + u^T B u)
+        shift = sum(map(mul, u, c)) + sum(map(mul, u, bu))
+        same = tuple(x + 2 * y for x, y in zip(c, bu))
+        gamma = rng.randint(-3, 3)
+        pairs = ((same, gamma - shift), (same, gamma - shift + 1),
+                 (random_torsion_characteristic(rng, pres), gamma))
+        moved, carry = p.transpose() @ b @ p, p.transpose().matvec
+        for c2, gamma2 in pairs:
+            printed = []
+            for matrix, x, y in ((b, c, c2), (moved, carry(c), carry(c2))):
+                doc = {"combing": {"c": list(x), "gamma": gamma},
+                       "combing2": {"c": list(y), "gamma": gamma2}}
+                printed.append([_cli([command], matrix, **doc) for command in COMBING_COMMANDS])
+            assert printed[0] == printed[1], (b, c, c2)
+            answers[tuple(printed[0][3:5])] += 1
+    assert min(answers[("true\n", "true\n")], answers[("true\n", "false\n")],
+               answers[("false\n", "false\n")]) >= 10, answers

@@ -72,6 +72,14 @@ class TestIntMatrix:
         s = a.direct_sum(IntMatrix.from_rows([[-1]]))
         assert s.to_rows() == [[1, 2, 0], [3, 4, 0], [0, 0, -1]]
 
+    @pytest.mark.parametrize("rows, cols", [(0, 0), (0, 3), (3, 0), (1, 1), (4, 4), (2, 5),
+                                            (5, 2), (3, 4), (4, 3)])
+    def test_diagonal_is_the_entries_i_i(self, rows, cols):
+        """The slice of the entries reads (i, i) for i < min(rows, cols), on
+        square, wide and tall matrices."""
+        a = IntMatrix(rows, cols, range(rows * cols))
+        assert a.diagonal() == tuple(a.at(i, i) for i in range(min(rows, cols)))
+
     def test_size_mismatch(self):
         a = IntMatrix.from_rows([[1, 2], [3, 4]])
         with pytest.raises(ValueError, match="^vector length must equal column count$"):

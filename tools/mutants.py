@@ -61,7 +61,7 @@ MUTANTS = (
            "self._asked = True", "self._asked = False",
            ("tests/test_integer_form.py",)),
     Mutant("warm-solution-divides-by-d-r", LINALG,
-           "for row in form.G), form.L", "for row in form.G), self._pass.minor",
+           "itertools.repeat(w))), form.L", "itertools.repeat(w))), self._pass.minor",
            ("tests/test_integer_form.py",)),
     Mutant("torsion-form-reads-col-0", LINALG,
            "factors=tuple(self.box[i][i] for i in positions)",
@@ -154,9 +154,16 @@ MUTANTS = (
     Mutant("table-column-repeats", LINALG,
            "range(x, x + d * y, y) if y else itertools.repeat(x, d)", "itertools.repeat(x, d)",
            ("tests/test_residues.py",)),
-    Mutant("p1-image-packed-weight-one", COMBING,
+    # the memo's packed triangle: warm self-pairings and the image-p1 sweep
+    Mutant("p1-image-packed-weight-one", LINALG,
            "x * (2 - (i == j))", "x * 1",
            ("tests/test_residues.py",)),
+    Mutant("theta-constant-unscaled", COMBING,
+           "q + _theta_constant(data) * d", "q + _theta_constant(data)",
+           ("tests/test_integer_form.py",)),
+    Mutant("warm-square-divides-by-d-r", LINALG,
+           "return self._quadratic(c), self.form.L", "return self._quadratic(c), self._pass.minor",
+           ("tests/test_integer_form.py",)),
     # error paths: a missing flag or a malformed entry is a typed error
     Mutant("r-twist-without-its-flags", COMBING,
            "if None in (e, le, lp):", "if False:",
