@@ -14,7 +14,7 @@ import json
 import re
 import sys
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from typing import IO
 
 from .combing import (
@@ -114,6 +114,18 @@ def build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--r", type=int, default=None)
             cmd.add_argument("--k", type=int, default=None)
     return parser
+
+
+PARSE_MEMO_SIZE = 64  # distinct argv kept parsed; an embedding caller may pass many --input paths
+
+
+@lru_cache(maxsize=PARSE_MEMO_SIZE)
+def _parse(argv: tuple[str, ...]) -> argparse.Namespace:
+    """The parsed arguments of argv, parsed once per process for each of the
+    PARSE_MEMO_SIZE most recently used argv.  A refused argv raises and is
+    never stored, so it prints its error on every call.  The Namespace is
+    shared by every call with the same argv: handlers only read `args`."""
+    return build_parser().parse_args(list(argv))
 
 
 def _presentation(doc: Document) -> SurgeryPresentation:
@@ -328,9 +340,8 @@ def main(
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(tuple(sys.argv[1:] if argv is None else argv))
         if args.command == "verify":
             from .verify import format_report, run_battery  # only this command reads it
 

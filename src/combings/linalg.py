@@ -301,8 +301,13 @@ def signature(s: IntMatrix) -> SignatureTriple:
 
     Exact on integers (Sylvester's law of inertia): the k-th square of the
     LDL^T form has the sign of D_k / D_{k-1}, with D_k the determinant of the
-    first k pivots.  Kept in the per-matrix memo of `analysis`.
+    first k pivots.  Kept in the per-matrix memo of `analysis`.  This is the
+    one entry point that takes a bare matrix, so it checks symmetry; every
+    other reader passes the matrix of a `SurgeryPresentation`, checked when
+    that was built.
     """
+    if not s.is_symmetric():
+        raise ValueError("signature needs a symmetric matrix")
     return analysis(s).signature
 
 
@@ -404,10 +409,9 @@ def _signature(s: IntMatrix) -> BareissPass:
     z = e_i - S_k^{-1} u, for u its column in the first k rows, spans a
     kernel direction; D_k z is integral, and is back-substitution through
     the first k pivot rows of D_k e_i.  The later steps act on positions k
-    and on, where z is zero, so P z is in ker s.
+    and on, where z is zero, so P z is in ker s.  s must be symmetric; the
+    callers check it.
     """
-    if not s.is_symmetric():
-        raise ValueError("signature needs a symmetric matrix")
     n, m = s.rows, s.to_rows()
     # the matrix stays symmetric, so row i is kept from column i on only
 

@@ -184,6 +184,7 @@ class CheckResult(NamedTuple):
     name: str
     cases: int
     failures: int
+    error: str | None = None  # the type of the exception that ended the check
 
     @property
     def ok(self) -> bool:
@@ -196,9 +197,17 @@ Check = Callable[[random.Random, int], Iterator[bool]]
 
 
 def run_check(name: str, verdicts: Iterable[bool]) -> CheckResult:
-    """The tally of one check: a case per verdict, a failure per False."""
-    failed = [not ok for ok in verdicts]
-    return CheckResult(name, len(failed), sum(failed))
+    """The tally of one check: a case per verdict, a failure per False.  An
+    exception raised by the check ends it as one more failing case, named by
+    its type, so a library bug fails its check and the battery goes on."""
+    failed, error = [], None
+    try:
+        for ok in verdicts:
+            failed.append(not ok)
+    except Exception as exc:  # a bug in the library under test is a failure
+        failed.append(True)
+        error = type(exc).__name__
+    return CheckResult(name, len(failed), sum(failed), error)
 
 
 def check_signature(rng: random.Random, cases: int) -> Iterator[bool]:
@@ -444,7 +453,8 @@ def run_battery(seed: int = 0) -> list[CheckResult]:
 def format_report(results: list[CheckResult], seed: int) -> str:
     lines = [f"verification battery (seed {seed})"]
     for res in results:
-        status = "pass" if res.ok else f"FAIL ({res.failures} failures)"
+        error = f"; {res.error}" if res.error else ""
+        status = "pass" if res.ok else f"FAIL ({res.failures} failures{error})"
         lines.append(f"  {res.name}: {status} [{res.cases} cases]")
     passed = sum(1 for r in results if r.ok)
     lines.append(f"passed {passed}/{len(results)} checks")

@@ -344,8 +344,30 @@ class TestDeterminism:
         fresh = []
         for argv in sequence:
             build_parser.cache_clear()
+            cli._parse.cache_clear()
             fresh.append(run(argv, doc))
         assert shared == fresh
+
+    def test_parse_memo_keeps_no_refusal(self):
+        """The memo stores no exception: a refused argv exits 1 with one
+        message on every call, and a good argv parses after it.  Two argv of
+        one command each read their own flags, as a fresh parser does."""
+        doc = '{"linking_matrix": [[2, 1], [1, 2]]}'
+        cli._parse.cache_clear()
+        refused = (1, "", "error: parse: argument --box: must be nonnegative, got -1\n")
+        assert [run(["image-p1", "--box", "-1"], doc) for _ in range(2)] == [refused] * 2
+        assert cli._parse.cache_info().currsize == 0
+        sweeps = [["image-p1", "--box", "6"], ["image-p1", "--box", "0"]]
+        shared = [run(argv, doc) for argv in sweeps]
+        assert cli._parse.cache_info().currsize == 2
+        fresh = []
+        for argv in sweeps:
+            build_parser.cache_clear()
+            cli._parse.cache_clear()
+            fresh.append(run(argv, doc))
+        assert shared == fresh
+        checks = [out.splitlines()[-1] for _, out, _ in shared]
+        assert checks == ["check: equal", "check: subset (box threshold not reached)"]
 
     def test_verify_seeded(self):
         first = run(["verify", "--seed", "3"])
@@ -362,22 +384,31 @@ class TestDeterminism:
     def test_verify_reports_a_failing_check(self, monkeypatch):
         """A check with one False verdict fails the battery: exit 2, its line
         counts the failure and its cases, and every other line is as in a
-        passing run."""
+        passing run.  A check that raises fails as one more case, its line
+        names the exception's type, and the battery goes on."""
         from combings import verify
 
         def failing(rng, cases):
             yield from (True, False, True)
 
+        def raising(rng, cases):
+            yield from (True, False)
+            raise ZeroDivisionError("division by zero")
+
         _, passing, _ = run(["verify"])
-        name = "linking-form-laws"
-        checks = tuple((n, failing if n == name else c) for n, c in verify.ALL_CHECKS)
+        broken = {"linking-form-laws": failing, "gamma-law": raising}
+        checks = tuple((n, broken.get(n, c)) for n, c in verify.ALL_CHECKS)
         monkeypatch.setattr(verify, "ALL_CHECKS", checks)
         code, out, err = run(["verify"])
-        line = f"  {name}: FAIL (1 failures) [3 cases]"
-        want = [line if x.startswith(f"  {name}:") else x for x in passing.splitlines()]
+        lines = {
+            "linking-form-laws": "  linking-form-laws: FAIL (1 failures) [3 cases]",
+            "gamma-law": "  gamma-law: FAIL (2 failures; ZeroDivisionError) [3 cases]",
+        }
+        want = [lines.get(x.split(":")[0].strip(), x) for x in passing.splitlines()]
         assert (code, err) == (2, "")
-        assert out.splitlines() == [*want[:-1], "passed 13/14 checks"]
-        assert line in out and want[-1] == "passed 14/14 checks"
+        assert out.splitlines() == [*want[:-1], "passed 12/14 checks"]
+        assert all(line in out for line in lines.values())
+        assert want[-1] == "passed 14/14 checks"
 
 
 class TestFileIO:

@@ -5,8 +5,9 @@ unimodular P, and P^T carries B Z^n onto P^T B P Z^n, so it is an
 isomorphism of H_1 that keeps the linking form.  The answers must follow:
 the homology, the multiset of linking values of `torsion_residues`, the
 classes of `reduce_class` and the formula side of `p1_image`, and, through
-`cli.main`, the `ell` values that `linking-form` prints, the `formula:`
-line of `image-p1` and everything the combing commands print on
+`cli.main`, the group and the kernel span that `homology` prints, the
+`ell` values that `linking-form` prints, the `formula:` line of
+`image-p1` and everything the combing commands print on
 (P^T B P, P^T c).  The inputs are seeded nonsingular B and singular
 P^T (D + 0_k) P, among them B whose pass pivots on a multiple of the core's
 lattice (|det A| > 1 in `linalg.MatrixAnalysis.torsion_order`), so an
@@ -21,7 +22,7 @@ from collections import Counter
 from fractions import Fraction
 from operator import mul
 
-from _oracles import frac_inverse
+from _oracles import echelon, frac_inverse
 from combings.cli import main
 from combings.combing import p1_image
 from combings.linalg import IntMatrix, analysis
@@ -159,6 +160,19 @@ def test_cli_outputs_are_presentation_independent():
             formulas.append(_cli(["image-p1", "--box", "0"], pres.matrix).split("\n")[0])
         assert ells[0] == ells[1], b
         assert formulas[0] == formulas[1] and formulas[0].startswith("formula: "), b
+
+
+def test_cli_homology_is_presentation_independent():
+    """Through the CLI, `homology` prints the same group on B and P^T B P,
+    and kernel bases that span the same lattice: P carries ker P^T B P onto
+    ker B, so the echelon basis of P z, over the printed kernel vectors z of
+    P^T B P, is the printed kernel basis of B."""
+    for b, p in _cli_cases(7):
+        printed = [json.loads(_cli(["homology"], pres.matrix)) for pres in _pair(b, p)]
+        group = ("invariant_factors", "betti_1", "dim_h1_mod2", "torsion_order")
+        assert [printed[1][key] for key in group] == [printed[0][key] for key in group], b
+        carried = echelon([p.matvec(z) for z in printed[1]["kernel_basis"]])
+        assert [list(v) for v in carried] == printed[0]["kernel_basis"], b
 
 
 COMBING_COMMANDS = ("theta-g", "p1", "hf-grading", "spinc-equal", "combing-equal",

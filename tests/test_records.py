@@ -65,7 +65,7 @@ PLAIN = [
     (FramedDoc, dict(lambda_matrix=((HALF,),), classes=None)),
     (Document, dict(linking_matrix=((2,),), combing=CombingDoc((0,), 0), combing2=None,
                     meridian=(1,), framed=None, casson_walker=HALF)),
-    (CheckResult, dict(name="gamma-law", cases=40, failures=0)),
+    (CheckResult, dict(name="gamma-law", cases=40, failures=0, error=None)),
 ]
 ALL = SLOTTED + PLAIN
 

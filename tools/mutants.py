@@ -176,12 +176,28 @@ MUTANTS = (
            "return 0 if all(r.ok for r in results) else 2", "return 0",
            (FAILING_CHECK,)),
     Mutant("report-prints-pass-for-failure", VERIFY,
-           'status = "pass" if res.ok else f"FAIL ({res.failures} failures)"', 'status = "pass"',
+           'status = "pass" if res.ok else f"FAIL ({res.failures} failures{error})"',
+           'status = "pass"',
            (FAILING_CHECK,)),
     Mutant("run-check-counts-no-failures", VERIFY,
-           "return CheckResult(name, len(failed), sum(failed))",
-           "return CheckResult(name, len(failed), 0)",
+           "return CheckResult(name, len(failed), sum(failed), error)",
+           "return CheckResult(name, len(failed), 0, error)",
            (FAILING_CHECK,)),
+    # a check that raises is one failing case, and the battery goes on
+    Mutant("run-check-stops-at-an-exception", VERIFY,
+           "except Exception as exc:  # a bug", "except OSError as exc:  # a bug",
+           (FAILING_CHECK,)),
+    # each distinct argv keeps its own parse; symmetry is checked where a
+    # bare matrix enters
+    Mutant("argv-memo-keys-command-only", CLI,
+           "    return build_parser().parse_args(list(argv))",
+           "    return _parse.__dict__.setdefault(argv[:1], build_parser().parse_args(list(argv)))",
+           ("tests/test_cli.py::TestDeterminism::test_parse_memo_keeps_no_refusal",)),
+    Mutant("signature-skips-symmetry-check", LINALG,
+           'if not s.is_symmetric():\n        raise ValueError("signature needs a symmetric matrix")\n'
+           "    return analysis(s).signature",
+           "return analysis(s).signature",
+           ("tests/test_linalg.py::TestSignature::test_rejects_nonsymmetric",)),
 )
 
 # Mutants whose code is gone, kept with the reason so that the list's
