@@ -8,6 +8,8 @@ calculus of the Pontrjagin construction, and the Theta = 6*lambda + p_1/4
 combiner.
 """
 
+from types import ModuleType as _ModuleType
+
 from .combing import (
     DEFAULT_BOX,
     CombingSpec,
@@ -54,9 +56,7 @@ from .framed import (
 from .linalg import (
     IntMatrix,
     SignatureTriple,
-    SnfResult,
     signature,
-    smith_normal_form,
 )
 from .surgery import (
     DEFAULT_CAP,
@@ -69,65 +69,12 @@ from .surgery import (
     linking_form,
     meridian_pairing,
     reduce_class,
-    torsion_residues,
 )
 from .theta import theta_invariant
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BadEtaError",
-    "CapExceededError",
-    "CombingSpec",
-    "DEFAULT_BOX",
-    "DEFAULT_CAP",
-    "DimensionMismatchError",
-    "DomainError",
-    "EMPTY_PRESENTATION",
-    "EulerClassInfo",
-    "EvenCoefficientError",
-    "FramedCobordismClass",
-    "FramedLinkData",
-    "HomologySummary",
-    "IntMatrix",
-    "MissingClassesError",
-    "NonTorsionError",
-    "NotCharacteristicError",
-    "NotZSphereError",
-    "P1ImageReport",
-    "P1Value",
-    "ParseError",
-    "SignatureTriple",
-    "SnfResult",
-    "SurgeryPresentation",
-    "add_hopf",
-    "apply_modification",
-    "band_sum",
-    "classes_equal",
-    "cobordism_class",
-    "combing_equal",
-    "euler_class",
-    "framed_cobordant_zsphere",
-    "gamma",
-    "gamma_orbit_modulus",
-    "hf_grading",
-    "homology_summary",
-    "is_torsion_class",
-    "linking_form",
-    "meridian_pairing",
-    "p1",
-    "p1_image",
-    "parity_check",
-    "pontrjagin_p1",
-    "reduce_class",
-    "reference_parallelization",
-    "signature",
-    "smith_normal_form",
-    "spin_c_equal",
-    "stabilize",
-    "theta_g",
-    "theta_invariant",
-    "torsion_residues",
-    "total_self_linking",
-    "validate_combing",
-]
+# the imports above are the one list of public names; the submodules they
+# bind on the package are not among them
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -56,6 +56,11 @@ from .surgery import (
 )
 from .theta import theta_invariant
 
+
+class _Help(Exception):
+    """A --help request, carrying the help text for `main` to write."""
+
+
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -66,6 +71,9 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str) -> None:  # type: ignore[override]
         raise ParseError(message)
+
+    def print_help(self, file: IO[str] | None = None) -> None:
+        raise _Help(self.format_help())  # main writes it to its stdout, and returns 0
 
 
 def _rational_flag(text: str) -> Fraction:
@@ -122,9 +130,10 @@ PARSE_MEMO_SIZE = 64  # distinct argv kept parsed; an embedding caller may pass 
 @lru_cache(maxsize=PARSE_MEMO_SIZE)
 def _parse(argv: tuple[str, ...]) -> argparse.Namespace:
     """The parsed arguments of argv, parsed once per process for each of the
-    PARSE_MEMO_SIZE most recently used argv.  A refused argv raises and is
-    never stored, so it prints its error on every call.  The Namespace is
-    shared by every call with the same argv: handlers only read `args`."""
+    PARSE_MEMO_SIZE most recently used argv.  A refused argv or a --help
+    request raises and is never stored, so it prints its message on every
+    call.  The Namespace is shared by every call with the same argv:
+    handlers only read `args`."""
     return build_parser().parse_args(list(argv))
 
 
@@ -358,6 +367,8 @@ def main(
         finally:
             sys.set_int_max_str_digits(limit)
         _write(args, stdout, output)
+    except _Help as exc:
+        stdout.write(str(exc))
     except DomainError as exc:
         print(f"error: {exc.code}: {exc}", file=stderr)
         return 2

@@ -155,12 +155,3 @@ def torsion_columns(
     tf = data.torsion_form
     return (tf.L, *tf.table(lifts=True))
 
-
-def torsion_residues(
-    pres: SurgeryPresentation, cap: int = DEFAULT_CAP
-) -> tuple[int, tuple[tuple[MeridianClass, int], ...]]:
-    """(L, ((rep, r), ...)): one representative per torsion class of H_1 with
-    the residue r in [0, L) of its linking-form value r / L mod 1, in the
-    order and under the cap of `torsion_columns`, whose columns it zips."""
-    L, columns, residues = torsion_columns(pres, cap)
-    return L, tuple((t[:-1], t[-1]) for t in zip(*columns, residues))

@@ -9,8 +9,11 @@ Ozsvath-Szabo recursion for the d-invariants of lens spaces, and echelon
 lattice bases by 2 x 2 extended-gcd steps, and the Hermite box of B Z^n read
 off such a basis, and the one-step symmetric Bareiss pass that the library's
 two-step pass must reproduce.  `solve_integer` and the Smith
-coordinates read the library's public Smith form, with its transforms, by
-a route that no question on a symmetric B takes.
+coordinates read the library's Smith form with its transforms
+(`linalg.smith_normal_form`, which the package does not export), by a
+route that no question on a symmetric B takes.  `torsion_pairs` is not an
+oracle: it zips the library's torsion columns into (rep, r) pairs for the
+tests that read the classes one at a time.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from fractions import Fraction
 from operator import add
 
 from combings.linalg import BareissPass, SignatureTriple, _substitute, smith_normal_form
+from combings.surgery import DEFAULT_CAP, torsion_columns
 
 
 def naive_det(rows) -> int:
@@ -243,6 +247,14 @@ def smith_kernel(a):
     """The kernel columns of the Smith V: a basis of ker A cap Z^n."""
     snf = smith_normal_form(a)
     return [snf.V.transpose().row(j) for j in range(snf.rank, a.cols)]
+
+
+def torsion_pairs(pres, cap=DEFAULT_CAP):
+    """(L, ((rep, r), ...)): the torsion classes of `torsion_columns` zipped
+    into pairs of a representative and the residue r of its linking form
+    r / L, in the same order; the one class of an empty B has rep ()."""
+    L, columns, residues = torsion_columns(pres, cap)
+    return L, tuple((t[:-1], t[-1]) for t in zip(*columns, residues))
 
 
 def _xgcd(a, b):

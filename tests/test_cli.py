@@ -1,5 +1,6 @@
 """Command-line front end: outputs, exit codes, determinism."""
 
+import argparse
 import io
 import json
 import os
@@ -322,6 +323,24 @@ class TestErrorChannel:
         assert code == 3 and out == ""
         assert err == "error: internal: ZeroDivisionError: division by zero\n"
         assert "Traceback" not in err
+
+    def test_help_is_written_to_the_given_stdout(self, monkeypatch):
+        """--help of each command returns 0 with the subparser's help on the
+        stdout main was given, nothing on stderr and nothing in the memo;
+        as a process it prints the same bytes and exits 0."""
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        cli._parse.cache_clear()
+        for command in cli.COMMANDS:
+            want = sub.choices[command].format_help()
+            assert want.startswith(f"usage: combings {command} ")
+            assert run([command, "--help"]) == (0, want, ""), command
+            assert cli._parse.cache_info().currsize == 0
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+        proc = subprocess.run([sys.executable, "-m", "combings.cli", "theta", "--help"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, run(["theta", "--help"])[1], "")
 
 
 class TestDeterminism:

@@ -12,7 +12,7 @@ With theta_g = c^T B^{-1} c - 2(n+1) - 3 sig(B) this reads
 
     sum_s exp(2 pi i theta_g(s) / 8) = sqrt|det B| (-i)^(sig + n + 1).
 
-The x are the representatives of `torsion_residues`, so the law also checks
+The x are the representatives of `torsion_columns`, so the law also checks
 that they are complete and distinct as Spin^c structures.  |det B| and the
 signature come from the characteristic polynomial (`_oracles`), not from the
 library.  The positive-definite E_8 is a check by hand: one class, c = 0,
@@ -27,9 +27,9 @@ from collections import Counter
 
 import pytest
 
-from _oracles import charpoly, eig_sign_counts
+from _oracles import charpoly, eig_sign_counts, torsion_pairs
 from combings.combing import reference_parallelization, theta_g
-from combings.surgery import SurgeryPresentation, homology_summary, torsion_residues
+from combings.surgery import SurgeryPresentation, homology_summary
 from combings.verify import random_symmetric
 
 # no input has more classes than this, so a sum has at most CAP unit terms
@@ -90,11 +90,11 @@ def _random_family(seed, count):
 
 def _gauss_sum(rows):
     """The number of classes and sum_s exp(2 pi i theta_g(s) / 8) over
-    s = c_ref + 2x, x over the representatives of torsion_residues.
+    s = c_ref + 2x, x over the representatives of torsion_columns.
     theta_g L is an integer, so the classes are counted by theta_g L mod 8L
     and the count vector is evaluated once in complex floats."""
     pres = SurgeryPresentation.from_rows(rows)
-    L, classes = torsion_residues(pres, cap=CAP)
+    L, classes = torsion_pairs(pres, cap=CAP)
     c_ref = reference_parallelization(pres).c
     counts = Counter()
     for x, _ in classes:

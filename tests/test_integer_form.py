@@ -26,6 +26,7 @@ from _oracles import (
     smith_generators,
     smith_kernel,
     solve_integer,
+    torsion_pairs,
     unimodular_inverse,
 )
 from combings.combing import (
@@ -58,7 +59,7 @@ from combings.surgery import (
     linking_form,
     meridian_pairing,
     reduce_class,
-    torsion_residues,
+    torsion_columns,
 )
 from combings.verify import (
     random_symmetric,
@@ -193,7 +194,7 @@ def test_singular_form_agrees_with_references_on_wide_kernel(index):
     assert diag.count(0) >= 2
     _assert_generalized_inverse(pres.matrix)
     _check_against_references(rng, pres)
-    L, classes = torsion_residues(pres, cap=5000)
+    L, classes = torsion_pairs(pres, cap=5000)
     for rep, r in classes:
         x = _solution(pres, rep)
         assert Fraction(r, L) == -sum((Fraction(a) * b for a, b in zip(rep, x)), Fraction(0)) % 1
@@ -449,7 +450,7 @@ def test_columns_read_off_bv_match_cofactor_inverse(index):
         assert coords(u_inv.matvec(y)) == y
         assert coords(reduce_class(pres, v)) == y
     want = list(_oracle_lifts(pres, u_inv))
-    got = [rep for rep, _ in torsion_residues(pres, cap=3000)[1]]
+    got = [rep for rep, _ in torsion_pairs(pres, cap=3000)[1]]
     assert len(got) == len(want) == len(set(map(coords, got)))
     assert sorted(map(coords, got)) == sorted(map(coords, want))
     _assert_saturation_basis(pres)
@@ -457,7 +458,7 @@ def test_columns_read_off_bv_match_cofactor_inverse(index):
 
 @pytest.mark.parametrize("index", range(len(TORSION_PRESENTATIONS)))
 def test_smith_coordinates_agree_with_fraction_route(index):
-    """torsion_residues against U^{-1} y over the Smith coordinates y, with
+    """torsion_columns against U^{-1} y over the Smith coordinates y, with
     the n x n linking form: the same classes with the same values r / L,
     each once, for singular and nonsingular B alike; every representative
     is its own reduce_class.  The formula side of p1_image is
@@ -467,7 +468,7 @@ def test_smith_coordinates_agree_with_fraction_route(index):
     for rep in _oracle_lifts(pres, _oracle_u_inverse(pres)):
         assert _solution(pres, rep) is not None
         want.append((rep, linking_form(pres, rep)))
-    L, got = torsion_residues(pres, cap=3000)
+    L, got = torsion_pairs(pres, cap=3000)
     coords = smith_coordinates(pres.matrix)
     assert len(got) == len(want) == len({coords(rep) for rep, _ in got})
     assert {coords(rep): Fraction(r, L) for rep, r in got} == {coords(rep): v for rep, v in want}
@@ -537,7 +538,7 @@ def test_hermite_route_matches_smith_reference(index):
         assert all(0 <= x < d for x, d in zip(rep, diag))
     if order > 3000:
         return
-    L, got = torsion_residues(pres, cap=3000)
+    L, got = torsion_pairs(pres, cap=3000)
     assert len(got) == order == len({coords(rep) for rep, _ in got})
     gens = smith_generators(b)
     lift = IntMatrix.from_rows([[g[k] for g, _ in gens] for k in range(pres.n)])  # U^{-1} y
@@ -684,7 +685,7 @@ def test_cold_questions_run_one_pass(passes):
         lambda pres, c: homology_summary(pres),
         lambda pres, c: reduce_class(pres, c),
         lambda pres, c: classes_equal(pres, c, c),
-        lambda pres, c: torsion_residues(pres),
+        lambda pres, c: torsion_columns(pres),
         lambda pres, c: p1_image(pres, box=1),
     )
     for rows, c in (
@@ -701,14 +702,14 @@ def test_cold_questions_run_one_pass(passes):
 
 
 def test_cold_torsion_walk_reads_the_torsion_form(passes):
-    """torsion_residues (linking-form) and p1_image read the factors of the
+    """torsion_columns (linking-form) and p1_image read the factors of the
     torsion form: one pass, on B, nonsingular or singular, and no homology
     summary."""
     for rows in (
         [[3, 1, 0], [1, -2, 1], [0, 1, 4]],
         [[2, 1, 3], [1, 5, 6], [3, 6, 9]],  # kernel (1, 1, -1)
     ):
-        for question in (torsion_residues, lambda pres: p1_image(pres, box=1)):
+        for question in (torsion_columns, lambda pres: p1_image(pres, box=1)):
             analysis.cache_clear()
             pres = _cold(rows)
             passes["passes"].clear()
@@ -738,15 +739,15 @@ def test_refused_torsion_walk_reads_det_alone(passes):
     analysis.cache_clear()
     pres = _cold(b)
     with pytest.raises(CapExceededError, match="^torsion order 31 exceeds cap 30$"):
-        torsion_residues(pres, cap=30)
-    assert len(torsion_residues(pres, cap=31)[1]) == 31
+        torsion_columns(pres, cap=30)
+    assert len(torsion_columns(pres, cap=31)[2]) == 31
     assert passes["smith"] == 0
 
 
 def test_cold_torsion_form_builds_no_form(passes):
     """The torsion form solves its k generators through the pass, and the
     order of a singular B is |D_r| / det(A)^2, off the pass: a cold
-    torsion_residues, torsion_form or torsion_order builds no `form`, on
+    torsion_columns, torsion_form or torsion_order builds no `form`, on
     nonsingular and singular B."""
     for rows in (
         [[3, 1, 0], [1, -2, 1], [0, 1, 4]],
@@ -754,7 +755,7 @@ def test_cold_torsion_form_builds_no_form(passes):
         [[2, 1, 3, 0], [1, 5, 6, 0], [3, 6, 9, 0], [0, 0, 0, 5]],  # order 45
     ):
         for question in (
-            torsion_residues,
+            torsion_columns,
             lambda pres: analysis(pres.matrix).torsion_form,
             lambda pres: analysis(pres.matrix).torsion_order,
         ):
@@ -768,12 +769,12 @@ def test_cold_torsion_form_builds_no_form(passes):
 
 
 def test_refused_singular_torsion_walk_builds_no_form(passes):
-    """A cold torsion_residues (linking-form) or p1_image (image-p1) on a
+    """A cold torsion_columns (linking-form) or p1_image (image-p1) on a
     singular B whose order is over the cap reads the order off the pass and
     the split and is refused before the box, `form` or the torsion form is
     built, as on a nonsingular B: one pass, on B."""
     b = [[2, 1, 3, 0], [1, 5, 6, 0], [3, 6, 9, 0], [0, 0, 0, 5]]  # order 45
-    for question in (torsion_residues, lambda pres, cap: p1_image(pres, cap=cap, box=0)):
+    for question in (torsion_columns, lambda pres, cap: p1_image(pres, cap=cap, box=0)):
         analysis.cache_clear()
         pres = _cold(b)
         passes["passes"].clear()
@@ -781,7 +782,7 @@ def test_refused_singular_torsion_walk_builds_no_form(passes):
             question(pres, cap=44)
         assert passes["passes"] == {pres.matrix: 1}
         assert not {"box", "form", "torsion_form"} & analysis(pres.matrix).__dict__.keys()
-    assert len(torsion_residues(pres, cap=45)[1]) == 45
+    assert len(torsion_columns(pres, cap=45)[2]) == 45
     assert "form" not in analysis(pres.matrix).__dict__
     assert passes["smith"] == 0
 
@@ -840,7 +841,7 @@ def test_nonsingular_questions_build_no_smith_form(passes):
     B read the pass and the integer form only; is_torsion_class builds no
     integer form.  On singular B, theta_g and is_torsion_class read the
     pass's kernel vectors.  homology_summary, reduce_class,
-    classes_equal, torsion_residues, p1_image, parity_check and
+    classes_equal, torsion_columns, p1_image, parity_check and
     gamma_orbit_modulus read the Hermite form of B, or of the core of a
     singular B.  None of them builds a Smith form."""
     pres = SurgeryPresentation.from_rows([[3, 1, 0, 2], [1, -2, 1, 0], [0, 1, 4, -1], [2, 0, -1, 5]])
@@ -869,7 +870,7 @@ def test_nonsingular_questions_build_no_smith_form(passes):
     v = (3, -1, 4, 1)
     assert reduce_class(pres, v) == reduce_class(pres, tuple(x + 2 * y for x, y in zip(v, pres.matrix.row(2))))
     assert classes_equal(pres, v, tuple(x - y for x, y in zip(v, pres.matrix.row(1))))
-    assert len(torsion_residues(pres)[1]) == summary.torsion_order
+    assert len(torsion_columns(pres)[2]) == summary.torsion_order
     p1_image(pres, box=1)
     assert parity_check(pres)
     assert gamma_orbit_modulus(pres, data.c_ref) == 0
@@ -936,7 +937,7 @@ def test_only_box_questions_build_the_singular_box(passes):
     assert reduce_class(pres, (4, 3, 7, 1)) == reduce_class(pres, c)
     box = data.box
     assert len(box) == 3 and passes["passes"] == {pres.matrix: 1}
-    assert homology_summary(pres).betti_1 == 1 and len(torsion_residues(pres)[1]) == 45
+    assert homology_summary(pres).betti_1 == 1 and len(torsion_columns(pres)[2]) == 45
     assert data.box is box and passes["passes"] == {pres.matrix: 1}
     assert passes["smith"] == 0
 

@@ -19,12 +19,19 @@ from operator import mul
 
 import pytest
 
-from _oracles import echelon, frac_solve, smith_coordinates, smith_generators, smith_kernel
+from _oracles import (
+    echelon,
+    frac_solve,
+    smith_coordinates,
+    smith_generators,
+    smith_kernel,
+    torsion_pairs,
+)
 from combings import linalg
 from combings.cli import main
 from combings.combing import reference_parallelization
 from combings.linalg import IntMatrix, analysis, smith_normal_form
-from combings.surgery import SurgeryPresentation, homology_summary, reduce_class, torsion_residues
+from combings.surgery import SurgeryPresentation, homology_summary, reduce_class
 from combings.verify import random_symmetric, random_unimodular
 
 MAX_ORDER = 1000
@@ -141,7 +148,7 @@ def _check(rng, pres, enumerate_classes):
             assert not any(coords([x - y for x, y in zip(rep, w)]))  # rep - w in B Z^n
     if not enumerate_classes:
         return
-    L, got = torsion_residues(pres, cap=MAX_ORDER)
+    L, got = torsion_pairs(pres, cap=MAX_ORDER)
     assert len(got) == order == len({coords(rep) for rep, _ in got})
     for rep, r in got:
         x = frac_solve(b.to_rows(), rep)[0]

@@ -3,7 +3,7 @@
 A change of basis of the meridians replaces (B, v) by (P^T B P, P^T v) for a
 unimodular P, and P^T carries B Z^n onto P^T B P Z^n, so it is an
 isomorphism of H_1 that keeps the linking form.  The answers must follow:
-the homology, the multiset of linking values of `torsion_residues`, the
+the homology, the multiset of linking values of `torsion_columns`, the
 classes of `reduce_class` and the formula side of `p1_image`, and, through
 `cli.main`, the group and the kernel span that `homology` prints, the
 `ell` values that `linking-form` prints, the `formula:` line of
@@ -22,11 +22,11 @@ from collections import Counter
 from fractions import Fraction
 from operator import mul
 
-from _oracles import echelon, frac_inverse
+from _oracles import echelon, frac_inverse, torsion_pairs
 from combings.cli import main
 from combings.combing import p1_image
 from combings.linalg import IntMatrix, analysis
-from combings.surgery import SurgeryPresentation, homology_summary, reduce_class, torsion_residues
+from combings.surgery import SurgeryPresentation, homology_summary, reduce_class
 from combings.verify import random_symmetric, random_torsion_characteristic, random_unimodular
 
 
@@ -104,7 +104,7 @@ def test_linking_values_are_presentation_independent():
     for b, p in CASES:
         values = []
         for pres in _pair(b, p):
-            L, table = torsion_residues(pres)
+            L, table = torsion_pairs(pres)
             values.append(Counter(Fraction(r, L) for _, r in table))
         assert values[0] == values[1], b
 

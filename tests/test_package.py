@@ -5,6 +5,7 @@ import io
 import re
 import shlex
 from pathlib import Path
+from types import ModuleType
 
 import combings
 from combings.cli import main
@@ -22,10 +23,28 @@ class TestAll:
     def test_sorted_without_duplicates(self):
         assert combings.__all__ == sorted(set(combings.__all__))
 
-    def test_torsion_residues_is_the_enumeration(self):
-        assert "torsion_residues" in combings.__all__
-        assert "enumerate_torsion" not in combings.__all__
-        assert not hasattr(combings, "enumerate_torsion")
+    def test_public_names_are_pinned(self):
+        """The package exports these names and no module: the imports of
+        `combings/__init__.py` are the one list of them."""
+        assert combings.__all__ == [
+            "BadEtaError", "CapExceededError", "CombingSpec", "DEFAULT_BOX", "DEFAULT_CAP",
+            "DimensionMismatchError", "DomainError", "EMPTY_PRESENTATION", "EulerClassInfo",
+            "EvenCoefficientError", "FramedCobordismClass", "FramedLinkData", "HomologySummary",
+            "IntMatrix", "MissingClassesError", "NonTorsionError", "NotCharacteristicError",
+            "NotZSphereError", "P1ImageReport", "P1Value", "ParseError", "SignatureTriple",
+            "SurgeryPresentation", "add_hopf", "apply_modification", "band_sum",
+            "classes_equal", "cobordism_class", "combing_equal", "euler_class",
+            "framed_cobordant_zsphere", "gamma", "gamma_orbit_modulus", "hf_grading",
+            "homology_summary", "is_torsion_class", "linking_form", "meridian_pairing", "p1",
+            "p1_image", "parity_check", "pontrjagin_p1", "reduce_class",
+            "reference_parallelization", "signature", "spin_c_equal", "stabilize", "theta_g",
+            "theta_invariant", "total_self_linking", "validate_combing",
+        ]
+        namespace = {}
+        exec("from combings import *", namespace)
+        assert not any(isinstance(value, ModuleType) for value in namespace.values())
+        # the Smith form is reached through `combings.linalg` only
+        assert not {"SnfResult", "smith_normal_form", "torsion_residues"} & vars(combings).keys()
 
     def test_exported_value_types(self):
         # the linking form is a Fraction and Theta takes two rationals, so
@@ -36,7 +55,7 @@ class TestAll:
         assert types == {
             "CombingSpec", "EulerClassInfo", "FramedCobordismClass", "FramedLinkData",
             "HomologySummary", "IntMatrix", "P1ImageReport", "P1Value",
-            "SignatureTriple", "SnfResult", "SurgeryPresentation",
+            "SignatureTriple", "SurgeryPresentation",
         }
 
 

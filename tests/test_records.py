@@ -23,13 +23,12 @@ from combings import (
     NotCharacteristicError,
     P1ImageReport,
     P1Value,
-    SnfResult,
     SurgeryPresentation,
     signature,
     theta_invariant,
 )
 from combings.document import CombingDoc, Document, FramedDoc
-from combings.linalg import IntegerForm, TorsionForm
+from combings.linalg import IntegerForm, SnfResult, TorsionForm
 from combings.verify import CheckResult
 
 M = IntMatrix(rows=2, cols=2, entries=(2, 1, 1, 2))

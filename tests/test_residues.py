@@ -7,7 +7,7 @@ without the table, on seeded presentations: lens spaces L(d, 1) up to
 d ~ 2000, signed permutations of A_k, random n <= 4, singular B with
 torsion, unimodular B and the empty B.  `linking-form` is checked against
 the pairing G (`linking_form`) on each representative of
-`torsion_residues`, `image-p1` against p_1 of the reference
+`torsion_columns`, `image-p1` against p_1 of the reference
 parallelization and of every swept torsion combing.
 `TorsionForm.table`, which builds the residues and lifts by finite
 differences, is compared point by point with -(y^T Q y) mod L and
@@ -23,6 +23,7 @@ from fractions import Fraction
 
 import pytest
 
+from _oracles import torsion_pairs
 from combings.cli import main
 from combings.combing import CombingSpec, p1, p1_image, reference_parallelization
 from combings.linalg import analysis
@@ -33,7 +34,7 @@ from combings.surgery import (
     is_torsion_class,
     linking_form,
     reduce_class,
-    torsion_residues,
+    torsion_columns,
 )
 from combings.verify import random_symmetric
 
@@ -91,15 +92,15 @@ def _presentations():
 PRESENTATIONS = _presentations()
 
 
-# The name is older than `torsion_residues`; it is kept so that the test
+# The name is older than `torsion_columns`; it is kept so that the test
 # ids stay stable.
 @pytest.mark.parametrize("name, rows, box", PRESENTATIONS, ids=[p[0] for p in PRESENTATIONS])
 def test_linking_form_prints_enumerate_torsion(name, rows, box):
-    """stdout is the indented json of the classes of `torsion_residues`,
+    """stdout is the indented json of the classes of `torsion_columns`,
     one per torsion class and each its own `reduce_class`, valued by the
     pairing G on the class, byte for byte."""
     pres = SurgeryPresentation.from_rows(rows)
-    L, entries = torsion_residues(pres)
+    L, entries = torsion_pairs(pres)
     reps = [rep for rep, _ in entries]
     assert len(reps) == len(set(reps)) == homology_summary(pres).torsion_order
     assert all(reduce_class(pres, rep) == rep for rep in reps)
@@ -124,7 +125,7 @@ def test_image_p1_prints_sorted_side_sets(name, rows, box):
     pres = SurgeryPresentation.from_rows(rows)
     ref = p1(reference_parallelization(pres)).value
     formula = {(ref - 4 * linking_form(pres, rep)) % 4
-               for rep, _ in torsion_residues(pres)[1]}
+               for rep, _ in torsion_pairs(pres)[1]}
     enumeration = {p1(CombingSpec(pres, c)).value % 4 for c in _sweep(pres, box)}
 
     def line(values):
@@ -139,7 +140,7 @@ def test_image_p1_prints_sorted_side_sets(name, rows, box):
 
 def test_presentations_cover_their_kinds():
     """Some singular B has torsion, and some B is unimodular."""
-    orders = {name: len(torsion_residues(SurgeryPresentation.from_rows(rows))[1])
+    orders = {name: len(torsion_columns(SurgeryPresentation.from_rows(rows))[2])
               for name, rows, _ in PRESENTATIONS}
     assert any(orders[name] > 1 for name in orders if name.startswith("singular"))
     assert orders["unimodular2"] == orders["hyperbolic"] == orders["empty"] == 1

@@ -17,7 +17,7 @@ from combings.surgery import (
     linking_form,
     meridian_pairing,
     reduce_class,
-    torsion_residues,
+    torsion_columns,
 )
 from combings.verify import (
     random_presentation,
@@ -26,7 +26,7 @@ from combings.verify import (
     saturation_basis,
 )
 
-from _oracles import f2_rank, frac_solve, naive_det
+from _oracles import f2_rank, frac_solve, naive_det, torsion_pairs
 
 
 def pres(rows):
@@ -219,34 +219,35 @@ class TestLinkingFormValue:
     def test_residues_of_the_enumeration(self, index):
         _, p, _, _ = LINKING_CASES[index]
         if homology_summary(p).torsion_order <= 400:
-            L, entries = torsion_residues(p)
+            L, entries = torsion_pairs(p)
             assert all(linking_form(p, rep) == Fraction(r, L) for rep, r in entries)
 
 
 class TestEnumerateTorsion:
-    """`torsion_residues`: one representative per torsion class with the
-    residue r of its linking form r / L mod 1."""
+    """`torsion_columns`: one representative per torsion class with the
+    residue r of its linking form r / L mod 1, read as pairs."""
 
     def test_three_classes(self):
-        L, got = torsion_residues(pres([[3]]), 10)
+        L, got = torsion_pairs(pres([[3]]), 10)
         values = sorted(Fraction(r, L) for _, r in got)
         assert values == [Fraction(0), Fraction(2, 3), Fraction(2, 3)]
 
     def test_two_classes(self):
-        L, got = torsion_residues(pres([[2]]), 10)
+        L, got = torsion_pairs(pres([[2]]), 10)
         assert sorted(Fraction(r, L) for _, r in got) == [Fraction(0), Fraction(1, 2)]
 
     def test_trivial_group(self):
-        assert torsion_residues(EMPTY_PRESENTATION, 10) == (1, (((), 0),))
+        assert torsion_columns(EMPTY_PRESENTATION, 10) == (1, [], [0])
+        assert torsion_pairs(EMPTY_PRESENTATION, 10) == (1, (((), 0),))
 
     def test_cap(self):
         with pytest.raises(CapExceededError) as err:
-            torsion_residues(pres([[5]]), 4)
+            torsion_columns(pres([[5]]), 4)
         assert err.value.torsion_order == 5
 
     def test_negative_cap_is_refused(self):
         with pytest.raises(ValueError):
-            torsion_residues(pres([[5]]), -1)
+            torsion_columns(pres([[5]]), -1)
 
     def test_count_matches_determinant(self):
         rng = random.Random(7)
@@ -256,7 +257,7 @@ class TestEnumerateTorsion:
             d = naive_det(p.matrix.to_rows())
             if d == 0 or abs(d) > 60:
                 continue
-            L, got = torsion_residues(p, cap=100)
+            L, got = torsion_pairs(p, cap=100)
             assert len(got) == abs(d)
             # distinct classes: canonical representatives must not repeat
             reps = {reduce_class(p, rep) for rep, _ in got}
@@ -280,7 +281,7 @@ class TestEnumerateTorsion:
             for v in candidates:
                 box.add(reduce_class(p, v))
             assert len(box) == d
-            enumerated = {rep for rep, _ in torsion_residues(p, cap=100)[1]}
+            enumerated = {rep for rep, _ in torsion_pairs(p, cap=100)[1]}
             assert enumerated == box
 
 

@@ -51,6 +51,7 @@ VERIFY = "src/combings/verify.py"
 SURGERY = "src/combings/surgery.py"
 COMBING = "src/combings/combing.py"
 DOCUMENT = "src/combings/document.py"
+PACKAGE = "src/combings/__init__.py"
 FAILING_CHECK = "tests/test_cli.py::TestDeterminism::test_verify_reports_a_failing_check"
 
 MUTANTS = (
@@ -198,6 +199,14 @@ MUTANTS = (
            "    return analysis(s).signature",
            "return analysis(s).signature",
            ("tests/test_linalg.py::TestSignature::test_rejects_nonsymmetric",)),
+    # the public names are the imports, less the submodules they bind; a
+    # --help request is written where main writes, and main returns
+    Mutant("all-exports-submodules", PACKAGE,
+           " and not isinstance(value, _ModuleType)", "",
+           ("tests/test_package.py::TestAll::test_public_names_are_pinned",)),
+    Mutant("help-escapes-main", CLI,
+           "raise _Help(self.format_help())", "super().print_help(file)",
+           ("tests/test_cli.py::TestErrorChannel::test_help_is_written_to_the_given_stdout",)),
 )
 
 # Mutants whose code is gone, kept with the reason so that the list's
