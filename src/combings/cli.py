@@ -137,10 +137,6 @@ def _parse(argv: tuple[str, ...]) -> argparse.Namespace:
     return build_parser().parse_args(list(argv))
 
 
-def _presentation(doc: Document) -> SurgeryPresentation:
-    return SurgeryPresentation.from_rows(doc.linking_matrix)
-
-
 def _raw_combing(doc: Document, which: str = "combing") -> CombingDoc:
     """The document's `which` entry, not yet checked against the matrix."""
     raw = doc.combing if which == "combing" else doc.combing2
@@ -149,23 +145,14 @@ def _raw_combing(doc: Document, which: str = "combing") -> CombingDoc:
     return raw
 
 
-def _combing(
-    doc: Document, which: str = "combing", pres: SurgeryPresentation | None = None
-) -> CombingSpec:
-    """The document's combing on `pres`; a command that reads the document
-    twice builds the presentation once and passes it to both readers."""
-    raw = _raw_combing(doc, which)
-    return CombingSpec(pres or _presentation(doc), raw.c, raw.gamma)
+def _combing(doc: Document, pres: SurgeryPresentation, which: str = "combing") -> CombingSpec:
+    return CombingSpec(pres, *_raw_combing(doc, which))
 
 
-def _framed(doc: Document, pres: SurgeryPresentation | None = None) -> FramedLinkData:
+def _framed(doc: Document, pres: SurgeryPresentation) -> FramedLinkData:
     if doc.framed is None:
         raise ParseError("this command needs a 'framed' entry in the document")
-    return FramedLinkData.from_rows(
-        doc.framed.lambda_matrix,
-        classes=doc.framed.classes,
-        ambient=pres or _presentation(doc),
-    )
+    return FramedLinkData.from_rows(doc.framed.lambda_matrix, doc.framed.classes, pres)
 
 
 def _bool(value: bool) -> str:
@@ -178,8 +165,8 @@ def _residues(residues: frozenset[int], L: int, m: int) -> str:
     return ", ".join(format_residue(r, L, m) for r in sorted(residues))
 
 
-def _cmd_homology(args, doc: Document) -> str:
-    summary = homology_summary(_presentation(doc))
+def _cmd_homology(args, doc: Document, pres: SurgeryPresentation) -> str:
+    summary = homology_summary(pres)
     obj = {
         "invariant_factors": list(summary.invariant_factors),
         "betti_1": summary.betti_1,
@@ -209,44 +196,39 @@ def _enumeration_json(L: int, columns: list[list[int]], residues: list[int]) -> 
     return "[\n" + ",\n".join(map(item.__mod__, classes)) + "\n]"
 
 
-def _cmd_linking_form(args, doc: Document) -> str:
-    pres = _presentation(doc)
+def _cmd_linking_form(args, doc: Document, pres: SurgeryPresentation) -> str:
     if doc.meridian is not None:
         return format_residue(*linking_form(pres, doc.meridian).as_integer_ratio(), 1)
     return _enumeration_json(*torsion_columns(pres, cap=args.cap))
 
 
-def _cmd_theta_g(args, doc: Document) -> str:
-    c = _raw_combing(doc).c
-    return format_rational(theta_g(_presentation(doc), c))
+def _cmd_theta_g(args, doc: Document, pres: SurgeryPresentation) -> str:
+    return format_rational(theta_g(pres, _raw_combing(doc).c))
 
 
-def _cmd_p1(args, doc: Document) -> str:
-    return format_rational(p1(_combing(doc)).value)
+def _cmd_p1(args, doc: Document, pres: SurgeryPresentation) -> str:
+    return format_rational(p1(_combing(doc, pres)).value)
 
 
-def _cmd_spinc_equal(args, doc: Document) -> str:
-    x = _combing(doc)
-    y = _combing(doc, "combing2", x.presentation)
-    return _bool(_spin_c_equal(x.presentation, x.c, y.c))
+def _cmd_spinc_equal(args, doc: Document, pres: SurgeryPresentation) -> str:
+    x, y = _combing(doc, pres), _combing(doc, pres, "combing2")
+    return _bool(_spin_c_equal(pres, x.c, y.c))
 
 
-def _cmd_combing_equal(args, doc: Document) -> str:
-    x = _combing(doc)
-    return _bool(combing_equal(x, _combing(doc, "combing2", x.presentation)))
+def _cmd_combing_equal(args, doc: Document, pres: SurgeryPresentation) -> str:
+    return _bool(combing_equal(_combing(doc, pres), _combing(doc, pres, "combing2")))
 
 
-def _cmd_orbit_modulus(args, doc: Document) -> str:
-    x = _combing(doc)
-    return str(gamma_orbit_modulus(x.presentation, x.c))
+def _cmd_orbit_modulus(args, doc: Document, pres: SurgeryPresentation) -> str:
+    return str(gamma_orbit_modulus(pres, _combing(doc, pres).c))
 
 
-def _cmd_hf_grading(args, doc: Document) -> str:
-    return format_rational(hf_grading(_combing(doc)))
+def _cmd_hf_grading(args, doc: Document, pres: SurgeryPresentation) -> str:
+    return format_rational(hf_grading(_combing(doc, pres)))
 
 
-def _cmd_image_p1(args, doc: Document) -> str:
-    report = p1_image(_presentation(doc), cap=args.cap, box=args.box)
+def _cmd_image_p1(args, doc: Document, pres: SurgeryPresentation) -> str:
+    report = p1_image(pres, cap=args.cap, box=args.box)
     check = "equal" if report.is_equal else (
         "subset (box threshold not reached)" if report.is_subset else "MISMATCH"
     )
@@ -259,44 +241,44 @@ def _cmd_image_p1(args, doc: Document) -> str:
     )
 
 
-def _cmd_parity(args, doc: Document) -> str:
-    return _bool(parity_check(_presentation(doc)))
+def _cmd_parity(args, doc: Document, pres: SurgeryPresentation) -> str:
+    return _bool(parity_check(pres))
 
 
-def _cmd_framed_total(args, doc: Document) -> str:
-    return format_rational(total_self_linking(_framed(doc)))
+def _cmd_framed_total(args, doc: Document, pres: SurgeryPresentation) -> str:
+    return format_rational(total_self_linking(_framed(doc, pres)))
 
 
-def _cmd_framed_class(args, doc: Document) -> str:
-    cls = cobordism_class(_framed(doc))
+def _cmd_framed_class(args, doc: Document, pres: SurgeryPresentation) -> str:
+    cls = cobordism_class(_framed(doc, pres))
     obj = {"class": list(cls.homology), "total": format_rational(cls.total)}
     return json.dumps(obj, indent=2)
 
 
-def _cmd_pontrjagin_p1(args, doc: Document) -> str:
-    x = _combing(doc)
-    return format_rational(pontrjagin_p1(p1(x).value, _framed(doc, x.presentation)))
+def _cmd_pontrjagin_p1(args, doc: Document, pres: SurgeryPresentation) -> str:
+    x = _combing(doc, pres)
+    return format_rational(pontrjagin_p1(p1(x).value, _framed(doc, pres)))
 
 
-def _cmd_stabilize(args, doc: Document) -> str:
-    new = stabilize(_combing(doc), args.sign, args.c0)
+def _cmd_stabilize(args, doc: Document, pres: SurgeryPresentation) -> str:
+    new = stabilize(_combing(doc, pres), args.sign, args.c0)
     combing = {"c": list(new.c), "gamma": new.gamma_offset}
     obj = {"linking_matrix": new.presentation.matrix.to_rows(), "combing": combing}
     return json.dumps(obj, indent=2)
 
 
-def _cmd_modify(args, doc: Document) -> str:
+def _cmd_modify(args, doc: Document, pres: SurgeryPresentation) -> str:
     result = apply_modification(
-        p1(_combing(doc)), args.kind, eta=args.eta, lk_euler=args.lk_euler,
+        p1(_combing(doc, pres)), args.kind, eta=args.eta, lk_euler=args.lk_euler,
         lk_par=args.lk_par, r=args.r, k=args.k,
     )
     return format_rational(result.value)
 
 
-def _cmd_theta(args, doc: Document) -> str:
+def _cmd_theta(args, doc: Document, pres: SurgeryPresentation) -> str:
     if doc.casson_walker is None:
         raise ParseError("this command needs a 'lambda' entry in the document")
-    return format_rational(theta_invariant(doc.casson_walker, p1(_combing(doc)).value))
+    return format_rational(theta_invariant(doc.casson_walker, p1(_combing(doc, pres)).value))
 
 
 _HANDLERS = {
@@ -358,12 +340,13 @@ def main(
             _write(args, stdout, format_report(results, args.seed))
             return 0 if all(r.ok for r in results) else 2
         doc = _read_document(args, stdin)
+        pres = SurgeryPresentation.from_rows(doc.linking_matrix)
         # input integers keep CPython's int/str digit limit; an exact answer
         # may be longer than any of them, so the handler runs without it
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
         try:
-            output = _HANDLERS[args.command](args, doc)
+            output = _HANDLERS[args.command](args, doc, pres)
         finally:
             sys.set_int_max_str_digits(limit)
         _write(args, stdout, output)

@@ -27,7 +27,7 @@ from .errors import (
     NonTorsionError,
     NotCharacteristicError,
 )
-from .linalg import IntMatrix, MatrixAnalysis, analysis
+from .linalg import IntMatrix, MatrixAnalysis, Vector, analysis
 from .record import Record
 from .surgery import (
     DEFAULT_CAP,
@@ -56,13 +56,15 @@ def _listing(names: Sequence[str]) -> str:
     return " and ".join(filter(None, (", ".join(names[:-1]), names[-1])))
 
 
-def validate_combing(pres: SurgeryPresentation, c: Sequence[int]) -> None:
+def validate_combing(pres: SurgeryPresentation, c: Sequence[int]) -> Vector:
     """Check the characteristic condition c_i = B_ii (mod 2) for all i, in
-    one pass of C calls over the diagonal; the first i that fails is named."""
+    one pass of C calls over the diagonal; the first i that fails is named.
+    Returns c as a tuple."""
     c = _check_length(pres, c)
     odd = list(map(mod, map(sub, c, pres.matrix.diagonal()), itertools.repeat(2)))
     if any(odd):
         raise NotCharacteristicError(odd.index(1))
+    return c
 
 
 class CombingSpec(Record):
@@ -73,10 +75,8 @@ class CombingSpec(Record):
     def __init__(
         self, presentation: SurgeryPresentation, c: Sequence[int], gamma_offset: int = 0
     ) -> None:
-        c = tuple(c)
-        validate_combing(presentation, c)
+        object.__setattr__(self, "c", validate_combing(presentation, c))
         object.__setattr__(self, "presentation", presentation)
-        object.__setattr__(self, "c", c)
         object.__setattr__(self, "gamma_offset", gamma_offset)
 
 
@@ -105,8 +105,7 @@ def euler_class(pres: SurgeryPresentation, c: Sequence[int]) -> EulerClassInfo:
     the integer column lattice, in which case the combing extends to a
     parallelization.
     """
-    validate_combing(pres, c)
-    c = tuple(c)
+    c = validate_combing(pres, c)
     data = analysis(pres.matrix)
     return EulerClassInfo(class_vector=c, is_torsion=data.is_torsion(c), is_zero=data.in_lattice(c))
 

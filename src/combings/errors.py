@@ -2,7 +2,9 @@
 
 Operation preconditions raise DomainError subclasses (CLI exit code 2);
 malformed input text raises ParseError, a ValueError (CLI exit code 1).
-Each DomainError carries a short ``code`` naming the failed precondition.
+Each DomainError carries a short ``code`` naming the failed precondition:
+its class name without the ``Error`` suffix (``NonTorsionError`` has the
+code ``NonTorsion``); DomainError itself has the code ``DomainError``.
 """
 
 from __future__ import annotations
@@ -13,17 +15,17 @@ class DomainError(Exception):
 
     code = "DomainError"
 
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.code = cls.__name__.removesuffix("Error")
+
 
 class NonTorsionError(DomainError):
     """A homology class or combing that must be torsion is not."""
 
-    code = "NonTorsion"
-
 
 class NotCharacteristicError(DomainError):
     """A coefficient vector fails c_i = B_ii (mod 2) at some index."""
-
-    code = "NotCharacteristic"
 
     def __init__(self, index: int) -> None:
         self.index = index
@@ -32,8 +34,6 @@ class NotCharacteristicError(DomainError):
 
 class CapExceededError(DomainError):
     """A torsion enumeration or an image-p1 sweep would exceed the cap."""
-
-    code = "CapExceeded"
 
     def __init__(self, torsion_order: int, cap: int, message: str | None = None) -> None:
         self.torsion_order = torsion_order
@@ -44,31 +44,21 @@ class CapExceededError(DomainError):
 class DimensionMismatchError(DomainError):
     """Vector or matrix dimensions do not agree."""
 
-    code = "DimensionMismatch"
-
 
 class EvenCoefficientError(DomainError):
     """The coefficient over a +/-1-framed unknot must be odd."""
-
-    code = "EvenCoefficient"
 
 
 class BadEtaError(DomainError):
     """A twisting sign parameter must be +1 or -1."""
 
-    code = "BadEta"
-
 
 class NotZSphereError(DomainError):
     """The operation needs an integral homology sphere (or ball) ambient."""
 
-    code = "NotZSphere"
-
 
 class MissingClassesError(DomainError):
     """Framed link data lacks the ambient homology data required here."""
-
-    code = "MissingClasses"
 
 
 class ParseError(ValueError):

@@ -44,13 +44,10 @@ class FramedLinkData(Record):
     def __init__(self, lambda_matrix: QMatrix, classes: tuple[MeridianClass, ...] | None = None,
                  ambient: SurgeryPresentation | None = None) -> None:
         n = len(lambda_matrix)
-        for row in lambda_matrix:
-            if len(row) != n:
-                raise ValueError("linking data must be a square matrix")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if lambda_matrix[i][j] != lambda_matrix[j][i]:
-                    raise ValueError("linking data must be symmetric")
+        if any(len(row) != n for row in lambda_matrix):
+            raise ValueError("linking data must be a square matrix")
+        if tuple(zip(*lambda_matrix)) != tuple(map(tuple, lambda_matrix)):
+            raise ValueError("linking data must be symmetric")
         object.__setattr__(self, "lambda_matrix", lambda_matrix)
         object.__setattr__(self, "classes", classes)
         object.__setattr__(self, "ambient", ambient)

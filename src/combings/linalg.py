@@ -66,13 +66,6 @@ class IntMatrix(Record):
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "_hash", hash((rows, cols, entries)))
 
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return other is self or (
-            self.entries == other.entries and self.rows == other.rows and self.cols == other.cols
-        )
-
     def __hash__(self) -> int:
         return self._hash
 

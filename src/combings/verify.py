@@ -66,14 +66,7 @@ BUILTIN_MATRICES: tuple[tuple[tuple[int, ...], ...], ...] = (
     ((2, 0), (0, 3)),
 )
 
-IMAGE_BATTERY: tuple[tuple[tuple[int, ...], ...], ...] = (
-    ((2,),),
-    ((3,),),
-    ((4,),),
-    ((5,),),
-    ((2, 1), (1, 2)),
-    ((4, 1), (1, 4)),
-)
+IMAGE_BATTERY = BUILTIN_MATRICES[3:9]  # (2), (3), (4), (5) and the two 2x2 forms
 
 
 def random_symmetric(rng: random.Random, n: int, bound: int = 5) -> IntMatrix:
@@ -166,13 +159,10 @@ def random_framed(
             lam[i][j] = lam[j][i] = random_rational(rng)
     if not with_classes:
         return FramedLinkData.from_rows(lam)
-    # consistent classes: pick them first, then force off-diagonal linkings
-    # onto the pairing value plus a random integer
+    # consistent classes: pick torsion classes first, then force off-diagonal
+    # linkings onto the pairing value plus a random integer
     pres = SurgeryPresentation(random_symmetric(rng, rng.randint(1, 3), 4))
-    classes = []
-    for _ in range(n):
-        u = [rng.randint(-2, 2) for _ in range(pres.n)]
-        classes.append(tuple(pres.matrix.matvec(u)))
+    classes = [random_torsion_vector(rng, pres) for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             pairing = meridian_pairing(pres, classes[i], classes[j])

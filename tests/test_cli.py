@@ -14,6 +14,7 @@ import pytest
 
 from combings import cli
 from combings.cli import build_parser, main
+from combings.errors import CapExceededError, DomainError, NotCharacteristicError
 
 
 def run(args, text=""):
@@ -315,7 +316,7 @@ class TestErrorChannel:
         assert err.startswith("error: parse: ") and "Traceback" not in err
 
     def test_unexpected_exception_is_internal_error(self, monkeypatch):
-        def broken(args, doc):
+        def broken(args, doc, pres):
             raise ZeroDivisionError("division by zero")
 
         monkeypatch.setitem(cli._HANDLERS, "homology", broken)
@@ -323,6 +324,33 @@ class TestErrorChannel:
         assert code == 3 and out == ""
         assert err == "error: internal: ZeroDivisionError: division by zero\n"
         assert "Traceback" not in err
+
+    def test_every_domain_error_code_is_pinned(self, monkeypatch):
+        """Each DomainError's code is its class name without "Error", and
+        main prints it after "error:" and exits 2 when a handler raises it."""
+        classes = [DomainError, *DomainError.__subclasses__()]
+        assert {cls.__name__: cls.code for cls in classes} == {
+            "DomainError": "DomainError",
+            "NonTorsionError": "NonTorsion",
+            "NotCharacteristicError": "NotCharacteristic",
+            "CapExceededError": "CapExceeded",
+            "DimensionMismatchError": "DimensionMismatch",
+            "EvenCoefficientError": "EvenCoefficient",
+            "BadEtaError": "BadEta",
+            "NotZSphereError": "NotZSphere",
+            "MissingClassesError": "MissingClasses",
+        }
+        init = {NotCharacteristicError: (3,), CapExceededError: (12, 10)}
+        for cls in classes:
+            exc = cls(*init.get(cls, ("refused",)))
+
+            def raising(args, doc, pres):
+                raise exc
+
+            monkeypatch.setitem(cli._HANDLERS, "homology", raising)
+            code, out, err = run(["homology"], '{"linking_matrix": [[2]]}')
+            assert (code, out, err) == (2, "", f"error: {cls.code}: {exc}\n"), cls
+        assert err == "error: MissingClasses: refused\n"
 
     def test_help_is_written_to_the_given_stdout(self, monkeypatch):
         """--help of each command returns 0 with the subparser's help on the
@@ -527,13 +555,13 @@ def test_import_loads_neither_dataclasses_nor_inspect(module):
 def test_each_command_builds_the_presentation_once(monkeypatch):
     """A command that reads the document twice (two combings, or a combing
     and framed data) builds, validates and hashes its matrix once."""
-    built, presentation = [], cli._presentation
+    built, from_rows = [], cli.SurgeryPresentation.from_rows
 
-    def counting(doc):
-        built.append(doc)
-        return presentation(doc)
+    def counting(rows):
+        built.append(rows)
+        return from_rows(rows)
 
-    monkeypatch.setattr(cli, "_presentation", counting)
+    monkeypatch.setattr(cli.SurgeryPresentation, "from_rows", counting)
     doc = json.dumps({
         "linking_matrix": [[2, 1], [1, 2]],
         "combing": {"c": [0, 0], "gamma": 0},

@@ -20,7 +20,7 @@ from combings.framed import (
     total_self_linking,
 )
 from combings.linalg import analysis
-from combings.surgery import SurgeryPresentation
+from combings.surgery import SurgeryPresentation, reduce_class
 from combings.verify import random_framed
 
 
@@ -234,3 +234,17 @@ class TestMeridianMove:
             assert total_self_linking(via_hopf) == total_self_linking(direct)
             if f.classes is not None:
                 assert cobordism_class(via_hopf) == cobordism_class(direct)
+
+
+def test_random_framed_draws_nonzero_classes():
+    """`random_framed` draws each class from the torsion lattice, not from
+    B Z^n: some class is nonzero in H_1, and then some off-diagonal linking
+    (the pairing plus an integer) is not an integer."""
+    rng = random.Random(0)
+    nonzero = fractional = 0
+    for _ in range(100):
+        f = random_framed(rng, max_n=4, with_classes=True)
+        nonzero += any(any(reduce_class(f.ambient, v)) for v in f.classes)
+        rows = f.lambda_matrix
+        fractional += any(x.denominator != 1 for i, row in enumerate(rows) for x in row[i + 1:])
+    assert nonzero > 0 and fractional > 0

@@ -52,6 +52,7 @@ SURGERY = "src/combings/surgery.py"
 COMBING = "src/combings/combing.py"
 DOCUMENT = "src/combings/document.py"
 PACKAGE = "src/combings/__init__.py"
+ERRORS = "src/combings/errors.py"
 FAILING_CHECK = "tests/test_cli.py::TestDeterminism::test_verify_reports_a_failing_check"
 
 MUTANTS = (
@@ -207,6 +208,20 @@ MUTANTS = (
     Mutant("help-escapes-main", CLI,
            "raise _Help(self.format_help())", "super().print_help(file)",
            ("tests/test_cli.py::TestErrorChannel::test_help_is_written_to_the_given_stdout",)),
+    # an error's code is its class name less "Error"; the image battery is a
+    # slice of the built-in matrices; random framed links draw torsion
+    # classes, not classes of B Z^n, which are all zero in H_1
+    Mutant("domain-code-keeps-suffix", ERRORS,
+           'removesuffix("Error")', 'removesuffix("")',
+           ("tests/test_cli.py::TestErrorChannel::test_every_domain_error_code_is_pinned",)),
+    Mutant("image-battery-one-short", VERIFY,
+           "BUILTIN_MATRICES[3:9]", "BUILTIN_MATRICES[3:8]",
+           ("tests/test_golden_cli.py::test_verify_seed_is_pinned",)),
+    Mutant("framed-classes-in-lattice", VERIFY,
+           "classes = [random_torsion_vector(rng, pres) for _ in range(n)]",
+           "classes = [pres.matrix.matvec([rng.randint(-2, 2) for _ in range(pres.n)])"
+           " for _ in range(n)]",
+           ("tests/test_framed.py::test_random_framed_draws_nonzero_classes",)),
 )
 
 # Mutants whose code is gone, kept with the reason so that the list's
