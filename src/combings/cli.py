@@ -166,15 +166,7 @@ def _residues(residues: frozenset[int], L: int, m: int) -> str:
 
 
 def _cmd_homology(args, doc: Document, pres: SurgeryPresentation) -> str:
-    summary = homology_summary(pres)
-    obj = {
-        "invariant_factors": list(summary.invariant_factors),
-        "betti_1": summary.betti_1,
-        "dim_h1_mod2": summary.dim_h1_mod2,
-        "torsion_order": summary.torsion_order,
-        "kernel_basis": [list(v) for v in summary.kernel_basis],
-    }
-    return json.dumps(obj, indent=2)
+    return json.dumps(homology_summary(pres)._asdict(), indent=2)
 
 
 def _enumeration_json(L: int, columns: list[list[int]], residues: list[int]) -> str:
@@ -220,7 +212,7 @@ def _cmd_combing_equal(args, doc: Document, pres: SurgeryPresentation) -> str:
 
 
 def _cmd_orbit_modulus(args, doc: Document, pres: SurgeryPresentation) -> str:
-    return str(gamma_orbit_modulus(pres, _combing(doc, pres).c))
+    return str(gamma_orbit_modulus(pres, _raw_combing(doc).c))
 
 
 def _cmd_hf_grading(args, doc: Document, pres: SurgeryPresentation) -> str:
@@ -281,25 +273,9 @@ def _cmd_theta(args, doc: Document, pres: SurgeryPresentation) -> str:
     return format_rational(theta_invariant(doc.casson_walker, p1(_combing(doc, pres)).value))
 
 
-_HANDLERS = {
-    "homology": _cmd_homology,
-    "linking-form": _cmd_linking_form,
-    "theta-g": _cmd_theta_g,
-    "p1": _cmd_p1,
-    "spinc-equal": _cmd_spinc_equal,
-    "combing-equal": _cmd_combing_equal,
-    "orbit-modulus": _cmd_orbit_modulus,
-    "hf-grading": _cmd_hf_grading,
-    "image-p1": _cmd_image_p1,
-    "parity": _cmd_parity,
-    "framed-total": _cmd_framed_total,
-    "framed-class": _cmd_framed_class,
-    "pontrjagin-p1": _cmd_pontrjagin_p1,
-    "stabilize": _cmd_stabilize,
-    "modify": _cmd_modify,
-    "theta": _cmd_theta,
-}
-
+# each command is its handler's name after "_cmd_", with "_" written "-"
+_HANDLERS = {name.removeprefix("_cmd_").replace("_", "-"): handler
+             for name, handler in globals().items() if name.startswith("_cmd_")}
 COMMANDS = (*_HANDLERS, "verify")
 
 

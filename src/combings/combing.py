@@ -39,15 +39,16 @@ from .surgery import (
 
 DEFAULT_BOX = 8
 
-# the arguments each modification kind reads; it needs all of them and
-# refuses the others
-_READS = {
+# each modification kind is the reframing D with its (eta, lk_euler, lk_par)
+# read from an argument, where the table names one, or fixed to a number; a
+# kind needs the arguments it names and refuses the others
+_REFRAMINGS = {
     "D": ("eta", "lk_euler", "lk_par"),
-    "global-Z": ("lk_par",),
-    "r-twist": ("eta", "r"),
-    "half-twist": ("k",),
+    "global-Z": (1, 0, "lk_par"),
+    "r-twist": ("eta", "r", 0),
+    "half-twist": (1, 0, "k"),
 }
-MODIFICATION_KINDS = tuple(_READS)
+MODIFICATION_KINDS = tuple(_REFRAMINGS)
 
 
 def _listing(names: Sequence[str]) -> str:
@@ -286,16 +287,12 @@ def apply_modification(
     value = p.value if isinstance(p, P1Value) else Fraction(p)
     if kind not in MODIFICATION_KINDS:
         raise ValueError(f"unknown modification kind {kind!r}")
-    e, le, lp = {
-        "D": (eta, lk_euler, lk_par),
-        "global-Z": (1, 0, lk_par),
-        "r-twist": (eta, r, 0),
-        "half-twist": (1, 0, k),
-    }[kind]
-    if None in (e, le, lp):
-        raise ValueError(f"kind {kind!r} needs {_listing(_READS[kind])}")
     given = {"eta": eta, "lk_euler": lk_euler, "lk_par": lk_par, "r": r, "k": k}
-    unread = [name for name, x in given.items() if x is not None and name not in _READS[kind]]
+    reads = [x for x in _REFRAMINGS[kind] if x in given]
+    e, le, lp = (given.get(x, x) for x in _REFRAMINGS[kind])
+    if None in (e, le, lp):
+        raise ValueError(f"kind {kind!r} needs {_listing(reads)}")
+    unread = [name for name, x in given.items() if x is not None and name not in reads]
     if unread:
         raise ValueError(f"kind {kind!r} does not read {_listing(unread)}")
     if e not in (1, -1):

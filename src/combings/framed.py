@@ -59,6 +59,8 @@ class FramedLinkData(Record):
             for v in classes:
                 if len(v) != ambient.n:
                     raise ValueError("class vector length must match the ambient")
+                if not all(isinstance(x, int) for x in v):
+                    raise ValueError("class vector entries must be integers")
             self._check_consistency()
 
     def _check_consistency(self) -> None:
@@ -89,11 +91,7 @@ class FramedLinkData(Record):
         ambient: SurgeryPresentation | None = None,
     ) -> "FramedLinkData":
         matrix = tuple(tuple(Fraction(x) for x in row) for row in rows)
-        cls_tuple = (
-            tuple(tuple(int(x) for x in v) for v in classes)
-            if classes is not None
-            else None
-        )
+        cls_tuple = None if classes is None else tuple(map(tuple, classes))
         return cls(matrix, cls_tuple, ambient)
 
     @property

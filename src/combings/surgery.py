@@ -9,6 +9,7 @@ stabilization arithmetic (see the combing module).
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -71,7 +72,10 @@ def _check_length(pres: SurgeryPresentation, v: Sequence[int]) -> Vector:
         raise DimensionMismatchError(
             f"class vector has length {len(v)}, presentation has {pres.n} components"
         )
-    return tuple(v)
+    v = tuple(v)
+    if not all(map(isinstance, v, itertools.repeat(int))):
+        raise ValueError("class vector entries must be integers")
+    return v
 
 
 def is_torsion_class(pres: SurgeryPresentation, v: Sequence[int]) -> bool:

@@ -200,7 +200,7 @@ def run_check(name: str, verdicts: Iterable[bool]) -> CheckResult:
     return CheckResult(name, len(failed), sum(failed), error)
 
 
-def check_signature(rng: random.Random, cases: int) -> Iterator[bool]:
+def check_signature_congruence(rng: random.Random, cases: int) -> Iterator[bool]:
     for _ in range(cases):
         s = random_symmetric(rng, rng.randint(0, 6))
         sig = signature(s)
@@ -212,7 +212,7 @@ def check_signature(rng: random.Random, cases: int) -> Iterator[bool]:
         yield ok and signature(p.transpose() @ s @ p) == sig
 
 
-def check_linking_form(rng: random.Random, cases: int) -> Iterator[bool]:
+def check_linking_form_laws(rng: random.Random, cases: int) -> Iterator[bool]:
     for _ in range(cases):
         pres = random_presentation(rng, max_n=4, bound=4)
         v, w = random_torsion_vector(rng, pres), random_torsion_vector(rng, pres)
@@ -259,7 +259,7 @@ def check_gamma_law(rng: random.Random, cases: int) -> Iterator[bool]:
         yield ok and hf_grading(gamma(x, 1)) - hf_grading(x) == 1
 
 
-def check_spinc_coset(rng: random.Random, cases: int) -> Iterator[bool]:
+def check_spinc_coset_law(rng: random.Random, cases: int) -> Iterator[bool]:
     for _ in range(cases):
         pres = random_presentation(rng)
         c = random_torsion_characteristic(rng, pres)
@@ -271,14 +271,14 @@ def check_spinc_coset(rng: random.Random, cases: int) -> Iterator[bool]:
         yield ok and spin_c_equal(pres, c, c2)
 
 
-def check_parity(rng: random.Random, cases: int) -> Iterator[bool]:
+def check_kirby_melvin_parity(rng: random.Random, cases: int) -> Iterator[bool]:
     for matrix in BUILTIN_MATRICES:
         yield parity_check(SurgeryPresentation.from_rows(matrix))
     for matrix in random_linking_matrices(rng, cases):
         yield parity_check(SurgeryPresentation(matrix))
 
 
-def check_stabilization(rng: random.Random, cases: int) -> Iterator[bool]:
+def check_stabilization_invariance(rng: random.Random, cases: int) -> Iterator[bool]:
     for _ in range(cases):
         x = random_torsion_combing(rng, random_presentation(rng, max_n=4))
         base = p1(x)
@@ -289,13 +289,13 @@ def check_stabilization(rng: random.Random, cases: int) -> Iterator[bool]:
         )
 
 
-def check_image_theorem(rng: random.Random, cases: int) -> Iterator[bool]:
+def check_p1_image_theorem(rng: random.Random, cases: int) -> Iterator[bool]:
     for matrix in IMAGE_BATTERY:
         report = p1_image(SurgeryPresentation.from_rows(matrix), cap=10_000, box=10)
         yield report.is_subset and report.is_equal
 
 
-def check_gompf_arithmetic(rng: random.Random, cases: int) -> Iterator[bool]:
+def check_gompf_surgery_arithmetic(rng: random.Random, cases: int) -> Iterator[bool]:
     s3 = SurgeryPresentation.from_rows([])
     x = CombingSpec(s3, (), 0)
     ok = theta_g(s3, ()) == -2
@@ -347,7 +347,7 @@ def check_framed_calculus(rng: random.Random, cases: int) -> Iterator[bool]:
     )
 
 
-def check_modifications(rng: random.Random, cases: int) -> Iterator[bool]:
+def check_modification_calculus(rng: random.Random, cases: int) -> Iterator[bool]:
     """Each modification kind against a route to p_1 that does not go
     through `apply_modification`: an r-twist is the gamma action by eta r, a
     half-twist by -k, global-Z is the Pontrjagin construction along a framed
@@ -383,7 +383,7 @@ def check_theta_law(rng: random.Random, cases: int) -> Iterator[bool]:
     yield theta_invariant(0, -2) == Fraction(-1, 2)
 
 
-def check_injectivity(rng: random.Random, cases: int) -> Iterator[bool]:
+def check_spinc_injectivity(rng: random.Random, cases: int) -> Iterator[bool]:
     pres = SurgeryPresentation.from_rows([[2]])
     ok = combing_equal(CombingSpec(pres, (0,), 1), CombingSpec(pres, (4,), -1))
     ok = ok and not any(
@@ -398,7 +398,7 @@ def check_injectivity(rng: random.Random, cases: int) -> Iterator[bool]:
         yield ok and not combing_equal(x, gamma(x, t))
 
 
-def check_telescoping(rng: random.Random, cases: int) -> Iterator[bool]:
+def check_variation_telescoping(rng: random.Random, cases: int) -> Iterator[bool]:
     """The variation of p_1 as a linking number, along a path x -> y -> z of
     torsion Spin^c structures: for torsion v,
     p_1(c + 2v, j) - p_1(c, j) = -4 (lk(v, c) + lk(v, v)).  Each step v is
@@ -420,22 +420,11 @@ def check_telescoping(rng: random.Random, cases: int) -> Iterator[bool]:
 
 CASES = 40  # the random cases each check of the battery draws
 
-ALL_CHECKS: tuple[tuple[str, Check], ...] = (
-    ("signature-congruence", check_signature),
-    ("linking-form-laws", check_linking_form),
-    ("torsion-enumeration", check_torsion_enumeration),
-    ("gamma-law", check_gamma_law),
-    ("spinc-coset-law", check_spinc_coset),
-    ("kirby-melvin-parity", check_parity),
-    ("stabilization-invariance", check_stabilization),
-    ("p1-image-theorem", check_image_theorem),
-    ("gompf-surgery-arithmetic", check_gompf_arithmetic),
-    ("framed-calculus", check_framed_calculus),
-    ("modification-calculus", check_modifications),
-    ("theta-law", check_theta_law),
-    ("spinc-injectivity", check_injectivity),
-    ("variation-telescoping", check_telescoping),
-)
+# each check is reported by its function's name after "check_", with "_"
+# written "-", in the order the functions are defined
+ALL_CHECKS: tuple[tuple[str, Check], ...] = tuple(
+    (name.removeprefix("check_").replace("_", "-"), check)
+    for name, check in globals().items() if name.startswith("check_"))
 
 
 def run_battery(seed: int = 0) -> list[CheckResult]:

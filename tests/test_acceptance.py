@@ -36,17 +36,17 @@ def test_criterion_01_gamma_law():
 
 
 def test_criterion_02_gompf_surgery_arithmetic():
-    _check(verify.check_gompf_arithmetic, 1002, 0, 1)
+    _check(verify.check_gompf_surgery_arithmetic, 1002, 0, 1)
     _passed(2, "theta_g(S^3) = -2; +1-framed unknot shifts -4 / +4")
 
 
 def test_criterion_03_stabilization_invariance():
-    _check(verify.check_stabilization, 1003, 100, 100)
+    _check(verify.check_stabilization_invariance, 1003, 100, 100)
     _passed(3, "p1 invariant under stabilization, 100 combings x 20 moves")
 
 
 def test_criterion_04_image_theorem():
-    _check(verify.check_image_theorem, 1004, 0, len(verify.IMAGE_BATTERY))
+    _check(verify.check_p1_image_theorem, 1004, 0, len(verify.IMAGE_BATTERY))
     _passed(4, "p1 image: enumeration equals formula side on the battery")
 
 
@@ -54,7 +54,7 @@ def test_criterion_05_kirby_melvin_parity():
     matrices = verify.random_linking_matrices(random.Random(1005), 500)
     singular = sum(naive_det(m.to_rows()) == 0 for m in matrices)
     assert singular > 50  # singular presentations really are included
-    _check(verify.check_parity, 1005, 500, len(verify.BUILTIN_MATRICES) + 500)
+    _check(verify.check_kirby_melvin_parity, 1005, 500, len(verify.BUILTIN_MATRICES) + 500)
     # Z-sphere coset: p1 of the S^3 reference is -2, in 2 + 4Z
     ref = p1(reference_parallelization(EMPTY_PRESENTATION)).value
     assert ref == -2
@@ -63,7 +63,7 @@ def test_criterion_05_kirby_melvin_parity():
 
 
 def test_criterion_06_spinc_injectivity():
-    _check(verify.check_injectivity, 1006, 0, 1)
+    _check(verify.check_spinc_injectivity, 1006, 0, 1)
     _passed(6, "Spin^c classes and p1 separate combings on RP^3")
 
 
@@ -74,7 +74,7 @@ def test_criterion_07_framed_calculus():
 
 def test_criterion_08_modification_calculus():
     # per eta: 11 r-twists, 11 half-twists and 176 random D / global-Z cases
-    _check(verify.check_modifications, 1008, 176, 2 * (11 + 11 + 176))
+    _check(verify.check_modification_calculus, 1008, 176, 2 * (11 + 11 + 176))
     _passed(8, "all four modification kinds, 176 D cases per eta")
 
 
@@ -85,7 +85,7 @@ def test_criterion_09_theta_law():
 
 
 def test_criterion_10_hf_grading():
-    _check(verify.check_gompf_arithmetic, 1010, 0, 1)  # the S^3 anchors
+    _check(verify.check_gompf_surgery_arithmetic, 1010, 0, 1)  # the S^3 anchors
     _check(verify.check_gamma_law, 1010, 50, 50)
     _passed(10, "grading 0 for the S^3 reference, +1 per gamma step")
 

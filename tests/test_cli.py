@@ -554,14 +554,25 @@ def test_import_loads_neither_dataclasses_nor_inspect(module):
 
 def test_each_command_builds_the_presentation_once(monkeypatch):
     """A command that reads the document twice (two combings, or a combing
-    and framed data) builds, validates and hashes its matrix once."""
+    and framed data) builds, validates and hashes its matrix once, and
+    checks each combing once: one `validate_combing` per combing entry it
+    reads, plus one for a combing it builds (the stabilized one, or the
+    reference parallelization of `parity`)."""
+    from combings import combing
+
     built, from_rows = [], cli.SurgeryPresentation.from_rows
+    validated, validate = [], combing.validate_combing
 
     def counting(rows):
         built.append(rows)
         return from_rows(rows)
 
+    def counting_validations(pres, c):
+        validated.append(c)
+        return validate(pres, c)
+
     monkeypatch.setattr(cli.SurgeryPresentation, "from_rows", counting)
+    monkeypatch.setattr(combing, "validate_combing", counting_validations)
     doc = json.dumps({
         "linking_matrix": [[2, 1], [1, 2]],
         "combing": {"c": [0, 0], "gamma": 0},
@@ -574,7 +585,39 @@ def test_each_command_builds_the_presentation_once(monkeypatch):
         "stabilize": ["--sign", "1", "--c0", "1"],
         "modify": ["--kind", "half-twist", "--k", "1"],
     }
+    validations = {
+        "homology": 0, "linking-form": 0, "theta-g": 1, "p1": 1, "spinc-equal": 2,
+        "combing-equal": 2, "orbit-modulus": 1, "hf-grading": 1, "image-p1": 0, "parity": 1,
+        "framed-total": 0, "framed-class": 0, "pontrjagin-p1": 1, "stabilize": 2, "modify": 1,
+        "theta": 1,
+    }
+    assert set(validations) == set(cli._HANDLERS)
     for command in cli._HANDLERS:
         built.clear()
+        validated.clear()
         code, _, err = run([command, *extra.get(command, [])], doc)
         assert (code, err, len(built)) == (0, "", 1), command
+        assert len(validated) == validations[command], command
+
+
+def test_command_names_are_pinned():
+    """Each command is its handler's name after "_cmd_", with "_" written
+    "-"; the handlers' order is the order of --help."""
+    assert cli.COMMANDS == (
+        "homology", "linking-form", "theta-g", "p1", "spinc-equal", "combing-equal",
+        "orbit-modulus", "hf-grading", "image-p1", "parity", "framed-total", "framed-class",
+        "pontrjagin-p1", "stabilize", "modify", "theta", "verify",
+    )
+
+
+def test_check_names_are_pinned():
+    """Each check of the battery is its function's name after "check_",
+    with "_" written "-", in the order `verify` reports them."""
+    from combings import verify
+
+    assert [name for name, _ in verify.ALL_CHECKS] == [
+        "signature-congruence", "linking-form-laws", "torsion-enumeration", "gamma-law",
+        "spinc-coset-law", "kirby-melvin-parity", "stabilization-invariance",
+        "p1-image-theorem", "gompf-surgery-arithmetic", "framed-calculus",
+        "modification-calculus", "theta-law", "spinc-injectivity", "variation-telescoping",
+    ]

@@ -82,6 +82,14 @@ class TestValidateCombing:
         with pytest.raises(DimensionMismatchError):
             validate_combing(pres([[2]]), (0, 0))
 
+    def test_non_integer_entry(self):
+        """A float entry is refused by the vector check before the parity
+        test reads it."""
+        with pytest.raises(ValueError, match="^class vector entries must be integers$"):
+            theta_g(pres([[1]]), (1.5,))
+        with pytest.raises(ValueError, match="^class vector entries must be integers$"):
+            CombingSpec(pres([[2]]), (2.0,))
+
 
 class TestEulerClass:
     def test_integral_lattice_class_is_zero(self):

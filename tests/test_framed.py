@@ -58,6 +58,15 @@ class TestConstruction:
         framed([[Fraction(1, 3)]], classes=[(1, 0, 2)], ambient=pres)
         assert "_pass" not in analysis(pres.matrix).__dict__
 
+    def test_non_integer_class_entry(self):
+        """A class entry is stored as given, never rounded: a non-integer
+        one is refused."""
+        pres = SurgeryPresentation.from_rows([[2]])
+        for classes in ([[1.7]], [[1.0]], [["1"]]):
+            with pytest.raises(ValueError, match="^class vector entries must be integers$"):
+                framed([[1]], classes=classes, ambient=pres)
+        assert framed([[1]], classes=[[1]], ambient=pres).classes == ((1,),)
+
     def test_rational_strings_accepted(self):
         f = framed([["-1/2"]])
         assert f.lambda_matrix == ((Fraction(-1, 2),),)

@@ -137,6 +137,11 @@ class TestLinkingForm:
     def test_two_thirds(self):
         assert linking_form(pres([[3]]), (2,)) == Fraction(2, 3)
 
+    def test_non_integer_entry(self):
+        for v in ((1.0,), (Fraction(1),), ("1",)):
+            with pytest.raises(ValueError, match="^class vector entries must be integers$"):
+                linking_form(pres([[2]]), v)
+
     def test_representative_independence(self):
         rng = random.Random(23)
         for _ in range(80):

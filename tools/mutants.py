@@ -84,13 +84,13 @@ MUTANTS = (
            "e * Fraction(le)", "-e * Fraction(le)",
            ("tests/test_acceptance.py",)),
     Mutant("modification-r-twist-sign", COMBING,
-           "(eta, r, 0)", "(eta, -r, 0)",
+           '("eta", "r", 0)', '("eta", 0, "r")',
            ("tests/test_acceptance.py",)),
     Mutant("modification-half-twist-sign", COMBING,
-           "(1, 0, k)", "(1, 0, -k)",
+           '(1, 0, "k")', '(1, "k", 0)',
            ("tests/test_acceptance.py",)),
     Mutant("modification-global-z-sign", COMBING,
-           "(1, 0, lk_par)", "(1, 0, -lk_par)",
+           '(1, 0, "lk_par")', '(1, "lk_par", 0)',
            ("tests/test_acceptance.py",)),
     # combing_equal reads both answers off one solution of (c - c') / 2
     Mutant("combing-equal-reads-2c", COMBING,
@@ -168,6 +168,9 @@ MUTANTS = (
            ("tests/test_integer_form.py",)),
     # error paths: a missing flag or a malformed entry is a typed error
     Mutant("r-twist-without-its-flags", COMBING,
+           '"r-twist": ("eta", "r", 0)', '"r-twist": (1, 0, 0)',
+           ("tests/test_cli.py::TestTransformingCommands::test_modify_without_its_flags",)),
+    Mutant("modification-needs-nothing", COMBING,
            "if None in (e, le, lp):", "if False:",
            ("tests/test_cli.py::TestTransformingCommands::test_modify_without_its_flags",)),
     Mutant("framed-need-not-be-an-object", DOCUMENT,
@@ -222,6 +225,22 @@ MUTANTS = (
            "classes = [pres.matrix.matvec([rng.randint(-2, 2) for _ in range(pres.n)])"
            " for _ in range(n)]",
            ("tests/test_framed.py::test_random_framed_draws_nonzero_classes",)),
+    # the command and check tables are read off their functions' names; a
+    # vector entry must be an int; orbit-modulus checks its combing once
+    Mutant("command-names-keep-underscores", CLI,
+           'name.removeprefix("_cmd_").replace("_", "-")', 'name.removeprefix("_cmd_")',
+           ("tests/test_cli.py::test_command_names_are_pinned",)),
+    Mutant("check-names-keep-underscores", VERIFY,
+           'name.removeprefix("check_").replace("_", "-")', 'name.removeprefix("check_")',
+           ("tests/test_cli.py::test_check_names_are_pinned",)),
+    Mutant("vector-check-admits-non-integers", SURGERY,
+           "if not all(map(isinstance, v, itertools.repeat(int))):", "if False:",
+           ("tests/test_surgery.py::TestLinkingForm::test_non_integer_entry",
+            "tests/test_combing.py::TestValidateCombing::test_non_integer_entry")),
+    Mutant("orbit-modulus-through-spec", CLI,
+           "gamma_orbit_modulus(pres, _raw_combing(doc).c)",
+           "gamma_orbit_modulus(pres, _combing(doc, pres).c)",
+           ("tests/test_cli.py::test_each_command_builds_the_presentation_once",)),
 )
 
 # Mutants whose code is gone, kept with the reason so that the list's
