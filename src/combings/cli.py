@@ -2,8 +2,9 @@
 
 Reads a JSON document from stdin (or --input), prints an exact result and
 exits 0 on success, 2 on domain errors (NonTorsion, NotCharacteristic,
-CapExceeded, ...), 1 on parse and I/O errors.  Any other exception is a bug:
-it prints one line, `error: internal: <Type>: <message>`, and exits 3.  All
+CapExceeded, ...), 1 on parse, invalid-input and I/O errors.  Any other
+exception, a bare ValueError from inside the library included, is a bug: it
+prints one line, `error: internal: <Type>: <message>`, and exits 3.  All
 output is deterministic; `verify` is driven by --seed.
 """
 
@@ -39,7 +40,7 @@ from .document import (
     parse_document,
     parse_rational,
 )
-from .errors import DomainError, ParseError
+from .errors import DomainError, InvalidInputError, ParseError
 from .framed import (
     FramedLinkData,
     cobordism_class,
@@ -334,7 +335,7 @@ def main(
     except ParseError as exc:
         print(f"error: parse: {exc}", file=stderr)
         return 1
-    except ValueError as exc:
+    except InvalidInputError as exc:
         print(f"error: invalid input: {exc}", file=stderr)
         return 1
     except OSError as exc:

@@ -24,8 +24,10 @@ from .errors import (
     BadEtaError,
     CapExceededError,
     EvenCoefficientError,
+    InvalidInputError,
     NonTorsionError,
     NotCharacteristicError,
+    integer,
 )
 from .linalg import IntMatrix, MatrixAnalysis, Vector, analysis
 from .record import Record
@@ -69,7 +71,7 @@ def validate_combing(pres: SurgeryPresentation, c: Sequence[int]) -> Vector:
 
 
 class CombingSpec(Record):
-    """A combing: characteristic vector plus pi_3(S^2) offset."""
+    """A combing: characteristic vector plus pi_3(S^2) offset, an integer."""
 
     __slots__ = _fields = ("presentation", "c", "gamma_offset")
 
@@ -78,7 +80,7 @@ class CombingSpec(Record):
     ) -> None:
         object.__setattr__(self, "c", validate_combing(presentation, c))
         object.__setattr__(self, "presentation", presentation)
-        object.__setattr__(self, "gamma_offset", gamma_offset)
+        object.__setattr__(self, "gamma_offset", integer(gamma_offset, "gamma_offset"))
 
 
 class EulerClassInfo(NamedTuple):
@@ -146,8 +148,8 @@ def p1(x: CombingSpec) -> P1Value:
 
 
 def gamma(x: CombingSpec, t: int) -> CombingSpec:
-    """Act by the t-th power of the generator of pi_3(S^2)."""
-    return CombingSpec(x.presentation, x.c, x.gamma_offset + t)
+    """Act by the t-th power of the generator of pi_3(S^2); t is an integer."""
+    return CombingSpec(x.presentation, x.c, x.gamma_offset + integer(t, "t"))
 
 
 def spin_c_equal(
@@ -182,7 +184,7 @@ def combing_equal(x: CombingSpec, y: CombingSpec) -> bool:
     offsets j and j'.  On a fresh B that is one pass and one solve.
     """
     if x.presentation != y.presentation:
-        raise ValueError("combings live on different presentations")
+        raise InvalidInputError("combings live on different presentations")
     if not is_torsion_class(x.presentation, x.c):
         raise NonTorsionError("first combing is not torsion")
     if not is_torsion_class(y.presentation, y.c):
@@ -245,9 +247,9 @@ def stabilize(x: CombingSpec, sign: int, c0: int) -> CombingSpec:
     The Gompf invariant changes by sign*c0^2 - 2 - 3*sign, always a multiple
     of 4 for odd c0, and the gamma offset absorbs it.
     """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    if c0 % 2 == 0:
+    if integer(sign, "sign") not in (1, -1):
+        raise InvalidInputError("sign must be +1 or -1")
+    if integer(c0, "c0") % 2 == 0:
         raise EvenCoefficientError(
             f"stabilization coefficient {c0} must be odd over a {sign:+d}-framed unknot"
         )
@@ -281,21 +283,21 @@ def apply_modification(
     along one component: lk_euler = r and lk_par = 0, so p + 4*eta*r;
     half-twist, k half-twists of a two-strand satellite: eta = 1,
     lk_euler = 0 and lk_par = k, so p - 4*k.  A kind takes exactly the
-    arguments it reads: one missing, or one it does not read, is a
-    ValueError that names them.
+    arguments it reads: one missing, or one it does not read, is an
+    InvalidInputError that names them.
     """
     value = p.value if isinstance(p, P1Value) else Fraction(p)
     if kind not in MODIFICATION_KINDS:
-        raise ValueError(f"unknown modification kind {kind!r}")
+        raise InvalidInputError(f"unknown modification kind {kind!r}")
     given = {"eta": eta, "lk_euler": lk_euler, "lk_par": lk_par, "r": r, "k": k}
     reads = [x for x in _REFRAMINGS[kind] if x in given]
     e, le, lp = (given.get(x, x) for x in _REFRAMINGS[kind])
     if None in (e, le, lp):
-        raise ValueError(f"kind {kind!r} needs {_listing(reads)}")
+        raise InvalidInputError(f"kind {kind!r} needs {_listing(reads)}")
     unread = [name for name, x in given.items() if x is not None and name not in reads]
     if unread:
-        raise ValueError(f"kind {kind!r} does not read {_listing(unread)}")
-    if e not in (1, -1):
+        raise InvalidInputError(f"kind {kind!r} does not read {_listing(unread)}")
+    if integer(e, "eta") not in (1, -1):
         raise BadEtaError(f"eta must be +1 or -1, got {eta!r}")
     return P1Value(value + 4 * (e * Fraction(le) - Fraction(lp)))
 
@@ -326,8 +328,8 @@ def p1_image(
     order is compared with it before any box or integer form is built, on
     singular and nonsingular B (`MatrixAnalysis.torsion_order`).
     """
-    if cap < 0 or box < 0:
-        raise ValueError(f"cap and box must be nonnegative, got cap={cap}, box={box}")
+    if integer(cap, "cap") < 0 or integer(box, "box") < 0:
+        raise InvalidInputError(f"cap and box must be nonnegative, got cap={cap}, box={box}")
     data = analysis(pres.matrix)
     torsion_order = data.torsion_order
     if torsion_order > cap:

@@ -16,7 +16,7 @@ import re
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import ParseError
+from .errors import InvalidInputError, ParseError, integers
 
 _RATIONAL_RE = re.compile(r"-?\d+(/[1-9]\d*)?\Z")
 
@@ -45,7 +45,10 @@ class Document(NamedTuple):
 def parse_rational(text: str) -> Fraction:
     if not isinstance(text, str) or not _RATIONAL_RE.match(text):
         raise ParseError(f"not a rational 'p/q' string: {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ValueError as exc:  # CPython's int/str digit limit
+        raise InvalidInputError(str(exc)) from exc
 
 
 def format_rational(value: Fraction) -> str:
@@ -53,7 +56,7 @@ def format_rational(value: Fraction) -> str:
 
 
 def _expect_int(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not integers((value,)):
         raise ParseError(f"{where} must be an integer, got {value!r}")
     return value
 
@@ -61,7 +64,7 @@ def _expect_int(value, where: str) -> int:
 def _parse_int_vector(value, where: str) -> tuple[int, ...]:
     if not isinstance(value, list):
         raise ParseError(f"{where} must be a list of integers")
-    if {int}.issuperset(map(type, value)):
+    if integers(value):
         return tuple(value)
     return tuple(_expect_int(x, where) for x in value)  # names the first bad entry
 
@@ -114,13 +117,16 @@ def _parse_framed(value) -> FramedDoc:
 
 
 def parse_document(text: str) -> Document:
-    """Parse and validate a document; raises ParseError on any defect."""
+    """Parse and validate a document; raises ParseError on any defect, and
+    InvalidInputError on an integer past CPython's int/str digit limit."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
     except RecursionError as exc:
         raise ParseError("invalid JSON: nested too deeply") from exc
+    except ValueError as exc:  # CPython's int/str digit limit
+        raise InvalidInputError(str(exc)) from exc
     if not isinstance(obj, dict):
         raise ParseError("document must be a JSON object")
     unknown = set(obj) - set(_TOP_KEYS)

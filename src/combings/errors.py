@@ -1,7 +1,13 @@
-"""Exceptions shared by the library and the command-line front end.
+"""Exceptions shared by the library and the command-line front end, and the
+package's one integer rule.
 
 Operation preconditions raise DomainError subclasses (CLI exit code 2);
-malformed input text raises ParseError, a ValueError (CLI exit code 1).
+malformed input text raises ParseError, and an argument of the wrong type or
+value raises InvalidInputError; both are ValueErrors (CLI exit code 1).  Any
+other ValueError raised inside the library is a bug (CLI exit code 3).
+An integer is an `int` that is not a `bool`, as JSON's integers are
+(`integers`): the document parser, the vector and matrix checks and the
+scalar arguments of the library all read it here.
 Each DomainError carries a short ``code`` naming the failed precondition:
 its class name without the ``Error`` suffix (``NonTorsionError`` has the
 code ``NonTorsion``); DomainError itself has the code ``DomainError``.
@@ -63,3 +69,22 @@ class MissingClassesError(DomainError):
 
 class ParseError(ValueError):
     """Input text does not describe a valid document."""
+
+
+class InvalidInputError(ValueError):
+    """An argument of a library call has the wrong type, shape or value,
+    where no DomainError names the failed precondition."""
+
+
+def integers(values) -> bool:
+    """True when every value is an integer: of type `int` exactly, so a
+    `bool`, a float or a `Fraction` is not, however it compares."""
+    return {int}.issuperset(map(type, values))
+
+
+def integer(value, name: str) -> int:
+    """`value` when it is an integer (`integers`), else an
+    InvalidInputError that names the argument."""
+    if not integers((value,)):
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    return value

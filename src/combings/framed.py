@@ -13,14 +13,17 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
+    InvalidInputError,
     MissingClassesError,
     NonTorsionError,
     NotZSphereError,
+    integers,
 )
 from .record import Record
 from .surgery import (
     MeridianClass,
     SurgeryPresentation,
+    _check_length,
     homology_summary,
     is_torsion_class,
     meridian_pairing,
@@ -45,22 +48,19 @@ class FramedLinkData(Record):
                  ambient: SurgeryPresentation | None = None) -> None:
         n = len(lambda_matrix)
         if any(len(row) != n for row in lambda_matrix):
-            raise ValueError("linking data must be a square matrix")
+            raise InvalidInputError("linking data must be a square matrix")
         if tuple(zip(*lambda_matrix)) != tuple(map(tuple, lambda_matrix)):
-            raise ValueError("linking data must be symmetric")
+            raise InvalidInputError("linking data must be symmetric")
         object.__setattr__(self, "lambda_matrix", lambda_matrix)
         object.__setattr__(self, "classes", classes)
         object.__setattr__(self, "ambient", ambient)
         if classes is not None:
             if ambient is None:
-                raise ValueError("component classes need an ambient presentation")
+                raise InvalidInputError("component classes need an ambient presentation")
             if len(classes) != n:
-                raise ValueError("one homology class per component is required")
+                raise InvalidInputError("one homology class per component is required")
             for v in classes:
-                if len(v) != ambient.n:
-                    raise ValueError("class vector length must match the ambient")
-                if not all(isinstance(x, int) for x in v):
-                    raise ValueError("class vector entries must be integers")
+                _check_length(ambient, v)
             self._check_consistency()
 
     def _check_consistency(self) -> None:
@@ -78,7 +78,7 @@ class FramedLinkData(Record):
                     self.ambient, self.classes[i], self.classes[j]
                 )
                 if (self.lambda_matrix[i][j] - expected).denominator != 1:
-                    raise ValueError(
+                    raise InvalidInputError(
                         f"linking of components {i} and {j} is inconsistent "
                         "with their homology classes"
                     )
@@ -120,10 +120,10 @@ def band_sum(f: FramedLinkData, i: int, j: int) -> FramedLinkData:
     classes add and the total self-linking is conserved.
     """
     n = f.n_components
-    if not (0 <= i < n and 0 <= j < n):
-        raise IndexError("component index out of range")
+    if not integers((i, j)) or not (0 <= i < n and 0 <= j < n):
+        raise InvalidInputError("component index out of range")
     if i == j:
-        raise IndexError("band sum needs two distinct components")
+        raise InvalidInputError("band sum needs two distinct components")
     a, b = sorted((i, j))
     # the components merged into each new one: Lambda' = S^T Lambda S for
     # the n x (n-1) matrix S with column p the indicator of parts[p]
@@ -147,8 +147,8 @@ def add_hopf(f: FramedLinkData, sign: int) -> FramedLinkData:
     step through the Pontrjagin construction); sign=-1 appends framing +1.
     The new component is null-homologous and unlinked from the others.
     """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
+    if not integers((sign,)) or sign not in (1, -1):
+        raise InvalidInputError("sign must be +1 or -1")
     n = f.n_components
     framing = Fraction(-sign)
     new_matrix = tuple(row + (Fraction(0),) for row in f.lambda_matrix) + (

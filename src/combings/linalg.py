@@ -39,6 +39,7 @@ from functools import cached_property, lru_cache
 from operator import add, mod, mul
 from typing import Iterable, NamedTuple, Sequence
 
+from .errors import InvalidInputError, integers
 from .record import Record
 
 Vector = tuple[int, ...]
@@ -55,12 +56,12 @@ class IntMatrix(Record):
 
     def __init__(self, rows: int, cols: int, entries: Iterable[int]) -> None:
         entries = tuple(entries)
-        if rows < 0 or cols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
+        if not integers((rows, cols)) or rows < 0 or cols < 0:
+            raise InvalidInputError("matrix dimensions must be nonnegative")
         if len(entries) != rows * cols:
-            raise ValueError("entry count must equal rows * cols")
-        if not all(map(isinstance, entries, itertools.repeat(int))):
-            raise ValueError("matrix entries must be integers")
+            raise InvalidInputError("entry count must equal rows * cols")
+        if not integers(entries):
+            raise InvalidInputError("matrix entries must be integers")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", entries)
@@ -76,7 +77,7 @@ class IntMatrix(Record):
         ncols = len(rows[0]) if rows else 0
         for r in rows:
             if len(r) != ncols:
-                raise ValueError("rows must all have the same length")
+                raise InvalidInputError("rows must all have the same length")
         return cls(nrows, ncols, itertools.chain.from_iterable(rows))
 
     def at(self, i: int, j: int) -> int:
@@ -105,12 +106,12 @@ class IntMatrix(Record):
 
     def matvec(self, v: Sequence[int]) -> Vector:
         if len(v) != self.cols:
-            raise ValueError("vector length must equal column count")
+            raise InvalidInputError("vector length must equal column count")
         return tuple(sum(map(mul, self.row(i), v)) for i in range(self.rows))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
-            raise ValueError("inner dimensions must agree")
+            raise InvalidInputError("inner dimensions must agree")
         out = []
         for i in range(self.rows):
             ri = self.row(i)
@@ -300,7 +301,7 @@ def signature(s: IntMatrix) -> SignatureTriple:
     that was built.
     """
     if not s.is_symmetric():
-        raise ValueError("signature needs a symmetric matrix")
+        raise InvalidInputError("signature needs a symmetric matrix")
     return analysis(s).signature
 
 
@@ -567,7 +568,7 @@ def solve_mod2(a: IntMatrix, b: Sequence[int]) -> tuple[Vector | None, int]:
     """One solution of A x = b over F_2 (free variables set to zero), or
     None, and the rank of A over F_2, the pivot count."""
     if len(b) != a.rows:
-        raise ValueError("right-hand side length must equal row count")
+        raise InvalidInputError("right-hand side length must equal row count")
     r, c = a.rows, a.cols
     aug = [[a.at(i, j) & 1 for j in range(c)] + [b[i] & 1] for i in range(r)]
     pivot_cols: list[int] = []

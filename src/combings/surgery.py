@@ -9,12 +9,13 @@ stabilization arithmetic (see the combing module).
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import CapExceededError, DimensionMismatchError, NonTorsionError
+from .errors import (
+    CapExceededError, DimensionMismatchError, InvalidInputError, NonTorsionError, integer, integers,
+)
 from .linalg import (
     HomologySummary,
     IntMatrix,
@@ -37,9 +38,9 @@ class SurgeryPresentation(Record):
 
     def __init__(self, matrix: IntMatrix) -> None:
         if matrix.rows != matrix.cols:
-            raise ValueError("linking matrix must be square")
+            raise InvalidInputError("linking matrix must be square")
         if not matrix.is_symmetric():
-            raise ValueError("linking matrix must be symmetric")
+            raise InvalidInputError("linking matrix must be symmetric")
         object.__setattr__(self, "matrix", matrix)
 
     @classmethod
@@ -68,13 +69,15 @@ def homology_summary(pres: SurgeryPresentation) -> HomologySummary:
 
 
 def _check_length(pres: SurgeryPresentation, v: Sequence[int]) -> Vector:
+    """v as a tuple, once it has one integer (`integers`) per component:
+    the one check of a class or coefficient vector given to the library."""
     if len(v) != pres.n:
         raise DimensionMismatchError(
             f"class vector has length {len(v)}, presentation has {pres.n} components"
         )
     v = tuple(v)
-    if not all(map(isinstance, v, itertools.repeat(int))):
-        raise ValueError("class vector entries must be integers")
+    if not integers(v):
+        raise InvalidInputError("class vector entries must be integers")
     return v
 
 
@@ -150,8 +153,8 @@ def torsion_columns(
     with `cap` before the box or the walk, singular B or not: it is read off
     the one pass and the split (`MatrixAnalysis.torsion_order`).
     """
-    if cap < 0:
-        raise ValueError(f"cap must be nonnegative, got {cap}")
+    if integer(cap, "cap") < 0:
+        raise InvalidInputError(f"cap must be nonnegative, got {cap}")
     data = analysis(pres.matrix)
     order = data.torsion_order
     if order > cap:

@@ -197,6 +197,16 @@ class TestFramedCommands:
         code, out, _ = run(["pontrjagin-p1"], doc)
         assert code == 0 and out == "2\n"
 
+    def test_framed_class_of_wrong_length(self):
+        """A class of the wrong length is a DimensionMismatch, as a meridian's
+        is."""
+        doc = '{"linking_matrix": [[2]], "framed": {"lambda_matrix": [["0"]], "classes": [[1, 0]]}}'
+        code, out, err = run(["framed-class"], doc)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: DimensionMismatch: class vector has length 2, presentation has 1 components\n"
+        )
+
     def test_inconsistent_framed_is_parse_error(self):
         doc = (
             '{"linking_matrix": [[2]], "framed":'
@@ -324,6 +334,23 @@ class TestErrorChannel:
         assert code == 3 and out == ""
         assert err == "error: internal: ZeroDivisionError: division by zero\n"
         assert "Traceback" not in err
+
+        # the library refuses input with InvalidInputError, so a bare
+        # ValueError from inside it is a bug too
+        def bare(args, doc, pres):
+            raise ValueError("not an input check")
+
+        monkeypatch.setitem(cli._HANDLERS, "homology", bare)
+        code, out, err = run(["homology"], '{"linking_matrix": [[2]]}')
+        assert (code, out, err) == (3, "", "error: internal: ValueError: not an input check\n")
+
+    def test_rational_longer_than_the_limit_is_invalid_input(self):
+        """CPython's int/str digit limit refuses a "p/q" of the document as it
+        refuses a JSON integer."""
+        doc = {"linking_matrix": [], "combing": {"c": [], "gamma": 0}, "lambda": "7" * 4301}
+        code, out, err = run(["theta"], json.dumps(doc))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: invalid input: Exceeds the limit (4300")
 
     def test_every_domain_error_code_is_pinned(self, monkeypatch):
         """Each DomainError's code is its class name without "Error", and

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from combings.errors import (
+    InvalidInputError,
     MissingClassesError,
     NonTorsionError,
     NotZSphereError,
@@ -113,9 +114,9 @@ class TestBandSum:
 
     def test_index_errors(self):
         f = framed([[0, 0], [0, 0]])
-        with pytest.raises(IndexError):
+        with pytest.raises(InvalidInputError, match="^component index out of range$"):
             band_sum(f, 0, 2)
-        with pytest.raises(IndexError):
+        with pytest.raises(InvalidInputError, match="^band sum needs two distinct components$"):
             band_sum(f, 1, 1)
 
 

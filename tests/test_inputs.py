@@ -1,0 +1,99 @@
+"""The input boundary of the library: one integer rule and typed refusals.
+
+An integer is an `int` that is not a `bool` (`combings.errors.integers`), as
+the document parser has it.  Each entry point below is called once with an
+input it takes, and then with that input replaced by a bool, a float, a
+`Fraction`, a string or a value of the wrong length.  Each stand-in reads as
+1 or compares equal to it, so a check by value alone would take it.  A
+stand-in of the wrong type must raise InvalidInputError; one of the wrong
+length, InvalidInputError or a DomainError (DimensionMismatch); no call may
+raise any other type or answer.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from combings import (
+    CombingSpec,
+    FramedLinkData,
+    IntMatrix,
+    SurgeryPresentation,
+    add_hopf,
+    apply_modification,
+    band_sum,
+    gamma,
+    is_torsion_class,
+    linking_form,
+    meridian_pairing,
+    p1,
+    p1_image,
+    reduce_class,
+    spin_c_equal,
+    stabilize,
+    theta_g,
+)
+from combings.errors import DomainError, InvalidInputError
+from combings.surgery import torsion_columns
+
+B = SurgeryPresentation.from_rows([[1]])  # S^3; c = (1,) is characteristic
+X = CombingSpec(B, (1,))
+TWO = FramedLinkData.from_rows([[0, 0], [0, 0]])
+
+# (entry point.argument, the call with that argument x, an x it takes)
+SCALARS = [
+    ("IntMatrix.rows", lambda x: IntMatrix(x, 1, (1,)), 1),
+    ("IntMatrix.cols", lambda x: IntMatrix(1, x, (1,)), 1),
+    ("CombingSpec.gamma_offset", lambda x: CombingSpec(B, (1,), x), 1),
+    ("p1.gamma_offset", lambda x: p1(CombingSpec(B, (1,), x)), 1),
+    ("gamma.t", lambda x: gamma(X, x), 1),
+    ("band_sum.i", lambda x: band_sum(TWO, x, 0), 1),
+    ("band_sum.j", lambda x: band_sum(TWO, 0, x), 1),
+    ("add_hopf.sign", lambda x: add_hopf(TWO, x), 1),
+    ("stabilize.sign", lambda x: stabilize(X, x, 1), 1),
+    ("stabilize.c0", lambda x: stabilize(X, 1, x), 1),
+    ("p1_image.cap", lambda x: p1_image(B, cap=x, box=0), 1),
+    ("p1_image.box", lambda x: p1_image(B, box=x), 1),
+    ("torsion_columns.cap", lambda x: torsion_columns(B, cap=x), 1),
+    ("apply_modification.eta",
+     lambda x: apply_modification(0, "D", eta=x, lk_euler=0, lk_par=0), 1),
+]
+# the same for an integer vector, the one-entry vector (1,) taken
+VECTORS = [
+    ("IntMatrix.entries", lambda v: IntMatrix(1, 1, v)),
+    ("SurgeryPresentation.from_rows", lambda v: SurgeryPresentation.from_rows([v])),
+    ("CombingSpec.c", lambda v: CombingSpec(B, v)),
+    ("p1.c", lambda v: p1(CombingSpec(B, v))),
+    ("theta_g.c", lambda v: theta_g(B, v)),
+    ("spin_c_equal.c", lambda v: spin_c_equal(B, v, (1,))),
+    ("spin_c_equal.c_other", lambda v: spin_c_equal(B, (1,), v)),
+    ("meridian_pairing.v", lambda v: meridian_pairing(B, v, (1,))),
+    ("meridian_pairing.w", lambda v: meridian_pairing(B, (1,), v)),
+    ("linking_form.v", lambda v: linking_form(B, v)),
+    ("reduce_class.v", lambda v: reduce_class(B, v)),
+    ("is_torsion_class.v", lambda v: is_torsion_class(B, v)),
+    ("FramedLinkData.from_rows.classes", lambda v: FramedLinkData.from_rows([[0]], [v], B)),
+]
+CASES = SCALARS + [(name, call, (1,)) for name, call in VECTORS]
+STAND_INS = {"bool": True, "float": 1.0, "Fraction": Fraction(1), "string": "1"}
+
+
+def _in_place_of(good, stand_in):
+    """The taken input `good` with its one integer replaced by `stand_in`."""
+    return (stand_in,) if isinstance(good, tuple) else stand_in
+
+
+@pytest.mark.parametrize("kind", STAND_INS)
+@pytest.mark.parametrize("name, call, good", CASES, ids=[case[0] for case in CASES])
+def test_wrong_type_is_invalid_input(name, call, good, kind):
+    call(good)
+    with pytest.raises(InvalidInputError):
+        call(_in_place_of(good, STAND_INS[kind]))
+
+
+@pytest.mark.parametrize("name, call, good", CASES, ids=[case[0] for case in CASES])
+def test_wrong_length_is_typed(name, call, good):
+    call(good)
+    wrong = good + (1,) if isinstance(good, tuple) else (good, good)
+    with pytest.raises((DomainError, InvalidInputError)):
+        call(wrong)

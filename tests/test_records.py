@@ -28,6 +28,7 @@ from combings import (
     theta_invariant,
 )
 from combings.document import CombingDoc, Document, FramedDoc
+from combings.errors import InvalidInputError
 from combings.linalg import IntegerForm, SnfResult, TorsionForm
 from combings.verify import CheckResult
 
@@ -220,12 +221,14 @@ class TestFramedLinkData:
         (dict(lambda_matrix=((1,),), classes=((1,), (0,)), ambient=LENS),
          "one homology class per component is required"),
         (dict(lambda_matrix=((1,),), classes=((1, 0),), ambient=LENS),
-         "class vector length must match the ambient"),
+         "class vector has length 2, presentation has 1 components"),
         (dict(lambda_matrix=((0, 0), (0, 0)), classes=((1,), (1,)), ambient=LENS),
          "linking of components 0 and 1 is inconsistent with their homology classes"),
     ])
     def test_validation(self, kwargs, message):
-        with pytest.raises(ValueError) as info:
+        # a class of the wrong length is a DimensionMismatchError, as in
+        # every other vector check; the other refusals are InvalidInputErrors
+        with pytest.raises((InvalidInputError, DimensionMismatchError)) as info:
             FramedLinkData(**kwargs)
         assert str(info.value) == message
 

@@ -53,6 +53,7 @@ COMBING = "src/combings/combing.py"
 DOCUMENT = "src/combings/document.py"
 PACKAGE = "src/combings/__init__.py"
 ERRORS = "src/combings/errors.py"
+FRAMED = "src/combings/framed.py"
 FAILING_CHECK = "tests/test_cli.py::TestDeterminism::test_verify_reports_a_failing_check"
 
 MUTANTS = (
@@ -199,7 +200,7 @@ MUTANTS = (
            "    return _parse.__dict__.setdefault(argv[:1], build_parser().parse_args(list(argv)))",
            ("tests/test_cli.py::TestDeterminism::test_parse_memo_keeps_no_refusal",)),
     Mutant("signature-skips-symmetry-check", LINALG,
-           'if not s.is_symmetric():\n        raise ValueError("signature needs a symmetric matrix")\n'
+           'if not s.is_symmetric():\n        raise InvalidInputError("signature needs a symmetric matrix")\n'
            "    return analysis(s).signature",
            "return analysis(s).signature",
            ("tests/test_linalg.py::TestSignature::test_rejects_nonsymmetric",)),
@@ -234,13 +235,42 @@ MUTANTS = (
            'name.removeprefix("check_").replace("_", "-")', 'name.removeprefix("check_")',
            ("tests/test_cli.py::test_check_names_are_pinned",)),
     Mutant("vector-check-admits-non-integers", SURGERY,
-           "if not all(map(isinstance, v, itertools.repeat(int))):", "if False:",
+           "if not integers(v):", "if False:",
            ("tests/test_surgery.py::TestLinkingForm::test_non_integer_entry",
             "tests/test_combing.py::TestValidateCombing::test_non_integer_entry")),
     Mutant("orbit-modulus-through-spec", CLI,
            "gamma_orbit_modulus(pres, _raw_combing(doc).c)",
            "gamma_orbit_modulus(pres, _combing(doc, pres).c)",
            ("tests/test_cli.py::test_each_command_builds_the_presentation_once",)),
+    # one input boundary: the one integer rule, the one vector check, typed
+    # refusals, and a bare ValueError from inside the library is a bug
+    Mutant("integers-accept-bool", ERRORS,
+           "return {int}.issuperset(map(type, values))",
+           "return {int, bool}.issuperset(map(type, values))",
+           ("tests/test_inputs.py", "tests/test_document.py::test_validation_messages_are_pinned")),
+    Mutant("cli-catches-valueerror", CLI,
+           "except InvalidInputError as exc:", "except ValueError as exc:",
+           ("tests/test_cli.py::TestErrorChannel::test_unexpected_exception_is_internal_error",)),
+    Mutant("framed-skips-check-length", FRAMED,
+           "                _check_length(ambient, v)\n", "                pass\n",
+           ("tests/test_records.py::TestFramedLinkData",
+            "tests/test_cli.py::TestFramedCommands::test_framed_class_of_wrong_length")),
+    Mutant("digit-limit-untyped", DOCUMENT,
+           'raise ParseError("invalid JSON: nested too deeply") from exc\n'
+           "    except ValueError as exc:  # CPython's int/str digit limit\n"
+           "        raise InvalidInputError(str(exc)) from exc\n",
+           'raise ParseError("invalid JSON: nested too deeply") from exc\n',
+           ("tests/test_cli.py::TestLongIntegers",)),
+    Mutant("rational-digit-limit-untyped", DOCUMENT,
+           "    try:\n        return Fraction(text)\n"
+           "    except ValueError as exc:  # CPython's int/str digit limit\n"
+           "        raise InvalidInputError(str(exc)) from exc\n",
+           "    return Fraction(text)\n",
+           ("tests/test_cli.py::TestErrorChannel"
+            "::test_rational_longer_than_the_limit_is_invalid_input",)),
+    Mutant("gamma-offset-unchecked", COMBING,
+           'integer(gamma_offset, "gamma_offset")', "gamma_offset",
+           ("tests/test_inputs.py",)),
 )
 
 # Mutants whose code is gone, kept with the reason so that the list's
