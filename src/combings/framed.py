@@ -17,7 +17,7 @@ from .errors import (
     MissingClassesError,
     NonTorsionError,
     NotZSphereError,
-    integers,
+    integer,
 )
 from .record import Record
 from .surgery import (
@@ -120,7 +120,7 @@ def band_sum(f: FramedLinkData, i: int, j: int) -> FramedLinkData:
     classes add and the total self-linking is conserved.
     """
     n = f.n_components
-    if not integers((i, j)) or not (0 <= i < n and 0 <= j < n):
+    if not (0 <= integer(i, "i") < n and 0 <= integer(j, "j") < n):
         raise InvalidInputError("component index out of range")
     if i == j:
         raise InvalidInputError("band sum needs two distinct components")
@@ -147,7 +147,7 @@ def add_hopf(f: FramedLinkData, sign: int) -> FramedLinkData:
     step through the Pontrjagin construction); sign=-1 appends framing +1.
     The new component is null-homologous and unlinked from the others.
     """
-    if not integers((sign,)) or sign not in (1, -1):
+    if integer(sign, "sign") not in (1, -1):
         raise InvalidInputError("sign must be +1 or -1")
     n = f.n_components
     framing = Fraction(-sign)
