@@ -5,12 +5,13 @@ Operation preconditions raise DomainError subclasses (CLI exit code 2);
 malformed input text raises ParseError, and an argument of the wrong type or
 value raises InvalidInputError; both are ValueErrors (CLI exit code 1).  Any
 other ValueError raised inside the library is a bug (CLI exit code 3).
-An integer is an `int` that is not a `bool`, as JSON's integers are
-(`integers`): the document parser, the vector and matrix checks and the
-scalar arguments of the library all read it here.
 Each DomainError carries a short ``code`` naming the failed precondition:
 its class name without the ``Error`` suffix (``NonTorsionError`` has the
 code ``NonTorsion``); DomainError itself has the code ``DomainError``.
+
+An integer is an `int` that is not a `bool`, as JSON's integers are
+(`integers`): the document parser, the vector and matrix checks and the
+scalar arguments of the library all read that rule here.
 """
 
 from __future__ import annotations
