@@ -34,7 +34,6 @@ from .combing import (
     theta_g,
 )
 from .document import (
-    CombingDoc,
     Document,
     format_rational,
     parse_document,
@@ -138,22 +137,19 @@ def _parse(argv: tuple[str, ...]) -> argparse.Namespace:
     return build_parser().parse_args(list(argv))
 
 
-def _raw_combing(doc: Document, which: str = "combing") -> CombingDoc:
-    """The document's `which` entry, not yet checked against the matrix."""
-    raw = doc.combing if which == "combing" else doc.combing2
-    if raw is None:
-        raise ParseError(f"this command needs a '{which}' entry in the document")
-    return raw
+def _entry(value, key: str):
+    """`value`, the document's `key` entry, when the document has one."""
+    if value is None:
+        raise ParseError(f"this command needs a '{key}' entry in the document")
+    return value
 
 
-def _combing(doc: Document, pres: SurgeryPresentation, which: str = "combing") -> CombingSpec:
-    return CombingSpec(pres, *_raw_combing(doc, which))
+def _combing(doc: Document, pres: SurgeryPresentation, key: str = "combing") -> CombingSpec:
+    return CombingSpec(pres, *_entry(getattr(doc, key), key))
 
 
 def _framed(doc: Document, pres: SurgeryPresentation) -> FramedLinkData:
-    if doc.framed is None:
-        raise ParseError("this command needs a 'framed' entry in the document")
-    return FramedLinkData.from_rows(doc.framed.lambda_matrix, doc.framed.classes, pres)
+    return FramedLinkData.from_rows(*_entry(doc.framed, "framed"), pres)
 
 
 def _bool(value: bool) -> str:
@@ -196,7 +192,7 @@ def _cmd_linking_form(args, doc: Document, pres: SurgeryPresentation) -> str:
 
 
 def _cmd_theta_g(args, doc: Document, pres: SurgeryPresentation) -> str:
-    return format_rational(theta_g(pres, _raw_combing(doc).c))
+    return format_rational(theta_g(pres, _entry(doc.combing, "combing").c))
 
 
 def _cmd_p1(args, doc: Document, pres: SurgeryPresentation) -> str:
@@ -213,7 +209,7 @@ def _cmd_combing_equal(args, doc: Document, pres: SurgeryPresentation) -> str:
 
 
 def _cmd_orbit_modulus(args, doc: Document, pres: SurgeryPresentation) -> str:
-    return str(gamma_orbit_modulus(pres, _raw_combing(doc).c))
+    return str(gamma_orbit_modulus(pres, _entry(doc.combing, "combing").c))
 
 
 def _cmd_hf_grading(args, doc: Document, pres: SurgeryPresentation) -> str:
@@ -269,9 +265,8 @@ def _cmd_modify(args, doc: Document, pres: SurgeryPresentation) -> str:
 
 
 def _cmd_theta(args, doc: Document, pres: SurgeryPresentation) -> str:
-    if doc.casson_walker is None:
-        raise ParseError("this command needs a 'lambda' entry in the document")
-    return format_rational(theta_invariant(doc.casson_walker, p1(_combing(doc, pres)).value))
+    lam = _entry(doc.casson_walker, "lambda")  # asked for before the combing
+    return format_rational(theta_invariant(lam, p1(_combing(doc, pres)).value))
 
 
 # each command is its handler's name after "_cmd_", with "_" written "-"

@@ -28,16 +28,11 @@ from .errors import (
     NonTorsionError,
     NotCharacteristicError,
     integer,
+    rational,
 )
 from .linalg import IntMatrix, MatrixAnalysis, Vector, analysis
 from .record import Record
-from .surgery import (
-    DEFAULT_CAP,
-    MeridianClass,
-    SurgeryPresentation,
-    _check_length,
-    is_torsion_class,
-)
+from .surgery import DEFAULT_CAP, MeridianClass, SurgeryPresentation, _check_length
 
 DEFAULT_BOX = 8
 
@@ -51,6 +46,9 @@ _REFRAMINGS = {
     "half-twist": (1, 0, "k"),
 }
 MODIFICATION_KINDS = tuple(_REFRAMINGS)
+# the rule that reads each argument a kind may name
+_ARGUMENT_RULES = {"eta": integer, "lk_euler": rational, "lk_par": rational, "r": integer,
+                   "k": integer}
 
 
 def _listing(names: Sequence[str]) -> str:
@@ -185,11 +183,11 @@ def combing_equal(x: CombingSpec, y: CombingSpec) -> bool:
     """
     if x.presentation != y.presentation:
         raise InvalidInputError("combings live on different presentations")
-    if not is_torsion_class(x.presentation, x.c):
-        raise NonTorsionError("first combing is not torsion")
-    if not is_torsion_class(y.presentation, y.c):
-        raise NonTorsionError("second combing is not torsion")
     data = analysis(x.presentation.matrix)
+    if not data.is_torsion(x.c):
+        raise NonTorsionError("first combing is not torsion")
+    if not data.is_torsion(y.c):
+        raise NonTorsionError("second combing is not torsion")
     v, d = data._solution([(a - b) // 2 for a, b in zip(x.c, y.c)])
     v = list(v)  # read twice
     j = y.gamma_offset - x.gamma_offset
@@ -264,12 +262,12 @@ def stabilize(x: CombingSpec, sign: int, c0: int) -> CombingSpec:
 
 
 def apply_modification(
-    p: P1Value | Fraction | int,
+    p: P1Value | Fraction | int | str,
     kind: str,
     *,
     eta: int | None = None,
-    lk_euler: Fraction | int | None = None,
-    lk_par: Fraction | int | None = None,
+    lk_euler: Fraction | int | str | None = None,
+    lk_par: Fraction | int | str | None = None,
     r: int | None = None,
     k: int | None = None,
 ) -> P1Value:
@@ -284,22 +282,23 @@ def apply_modification(
     half-twist, k half-twists of a two-strand satellite: eta = 1,
     lk_euler = 0 and lk_par = k, so p - 4*k.  A kind takes exactly the
     arguments it reads: one missing, or one it does not read, is an
-    InvalidInputError that names them.
+    InvalidInputError that names them.  p, lk_euler and lk_par are
+    rationals (`errors.rational`), and eta, r and k integers.
     """
-    value = p.value if isinstance(p, P1Value) else Fraction(p)
+    value = p.value if isinstance(p, P1Value) else rational(p, "p")
     if kind not in MODIFICATION_KINDS:
         raise InvalidInputError(f"unknown modification kind {kind!r}")
     given = {"eta": eta, "lk_euler": lk_euler, "lk_par": lk_par, "r": r, "k": k}
     reads = [x for x in _REFRAMINGS[kind] if x in given]
-    e, le, lp = (given.get(x, x) for x in _REFRAMINGS[kind])
-    if None in (e, le, lp):
+    if None in map(given.get, reads):
         raise InvalidInputError(f"kind {kind!r} needs {_listing(reads)}")
     unread = [name for name, x in given.items() if x is not None and name not in reads]
     if unread:
         raise InvalidInputError(f"kind {kind!r} does not read {_listing(unread)}")
-    if integer(e, "eta") not in (1, -1):
+    e, le, lp = (_ARGUMENT_RULES[x](given[x], x) if x in given else x for x in _REFRAMINGS[kind])
+    if e not in (1, -1):
         raise BadEtaError(f"eta must be +1 or -1, got {eta!r}")
-    return P1Value(value + 4 * (e * Fraction(le) - Fraction(lp)))
+    return P1Value(value + 4 * (e * le - lp))
 
 
 class P1ImageReport(NamedTuple):

@@ -12,13 +12,10 @@ string).
 from __future__ import annotations
 
 import json
-import re
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import InvalidInputError, ParseError, integers
-
-_RATIONAL_RE = re.compile(r"-?\d+(/[1-9]\d*)?\Z")
+from .errors import RATIONAL_SYNTAX, InvalidInputError, ParseError, integers, rational
 
 _TOP_KEYS = ("linking_matrix", "combing", "combing2", "meridian", "framed", "lambda")
 
@@ -43,12 +40,9 @@ class Document(NamedTuple):
 
 
 def parse_rational(text: str) -> Fraction:
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
+    if not isinstance(text, str) or not RATIONAL_SYNTAX.match(text):
         raise ParseError(f"not a rational 'p/q' string: {text!r}")
-    try:
-        return Fraction(text)
-    except ValueError as exc:  # CPython's int/str digit limit
-        raise InvalidInputError(str(exc)) from exc
+    return rational(text, "text")
 
 
 def format_rational(value: Fraction) -> str:

@@ -1,5 +1,6 @@
 """Exceptions shared by the library and the command-line front end, and the
-package's one integer rule.
+package's input rules: one for integers, one for rationals and one for
+sequences.
 
 Operation preconditions raise DomainError subclasses (CLI exit code 2);
 malformed input text raises ParseError, and an argument of the wrong type or
@@ -11,10 +12,18 @@ code ``NonTorsion``); DomainError itself has the code ``DomainError``.
 
 An integer is an `int` that is not a `bool`, as JSON's integers are
 (`integers`): the document parser, the vector and matrix checks and the
-scalar arguments of the library all read that rule here.
+scalar arguments of the library all read that rule here.  A rational is an
+integer, a `Fraction` or a "p/q" string of the document's syntax
+(`RATIONAL_SYNTAX`, `rational`); a sequence is any iterable (`sequence`).
 """
 
 from __future__ import annotations
+
+import re
+from fractions import Fraction
+
+# the document's exact rationals: "p" or "p/q" with q positive
+RATIONAL_SYNTAX = re.compile(r"-?\d+(/[1-9]\d*)?\Z")
 
 
 class DomainError(Exception):
@@ -89,3 +98,26 @@ def integer(value, name: str) -> int:
     if not integers((value,)):
         raise InvalidInputError(f"{name} must be an integer, got {value!r}")
     return value
+
+
+def rational(value, name: str) -> Fraction:
+    """`value` as a Fraction when it is an integer (`integers`), a Fraction
+    or a string of `RATIONAL_SYNTAX`, else an InvalidInputError that names
+    the argument; so is a string past CPython's int/str digit limit."""
+    if not (integers((value,)) or type(value) is Fraction
+            or isinstance(value, str) and RATIONAL_SYNTAX.match(value)):
+        raise InvalidInputError(f"{name} must be an integer, a Fraction or a 'p/q' string, "
+                                f"got {value!r}")
+    try:
+        return Fraction(value)
+    except ValueError as exc:  # CPython's int/str digit limit
+        raise InvalidInputError(str(exc)) from exc
+
+
+def sequence(value, name: str) -> tuple:
+    """`value` as a tuple when it is iterable, else an InvalidInputError
+    that names the argument."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise InvalidInputError(f"{name} must be a sequence, got {value!r}") from None

@@ -9,26 +9,17 @@ classifies framed links up to framed cobordism.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
-    InvalidInputError,
-    MissingClassesError,
-    NonTorsionError,
-    NotZSphereError,
-    integer,
+    InvalidInputError, MissingClassesError, NonTorsionError, NotZSphereError, integer, rational,
+    sequence,
 )
+from .linalg import analysis
 from .record import Record
-from .surgery import (
-    MeridianClass,
-    SurgeryPresentation,
-    _check_length,
-    homology_summary,
-    is_torsion_class,
-    meridian_pairing,
-    reduce_class,
-)
+from .surgery import MeridianClass, SurgeryPresentation, _check_length
 
 QMatrix = tuple[tuple[Fraction, ...], ...]
 
@@ -37,51 +28,44 @@ class FramedLinkData(Record):
     """Linking data of a framed link.
 
     lambda_matrix holds self-linkings on the diagonal and pairwise linkings
-    off it.  When classes are given an ambient presentation is required, and
-    every off-diagonal entry between torsion classes must agree with the
-    meridian pairing modulo Z.
+    off it.  When classes are given an ambient presentation is required,
+    each class is checked once (`surgery._check_length`) and stored as the
+    tuple that check returns, and every off-diagonal entry between torsion
+    classes must agree with the meridian pairing modulo Z: the first pair
+    (i, j), i < j, that does not is named.  The torsion tests and pairings
+    are read off the ambient's memo entry (`linalg.analysis`), which a
+    one-component link does not ask.
     """
 
     __slots__ = _fields = ("lambda_matrix", "classes", "ambient")
 
-    def __init__(self, lambda_matrix: QMatrix, classes: tuple[MeridianClass, ...] | None = None,
+    def __init__(self, lambda_matrix: QMatrix, classes: Iterable[Sequence[int]] | None = None,
                  ambient: SurgeryPresentation | None = None) -> None:
         n = len(lambda_matrix)
         if any(len(row) != n for row in lambda_matrix):
             raise InvalidInputError("linking data must be a square matrix")
         if tuple(zip(*lambda_matrix)) != tuple(map(tuple, lambda_matrix)):
             raise InvalidInputError("linking data must be symmetric")
-        object.__setattr__(self, "lambda_matrix", lambda_matrix)
-        object.__setattr__(self, "classes", classes)
-        object.__setattr__(self, "ambient", ambient)
         if classes is not None:
             if ambient is None:
                 raise InvalidInputError("component classes need an ambient presentation")
+            classes = sequence(classes, "classes")
             if len(classes) != n:
                 raise InvalidInputError("one homology class per component is required")
-            for v in classes:
-                _check_length(ambient, v)
-            self._check_consistency()
-
-    def _check_consistency(self) -> None:
-        # off-diagonal linkings of torsion classes are determined mod Z
-        assert self.classes is not None and self.ambient is not None
-        n = len(self.lambda_matrix)
-        if n < 2:
-            return  # no pair to check, so no torsion test either
-        torsion = [is_torsion_class(self.ambient, v) for v in self.classes]
-        for i in range(n):
-            for j in range(i + 1, n):
-                if not (torsion[i] and torsion[j]):
-                    continue
-                expected = meridian_pairing(
-                    self.ambient, self.classes[i], self.classes[j]
-                )
-                if (self.lambda_matrix[i][j] - expected).denominator != 1:
-                    raise InvalidInputError(
-                        f"linking of components {i} and {j} is inconsistent "
-                        "with their homology classes"
-                    )
+            classes = tuple(_check_length(ambient, v) for v in classes)
+            if n > 1:  # a lone component has no pair to check, so no torsion test either
+                data = analysis(ambient.matrix)
+                torsion = [k for k, v in enumerate(classes) if data.is_torsion(v)]
+                # each pair of torsion classes, in order: lambda_ij must be
+                # their meridian pairing, -pairing, modulo Z
+                for i, j in itertools.combinations(torsion, 2):
+                    lk = lambda_matrix[i][j] + data.pairing(classes[i], classes[j])
+                    if lk.denominator != 1:
+                        raise InvalidInputError(f"linking of components {i} and {j} is "
+                                                "inconsistent with their homology classes")
+        object.__setattr__(self, "lambda_matrix", lambda_matrix)
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "ambient", ambient)
 
     @classmethod
     def from_rows(
@@ -90,9 +74,10 @@ class FramedLinkData(Record):
         classes: Iterable[Sequence[int]] | None = None,
         ambient: SurgeryPresentation | None = None,
     ) -> "FramedLinkData":
-        matrix = tuple(tuple(Fraction(x) for x in row) for row in rows)
-        cls_tuple = None if classes is None else tuple(map(tuple, classes))
-        return cls(matrix, cls_tuple, ambient)
+        """Linking data from rows of rationals (`errors.rational`)."""
+        matrix = tuple(tuple(rational(x, "linking entry") for x in sequence(row, "linking row"))
+                       for row in sequence(rows, "linking rows"))
+        return cls(matrix, classes, ambient)
 
     @property
     def n_components(self) -> int:
@@ -168,33 +153,28 @@ def _total_class(f: FramedLinkData) -> MeridianClass:
     return tuple(sum(v[i] for v in f.classes) for i in range(f.ambient.n))
 
 
-def pontrjagin_p1(p1_tau: Fraction | int, f: FramedLinkData) -> Fraction:
+def pontrjagin_p1(p1_tau: Fraction | int | str, f: FramedLinkData) -> Fraction:
     """p_1 of the combing built from a parallelization with p_1 = p1_tau by
-    the Pontrjagin construction on f: p1_tau - 4 lk(L, L_parallel).
+    the Pontrjagin construction on f: p1_tau - 4 lk(L, L_parallel), for a
+    rational p1_tau (`errors.rational`).
 
     The link must be rationally null-homologous.
     """
-    if f.classes is not None and not is_torsion_class(f.ambient, _total_class(f)):
+    if f.classes is not None and not analysis(f.ambient.matrix).is_torsion(_total_class(f)):
         raise NonTorsionError("link homology class is not torsion")
-    return Fraction(p1_tau) - 4 * total_self_linking(f)
-
-
-def _require_zsphere(f: FramedLinkData) -> None:
-    if f.ambient is not None:
-        summary = homology_summary(f.ambient)
-        if summary.torsion_order != 1 or summary.betti_1 != 0:
-            raise NotZSphereError(
-                "ambient presentation has nontrivial first homology"
-            )
+    return rational(p1_tau, "p1_tau") - 4 * total_self_linking(f)
 
 
 def framed_cobordant_zsphere(f: FramedLinkData, g: FramedLinkData) -> bool:
     """Framed cobordism in an integral homology sphere or ball.
 
-    There the total self-linking is a complete invariant.
+    There the total self-linking is a complete invariant.  An ambient is a
+    Z-sphere when B has no kernel (the signature's zero count) and the
+    torsion order is 1, both read off the memo entry, so no box is built.
     """
-    _require_zsphere(f)
-    _require_zsphere(g)
+    entries = [analysis(a.matrix) for a in (f.ambient, g.ambient) if a is not None]
+    if any(e.signature.n_zero or e.torsion_order != 1 for e in entries):
+        raise NotZSphereError("ambient presentation has nontrivial first homology")
     return total_self_linking(f) == total_self_linking(g)
 
 
@@ -205,6 +185,6 @@ def cobordism_class(f: FramedLinkData) -> FramedCobordismClass:
             "cobordism class needs an ambient presentation and component classes"
         )
     return FramedCobordismClass(
-        homology=reduce_class(f.ambient, _total_class(f)),
+        homology=analysis(f.ambient.matrix).reduce(_total_class(f)),
         total=total_self_linking(f),
     )

@@ -39,7 +39,7 @@ from functools import cached_property, lru_cache
 from operator import add, mod, mul
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import InvalidInputError, integers
+from .errors import InvalidInputError, integers, sequence
 from .record import Record
 
 Vector = tuple[int, ...]
@@ -55,7 +55,7 @@ class IntMatrix(Record):
     _fields = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[int]) -> None:
-        entries = tuple(entries)
+        entries = sequence(entries, "matrix entries")
         if not integers((rows, cols)) or rows < 0 or cols < 0:
             raise InvalidInputError("matrix dimensions must be nonnegative")
         if len(entries) != rows * cols:
@@ -72,7 +72,7 @@ class IntMatrix(Record):
 
     @classmethod
     def from_rows(cls, data: Iterable[Iterable[int]]) -> "IntMatrix":
-        rows = [list(r) for r in data]
+        rows = [sequence(r, "matrix row") for r in sequence(data, "matrix rows")]
         nrows = len(rows)
         ncols = len(rows[0]) if rows else 0
         for r in rows:

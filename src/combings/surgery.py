@@ -15,6 +15,7 @@ from typing import Iterable, Sequence
 
 from .errors import (
     CapExceededError, DimensionMismatchError, InvalidInputError, NonTorsionError, integer, integers,
+    sequence,
 )
 from .linalg import (
     HomologySummary,
@@ -69,13 +70,14 @@ def homology_summary(pres: SurgeryPresentation) -> HomologySummary:
 
 
 def _check_length(pres: SurgeryPresentation, v: Sequence[int]) -> Vector:
-    """v as a tuple, once it has one integer (`integers`) per component:
-    the one check of a class or coefficient vector given to the library."""
+    """v as a tuple, once it is a sequence (`sequence`) of one integer
+    (`integers`) per component: the one check of a class or coefficient
+    vector given to the library."""
+    v = sequence(v, "class vector")
     if len(v) != pres.n:
         raise DimensionMismatchError(
             f"class vector has length {len(v)}, presentation has {pres.n} components"
         )
-    v = tuple(v)
     if not integers(v):
         raise InvalidInputError("class vector entries must be integers")
     return v

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import rational
 
-def theta_invariant(casson_walker: Fraction | int, p1: Fraction | int) -> Fraction:
+
+def theta_invariant(casson_walker: Fraction | int | str, p1: Fraction | int | str) -> Fraction:
     """Theta = 6*lambda + p_1/4, from the Casson-Walker invariant lambda of
-    the manifold and p_1 of the combing."""
-    return 6 * Fraction(casson_walker) + Fraction(p1) / 4
+    the manifold and p_1 of the combing, both rationals (`errors.rational`)."""
+    return 6 * rational(casson_walker, "casson_walker") + rational(p1, "p1") / 4

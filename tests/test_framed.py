@@ -53,6 +53,13 @@ class TestConstruction:
                 ambient=pres,
             )
 
+    def test_consistency_sign(self):
+        # lk of two meridians of L(3, 1) is -1/3 mod Z: 2/3 is fine, 1/3 isn't
+        pres = SurgeryPresentation.from_rows([[3]])
+        framed([[0, "2/3"], ["2/3", 0]], classes=[(1,), (1,)], ambient=pres)
+        with pytest.raises(InvalidInputError, match="^linking of components 0 and 1 is "):
+            framed([[0, "1/3"], ["1/3", 0]], classes=[(1,), (1,)], ambient=pres)
+
     def test_one_component_reads_no_signature(self):
         # a lone component has no pair whose linking its class decides
         pres = SurgeryPresentation.from_rows([[7, 2, 1], [2, -5, 3], [1, 3, 11]])
@@ -184,6 +191,28 @@ class TestFramedCobordant:
         f = framed([[Fraction(-1, 2)]], classes=[(1,)], ambient=pres)
         with pytest.raises(NotZSphereError):
             framed_cobordant_zsphere(f, framed([]))
+
+    @pytest.mark.parametrize("rows, zsphere", [
+        ([[1]], True), ([[-1]], True), ([[2]], False), ([[0]], False),
+        ([[2, 1], [1, 1]], True), ([[0, 1], [1, 0]], True), ([[2, 3], [3, 5]], True),
+        ([[2, 1], [1, 2]], False), ([[1, 1], [1, 1]], False),
+    ])
+    def test_zsphere_reads_no_box(self, rows, zsphere):
+        """B presents a Z-sphere iff det B = +/-1, whichever link has it as
+        ambient; [[0]], S^1 x S^2, has no torsion, so its kernel alone
+        refuses it.  The test reads the signature and the torsion order, so
+        the memo entry builds neither the box nor the homology summary."""
+        analysis.cache_clear()
+        pres = SurgeryPresentation.from_rows(rows)
+        f = framed([[1]], classes=[(0,) * pres.n], ambient=pres)
+        for pair in ((f, framed([[1]])), (framed([[1]]), f)):
+            if zsphere:
+                assert framed_cobordant_zsphere(*pair)
+            else:
+                with pytest.raises(NotZSphereError):
+                    framed_cobordant_zsphere(*pair)
+        entry = analysis(pres.matrix)
+        assert "box" not in entry.__dict__ and "homology" not in entry.__dict__
 
     def test_zsphere_ambient_allowed(self):
         pres = SurgeryPresentation.from_rows([[1]])

@@ -82,7 +82,7 @@ MUTANTS = (
     # each modification is the reframing D with some arguments fixed: one
     # formula, and a row of the table for each kind
     Mutant("modification-d-eta-sign", COMBING,
-           "e * Fraction(le)", "-e * Fraction(le)",
+           "e * le - lp", "-e * le - lp",
            ("tests/test_acceptance.py",)),
     Mutant("modification-r-twist-sign", COMBING,
            '("eta", "r", 0)', '("eta", 0, "r")',
@@ -172,7 +172,7 @@ MUTANTS = (
            '"r-twist": ("eta", "r", 0)', '"r-twist": (1, 0, 0)',
            ("tests/test_cli.py::TestTransformingCommands::test_modify_without_its_flags",)),
     Mutant("modification-needs-nothing", COMBING,
-           "if None in (e, le, lp):", "if False:",
+           "if None in map(given.get, reads):", "if False:",
            ("tests/test_cli.py::TestTransformingCommands::test_modify_without_its_flags",)),
     Mutant("framed-need-not-be-an-object", DOCUMENT,
            'raise ParseError("framed must be an object")', "pass",
@@ -239,7 +239,7 @@ MUTANTS = (
            ("tests/test_surgery.py::TestLinkingForm::test_non_integer_entry",
             "tests/test_combing.py::TestValidateCombing::test_non_integer_entry")),
     Mutant("orbit-modulus-through-spec", CLI,
-           "gamma_orbit_modulus(pres, _raw_combing(doc).c)",
+           'gamma_orbit_modulus(pres, _entry(doc.combing, "combing").c)',
            "gamma_orbit_modulus(pres, _combing(doc, pres).c)",
            ("tests/test_cli.py::test_each_command_builds_the_presentation_once",)),
     # one input boundary: the one integer rule, the one vector check, typed
@@ -252,7 +252,7 @@ MUTANTS = (
            "except InvalidInputError as exc:", "except ValueError as exc:",
            ("tests/test_cli.py::TestErrorChannel::test_unexpected_exception_is_internal_error",)),
     Mutant("framed-skips-check-length", FRAMED,
-           "                _check_length(ambient, v)\n", "                pass\n",
+           "tuple(_check_length(ambient, v) for v in classes)", "tuple(map(tuple, classes))",
            ("tests/test_records.py::TestFramedLinkData",
             "tests/test_cli.py::TestFramedCommands::test_framed_class_of_wrong_length")),
     Mutant("digit-limit-untyped", DOCUMENT,
@@ -261,16 +261,28 @@ MUTANTS = (
            "        raise InvalidInputError(str(exc)) from exc\n",
            'raise ParseError("invalid JSON: nested too deeply") from exc\n',
            ("tests/test_cli.py::TestLongIntegers",)),
-    Mutant("rational-digit-limit-untyped", DOCUMENT,
-           "    try:\n        return Fraction(text)\n"
+    Mutant("rational-digit-limit-untyped", ERRORS,
+           "    try:\n        return Fraction(value)\n"
            "    except ValueError as exc:  # CPython's int/str digit limit\n"
            "        raise InvalidInputError(str(exc)) from exc\n",
-           "    return Fraction(text)\n",
+           "    return Fraction(value)\n",
            ("tests/test_cli.py::TestErrorChannel"
             "::test_rational_longer_than_the_limit_is_invalid_input",)),
     Mutant("gamma-offset-unchecked", COMBING,
            'integer(gamma_offset, "gamma_offset")', "gamma_offset",
            ("tests/test_inputs.py",)),
+    # one check per input: a rational is an integer, a Fraction or "p/q";
+    # framed links read the memo, lambda_ij against the meridian pairing,
+    # -pairing, and a Z-sphere is refused on a kernel as on torsion
+    Mutant("rational-admits-any-string", ERRORS,
+           "isinstance(value, str) and RATIONAL_SYNTAX.match(value)", "isinstance(value, str)",
+           ("tests/test_inputs.py",)),
+    Mutant("framed-consistency-pairing-sign", FRAMED,
+           "lambda_matrix[i][j] + data.pairing", "lambda_matrix[i][j] - data.pairing",
+           ("tests/test_records.py::TestFramedLinkData", "tests/test_framed.py::TestConstruction")),
+    Mutant("zsphere-ignores-kernel", FRAMED,
+           "e.signature.n_zero or ", "",
+           ("tests/test_framed.py::TestFramedCobordant",)),
 )
 
 # Mutants whose code is gone, kept with the reason so that the list's
