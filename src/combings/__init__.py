@@ -37,6 +37,7 @@ from .errors import (
     DimensionMismatchError,
     DomainError,
     EvenCoefficientError,
+    InvalidInputError,
     MissingClassesError,
     NonTorsionError,
     NotCharacteristicError,

@@ -14,9 +14,10 @@ import argparse
 import json
 import re
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
-from functools import cache, lru_cache
-from typing import IO
+from functools import cache, lru_cache, partial
+from typing import IO, Iterable, Iterator
 
 from .combing import (
     DEFAULT_BOX,
@@ -46,13 +47,10 @@ from .framed import (
     pontrjagin_p1,
     total_self_linking,
 )
+from .linalg import CHUNK, Chunk
 from .surgery import (
-    DEFAULT_CAP,
-    SurgeryPresentation,
-    format_residue,
-    homology_summary,
-    linking_form,
-    torsion_columns,
+    DEFAULT_CAP, SurgeryPresentation, format_residue, homology_summary, linking_form,
+    torsion_chunks,
 )
 from .theta import theta_invariant
 
@@ -166,29 +164,33 @@ def _cmd_homology(args, doc: Document, pres: SurgeryPresentation) -> str:
     return json.dumps(homology_summary(pres)._asdict(), indent=2)
 
 
-def _enumeration_json(L: int, columns: list[list[int]], residues: list[int]) -> str:
-    """`json.dumps([{"class": [...], "ell": format_residue(r, L, 1)}, ...],
-    indent=2)` over the classes of `torsion_columns`, byte for byte
-    (ell = r / L mod 1); there is always one, the zero class.  json's
-    indented encoder runs in Python, so the fixed layout is one `%` template
-    for the n coordinates, each written as json writes an int (`%d` is its
-    repr), and each distinct residue is formatted once.  Its text holds only
-    digits, "/", spaces, parentheses and "mod", which json writes unescaped,
-    so the template holds the quotes.  The template is filled from the
-    columns and the residues' texts zipped together, and zip reuses its
-    result tuple, so no object outlives its class."""
-    n = len(columns)
+def _enumeration_json(n: int, L: int, chunks: Iterable[Chunk]) -> Iterator[str]:
+    """The pieces of `json.dumps([{"class": [...], "ell": format_residue(r,
+    L, 1)}, ...], indent=2)` over the classes of `torsion_chunks`, byte for
+    byte (ell = r / L mod 1), one piece per chunk; there is always one class,
+    the zero class.  json's indented encoder runs in Python, so the fixed
+    layout is one `%` template for the n coordinates, each written as json
+    writes an int (`%d` is its repr), and each distinct residue is
+    formatted once while the texts kept from earlier chunks number at most
+    `linalg.CHUNK`; past that they are dropped, so they never outgrow two
+    chunks.  Its text holds only digits, "/", spaces, parentheses
+    and "mod", which json writes unescaped, so the template holds the
+    quotes.  The template is filled from a chunk's columns and the residues'
+    texts zipped together, and zip reuses its result tuple, so no object
+    outlives its class, and none but one chunk's text outlives its chunk."""
     cls = "[\n      " + ",\n      ".join(["%d"] * n) + "\n    ]" if n else "[]"
     item = '  {\n    "class": ' + cls + ',\n    "ell": "%s"\n  }'
-    ells = {r: format_residue(r, L, 1) for r in set(residues)}
-    classes = zip(*columns, map(ells.__getitem__, residues))
-    return "[\n" + ",\n".join(map(item.__mod__, classes)) + "\n]"
+    head, ell = "[\n", lru_cache(CHUNK)(partial(format_residue, L=L, m=1))
+    for columns, residues in chunks:
+        yield head + ",\n".join(map(item.__mod__, zip(*columns, map(ell, residues))))
+        head = ",\n"
+    yield "\n]"
 
 
-def _cmd_linking_form(args, doc: Document, pres: SurgeryPresentation) -> str:
+def _cmd_linking_form(args, doc: Document, pres: SurgeryPresentation) -> str | Iterator[str]:
     if doc.meridian is not None:
         return format_residue(*linking_form(pres, doc.meridian).as_integer_ratio(), 1)
-    return _enumeration_json(*torsion_columns(pres, cap=args.cap))
+    return _enumeration_json(pres.n, *torsion_chunks(pres, cap=args.cap))
 
 
 def _cmd_theta_g(args, doc: Document, pres: SurgeryPresentation) -> str:
@@ -284,14 +286,15 @@ def _read_document(args, stdin: IO[str]) -> Document:
     return parse_document(text)
 
 
-def _write(args, stdout: IO[str], text: str) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
-    if args.output is not None:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        stdout.write(text)
+def _write(args, stdout: IO[str], output: str | Iterable[str]) -> None:
+    """Write a handler's text, or each of its pieces in turn, to --output
+    or stdout, and then the final newline.  The file is opened only here,
+    after the handler has returned, so a refusal creates none."""
+    sink = nullcontext(stdout) if args.output is None else open(args.output, "w", encoding="utf-8")
+    with sink as handle:
+        for piece in (output,) if isinstance(output, str) else output:
+            handle.write(piece)
+        handle.write("\n")
 
 
 def main(
@@ -314,14 +317,14 @@ def main(
         doc = _read_document(args, stdin)
         pres = SurgeryPresentation.from_rows(doc.linking_matrix)
         # input integers keep CPython's int/str digit limit; an exact answer
-        # may be longer than any of them, so the handler runs without it
+        # may be longer than any of them, so the handler runs without it, and
+        # so does the writing of its pieces, which a handler may make lazily
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
         try:
-            output = _HANDLERS[args.command](args, doc, pres)
+            _write(args, stdout, _HANDLERS[args.command](args, doc, pres))
         finally:
             sys.set_int_max_str_digits(limit)
-        _write(args, stdout, output)
     except _Help as exc:
         stdout.write(str(exc))
     except DomainError as exc:

@@ -17,20 +17,14 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from operator import add, mod, mul, sub
+from operator import add, mod, mul, not_, sub
 from typing import NamedTuple, Sequence
 
 from .errors import (
-    BadEtaError,
-    CapExceededError,
-    EvenCoefficientError,
-    InvalidInputError,
-    NonTorsionError,
-    NotCharacteristicError,
-    integer,
-    rational,
+    BadEtaError, CapExceededError, EvenCoefficientError, InvalidInputError, NonTorsionError,
+    NotCharacteristicError, instance, integer, rational,
 )
-from .linalg import IntMatrix, MatrixAnalysis, Vector, analysis
+from .linalg import IntMatrix, MatrixAnalysis, Vector, analysis, walk
 from .record import Record
 from .surgery import DEFAULT_CAP, MeridianClass, SurgeryPresentation, _check_length
 
@@ -76,6 +70,7 @@ class CombingSpec(Record):
     def __init__(
         self, presentation: SurgeryPresentation, c: Sequence[int], gamma_offset: int = 0
     ) -> None:
+        instance(presentation, SurgeryPresentation, "presentation")
         object.__setattr__(self, "c", validate_combing(presentation, c))
         object.__setattr__(self, "presentation", presentation)
         object.__setattr__(self, "gamma_offset", integer(gamma_offset, "gamma_offset"))
@@ -333,32 +328,40 @@ def p1_image(
     torsion_order = data.torsion_order
     if torsion_order > cap:
         raise CapExceededError(torsion_order, cap)
-    # the v in [-box, box] with v = b_ii mod 2, as lazy ranges whose length is
-    # known before anything is built
-    ranges = [range(-box + (-box - b) % 2, box + 1, 2) for b in pres.matrix.diagonal()]
-    # len() overflows past sys.maxsize, so each range is counted by its bounds
-    size = math.prod(max(0, (r.stop - r.start + 1) // 2) for r in ranges)
-    if size > cap:
+    # the swept c are start + 2y over the box 0 <= y_i < d_i: the v in
+    # [-box, box] with v = b_ii mod 2, counted by their bounds, so that
+    # nothing is built before the cap is read
+    starts = [-box + (-box - b) % 2 for b in pres.matrix.diagonal()]
+    factors = [(box - s) // 2 + 1 for s in starts]
+    if (size := math.prod(factors)) > cap:
         message = f"image-p1 sweep of {size} vectors exceeds cap {cap}"
         raise CapExceededError(torsion_order, cap, message)
 
-    # residues of c^T G c + const L modulo 4L, i.e. of theta_g mod 4 times L;
-    # c^T G c is read off the memo's packed triangle of G
-    form, quadratic = data.form, data._quadratic
+    # residues of c^T G c + const L modulo 4L, i.e. of theta_g mod 4 times L
+    form = data.form
     shift = _theta_constant(data) * form.L
     modulus = 4 * form.L
-    # p_1(reference) L = ref is an integer and lk(x, x) = r / L_t (mod 1) for
-    # the residue r of the torsion form, whose denominator L_t divides L, so
-    # p_1(reference) - 4 lk(x, x) is (ref - 4 r L / L_t) / L modulo 4
-    ref = quadratic(data.c_ref) + shift
+    # p_1(reference) L = ref is an integer and lk(x, x) = -y^T Q y / L_t (mod 1)
+    # for the class of y in the torsion form's box, whose denominator L_t
+    # divides L, so p_1(reference) - 4 lk(x, x) is ref + 4 y^T Q y L / L_t
+    # over L, modulo 4
+    ref = data._quadratic(data.c_ref) + shift
     tf = data.torsion_form
     scale = form.L // tf.L
-    formula = {(ref - 4 * scale * r) % modulus for r in set(tf.table()[1])}
-    # every c is torsion when B has no kernel
-    swept = itertools.product(*ranges)
-    if data.signature.n_zero:
-        swept = filter(data.is_torsion, swept)
-    enumeration = {(quadratic(c) + shift) % modulus for c in swept}
+    formula, enumeration = set(), set()
+    for _, part in walk(tf.factors, [[4 * scale * x for x in row] for row in tf.Q], modulus, a=ref):
+        formula.update(part)
+    # (s + 2y)^T G (s + 2y) = s^T G s + 4 (G s)^T y + 4 y^T G y over the box,
+    # walked with the map K^T c over the pass's kernel vectors, which keeps
+    # the torsion c (`MatrixAnalysis.is_torsion`): none on a nonsingular B
+    kernel = data._pass.kernel
+    gs = [sum(map(mul, row, starts)) for row in form.G]
+    for columns, part in walk(factors, [[4 * x for x in row] for row in form.G], modulus,
+                              [4 * x for x in gs], sum(map(mul, starts, gs)) + shift,
+                              [[2 * x for x in z] for z in kernel],
+                              [sum(map(mul, z, starts)) for z in kernel]):
+        torsion = map(not_, map(any, zip(*columns)))
+        enumeration.update(itertools.compress(part, torsion) if kernel else part)
 
     return P1ImageReport(
         denominator=form.L,

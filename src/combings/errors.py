@@ -15,6 +15,8 @@ An integer is an `int` that is not a `bool`, as JSON's integers are
 scalar arguments of the library all read that rule here.  A rational is an
 integer, a `Fraction` or a "p/q" string of the document's syntax
 (`RATIONAL_SYNTAX`, `rational`); a sequence is any iterable (`sequence`).
+A record constructor takes a record where one is due, and nothing else
+(`instance`).
 """
 
 from __future__ import annotations
@@ -121,3 +123,11 @@ def sequence(value, name: str) -> tuple:
         return tuple(value)
     except TypeError:
         raise InvalidInputError(f"{name} must be a sequence, got {value!r}") from None
+
+
+def instance(value, kind: type, name: str):
+    """`value` when it is a `kind`, else an InvalidInputError that names the
+    argument."""
+    if not isinstance(value, kind):
+        raise InvalidInputError(f"{name} must be of type {kind.__name__}, got {value!r}")
+    return value

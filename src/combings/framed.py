@@ -14,21 +14,19 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
-    InvalidInputError, MissingClassesError, NonTorsionError, NotZSphereError, integer, rational,
-    sequence,
+    InvalidInputError, MissingClassesError, NonTorsionError, NotZSphereError, instance, integer,
+    rational, sequence,
 )
 from .linalg import analysis
 from .record import Record
 from .surgery import MeridianClass, SurgeryPresentation, _check_length
 
-QMatrix = tuple[tuple[Fraction, ...], ...]
-
-
 class FramedLinkData(Record):
     """Linking data of a framed link.
 
     lambda_matrix holds self-linkings on the diagonal and pairwise linkings
-    off it.  When classes are given an ambient presentation is required,
+    off it, each entry read by the rational rule (`errors.rational`) and kept
+    as a Fraction.  When classes are given an ambient presentation is required,
     each class is checked once (`surgery._check_length`) and stored as the
     tuple that check returns, and every off-diagonal entry between torsion
     classes must agree with the meridian pairing modulo Z: the first pair
@@ -39,8 +37,12 @@ class FramedLinkData(Record):
 
     __slots__ = _fields = ("lambda_matrix", "classes", "ambient")
 
-    def __init__(self, lambda_matrix: QMatrix, classes: Iterable[Sequence[int]] | None = None,
+    def __init__(self, lambda_matrix: Iterable[Iterable[Fraction | int | str]],
+                 classes: Iterable[Sequence[int]] | None = None,
                  ambient: SurgeryPresentation | None = None) -> None:
+        lambda_matrix = tuple(
+            tuple(rational(x, "linking entry") for x in sequence(row, "linking row"))
+            for row in sequence(lambda_matrix, "linking rows"))
         n = len(lambda_matrix)
         if any(len(row) != n for row in lambda_matrix):
             raise InvalidInputError("linking data must be a square matrix")
@@ -49,6 +51,7 @@ class FramedLinkData(Record):
         if classes is not None:
             if ambient is None:
                 raise InvalidInputError("component classes need an ambient presentation")
+            instance(ambient, SurgeryPresentation, "ambient")
             classes = sequence(classes, "classes")
             if len(classes) != n:
                 raise InvalidInputError("one homology class per component is required")
@@ -74,10 +77,9 @@ class FramedLinkData(Record):
         classes: Iterable[Sequence[int]] | None = None,
         ambient: SurgeryPresentation | None = None,
     ) -> "FramedLinkData":
-        """Linking data from rows of rationals (`errors.rational`)."""
-        matrix = tuple(tuple(rational(x, "linking entry") for x in sequence(row, "linking row"))
-                       for row in sequence(rows, "linking rows"))
-        return cls(matrix, classes, ambient)
+        """Linking data from rows of rationals, which the constructor reads
+        (`errors.rational`)."""
+        return cls(rows, classes, ambient)
 
     @property
     def n_components(self) -> int:

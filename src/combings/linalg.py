@@ -36,8 +36,9 @@ import itertools
 import math
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import accumulate, chain, repeat
 from operator import add, mod, mul
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InvalidInputError, integers, sequence
 from .record import Record
@@ -633,6 +634,81 @@ def _integer_form(p: BareissPass, vectors: Sequence[Sequence[int]]) -> IntegerFo
     return IntegerForm(G=tuple(tuple(x // g for x in row) for row in pairs), L=scale // g)
 
 
+# points per chunk of a `walk`: a chunk's lists, and the text the CLI makes
+# of them, stay near a megabyte whatever the size of the box
+CHUNK = 1 << 14
+
+Chunk = tuple[list[list[int]], list[int]]
+
+
+def walk(factors: Sequence[int], Q: Sequence[Sequence[int]], M: int,
+         b: Sequence[int] | None = None, a: int = 0, A: Sequence[Sequence[int]] = (),
+         a0: Sequence[int] | None = None, chunk: int = CHUNK) -> Iterator[Chunk]:
+    """The box 0 <= y_i < d_i over the k `factors`, in `itertools.product`
+    order (the first factor slowest), as chunks (columns, residues) of at
+    most `chunk` points: the residues of y^T Q y + b^T y + a mod M for a
+    symmetric Q (b zero if not given), and `columns[i]` the i-th coordinate
+    of A y + a0 over the rows of A (a0 zero if not given; no columns when A
+    is empty).  The library's one walk: the torsion form's box
+    (`surgery.torsion_chunks` and the formula side of `combing.p1_image`)
+    and the sweep of `combing.p1_image`.  A box with no factor is one
+    point, and one with a zero factor none.
+
+    By finite differences, O(1) per point and per coordinate, with no tuple
+    built per point: a unit step of y_j adds s_j = 2 (Q y)_j + Q_jj + b_j to
+    the quadratic, 2 Q_j to s and column j of A to the map (`step`).  The
+    prefixes y_0 .. y_{k-2} are walked depth first, so that one path of
+    running states is held, not one per prefix: a level is the running
+    states of one coordinate (`itertools.accumulate` of its steps), and the
+    levels below it are chained lazily (`rows`).  Along the last factor l
+    the first differences step by 2 Q_ll and each coordinate of the map by
+    A_il.  A row is cut into runs of at most `chunk` points, and a chunk
+    holds as many whole runs as fit, all of one length: a run is two
+    running sums, and the map over a chunk is one progression per run and
+    coordinate, built when the chunk is full (`flush`).  A run that starts
+    inside a row, at t, starts from the closed form there: q + t s_l +
+    Q_ll t (t - 1), with first difference s_l + 2 Q_ll t."""
+    k, b, a0 = len(factors), b or [0] * len(factors), a0 or [0] * len(A)
+    if not k or 0 in factors:  # one point, or none
+        yield from [] if k else [([[x] for x in a0], [a % M])]
+        return
+    last, d, Q2 = k - 1, factors[-1], [[2 * x for x in row] for row in Q]
+    steps = list(zip(*A)) or [()] * k  # column j of A, the map's step along y_j
+    qll, second, gl = Q[last][last], 2 * Q[last][last], steps[last]
+
+    def step(state: tuple, j: int) -> tuple:  # a unit step of y_j
+        q, s, v = state
+        return (q + s[j]) % M, list(map(add, s, Q2[j])), tuple(map(add, v, steps[j]))
+
+    def rows(state: tuple, j: int) -> Iterable[tuple]:  # the prefixes below one, depth first
+        level = accumulate(repeat(j, factors[j] - 1), step, initial=state)
+        return level if j == last - 1 else chain.from_iterable(map(rows, level, repeat(j + 1)))
+
+    def flush(runs: list, residues: list) -> Chunk:  # the map over runs of one length
+        take = len(residues) // len(runs)
+        return [list(chain.from_iterable(map(range, xs, map(add, xs, repeat(take * g)), repeat(g))
+                                         if g else map(repeat, xs, repeat(take))))
+                for xs, g in zip(zip(*runs), gl)], residues
+
+    # the runs of a row: a row longer than a chunk is cut into runs of a
+    # chunk, and a chunk holds whole runs
+    pieces = [(t, (second,) * (min(d - t, chunk) - 2), (M,) * min(d - t, chunk))
+              for t in range(0, d, chunk)]
+    runs, residues = [], []  # the map at each run's first point, and the residues
+    origin = (a % M, [Q[j][j] + b[j] for j in range(k)], tuple(a0))
+    for q, s, v in rows(origin, 0) if last else (origin,):
+        sl = s[last]
+        for t, dd, moduli in pieces:  # dd: the second differences of the run
+            if len(residues) + len(moduli) > chunk:
+                yield flush(runs, residues)
+                runs, residues = [], []
+            # from the closed form at the run's first point t
+            diffs, first = accumulate(dd, initial=sl + second * t), q + (sl + qll * (t - 1)) * t
+            residues.extend(map(mod, accumulate(diffs, initial=first), moduli))
+            runs.append(tuple(map(add, v, map(mul, gl, repeat(t)))) if t else v)
+    yield flush(runs, residues)
+
+
 class TorsionForm(NamedTuple):
     """The linking form on the torsion subgroup of coker(B), in box
     coordinates.
@@ -646,50 +722,15 @@ class TorsionForm(NamedTuple):
     generators alone (`_integer_form`), Q_ij / L = g_i^T B^+ g_j, with Q
     reduced mod L, so v^T B^+ v = y^T Q y / L (mod 1).  The pairings are
     integer combinations of the entries of D_r G_0, so L divides the L of
-    `MatrixAnalysis.form`; it can be smaller for a singular B.  `table`
-    walks the whole box.
+    `MatrixAnalysis.form`; it can be smaller for a singular B.  The box is
+    walked by `walk`: `surgery.torsion_chunks` for the classes and their
+    residues -(y^T Q y) mod L, `combing.p1_image` for the formula side.
     """
 
     factors: tuple[int, ...]
     generators: tuple[Vector, ...]
     Q: tuple[Vector, ...]
     L: int
-
-    def table(self, lifts: bool = False) -> tuple[list[list[int]], list[int]]:
-        """(columns, residues) over the box in `itertools.product` order, the
-        first factor slowest: r = -(y^T Q y) mod L, the class of y has
-        self-linking r / L mod 1 and, if `lifts`, meridian vector `generators` y,
-        whose k-th coordinate is the class's entry of `columns[k]` (else
-        `columns` is empty).  A unit step of y_j adds 2 (Q y)_j + Q_jj to
-        y^T Q y, row j of Q to Q y and g_j to the lift; along the last factor the
-        first differences step by 2 Q_ll and each coordinate of the lift steps
-        by g_l, so each prefix extends the residues by one running sum and each
-        column by one progression: O(1) per residue and per coordinate, with
-        no tuple built per class."""
-        n, L, Q, factors = len(self.generators), self.L, self.Q, self.factors
-        if not factors:
-            return [[0] for _ in range(n)] if lifts else [], [0]
-        g, last = list(zip(*self.generators)), len(factors) - 1
-        prefixes = [(0, [0] * len(factors), (0,) * n)]  # y^T Q y mod L, Q y, lift
-        for j in range(last):  # the prefixes of length j + 1, in product order
-            longer = []
-            for q, s, b in prefixes:
-                for _ in range(factors[j]):
-                    longer.append((q, s, b))
-                    q = (q + 2 * s[j] + Q[j][j]) % L
-                    s = list(map(add, s, Q[j]))
-                    b = tuple(map(add, b, g[j])) if lifts else b
-            prefixes = longer
-        d, qll, gl, accumulate = factors[last], Q[last][last], g[last], itertools.accumulate
-        second, modulus = (-2 * qll,) * (d - 2), (L,) * d
-        columns: list[list[int]] = [[] for _ in range(n)] if lifts else []
-        residues: list[int] = []
-        for q, s, b in prefixes:
-            diffs = accumulate(second, initial=-2 * s[last] - qll)
-            residues.extend(map(mod, accumulate(diffs, initial=-q), modulus))
-            for column, x, y in zip(columns, b, gl):
-                column.extend(range(x, x + d * y, y) if y else itertools.repeat(x, d))
-        return columns, residues
 
 
 class MatrixAnalysis:

@@ -11,18 +11,14 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
-    CapExceededError, DimensionMismatchError, InvalidInputError, NonTorsionError, integer, integers,
-    sequence,
+    CapExceededError, DimensionMismatchError, InvalidInputError, NonTorsionError, instance, integer,
+    integers, sequence,
 )
-from .linalg import (
-    HomologySummary,
-    IntMatrix,
-    Vector,
-    analysis,
-)
+from .linalg import Chunk, HomologySummary, IntMatrix, Vector, analysis, walk
 from .record import Record
 
 DEFAULT_CAP = 10_000
@@ -38,7 +34,7 @@ class SurgeryPresentation(Record):
     __slots__ = _fields = ("matrix",)
 
     def __init__(self, matrix: IntMatrix) -> None:
-        if matrix.rows != matrix.cols:
+        if instance(matrix, IntMatrix, "matrix").rows != matrix.cols:
             raise InvalidInputError("linking matrix must be square")
         if not matrix.is_symmetric():
             raise InvalidInputError("linking matrix must be symmetric")
@@ -140,6 +136,23 @@ def classes_equal(
     return reduce_class(pres, v) == reduce_class(pres, w)
 
 
+def torsion_chunks(pres: SurgeryPresentation,
+                   cap: int = DEFAULT_CAP) -> tuple[int, Iterator[Chunk]]:
+    """(L, chunks): the torsion classes of H_1 in chunks of at most
+    `linalg.CHUNK`, each (columns, residues) as `torsion_columns` gives them
+    whole.  The order is compared with `cap`, and the box and the torsion
+    form are built, before this returns, so a refusal comes before any
+    chunk; the chunks are walked as they are read (`linalg.walk`)."""
+    if integer(cap, "cap") < 0:
+        raise InvalidInputError(f"cap must be nonnegative, got {cap}")
+    data = analysis(pres.matrix)
+    order = data.torsion_order
+    if order > cap:
+        raise CapExceededError(order, cap)
+    tf = data.torsion_form  # each class y of its box: -(y^T Q y) mod L and its lift
+    return tf.L, walk(tf.factors, [[-x for x in row] for row in tf.Q], tf.L, A=tf.generators)
+
+
 def torsion_columns(
     pres: SurgeryPresentation, cap: int = DEFAULT_CAP
 ) -> tuple[int, list[list[int]], list[int]]:
@@ -148,19 +161,14 @@ def torsion_columns(
     every class, and the residues r in [0, L) of their linking-form values
     r / L mod 1, both in the order of the box points of linalg.TorsionForm,
     the first factor varying slowest, so the output order is reproducible.
-    One walk of the box by finite differences (`TorsionForm.table`) gives
-    them all, with no tuple built per class.  The box is the Hermite box of
-    the core B' lifted by R_1^T (B itself when nonsingular), so every
-    representative is the one `reduce_class` returns.  The order is compared
-    with `cap` before the box or the walk, singular B or not: it is read off
-    the one pass and the split (`MatrixAnalysis.torsion_order`).
+    They are the chunks of `torsion_chunks` joined: one walk of the box by
+    finite differences (`linalg.walk`), with no tuple built per class.  The
+    box is the Hermite box of the core B' lifted by R_1^T (B itself when
+    nonsingular), so every representative is the one `reduce_class`
+    returns.  The order is compared with `cap` before the box or the walk,
+    singular B or not: it is read off the one pass and the split
+    (`MatrixAnalysis.torsion_order`).
     """
-    if integer(cap, "cap") < 0:
-        raise InvalidInputError(f"cap must be nonnegative, got {cap}")
-    data = analysis(pres.matrix)
-    order = data.torsion_order
-    if order > cap:
-        raise CapExceededError(order, cap)
-    tf = data.torsion_form
-    return (tf.L, *tf.table(lifts=True))
-
+    L, chunks = torsion_chunks(pres, cap)
+    parts, residues = zip(*chunks)  # per chunk; there is always one
+    return L, [list(chain(*c)) for c in zip(*parts)], list(chain(*residues))

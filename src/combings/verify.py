@@ -440,4 +440,4 @@ def format_report(results: list[CheckResult], seed: int) -> str:
         lines.append(f"  {res.name}: {status} [{res.cases} cases]")
     passed = sum(1 for r in results if r.ok)
     lines.append(f"passed {passed}/{len(results)} checks")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines)

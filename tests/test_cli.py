@@ -8,6 +8,8 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,7 @@ import pytest
 from combings import cli
 from combings.cli import build_parser, main
 from combings.errors import CapExceededError, DomainError, NotCharacteristicError
+from combings.linalg import CHUNK
 
 
 def run(args, text=""):
@@ -504,6 +507,58 @@ class TestFileIO:
             code, out, err = run([*argv, "--output", dst], text)
             assert (code, out) == (1, "")
             assert err.startswith("error: io: ") and err.count("\n") == 1
+
+
+class TestStreaming:
+    """`linking-form` writes its classes one chunk at a time: the text is
+    the one `json.dumps` would write, and memory is a chunk's, not the
+    output's.  The refusals come before the first piece."""
+
+    def test_output_of_many_chunks(self, tmp_path):
+        """On L(p, 1) with p past one chunk, the classes [k] with
+        lk = -k^2 / p mod 1, byte for byte, on stdout and in --output."""
+        p = CHUNK + 1000
+        doc = json.dumps({"linking_matrix": [[p]]})
+        want = [{"class": [k], "ell": f"{Fraction(-k * k, p) % 1} (mod 1)"} for k in range(p)]
+        code, out, err = run(["linking-form", "--cap", str(p)], doc)
+        assert (code, err) == (0, "")
+        assert out == json.dumps(want, indent=2) + "\n"
+        dst = tmp_path / "out.json"
+        assert run(["linking-form", "--cap", str(p), "--output", str(dst)], doc) == (0, "", "")
+        assert dst.read_text(encoding="utf-8") == out
+
+    @pytest.mark.parametrize("argv", [["linking-form", "--cap", "4"],
+                                      ["image-p1", "--cap", "4"],
+                                      ["image-p1", "--box", "9", "--cap", "100"]])
+    def test_refusal_writes_nothing(self, tmp_path, argv):
+        """A walk or a sweep over its cap writes nothing to stdout and
+        creates no --output file."""
+        doc = '{"linking_matrix": [[4, 2, 6], [2, -2, 0], [6, 0, 6]]}'
+        dst = tmp_path / "out.txt"
+        for extra in ([], ["--output", str(dst)]):
+            code, out, err = run([*argv, *extra], doc)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: CapExceeded: ")
+        assert not dst.exists()
+
+    def test_walk_memory_is_a_chunk(self):
+        """The tracemalloc peak of `linking-form` on L(2 * 10^5, 1), written
+        to a sink that keeps nothing, is at most a quarter of the 59 MB that
+        the whole output held as lists and one string."""
+        class Sink:
+            def write(self, text):
+                return len(text)
+
+        doc = io.StringIO(json.dumps({"linking_matrix": [[200_000]]}))
+        tracemalloc.start()
+        try:
+            code = main(["linking-form", "--cap", "300000"], stdin=doc, stdout=Sink(),
+                        stderr=io.StringIO())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= 59e6 / 4
 
 
 def _str_without_limit(n):

@@ -119,6 +119,7 @@ RATIONALS = [
      lambda x: apply_modification(0, "global-Z", lk_par=x), "lk_par"),
     ("FramedLinkData.from_rows.entry", lambda x: FramedLinkData.from_rows([[x]]),
      "linking entry"),
+    ("FramedLinkData.entry", lambda x: FramedLinkData(((x,),)), "linking entry"),
     ("pontrjagin_p1.p1_tau", lambda x: pontrjagin_p1(x, TWO), "p1_tau"),
     ("theta_invariant.casson_walker", lambda x: theta_invariant(x, 0), "casson_walker"),
     ("theta_invariant.p1", lambda x: theta_invariant(0, x), "p1"),
@@ -182,3 +183,28 @@ SCALAR_STAND_INS = {"bool": True, "float": 1.5, "int": 1}
 def test_non_sequence_is_invalid_input(name, call, kind):
     with pytest.raises(InvalidInputError, match=" must be a sequence, got "):
         call(SCALAR_STAND_INS[kind])
+
+
+def test_framed_constructor_reads_its_entries():
+    """The constructor reads each entry by the rational rule, as `from_rows`
+    does: a float or a word is refused, not kept or left to fail later."""
+    for entry in (1.5, "x"):
+        with pytest.raises(InvalidInputError, match="^linking entry must be an integer, a "):
+            FramedLinkData(((entry,),))
+    assert FramedLinkData((("1/2",),)).lambda_matrix == ((Fraction(1, 2),),)
+
+
+# (record constructor, the call with x where a record is due, its argument)
+RECORDS = [
+    ("SurgeryPresentation", SurgeryPresentation, "matrix"),
+    ("CombingSpec", lambda x: CombingSpec(x, (1,)), "presentation"),
+    ("FramedLinkData.ambient", lambda x: FramedLinkData([[0]], [(1,)], x), "ambient"),
+]
+
+
+@pytest.mark.parametrize("name, call, argument", RECORDS, ids=[case[0] for case in RECORDS])
+def test_non_record_is_invalid_input(name, call, argument):
+    """A plain list of rows where a record is due is refused by name, not
+    left to fail on a missing attribute."""
+    with pytest.raises(InvalidInputError, match=f"^{argument} must be of type "):
+        call([[1]])

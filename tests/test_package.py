@@ -30,9 +30,9 @@ class TestAll:
             "BadEtaError", "CapExceededError", "CombingSpec", "DEFAULT_BOX", "DEFAULT_CAP",
             "DimensionMismatchError", "DomainError", "EMPTY_PRESENTATION", "EulerClassInfo",
             "EvenCoefficientError", "FramedCobordismClass", "FramedLinkData", "HomologySummary",
-            "IntMatrix", "MissingClassesError", "NonTorsionError", "NotCharacteristicError",
-            "NotZSphereError", "P1ImageReport", "P1Value", "ParseError", "SignatureTriple",
-            "SurgeryPresentation", "add_hopf", "apply_modification", "band_sum",
+            "IntMatrix", "InvalidInputError", "MissingClassesError", "NonTorsionError",
+            "NotCharacteristicError", "NotZSphereError", "P1ImageReport", "P1Value", "ParseError",
+            "SignatureTriple", "SurgeryPresentation", "add_hopf", "apply_modification", "band_sum",
             "classes_equal", "cobordism_class", "combing_equal", "euler_class",
             "framed_cobordant_zsphere", "gamma", "gamma_orbit_modulus", "hf_grading",
             "homology_summary", "is_torsion_class", "linking_form", "meridian_pairing", "p1",

@@ -44,7 +44,8 @@ SLOTTED = [
     (SurgeryPresentation, dict(matrix=M)),
     (CombingSpec, dict(presentation=PRES, c=(0, 0), gamma_offset=3)),
     (P1Value, dict(value=Fraction(-7, 3))),
-    (FramedLinkData, dict(lambda_matrix=((HALF, 1), (1, -HALF)), classes=None, ambient=None)),
+    (FramedLinkData, dict(lambda_matrix=((HALF, Fraction(1)), (Fraction(1), -HALF)), classes=None,
+                          ambient=None)),
     (
         FramedLinkData,
         dict(lambda_matrix=((Fraction(-1, 4),),), classes=((1,),), ambient=LENS),

@@ -151,13 +151,25 @@ MUTANTS = (
     Mutant("solve-partner-step-transposed", LINALG,
            "w[k] += w[i]", "w[i] += w[k]",
            ("tests/test_bareiss.py",)),
+    # the one walk: the torsion table and the image-p1 sweep, in chunks
     Mutant("table-drops-q-jj", LINALG,
-           " + Q[j][j]", "",
+           "[Q[j][j] + b[j] for j in range(k)]", "list(b)",
            ("tests/test_residues.py",)),
     Mutant("table-column-repeats", LINALG,
-           "range(x, x + d * y, y) if y else itertools.repeat(x, d)", "itertools.repeat(x, d)",
+           "map(range, xs, map(add, xs, repeat(take * g)), repeat(g))",
+           "map(repeat, xs, repeat(take))",
            ("tests/test_residues.py",)),
-    # the memo's packed triangle: warm self-pairings and the image-p1 sweep
+    Mutant("walk-chunk-starts-late", LINALG,
+           "initial=sl + second * t), q + (sl + qll * (t - 1)) * t",
+           "initial=sl + second * (t + 1)), q + (sl + qll * t) * (t + 1)",
+           ("tests/test_residues.py",)),
+    Mutant("sweep-drops-linear-term", COMBING,
+           "[4 * x for x in gs]", "[0] * len(gs)",
+           ("tests/test_residues.py",)),
+    Mutant("sweep-skips-kernel-filter", COMBING,
+           "itertools.compress(part, torsion) if kernel else part", "part",
+           ("tests/test_residues.py",)),
+    # the memo's packed triangle: warm self-pairings and the reference's p_1
     Mutant("p1-image-packed-weight-one", LINALG,
            "x * (2 - (i == j))", "x * 1",
            ("tests/test_residues.py",)),
