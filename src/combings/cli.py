@@ -170,14 +170,14 @@ def _enumeration_json(n: int, L: int, chunks: Iterable[Chunk]) -> Iterator[str]:
     byte (ell = r / L mod 1), one piece per chunk; there is always one class,
     the zero class.  json's indented encoder runs in Python, so the fixed
     layout is one `%` template for the n coordinates, each written as json
-    writes an int (`%d` is its repr), and each distinct residue is
-    formatted once while the texts kept from earlier chunks number at most
-    `linalg.CHUNK`; past that they are dropped, so they never outgrow two
-    chunks.  Its text holds only digits, "/", spaces, parentheses
-    and "mod", which json writes unescaped, so the template holds the
-    quotes.  The template is filled from a chunk's columns and the residues'
-    texts zipped together, and zip reuses its result tuple, so no object
-    outlives its class, and none but one chunk's text outlives its chunk."""
+    writes an int (`%d` is its repr), and a residue's text comes from an
+    LRU cache of `linalg.CHUNK` texts, so each distinct residue is formatted
+    about once and the texts never outgrow the cache.  A text holds only
+    digits, "/", spaces, parentheses and "mod", which json writes
+    unescaped, so the template holds the quotes.  The template is filled
+    from a chunk's columns and the residues' texts zipped together, and zip
+    reuses its result tuple, so no object outlives its class, and no text
+    outlives its chunk but those the cache keeps."""
     cls = "[\n      " + ",\n      ".join(["%d"] * n) + "\n    ]" if n else "[]"
     item = '  {\n    "class": ' + cls + ',\n    "ell": "%s"\n  }'
     head, ell = "[\n", lru_cache(CHUNK)(partial(format_residue, L=L, m=1))

@@ -21,16 +21,17 @@ from .linalg import analysis
 from .record import Record
 from .surgery import MeridianClass, SurgeryPresentation, _check_length
 
+
 class FramedLinkData(Record):
     """Linking data of a framed link.
 
     lambda_matrix holds self-linkings on the diagonal and pairwise linkings
-    off it, each entry read by the rational rule (`errors.rational`) and kept
-    as a Fraction.  When classes are given an ambient presentation is required,
-    each class is checked once (`surgery._check_length`) and stored as the
-    tuple that check returns, and every off-diagonal entry between torsion
-    classes must agree with the meridian pairing modulo Z: the first pair
-    (i, j), i < j, that does not is named.  The torsion tests and pairings
+    off it, each entry read by the rational rule (`errors.rational`) and
+    kept as a Fraction.  When classes are given an ambient presentation is
+    required, each class is checked once (`surgery._check_length`) and
+    stored as the tuple that check returns, and every off-diagonal entry
+    between torsion classes must agree with the meridian pairing modulo Z:
+    the first pair (i, j), i < j, that does not is named.  The torsion tests and pairings
     are read off the ambient's memo entry (`linalg.analysis`), which a
     one-component link does not ask.
     """

@@ -643,10 +643,10 @@ Chunk = tuple[list[list[int]], list[int]]
 
 def walk(factors: Sequence[int], Q: Sequence[Sequence[int]], M: int,
          b: Sequence[int] | None = None, a: int = 0, A: Sequence[Sequence[int]] = (),
-         a0: Sequence[int] | None = None, chunk: int = CHUNK) -> Iterator[Chunk]:
+         a0: Sequence[int] | None = None) -> Iterator[Chunk]:
     """The box 0 <= y_i < d_i over the k `factors`, in `itertools.product`
     order (the first factor slowest), as chunks (columns, residues) of at
-    most `chunk` points: the residues of y^T Q y + b^T y + a mod M for a
+    most `CHUNK` points, read when the walk starts: the residues of y^T Q y + b^T y + a mod M for a
     symmetric Q (b zero if not given), and `columns[i]` the i-th coordinate
     of A y + a0 over the rows of A (a0 zero if not given; no columns when A
     is empty).  The library's one walk: the torsion form's box
@@ -662,13 +662,13 @@ def walk(factors: Sequence[int], Q: Sequence[Sequence[int]], M: int,
     states of one coordinate (`itertools.accumulate` of its steps), and the
     levels below it are chained lazily (`rows`).  Along the last factor l
     the first differences step by 2 Q_ll and each coordinate of the map by
-    A_il.  A row is cut into runs of at most `chunk` points, and a chunk
+    A_il.  A row is cut into runs of at most `CHUNK` points, and a chunk
     holds as many whole runs as fit, all of one length: a run is two
     running sums, and the map over a chunk is one progression per run and
     coordinate, built when the chunk is full (`flush`).  A run that starts
     inside a row, at t, starts from the closed form there: q + t s_l +
     Q_ll t (t - 1), with first difference s_l + 2 Q_ll t."""
-    k, b, a0 = len(factors), b or [0] * len(factors), a0 or [0] * len(A)
+    k, b, a0, chunk = len(factors), b or [0] * len(factors), a0 or [0] * len(A), CHUNK
     if not k or 0 in factors:  # one point, or none
         yield from [] if k else [([[x] for x in a0], [a % M])]
         return

@@ -31,6 +31,7 @@ import pytest
 from _oracles import torsion_pairs
 from combings.cli import main
 from combings.combing import CombingSpec, p1, p1_image, reference_parallelization
+from combings import linalg
 from combings.linalg import CHUNK, analysis, walk
 from combings.surgery import (
     SurgeryPresentation,
@@ -253,14 +254,15 @@ WALK_CASES = _walk_cases()
 
 @pytest.mark.parametrize("factors, form, chunk", WALK_CASES,
                          ids=[f"{'x'.join(map(str, f))}-chunk{c}" for f, _, c in WALK_CASES])
-def test_walk_is_the_form_at_every_point(factors, form, chunk):
-    """A chunk holds at most `chunk` points, in whole runs of the last
-    factor's length, or of `chunk` where that is longer, and every chunk
-    but the last has no room for one more run; the chunks joined are the
-    quadratic's residues and the map's coordinates point by point, in
-    product order."""
+def test_walk_is_the_form_at_every_point(factors, form, chunk, monkeypatch):
+    """With `CHUNK` set to `chunk`, a chunk holds at most `chunk` points, in
+    whole runs of the last factor's length, or of `chunk` where that is
+    longer, and every chunk but the last has no room for one more run; the
+    chunks joined are the quadratic's residues and the map's coordinates
+    point by point, in product order."""
     Q, M, b, a, A, a0 = form
-    chunks = list(walk(factors, Q, M, b, a, A, a0, chunk=chunk))
+    monkeypatch.setattr(linalg, "CHUNK", chunk)
+    chunks = list(walk(factors, Q, M, b, a, A, a0))
     run = min(factors[-1], chunk)
     assert all(0 < len(r) <= chunk and len(r) % run in (0, factors[-1] % chunk) for _, r in chunks)
     assert all(len(r) + run > chunk for _, r in chunks[:-1])
