@@ -16,7 +16,7 @@ import re
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
-from functools import cache, lru_cache, partial
+from functools import cache, lru_cache
 from typing import IO, Iterable, Iterator
 
 from .combing import (
@@ -170,19 +170,21 @@ def _enumeration_json(n: int, L: int, chunks: Iterable[Chunk]) -> Iterator[str]:
     byte (ell = r / L mod 1), one piece per chunk; there is always one class,
     the zero class.  json's indented encoder runs in Python, so the fixed
     layout is one `%` template for the n coordinates, each written as json
-    writes an int (`%d` is its repr), and a residue's text comes from an
-    LRU cache of `linalg.CHUNK` texts, so each distinct residue is formatted
-    about once and the texts never outgrow the cache.  A text holds only
-    digits, "/", spaces, parentheses and "mod", which json writes
-    unescaped, so the template holds the quotes.  The template is filled
-    from a chunk's columns and the residues' texts zipped together, and zip
-    reuses its result tuple, so no object outlives its class, and no text
-    outlives its chunk but those the cache keeps."""
+    writes an int (`%d` is its repr), and each distinct residue is
+    formatted once while the texts kept from earlier chunks number at most
+    `linalg.CHUNK`; past that they are dropped, so they never outgrow two
+    chunks' worth.  A text holds only digits, "/", spaces, parentheses and
+    "mod", which json writes unescaped, so the template holds the quotes.
+    The template is filled from a chunk's columns and the residues' texts
+    zipped together, and zip reuses its result tuple, so no object outlives
+    its class, and no text outlives its chunk but those kept."""
     cls = "[\n      " + ",\n      ".join(["%d"] * n) + "\n    ]" if n else "[]"
     item = '  {\n    "class": ' + cls + ',\n    "ell": "%s"\n  }'
-    head, ell = "[\n", lru_cache(CHUNK)(partial(format_residue, L=L, m=1))
+    head, ells = "[\n", {}
     for columns, residues in chunks:
-        yield head + ",\n".join(map(item.__mod__, zip(*columns, map(ell, residues))))
+        ells = ells if len(ells) <= CHUNK else {}  # texts kept from earlier chunks
+        ells.update({r: format_residue(r, L, 1) for r in set(residues).difference(ells)})
+        yield head + ",\n".join(map(item.__mod__, zip(*columns, map(ells.__getitem__, residues))))
         head = ",\n"
     yield "\n]"
 

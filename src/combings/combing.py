@@ -341,15 +341,16 @@ def p1_image(
     form = data.form
     shift = _theta_constant(data) * form.L
     modulus = 4 * form.L
-    # p_1(reference) L = ref is an integer and lk(x, x) = -y^T Q y / L_t (mod 1)
-    # for the class of y in the torsion form's box, whose denominator L_t
-    # divides L, so p_1(reference) - 4 lk(x, x) is ref + 4 y^T Q y L / L_t
-    # over L, modulo 4
-    ref = data._quadratic(data.c_ref) + shift
-    tf = data.torsion_form
-    scale = form.L // tf.L
-    formula, enumeration = set(), set()
-    for _, part in walk(tf.factors, [[4 * scale * x for x in row] for row in tf.Q], modulus, a=ref):
+    # p_1(reference) L is an integer, c_ref^T G c_ref + shift, and lk(x, x) =
+    # -y^T Q y / L_t (mod 1) for the class of y in the torsion form's box,
+    # whose denominator L_t divides L, so p_1(reference) - 4 lk(x, x) is
+    # p_1(reference) L + 4 y^T Q y L / L_t over L, modulo 4.  The set does
+    # not depend on the order of the box's factors, so the largest is walked
+    # last, where a row costs least per point
+    tf, formula, enumeration = data.torsion_form, set(), set()
+    p = sorted(range(len(tf.factors)), key=tf.factors.__getitem__)
+    for _, part in walk([tf.factors[i] for i in p], [[4 * form.L // tf.L * tf.Q[i][j] for j in p]
+                        for i in p], modulus, a=data._quadratic(data.c_ref) + shift):
         formula.update(part)
     # (s + 2y)^T G (s + 2y) = s^T G s + 4 (G s)^T y + 4 y^T G y over the box,
     # walked with the map K^T c over the pass's kernel vectors, which keeps

@@ -672,13 +672,15 @@ def walk(factors: Sequence[int], Q: Sequence[Sequence[int]], M: int,
     if not k or 0 in factors:  # one point, or none
         yield from [] if k else [([[x] for x in a0], [a % M])]
         return
-    last, d, Q2 = k - 1, factors[-1], [[2 * x for x in row] for row in Q]
-    steps = list(zip(*A)) or [()] * k  # column j of A, the map's step along y_j
-    qll, second, gl = Q[last][last], 2 * Q[last][last], steps[last]
+    last, d = k - 1, factors[-1]
+    cols = list(zip(*A)) or [()] * k  # column j of A, the map's step along y_j
+    # a state is (the quadratic, s followed by the map): a step of y_j adds
+    # 2 Q_j and column j of A to the list at once
+    R = [[2 * x for x in row] + list(col) for row, col in zip(Q, cols)]
+    qll, second, gl = Q[last][last], 2 * Q[last][last], cols[last]
 
     def step(state: tuple, j: int) -> tuple:  # a unit step of y_j
-        q, s, v = state
-        return (q + s[j]) % M, list(map(add, s, Q2[j])), tuple(map(add, v, steps[j]))
+        return (state[0] + state[1][j]) % M, list(map(add, state[1], R[j]))
 
     def rows(state: tuple, j: int) -> Iterable[tuple]:  # the prefixes below one, depth first
         level = accumulate(repeat(j, factors[j] - 1), step, initial=state)
@@ -695,8 +697,8 @@ def walk(factors: Sequence[int], Q: Sequence[Sequence[int]], M: int,
     pieces = [(t, (second,) * (min(d - t, chunk) - 2), (M,) * min(d - t, chunk))
               for t in range(0, d, chunk)]
     runs, residues = [], []  # the map at each run's first point, and the residues
-    origin = (a % M, [Q[j][j] + b[j] for j in range(k)], tuple(a0))
-    for q, s, v in rows(origin, 0) if last else (origin,):
+    origin = (a % M, [Q[j][j] + b[j] for j in range(k)] + list(a0))
+    for q, s in rows(origin, 0) if last else (origin,):
         sl = s[last]
         for t, dd, moduli in pieces:  # dd: the second differences of the run
             if len(residues) + len(moduli) > chunk:
@@ -705,7 +707,7 @@ def walk(factors: Sequence[int], Q: Sequence[Sequence[int]], M: int,
             # from the closed form at the run's first point t
             diffs, first = accumulate(dd, initial=sl + second * t), q + (sl + qll * (t - 1)) * t
             residues.extend(map(mod, accumulate(diffs, initial=first), moduli))
-            runs.append(tuple(map(add, v, map(mul, gl, repeat(t)))) if t else v)
+            runs.append(list(map(add, s[k:], map(mul, gl, repeat(t)))) if t else s[k:])
     yield flush(runs, residues)
 
 

@@ -146,8 +146,7 @@ def torsion_chunks(pres: SurgeryPresentation,
     if integer(cap, "cap") < 0:
         raise InvalidInputError(f"cap must be nonnegative, got {cap}")
     data = analysis(pres.matrix)
-    order = data.torsion_order
-    if order > cap:
+    if (order := data.torsion_order) > cap:
         raise CapExceededError(order, cap)
     tf = data.torsion_form  # each class y of its box: -(y^T Q y) mod L and its lift
     return tf.L, walk(tf.factors, [[-x for x in row] for row in tf.Q], tf.L, A=tf.generators)
