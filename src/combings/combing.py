@@ -339,23 +339,29 @@ def p1_image(
 
     # residues of c^T G c + const L modulo 4L, i.e. of theta_g mod 4 times L
     form = data.form
-    shift = _theta_constant(data) * form.L
-    modulus = 4 * form.L
+    shift, modulus = _theta_constant(data) * form.L, 4 * form.L
     # p_1(reference) L is an integer, c_ref^T G c_ref + shift, and lk(x, x) =
     # -y^T Q y / L_t (mod 1) for the class of y in the torsion form's box,
     # whose denominator L_t divides L, so p_1(reference) - 4 lk(x, x) is
-    # p_1(reference) L + 4 y^T Q y L / L_t over L, modulo 4.  The set does
-    # not depend on the order of the box's factors, so the largest is walked
-    # last, where a row costs least per point
+    # p_1(reference) L + 4 y^T Q y L / L_t over L, modulo 4.  lk(-x, -x) =
+    # lk(x, x), and the class of -y has last coordinate -y_l mod d_l (the box
+    # is reduced from the last coordinate up), so the set is read off the
+    # y_l <= d_l / 2; nor does it depend on the order of the factors, so the
+    # largest is walked last, where a row costs least per point
     tf, formula, enumeration = data.torsion_form, set(), set()
-    p = sorted(range(len(tf.factors)), key=tf.factors.__getitem__)
-    for _, part in walk([tf.factors[i] for i in p], [[4 * form.L // tf.L * tf.Q[i][j] for j in p]
+    f = [*tf.factors[:-1], *(d // 2 + 1 for d in tf.factors[-1:])]
+    p = sorted(range(len(f)), key=f.__getitem__)
+    for _, part in walk([f[i] for i in p], [[4 * form.L // tf.L * tf.Q[i][j] for j in p]
                         for i in p], modulus, a=data._quadratic(data.c_ref) + shift):
         formula.update(part)
     # (s + 2y)^T G (s + 2y) = s^T G s + 4 (G s)^T y + 4 y^T G y over the box,
     # walked with the map K^T c over the pass's kernel vectors, which keeps
-    # the torsion c (`MatrixAnalysis.is_torsion`): none on a nonsingular B
+    # the torsion c (`MatrixAnalysis.is_torsion`): none on a nonsingular B.
+    # c and -c are both swept, with one residue and one torsion test, so the
+    # last coordinate is walked over its values c_l >= 0 alone
     kernel = data._pass.kernel
+    starts[-1:] = [s % 2 for s in starts[-1:]]
+    factors[-1:] = [(box - s) // 2 + 1 for s in starts[-1:]]
     gs = [sum(map(mul, row, starts)) for row in form.G]
     for columns, part in walk(factors, [[4 * x for x in row] for row in form.G], modulus,
                               [4 * x for x in gs], sum(map(mul, starts, gs)) + shift,

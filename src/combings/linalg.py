@@ -672,12 +672,11 @@ def walk(factors: Sequence[int], Q: Sequence[Sequence[int]], M: int,
     if not k or 0 in factors:  # one point, or none
         yield from [] if k else [([[x] for x in a0], [a % M])]
         return
-    last, d = k - 1, factors[-1]
     cols = list(zip(*A)) or [()] * k  # column j of A, the map's step along y_j
     # a state is (the quadratic, s followed by the map): a step of y_j adds
     # 2 Q_j and column j of A to the list at once
     R = [[2 * x for x in row] + list(col) for row, col in zip(Q, cols)]
-    qll, second, gl = Q[last][last], 2 * Q[last][last], cols[last]
+    last, d, second, gl = k - 1, factors[-1], 2 * Q[-1][-1], cols[-1]
 
     def step(state: tuple, j: int) -> tuple:  # a unit step of y_j
         return (state[0] + state[1][j]) % M, list(map(add, state[1], R[j]))
@@ -705,8 +704,8 @@ def walk(factors: Sequence[int], Q: Sequence[Sequence[int]], M: int,
                 yield flush(runs, residues)
                 runs, residues = [], []
             # from the closed form at the run's first point t
-            diffs, first = accumulate(dd, initial=sl + second * t), q + (sl + qll * (t - 1)) * t
-            residues.extend(map(mod, accumulate(diffs, initial=first), moduli))
+            ds, q0 = accumulate(dd, initial=sl + second * t), q + (sl + second * (t - 1) // 2) * t
+            residues.extend(map(mod, accumulate(ds, initial=q0), moduli))
             runs.append(list(map(add, s[k:], map(mul, gl, repeat(t)))) if t else s[k:])
     yield flush(runs, residues)
 

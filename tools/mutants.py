@@ -160,8 +160,8 @@ MUTANTS = (
            "map(repeat, xs, repeat(take))",
            ("tests/test_residues.py",)),
     Mutant("walk-chunk-starts-late", LINALG,
-           "initial=sl + second * t), q + (sl + qll * (t - 1)) * t",
-           "initial=sl + second * (t + 1)), q + (sl + qll * t) * (t + 1)",
+           "initial=sl + second * t), q + (sl + second * (t - 1) // 2) * t",
+           "initial=sl + second * (t + 1)), q + (sl + second * t // 2) * (t + 1)",
            ("tests/test_residues.py",)),
     Mutant("sweep-drops-linear-term", COMBING,
            "[4 * x for x in gs]", "[0] * len(gs)",
