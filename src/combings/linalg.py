@@ -665,18 +665,17 @@ def walk(factors: Sequence[int], Q: Sequence[Sequence[int]], M: int,
     A_il.  A row is cut into runs of at most `CHUNK` points, and a chunk
     holds as many whole runs as fit, all of one length: a run is two
     running sums, and the map over a chunk is one progression per run and
-    coordinate, built when the chunk is full (`flush`).  A run that starts
+    coordinate, built when the chunk is full (`lifts`).  A run that starts
     inside a row, at t, starts from the closed form there: q + t s_l +
     Q_ll t (t - 1), with first difference s_l + 2 Q_ll t."""
     k, b, a0, chunk = len(factors), b or [0] * len(factors), a0 or [0] * len(A), CHUNK
     if not k or 0 in factors:  # one point, or none
         yield from [] if k else [([[x] for x in a0], [a % M])]
         return
-    cols = list(zip(*A)) or [()] * k  # column j of A, the map's step along y_j
     # a state is (the quadratic, s followed by the map): a step of y_j adds
-    # 2 Q_j and column j of A to the list at once
-    R = [[2 * x for x in row] + list(col) for row, col in zip(Q, cols)]
-    last, d, second, gl = k - 1, factors[-1], 2 * Q[-1][-1], cols[-1]
+    # R_j, 2 Q_j followed by column j of A, to the list at once
+    R = [[2 * x for x in row] + list(col) for row, col in zip(Q, zip(*A) if A else [()] * k)]
+    last, d, second, gl = k - 1, factors[-1], 2 * Q[-1][-1], R[-1][k:]
 
     def step(state: tuple, j: int) -> tuple:  # a unit step of y_j
         return (state[0] + state[1][j]) % M, list(map(add, state[1], R[j]))
@@ -685,11 +684,12 @@ def walk(factors: Sequence[int], Q: Sequence[Sequence[int]], M: int,
         level = accumulate(repeat(j, factors[j] - 1), step, initial=state)
         return level if j == last - 1 else chain.from_iterable(map(rows, level, repeat(j + 1)))
 
-    def flush(runs: list, residues: list) -> Chunk:  # the map over runs of one length
-        take = len(residues) // len(runs)
-        return [list(chain.from_iterable(map(range, xs, map(add, xs, repeat(take * g)), repeat(g))
-                                         if g else map(repeat, xs, repeat(take))))
-                for xs, g in zip(zip(*runs), gl)], residues
+    def lifts(runs: list, m: int) -> list[list[int]]:  # the map over runs of m points
+        if len(runs) == 1:  # one progression per coordinate, which list() sizes at once
+            return [list(range(x, x + m * g, g)) if g else [x] * m for x, g in zip(runs[0], gl)]
+        return [list(chain.from_iterable(map(range, xs, map(add, xs, repeat(m * g)), repeat(g))
+                                         if g else map(repeat, xs, repeat(m))))
+                for xs, g in zip(zip(*runs), gl)]
 
     # the runs of a row: a row longer than a chunk is cut into runs of a
     # chunk, and a chunk holds whole runs
@@ -701,13 +701,13 @@ def walk(factors: Sequence[int], Q: Sequence[Sequence[int]], M: int,
         sl = s[last]
         for t, dd, moduli in pieces:  # dd: the second differences of the run
             if len(residues) + len(moduli) > chunk:
-                yield flush(runs, residues)
+                yield lifts(runs, len(residues) // len(runs)), residues
                 runs, residues = [], []
             # from the closed form at the run's first point t
             ds, q0 = accumulate(dd, initial=sl + second * t), q + (sl + second * (t - 1) // 2) * t
             residues.extend(map(mod, accumulate(ds, initial=q0), moduli))
             runs.append(list(map(add, s[k:], map(mul, gl, repeat(t)))) if t else s[k:])
-    yield flush(runs, residues)
+    yield lifts(runs, len(residues) // len(runs)), residues
 
 
 class TorsionForm(NamedTuple):

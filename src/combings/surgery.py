@@ -18,7 +18,7 @@ from .errors import (
     CapExceededError, DimensionMismatchError, InvalidInputError, NonTorsionError, instance, integer,
     integers, sequence,
 )
-from .linalg import Chunk, HomologySummary, IntMatrix, Vector, analysis, walk
+from .linalg import HomologySummary, IntMatrix, Vector, analysis, walk
 from .record import Record
 
 DEFAULT_CAP = 10_000
@@ -136,8 +136,7 @@ def classes_equal(
     return reduce_class(pres, v) == reduce_class(pres, w)
 
 
-def torsion_chunks(pres: SurgeryPresentation,
-                   cap: int = DEFAULT_CAP) -> tuple[int, Iterator[Chunk]]:
+def torsion_chunks(pres: SurgeryPresentation, cap: int = DEFAULT_CAP) -> tuple[int, Iterator]:
     """(L, chunks): the torsion classes of H_1 in chunks of at most
     `linalg.CHUNK`, each (columns, residues) as `torsion_columns` gives them
     whole.  The order is compared with `cap`, and the box and the torsion

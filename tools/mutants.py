@@ -156,8 +156,8 @@ MUTANTS = (
            "[Q[j][j] + b[j] for j in range(k)]", "list(b)",
            ("tests/test_residues.py",)),
     Mutant("table-column-repeats", LINALG,
-           "map(range, xs, map(add, xs, repeat(take * g)), repeat(g))",
-           "map(repeat, xs, repeat(take))",
+           "map(range, xs, map(add, xs, repeat(m * g)), repeat(g))",
+           "map(repeat, xs, repeat(m))",
            ("tests/test_residues.py",)),
     Mutant("walk-chunk-starts-late", LINALG,
            "initial=sl + second * t), q + (sl + second * (t - 1) // 2) * t",
