@@ -14,9 +14,9 @@ import argparse
 import json
 import re
 import sys
-from contextlib import nullcontext
 from fractions import Fraction
 from functools import cache, lru_cache
+from itertools import chain
 from typing import IO, Iterable, Iterator
 
 from .combing import (
@@ -292,11 +292,11 @@ def _write(args, stdout: IO[str], output: str | Iterable[str]) -> None:
     """Write a handler's text, or each of its pieces in turn, to --output
     or stdout, and then the final newline.  The file is opened only here,
     after the handler has returned, so a refusal creates none."""
-    sink = nullcontext(stdout) if args.output is None else open(args.output, "w", encoding="utf-8")
-    with sink as handle:
-        for piece in (output,) if isinstance(output, str) else output:
-            handle.write(piece)
-        handle.write("\n")
+    pieces = (output + "\n",) if isinstance(output, str) else chain(output, "\n")
+    if args.output is not None:
+        with open(args.output, "w", encoding="utf-8") as handle:
+            return handle.writelines(pieces)
+    stdout.writelines(pieces)
 
 
 def main(

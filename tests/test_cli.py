@@ -545,7 +545,7 @@ class TestStreaming:
         """The tracemalloc peak of `linking-form` on L(2 * 10^5, 1), written
         to a sink that keeps nothing, is at most a quarter of the 59 MB that
         the whole output held as lists and one string."""
-        class Sink:
+        class Sink(io.TextIOBase):
             def write(self, text):
                 return len(text)
 
