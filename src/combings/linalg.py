@@ -757,8 +757,9 @@ class MatrixAnalysis:
     every later one reads `form`, which it builds once, with the packed
     upper triangle of G beside it (`_triangle`).  A later pairing or
     membership reads G w row by row; a later `square`, which `theta_g`
-    asks, reads c^T G c off the triangle (`_quadratic`), the one quadratic
-    form routine, which the `combing.p1_image` sweep reads too.  So a
+    asks, reads c^T G c off the triangle (`_quadratic`), which
+    `combing.p1_image` reads for c_ref too; its sweep walks the box
+    (`walk`) instead.  So a
     single question pays for one solve, and a scan on one B for n solves
     and then a product per vector.  `combing.combing_equal` is one vector
     question: it reads a pairing and the lattice test `_integral` off one
