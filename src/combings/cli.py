@@ -49,7 +49,11 @@ from .framed import (
 )
 from .linalg import CHUNK, Chunk
 from .surgery import (
-    DEFAULT_CAP, SurgeryPresentation, format_residue, homology_summary, linking_form,
+    DEFAULT_CAP,
+    SurgeryPresentation,
+    format_residue,
+    homology_summary,
+    linking_form,
     torsion_chunks,
 )
 from .theta import theta_invariant

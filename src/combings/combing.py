@@ -21,8 +21,15 @@ from operator import add, mod, mul, not_, sub
 from typing import NamedTuple, Sequence
 
 from .errors import (
-    BadEtaError, CapExceededError, EvenCoefficientError, InvalidInputError, NonTorsionError,
-    NotCharacteristicError, instance, integer, rational,
+    BadEtaError,
+    CapExceededError,
+    EvenCoefficientError,
+    InvalidInputError,
+    NonTorsionError,
+    NotCharacteristicError,
+    instance,
+    integer,
+    rational,
 )
 from .linalg import IntMatrix, MatrixAnalysis, Vector, analysis, walk
 from .record import Record
@@ -339,27 +346,21 @@ def p1_image(
 
     # residues of c^T G c + const L modulo 4L, i.e. of theta_g mod 4 times L
     form = data.form
-    shift, modulus = _theta_constant(data) * form.L, 4 * form.L
+    shift = _theta_constant(data) * form.L
+    modulus = 4 * form.L
     # p_1(reference) L is an integer, c_ref^T G c_ref + shift, and lk(x, x) =
     # -y^T Q y / L_t (mod 1) for the class of y in the torsion form's box,
     # whose denominator L_t divides L, so p_1(reference) - 4 lk(x, x) is
-    # p_1(reference) L + 4 y^T Q y L / L_t over L, modulo 4.  lk(-x, -x) =
-    # lk(x, x), and the class of -y has last coordinate -y_l mod d_l (the box
-    # is reduced from the last coordinate up), so the set is read off the
-    # y_l <= d_l / 2; nor does it depend on the order of the factors, so the
-    # largest is walked last, where a row costs least per point
-    tf, formula, enumeration = data.torsion_form, set(), set()
-    f = [*tf.factors[:-1], *(d // 2 + 1 for d in tf.factors[-1:])]
-    p = sorted(range(len(f)), key=f.__getitem__)
-    for _, part in walk([f[i] for i in p], [[4 * form.L // tf.L * tf.Q[i][j] for j in p]
-                        for i in p], modulus, a=data._quadratic(data.c_ref) + shift):
-        formula.update(part)
+    # p_1(reference) L + 4 y^T Q y L / L_t over L, modulo 4
+    tf = data.torsion_form
+    formula = tf.values(4 * form.L // tf.L, modulus, data._quadratic(data.c_ref) + shift)
     # (s + 2y)^T G (s + 2y) = s^T G s + 4 (G s)^T y + 4 y^T G y over the box,
     # walked with the map K^T c over the pass's kernel vectors, which keeps
     # the torsion c (`MatrixAnalysis.is_torsion`): none on a nonsingular B.
     # c and -c are both swept, with one residue and one torsion test, so the
     # last coordinate is walked over its values c_l >= 0 alone
     kernel = data._pass.kernel
+    enumeration = set()
     starts[-1:] = [s % 2 for s in starts[-1:]]
     factors[-1:] = [(box - s) // 2 + 1 for s in starts[-1:]]
     gs = [sum(map(mul, row, starts)) for row in form.G]

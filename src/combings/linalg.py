@@ -646,12 +646,13 @@ def walk(factors: Sequence[int], Q: Sequence[Sequence[int]], M: int,
          a0: Sequence[int] | None = None) -> Iterator[Chunk]:
     """The box 0 <= y_i < d_i over the k `factors`, in `itertools.product`
     order (the first factor slowest), as chunks (columns, residues) of at
-    most `CHUNK` points, read when the walk starts: the residues of y^T Q y + b^T y + a mod M for a
-    symmetric Q (b zero if not given), and `columns[i]` the i-th coordinate
-    of A y + a0 over the rows of A (a0 zero if not given; no columns when A
-    is empty).  The library's one walk: the torsion form's box
-    (`surgery.torsion_chunks` and the formula side of `combing.p1_image`)
-    and the sweep of `combing.p1_image`.  A box with no factor is one
+    most `CHUNK` points, read when the walk starts: the residues of
+    y^T Q y + b^T y + a mod M for a symmetric Q (b zero if not given), and
+    `columns[i]` the i-th coordinate of A y + a0 over the rows of A (a0
+    zero if not given; no columns when A is empty).  The library's one
+    walk: the torsion form's box (`surgery.torsion_chunks` and
+    `TorsionForm.values`, the formula side of `combing.p1_image`) and the
+    sweep of `combing.p1_image`.  A box with no factor is one
     point, and one with a zero factor none.
 
     By finite differences, O(1) per point and per coordinate, with no tuple
@@ -668,7 +669,8 @@ def walk(factors: Sequence[int], Q: Sequence[Sequence[int]], M: int,
     coordinate, built when the chunk is full (`lifts`).  A run that starts
     inside a row, at t, starts from the closed form there: q + t s_l +
     Q_ll t (t - 1), with first difference s_l + 2 Q_ll t."""
-    k, b, a0, chunk = len(factors), b or [0] * len(factors), a0 or [0] * len(A), CHUNK
+    k, chunk = len(factors), CHUNK
+    b, a0 = b or [0] * k, a0 or [0] * len(A)
     if not k or 0 in factors:  # one point, or none
         yield from [] if k else [([[x] for x in a0], [a % M])]
         return
@@ -685,8 +687,6 @@ def walk(factors: Sequence[int], Q: Sequence[Sequence[int]], M: int,
         return level if j == last - 1 else chain.from_iterable(map(rows, level, repeat(j + 1)))
 
     def lifts(runs: list, m: int) -> list[list[int]]:  # the map over runs of m points
-        if len(runs) == 1:  # one progression per coordinate, which list() sizes at once
-            return [list(range(x, x + m * g, g)) if g else [x] * m for x, g in zip(runs[0], gl)]
         return [list(chain.from_iterable(map(range, xs, map(add, xs, repeat(m * g)), repeat(g))
                                          if g else map(repeat, xs, repeat(m))))
                 for xs, g in zip(zip(*runs), gl)]
@@ -725,13 +725,24 @@ class TorsionForm(NamedTuple):
     integer combinations of the entries of D_r G_0, so L divides the L of
     `MatrixAnalysis.form`; it can be smaller for a singular B.  The box is
     walked by `walk`: `surgery.torsion_chunks` for the classes and their
-    residues -(y^T Q y) mod L, `combing.p1_image` for the formula side.
+    residues -(y^T Q y) mod L, `values` for the formula side of
+    `combing.p1_image`.
     """
 
     factors: tuple[int, ...]
     generators: tuple[Vector, ...]
     Q: tuple[Vector, ...]
     L: int
+
+    def values(self, scale: int, M: int, a: int = 0) -> set[int]:
+        """The set of a + scale y^T Q y mod M over the classes y, for an M
+        that divides scale L.  A class and its negative have one value, and
+        `MatrixAnalysis.reduce` works from the last coordinate up, so the
+        class of -y has last coordinate -y_l mod d_l: the set is read off
+        the y_l <= d_l / 2, about half the box."""
+        half = [*self.factors[:-1], *(d // 2 + 1 for d in self.factors[-1:])]
+        chunks = walk(half, [[scale * x for x in row] for row in self.Q], M, a=a)
+        return set(chain.from_iterable(residues for _, residues in chunks))
 
 
 class MatrixAnalysis:

@@ -18,7 +18,13 @@ from .errors import (
     CapExceededError, DimensionMismatchError, InvalidInputError, NonTorsionError, instance, integer,
     integers, sequence,
 )
-from .linalg import HomologySummary, IntMatrix, Vector, analysis, walk
+from .linalg import (
+    HomologySummary,
+    IntMatrix,
+    Vector,
+    analysis,
+    walk,
+)
 from .record import Record
 
 DEFAULT_CAP = 10_000

@@ -71,7 +71,7 @@ MUTANTS = (
            "factors=tuple(self.box[i].get(0, 0) for i in positions)",
            ("tests/test_surgery.py", "tests/test_residues.py")),
     Mutant("p1-image-drops-scale", COMBING,
-           "4 * form.L // tf.L * tf.Q[i][j]", "4 * tf.Q[i][j]",
+           "tf.values(4 * form.L // tf.L,", "tf.values(4,",
            ("tests/test_residues.py",)),
     Mutant("integer-form-drops-sign", LINALG,
            "* (1 if scale > 0 else -1)", "",
