@@ -151,7 +151,7 @@ def _combing(doc: Document, pres: SurgeryPresentation, key: str = "combing") -> 
 
 
 def _framed(doc: Document, pres: SurgeryPresentation) -> FramedLinkData:
-    return FramedLinkData.from_rows(*_entry(doc.framed, "framed"), pres)
+    return FramedLinkData(*_entry(doc.framed, "framed"), pres)
 
 
 def _bool(value: bool) -> str:

@@ -92,13 +92,14 @@ class EulerClassInfo(NamedTuple):
 
 
 class P1Value(Record):
-    """A rational p_1 value; integral whenever c lies in the column
-    lattice of B (the combing extends to a parallelization)."""
+    """A rational p_1 value, read by the rational rule (`errors.rational`);
+    integral whenever c lies in the column lattice of B (the combing extends
+    to a parallelization)."""
 
     __slots__ = _fields = ("value",)
 
-    def __init__(self, value: Fraction) -> None:
-        object.__setattr__(self, "value", Fraction(value))
+    def __init__(self, value: Fraction | int | str) -> None:
+        object.__setattr__(self, "value", rational(value, "value"))
 
 
 def euler_class(pres: SurgeryPresentation, c: Sequence[int]) -> EulerClassInfo:

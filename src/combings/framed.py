@@ -71,17 +71,6 @@ class FramedLinkData(Record):
         object.__setattr__(self, "classes", classes)
         object.__setattr__(self, "ambient", ambient)
 
-    @classmethod
-    def from_rows(
-        cls,
-        rows: Iterable[Iterable[Fraction | int | str]],
-        classes: Iterable[Sequence[int]] | None = None,
-        ambient: SurgeryPresentation | None = None,
-    ) -> "FramedLinkData":
-        """Linking data from rows of rationals, which the constructor reads
-        (`errors.rational`)."""
-        return cls(rows, classes, ambient)
-
     @property
     def n_components(self) -> int:
         return len(self.lambda_matrix)

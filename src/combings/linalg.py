@@ -21,13 +21,14 @@ The others are the Smith pass `_diagonalize`, the gcd chains of `_box` that
 cut the Hermite box, one list of sparse columns, out of adjugate columns
 until they reach B Z^n and finished (`_finish`) over only the rows each
 column holds and the positions with h_ii > 1, the Euclid steps `_euclid` of
-`_split` and `_echelon`, and the F_2 elimination `solve_mod2`.  Every class
-question reads one box, the Hermite box of the nonsingular core of B, kept
-as those sparse columns; every vector question, a pairing or membership in
-B Z^n, reads one solution G_0 w (`MatrixAnalysis._solution`), save a later
-self-pairing c^T G_0 c (`MatrixAnalysis.square`), which reads the packed
-upper triangle of G.  The one torsion test is `MatrixAnalysis.is_torsion`,
-on the pass's kernel vectors.
+`_split` and `_echelon`, and the F_2 elimination `MatrixAnalysis._mod2` on
+bit-mask rows.  Every class question reads one box, the Hermite box of the
+nonsingular core of B, kept as those sparse columns; every vector question,
+a pairing or membership in B Z^n, reads one solution G_0 w
+(`MatrixAnalysis._solution`), save a later self-pairing c^T G_0 c
+(`MatrixAnalysis.square`), which reads the packed upper triangle of G.  The
+one torsion test is `MatrixAnalysis.is_torsion`, on the pass's kernel
+vectors.
 """
 
 from __future__ import annotations
@@ -90,13 +91,6 @@ class IntMatrix(Record):
     def to_rows(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.cols,
-            self.rows,
-            tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)),
-        )
-
     def is_symmetric(self) -> bool:
         rows = [self.row(i) for i in range(self.rows)]
         return self.rows == self.cols and list(zip(*rows)) == rows
@@ -109,16 +103,6 @@ class IntMatrix(Record):
         if len(v) != self.cols:
             raise InvalidInputError("vector length must equal column count")
         return tuple(sum(map(mul, self.row(i), v)) for i in range(self.rows))
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise InvalidInputError("inner dimensions must agree")
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                out.append(sum(ri[k] * other.at(k, j) for k in range(self.cols)))
-        return IntMatrix(self.rows, other.cols, tuple(out))
 
     def direct_sum(self, other: "IntMatrix") -> "IntMatrix":
         top = [self.row(i) + (0,) * other.cols for i in range(self.rows)]
@@ -565,33 +549,6 @@ def _split(kernel: Sequence[Vector], n: int) -> KernelSplit:
     )
 
 
-def solve_mod2(a: IntMatrix, b: Sequence[int]) -> tuple[Vector | None, int]:
-    """One solution of A x = b over F_2 (free variables set to zero), or
-    None, and the rank of A over F_2, the pivot count."""
-    if len(b) != a.rows:
-        raise InvalidInputError("right-hand side length must equal row count")
-    r, c = a.rows, a.cols
-    aug = [[a.at(i, j) & 1 for j in range(c)] + [b[i] & 1] for i in range(r)]
-    pivot_cols: list[int] = []
-    prow = 0
-    for col in range(c):
-        pivot = next((i for i in range(prow, r) if aug[i][col]), None)
-        if pivot is None:
-            continue
-        aug[prow], aug[pivot] = aug[pivot], aug[prow]
-        for i in range(r):
-            if i != prow and aug[i][col]:
-                aug[i] = [(x + y) & 1 for x, y in zip(aug[i], aug[prow])]
-        pivot_cols.append(col)
-        prow += 1
-    if any(aug[i][c] for i in range(prow, r)):
-        return None, prow
-    x = [0] * c
-    for k, col in enumerate(pivot_cols):
-        x[col] = aug[k][c]
-    return tuple(x), prow
-
-
 class HomologySummary(NamedTuple):
     """coker(B) data: H_1 = Z^n / im(B)."""
 
@@ -952,11 +909,29 @@ class MatrixAnalysis:
 
     @cached_property
     def _mod2(self) -> tuple[Vector, int]:
-        """c_ref and rank_F2(B), from one F_2 elimination."""
-        u, rank = solve_mod2(self.matrix, self.matrix.diagonal())
-        if u is None:  # impossible for symmetric B
-            raise RuntimeError("diagonal not in the F_2 column space of B")
-        return self.matrix.matvec(u), rank
+        """c_ref and rank_F2(B), from one Gauss-Jordan elimination over F_2
+        of [B | diag B], each row one int with the diagonal entry at bit n.
+        Column j pivots on the first row at or below the next pivot position
+        with bit j set.  The diagonal of a symmetric B lies in its F_2 column
+        space, so u solves B u = diag B, with its free variables zero."""
+        b, n = self.matrix, self.matrix.rows
+        rows = [sum((x & 1) << j for j, x in enumerate(b.row(i))) | (b.at(i, i) & 1) << n
+                for i in range(n)]
+        pivots: list[int] = []
+        for j in range(n):
+            k = len(pivots)
+            pivot = next((i for i in range(k, n) if rows[i] >> j & 1), None)
+            if pivot is None:
+                continue
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            for i in range(n):
+                if i != k and rows[i] >> j & 1:
+                    rows[i] ^= rows[k]
+            pivots.append(j)
+        u = [0] * n
+        for k, j in enumerate(pivots):
+            u[j] = rows[k] >> n & 1
+        return b.matvec(u), len(pivots)
 
     @property
     def c_ref(self) -> Vector:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .combing import (
@@ -158,7 +159,7 @@ def random_framed(
         for j in range(i, n):
             lam[i][j] = lam[j][i] = random_rational(rng)
     if not with_classes:
-        return FramedLinkData.from_rows(lam)
+        return FramedLinkData(lam)
     # consistent classes: pick torsion classes first, then force off-diagonal
     # linkings onto the pairing value plus a random integer
     pres = SurgeryPresentation(random_symmetric(rng, rng.randint(1, 3), 4))
@@ -167,7 +168,7 @@ def random_framed(
         for j in range(i + 1, n):
             pairing = meridian_pairing(pres, classes[i], classes[j])
             lam[i][j] = lam[j][i] = pairing + rng.randint(-2, 2)
-    return FramedLinkData.from_rows(lam, classes=classes, ambient=pres)
+    return FramedLinkData(lam, classes=classes, ambient=pres)
 
 
 class CheckResult(NamedTuple):
@@ -208,8 +209,9 @@ def check_signature_congruence(rng: random.Random, cases: int) -> Iterator[bool]
         m = s.to_rows()
         _diagonalize(m)  # the Smith pass, which shares no step with the signature's
         ok = ok and sig.n_zero == sum(1 for k, row in enumerate(m) if not row[k])
-        p = random_unimodular(rng, s.rows)
-        yield ok and signature(p.transpose() @ s @ p) == sig
+        cols = list(zip(*random_unimodular(rng, s.rows).to_rows()))  # the columns of P
+        moved = [[sum(map(mul, a, s.matvec(b))) for b in cols] for a in cols]  # P^T S P
+        yield ok and signature(IntMatrix.from_rows(moved)) == sig
 
 
 def check_linking_form_laws(rng: random.Random, cases: int) -> Iterator[bool]:
@@ -331,19 +333,17 @@ def check_framed_calculus(rng: random.Random, cases: int) -> Iterator[bool]:
         eps = rng.choice((1, -1))
         direct_rows = [list(row) for row in f.lambda_matrix]
         direct_rows[idx][idx] += eps
-        direct = FramedLinkData(
-            tuple(tuple(r) for r in direct_rows), f.classes, f.ambient
-        )
+        direct = FramedLinkData(direct_rows, f.classes, f.ambient)
         via_hopf = band_sum(add_hopf(f, -eps), idx, f.n_components)
         ok = ok and total_self_linking(via_hopf) == total_self_linking(direct)
         if f.classes is not None:
             ok = ok and cobordism_class(via_hopf) == cobordism_class(direct)
         yield ok
-    empty = FramedLinkData.from_rows([])
-    pair = FramedLinkData.from_rows([[1, 0], [0, -1]])
+    empty = FramedLinkData([])
+    pair = FramedLinkData([[1, 0], [0, -1]])
     yield framed_cobordant_zsphere(pair, empty)
     yield not framed_cobordant_zsphere(
-        FramedLinkData.from_rows([[-1]]), FramedLinkData.from_rows([[1]])
+        FramedLinkData([[-1]]), FramedLinkData([[1]])
     )
 
 

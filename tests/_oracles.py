@@ -2,7 +2,8 @@
 
 Deliberately different algorithms from the library: cofactor determinants
 and adjugates, plain Fraction-elimination ranks, inverses and solves, F_2
-ranks over bit-mask rows, eigenvalue sign counts read off the characteristic
+ranks over bit-mask rows, an F_2 solve over lists of 0/1 (the library's runs
+on bit masks), eigenvalue sign counts read off the characteristic
 polynomial (Descartes' rule of signs is exact for the all-real spectrum of a
 symmetric matrix), Spin^c class keys from a Fraction inverse, the
 Ozsvath-Szabo recursion for the d-invariants of lens spaces, and echelon
@@ -13,16 +14,20 @@ coordinates read the library's Smith form with its transforms
 (`linalg.smith_normal_form`, which the package does not export), by a
 route that no question on a symmetric B takes.  `torsion_pairs` is not an
 oracle: it zips the library's torsion columns into (rep, r) pairs for the
-tests that read the classes one at a time.
+tests that read the classes one at a time, and `transpose` and `product`
+build the congruent matrices P^T B P and the products the tests compare.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add
+from itertools import chain
+from operator import add, mul
 
-from combings.linalg import BareissPass, SignatureTriple, _substitute, smith_normal_form
+from combings.linalg import (
+    BareissPass, IntMatrix, SignatureTriple, _substitute, smith_normal_form,
+)
 from combings.surgery import DEFAULT_CAP, torsion_columns
 
 
@@ -168,6 +173,45 @@ def f2_rank(rows) -> int:
     return len(basis)
 
 
+def solve_mod2(a, b):
+    """One solution of A x = b over F_2 (free variables set to zero), or
+    None, and the rank of A over F_2, the pivot count: Gauss-Jordan on lists
+    of 0/1, with the pivot rule of `MatrixAnalysis._mod2`."""
+    r, c = a.rows, a.cols
+    aug = [[a.at(i, j) & 1 for j in range(c)] + [b[i] & 1] for i in range(r)]
+    pivot_cols: list[int] = []
+    prow = 0
+    for col in range(c):
+        pivot = next((i for i in range(prow, r) if aug[i][col]), None)
+        if pivot is None:
+            continue
+        aug[prow], aug[pivot] = aug[pivot], aug[prow]
+        for i in range(r):
+            if i != prow and aug[i][col]:
+                aug[i] = [(x + y) & 1 for x, y in zip(aug[i], aug[prow])]
+        pivot_cols.append(col)
+        prow += 1
+    if any(aug[i][c] for i in range(prow, r)):
+        return None, prow
+    x = [0] * c
+    for k, col in enumerate(pivot_cols):
+        x[col] = aug[k][c]
+    return tuple(x), prow
+
+
+def transpose(a):
+    """A^T."""
+    return IntMatrix(a.cols, a.rows, (x for j in range(a.cols) for x in a.entries[j::a.cols]))
+
+
+def product(*factors):
+    """The matrix product of the factors, left to right."""
+    rows = factors[0].to_rows()
+    for f in factors[1:]:
+        rows = [[sum(map(mul, row, f.entries[j::f.cols])) for j in range(f.cols)] for row in rows]
+    return IntMatrix(len(rows), factors[-1].cols, chain.from_iterable(rows))
+
+
 def charpoly(rows) -> list[Fraction]:
     """Coefficients [1, c_{n-1}, ..., c_0] of det(tI - A), by the
     Faddeev-LeVerrier trace recursion."""
@@ -237,7 +281,7 @@ def smith_generators(a):
     of the cyclic groups Z/d_i, with the d_i."""
     snf = smith_normal_form(a)
     return [
-        (tuple(x // d for x in a.matvec(snf.V.transpose().row(i))), d)
+        (tuple(x // d for x in a.matvec(transpose(snf.V).row(i))), d)
         for i, d in enumerate(snf.diag)
         if d > 1
     ]
@@ -246,7 +290,7 @@ def smith_generators(a):
 def smith_kernel(a):
     """The kernel columns of the Smith V: a basis of ker A cap Z^n."""
     snf = smith_normal_form(a)
-    return [snf.V.transpose().row(j) for j in range(snf.rank, a.cols)]
+    return [transpose(snf.V).row(j) for j in range(snf.rank, a.cols)]
 
 
 def torsion_pairs(pres, cap=DEFAULT_CAP):

@@ -26,7 +26,7 @@ from combings.verify import random_framed
 
 
 def framed(rows, classes=None, ambient=None):
-    return FramedLinkData.from_rows(rows, classes=classes, ambient=ambient)
+    return FramedLinkData(rows, classes=classes, ambient=ambient)
 
 
 class TestConstruction:

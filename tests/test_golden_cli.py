@@ -190,6 +190,9 @@ def _documents():
         ("generators11", with_reference(generators11, meridian=[1] * 11,
                                         framed={"lambda_matrix": [["1/2"]],
                                                 "classes": [[1, 0] * 5 + [1]]})),
+        # singular, H_1 = Z + Z/2: image-p1 --box 3 sweeps non-torsion c too,
+        # and only the kernel filter keeps them out of the enumeration
+        ("singular-z-z2", with_reference([[-2, -2, -2], [-2, 2, 0], [-2, 0, -1]])),
     ]
 
 

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from _oracles import dense, f2_rank, frac_inverse, reference
+from _oracles import dense, f2_rank, frac_inverse, product, reference, transpose
 from combings import linalg
 from combings.linalg import IntMatrix
 from combings.verify import random_symmetric, random_unimodular
@@ -23,7 +23,7 @@ def _congruent(rng, d):
     n = len(d)
     p = random_unimodular(rng, n, steps=3 * n)
     diag = IntMatrix.from_rows([[x * (i == j) for j in range(n)] for i, x in enumerate(d)])
-    return (p.transpose() @ diag @ p).to_rows()
+    return product(transpose(p), diag, p).to_rows()
 
 
 def _nonsingular(seed):
@@ -122,7 +122,7 @@ def _singular_dense(seed):
             zero = IntMatrix.from_rows([[0] * zeros for _ in range(zeros)])
             d = IntMatrix.from_rows(b0).direct_sum(zero)
             p = random_unimodular(rng, n, steps=2 * n)
-            out.append((p.transpose() @ d @ p).to_rows())
+            out.append(product(transpose(p), d, p).to_rows())
     return out
 
 
@@ -347,7 +347,7 @@ def _many_generators(seed):
         rows = _block_sum(rng, 4 if 41 <= len(out) < 44 else 3, 6)
         if len(out) == 44:
             p = random_unimodular(rng, len(rows), steps=3 * len(rows))
-            rows = (p.transpose() @ IntMatrix.from_rows(rows) @ p).to_rows()
+            rows = product(transpose(p), IntMatrix.from_rows(rows), p).to_rows()
         if _det(rows) and len(rows) - f2_rank(rows) >= 3:
             out.append(rows)
     return out

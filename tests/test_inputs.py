@@ -13,7 +13,8 @@ raise any other type or answer.
 A rational is an integer, a `Fraction` or a "p/q" string of the document's
 syntax (`combings.errors.rational`); a vector or a matrix must be a sequence
 (`combings.errors.sequence`), so a bare scalar in its place is refused as
-InvalidInputError too, not as a TypeError from `len()` or iteration.
+InvalidInputError too, not as a TypeError from `len()` or iteration.  A case
+labelled `FramedLinkData.from_rows` calls the constructor on a list of rows.
 """
 
 from fractions import Fraction
@@ -24,6 +25,7 @@ from combings import (
     CombingSpec,
     FramedLinkData,
     IntMatrix,
+    P1Value,
     SurgeryPresentation,
     add_hopf,
     apply_modification,
@@ -46,7 +48,7 @@ from combings.surgery import torsion_columns
 
 B = SurgeryPresentation.from_rows([[1]])  # S^3; c = (1,) is characteristic
 X = CombingSpec(B, (1,))
-TWO = FramedLinkData.from_rows([[0, 0], [0, 0]])
+TWO = FramedLinkData([[0, 0], [0, 0]])
 
 # (entry point.argument, the call with that argument x, an x it takes)
 SCALARS = [
@@ -82,7 +84,7 @@ VECTORS = [
     ("linking_form.v", lambda v: linking_form(B, v)),
     ("reduce_class.v", lambda v: reduce_class(B, v)),
     ("is_torsion_class.v", lambda v: is_torsion_class(B, v)),
-    ("FramedLinkData.from_rows.classes", lambda v: FramedLinkData.from_rows([[0]], [v], B)),
+    ("FramedLinkData.from_rows.classes", lambda v: FramedLinkData([[0]], [v], B)),
 ]
 CASES = SCALARS + [(name, call, (1,)) for name, call in VECTORS]
 STAND_INS = {"bool": True, "float": 1.0, "Fraction": Fraction(1), "string": "1"}
@@ -117,9 +119,10 @@ RATIONALS = [
      lambda x: apply_modification(0, "D", eta=1, lk_euler=x, lk_par=0), "lk_euler"),
     ("apply_modification.lk_par",
      lambda x: apply_modification(0, "global-Z", lk_par=x), "lk_par"),
-    ("FramedLinkData.from_rows.entry", lambda x: FramedLinkData.from_rows([[x]]),
+    ("FramedLinkData.from_rows.entry", lambda x: FramedLinkData([[x]]),
      "linking entry"),
     ("FramedLinkData.entry", lambda x: FramedLinkData(((x,),)), "linking entry"),
+    ("P1Value.value", P1Value, "value"),
     ("pontrjagin_p1.p1_tau", lambda x: pontrjagin_p1(x, TWO), "p1_tau"),
     ("theta_invariant.casson_walker", lambda x: theta_invariant(x, 0), "casson_walker"),
     ("theta_invariant.p1", lambda x: theta_invariant(0, x), "p1"),
@@ -128,8 +131,8 @@ RATIONAL_NAMES = [case[0] for case in RATIONALS]
 TAKEN = {"int": 1, "Fraction": Fraction(1, 2), "p/q": "1/2", "negative p/q": "-1/2",
          "p": "3"}
 # None is left out: an lk_euler or lk_par of None is an argument not given
-REFUSED = {"bool": True, "float": 0.5, "word": "x", "decimal": "0.5", "zero q": "1/0",
-           "spaced": " 1/2", "list": [1]}
+REFUSED = {"bool": True, "float": 0.5, "nan": float("nan"), "word": "x", "decimal": "0.5",
+           "zero q": "1/0", "spaced": " 1/2", "list": [1]}
 
 
 @pytest.mark.parametrize("kind", TAKEN)
@@ -156,7 +159,7 @@ def test_rational_is_read_exactly():
     of any size keeps every digit."""
     got = apply_modification("1/3", "D", eta=-1, lk_euler="-1/6", lk_par=Fraction(1, 12))
     assert got.value == Fraction(1, 3) + 4 * (Fraction(1, 6) - Fraction(1, 12))
-    assert FramedLinkData.from_rows([[10 ** 40]]).lambda_matrix == ((Fraction(10 ** 40),),)
+    assert FramedLinkData([[10 ** 40]]).lambda_matrix == ((Fraction(10 ** 40),),)
 
 
 # (entry point.argument, the call with that vector or matrix argument x): a
@@ -170,10 +173,10 @@ NON_SEQUENCES = [
     ("spin_c_equal.c_other", lambda x: spin_c_equal(B, (1,), x)),
     ("meridian_pairing.w", lambda x: meridian_pairing(B, (1,), x)),
     ("reduce_class.v", lambda x: reduce_class(B, x)),
-    ("FramedLinkData.from_rows", FramedLinkData.from_rows),
-    ("FramedLinkData.from_rows.row", lambda x: FramedLinkData.from_rows([x])),
-    ("FramedLinkData.from_rows.classes", lambda x: FramedLinkData.from_rows([[0]], x, B)),
-    ("FramedLinkData.from_rows.class", lambda x: FramedLinkData.from_rows([[0]], [x], B)),
+    ("FramedLinkData.from_rows", FramedLinkData),
+    ("FramedLinkData.from_rows.row", lambda x: FramedLinkData([x])),
+    ("FramedLinkData.from_rows.classes", lambda x: FramedLinkData([[0]], x, B)),
+    ("FramedLinkData.from_rows.class", lambda x: FramedLinkData([[0]], [x], B)),
 ]
 SCALAR_STAND_INS = {"bool": True, "float": 1.5, "int": 1}
 
@@ -186,8 +189,9 @@ def test_non_sequence_is_invalid_input(name, call, kind):
 
 
 def test_framed_constructor_reads_its_entries():
-    """The constructor reads each entry by the rational rule, as `from_rows`
-    does: a float or a word is refused, not kept or left to fail later."""
+    """The constructor reads each entry by the rational rule, on rows of
+    tuples as on lists: a float or a word is refused, not kept or left to
+    fail later."""
     for entry in (1.5, "x"):
         with pytest.raises(InvalidInputError, match="^linking entry must be an integer, a "):
             FramedLinkData(((entry,),))

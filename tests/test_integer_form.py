@@ -21,12 +21,14 @@ from _oracles import (
     frac_rank,
     frac_solve,
     naive_det,
+    product,
     reference,
     smith_coordinates,
     smith_generators,
     smith_kernel,
     solve_integer,
     torsion_pairs,
+    transpose,
     unimodular_inverse,
 )
 from combings.combing import (
@@ -85,7 +87,7 @@ def _presentations(seed, count, max_n=8, singular_every=3):
             d = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(n)]
             d[rng.randrange(n)] = 0
             p = random_unimodular(rng, n, steps=2 * n)
-            b = p.transpose() @ _diagonal(d) @ p
+            b = product(transpose(p), _diagonal(d), p)
         else:
             b = random_symmetric(rng, n, 4)
         out.append((rng, SurgeryPresentation(b)))
@@ -144,7 +146,7 @@ def _radical_presentations(seed, count, max_n=8, max_order=5000):
                 r = rng.randint(1, n - 2)
                 d = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(r)]
                 p = IntMatrix.from_rows([[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)])
-            b = p.transpose() @ _diagonal(d) @ p
+            b = product(transpose(p), _diagonal(d), p)
             if analysis(b).homology.torsion_order <= max_order:
                 break
         out.append((rng, SurgeryPresentation(b)))
@@ -170,7 +172,7 @@ def _large_singular_presentations(seed, count):
         r = rng.randint(n - 4, n - 2)
         d = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(r)]
         a = IntMatrix.from_rows([[rng.randint(-2, 2) for _ in range(n)] for _ in range(r)])
-        out.append((rng, SurgeryPresentation(a.transpose() @ _diagonal(d) @ a)))
+        out.append((rng, SurgeryPresentation(product(transpose(a), _diagonal(d), a))))
     return out
 
 
@@ -182,7 +184,7 @@ def _assert_generalized_inverse(b):
     form = analysis(b).form
     assert form.L >= 1
     g = IntMatrix.from_rows(form.G)
-    assert b @ g @ b == IntMatrix(b.rows, b.cols, tuple(form.L * x for x in b.entries))
+    assert product(b, g, b) == IntMatrix(b.rows, b.cols, tuple(form.L * x for x in b.entries))
 
 
 @pytest.mark.parametrize("index", range(len(RADICAL_PRESENTATIONS)))
@@ -339,7 +341,7 @@ def _torsion_presentations(seed, count, max_order=3000, max_n=5):
                     d.insert(rng.randrange(len(d) + 1), 0)
                     d = _block_diagonal(*([[x]] for x in d))
                 p = random_unimodular(rng, len(d), steps=3 * len(d))
-                b = p.transpose() @ IntMatrix.from_rows(d) @ p
+                b = product(transpose(p), IntMatrix.from_rows(d), p)
             if analysis(b).homology.torsion_order <= max_order:
                 break
         out.append(SurgeryPresentation(b))
@@ -498,7 +500,7 @@ def _hermite_presentations(seed, count):
     for n in (3, 6):
         p = random_unimodular(rng, n, steps=3 * n)
         signs = _diagonal([rng.choice((1, -1)) for _ in range(n)])
-        out.append((rng, SurgeryPresentation(p.transpose() @ signs @ p)))
+        out.append((rng, SurgeryPresentation(product(transpose(p), signs, p))))
     for rows in ([], [[-1]], [[-5]], [[-12]]):
         out.append((rng, SurgeryPresentation.from_rows(rows)))
     return out
@@ -607,7 +609,7 @@ def test_form_is_inverse_for_nonsingular():
             continue
         form = analysis(pres.matrix).form
         g = IntMatrix.from_rows(form.G)
-        assert pres.matrix @ g == _diagonal([form.L] * pres.n)
+        assert product(pres.matrix, g) == _diagonal([form.L] * pres.n)
         assert form.L == snf.diag[-1]  # the least L, not |det B|
 
 

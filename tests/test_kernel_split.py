@@ -22,10 +22,12 @@ import pytest
 from _oracles import (
     echelon,
     frac_solve,
+    product,
     smith_coordinates,
     smith_generators,
     smith_kernel,
     torsion_pairs,
+    transpose,
 )
 from combings import linalg
 from combings.cli import main
@@ -51,7 +53,7 @@ def _pdp(rng, n):
     for i in rng.sample(range(n), rng.randint(1, n)):
         d[i] = 0
     p = random_unimodular(rng, n, steps=2 * n)
-    return p.transpose() @ _diagonal(d) @ p
+    return product(transpose(p), _diagonal(d), p)
 
 
 def _ata(rng, n):
@@ -59,7 +61,7 @@ def _ata(rng, n):
     r = rng.randint(0, n - 1)
     d = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(r)]
     a = IntMatrix.from_rows([[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)])
-    return a.transpose() @ _diagonal(d) @ a if r else _diagonal([0] * n)
+    return product(transpose(a), _diagonal(d), a) if r else _diagonal([0] * n)
 
 
 def _hollow(rng, n):
@@ -105,7 +107,7 @@ def _large(n, k, seed):
     rng = random.Random(f"{seed}:{n}:{k}")
     b = random_symmetric(rng, n - k, 5).direct_sum(_diagonal([0] * k))
     p = random_unimodular(rng, n, steps=2 * n)
-    return rng, SurgeryPresentation(p.transpose() @ b @ p)
+    return rng, SurgeryPresentation(product(transpose(p), b, p))
 
 
 def test_family_is_singular_and_covers_its_kinds():
@@ -183,7 +185,7 @@ def test_n40_representatives_stay_small():
     rng = random.Random("n40")
     b0 = random_symmetric(rng, 38, 5).direct_sum(_diagonal([0, 0]))
     p = random_unimodular(rng, 40, steps=80)
-    b = p.transpose() @ b0 @ p
+    b = product(transpose(p), b0, p)
     torsion = list(p.row(0))  # P^T e_0 pairs to zero with ker B = P^{-1} <e_38, e_39>
     code, out = _run(["homology"], {"linking_matrix": b.to_rows()})
     summary = json.loads(out)

@@ -22,7 +22,7 @@ from collections import Counter
 from fractions import Fraction
 from operator import mul
 
-from _oracles import echelon, frac_inverse, torsion_pairs
+from _oracles import echelon, frac_inverse, product, torsion_pairs, transpose
 from combings.cli import main
 from combings.combing import p1_image
 from combings.linalg import IntMatrix, analysis
@@ -49,7 +49,7 @@ def _cases(seed):
         k = rng.randint(1, min(2, n - 1))
         d = [rng.choice((1, -1)) * rng.randint(1, 6) for _ in range(n - k)] + [0] * k
         p = random_unimodular(rng, n, steps=2 * n)
-        matrices.append(p.transpose() @ _diagonal(d) @ p)
+        matrices.append(product(transpose(p), _diagonal(d), p))
     matrices.append(IntMatrix.from_rows([[4, 2], [2, 1]]))
     return _with_moves(rng, matrices)
 
@@ -67,12 +67,12 @@ def _cli_cases(seed):
     in front."""
     rng = random.Random(seed)
     p = random_unimodular(rng, 3, steps=6)
-    unimodular = p.transpose() @ _diagonal([1, -1, 1]) @ p
+    unimodular = product(transpose(p), _diagonal([1, -1, 1]), p)
     return _with_moves(rng, [IntMatrix(0, 0, ()), unimodular]) + CASES
 
 
 def _pair(b, p):
-    return SurgeryPresentation(b), SurgeryPresentation(p.transpose() @ b @ p)
+    return SurgeryPresentation(b), SurgeryPresentation(product(transpose(p), b, p))
 
 
 def _det_a(b):
@@ -86,7 +86,7 @@ def test_cases_reach_singular_b_with_det_a_over_one():
     pairs one side has |det A| > 1."""
     singular = [(b, p) for b, p in CASES if analysis(b).signature.n_zero]
     assert len(singular) == 31 and len(CASES) - len(singular) == 20
-    hits = sum(1 for b, p in singular if max(_det_a(b), _det_a(p.transpose() @ b @ p)) > 1)
+    hits = sum(1 for b, p in singular if max(_det_a(b), _det_a(product(transpose(p), b, p))) > 1)
     assert hits >= 10
 
 
@@ -119,10 +119,10 @@ def test_reduce_class_maps_back():
         inverse = [[int(x) for x in row] for row in frac_inverse(p.to_rows())[0]]
         for _ in range(4):
             v = tuple(rng.randint(-9, 9) for _ in range(b.rows))
-            w = reduce_class(moved, p.transpose().matvec(v))
+            w = reduce_class(moved, transpose(p).matvec(v))
             back = tuple(sum(inverse[j][i] * x for j, x in enumerate(w)) for i in range(b.rows))
             assert reduce_class(pres, back) == reduce_class(pres, v), (b, v)
-            forth = p.transpose().matvec(reduce_class(pres, v))
+            forth = transpose(p).matvec(reduce_class(pres, v))
             assert reduce_class(moved, forth) == w, (b, v)
 
 
@@ -198,7 +198,7 @@ def test_cli_combing_outputs_are_presentation_independent():
         gamma = rng.randint(-3, 3)
         pairs = ((same, gamma - shift), (same, gamma - shift + 1),
                  (random_torsion_characteristic(rng, pres), gamma))
-        moved, carry = p.transpose() @ b @ p, p.transpose().matvec
+        moved, carry = product(transpose(p), b, p), transpose(p).matvec
         for c2, gamma2 in pairs:
             printed = []
             for matrix, x, y in ((b, c, c2), (moved, carry(c), carry(c2))):

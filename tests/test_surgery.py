@@ -26,7 +26,7 @@ from combings.verify import (
     saturation_basis,
 )
 
-from _oracles import f2_rank, frac_solve, naive_det, torsion_pairs
+from _oracles import f2_rank, frac_solve, naive_det, product, torsion_pairs, transpose
 
 
 def pres(rows):
@@ -178,8 +178,8 @@ def _linking_cases(seed, count):
                 d = [rng.choice((-6, -4, -3, -2, 2, 3, 5)) for _ in range(n - k)] + [0] * k
                 p = random_unimodular(rng, n, steps=3 * n)
                 diagonal = IntMatrix(n, n, [d[i] if i == j else 0 for i in range(n) for j in range(n)])
-                b = p.transpose() @ diagonal @ p
-                v = p.transpose().matvec([rng.randint(-4, 4) if x else 0 for x in d])
+                b = product(transpose(p), diagonal, p)
+                v = transpose(p).matvec([rng.randint(-4, 4) if x else 0 for x in d])
             else:
                 b = random_symmetric(rng, n, 4)
                 v = tuple(rng.randint(-4, 4) for _ in range(n))
@@ -218,8 +218,8 @@ class TestLinkingFormValue:
     def test_unimodular_change_of_basis(self, index):
         rng, p, v, want = LINKING_CASES[index]
         q = random_unimodular(rng, p.n)
-        moved = SurgeryPresentation(q.transpose() @ p.matrix @ q)
-        assert linking_form(moved, q.transpose().matvec(v)) == want
+        moved = SurgeryPresentation(product(transpose(q), p.matrix, q))
+        assert linking_form(moved, transpose(q).matvec(v)) == want
 
     def test_residues_of_the_enumeration(self, index):
         _, p, _, _ = LINKING_CASES[index]

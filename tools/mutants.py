@@ -55,6 +55,7 @@ PACKAGE = "src/combings/__init__.py"
 ERRORS = "src/combings/errors.py"
 FRAMED = "src/combings/framed.py"
 FAILING_CHECK = "tests/test_cli.py::TestDeterminism::test_verify_reports_a_failing_check"
+MOD2 = "tests/test_linalg.py::TestMod2::test_diagonal_always_solvable"
 
 MUTANTS = (
     Mutant("in-lattice-skips-r1", LINALG,
@@ -168,7 +169,19 @@ MUTANTS = (
            ("tests/test_residues.py",)),
     Mutant("sweep-skips-kernel-filter", COMBING,
            "itertools.compress(part, torsion) if kernel else part", "part",
-           ("tests/test_residues.py",)),
+           ("tests/test_residues.py",
+            "tests/test_golden_cli.py::test_golden_case[singular-z-z2:image-p1 --box 3]")),
+    # the F_2 elimination on bit-mask rows behind c_ref and dim H_1(M; F_2)
+    Mutant("mod2-skips-row-swap", LINALG,
+           "rows[k], rows[pivot] = rows[pivot], rows[k]",
+           "rows[k], rows[pivot] = rows[k], rows[pivot]",
+           (MOD2,)),
+    Mutant("mod2-eliminates-below-only", LINALG,
+           "if i != k and rows[i] >> j & 1", "if i > k and rows[i] >> j & 1",
+           (MOD2,)),
+    Mutant("mod2-reads-bit-n-minus-1", LINALG,
+           "u[j] = rows[k] >> n & 1", "u[j] = rows[k] >> n - 1 & 1",
+           (MOD2,)),
     # the memo's packed triangle: warm self-pairings and the reference's p_1
     Mutant("p1-image-packed-weight-one", LINALG,
            "x * (2 - (i == j))", "x * 1",
