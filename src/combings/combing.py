@@ -126,8 +126,9 @@ def theta_g(pres: SurgeryPresentation, c: Sequence[int]) -> Fraction:
     c^T x - 2(n+1) - 3 sig(B) for any rational solution of B x = c; the
     quadratic term does not depend on the solution choice, and is the
     self-pairing q / d = c^T G_0 c (`MatrixAnalysis.square`): on a fresh B,
-    c solved alone through the pass; on a warm one, the packed triangle of
-    the integer form.
+    c solved alone through the pass; on a warm one, c paired with G c, one
+    product of the packed columns of the integer form
+    (`MatrixAnalysis._product`).
     """
     validate_combing(pres, c)
     return _theta_g(pres, c)
@@ -192,7 +193,6 @@ def combing_equal(x: CombingSpec, y: CombingSpec) -> bool:
     if not data.is_torsion(y.c):
         raise NonTorsionError("second combing is not torsion")
     v, d = data._solution([(a - b) // 2 for a, b in zip(x.c, y.c)])
-    v = list(v)  # read twice
     j = y.gamma_offset - x.gamma_offset
     return data._integral(v, d) and sum(map(mul, map(add, x.c, y.c), v)) == 2 * d * j
 
@@ -354,7 +354,8 @@ def p1_image(
     # whose denominator L_t divides L, so p_1(reference) - 4 lk(x, x) is
     # p_1(reference) L + 4 y^T Q y L / L_t over L, modulo 4
     tf = data.torsion_form
-    formula = tf.values(4 * form.L // tf.L, modulus, data._quadratic(data.c_ref) + shift)
+    reference = sum(map(mul, data.c_ref, data._product(data.c_ref))) + shift
+    formula = tf.values(4 * form.L // tf.L, modulus, reference)
     # (s + 2y)^T G (s + 2y) = s^T G s + 4 (G s)^T y + 4 y^T G y over the box,
     # walked with the map K^T c over the pass's kernel vectors, which keeps
     # the torsion c (`MatrixAnalysis.is_torsion`): none on a nonsingular B.
@@ -364,7 +365,7 @@ def p1_image(
     enumeration = set()
     starts[-1:] = [s % 2 for s in starts[-1:]]
     factors[-1:] = [(box - s) // 2 + 1 for s in starts[-1:]]
-    gs = [sum(map(mul, row, starts)) for row in form.G]
+    gs = data._product(starts)
     for columns, part in walk(factors, [[4 * x for x in row] for row in form.G], modulus,
                               [4 * x for x in gs], sum(map(mul, starts, gs)) + shift,
                               [[2 * x for x in z] for z in kernel],

@@ -24,10 +24,11 @@ column holds and the positions with h_ii > 1, the Euclid steps `_euclid` of
 `_split` and `_echelon`, and the F_2 elimination `MatrixAnalysis._mod2` on
 bit-mask rows.  Every class question reads one box, the Hermite box of the
 nonsingular core of B, kept as those sparse columns; every vector question,
-a pairing or membership in B Z^n, reads one solution G_0 w
-(`MatrixAnalysis._solution`), save a later self-pairing c^T G_0 c
-(`MatrixAnalysis.square`), which reads the packed upper triangle of G.  The
-one torsion test is `MatrixAnalysis.is_torsion`, on the pass's kernel
+a pairing, a self-pairing c^T G_0 c or membership in B Z^n, reads one
+solution G_0 w (`MatrixAnalysis._solution`): on a warm entry G w off the
+columns of G, each packed into one integer (Kronecker substitution,
+`MatrixAnalysis._product`), n products of wide integers and no division.
+The one torsion test is `MatrixAnalysis.is_torsion`, on the pass's kernel
 vectors.
 """
 
@@ -35,10 +36,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import struct
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain, repeat
-from operator import add, mod, mul
+from operator import add, lshift, mod, mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InvalidInputError, integers, sequence
@@ -702,6 +704,22 @@ class TorsionForm(NamedTuple):
         return set(chain.from_iterable(residues for _, residues in chunks))
 
 
+def _pack(G: Sequence[Sequence[int]], bits: int) -> tuple:
+    """The columns of an n x n integer G packed for `MatrixAnalysis._product`
+    in the narrowest slots that admit a c of entries of at most `bits` bits:
+    (columns, m, room, bias, unpack), with entry i of a column in slot i of
+    m 64-bit words, least significant first, `room` the largest bit length
+    of an entry of c that the slots admit, `bias` half a slot in every slot,
+    and `unpack` the reader of n slots of m - 1 unsigned words and a signed
+    top word each."""
+    n, top = len(G), max(map(abs, chain.from_iterable(G)), default=0)
+    extra = top.bit_length() + n.bit_length() + 2
+    m = -(-(extra + bits) // 64)
+    columns = [sum(map(lshift, col, range(0, 64 * m * n, 64 * m))) for col in zip(*G)]
+    bias = int.from_bytes((1 << 64 * m - 1).to_bytes(8 * m, "little") * n, "little")
+    return columns, m, 64 * m - extra, bias, struct.Struct("<" + ("Q" * (m - 1) + "q") * n).unpack
+
+
 class MatrixAnalysis:
     """What the library derives from one symmetric integer matrix.
 
@@ -722,16 +740,15 @@ class MatrixAnalysis:
     The vector questions, `pairing`, `in_lattice` and the self-pairing
     `square`, follow one rule that depends on the entry's history alone:
     the first vector question solves w through the pass (`_solution`), and
-    every later one reads `form`, which it builds once, with the packed
-    upper triangle of G beside it (`_triangle`).  A later pairing or
-    membership reads G w row by row; a later `square`, which `theta_g`
-    asks, reads c^T G c off the triangle (`_quadratic`), which
-    `combing.p1_image` reads for c_ref too; its sweep walks the box
-    (`walk`) instead.  So a
-    single question pays for one solve, and a scan on one B for n solves
-    and then a product per vector.  `combing.combing_equal` is one vector
-    question: it reads a pairing and the lattice test `_integral` off one
-    `_solution`.
+    every later one reads `form`, which it builds once: G w is one sum of
+    n products of G's packed columns (`_product`, packed once beside
+    `form`, and again only for a wider c), and a later pairing, membership
+    or `square`, which `theta_g` asks, reads it.  `combing.p1_image` reads
+    `_product` for c_ref's self-pairing and for its sweep's offset G s too;
+    its sweep walks the box (`walk`).  So a single question pays for one
+    solve, and a scan on one B for n solves and then one packed product per
+    vector.  `combing.combing_equal` is one vector question: it reads a
+    pairing and the lattice test `_integral` off one `_solution`.
     """
 
     _asked = False  # set on the entry by its first vector question
@@ -771,42 +788,50 @@ class MatrixAnalysis:
         kernel = self._pass.kernel
         return not kernel or not any(sum(map(mul, z, c)) for z in kernel)
 
-    def _solution(self, w: Sequence[int]) -> tuple[Iterable[int], int]:
+    def _solution(self, w: Sequence[int]) -> tuple[Sequence[int], int]:
         """(y, d) with y / d = G_0 w, which solves B x = w for a torsion w.
         The entry's first vector question solves w through the pass, y =
-        D_r G_0 w and d = D_r; every later one reads `form`, y = G w produced
-        row by row in one chain of C calls, so a reader may stop early, and
-        d = L."""
+        D_r G_0 w and d = D_r; every later one reads `form`, y = G w off the
+        packed columns (`_product`), and d = L."""
         if not self._asked:
             self._asked = True
             return self._pass.solve(w), self._pass.minor
-        form = self.form
-        return map(sum, map(map, itertools.repeat(mul), form.G, itertools.repeat(w))), form.L
+        return self._product(w), self.form.L
 
     def square(self, c: Sequence[int]) -> tuple[int, int]:
         """(q, d) with q / d = c^T G_0 c, which is c^T x for every solution
-        x of B x = c when c is torsion (`is_torsion`, which the caller asks).
-        By the rule of `_solution`: the entry's first vector question pairs c
-        with D_r G_0 c, solved through the pass, d = D_r; every later one
-        reads the packed triangle (`_quadratic`), d = L."""
-        if not self._asked:
-            y, d = self._solution(c)
-            return sum(map(mul, c, y)), d
-        return self._quadratic(c), self.form.L
+        x of B x = c when c is torsion (`is_torsion`, which the caller asks):
+        c paired with the y of `_solution`(c)."""
+        y, d = self._solution(c)
+        return sum(map(mul, c, y)), d
 
-    def _quadratic(self, c: Sequence[int]) -> int:
-        """c^T G c for G of `form`: the sum over i <= j of G_ij (2 - [i = j])
-        c_i c_j, the packed triangle against the products of
-        `combinations_with_replacement`, n (n + 1) / 2 products in one chain
-        of C calls with no list built per vector."""
-        products = itertools.starmap(mul, itertools.combinations_with_replacement(c, 2))
-        return sum(map(mul, self._triangle, products))
+    # G's packed columns (`_pack`); a room of -1 admits no c, so the first
+    # `_product` packs G
+    _packed = ((), 1, -1, 0, None)
 
-    @cached_property
-    def _triangle(self) -> list[int]:
-        """The upper triangle of G, row by row, off-diagonal entries doubled."""
-        return [x * (2 - (i == j)) for i, row in enumerate(self.form.G)
-                for j, x in enumerate(row) if i <= j]
+    def _product(self, c: Sequence[int]) -> tuple[int, ...]:
+        """G c for G of `form`, by Kronecker substitution (Schoenhage 1982):
+        n products of wide integers in place of n^2 small ones.  Column j of
+        G is packed into one integer, entry i in slot i of W = 64 m bits
+        (`_pack`), so sum_j c_j column_j holds (G c)_i in slot i.  With the
+        bias, half a slot added to each, every slot is (G c)_i + 2^(W-1) in
+        [0, 2^W), so no slot borrows from the next; the bias taken off again
+        by xor leaves each slot the W-bit two's complement of (G c)_i, read
+        by one `to_bytes` and one unpack, and m - 1 shift-and-add maps join
+        the words of a slot.  |(G c)_i| <= n max|G| max|c| < 2^(W-1) when
+        W >= bits(max|G|) + bits(max|c|) + bits(n) + 2; a c too large for
+        the slots packs G again, wider, and the entry keeps the new
+        packing."""
+        bits = max(map(abs, c), default=0).bit_length()
+        columns, m, room, bias, unpack = self._packed
+        if bits > room:
+            columns, m, room, bias, unpack = self._packed = _pack(self.form.G, bits)
+        total = sum(map(mul, columns, c)) + bias
+        words = unpack((total ^ bias).to_bytes(8 * m * len(columns), "little"))
+        y = words[m - 1 :: m]  # the signed top word of each slot
+        for k in reversed(range(m - 1)):  # then its lower words
+            y = map(add, map(lshift, y, repeat(64)), words[k::m])
+        return tuple(y)
 
     def pairing(self, v: Sequence[int], w: Sequence[int]) -> Fraction:
         """v^T G_0 w, which is v^T x for every solution x of B x = w when
@@ -820,16 +845,15 @@ class MatrixAnalysis:
         for y / d = G_0 c (`_solution`)."""
         return self.is_torsion(c) and self._integral(*self._solution(c))
 
-    def _integral(self, y: Iterable[int], d: int) -> bool:
+    def _integral(self, y: Sequence[int], d: int) -> bool:
         """Is R_1 y / d = B'^{-1} W_1^T w integral, for y / d = G_0 w of a
         torsion w (`_solution`)?  Then and only then w lies in B Z^n: d
         divides every entry of y for a nonsingular B, where R_1 = I, and of
         R_1 y otherwise.  The first entry that d does not divide ends the
         test."""
         if self._pass.kernel:
-            x = list(y)
-            y = (sum(map(mul, r, x)) for r in self.split.rows)
-        return not any(map(mod, y, itertools.repeat(d)))
+            y = map(sum, map(map, repeat(mul), self.split.rows, repeat(y)))  # R_1 y, lazily
+        return not any(map(mod, y, repeat(d)))
 
     def reduce(self, v: Sequence[int]) -> Vector:
         """The canonical representative of v modulo B Z^n.

@@ -581,8 +581,10 @@ def test_nonsingular_b_is_its_own_core(index):
 @pytest.mark.parametrize("index", range(len(HERMITE_PRESENTATIONS)))
 def test_nonsingular_lattice_rows_are_g(index):
     """R_1 = I on a nonsingular B, so in_lattice reads the entries of G_0 c
-    itself, with no split: it agrees with the Fraction solve, cold and warm,
-    on vectors of B Z^n and on random ones."""
+    itself, with no split: cold, D_r G_0 c solved through the pass; warm,
+    G c off the packed columns of G (`_product`), each entry tested for a
+    multiple of L.  It agrees with the Fraction solve, cold and warm, on
+    vectors of B Z^n and on random ones."""
     _, pres = HERMITE_PRESENTATIONS[index]
     b, n = pres.matrix, pres.n
     rng = random.Random(f"lattice:{index}")
@@ -1005,9 +1007,9 @@ def test_theta_scan_runs_one_pass(passes, solves):
 
 def test_warm_theta_makes_no_solve(passes, solves):
     """Once a scan on B has asked its first two questions, a warm theta_g,
-    p1 or hf_grading runs no pass and no solve: it reads c^T G c off the
-    packed triangle that was built beside `form`, once, on nonsingular and
-    singular B."""
+    p1 or hf_grading runs no pass and no solve: it reads G c off the packed
+    columns of G (`_product`), packed once beside `form`, on nonsingular and
+    singular B; these small c never widen the slots."""
     for rows in (
         [[3, 1, 0, 2], [1, -2, 1, 0], [0, 1, 4, -1], [2, 0, -1, 5]],
         [[2, 1, 3], [1, 7, 8], [3, 8, 11]],  # kernel (1, 1, -1)
@@ -1017,7 +1019,7 @@ def test_warm_theta_makes_no_solve(passes, solves):
         c_ref = data.c_ref
         theta_g(pres, c_ref)
         theta_g(pres, c_ref)
-        triangle = data._triangle
+        packed = data._packed
         passes["passes"].clear()
         solves.clear()
         for k in range(1, 6):
@@ -1027,7 +1029,7 @@ def test_warm_theta_makes_no_solve(passes, solves):
             assert theta_g(pres, c) == want
             assert p1(CombingSpec(pres, c, k)).value == want + 4 * k
             assert hf_grading(CombingSpec(pres, c, -k)) == (2 + want - 4 * k) / 4
-        assert solves == [] and not passes["passes"] and data._triangle is triangle
+        assert solves == [] and not passes["passes"] and data._packed is packed
 
 
 WARM_COLD_PRESENTATIONS = _presentations(23, 300, singular_every=5)
@@ -1036,9 +1038,9 @@ WARM_COLD_PRESENTATIONS = _presentations(23, 300, singular_every=5)
 def test_theta_agrees_cold_and_warm():
     """theta_g, p1 and hf_grading give equal Fractions on a cold entry,
     whose first vector question solves c through the pass, and on the same
-    entry warm, which reads the packed triangle of `form`; the value is the
-    Fraction reference.  300 seeded B, every fifth singular, each with a
-    torsion characteristic c."""
+    entry warm, which reads G c off the packed columns of `form`'s G
+    (`_product`); the value is the Fraction reference.  300 seeded B, every
+    fifth singular, each with a torsion characteristic c."""
     questions = (
         lambda pres, c: theta_g(pres, c),
         lambda pres, c: p1(CombingSpec(pres, c, 3)).value,
@@ -1054,7 +1056,7 @@ def test_theta_agrees_cold_and_warm():
             cold = question(pres, c)
             assert data._asked and "form" not in data.__dict__
             warm = question(pres, c)
-            assert "_triangle" in data.__dict__
+            assert "_packed" in data.__dict__
             assert type(cold) is type(warm) is Fraction and cold == warm, (pres.matrix, c)
             values.append(cold)
         want = _reference_theta(pres, c, _theta_constant(pres))
@@ -1065,8 +1067,8 @@ def test_theta_agrees_cold_and_warm():
 
 def test_square_is_the_self_pairing():
     """square(c) is pairing(c, c): on a cold entry both solve c through the
-    pass, over d = D_r; on a warm one square reads the packed triangle and
-    pairing the rows of G, over d = L.  The same 300 B, torsion c."""
+    pass, over d = D_r; on a warm one both read G c off the packed columns
+    of G (`_product`), over d = L.  The same 300 B, torsion c."""
     for rng, pres in WARM_COLD_PRESENTATIONS:
         b = pres.matrix
         vectors = [random_torsion_vector(rng, pres) for _ in range(3)]
@@ -1080,6 +1082,76 @@ def test_square_is_the_self_pairing():
             q, d = warm.square(v)
             assert d == warm.form.L and Fraction(q, d) == warm.pairing(v, v), (b, v)
             assert Fraction(q, d) == _reference_theta(pres, v, 0), (b, v)
+
+
+PACKING_PRESENTATIONS = [(random.Random("packing:empty"), SurgeryPresentation(IntMatrix(0, 0, ())))]
+PACKING_PRESENTATIONS += _presentations(71, 200, max_n=9, singular_every=5)
+PACKING_BITS = (1, 3, 8, 40, 61, 62, 63, 64, 65, 100, 127, 128, 129, 200, 300)
+
+
+def _g_c(data, c):
+    return tuple(sum(map(mul, row, c)) for row in data.form.G)
+
+
+def test_packed_product_is_g_c():
+    """_product(c) equals the row products of G on 201 B, n 0 to 9, every
+    fifth singular, for c of every size up to 2^300 asked in a seeded
+    order: a c too wide for the slots packs G again, wider, and every c
+    after it reads the wide packing."""
+    widened = 0
+    for rng, pres in PACKING_PRESENTATIONS:
+        data = linalg.MatrixAnalysis(pres.matrix)
+        for k, bits in enumerate(rng.sample(PACKING_BITS, len(PACKING_BITS))):
+            c = [rng.randint(-(1 << bits), 1 << bits) for _ in range(pres.n)]
+            before = data._packed
+            assert data._product(c) == _g_c(data, c), (pres.matrix, c)
+            widened += k > 0 and data._packed is not before
+            _, _, room, _, _ = data._packed
+            assert room >= max(map(abs, c), default=0).bit_length()
+    assert widened >= 200
+
+
+def test_packed_slots_hold_n_entries_at_their_bound():
+    """The slots of a packing must hold n entries' worth of bits: on the
+    Cartan matrices of A_n every entry of G is positive, so the c whose
+    entries are the largest the slot of one product G_ij c_j admits
+    (bits(max|G|) + bits(c) + 2 = 64) fills slot i with n such products,
+    past 2^63, and each must still read back exactly, with c and -c."""
+    for n in (8, 12, 17):
+        rows = [[2 * (i == j) - (abs(i - j) == 1) for j in range(n)] for i in range(n)]
+        data = linalg.MatrixAnalysis(IntMatrix.from_rows(rows))
+        top = max(map(max, data.form.G))
+        assert min(map(min, data.form.G)) > 0
+        c = [(1 << 62 - top.bit_length()) - 1] * n
+        assert max(map(sum, data.form.G)) * c[0] >= 1 << 63  # past one word's half
+        for v in (c, [-x for x in c]):
+            assert data._product(v) == _g_c(data, v), (n, v)
+
+
+def test_warm_entry_reads_huge_then_small_c():
+    """On a warm entry, theta_g, spin_c_equal and pairing of a c with
+    entries near 2^300, then of small c, and of a huge c again, all give the
+    Fraction reference: the entry keeps its widest packing, and a small c
+    reads it exactly."""
+    for rows in (
+        [[3, 1, 0, 2], [1, -2, 1, 0], [0, 1, 4, -1], [2, 0, -1, 5]],
+        [[2, 1, 3], [1, 7, 8], [3, 8, 11]],  # kernel (1, 1, -1)
+    ):
+        analysis.cache_clear()
+        pres = _cold(rows)
+        data = analysis(pres.matrix)
+        c_ref = data.c_ref
+        theta_g(pres, c_ref)  # the cold question
+        rng = random.Random(f"huge:{rows}")
+        for bits in (300, 2, 5, 1, 299, 3):
+            u = [rng.randint(-(1 << bits), 1 << bits) for _ in range(pres.n)]
+            c = tuple(x + 2 * y for x, y in zip(c_ref, pres.matrix.matvec(u)))
+            assert theta_g(pres, c) == _reference_theta(pres, c, _theta_constant(pres)), c
+            assert spin_c_equal(pres, c, c_ref)
+            v = random_torsion_vector(rng, pres)
+            assert data.pairing(v, c) == sum(map(mul, v, _solution(pres, c))), (v, c)
+        _, words, _, _, _ = data._packed
+        assert words > 1
 
 
 def test_cold_meridian_pairing_solves_w_alone(passes, solves):

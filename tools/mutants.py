@@ -59,13 +59,13 @@ MOD2 = "tests/test_linalg.py::TestMod2::test_diagonal_always_solvable"
 
 MUTANTS = (
     Mutant("in-lattice-skips-r1", LINALG,
-           "y = (sum(map(mul, r, x)) for r in self.split.rows)", "y = iter(x)",
+           "y = map(sum, map(map, repeat(mul), self.split.rows, repeat(y)))", "pass",
            ("tests/test_kernel_split.py",)),
     Mutant("solution-never-asked", LINALG,
            "self._asked = True", "self._asked = False",
            ("tests/test_integer_form.py",)),
     Mutant("warm-solution-divides-by-d-r", LINALG,
-           "itertools.repeat(w))), form.L", "itertools.repeat(w))), self._pass.minor",
+           "return self._product(w), self.form.L", "return self._product(w), self._pass.minor",
            ("tests/test_integer_form.py",)),
     Mutant("torsion-form-reads-col-0", LINALG,
            "factors=tuple(self.box[i][i] for i in positions)",
@@ -182,16 +182,27 @@ MUTANTS = (
     Mutant("mod2-reads-bit-n-minus-1", LINALG,
            "u[j] = rows[k] >> n & 1", "u[j] = rows[k] >> n - 1 & 1",
            (MOD2,)),
-    # the memo's packed triangle: warm self-pairings and the reference's p_1
-    Mutant("p1-image-packed-weight-one", LINALG,
-           "x * (2 - (i == j))", "x * 1",
+    # G c off G's packed columns: warm vector questions and the reference's p_1
+    Mutant("p1-image-reference-unpaired", COMBING,
+           "sum(map(mul, data.c_ref, data._product(data.c_ref)))",
+           "sum(map(mul, data.c_ref, data.c_ref))",
            ("tests/test_residues.py",)),
     Mutant("theta-constant-unscaled", COMBING,
            "q + _theta_constant(data) * d", "q + _theta_constant(data)",
            ("tests/test_integer_form.py",)),
     Mutant("warm-square-divides-by-d-r", LINALG,
-           "return self._quadratic(c), self.form.L", "return self._quadratic(c), self._pass.minor",
+           "return sum(map(mul, c, y)), d", "return sum(map(mul, c, y)), self._pass.minor",
            ("tests/test_integer_form.py",)),
+    Mutant("packed-drops-bias", LINALG,
+           "total = sum(map(mul, columns, c)) + bias", "total = sum(map(mul, columns, c))",
+           ("tests/test_integer_form.py::test_packed_product_is_g_c",)),
+    # the width check admits only the first packing: room < 0, nothing packed
+    Mutant("packed-never-widens", LINALG,
+           "if bits > room:", "if room < 0:",
+           ("tests/test_integer_form.py::test_packed_product_is_g_c",)),
+    Mutant("packed-width-ignores-n", LINALG,
+           "extra = top.bit_length() + n.bit_length() + 2", "extra = top.bit_length() + 2",
+           ("tests/test_integer_form.py::test_packed_slots_hold_n_entries_at_their_bound",)),
     # error paths: a missing flag or a malformed entry is a typed error
     Mutant("r-twist-without-its-flags", COMBING,
            '"r-twist": ("eta", "r", 0)', '"r-twist": (1, 0, 0)',
@@ -315,6 +326,9 @@ MUTANTS = (
 RETIRED = {
     "torsion-order-multiplies-col-0":
         "torsion_order of a singular B no longer reads the box diagonal",
+    "p1-image-packed-weight-one":
+        "the packed triangle of G is gone; p1_image pairs c_ref with G c_ref "
+        "(p1-image-reference-unpaired)",
 }
 
 
